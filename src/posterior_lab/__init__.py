@@ -11,6 +11,7 @@ and a one-parameter cosine model used as a consistent counterpart.
 from .numerics import (
     LN2,
     LOG_ZERO,
+    NumericError,
     QuadratureError,
     QuadratureResult,
     RandomStream,
@@ -18,7 +19,6 @@ from .numerics import (
     inv_norm_cdf,
     log_falling_factorial_ratio,
     log_sum_exp,
-    uniform_stream,
 )
 from .intervals import Bracket, LogBracket
 from .densities import (

@@ -15,13 +15,22 @@ Every posterior quantity is computed exactly up to certified enclosures:
   (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n).
 
 The engine is single-writer (``add_point``); all queries are read-only.
+Each engine state (the data seen so far) caches what its queries share and
+``add_point`` drops it: the per-level log-ratios ln (N^2)_k / (2N^2)_k,
+computed on the first step query; the step sum per truncation level and
+likelihood flag (its terms, tail bracket and total), which the step
+marginal, the level posterior and the predictive all read; and the
+full-interval tilt integral, which the tilt marginal and every interval
+mass divide by.  The data-free normalizer Z0 is integrated once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,6 +207,11 @@ class PosteriorTheta:
     def _integral(self, lo: float, hi: float) -> QuadratureResult:
         return _tilt_integral(self.n, self.s_n, self.quad_tol, lo, hi)
 
+    @functools.cached_property
+    def _normalizer(self) -> QuadratureResult:
+        """The full-interval integral, computed once per instance."""
+        return self._integral(0.0, 1.0)
+
     def interval_mass(self, lo: float, hi: float) -> Bracket:
         """Posterior mass of {lo <= theta <= hi} within the tilt family."""
         lo, hi = max(0.0, lo), min(1.0, hi)
@@ -205,7 +219,7 @@ class PosteriorTheta:
             return Bracket(0.0, 0.0)
         if lo == 0.0 and hi == 1.0:
             return Bracket(1.0, 1.0)  # the whole component, by definition
-        den = self._integral(0.0, 1.0)
+        den = self._normalizer
         num = self._integral(lo, hi)
         nl, nh = num.log_bracket()
         dl, dh = den.log_bracket()
@@ -217,7 +231,7 @@ class PosteriorTheta:
         every delta > 0."""
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
-        den = _tilt_integral(0, 0.0, self.quad_tol, 0.0, 1.0)
+        den = _z0(self.quad_tol)
         num = _tilt_integral(0, 0.0, self.quad_tol, 0.0, delta)
         nl, nh = num.log_bracket()
         dl, dh = den.log_bracket()
@@ -278,6 +292,22 @@ def _tilt_integral(n: int, s: float, tol: float,
     return adaptive_quadrature(f, u_lo, u_hi, tol, breakpoints=bps, relative=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _z0(tol: float) -> QuadratureResult:
+    """The data-free normalizer Z0 = integral of e^(-1/theta) over [0,1]; it
+    depends on the tolerance alone, so it is integrated once per process."""
+    return _tilt_integral(0, 0.0, tol)
+
+
+class _StepSum(NamedTuple):
+    """The level sum of one engine state at one truncation level M: ln term
+    per level 1..M, the bracket on the levels beyond M, and their total."""
+
+    terms: np.ndarray
+    tail: LogBracket
+    total: LogBracket
+
+
 class BarronEngine:
     """Single-writer exact posterior engine.
 
@@ -301,8 +331,12 @@ class BarronEngine:
         self._sum_log_truth = 0.0
         self._min_gap = math.inf
         self._n_distinct = 0
-        self._k = np.zeros(0, dtype=np.int64)
-        self._w2 = np.zeros(0, dtype=np.float64)  # 2 N^2 per maintained level
+        # per-level arrays over a capacity that doubles as levels are added;
+        # the first _levels entries are the maintained levels 1..M
+        self._levels = 0
+        self._k = np.zeros(0, dtype=np.int64)      # occupancy k_N
+        self._w2 = np.zeros(0, dtype=np.float64)   # 2 N^2
+        self._log_w = np.zeros(0, dtype=np.float64)  # ln 6/(pi^2 N^2)
         self._cache: dict = {}
 
     # -- state ------------------------------------------------------------
@@ -322,7 +356,7 @@ class BarronEngine:
     def occupancy(self) -> OccupancyStats:
         return OccupancyStats(n=self._n, n_distinct=self._n_distinct,
                               distinct_level=self.distinct_level(),
-                              k_by_level=self._k.copy())
+                              k_by_level=self._k[:self._levels].copy())
 
     @property
     def w_n(self) -> float:
@@ -348,8 +382,16 @@ class BarronEngine:
     # -- updates ----------------------------------------------------------
 
     def add_point(self, x: float) -> None:
-        """Insert one observation: updates S_n, the sorted sample, min_gap,
-        and every maintained occupancy in O(maintained levels + log n)."""
+        """Insert one observation: updates S_n, the sorted sample, min_gap
+        and every maintained occupancy, then grows the maintained levels to
+        the truncation level, and drops the state's cached queries.
+
+        Cost: O(n) for the sorted-list insert plus O(M) vector work over the
+        M maintained levels.  A new level at or beyond the distinct-cell
+        level takes the occupancy n_distinct without reading the sample; a
+        new level below it recounts the sample in O(n), which happens only
+        when a closer pair of points raises the distinct-cell level past M.
+        """
         x = float(x)
         if not 0.0 < x < 1.0:
             raise ValueError(f"data points must lie in (0,1), got {x}")
@@ -373,8 +415,9 @@ class BarronEngine:
 
         # update occupancies of existing levels via the nearest neighbors
         # (if any point shares x's cell, the nearest one on that side does),
-        # then grow new levels from the full sample (which already holds x)
-        old = self._k.size
+        # then grow new levels (below the distinct-cell level, from the full
+        # sample, which already holds x)
+        old = self._levels
         if old:
             w2 = self._w2[:old]
             c_x = (w2 * x).astype(np.int64)
@@ -383,7 +426,7 @@ class BarronEngine:
                 newly &= c_x != (w2 * left).astype(np.int64)
             if right is not None:
                 newly &= c_x != (w2 * right).astype(np.int64)
-            self._k[newly] += 1
+            self._k[:old][newly] += 1
         self._ensure_levels(self.trunc.resolve(self._n, self.distinct_level()))
 
     def add_points(self, xs) -> None:
@@ -391,19 +434,31 @@ class BarronEngine:
             self.add_point(x)
 
     def _ensure_levels(self, m: int) -> None:
-        cur = self._k.size
+        cur = self._levels
         if m <= cur:
             return
-        new_levels = np.arange(cur + 1, m + 1, dtype=np.float64)
-        w2_new = 2.0 * new_levels * new_levels
-        k_new = np.zeros(m - cur, dtype=np.int64)
-        if self._pts:
+        if m > self._k.size:
+            self._reserve(max(m, 2 * self._k.size))
+        # at or beyond the distinct-cell level every distinct point has a
+        # cell of its own; only the levels below it need the sample
+        below = min(m, max(cur, self.distinct_level() - 1))
+        if below > cur:
             pts = np.array(self._pts)
-            for i, w2 in enumerate(w2_new):
-                cells = (w2 * pts).astype(np.int64)
-                k_new[i] = 1 + int(np.count_nonzero(cells[1:] > cells[:-1]))
-        self._k = np.concatenate([self._k, k_new])
-        self._w2 = np.concatenate([self._w2, w2_new])
+            for i in range(cur, below):
+                cells = (self._w2[i] * pts).astype(np.int64)
+                self._k[i] = 1 + int(np.count_nonzero(cells[1:] > cells[:-1]))
+        self._k[below:m] = self._n_distinct
+        self._levels = m
+
+    def _reserve(self, capacity: int) -> None:
+        """Grow the per-level arrays to ``capacity`` levels."""
+        cur = self._k.size
+        levels = np.arange(cur + 1, capacity + 1, dtype=np.float64)
+        log_w = [_LOG_LEVEL_NORM - 2.0 * math.log(level)
+                 for level in range(cur + 1, capacity + 1)]
+        self._k = np.concatenate([self._k, np.zeros(capacity - cur, np.int64)])
+        self._w2 = np.concatenate([self._w2, 2.0 * levels * levels])
+        self._log_w = np.concatenate([self._log_w, log_w])
 
     # -- step-family marginal ----------------------------------------------
 
@@ -417,28 +472,35 @@ class BarronEngine:
                 f"level {nd}")
         return int(levels)
 
+    def _log_ratios(self, m_trunc: int) -> np.ndarray:
+        """ln (N^2)_k / (2N^2)_k per level 1..M (LOG_ZERO where k > N^2),
+        computed once per engine state (again only if a query asks for more
+        levels than the last one did)."""
+        r = self._cache.get("ratios")
+        if r is None or r.size < m_trunc:
+            self._ensure_levels(m_trunc)
+            ks = self._k[:m_trunc]
+            r = np.full(m_trunc, LOG_ZERO)
+            idx = np.arange(max(1, int(ks.max())), dtype=np.float64)
+            for i, k in enumerate(ks.tolist()):
+                m = (i + 1) ** 2
+                if k > m:
+                    continue
+                if k == 0:
+                    r[i] = 0.0
+                else:
+                    sl = idx[:k]
+                    r[i] = np.sum(np.log(m - sl)) - np.sum(np.log(2 * m - sl))
+            self._cache["ratios"] = r
+        return r[:m_trunc]
+
     def _step_log_terms(self, m_trunc: int, with_likelihood: bool) -> np.ndarray:
         """ln term per level 1..M (LOG_ZERO where the level is inconsistent)."""
-        self._ensure_levels(m_trunc)
-        ks = self._k[:m_trunc]
-        out = np.full(m_trunc, LOG_ZERO)
-        lik = self._n * LN2 if with_likelihood else 0.0
-        idx = np.arange(max(1, int(ks.max()) if ks.size else 1), dtype=np.float64)
-        for i in range(m_trunc):
-            level = i + 1
-            m = level * level
-            k = int(ks[i])
-            if k > m:
-                continue
-            if k == 0:
-                r = 0.0
-            elif k <= idx.size:
-                sl = idx[:k]
-                r = float(np.sum(np.log(m - sl)) - np.sum(np.log(2 * m - sl)))
-            else:
-                r = log_falling_factorial_ratio(m, 2 * m, k)
-            out[i] = _LOG_LEVEL_NORM - 2.0 * math.log(level) + r + lik
-        return out
+        r = self._log_ratios(m_trunc)  # first: it may grow the level arrays
+        terms = self._log_w[:m_trunc] + r
+        if with_likelihood:
+            terms += self._n * LN2
+        return terms
 
     def _step_tail(self, m_trunc: int, with_likelihood: bool) -> LogBracket:
         """Two-sided enclosure of the level sum beyond M.  Every tail level
@@ -454,26 +516,28 @@ class BarronEngine:
         lo, hi = base + min(r_next, r_inf), base + max(r_next, r_inf)
         return LogBracket(lo, hi)
 
+    def _step_sum(self, m_trunc: int, with_likelihood: bool) -> _StepSum:
+        key = ("step", m_trunc, with_likelihood)
+        if key not in self._cache:
+            terms = self._step_log_terms(m_trunc, with_likelihood)
+            tail = self._step_tail(m_trunc, with_likelihood)
+            total = LogBracket.point(log_sum_exp(terms)).add(tail)
+            self._cache[key] = _StepSum(terms, tail, total)
+        return self._cache[key]
+
     def step_marginal(self, with_likelihood: bool = True,
                       levels: int | None = None) -> LogBracket:
         """Enclosure of ln of the step-component marginal: with the
         likelihood flag this is ln sum_N w_N 2^n (N^2)_{k_N} / (2N^2)_{k_N};
         without it, the prior mass of the data-consistent step densities."""
-        key = ("step", with_likelihood, levels)
-        if key not in self._cache:
-            m_trunc = self._resolve_levels(levels)
-            head = log_sum_exp(self._step_log_terms(m_trunc, with_likelihood))
-            bracket = LogBracket.point(head).add(
-                self._step_tail(m_trunc, with_likelihood))
-            self._cache[key] = bracket
-        return self._cache[key]
+        return self._step_sum(self._resolve_levels(levels), with_likelihood).total
 
     # -- tilt-family marginal ----------------------------------------------
 
-    def _z0(self, tol: float) -> QuadratureResult:
-        key = ("z0", tol)
+    def _posterior_theta(self, tol: float) -> PosteriorTheta:
+        key = ("theta", tol)
         if key not in self._cache:
-            self._cache[key] = _tilt_integral(0, 0.0, tol)
+            self._cache[key] = PosteriorTheta(n=self._n, s_n=self._s, quad_tol=tol)
         return self._cache[key]
 
     def gauss_marginal(self, tol: float | None = None) -> QuadratureResult:
@@ -486,8 +550,8 @@ class BarronEngine:
             if self._n == 0 and self._s == 0.0:
                 # numerator and normalizer are the same integral
                 return QuadratureResult(0.0, 0.0, 0)
-            num = _tilt_integral(self._n, self._s, tol)
-            den = self._z0(tol)
+            num = self._posterior_theta(tol)._normalizer
+            den = _z0(tol)
             rel = (1.0 + num.rel_error_bound) * (1.0 + den.rel_error_bound) - 1.0
             self._cache[key] = QuadratureResult(
                 log_estimate=num.log_estimate - den.log_estimate,
@@ -495,15 +559,12 @@ class BarronEngine:
                 evaluations=num.evaluations + den.evaluations)
         return self._cache[key]
 
-    def gauss_marginal_bracket(self, tol: float | None = None) -> LogBracket:
-        lo, hi = self.gauss_marginal(tol).log_bracket()
-        return LogBracket(lo, hi)
-
     # -- posterior queries ---------------------------------------------------
 
     def component_marginals(self) -> tuple[LogBracket, LogBracket]:
         """Prior-weighted marginals (tilt part, step part)."""
-        g = self.gauss_marginal_bracket().shift(self.prior.log_continuous_weight)
+        g = LogBracket(*self.gauss_marginal().log_bracket()) \
+            .shift(self.prior.log_continuous_weight)
         s = self.step_marginal().shift(self.prior.log_step_weight)
         return g, s
 
@@ -526,14 +587,12 @@ class BarronEngine:
         return g.add(s)
 
     def posterior_theta(self) -> PosteriorTheta:
-        return PosteriorTheta(n=self._n, s_n=self._s, quad_tol=self.quad_tol)
+        return self._posterior_theta(self.quad_tol)
 
     def posterior_over_n(self, levels: int | None = None) -> LevelPosterior:
         """Posterior over partition levels within the step component."""
         m_trunc = self._resolve_levels(levels)
-        terms = self._step_log_terms(m_trunc, True)
-        tail = self._step_tail(m_trunc, True)
-        total = LogBracket.point(log_sum_exp(terms)).add(tail)
+        terms, tail, total = self._step_sum(m_trunc, True)
         w_lo = np.array([_exp_or_zero(t - total.upper) for t in terms])
         w_hi = np.array([min(1.0, _exp_or_zero(t - total.lower)) for t in terms])
         tail_w = Bracket(_exp_or_zero(tail.lower - total.upper),
@@ -597,7 +656,8 @@ class BarronEngine:
             cands.append(abs(x - self._pts[pos]))
         return min(cands)
 
-    def _predictive_at(self, x, m_trunc, terms, tail, total) -> Bracket:
+    def _predictive_at(self, x: float, m_trunc: int) -> Bracket:
+        terms, tail, total = self._step_sum(m_trunc, True)
         factors = self._predictive_log_factors(x, m_trunc)
         head = log_sum_exp(terms + factors)
         m1 = float((m_trunc + 1) ** 2)
@@ -617,23 +677,15 @@ class BarronEngine:
         level mixture of per-level cell predictives)."""
         if not 0.0 <= x < 1.0:
             raise ValueError(f"x must lie in [0,1), got {x}")
-        m_trunc = self._resolve_levels(levels)
-        terms = self._step_log_terms(m_trunc, True)
-        tail = self._step_tail(m_trunc, True)
-        total = LogBracket.point(log_sum_exp(terms)).add(tail)
-        return self._predictive_at(float(x), m_trunc, terms, tail, total)
+        return self._predictive_at(float(x), self._resolve_levels(levels))
 
     def predictive_uniform_ks(self, grid: int = 1024) -> float:
         """Kolmogorov distance between the step-predictive CDF (midpoint
         values on a regular grid) and the uniform CDF."""
         m_trunc = self._resolve_levels(None)
-        terms = self._step_log_terms(m_trunc, True)
-        tail = self._step_tail(m_trunc, True)
-        total = LogBracket.point(log_sum_exp(terms)).add(tail)
         xs = (np.arange(grid) + 0.5) / grid
-        mids = np.array([
-            self._predictive_at(float(x), m_trunc, terms, tail, total).midpoint()
-            for x in xs])
+        mids = np.array([self._predictive_at(float(x), m_trunc).midpoint()
+                         for x in xs])
         cdf = np.cumsum(mids) / grid
         targets = (np.arange(grid) + 1.0) / grid
         return float(np.max(np.abs(cdf - targets)))

@@ -58,9 +58,8 @@ log = logging.getLogger("posterior_lab")
 
 FORMAT_VERSION = 1
 
-# stream ids within one replicate seed (data vs. any auxiliary randomness)
+# stream id of the data within one replicate seed
 DATA_STREAM = 0
-AUX_STREAM = 1
 
 
 class DatasetError(ValueError):

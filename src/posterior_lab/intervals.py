@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import LOG_ZERO, log_add
+from .numerics import LOG_ZERO, NumericError, log_add
 
 # outward rounding per combine, in log space (~relative 1e-13)
 COMBINE_SLACK = 1e-13
@@ -27,7 +27,7 @@ class LogBracket:
 
     def __post_init__(self):
         if not self.lower <= self.upper:
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
+            raise NumericError(f"invalid bracket [{self.lower}, {self.upper}]")
 
     @staticmethod
     def point(v: float) -> "LogBracket":
@@ -71,20 +71,6 @@ class LogBracket:
         return self.lower <= log_v <= self.upper
 
 
-def log_bracket_sum(brackets) -> LogBracket:
-    """Sum of enclosures; one outward slack for the whole aggregation."""
-    from .numerics import log_sum_exp
-
-    bl = [b.lower for b in brackets]
-    bh = [b.upper for b in brackets]
-    if not bl:
-        return LogBracket.zero()
-    lo = log_sum_exp(bl)
-    hi = log_sum_exp(bh)
-    return LogBracket(lo - COMBINE_SLACK if lo > LOG_ZERO else lo,
-                      hi + COMBINE_SLACK if hi > LOG_ZERO else hi)
-
-
 @dataclass(frozen=True)
 class Bracket:
     """Enclosure [lower, upper] of a real (used for masses in [0,1])."""
@@ -94,7 +80,7 @@ class Bracket:
 
     def __post_init__(self):
         if not self.lower <= self.upper:
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
+            raise NumericError(f"invalid bracket [{self.lower}, {self.upper}]")
 
     @staticmethod
     def point(v: float) -> "Bracket":

@@ -38,8 +38,8 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "adaptive_quadrature",
+    "NumericError",
     "RandomStream",
-    "uniform_stream",
 ]
 
 
@@ -201,6 +201,11 @@ def inv_square_tail(m: int) -> float:
 # certified adaptive Simpson quadrature in log space
 # ---------------------------------------------------------------------------
 
+class NumericError(ArithmeticError):
+    """A broken numeric invariant, such as an inverted bracket or a
+    non-finite log value: a fault in the program, not in its input."""
+
+
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best bracket reached."""
 
@@ -292,7 +297,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         evals += 1
         v = float(f(x))
         if math.isnan(v) or v == float("inf"):
-            raise ValueError(f"integrand returned non-finite log value {v} at x={x}")
+            raise NumericError(f"integrand returned non-finite log value {v} at x={x}")
         return v
 
     # heap entries: (-err_log, tiebreak, a, b, fa, fm, fb, s_log, err_log);
@@ -301,7 +306,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     tie = 0
     # Richardson divisor with a ~4x safety margin over the asymptotic 15:
     # the raw estimate understates the true error on coarse meshes
-    log15 = math.log(4.0)
+    log4 = math.log(4.0)
 
     def push(lo, hi, flo, fmid, fhi, s_log, err_log):
         nonlocal tie
@@ -316,7 +321,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         sl = _simpson_log(lo, mid, flo, f1, fmid)
         sr = _simpson_log(mid, hi, fmid, f2, fhi)
         s2 = log_add(sl, sr)
-        err = _log_abs_diff(s2, s1) - log15
+        err = _log_abs_diff(s2, s1) - log4
         # assign the Richardson estimate to the children pro rata by mass
         if s2 > LOG_ZERO and err > LOG_ZERO:
             el = err + sl - s2 if sl > LOG_ZERO else LOG_ZERO
@@ -439,9 +444,3 @@ class RandomStream:
         """n uniforms in the open interval (0, 1) (for inverse-CDF maps)."""
         w = (self.bits64(n) >> np.uint64(11)).astype(np.float64)
         return (w + 0.5) * 2.0 ** -53
-
-
-def uniform_stream(rs: RandomStream, n: int) -> np.ndarray:
-    """First n uniforms of ``rs`` at its current counter (pure: identical
-    calls give identical sequences)."""
-    return rs.uniform(n)

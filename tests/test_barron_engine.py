@@ -9,7 +9,9 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 import pytest
+from posterior_lab import barron
 from posterior_lab.barron import (
+    _LOG_LEVEL_NORM,
     BarronEngine,
     BarronPriorConfig,
     TruncationError,
@@ -17,7 +19,15 @@ from posterior_lab.barron import (
     log_step_term,
 )
 from posterior_lab.densities import GaussExpDensity, UniformDensity, sample_gauss_exp
-from posterior_lab.numerics import LOG_ZERO, RandomStream, log_sum_exp
+from posterior_lab.diagnostics import DiagnosticSettings, evaluate_diagnostics
+from posterior_lab.intervals import LogBracket
+from posterior_lab.numerics import (
+    LN2,
+    LOG_ZERO,
+    RandomStream,
+    adaptive_quadrature,
+    log_sum_exp,
+)
 
 mp.mp.dps = 40
 
@@ -63,7 +73,7 @@ class TestOccupancyTracking:
             e = BarronEngine()
             e.add_points(data)
             pts = np.sort(data)
-            for level in range(1, e._k.size + 1):
+            for level in range(1, e.occupancy.k_by_level.size + 1):
                 cells = (2.0 * level * level * pts).astype(np.int64)
                 want = len(np.unique(cells))
                 assert e.occupancy.k(level) == want, (level, data)
@@ -420,3 +430,148 @@ class TestStepPredictive:
         xs = (np.arange(512) + 0.5) / 512
         mids = [e.step_predictive(float(x)).midpoint() for x in xs]
         assert np.mean(mids) == pytest.approx(1.0, abs=5e-3)
+
+
+# -- the per-state cache against the per-level loop it replaced --------------
+
+def _uniform_data(n):
+    return [float(x) for x in RandomStream(65, 0).uniform_open(n)]
+
+
+CACHE_DATA = {
+    "uniform n=300": lambda: _uniform_data(300),
+    "uniform n=2000": lambda: _uniform_data(2000),
+    "gauss:0.5 n=1500": lambda: [float(x) for x in sample_gauss_exp(
+        GaussExpDensity(0.5), RandomStream(7, 0), 1500)],
+}
+
+
+def recount_occupancy(data, levels):
+    pts = np.sort(np.asarray(data))
+    return np.array([len(np.unique((2.0 * lv * lv * pts).astype(np.int64)))
+                     for lv in range(1, levels + 1)], dtype=np.int64)
+
+
+def loop_step_log_terms(ks, n, with_likelihood):
+    """ln term per level, one level at a time, with the exact arithmetic the
+    engine's cached ratios must reproduce."""
+    out = np.full(ks.size, LOG_ZERO)
+    lik = n * LN2 if with_likelihood else 0.0
+    idx = np.arange(max(1, int(ks.max())), dtype=np.float64)
+    for i in range(ks.size):
+        level = i + 1
+        m = level * level
+        k = int(ks[i])
+        if k > m:
+            continue
+        if k == 0:
+            r = 0.0
+        else:
+            sl = idx[:k]
+            r = float(np.sum(np.log(m - sl)) - np.sum(np.log(2 * m - sl)))
+        out[i] = _LOG_LEVEL_NORM - 2.0 * math.log(level) + r + lik
+    return out
+
+
+def loop_level_posterior(terms, tail, total):
+    """Level weights and the mean-1/N bracket, one level at a time."""
+    m_trunc = terms.size
+    w_lo = np.array([math.exp(t - total.upper) if t - total.upper > LOG_ZERO
+                     else 0.0 for t in terms])
+    w_hi = np.array([min(1.0, math.exp(t - total.lower))
+                     if t - total.lower > LOG_ZERO else 0.0 for t in terms])
+    inv_terms = terms - np.log(np.arange(1, m_trunc + 1, dtype=float))
+    num_lo = log_sum_exp(inv_terms)
+    num_hi = log_sum_exp(np.append(inv_terms, tail.upper - math.log(m_trunc + 1)))
+    lo, hi = num_lo - total.upper, num_hi - total.lower
+    mean_inv = (math.exp(lo) if lo > LOG_ZERO else 0.0,
+                min(1.0, math.exp(hi) if hi > LOG_ZERO else 0.0))
+    return w_lo, w_hi, mean_inv
+
+
+@pytest.fixture(scope="module")
+def cached_engines():
+    out = {}
+    for case, make in CACHE_DATA.items():
+        data = make()
+        e = BarronEngine()
+        e.add_points(data)
+        out[case] = (e, data)
+    return out
+
+
+class TestStepStateCache:
+    @pytest.mark.parametrize("case", CACHE_DATA)
+    def test_occupancy_matches_recount_at_every_level(self, cached_engines, case):
+        e, data = cached_engines[case]
+        occ = e.occupancy
+        m_trunc = e.trunc.resolve(e.n, occ.distinct_level)
+        assert occ.k_by_level.size == m_trunc
+        assert occ.distinct_level <= m_trunc
+        assert np.array_equal(occ.k_by_level, recount_occupancy(data, m_trunc))
+
+    @pytest.mark.parametrize("case", CACHE_DATA)
+    def test_step_brackets_equal_the_level_loop(self, cached_engines, case):
+        e, data = cached_engines[case]
+        m_trunc = e.occupancy.k_by_level.size
+        ks = recount_occupancy(data, m_trunc)
+        for with_lik in (True, False):
+            terms = loop_step_log_terms(ks, e.n, with_lik)
+            tail = e._step_tail(m_trunc, with_lik)
+            want = LogBracket.point(log_sum_exp(terms)).add(tail)
+            assert e.step_marginal(with_likelihood=with_lik) == want, with_lik
+        terms = loop_step_log_terms(ks, e.n, True)
+        tail = e._step_tail(m_trunc, True)
+        total = LogBracket.point(log_sum_exp(terms)).add(tail)
+        w_lo, w_hi, mean_inv = loop_level_posterior(terms, tail, total)
+        lp = e.posterior_over_n()
+        assert np.array_equal(lp.weights_lower, w_lo)
+        assert np.array_equal(lp.weights_upper, w_hi)
+        assert (lp.mean_inv_level.lower, lp.mean_inv_level.upper) == mean_inv
+
+    @pytest.mark.parametrize("case", CACHE_DATA)
+    def test_queried_then_fed_equals_fresh(self, case):
+        data = CACHE_DATA[case]()
+        fed = BarronEngine()
+        fed.add_points(data[:-1])
+        fed.posterior_over_n()
+        fed.step_marginal(with_likelihood=False)
+        fed.posterior_split()
+        fed.posterior_theta().interval_mass(0.2, 0.6)
+        fed.add_point(data[-1])
+        fresh = BarronEngine()
+        fresh.add_points(data)
+        assert np.array_equal(fed.occupancy.k_by_level, fresh.occupancy.k_by_level)
+        for with_lik in (True, False):
+            assert fed.step_marginal(with_likelihood=with_lik) == \
+                fresh.step_marginal(with_likelihood=with_lik)
+        assert fed.posterior_split() == fresh.posterior_split()
+        assert fed.gauss_marginal() == fresh.gauss_marginal()
+        assert fed.posterior_theta().interval_mass(0.2, 0.6) == \
+            fresh.posterior_theta().interval_mass(0.2, 0.6)
+        a, b = fed.posterior_over_n(), fresh.posterior_over_n()
+        assert np.array_equal(a.weights_lower, b.weights_lower)
+        assert np.array_equal(a.weights_upper, b.weights_upper)
+        assert a.mean_inv_level == b.mean_inv_level
+
+    def test_one_full_tilt_integral_per_state(self, monkeypatch):
+        full = []
+
+        def counting(f, a, b, *args, **kwargs):
+            if (a, b) == (0.0, 1.0):
+                full.append(1)
+            return adaptive_quadrature(f, a, b, *args, **kwargs)
+
+        barron._z0.cache_clear()
+        monkeypatch.setattr(barron, "adaptive_quadrature", counting)
+        data = _uniform_data(300)
+        e = BarronEngine(truth=UniformDensity())
+        e.add_points(data[:-1])
+        for _ in range(2):
+            evaluate_diagnostics(e, DiagnosticSettings())
+            e.gauss_marginal()
+        assert len(full) == 2  # Z0 and this state's normalizer
+        e.add_point(data[-1])
+        evaluate_diagnostics(e, DiagnosticSettings())
+        BarronEngine().posterior_theta().prior_ball_mass(0.3)
+        assert len(full) == 3  # the new state's normalizer; Z0 is reused

@@ -3,6 +3,7 @@
 structural checks on the emitted SVG."""
 
 import json
+import math
 import os
 import re
 
@@ -185,3 +186,50 @@ class TestNumericFailureExit:
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_invalid_bracket_exits_3(self, monkeypatch, tmp_path, capsys):
+        from posterior_lab.barron import BarronEngine
+        from posterior_lab.intervals import LogBracket
+
+        monkeypatch.setattr(BarronEngine, "_step_tail",
+                            lambda self, m_trunc, with_lik: LogBracket(0.0, -1.0))
+        code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
+                       "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "invalid bracket" in capsys.readouterr().err
+
+    def test_nonfinite_quadrature_value_exits_3(self, monkeypatch, tmp_path, capsys):
+        from posterior_lab import barron
+        from posterior_lab.numerics import adaptive_quadrature
+
+        def nan_integral(n, s, tol, lo=0.0, hi=1.0):
+            return adaptive_quadrature(lambda u: math.nan, lo, hi, tol)
+
+        monkeypatch.setattr(barron, "_tilt_integral", nan_integral)
+        code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
+                       "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "non-finite log value" in capsys.readouterr().err
+
+
+class TestConfigErrorExit:
+    def test_bad_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truth": {"kind": "uniform"}, "n_max": 0}))
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_corrupted_plot_input_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--truth", "uniform", "--n-max", "12",
+                       "--seed", "1", "--out", out) == 0
+        lines = open(out + ".csv").read().splitlines()
+        lines[2] = "not-a-number" + lines[2][lines[2].index(","):]
+        with open(out + ".csv", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                       "--out", str(tmp_path / "p.svg"))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err

@@ -24,7 +24,6 @@ from posterior_lab.numerics import (
     log_sub,
     log_sum_exp,
     norm_cdf,
-    uniform_stream,
 )
 
 mp.mp.dps = 40
@@ -253,12 +252,12 @@ class TestAdaptiveQuadrature:
 class TestRandomStream:
     def test_uniform_stream_is_pure(self):
         rs = RandomStream(seed=1, stream_id=0)
-        a = uniform_stream(rs, 1000)
-        b = uniform_stream(rs, 1000)
+        a = rs.uniform(1000)
+        b = rs.uniform(1000)
         assert np.array_equal(a, b)
 
     def test_empty(self):
-        assert uniform_stream(RandomStream(0), 0).size == 0
+        assert RandomStream(0).uniform(0).size == 0
 
     def test_advance_is_contiguous(self):
         rs = RandomStream(seed=9, stream_id=3)
