@@ -11,6 +11,7 @@ and a one-parameter cosine model used as a consistent counterpart.
 from .numerics import (
     LN2,
     LOG_ZERO,
+    ConfigError,
     NumericError,
     QuadratureError,
     QuadratureResult,
@@ -40,7 +41,6 @@ from .barron import (
     BarronPriorConfig,
     OccupancyStats,
     SufficientStats,
-    TruncationPolicy,
     log_step_term,
 )
 from .diagnostics import (

@@ -14,10 +14,11 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
-from .diagnostics import BandSpec, DiagnosticSettings, excursion_count
+from .cosine import CosinePriorConfig
+from .diagnostics import BandSpec, excursion_count
 from .harness import (
-    DatasetError,
     RunConfig,
     TruthSpec,
     load_trajectory,
@@ -26,7 +27,7 @@ from .harness import (
     summary_csv,
     write_trajectory,
 )
-from .numerics import QuadratureError
+from .numerics import ConfigError, QuadratureError
 from .svgplot import PlotSpec, Series, render_svg
 
 EXIT_OK = 0
@@ -35,9 +36,9 @@ EXIT_NUMERIC = 3
 
 log = logging.getLogger("posterior_lab")
 
-
-class ConfigError(ValueError):
-    pass
+# the parameter that --cosine-prior KIND:VALUE sets, per prior kind
+COSINE_PRIOR_PARAMS = {"exponential": "rate", "half_cauchy": "scale",
+                       "truncated_uniform": "theta_max"}
 
 
 def parse_truth(spec: str) -> TruthSpec:
@@ -106,38 +107,26 @@ def _config_from_args(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             side = json.load(fh)
-        base = side.get("config", side)  # accept a sidecar or a bare config
-        if "config" in side and "seed" in side:
+        is_sidecar = isinstance(side, dict) and "config" in side
+        base = side["config"] if is_sidecar else side  # or a bare config
+        if is_sidecar and "seed" in side:
             sidecar_seed = int(side["seed"])
-    cfg = RunConfig.from_dict(base) if base else RunConfig()
-    updates = {}
-    if getattr(args, "model", None):
-        updates["model"] = args.model
+    cfg = RunConfig.from_dict(base)
+    updates = {name: getattr(args, name)
+               for name in ("model", "n_max", "grid_ratio", "quad_tol")
+               if getattr(args, name, None)}
     if getattr(args, "truth", None):
         updates["truth"] = parse_truth(args.truth)
-    if getattr(args, "n_max", None):
-        updates["n_max"] = args.n_max
-    if getattr(args, "grid_ratio", None):
-        updates["grid_ratio"] = args.grid_ratio
-    if getattr(args, "quad_tol", None):
-        updates["quad_tol"] = args.quad_tol
     if getattr(args, "seeds", None):
         updates["seeds"] = parse_seeds(args.seeds)
     elif getattr(args, "seed", None) is not None:
         updates["seeds"] = (args.seed,)
     if getattr(args, "cosine_prior", None):
         kind, _, param = args.cosine_prior.partition(":")
-        cp = cfg.cosine_prior
-        if kind == "exponential":
-            cp = type(cp)(kind=kind, rate=float(param or 1.0))
-        elif kind == "half_cauchy":
-            cp = type(cp)(kind=kind, scale=float(param or 1.0))
-        elif kind == "truncated_uniform":
-            cp = type(cp)(kind=kind, theta_max=float(param or 50.0))
-        else:
+        if kind not in COSINE_PRIOR_PARAMS:
             raise ConfigError(f"unknown cosine prior {args.cosine_prior!r}")
-        updates["cosine_prior"] = cp
-    from dataclasses import replace
+        given = {COSINE_PRIOR_PARAMS[kind]: float(param)} if param else {}
+        updates["cosine_prior"] = CosinePriorConfig(kind=kind, **given)
     try:
         cfg = replace(cfg, **updates) if updates else cfg
     except ValueError as exc:
@@ -206,13 +195,9 @@ def cmd_scan(args) -> int:
     if not bands:
         raise ConfigError("band grid is empty after the alpha <= beta filter")
     cfg, _ = _config_from_args(args)
-    settings = DiagnosticSettings(
-        gamma=cfg.diagnostics.gamma, bands=tuple(bands),
-        exponent_bands=cfg.diagnostics.exponent_bands,
-        betas=cfg.diagnostics.betas, epsilons=(),
-        tau=cfg.diagnostics.tau, track_mean_inv_level=False)
-    from dataclasses import replace
-    cfg = replace(cfg, diagnostics=settings)
+    cfg = replace(cfg, diagnostics=replace(
+        cfg.diagnostics, bands=tuple(bands), epsilons=(),
+        track_mean_inv_level=False, predictive_grid=0))
     result = run_replications(cfg, parallelism=args.jobs)
     n_seeds = len(result.trajectories)
     lines = ["alpha,beta,delta,seeds_with_excursion,n_seeds,frequency,"
@@ -330,7 +315,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, DatasetError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, ArithmeticError, RuntimeError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .intervals import Bracket
 from .numerics import LN2, LOG_ZERO, QuadratureError, log_add
-from .barron import BarronEngine, TruncationError, UndefinedPosteriorError
+from .barron import BarronEngine, UndefinedPosteriorError
 
 __all__ = [
     "BandSpec",
@@ -157,8 +157,7 @@ def band_posterior_mass(engine: BarronEngine, band: BandSpec) -> Bracket:
     return total.clamp01()
 
 
-def band_prior_exponent(engine: BarronEngine, band: BandSpec,
-                        levels: int | None = None) -> float:
+def band_prior_exponent(engine: BarronEngine, band: BandSpec) -> float:
     """-n^-1 ln of the PRIOR mass of the (data-dependent) band set
     {f : alpha <= n^-1 ln R_n(f) <= beta}.
 
@@ -173,7 +172,7 @@ def band_prior_exponent(engine: BarronEngine, band: BandSpec,
     realized = LN2 - cbar
     log_mass = LOG_ZERO
     if band.alpha <= realized <= band.beta:
-        sm = engine.step_marginal(with_likelihood=False, levels=levels)
+        sm = engine.step_marginal(with_likelihood=False)
         log_mass = sm.midpoint() + engine.prior.log_step_weight
     if not band.degenerate:
         post = engine.posterior_theta()
@@ -231,10 +230,10 @@ class DiagnosticSettings:
     """Which statistics to evaluate along a trajectory, with parameters."""
 
     gamma: float = LN2
-    bands: tuple = (BandSpec(0.6, 0.75), BandSpec(0.2, 0.4))
-    exponent_bands: tuple = (BandSpec(LN2, LN2),)
-    betas: tuple = (LN2,)
-    epsilons: tuple = (0.5, 0.7)
+    bands: tuple[BandSpec, ...] = (BandSpec(0.6, 0.75), BandSpec(0.2, 0.4))
+    exponent_bands: tuple[BandSpec, ...] = (BandSpec(LN2, LN2),)
+    betas: tuple[float, ...] = (LN2,)
+    epsilons: tuple[float, ...] = (0.5, 0.7)
     tau: float = 0.1
     predictive_grid: int = 0  # 0 disables the Kolmogorov summary
     track_mean_inv_level: bool = True
@@ -275,7 +274,7 @@ def evaluate_diagnostics(engine: BarronEngine,
     def attempt(name, fn):
         try:
             return fn()
-        except (QuadratureError, TruncationError, UndefinedPosteriorError) as exc:
+        except (QuadratureError, UndefinedPosteriorError) as exc:
             rec.errors.append(f"{name}: {exc}")
             return None
 

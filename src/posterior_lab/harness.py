@@ -16,12 +16,14 @@ import json
 import logging
 import math
 import os
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .barron import BarronEngine, BarronPriorConfig, TruncationPolicy
+from .barron import BarronEngine, BarronPriorConfig
 from .cosine import CosineEngine, CosinePriorConfig
 from .densities import (
     GaussExpDensity,
@@ -31,13 +33,12 @@ from .densities import (
     sample_step,
 )
 from .diagnostics import (
-    BandSpec,
     DiagnosticRecord,
     DiagnosticSettings,
     evaluate_diagnostics,
 )
 from .intervals import Bracket
-from .numerics import RandomStream
+from .numerics import ConfigError, RandomStream
 
 __all__ = [
     "TruthSpec",
@@ -52,17 +53,22 @@ __all__ = [
     "write_trajectory",
     "load_trajectory",
     "config_hash",
+    "encode_config",
+    "decode_config",
 ]
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# the v1 truncation keys, each with the one value this version replays
+_V1_KEYS = {"trunc_multiplier": 4.0, "trunc_fixed": None}
 
 # stream id of the data within one replicate seed
 DATA_STREAM = 0
 
 
-class DatasetError(ValueError):
+class DatasetError(ConfigError):
     """Malformed input dataset; the message names the offending row."""
 
 
@@ -104,7 +110,7 @@ class TruthSpec:
     kind: str
     theta: float | None = None
     level: int | None = None
-    selected: tuple | None = None
+    selected: tuple[int, ...] | None = None
     path: str | None = None
 
     def __post_init__(self):
@@ -147,23 +153,11 @@ class TruthSpec:
         return np.asarray(data[:n])
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.theta is not None:
-            d["theta"] = self.theta
-        if self.level is not None:
-            d["level"] = self.level
-        if self.selected is not None:
-            d["selected"] = list(self.selected)
-        if self.path is not None:
-            d["path"] = self.path
-        return d
+        return encode_config(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TruthSpec":
-        return TruthSpec(kind=d["kind"], theta=d.get("theta"),
-                         level=d.get("level"),
-                         selected=tuple(d["selected"]) if "selected" in d else None,
-                         path=d.get("path"))
+        return decode_config(TruthSpec, d)
 
 
 @dataclass(frozen=True)
@@ -174,14 +168,12 @@ class RunConfig:
     model: str = "barron"
     n_max: int = 1000
     grid_ratio: float = 1.15
-    seeds: tuple = (1,)
+    seeds: tuple[int, ...] = field(default=(1,), metadata={"unordered": True})
     quad_tol: float = 1e-9
     continuous_weight: float = 0.5
-    trunc_multiplier: float = 4.0
-    trunc_fixed: int | None = None
     diagnostics: DiagnosticSettings = DiagnosticSettings()
     cosine_prior: CosinePriorConfig = CosinePriorConfig()
-    cosine_regions: tuple = ((5.0, math.inf),)
+    cosine_regions: tuple[tuple[float, float], ...] = ((5.0, math.inf),)
 
     def __post_init__(self):
         if self.model not in ("barron", "cosine"):
@@ -196,77 +188,111 @@ class RunConfig:
     def barron_prior(self) -> BarronPriorConfig:
         return BarronPriorConfig(continuous_weight=self.continuous_weight)
 
-    def truncation(self) -> TruncationPolicy:
-        return TruncationPolicy(multiplier=self.trunc_multiplier,
-                                fixed_levels=self.trunc_fixed)
-
     def to_dict(self) -> dict:
-        dg = self.diagnostics
-        return {
-            "truth": self.truth.to_dict(),
-            "model": self.model,
-            "n_max": self.n_max,
-            "grid_ratio": self.grid_ratio,
-            "seeds": sorted(int(s) for s in self.seeds),
-            "quad_tol": self.quad_tol,
-            "continuous_weight": self.continuous_weight,
-            "trunc_multiplier": self.trunc_multiplier,
-            "trunc_fixed": self.trunc_fixed,
-            "diagnostics": {
-                "gamma": dg.gamma,
-                "bands": [[b.alpha, b.beta] for b in dg.bands],
-                "exponent_bands": [[b.alpha, b.beta] for b in dg.exponent_bands],
-                "betas": list(dg.betas),
-                "epsilons": list(dg.epsilons),
-                "tau": dg.tau,
-                "predictive_grid": dg.predictive_grid,
-                "track_mean_inv_level": dg.track_mean_inv_level,
-            },
-            "cosine_prior": {
-                "kind": self.cosine_prior.kind,
-                "rate": self.cosine_prior.rate,
-                "scale": self.cosine_prior.scale,
-                "theta_max": self.cosine_prior.theta_max,
-                "tail_fraction": self.cosine_prior.tail_fraction,
-            },
-            "cosine_regions": [[lo, hi] for lo, hi in self.cosine_regions],
-        }
+        return encode_config(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        dg = d.get("diagnostics", {})
-        settings = DiagnosticSettings(
-            gamma=dg.get("gamma", DiagnosticSettings.gamma),
-            bands=tuple(BandSpec(a, b) for a, b in dg.get("bands", [])),
-            exponent_bands=tuple(BandSpec(a, b)
-                                 for a, b in dg.get("exponent_bands", [])),
-            betas=tuple(dg.get("betas", [])),
-            epsilons=tuple(dg.get("epsilons", [])),
-            tau=dg.get("tau", 0.1),
-            predictive_grid=dg.get("predictive_grid", 0),
-            track_mean_inv_level=dg.get("track_mean_inv_level", True),
-        )
-        cp = d.get("cosine_prior", {})
-        return RunConfig(
-            truth=TruthSpec.from_dict(d["truth"]),
-            model=d.get("model", "barron"),
-            n_max=int(d["n_max"]),
-            grid_ratio=float(d.get("grid_ratio", 1.15)),
-            seeds=tuple(int(s) for s in d.get("seeds", (1,))),
-            quad_tol=float(d.get("quad_tol", 1e-9)),
-            continuous_weight=float(d.get("continuous_weight", 0.5)),
-            trunc_multiplier=float(d.get("trunc_multiplier", 4.0)),
-            trunc_fixed=d.get("trunc_fixed"),
-            diagnostics=settings,
-            cosine_prior=CosinePriorConfig(
-                kind=cp.get("kind", "exponential"),
-                rate=float(cp.get("rate", 1.0)),
-                scale=float(cp.get("scale", 1.0)),
-                theta_max=float(cp.get("theta_max", 50.0)),
-                tail_fraction=float(cp.get("tail_fraction", 1e-3))),
-            cosine_regions=tuple((float(lo), float(hi))
-                                 for lo, hi in d.get("cosine_regions", [])),
-        )
+        """Decode a config; a v1 one may still carry the truncation keys,
+        each at the one value that this version replays exactly."""
+        if isinstance(d, dict):
+            d = dict(d)
+            for key, v1_value in _V1_KEYS.items():
+                if key in d and (value := d.pop(key)) != v1_value:
+                    raise ConfigError(
+                        f"v1 config key {key!r} = {value!r} cannot be "
+                        f"replayed; only {json.dumps(v1_value)} can")
+        return decode_config(RunConfig, d)
+
+
+def encode_config(obj) -> dict:
+    """JSON form of a config dataclass: one key per field that is not None,
+    nested configs as objects, tuples as lists (a dataclass in a tuple as the
+    list of its field values), floats for float fields, and the elements of
+    an ``unordered`` field sorted."""
+    out = {}
+    for f, tp in _fields(type(obj)):
+        value = getattr(obj, f.name)
+        if value is not None:
+            value = _encode(value, tp)
+            out[f.name] = sorted(value) if f.metadata.get("unordered") else value
+    return out
+
+
+def _encode(value, tp, in_tuple: bool = False):
+    tp = _non_null(tp)
+    if is_dataclass(tp) and in_tuple:  # its field values, in order
+        return [_encode(getattr(value, f.name), t) for f, t in _fields(tp)]
+    if is_dataclass(tp):
+        return encode_config(value)
+    if typing.get_origin(tp) is tuple:
+        return [_encode(v, t, True)
+                for v, t in zip(value, _element_types(tp, len(value), ""))]
+    return float(value) if tp is float else value
+
+
+def decode_config(cls, d, where: str = ""):
+    """The config dataclass ``cls`` from its JSON form ``d``, found at path
+    ``where`` of the whole config.  A missing key takes the field's default.
+    An unknown key, a missing required key, a value of the wrong type and a
+    value the dataclass rejects are ConfigErrors that name the key."""
+    prefix = f"{where}." if where else ""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where or 'config'}: expected an object, got {d!r}")
+    schema = _fields(cls)
+    for key in sorted(d.keys() - {f.name for f, _ in schema}):
+        raise ConfigError(f"unknown config key {prefix + key!r}")
+    kwargs = {f.name: _decode(d[f.name], tp, prefix + f.name)
+              for f, tp in schema if f.name in d}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
+        raise ConfigError(f"{where or 'config'}: {exc}") from None
+
+
+def _decode(value, tp, where: str):
+    base = _non_null(tp)
+    if value is None and base is not tp:
+        return None
+    if is_dataclass(base):
+        if isinstance(value, (list, tuple)):  # in a tuple: its field values
+            names = [f.name for f in fields(base)]
+            if len(value) != len(names):
+                raise ConfigError(f"{where}: expected {names}, got {value!r}")
+            value = dict(zip(names, value))
+        return decode_config(base, value, where)
+    if typing.get_origin(base) is tuple and isinstance(value, (list, tuple)):
+        types_ = _element_types(base, len(value), where)
+        return tuple(_decode(v, t, f"{where}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, types_)))
+    if base is float and type(value) is int:
+        return float(value)
+    if type(value) is base:
+        return value
+    raise ConfigError(f"{where}: expected {base.__name__}, got {value!r}")
+
+
+def _fields(cls) -> list:
+    """(field, annotation) of each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def _non_null(tp):
+    """``T`` for an annotation ``T | None``; any other annotation as is."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return next(a for a in typing.get_args(tp) if a is not type(None))
+    return tp
+
+
+def _element_types(tp, size: int, where: str) -> tuple:
+    """Element annotations of a ``tuple[T, ...]`` or a fixed-size tuple."""
+    args = typing.get_args(tp)
+    if args[-1] is Ellipsis:
+        return (args[0],) * size
+    if len(args) != size:
+        raise ConfigError(f"{where}: expected {len(args)} values, got {size}")
+    return args
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -276,7 +302,7 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def evaluation_grid(n_max: int, ratio: float = 1.15) -> list:
+def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:
     """Geometric grid of sample sizes, always containing 1..10 and n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -333,32 +359,33 @@ def trajectory_columns(cfg: RunConfig) -> list:
     return cols
 
 
+def _put(row: dict, stem: str, br) -> None:
+    """Store a bracket (or NaNs for a missing one) in its two columns."""
+    row[f"{stem}.lower"] = br.lower if br is not None else math.nan
+    row[f"{stem}.upper"] = br.upper if br is not None else math.nan
+
+
 def _row_from_record(rec: DiagnosticRecord, cfg: RunConfig) -> dict:
     row = {"n": float(rec.n), "w_n": rec.w_n, "sup_loglik": rec.sup_loglik,
            "realized_gamma": rec.realized_gamma}
-
-    def put(stem, br):
-        row[f"{stem}.lower"] = br.lower if br is not None else math.nan
-        row[f"{stem}.upper"] = br.upper if br is not None else math.nan
-
-    put("gamma_stat", rec.gamma_mass)
-    put("mass_f0", rec.mass_f0)
-    put("mass_fstep", rec.mass_fstep)
+    _put(row, "gamma_stat", rec.gamma_mass)
+    _put(row, "mass_f0", rec.mass_f0)
+    _put(row, "mass_fstep", rec.mass_fstep)
     for band in cfg.diagnostics.bands:
-        put(f"band_mass_{band.key()}", rec.band_masses.get(band))
+        _put(row, f"band_mass_{band.key()}", rec.band_masses.get(band))
     for band in cfg.diagnostics.exponent_bands:
         row[f"band_prior_exponent_{band.key()}"] = \
             rec.band_prior_exponents.get(band, math.nan)
     for beta in cfg.diagnostics.betas:
-        put(f"beta_bound_mass_{beta:g}", rec.beta_bound_masses.get(beta))
+        _put(row, f"beta_bound_mass_{beta:g}", rec.beta_bound_masses.get(beta))
     for eps in cfg.diagnostics.epsilons:
-        put(f"hellinger_mass_{eps:g}", rec.hellinger_masses.get(eps))
+        _put(row, f"hellinger_mass_{eps:g}", rec.hellinger_masses.get(eps))
     row["evidence_flag"] = (math.nan if rec.evidence_flag is None
                             else float(rec.evidence_flag))
     row["log_evidence.lower"] = rec.log_evidence_lower
     row["log_evidence.upper"] = rec.log_evidence_upper
     if cfg.diagnostics.track_mean_inv_level:
-        put("mean_inv_level", rec.mean_inv_level)
+        _put(row, "mean_inv_level", rec.mean_inv_level)
     if cfg.diagnostics.predictive_grid:
         row["predictive_ks"] = rec.predictive_ks
     return row
@@ -442,8 +469,8 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
     columns = trajectory_columns(cfg)
     rows, errors = [], []
     if cfg.model == "barron":
-        engine = BarronEngine(prior=cfg.barron_prior(), trunc=cfg.truncation(),
-                              quad_tol=cfg.quad_tol, truth=cfg.truth.density())
+        engine = BarronEngine(prior=cfg.barron_prior(), quad_tol=cfg.quad_tol,
+                              truth=cfg.truth.density())
         want = set(grid)
         for i, x in enumerate(data, 1):
             engine.add_point(float(x))
@@ -457,17 +484,11 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
             eng = CosineEngine(cfg.cosine_prior, data[:n], quad_tol=cfg.quad_tol)
             try:
                 for eps in cfg.diagnostics.epsilons:
-                    br = eng.hellinger_mass(eps)
-                    row[f"hellinger_mass_{eps:g}.lower"] = br.lower
-                    row[f"hellinger_mass_{eps:g}.upper"] = br.upper
+                    _put(row, f"hellinger_mass_{eps:g}", eng.hellinger_mass(eps))
                 for lo, hi in cfg.cosine_regions:
-                    br = eng.region_mass(lo, hi)
-                    row[f"region_mass_{lo:g}_{hi:g}.lower"] = br.lower
-                    row[f"region_mass_{lo:g}_{hi:g}.upper"] = br.upper
-                ev = eng.log_evidence()
-                row["log_evidence.lower"] = ev.lower
-                row["log_evidence.upper"] = ev.upper
-            except Exception as exc:  # recorded gap, run continues
+                    _put(row, f"region_mass_{lo:g}_{hi:g}", eng.region_mass(lo, hi))
+                _put(row, "log_evidence", eng.log_evidence())
+            except (ArithmeticError, RuntimeError) as exc:  # recorded gap
                 errors.append((n, str(exc)))
             rows.append(row)
     log.info("trajectory seed=%d: %d grid points, %d flagged errors",

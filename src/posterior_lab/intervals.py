@@ -107,16 +107,23 @@ def mass_ratio(num: LogBracket, rest: LogBracket) -> Bracket:
     """Enclosure of A/(A+B) given log enclosures of A and B.
 
     Endpoints are matched so that mass_ratio(A, B) and mass_ratio(B, A)
-    sum to exactly 1 at opposite ends.
+    sum to exactly 1 at opposite ends.  An upper end with a positive
+    numerator is rounded up to at least the smallest subnormal.
     """
     def ratio(log_a: float, log_b: float) -> float:
         if log_a == LOG_ZERO:
             return 0.0
         if log_b == LOG_ZERO:
             return 1.0
-        # 1 / (1 + e^{log_b - log_a})
-        return 1.0 / (1.0 + math.exp(log_b - log_a))
+        d = log_b - log_a
+        try:
+            return 1.0 / (1.0 + math.exp(d))
+        except OverflowError:
+            # d > 709.78, where 1 / (1 + e^d) equals e^-d to well below 1 ulp
+            return math.exp(-d)
 
     lo = ratio(num.lower, rest.upper)
     hi = ratio(num.upper, rest.lower)
+    if num.upper > LOG_ZERO:
+        hi = max(hi, math.ulp(0.0))
     return Bracket(min(lo, hi), max(lo, hi)).clamp01()

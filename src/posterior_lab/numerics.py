@@ -39,6 +39,7 @@ __all__ = [
     "QuadratureError",
     "adaptive_quadrature",
     "NumericError",
+    "ConfigError",
     "RandomStream",
 ]
 
@@ -204,6 +205,10 @@ def inv_square_tail(m: int) -> float:
 class NumericError(ArithmeticError):
     """A broken numeric invariant, such as an inverted bracket or a
     non-finite log value: a fault in the program, not in its input."""
+
+
+class ConfigError(ValueError):
+    """A malformed config, option or dataset: a fault in the input."""
 
 
 class QuadratureError(RuntimeError):

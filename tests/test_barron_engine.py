@@ -15,7 +15,6 @@ from posterior_lab.barron import (
     BarronEngine,
     BarronPriorConfig,
     TruncationError,
-    TruncationPolicy,
     log_step_term,
 )
 from posterior_lab.densities import GaussExpDensity, UniformDensity, sample_gauss_exp
@@ -198,9 +197,6 @@ class TestStepMarginal:
         e.add_points([0.5, 0.500001])  # min_gap 1e-6 -> distinct level ~1000
         with pytest.raises(TruncationError):
             e.step_marginal(levels=10)
-        with pytest.raises(TruncationError):
-            BarronEngine(trunc=TruncationPolicy(fixed_levels=10)) \
-                .trunc.resolve(5, 100)
 
     def test_tail_formula_against_wide_truncation(self):
         e = BarronEngine()
@@ -505,7 +501,7 @@ class TestStepStateCache:
     def test_occupancy_matches_recount_at_every_level(self, cached_engines, case):
         e, data = cached_engines[case]
         occ = e.occupancy
-        m_trunc = e.trunc.resolve(e.n, occ.distinct_level)
+        m_trunc = max(occ.distinct_level, 4 * e.n)
         assert occ.k_by_level.size == m_trunc
         assert occ.distinct_level <= m_trunc
         assert np.array_equal(occ.k_by_level, recount_occupancy(data, m_trunc))

@@ -8,7 +8,18 @@ import os
 import re
 
 import pytest
-from posterior_lab.cli import main, parse_grid, parse_seeds, parse_truth
+from posterior_lab.cli import (
+    _config_from_args,
+    build_parser,
+    main,
+    parse_grid,
+    parse_seeds,
+    parse_truth,
+)
+from posterior_lab.cosine import CosinePriorConfig
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(*argv):
@@ -52,6 +63,47 @@ class TestTrajCommand:
         out2 = str(tmp_path / "r2")
         assert run_cli("traj", "--config", out + ".json", "--out", out2) == 0
         assert open(out + ".csv").read() == open(out2 + ".csv").read()
+
+    def test_v1_sidecar_replays_byte_identical(self, tmp_path):
+        v1 = os.path.join(DATA, "v1_uniform_n60_seed3")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
+        with open(v1 + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+            assert a.read() == b.read()
+        with open(out + ".json") as fh:
+            side = json.load(fh)
+        assert side["version"] == 2 and "trunc_multiplier" not in side["config"]
+
+    def test_partial_config_takes_the_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 20}))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run_cli("traj", "--config", str(cfg), "--out", a) == 0
+        assert run_cli("traj", "--truth", "uniform", "--n-max", "20",
+                       "--seed", "1", "--out", b) == 0
+        header = open(a + ".csv").readline().rstrip("\n").split(",")
+        assert len(header) == 26
+        assert open(a + ".csv").read() == open(b + ".csv").read()
+
+    @pytest.mark.parametrize("key, value", [("trunc_multiplier", 8.0),
+                                            ("trunc_level", 3)])
+    def test_unsupported_sidecar_key_exits_2(self, tmp_path, capsys, key, value):
+        with open(os.path.join(DATA, "v1_uniform_n60_seed3.json")) as fh:
+            side = json.load(fh)
+        side["config"][key] = value
+        cfg = tmp_path / "side.json"
+        cfg.write_text(json.dumps(side))
+        code = run_cli("traj", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, scale", [("half_cauchy", 1.0),
+                                             ("half_cauchy:2.5", 2.5)])
+    def test_cosine_prior_parameter(self, spec, scale):
+        args = build_parser().parse_args(
+            ["traj", "--model", "cosine", "--cosine-prior", spec, "--out", "x"])
+        prior = _config_from_args(args)[0].cosine_prior
+        assert prior == CosinePriorConfig(kind="half_cauchy", scale=scale)
 
     def test_bad_truth_exits_2(self, tmp_path):
         code = run_cli("traj", "--truth", "gauss:1.5", "--n-max", "5",

@@ -3,10 +3,14 @@ persisted trajectories replay exactly, config hashes canonicalize, and
 summaries are independent of seed order and parallelism."""
 
 import dataclasses
+import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
+from posterior_lab.cosine import CosineEngine, CosinePriorConfig
 from posterior_lab.diagnostics import BandSpec, DiagnosticSettings
 from posterior_lab.harness import (
     DatasetError,
@@ -22,6 +26,7 @@ from posterior_lab.harness import (
     summary_csv,
     write_trajectory,
 )
+from posterior_lab.numerics import LN2, ConfigError
 
 
 class TestIngestDataset:
@@ -110,7 +115,7 @@ class TestConfigHash:
         # 50 random single-field perturbations must all hash differently
         for _ in range(50):
             field = rng.choice(["n_max", "grid_ratio", "quad_tol",
-                                "continuous_weight", "trunc_multiplier",
+                                "continuous_weight", "cosine_regions",
                                 "seeds", "truth", "model"])
             if field == "n_max":
                 cfg = dataclasses.replace(base, n_max=int(rng.integers(2, 10_000)))
@@ -120,8 +125,9 @@ class TestConfigHash:
                 cfg = dataclasses.replace(base, quad_tol=float(rng.uniform(1e-12, 1e-6)))
             elif field == "continuous_weight":
                 cfg = dataclasses.replace(base, continuous_weight=float(rng.uniform(0.05, 0.95)))
-            elif field == "trunc_multiplier":
-                cfg = dataclasses.replace(base, trunc_multiplier=float(rng.uniform(2.0, 8.0)))
+            elif field == "cosine_regions":
+                cfg = dataclasses.replace(base, cosine_regions=(
+                    (float(rng.uniform(0.0, 10.0)), math.inf),))
             elif field == "seeds":
                 cfg = dataclasses.replace(base, seeds=tuple(sorted(
                     int(s) for s in rng.choice(10_000, size=3, replace=False))))
@@ -142,6 +148,117 @@ class TestConfigHash:
                             bands=(BandSpec(0.5, 0.9),), epsilons=(0.42,)))
         again = RunConfig.from_dict(cfg.to_dict())
         assert config_hash(again) == config_hash(cfg)
+
+
+DEFAULT_CONFIG_DICT = {
+    "truth": {"kind": "uniform"},
+    "model": "barron",
+    "n_max": 1000,
+    "grid_ratio": 1.15,
+    "seeds": [1],
+    "quad_tol": 1e-9,
+    "continuous_weight": 0.5,
+    "diagnostics": {
+        "gamma": LN2,
+        "bands": [[0.6, 0.75], [0.2, 0.4]],
+        "exponent_bands": [[LN2, LN2]],
+        "betas": [LN2],
+        "epsilons": [0.5, 0.7],
+        "tau": 0.1,
+        "predictive_grid": 0,
+        "track_mean_inv_level": True,
+    },
+    "cosine_prior": {"kind": "exponential", "rate": 1.0, "scale": 1.0,
+                     "theta_max": 50.0, "tail_fraction": 1e-3},
+    "cosine_regions": [[5.0, math.inf]],
+}
+
+
+class TestConfigSchema:
+    def test_default_form_is_pinned(self):
+        assert RunConfig().to_dict() == DEFAULT_CONFIG_DICT
+        assert RunConfig.from_dict(DEFAULT_CONFIG_DICT) == RunConfig()
+
+    @pytest.mark.parametrize("truth", [
+        TruthSpec("step", level=2, selected=(7, 0, 3, 5)),
+        TruthSpec("external", path="data/points.csv"),
+        TruthSpec("gauss_exp", theta=0.25),
+    ])
+    def test_every_field_roundtrips(self, truth):
+        cfg = RunConfig(
+            truth=truth, model="cosine", n_max=77, grid_ratio=2, seeds=(4, 9),
+            quad_tol=1e-7, continuous_weight=0.25,
+            diagnostics=DiagnosticSettings(
+                gamma=0.5, bands=(BandSpec(0.1, 1),), exponent_bands=(),
+                betas=(0.3, 1), epsilons=(1,), tau=0.2, predictive_grid=16,
+                track_mean_inv_level=False),
+            cosine_prior=CosinePriorConfig(kind="half_cauchy", scale=3,
+                                           theta_max=20, tail_fraction=1e-4),
+            cosine_regions=((2, math.inf), (0.5, 1.5)))
+        d = json.loads(json.dumps(cfg.to_dict()))  # through the JSON text
+        assert RunConfig.from_dict(d) == cfg
+        assert RunConfig.from_dict(d).to_dict() == cfg.to_dict()
+        # ints given for float fields are written as floats
+        assert d["grid_ratio"] == 2.0 and type(d["grid_ratio"]) is float
+        assert d["diagnostics"]["bands"] == [[0.1, 1.0]]
+        assert d["cosine_prior"]["scale"] == 3.0
+        assert d["cosine_regions"] == [[2.0, math.inf], [0.5, 1.5]]
+        assert all(type(v) is float for v in d["diagnostics"]["betas"])
+        assert set(d["truth"]) == {k for k, v in vars(truth).items()
+                                   if v is not None}
+
+    def test_seeds_written_sorted(self):
+        assert RunConfig(seeds=(9, 4)).to_dict()["seeds"] == [4, 9]
+
+    def test_missing_keys_take_the_defaults(self):
+        assert RunConfig.from_dict({}) == RunConfig()
+        assert RunConfig.from_dict({"n_max": 20}) == RunConfig(n_max=20)
+        cfg = RunConfig.from_dict({"diagnostics": {"gamma": 0.5},
+                                   "cosine_prior": {"kind": "half_cauchy"}})
+        assert cfg.diagnostics == DiagnosticSettings(gamma=0.5)
+        assert cfg.cosine_prior == CosinePriorConfig(kind="half_cauchy")
+
+    @pytest.mark.parametrize("d, key", [
+        ({"n_max": 20, "trunc_level": 3}, "trunc_level"),
+        ({"diagnostics": {"bandz": []}}, "diagnostics.bandz"),
+        ({"truth": {"kind": "uniform", "theta0": 0.1}}, "truth.theta0"),
+    ])
+    def test_unknown_key_is_a_config_error(self, d, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("d, where", [
+        ({"n_max": "60"}, "n_max"),
+        ({"seeds": 3}, "seeds"),
+        ({"diagnostics": {"track_mean_inv_level": 1}},
+         "diagnostics.track_mean_inv_level"),
+        ({"diagnostics": {"bands": [[0.1]]}}, "diagnostics.bands[0]"),
+        ({"cosine_regions": [[1.0, 2.0, 3.0]]}, "cosine_regions[0]"),
+        ({"truth": {"theta": 0.5}}, "truth"),
+        ({"n_max": 0}, "config"),
+        ([1, 2], "config"),
+    ])
+    def test_malformed_value_is_a_config_error(self, d, where):
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: "):
+            RunConfig.from_dict(d)
+
+    def test_v1_truncation_keys_only_at_the_replayed_values(self):
+        v1 = {**DEFAULT_CONFIG_DICT, "trunc_multiplier": 4.0, "trunc_fixed": None}
+        assert RunConfig.from_dict(v1) == RunConfig()
+        assert RunConfig.from_dict({"trunc_multiplier": 4}) == RunConfig()
+        for key, value in (("trunc_multiplier", 8.0), ("trunc_fixed", 100)):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict({**v1, key: value})
+
+    def test_config_errors_are_value_errors(self):
+        assert issubclass(DatasetError, ConfigError)
+        assert issubclass(ConfigError, ValueError)
+
+    def test_v1_sidecar_loads(self):
+        here = os.path.dirname(__file__)
+        loaded = load_trajectory(os.path.join(here, "data", "v1_uniform_n60_seed3"))
+        assert loaded.config == RunConfig(n_max=60, seeds=(3,))
+        assert loaded.seed == 3 and len(loaded.rows) == len(loaded.grid)
 
 
 class TestTrajectoryRoundTrip:
@@ -176,6 +293,36 @@ class TestTrajectoryRoundTrip:
         a = run_trajectory(cfg, 7)
         b = run_trajectory(cfg, 7)
         assert a.to_csv() == b.to_csv()
+
+    def test_cosine_far_tail_row_has_no_error(self):
+        # at n = 1000 the Hellinger-mass ratio passes e^709.78; the row used
+        # to end in an OverflowError ("math range error")
+        cfg = RunConfig(model="cosine", n_max=1000, grid_ratio=100.0)
+        traj = run_trajectory(cfg, 1)
+        assert traj.grid[-1] == 1000
+        assert traj.errors == []
+        last = traj.rows[-1]
+        assert all(not math.isnan(last[c]) for c in traj.columns)
+
+    @pytest.mark.parametrize("exc, recorded", [
+        (OverflowError("math range error"), True),
+        (TypeError("a programming error"), False),
+    ])
+    def test_cosine_numeric_errors_are_gaps(self, monkeypatch, exc, recorded):
+        def failing(self, eps):
+            raise exc
+
+        monkeypatch.setattr(CosineEngine, "hellinger_mass", failing)
+        cfg = RunConfig(model="cosine", n_max=3,
+                        diagnostics=DiagnosticSettings(epsilons=(0.3,)))
+        if not recorded:
+            with pytest.raises(TypeError):
+                run_trajectory(cfg, 2)
+            return
+        traj = run_trajectory(cfg, 2)
+        assert traj.errors == [(n, "math range error") for n in traj.grid]
+        assert [int(r["n"]) for r in traj.rows] == traj.grid
+        assert all(br is None for _, br in traj.bracket_series("hellinger_mass_0.3"))
 
     def test_cosine_model_runs(self):
         cfg = RunConfig(truth=TruthSpec("uniform"), model="cosine", n_max=12,

@@ -12,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posterior_lab.intervals import LogBracket, mass_ratio
 from posterior_lab.numerics import (
     LOG_ZERO,
     QuadratureError,
@@ -285,6 +286,30 @@ class TestRandomStream:
         assert u.min() >= 0.0 and u.max() < 1.0
         v = RandomStream(3, 0).uniform_open(100_000)
         assert v.min() > 0.0 and v.max() < 1.0
+
+
+class TestMassRatio:
+    def test_far_tail_does_not_overflow(self):
+        # d = ln B - ln A = 800: e^d overflows, and A/(A+B) = e^-800
+        # underflows, so the upper end is the smallest subnormal
+        a, b = LogBracket.point(-10.0), LogBracket.point(790.0)
+        small = mass_ratio(a, b)
+        assert small.lower == 0.0 and small.upper == math.ulp(0.0)
+        big = mass_ratio(b, a)
+        assert big.lower == big.upper == 1.0
+
+    def test_past_overflow_is_exp_minus_d(self):
+        got = mass_ratio(LogBracket.point(0.0), LogBracket(715.0, 720.0))
+        assert got.lower == math.exp(-720.0) and got.upper == math.exp(-715.0)
+
+    def test_below_overflow_unchanged(self):
+        for d in (-30.0, 0.0, 1.5, 700.0, 709.0):
+            got = mass_ratio(LogBracket.point(0.0), LogBracket.point(d))
+            assert got.lower == got.upper == 1.0 / (1.0 + math.exp(d))
+
+    def test_zero_numerator_stays_zero(self):
+        got = mass_ratio(LogBracket.zero(), LogBracket.point(0.0))
+        assert got.lower == got.upper == 0.0
 
 
 import scipy.integrate  # noqa: E402  (used by the Simpson oracle above)
