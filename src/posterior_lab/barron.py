@@ -589,21 +589,30 @@ class BarronEngine:
                               weights_lower=w_lo, weights_upper=w_hi,
                               tail_weight=tail_w, mean_inv_level=mean_inv)
 
+    def set_mass(self, steps: bool, thetas=()) -> Bracket:
+        """Posterior mass of the set that holds every step density if
+        ``steps`` (none otherwise) and the tilt members whose theta lies in
+        one of the disjoint intervals ``thetas``: the step mass times
+        [steps] plus the tilt mass times each interval's tilt posterior
+        mass.  An empty set has mass 0 without computing the split."""
+        if not steps and not thetas:
+            return Bracket(0.0, 0.0)
+        f0, fstep = self.posterior_split()
+        total = fstep if steps else Bracket(0.0, 0.0)
+        for lo, hi in thetas:
+            im = self.posterior_theta().interval_mass(lo, hi)
+            total = total + Bracket(f0.lower * im.lower, f0.upper * im.upper)
+        return total.clamp01()
+
     def hellinger_ball_mass(self, eps: float) -> Bracket:
         """Posterior mass of {f : d_h(f, uniform) > eps}.  Every step density
         sits at the constant distance sqrt(2 - sqrt 2); the tilt part is the
         theta tail above the closed-form affinity threshold."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if eps >= math.sqrt(2.0):
-            return Bracket(0.0, 0.0)
-        f0, fstep = self.posterior_split()
-        total = fstep if eps < HELLINGER_STEP_UNIFORM else Bracket(0.0, 0.0)
         thr = gauss_exp_hellinger_threshold(eps)
-        if thr < 1.0:
-            im = self.posterior_theta().interval_mass(thr, 1.0)
-            total = total + Bracket(f0.lower * im.lower, f0.upper * im.upper)
-        return total.clamp01()
+        return self.set_mass(eps < HELLINGER_STEP_UNIFORM,
+                             [(thr, 1.0)] if thr < 1.0 else [])
 
     # -- step-family predictive ----------------------------------------------
 

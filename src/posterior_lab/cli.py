@@ -114,7 +114,7 @@ def _config_from_args(args):
     cfg = RunConfig.from_dict(base)
     updates = {name: getattr(args, name)
                for name in ("model", "n_max", "grid_ratio", "quad_tol")
-               if getattr(args, name, None)}
+               if getattr(args, name, None) is not None}
     if getattr(args, "truth", None):
         updates["truth"] = parse_truth(args.truth)
     if getattr(args, "seeds", None):
@@ -164,9 +164,6 @@ def cmd_traj(args) -> int:
 
 def cmd_replicate(args) -> int:
     cfg, _ = _config_from_args(args)
-    seeds = cfg.seeds
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct (overlapping output paths)")
     result = run_replications(cfg, parallelism=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = []
@@ -247,8 +244,7 @@ def cmd_plot(args) -> int:
                                  xs=[n for n, _ in vals],
                                  ys=[v for _, v in vals]))
     try:
-        spec = PlotSpec(series=series, out_path=args.out,
-                        log_x=args.log_x, log_y=args.log_y,
+        spec = PlotSpec(series=series, log_x=args.log_x, log_y=args.log_y,
                         reflines=args.refline or [],
                         title=args.title or "")
         svg = render_svg(spec)

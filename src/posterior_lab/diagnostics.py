@@ -7,6 +7,12 @@ log-likelihood of the truth, which shifts band endpoints and the realized
 exact level of the step densities.  The beta-bound statistic is defined in
 the uniform reference throughout, which makes its emptiness condition
 *identical* (as a predicate) to sup_loglik_f0 / n <= beta.
+
+The exact level, the band and the beta-bound are sets of densities; each
+statistic only describes its set (whether it holds the step densities and
+which theta intervals of the tilt family) and ``BarronEngine.set_mass``
+turns that into a posterior mass.  ``evaluate_diagnostics`` writes one
+trajectory row per sample size, and its columns are the CSV layout.
 """
 
 from __future__ import annotations
@@ -129,11 +135,8 @@ def gamma_stat(engine: BarronEngine, gamma: float = LN2) -> GammaStat:
                          realized_level=0.0, matched=True)
     realized = LN2 - engine.mean_log_truth
     matched = abs(realized - gamma) <= _LEVEL_MATCH_TOL
-    if not matched:
-        return GammaStat(mass=Bracket(0.0, 0.0), realized_level=realized,
-                         matched=False)
-    _, fstep = engine.posterior_split()
-    return GammaStat(mass=fstep, realized_level=realized, matched=True)
+    return GammaStat(mass=engine.set_mass(matched), realized_level=realized,
+                     matched=matched)
 
 
 def band_posterior_mass(engine: BarronEngine, band: BandSpec) -> Bracket:
@@ -147,14 +150,9 @@ def band_posterior_mass(engine: BarronEngine, band: BandSpec) -> Bracket:
         # R_0 is identically 1 and the band excludes 0
         return Bracket(0.0, 0.0)
     cbar = engine.mean_log_truth
-    f0, fstep = engine.posterior_split()
-    realized = LN2 - cbar
-    total = fstep if band.alpha <= realized <= band.beta else Bracket(0.0, 0.0)
-    post = engine.posterior_theta()
-    for (ua, ub) in band_u_intervals(engine.w_n, band.alpha + cbar, band.beta + cbar):
-        im = post.interval_mass(ua * ua, ub * ub)
-        total = total + Bracket(f0.lower * im.lower, f0.upper * im.upper)
-    return total.clamp01()
+    segs = band_u_intervals(engine.w_n, band.alpha + cbar, band.beta + cbar)
+    return engine.set_mass(band.alpha <= LN2 - cbar <= band.beta,
+                           [(ua * ua, ub * ub) for ua, ub in segs])
 
 
 def band_prior_exponent(engine: BarronEngine, band: BandSpec) -> float:
@@ -200,18 +198,13 @@ def beta_bound_mass(engine: BarronEngine, beta: float) -> Bracket:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if engine.n == 0:
         return Bracket(0.0, 0.0)
-    f0, fstep = engine.posterior_split()
-    total = fstep if beta < LN2 else Bracket(0.0, 0.0)
+    segs = []
     if sup_loglik_f0(engine.w_n, engine.n) / engine.n > beta:
         segs = band_u_intervals(engine.w_n, beta, math.inf)
-        post = engine.posterior_theta()
-        for (ua, ub) in segs:
-            im = post.interval_mass(ua * ua, ub * ub)
-            total = total + Bracket(f0.lower * im.lower, f0.upper * im.upper)
-    return total.clamp01()
+    return engine.set_mass(beta < LN2, [(ua * ua, ub * ub) for ua, ub in segs])
 
 
-def evidence_lower_flag(engine: BarronEngine, tau: float = 0.1) -> bool:
+def evidence_lower_flag(engine: BarronEngine, tau: float) -> bool:
     """Whether the certified lower bound of the total evidence (likelihood
     ratio normalization) is at least e^(-tau n)."""
     if tau <= 0.0:
@@ -241,87 +234,73 @@ class DiagnosticSettings:
 
 @dataclass
 class DiagnosticRecord:
-    """All diagnostics at one sample size, with certified enclosures."""
+    """All diagnostics at one sample size as one trajectory row: ``row``
+    maps each column to its value, in column order, and a bracketed
+    statistic fills the two columns ``stem.lower`` and ``stem.upper``.  A
+    statistic that failed is NaN in its columns, and ``errors`` holds its
+    message."""
 
     n: int
-    w_n: float = math.nan
-    sup_loglik: float = math.nan
-    realized_gamma: float = math.nan
-    gamma_mass: Bracket | None = None
-    mass_f0: Bracket | None = None
-    mass_fstep: Bracket | None = None
-    band_masses: dict = field(default_factory=dict)
-    band_prior_exponents: dict = field(default_factory=dict)
-    beta_bound_masses: dict = field(default_factory=dict)
-    hellinger_masses: dict = field(default_factory=dict)
-    evidence_flag: bool | None = None
-    log_evidence_lower: float = math.nan
-    log_evidence_upper: float = math.nan
-    mean_inv_level: Bracket | None = None
-    predictive_ks: float = math.nan
+    row: dict
     errors: list = field(default_factory=list)
+
+
+def _put(row: dict, stem: str, br) -> None:
+    """Store a bracket (or NaNs for a missing one) in its two columns."""
+    row[f"{stem}.lower"] = br.lower if br is not None else math.nan
+    row[f"{stem}.upper"] = br.upper if br is not None else math.nan
+
+
+def _num(v) -> float:
+    """A one-column value; None (a failed statistic) is NaN."""
+    return math.nan if v is None else float(v)
 
 
 def evaluate_diagnostics(engine: BarronEngine,
                          settings: DiagnosticSettings) -> DiagnosticRecord:
-    """Evaluate every configured statistic; numeric failures are recorded
-    per statistic and evaluation continues (flagged gaps, not aborts)."""
-    rec = DiagnosticRecord(n=engine.n)
-    rec.w_n = engine.w_n
-    if engine.n >= 1:
-        rec.sup_loglik = sup_loglik_f0(engine.w_n, engine.n)
+    """Evaluate every configured statistic into one trajectory row; numeric
+    failures are recorded per statistic and evaluation continues (flagged
+    gaps, not aborts)."""
+    n, errors = engine.n, []
 
-    def attempt(name, fn):
+    def attempt(name, fn, *args):
         try:
-            return fn()
+            return fn(*args)
         except (QuadratureError, UndefinedPosteriorError) as exc:
-            rec.errors.append(f"{name}: {exc}")
+            errors.append(f"{name}: {exc}")
             return None
 
-    split = attempt("posterior_split", engine.posterior_split)
-    if split is not None:
-        rec.mass_f0, rec.mass_fstep = split
-    gs = attempt("gamma_stat", lambda: gamma_stat(engine, settings.gamma))
-    if gs is not None:
-        rec.gamma_mass = gs.mass
-        rec.realized_gamma = gs.realized_level
+    f0, fstep = attempt("posterior_split", engine.posterior_split) or (None, None)
+    gs = attempt("gamma_stat", gamma_stat, engine, settings.gamma)
+    row = {"n": float(n), "w_n": engine.w_n,
+           "sup_loglik": sup_loglik_f0(engine.w_n, n) if n >= 1 else math.nan,
+           "realized_gamma": _num(gs and gs.realized_level)}
+    _put(row, "gamma_stat", gs and gs.mass)
+    _put(row, "mass_f0", f0)
+    _put(row, "mass_fstep", fstep)
     for band in settings.bands:
-        bm = attempt(f"band_mass[{band.key()}]",
-                     lambda band=band: band_posterior_mass(engine, band))
-        if bm is not None:
-            rec.band_masses[band] = bm
+        _put(row, f"band_mass_{band.key()}",
+             attempt(f"band_mass[{band.key()}]", band_posterior_mass, engine, band))
     for band in settings.exponent_bands:
-        ex = attempt(f"band_prior_exponent[{band.key()}]",
-                     lambda band=band: band_prior_exponent(engine, band))
-        if ex is not None:
-            rec.band_prior_exponents[band] = ex
+        row[f"band_prior_exponent_{band.key()}"] = _num(attempt(
+            f"band_prior_exponent[{band.key()}]", band_prior_exponent, engine, band))
     for beta in settings.betas:
-        bb = attempt(f"beta_bound[{beta:g}]",
-                     lambda beta=beta: beta_bound_mass(engine, beta))
-        if bb is not None:
-            rec.beta_bound_masses[beta] = bb
+        _put(row, f"beta_bound_mass_{beta:g}",
+             attempt(f"beta_bound[{beta:g}]", beta_bound_mass, engine, beta))
     for eps in settings.epsilons:
-        hm = attempt(f"hellinger_mass[{eps:g}]",
-                     lambda eps=eps: engine.hellinger_ball_mass(eps))
-        if hm is not None:
-            rec.hellinger_masses[eps] = hm
+        _put(row, f"hellinger_mass_{eps:g}",
+             attempt(f"hellinger_mass[{eps:g}]", engine.hellinger_ball_mass, eps))
     ev = attempt("evidence", engine.log_evidence)
-    if ev is not None:
-        shift = engine.n * engine.mean_log_truth
-        rec.log_evidence_lower = ev.lower - shift
-        rec.log_evidence_upper = ev.upper - shift
-        rec.evidence_flag = rec.log_evidence_lower >= -settings.tau * engine.n
+    row["evidence_flag"] = _num(ev and evidence_lower_flag(engine, settings.tau))
+    # in the likelihood-ratio normalization, which the flag reads too
+    _put(row, "log_evidence", ev and ev.shift(-n * engine.mean_log_truth))
     if settings.track_mean_inv_level:
         lp = attempt("posterior_over_n", engine.posterior_over_n)
-        if lp is not None:
-            rec.mean_inv_level = lp.mean_inv_level
+        _put(row, "mean_inv_level", lp and lp.mean_inv_level)
     if settings.predictive_grid:
-        ks = attempt("predictive_ks",
-                     lambda: engine.predictive_uniform_ks(settings.predictive_grid))
-        if ks is not None:
-            rec.predictive_ks = ks
-    return rec
-
+        row["predictive_ks"] = _num(attempt(
+            "predictive_ks", engine.predictive_uniform_ks, settings.predictive_grid))
+    return DiagnosticRecord(n=n, row=row, errors=errors)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ from .densities import (
     sample_step,
 )
 from .diagnostics import (
-    DiagnosticRecord,
     DiagnosticSettings,
+    _put,
     evaluate_diagnostics,
+    excursion_count,
 )
 from .intervals import Bracket
 from .numerics import ConfigError, RandomStream
@@ -182,6 +183,8 @@ class RunConfig:
             raise ValueError("n_max must be >= 1")
         if not self.grid_ratio > 1.0:
             raise ValueError("grid_ratio must exceed 1")
+        if not self.quad_tol > 0.0:
+            raise ValueError("quad_tol must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")
 
@@ -318,77 +321,11 @@ def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:
 
 
 # ---------------------------------------------------------------------------
-# column layout
+# trajectories (the columns are those of evaluate_diagnostics' rows)
 # ---------------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _bracket_cols(stem: str) -> list:
-    return [f"{stem}.lower", f"{stem}.upper"]
-
-
-def trajectory_columns(cfg: RunConfig) -> list:
-    dg = cfg.diagnostics
-    if cfg.model == "cosine":
-        cols = ["n"]
-        for eps in dg.epsilons:
-            cols += _bracket_cols(f"hellinger_mass_{eps:g}")
-        for lo, hi in cfg.cosine_regions:
-            cols += _bracket_cols(f"region_mass_{lo:g}_{hi:g}")
-        cols += _bracket_cols("log_evidence")
-        return cols
-    cols = ["n", "w_n", "sup_loglik", "realized_gamma"]
-    cols += _bracket_cols("gamma_stat")
-    cols += _bracket_cols("mass_f0") + _bracket_cols("mass_fstep")
-    for band in dg.bands:
-        cols += _bracket_cols(f"band_mass_{band.key()}")
-    for band in dg.exponent_bands:
-        cols.append(f"band_prior_exponent_{band.key()}")
-    for beta in dg.betas:
-        cols += _bracket_cols(f"beta_bound_mass_{beta:g}")
-    for eps in dg.epsilons:
-        cols += _bracket_cols(f"hellinger_mass_{eps:g}")
-    cols.append("evidence_flag")
-    cols += _bracket_cols("log_evidence")
-    if dg.track_mean_inv_level:
-        cols += _bracket_cols("mean_inv_level")
-    if dg.predictive_grid:
-        cols.append("predictive_ks")
-    return cols
-
-
-def _put(row: dict, stem: str, br) -> None:
-    """Store a bracket (or NaNs for a missing one) in its two columns."""
-    row[f"{stem}.lower"] = br.lower if br is not None else math.nan
-    row[f"{stem}.upper"] = br.upper if br is not None else math.nan
-
-
-def _row_from_record(rec: DiagnosticRecord, cfg: RunConfig) -> dict:
-    row = {"n": float(rec.n), "w_n": rec.w_n, "sup_loglik": rec.sup_loglik,
-           "realized_gamma": rec.realized_gamma}
-    _put(row, "gamma_stat", rec.gamma_mass)
-    _put(row, "mass_f0", rec.mass_f0)
-    _put(row, "mass_fstep", rec.mass_fstep)
-    for band in cfg.diagnostics.bands:
-        _put(row, f"band_mass_{band.key()}", rec.band_masses.get(band))
-    for band in cfg.diagnostics.exponent_bands:
-        row[f"band_prior_exponent_{band.key()}"] = \
-            rec.band_prior_exponents.get(band, math.nan)
-    for beta in cfg.diagnostics.betas:
-        _put(row, f"beta_bound_mass_{beta:g}", rec.beta_bound_masses.get(beta))
-    for eps in cfg.diagnostics.epsilons:
-        _put(row, f"hellinger_mass_{eps:g}", rec.hellinger_masses.get(eps))
-    row["evidence_flag"] = (math.nan if rec.evidence_flag is None
-                            else float(rec.evidence_flag))
-    row["log_evidence.lower"] = rec.log_evidence_lower
-    row["log_evidence.upper"] = rec.log_evidence_upper
-    if cfg.diagnostics.track_mean_inv_level:
-        _put(row, "mean_inv_level", rec.mean_inv_level)
-    if cfg.diagnostics.predictive_grid:
-        row["predictive_ks"] = rec.predictive_ks
-    return row
 
 
 @dataclass
@@ -466,7 +403,6 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
     continues."""
     grid = evaluation_grid(cfg.n_max, cfg.grid_ratio)
     data = cfg.truth.sample(RandomStream(seed, DATA_STREAM), cfg.n_max)
-    columns = trajectory_columns(cfg)
     rows, errors = [], []
     if cfg.model == "barron":
         engine = BarronEngine(prior=cfg.barron_prior(), quad_tol=cfg.quad_tol,
@@ -476,25 +412,31 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
             engine.add_point(float(x))
             if i in want:
                 rec = evaluate_diagnostics(engine, cfg.diagnostics)
-                rows.append(_row_from_record(rec, cfg))
+                rows.append(rec.row)
                 errors.extend((i, msg) for msg in rec.errors)
     else:
+        stats = [(f"hellinger_mass_{eps:g}",
+                  lambda eng, eps=eps: eng.hellinger_mass(eps))
+                 for eps in cfg.diagnostics.epsilons]
+        stats += [(f"region_mass_{lo:g}_{hi:g}",
+                   lambda eng, lo=lo, hi=hi: eng.region_mass(lo, hi))
+                  for lo, hi in cfg.cosine_regions]
+        stats.append(("log_evidence", CosineEngine.log_evidence))
         for n in grid:
-            row = {"n": float(n)}
             eng = CosineEngine(cfg.cosine_prior, data[:n], quad_tol=cfg.quad_tol)
-            try:
-                for eps in cfg.diagnostics.epsilons:
-                    _put(row, f"hellinger_mass_{eps:g}", eng.hellinger_mass(eps))
-                for lo, hi in cfg.cosine_regions:
-                    _put(row, f"region_mass_{lo:g}_{hi:g}", eng.region_mass(lo, hi))
-                _put(row, "log_evidence", eng.log_evidence())
-            except (ArithmeticError, RuntimeError) as exc:  # recorded gap
-                errors.append((n, str(exc)))
+            row, gap = {"n": float(n)}, False
+            for stem, call in stats:  # NaN from the first failure on
+                try:
+                    br = None if gap else call(eng)
+                except (ArithmeticError, RuntimeError) as exc:  # recorded gap
+                    errors.append((n, str(exc)))
+                    br, gap = None, True
+                _put(row, stem, br)
             rows.append(row)
     log.info("trajectory seed=%d: %d grid points, %d flagged errors",
              seed, len(rows), len(errors))
-    return TrajectoryRecord(config=cfg, seed=seed, grid=grid, columns=columns,
-                            rows=rows, errors=errors)
+    return TrajectoryRecord(config=cfg, seed=seed, grid=grid,
+                            columns=list(rows[0]), rows=rows, errors=errors)
 
 
 def _worker(args) -> TrajectoryRecord:
@@ -534,12 +476,12 @@ def run_replications(cfg: RunConfig, parallelism: int = 1,
         row = {"n": float(n)}
         for c in data_cols:
             vals = np.array([t.rows[gi].get(c, math.nan) for t in trajs])
-            row[f"{c}.min"] = float(np.nanmin(vals)) if not np.all(np.isnan(vals)) else math.nan
-            row[f"{c}.median"] = float(np.nanmedian(vals)) if not np.all(np.isnan(vals)) else math.nan
-            row[f"{c}.max"] = float(np.nanmax(vals)) if not np.all(np.isnan(vals)) else math.nan
+            empty = np.all(np.isnan(vals))
+            for stat, reduce in (("min", np.nanmin), ("median", np.nanmedian),
+                                 ("max", np.nanmax)):
+                row[f"{c}.{stat}"] = math.nan if empty else float(reduce(vals))
         summary_rows.append(row)
 
-    from .diagnostics import excursion_count
     excursions: dict = {}
     stems = sorted({c[:-6] for c in data_cols if c.endswith(".lower")})
     for stem in stems:

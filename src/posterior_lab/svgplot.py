@@ -32,7 +32,6 @@ class Series:
 @dataclass
 class PlotSpec:
     series: list
-    out_path: str
     x_label: str = "n"
     y_label: str = ""
     log_x: bool = False

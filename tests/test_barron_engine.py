@@ -368,6 +368,25 @@ class TestPosteriorOverLevels:
         assert lp.mean_inv_level.upper < 0.2  # far finer than the prior
 
 
+class TestSetMass:
+    def test_empty_set_has_mass_zero(self):
+        e = BarronEngine(truth=UniformDensity())
+        e.add_points(RandomStream(1, 0).uniform_open(50))
+        m = e.set_mass(False)
+        assert (m.lower, m.upper) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_whole_space_encloses_one(self, n):
+        e = BarronEngine(truth=UniformDensity())
+        e.add_points(RandomStream(1, 0).uniform_open(n))
+        assert e.set_mass(True, [(0.0, 1.0)]).contains(1.0)
+
+    def test_step_part_is_the_step_mass(self):
+        e = BarronEngine(truth=UniformDensity())
+        e.add_points(RandomStream(1, 0).uniform_open(50))
+        assert e.set_mass(True) == e.posterior_split()[1]
+
+
 class TestHellingerBallMass:
     def test_diameter_bound(self):
         e = BarronEngine()

@@ -273,6 +273,24 @@ class TestConfigErrorExit:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--n-max", "n_max"), ("--grid-ratio", "grid_ratio"),
+        ("--quad-tol", "quad_tol")])
+    def test_zero_flag_exits_2_naming_the_field(self, tmp_path, capsys, flag, field):
+        code = run_cli("traj", "--truth", "uniform", "--n-max", "5", flag, "0",
+                       "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    def test_nonpositive_tau_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 5, "diagnostics": {"tau": -1}}))
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "tau must be positive" in capsys.readouterr().err
+
     def test_corrupted_plot_input_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "base")
         assert run_cli("traj", "--truth", "uniform", "--n-max", "12",

@@ -242,15 +242,47 @@ class TestEvaluateDiagnostics:
         e = uniform_engine(60)
         settings = DiagnosticSettings(predictive_grid=128)
         rec = evaluate_diagnostics(e, settings)
-        assert rec.n == 60
+        assert rec.n == 60 and rec.row["n"] == 60.0
         assert rec.errors == []
-        assert rec.mass_f0 is not None and rec.mass_fstep is not None
-        assert set(rec.band_masses) == set(settings.bands)
-        assert set(rec.beta_bound_masses) == {LN2}
-        assert rec.evidence_flag in (True, False)
-        assert 0.0 <= rec.hellinger_masses[0.5].upper <= 1.0
-        assert math.isfinite(rec.predictive_ks)
-        assert rec.mean_inv_level is not None
+        assert all(not math.isnan(v) for v in rec.row.values())
+        assert rec.row["mass_f0.lower"] <= rec.row["mass_f0.upper"]
+        assert rec.row["mass_fstep.lower"] <= rec.row["mass_fstep.upper"]
+        for band in settings.bands:
+            assert f"band_mass_{band.key()}.lower" in rec.row
+        assert [c for c in rec.row if c.startswith("beta_bound_mass_")] == [
+            f"beta_bound_mass_{LN2:g}.lower", f"beta_bound_mass_{LN2:g}.upper"]
+        assert rec.row["evidence_flag"] in (0.0, 1.0)
+        assert 0.0 <= rec.row["hellinger_mass_0.5.upper"] <= 1.0
+        assert math.isfinite(rec.row["predictive_ks"])
+        assert "mean_inv_level.lower" in rec.row
+
+    def test_evidence_flag_is_the_flag_function(self):
+        e = uniform_engine(200)
+        for tau in (0.01, 0.1):
+            rec = evaluate_diagnostics(e, DiagnosticSettings(tau=tau))
+            assert rec.row["evidence_flag"] == float(evidence_lower_flag(e, tau))
+
+    def test_failed_statistic_is_nan_in_its_columns(self, monkeypatch):
+        import posterior_lab.diagnostics as diagnostics
+        from posterior_lab.numerics import QuadratureError
+
+        real = diagnostics.band_posterior_mass
+
+        def failing(engine, band):
+            if band == BandSpec(0.6, 0.75):
+                raise QuadratureError("synthetic failure", 0.0, math.inf, 0)
+            return real(engine, band)
+
+        e = uniform_engine(60)
+        settings = DiagnosticSettings()
+        want = evaluate_diagnostics(e, settings).row
+        monkeypatch.setattr(diagnostics, "band_posterior_mass", failing)
+        rec = evaluate_diagnostics(e, settings)
+        assert list(rec.row) == list(want)
+        assert rec.errors == ["band_mass[0.6_0.75]: synthetic failure"]
+        nan_cols = [c for c, v in rec.row.items() if math.isnan(v)]
+        assert nan_cols == ["band_mass_0.6_0.75.lower", "band_mass_0.6_0.75.upper"]
+        assert all(rec.row[c] == want[c] for c in want if c not in nan_cols)
 
 
 class TestTrajectoryScans:

@@ -323,6 +323,9 @@ class TestTrajectoryRoundTrip:
         assert traj.errors == [(n, "math range error") for n in traj.grid]
         assert [int(r["n"]) for r in traj.rows] == traj.grid
         assert all(br is None for _, br in traj.bracket_series("hellinger_mass_0.3"))
+        # every column is kept, NaN from the failed statistic on
+        assert all(list(r) == traj.columns for r in traj.rows)
+        assert all(math.isnan(r[c]) for r in traj.rows for c in traj.columns[1:])
 
     def test_cosine_model_runs(self):
         cfg = RunConfig(truth=TruthSpec("uniform"), model="cosine", n_max=12,
@@ -358,6 +361,42 @@ class TestReplications:
         assert "gamma_stat.lower.median" in r.summary_columns
         gs = r.excursions["gamma_stat"]["0.9"]
         assert gs["frequency"] == gs["seeds_with_excursion"] / 2
+
+
+BARRON_COLUMNS = [
+    "n", "w_n", "sup_loglik", "realized_gamma",
+    "gamma_stat.lower", "gamma_stat.upper",
+    "mass_f0.lower", "mass_f0.upper", "mass_fstep.lower", "mass_fstep.upper",
+    "band_mass_0.6_0.75.lower", "band_mass_0.6_0.75.upper",
+    "band_mass_0.2_0.4.lower", "band_mass_0.2_0.4.upper",
+    "band_prior_exponent_0.693147_0.693147",
+    "beta_bound_mass_0.693147.lower", "beta_bound_mass_0.693147.upper",
+    "hellinger_mass_0.5.lower", "hellinger_mass_0.5.upper",
+    "hellinger_mass_0.7.lower", "hellinger_mass_0.7.upper",
+    "evidence_flag", "log_evidence.lower", "log_evidence.upper",
+]
+
+
+class TestColumnLayout:
+    def test_default_barron_columns(self):
+        traj = run_trajectory(RunConfig(n_max=3), 1)
+        want = BARRON_COLUMNS + ["mean_inv_level.lower", "mean_inv_level.upper"]
+        assert len(want) == 26
+        assert traj.columns == want
+        assert all(list(r) == want for r in traj.rows)
+
+    def test_default_cosine_columns(self):
+        traj = run_trajectory(RunConfig(model="cosine", n_max=2), 1)
+        assert traj.columns == [
+            "n", "hellinger_mass_0.5.lower", "hellinger_mass_0.5.upper",
+            "hellinger_mass_0.7.lower", "hellinger_mass_0.7.upper",
+            "region_mass_5_inf.lower", "region_mass_5_inf.upper",
+            "log_evidence.lower", "log_evidence.upper"]
+
+    def test_predictive_without_level_columns(self):
+        dg = DiagnosticSettings(predictive_grid=64, track_mean_inv_level=False)
+        traj = run_trajectory(RunConfig(n_max=3, diagnostics=dg), 1)
+        assert traj.columns == BARRON_COLUMNS + ["predictive_ks"]
 
 
 class TestRecordCounts:
