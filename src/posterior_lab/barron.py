@@ -15,6 +15,11 @@ Every posterior quantity is computed exactly up to certified enclosures:
 * the tilt-family marginal is certified log-space quadrature of
   (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n).
 
+From the distinct-cell level D on, every level separates every pair of
+distinct points, so its occupancy is the number of distinct points; the
+engine stores occupancies only for the levels 1..D-1 below it.  The level
+constants 2 N^2 and ln 6/(pi^2 N^2) live in one process-wide table.
+
 The engine is single-writer (``add_point``); all queries are read-only.
 Each engine state (the data seen so far) caches what its queries share and
 ``add_point`` drops it: the per-level log-ratios ln (N^2)_k / (2N^2)_k,
@@ -66,6 +71,26 @@ _LOG_LEVEL_NORM = math.log(6.0) - 2.0 * math.log(math.pi)
 # levels kept per observation (see BarronEngine for why 4)
 TRUNCATION_MULTIPLIER = 4
 
+# 2 N^2 and ln 6/(pi^2 N^2) for the levels N = 1, 2, ...: one table per
+# process, grown by doubling (see _level_table)
+_W2 = np.zeros(0)
+_LOG_W = np.zeros(0)
+
+
+def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2 N^2, ln 6/(pi^2 N^2)) for the levels 1..m.  The ln is taken with
+    math.log level by level: np.log rounds a few levels differently, which
+    would change the stored trajectories."""
+    global _W2, _LOG_W
+    cur = _W2.size
+    if m > cur:
+        cap = max(m, 2 * cur)
+        levels = np.arange(cur + 1, cap + 1, dtype=np.float64)
+        _W2 = np.concatenate([_W2, 2.0 * levels * levels])
+        _LOG_W = np.concatenate([_LOG_W, [_LOG_LEVEL_NORM - 2.0 * math.log(level)
+                                          for level in range(cur + 1, cap + 1)]])
+    return _W2[:m], _LOG_W[:m]
+
 
 class UndefinedPosteriorError(RuntimeError):
     """Both mixture components carry zero likelihood -- posterior undefined."""
@@ -97,13 +122,6 @@ class BarronPriorConfig:
     def log_step_weight(self) -> float:
         return math.log1p(-self.continuous_weight)
 
-    @staticmethod
-    def step_level_weight(level: int) -> float:
-        """Within-component weight 6/(pi^2 N^2) of level N."""
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        return math.exp(_LOG_LEVEL_NORM - 2.0 * math.log(level))
-
 
 @dataclass(frozen=True)
 class SufficientStats:
@@ -124,8 +142,10 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class OccupancyStats:
-    """Occupied-cell counts k_N for maintained levels 1..M plus the level
-    beyond which every distinct point sits in its own cell."""
+    """Occupied-cell counts k_N for the levels 1..M of the truncation
+    M = max(distinct-cell level, 4 n, 1), filled with n_distinct from the
+    distinct-cell level on, where every distinct point sits in its own
+    cell."""
 
     n: int
     n_distinct: int
@@ -147,6 +167,8 @@ def log_step_term(level: int, k: int, n: int, with_likelihood: bool = True) -> f
     LOG_ZERO when k > N^2 (no member of the level can hold all occupied
     cells); k > n violates the precondition.
     """
+    if level < 1:
+        raise ValueError("level must be >= 1")
     if k > n:
         raise ValueError(f"occupancy k={k} cannot exceed the sample size n={n}")
     m = level * level
@@ -155,7 +177,7 @@ def log_step_term(level: int, k: int, n: int, with_likelihood: bool = True) -> f
     r = log_falling_factorial_ratio(m, 2 * m, k)
     if r == LOG_ZERO:
         return LOG_ZERO
-    t = _LOG_LEVEL_NORM - 2.0 * math.log(level) + r
+    t = float(_level_table(level)[1][-1]) + r
     if with_likelihood:
         t += n * LN2
     return t
@@ -193,11 +215,7 @@ class PosteriorTheta:
             return Bracket(0.0, 0.0)
         if lo == 0.0 and hi == 1.0:
             return Bracket(1.0, 1.0)  # the whole component, by definition
-        den = self._normalizer
-        num = self._integral(lo, hi)
-        nl, nh = num.log_bracket()
-        dl, dh = den.log_bracket()
-        return Bracket(_exp_or_zero(nl - dh), _exp_or_zero(nh - dl)).clamp01()
+        return _quotient(self._integral(lo, hi), self._normalizer)
 
     def prior_ball_mass(self, delta: float) -> Bracket:
         """Prior mass of {theta < delta}; since KL(uniform, f_theta) = theta,
@@ -205,11 +223,8 @@ class PosteriorTheta:
         every delta > 0."""
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
-        den = _z0(self.quad_tol)
-        num = _tilt_integral(0, 0.0, self.quad_tol, 0.0, delta)
-        nl, nh = num.log_bracket()
-        dl, dh = den.log_bracket()
-        return Bracket(_exp_or_zero(nl - dh), _exp_or_zero(nh - dl)).clamp01()
+        return _quotient(_tilt_integral(0, 0.0, self.quad_tol, 0.0, delta),
+                         _z0(self.quad_tol))
 
 
 @dataclass(frozen=True)
@@ -226,6 +241,14 @@ class LevelPosterior:
 
 def _exp_or_zero(v: float) -> float:
     return math.exp(v) if v > LOG_ZERO else 0.0
+
+
+def _quotient(num: QuadratureResult, den: QuadratureResult) -> Bracket:
+    """Enclosure of num / den from the log brackets of two quadratures,
+    clamped to [0, 1]."""
+    nl, nh = num.log_bracket()
+    dl, dh = den.log_bracket()
+    return Bracket(_exp_or_zero(nl - dh), _exp_or_zero(nh - dl)).clamp01()
 
 
 def _tilt_integrand_max(n: int, s: float) -> float:
@@ -311,12 +334,8 @@ class BarronEngine:
         self._sum_log_truth = 0.0
         self._min_gap = math.inf
         self._n_distinct = 0
-        # per-level arrays over a capacity that doubles as levels are added;
-        # the first _levels entries are the maintained levels 1..M
-        self._levels = 0
-        self._k = np.zeros(0, dtype=np.int64)      # occupancy k_N
-        self._w2 = np.zeros(0, dtype=np.float64)   # 2 N^2
-        self._log_w = np.zeros(0, dtype=np.float64)  # ln 6/(pi^2 N^2)
+        # occupancy k_N of the levels 1..D-1 below the distinct-cell level D
+        self._k = np.zeros(0, dtype=np.int64)
         self._cache: dict = {}
 
     # -- state ------------------------------------------------------------
@@ -336,7 +355,7 @@ class BarronEngine:
     def occupancy(self) -> OccupancyStats:
         return OccupancyStats(n=self._n, n_distinct=self._n_distinct,
                               distinct_level=self.distinct_level(),
-                              k_by_level=self._k[:self._levels].copy())
+                              k_by_level=self._occupancies(self._resolve_levels()))
 
     @property
     def w_n(self) -> float:
@@ -348,9 +367,9 @@ class BarronEngine:
         return self._sum_log_truth / self._n if self._n else 0.0
 
     def distinct_level(self) -> int:
-        """Smallest maintained level beyond which distinct points occupy
-        distinct cells.  Uses min_gap/2 so float rounding in the cell map
-        cannot merge two distinct points."""
+        """Smallest level beyond which distinct points occupy distinct
+        cells.  Uses min_gap/2 so float rounding in the cell map cannot
+        merge two distinct points."""
         if not math.isfinite(self._min_gap):
             return 1
         # smallest N with 1/(2 N^2) < min_gap / 2
@@ -359,86 +378,65 @@ class BarronEngine:
             nd += 1
         return nd
 
+    def _occupancies(self, m: int) -> np.ndarray:
+        """k_N for the levels 1..m: the stored ones below the distinct-cell
+        level, n_distinct from it on."""
+        fill = np.full(max(0, m - self._k.size), self._n_distinct, np.int64)
+        return np.concatenate([self._k[:m], fill])
+
+    def _neighbours(self, x: float) -> list[float]:
+        """The sample points next to x, one on each side where there is one.
+        At every level, a point in x's cell on one side implies the nearest
+        point on that side is in it too."""
+        pos = bisect_left(self._pts, x)
+        return self._pts[max(pos - 1, 0):pos + 1]
+
+    def _nearest_distance(self, x: float) -> float:
+        return min((abs(x - nb) for nb in self._neighbours(x)), default=math.inf)
+
     # -- updates ----------------------------------------------------------
 
     def add_point(self, x: float) -> None:
         """Insert one observation: updates S_n, the sorted sample, min_gap
-        and every maintained occupancy, then grows the maintained levels to
-        the truncation level, and drops the state's cached queries.
+        and the stored occupancies, and drops the state's cached queries.
 
-        Cost: O(n) for the sorted-list insert plus O(M) vector work over the
-        M maintained levels.  A new level at or beyond the distinct-cell
-        level takes the occupancy n_distinct without reading the sample; a
-        new level below it recounts the sample in O(n), which happens only
-        when a closer pair of points raises the distinct-cell level past M.
+        Cost: O(n) for the sorted-list insert plus O(D) cell compares over
+        the levels below the distinct-cell level D, with no recount of the
+        sample.  When a closer pair raises D, the levels that join the
+        stored ones held n_distinct before x, since they lay at or beyond
+        the old D.
         """
         x = float(x)
         if not 0.0 < x < 1.0:
             raise ValueError(f"data points must lie in (0,1), got {x}")
         self._cache.clear()
-        pos = bisect_left(self._pts, x)
-        left = self._pts[pos - 1] if pos > 0 else None
-        right = self._pts[pos] if pos < len(self._pts) else None
+        nbs = self._neighbours(x)
+        gap = self._nearest_distance(x)
 
         self._n += 1
         self._s += inv_norm_cdf(x)
         if self.truth is not None:
             self._sum_log_truth += self.truth.logpdf(x)
 
-        duplicate = (left == x) or (right == x)
-        if not duplicate:
+        if gap > 0.0:  # x is not a duplicate
+            self._min_gap = min(self._min_gap, gap)
+            below = self.distinct_level() - 1
+            if below > self._k.size:
+                self._k = self._occupancies(below)
             self._n_distinct += 1
-            for nb in (left, right):
-                if nb is not None and nb != x:
-                    self._min_gap = min(self._min_gap, abs(x - nb))
         insort(self._pts, x)
 
-        # update occupancies of existing levels via the nearest neighbors
-        # (if any point shares x's cell, the nearest one on that side does),
-        # then grow new levels (below the distinct-cell level, from the full
-        # sample, which already holds x)
-        old = self._levels
-        if old:
-            w2 = self._w2[:old]
-            c_x = (w2 * x).astype(np.int64)
-            newly = np.ones(old, dtype=bool)
-            if left is not None:
-                newly &= c_x != (w2 * left).astype(np.int64)
-            if right is not None:
-                newly &= c_x != (w2 * right).astype(np.int64)
-            self._k[:old][newly] += 1
-        self._ensure_levels(self._resolve_levels())
+        # x occupies a new cell at a level unless a neighbour shares it
+        w2 = _level_table(self._k.size)[0]
+        c_x = (w2 * x).astype(np.int64)
+        newly = np.ones(self._k.size, dtype=bool)
+        for nb in nbs:
+            newly &= c_x != (w2 * nb).astype(np.int64)
+        self._k += newly
 
     def add_points(self, xs) -> None:
         for x in xs:
             self.add_point(x)
-
-    def _ensure_levels(self, m: int) -> None:
-        cur = self._levels
-        if m <= cur:
-            return
-        if m > self._k.size:
-            self._reserve(max(m, 2 * self._k.size))
-        # at or beyond the distinct-cell level every distinct point has a
-        # cell of its own; only the levels below it need the sample
-        below = min(m, max(cur, self.distinct_level() - 1))
-        if below > cur:
-            pts = np.array(self._pts)
-            for i in range(cur, below):
-                cells = (self._w2[i] * pts).astype(np.int64)
-                self._k[i] = 1 + int(np.count_nonzero(cells[1:] > cells[:-1]))
-        self._k[below:m] = self._n_distinct
-        self._levels = m
-
-    def _reserve(self, capacity: int) -> None:
-        """Grow the per-level arrays to ``capacity`` levels."""
-        cur = self._k.size
-        levels = np.arange(cur + 1, capacity + 1, dtype=np.float64)
-        log_w = [_LOG_LEVEL_NORM - 2.0 * math.log(level)
-                 for level in range(cur + 1, capacity + 1)]
-        self._k = np.concatenate([self._k, np.zeros(capacity - cur, np.int64)])
-        self._w2 = np.concatenate([self._w2, 2.0 * levels * levels])
-        self._log_w = np.concatenate([self._log_w, log_w])
 
     # -- step-family marginal ----------------------------------------------
 
@@ -460,8 +458,7 @@ class BarronEngine:
         levels than the last one did)."""
         r = self._cache.get("ratios")
         if r is None or r.size < m_trunc:
-            self._ensure_levels(m_trunc)
-            ks = self._k[:m_trunc]
+            ks = self._occupancies(m_trunc)
             r = np.full(m_trunc, LOG_ZERO)
             idx = np.arange(max(1, int(ks.max())), dtype=np.float64)
             for i, k in enumerate(ks.tolist()):
@@ -478,8 +475,7 @@ class BarronEngine:
 
     def _step_log_terms(self, m_trunc: int, with_likelihood: bool) -> np.ndarray:
         """ln term per level 1..M (LOG_ZERO where the level is inconsistent)."""
-        r = self._log_ratios(m_trunc)  # first: it may grow the level arrays
-        terms = self._log_w[:m_trunc] + r
+        terms = _level_table(m_trunc)[1] + self._log_ratios(m_trunc)
         if with_likelihood:
             terms += self._n * LN2
         return terms
@@ -516,30 +512,22 @@ class BarronEngine:
 
     # -- tilt-family marginal ----------------------------------------------
 
-    def _posterior_theta(self, tol: float) -> PosteriorTheta:
-        key = ("theta", tol)
-        if key not in self._cache:
-            self._cache[key] = PosteriorTheta(n=self._n, s_n=self._s, quad_tol=tol)
-        return self._cache[key]
-
-    def gauss_marginal(self, tol: float | None = None) -> QuadratureResult:
+    def gauss_marginal(self) -> QuadratureResult:
         """ln of the tilt-component marginal likelihood
         (1/Z0) * integral_0^1 e^(-1/theta) e^(-n theta + sqrt(2 theta) S_n)
         d theta, as a log-space quadrature result with a relative bound."""
-        tol = self.quad_tol if tol is None else float(tol)
-        key = ("gauss", tol)
-        if key not in self._cache:
+        if "gauss" not in self._cache:
             if self._n == 0 and self._s == 0.0:
                 # numerator and normalizer are the same integral
                 return QuadratureResult(0.0, 0.0, 0)
-            num = self._posterior_theta(tol)._normalizer
-            den = _z0(tol)
+            num = self.posterior_theta()._normalizer
+            den = _z0(self.quad_tol)
             rel = (1.0 + num.rel_error_bound) * (1.0 + den.rel_error_bound) - 1.0
-            self._cache[key] = QuadratureResult(
+            self._cache["gauss"] = QuadratureResult(
                 log_estimate=num.log_estimate - den.log_estimate,
                 rel_error_bound=rel,
                 evaluations=num.evaluations + den.evaluations)
-        return self._cache[key]
+        return self._cache["gauss"]
 
     # -- posterior queries ---------------------------------------------------
 
@@ -569,7 +557,10 @@ class BarronEngine:
         return g.add(s)
 
     def posterior_theta(self) -> PosteriorTheta:
-        return self._posterior_theta(self.quad_tol)
+        if "theta" not in self._cache:
+            self._cache["theta"] = PosteriorTheta(n=self._n, s_n=self._s,
+                                                  quad_tol=self.quad_tol)
+        return self._cache["theta"]
 
     def posterior_over_n(self, levels: int | None = None) -> LevelPosterior:
         """Posterior over partition levels within the step component."""
@@ -619,33 +610,18 @@ class BarronEngine:
     def _predictive_log_factors(self, x: float, m_trunc: int) -> np.ndarray:
         """ln of the per-level predictive density at x (occupied cell -> 2;
         unoccupied -> 2 (N^2-k)/(2N^2-k))."""
-        self._ensure_levels(m_trunc)
-        w2 = self._w2[:m_trunc]
-        ks = self._k[:m_trunc].astype(np.float64)
+        w2 = _level_table(m_trunc)[0]
+        ks = self._occupancies(m_trunc).astype(np.float64)
         c_x = (w2 * x).astype(np.int64)
         occupied = np.zeros(m_trunc, dtype=bool)
-        if self._pts:
-            pos = bisect_left(self._pts, x)
-            for nb in ({self._pts[pos - 1]} if pos > 0 else set()) | \
-                      ({self._pts[pos]} if pos < len(self._pts) else set()):
-                occupied |= c_x == (w2 * nb).astype(np.int64)
+        for nb in self._neighbours(x):
+            occupied |= c_x == (w2 * nb).astype(np.int64)
         m = w2 / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
             unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
         out = np.where(occupied, math.log(2.0), unocc)
         out[np.isnan(out)] = LOG_ZERO
         return out
-
-    def _nearest_distance(self, x: float) -> float:
-        if not self._pts:
-            return math.inf
-        pos = bisect_left(self._pts, x)
-        cands = []
-        if pos > 0:
-            cands.append(abs(x - self._pts[pos - 1]))
-        if pos < len(self._pts):
-            cands.append(abs(x - self._pts[pos]))
-        return min(cands)
 
     def _predictive_at(self, x: float, m_trunc: int) -> Bracket:
         terms, tail, total = self._step_sum(m_trunc, True)

@@ -69,9 +69,6 @@ class Partition:
     def cell_width(self) -> float:
         return 1.0 / self.n_cells
 
-    def cell_of(self, x: float) -> int:
-        return cell_index(x, self.level)
-
     def boundaries(self) -> np.ndarray:
         """Interior cell boundaries j/(2 level^2), j = 1..n_cells-1."""
         return np.arange(1, self.n_cells) / self.n_cells

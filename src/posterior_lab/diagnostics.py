@@ -231,6 +231,19 @@ class DiagnosticSettings:
     predictive_grid: int = 0  # 0 disables the Kolmogorov summary
     track_mean_inv_level: bool = True
 
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if any(not b >= 0.0 for b in self.betas):
+            raise ValueError(f"betas must be >= 0, got {self.betas}")
+        if any(not eps > 0.0 for eps in self.epsilons):
+            raise ValueError(f"epsilons must be positive, got {self.epsilons}")
+        if not self.tau > 0.0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.predictive_grid < 0:
+            raise ValueError(
+                f"predictive_grid must be >= 0, got {self.predictive_grid}")
+
 
 @dataclass
 class DiagnosticRecord:

@@ -324,8 +324,12 @@ def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:
 # trajectories (the columns are those of evaluate_diagnostics' rows)
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _csv(columns: list, rows: list) -> str:
+    """CSV text: a header, then one line per row (absent values as nan)."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(f"{row.get(c, math.nan):.17g}" for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -375,10 +379,7 @@ class TrajectoryRecord:
         return None
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(row.get(c, math.nan)) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        return _csv(self.columns, self.rows)
 
     def sidecar(self) -> dict:
         return {
@@ -425,11 +426,13 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
         for n in grid:
             eng = CosineEngine(cfg.cosine_prior, data[:n], quad_tol=cfg.quad_tol)
             row, gap = {"n": float(n)}, False
-            for stem, call in stats:  # NaN from the first failure on
+            # NaN from the first failure on: a failed cap search is not
+            # cached, so every later statistic would repeat it
+            for stem, call in stats:
                 try:
                     br = None if gap else call(eng)
                 except (ArithmeticError, RuntimeError) as exc:  # recorded gap
-                    errors.append((n, str(exc)))
+                    errors.append((n, f"{stem}: {exc}"))
                     br, gap = None, True
                 _put(row, stem, br)
             rows.append(row)
@@ -499,11 +502,7 @@ def run_replications(cfg: RunConfig, parallelism: int = 1,
 
 
 def summary_csv(result: ReplicationResult) -> str:
-    lines = [",".join(result.summary_columns)]
-    for row in result.summary_rows:
-        lines.append(",".join(_fmt(row.get(c, math.nan))
-                              for c in result.summary_columns))
-    return "\n".join(lines) + "\n"
+    return _csv(result.summary_columns, result.summary_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ class TestLogStepTerm:
         with pytest.raises(ValueError):
             log_step_term(3, 4, 2, True)
 
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_level_below_one_rejected(self, level):
+        with pytest.raises(ValueError):
+            log_step_term(level, 0, 1, True)
+
 
 class TestStepMarginal:
     def test_enumeration_equivalence(self):
@@ -220,11 +225,12 @@ class TestGaussMarginal:
         assert res.log_estimate == pytest.approx(-0.721139028767988, abs=1e-8)
 
     def test_two_quadrature_schemes_agree(self):
-        e = BarronEngine()
-        e.add_point(0.5)
-        a = e.gauss_marginal(tol=1e-8).log_estimate
-        b = e.gauss_marginal(tol=1e-11).log_estimate
-        assert a == pytest.approx(b, abs=1e-7)
+        est = []
+        for tol in (1e-8, 1e-11):
+            e = BarronEngine(quad_tol=tol)
+            e.add_point(0.5)
+            est.append(e.gauss_marginal().log_estimate)
+        assert est[0] == pytest.approx(est[1], abs=1e-7)
 
     def test_laplace_window_n400(self):
         # W_n = 0 data: ln marginal should sit in the Laplace window around
@@ -590,3 +596,26 @@ class TestStepStateCache:
         evaluate_diagnostics(e, DiagnosticSettings())
         BarronEngine().posterior_theta().prior_ball_mass(0.3)
         assert len(full) == 3  # the new state's normalizer; Z0 is reused
+
+    def test_raised_distinct_level_keeps_every_occupancy(self):
+        # a near-duplicate lifts the distinct-cell level far past 4n, an
+        # exact duplicate leaves it alone; the levels that join the stored
+        # ones must hold the recount, and the step brackets those of a
+        # fresh engine
+        data = _uniform_data(60)
+        data += [data[17] + 1e-7, data[5]] + _uniform_data(80)[60:]
+        e = BarronEngine()
+        for i, x in enumerate(data, 1):
+            e.add_point(x)
+            occ = e.occupancy
+            m_trunc = max(occ.distinct_level, 4 * i, 1)
+            assert occ.k_by_level.size == m_trunc
+            assert np.array_equal(occ.k_by_level,
+                                  recount_occupancy(data[:i], m_trunc)), i
+            fresh = BarronEngine()
+            fresh.add_points(data[:i])
+            for with_lik in (True, False):
+                assert e.step_marginal(with_likelihood=with_lik) == \
+                    fresh.step_marginal(with_likelihood=with_lik), i
+        assert e.distinct_level() > 4 * e.n
+        assert e.stats.n_distinct == e.n - 1

@@ -291,6 +291,24 @@ class TestConfigErrorExit:
         assert code == 2
         assert "tau must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("predictive_grid", -5), ("epsilons", [0.0]), ("betas", [-1.0])])
+    def test_bad_diagnostic_setting_exits_2_before_sampling(
+            self, monkeypatch, tmp_path, capsys, key, value):
+        import posterior_lab.cli as cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_trajectory", lambda *a: runs.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 3, "diagnostics": {key: value}}))
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diagnostics" in err and key in err
+        assert runs == []
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
     def test_corrupted_plot_input_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "base")
         assert run_cli("traj", "--truth", "uniform", "--n-max", "12",

@@ -320,7 +320,8 @@ class TestTrajectoryRoundTrip:
                 run_trajectory(cfg, 2)
             return
         traj = run_trajectory(cfg, 2)
-        assert traj.errors == [(n, "math range error") for n in traj.grid]
+        assert traj.errors == [(n, "hellinger_mass_0.3: math range error")
+                               for n in traj.grid]
         assert [int(r["n"]) for r in traj.rows] == traj.grid
         assert all(br is None for _, br in traj.bracket_series("hellinger_mass_0.3"))
         # every column is kept, NaN from the failed statistic on
