@@ -3,7 +3,7 @@ spread over the smooth tilt family (theta-prior density proportional to
 e^(-1/theta) on [0,1]), half over the oscillatory step families (level N
 weighted 6/(pi^2 N^2), uniform across the C(2N^2, N^2) members of a level).
 
-Every posterior quantity is computed exactly up to certified enclosures:
+Every posterior quantity is computed exactly up to bracketed errors:
 
 * the step-family marginal is a closed-form sum over levels -- a step
   density matches the data iff it selects every occupied cell, and the
@@ -12,8 +12,9 @@ Every posterior quantity is computed exactly up to certified enclosures:
   M(n) = max(distinct-cell level, 4 n, 1) with an analytic two-sided tail
   bound (the ratio increases in N toward 2^-k, and the remaining sum of
   N^-2 is a trigamma value);
-* the tilt-family marginal is certified log-space quadrature of
-  (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n).
+* the tilt-family marginal is log-space adaptive quadrature of
+  (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n), whose
+  error bound is a Richardson estimate, not a proof.
 
 From the distinct-cell level D on, every level separates every pair of
 distinct points, so its occupancy is the number of distinct points; the
@@ -25,9 +26,11 @@ Each engine state (the data seen so far) caches what its queries share and
 ``add_point`` drops it: the per-level log-ratios ln (N^2)_k / (2N^2)_k,
 computed on the first step query; the step sum per truncation level and
 likelihood flag (its terms, tail bracket and total), which the step
-marginal, the level posterior and the predictive all read; and the
-full-interval tilt integral, which the tilt marginal and every interval
-mass divide by.  The data-free normalizer Z0 is integrated once per process.
+marginal, the level posterior and the predictive all read; the
+predictive's per-level factor for an unoccupied cell, which does not
+depend on x; and the full-interval tilt integral, which the tilt marginal
+and every interval mass divide by.  The data-free normalizer Z0 is
+integrated once per process.
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ def log_step_term(level: int, k: int, n: int, with_likelihood: bool = True) -> f
 @dataclass(frozen=True)
 class PosteriorTheta:
     """Posterior over theta within the tilt component (unnormalized log
-    density -1/theta - n theta + sqrt(2 theta) S_n) with certified interval
+    density -1/theta - n theta + sqrt(2 theta) S_n) with bracketed interval
     masses and the prior small-ball query that witnesses KL support."""
 
     n: int
@@ -607,21 +610,29 @@ class BarronEngine:
 
     # -- step-family predictive ----------------------------------------------
 
+    def _unoccupied_log_factors(self, m_trunc: int) -> np.ndarray:
+        """ln 2 (N^2-k)/(2N^2-k) per level 1..M (LOG_ZERO where N^2 < k):
+        the predictive factor of an unoccupied cell, the same for every x,
+        so computed once per engine state and truncation level."""
+        key = ("unoccupied", m_trunc)
+        if key not in self._cache:
+            m = _level_table(m_trunc)[0] / 2.0
+            ks = self._occupancies(m_trunc).astype(np.float64)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
+            unocc[np.isnan(unocc)] = LOG_ZERO
+            self._cache[key] = unocc
+        return self._cache[key]
+
     def _predictive_log_factors(self, x: float, m_trunc: int) -> np.ndarray:
         """ln of the per-level predictive density at x (occupied cell -> 2;
         unoccupied -> 2 (N^2-k)/(2N^2-k))."""
         w2 = _level_table(m_trunc)[0]
-        ks = self._occupancies(m_trunc).astype(np.float64)
         c_x = (w2 * x).astype(np.int64)
         occupied = np.zeros(m_trunc, dtype=bool)
         for nb in self._neighbours(x):
             occupied |= c_x == (w2 * nb).astype(np.int64)
-        m = w2 / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
-        out = np.where(occupied, math.log(2.0), unocc)
-        out[np.isnan(out)] = LOG_ZERO
-        return out
+        return np.where(occupied, math.log(2.0), self._unoccupied_log_factors(m_trunc))
 
     def _predictive_at(self, x: float, m_trunc: int) -> Bracket:
         terms, tail, total = self._step_sum(m_trunc, True)

@@ -5,19 +5,26 @@ The quadrature domain is capped adaptively: beyond the cap the posterior
 contribution is bracketed by (prior tail mass) x (sup-likelihood bound
 (2/c_min)^n), and the cap is widened until that bound is a negligible
 fraction of the evidence.  The oscillatory likelihood is subdivided at
-half-period boundaries of the fastest data-driven oscillation.
+half-period boundaries of the fastest data-driven oscillation.  The
+quadrature error bound is a Richardson estimate, not a proof.
+
+An engine holds one data set.  Its evidence, region and Hellinger queries
+each integrate [0, cap] again, cut at their own edges but at the same
+half-period breakpoints, so interior panels repeat exactly; the engine
+memoizes ln prior + ln likelihood per theta, and each theta reaches the
+likelihood (one pass over the data) once per engine.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
-numeric integrator before it is relied on; distances are cached on a theta
-grid and region masses use inner/outer envelope enclosures.
+numeric integrator before it is relied on; distances are computed once per
+process on one theta grid, which grows with the largest cap asked for, and
+region masses use inner/outer envelope enclosures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,11 +98,10 @@ def cosine_loglik(theta: float, data) -> float:
         raise ValueError(f"theta must be >= 0, got {theta}")
     x = np.asarray(data, dtype=float)
     c = np.cos(0.5 * theta * x)
-    if np.any(c == 0.0):
+    if (c == 0.0).any():
         return LOG_ZERO
-    d = CosineDensity(theta)
-    return float(x.size * (LN2 - d.log_normalizer())
-                 + 2.0 * np.sum(np.log(np.abs(c))))
+    return float(x.size * (LN2 - CosineDensity(theta).log_normalizer())
+                 + 2.0 * np.log(np.abs(c)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +140,24 @@ def _tail_dh_bounds(theta: float) -> tuple[float, float]:
     return d_lo, d_hi
 
 
-@lru_cache(maxsize=8)
-def _hellinger_grid(theta_hi: float, step: float = 0.02):
-    grid = np.arange(0.0, theta_hi + step, step)
-    vals = np.array([cosine_hellinger_uniform(float(t)) for t in grid])
-    return grid, vals
+_DH_STEP = 0.02
+# the theta grid of the largest cap asked for so far in this process and
+# d_h(f_theta, uniform) on it; the grid of a smaller cap is a prefix of it
+_dh_grid = np.zeros(0)
+_dh_vals = np.zeros(0)
+
+
+def _hellinger_grid(theta_hi: float):
+    """np.arange(0, theta_hi + 0.02, 0.02) and d_h to the uniform on it,
+    sliced from the process-wide grid, which grows (computing only its new
+    points) when theta_hi lies beyond it."""
+    global _dh_grid, _dh_vals
+    size = math.ceil((theta_hi + _DH_STEP) / _DH_STEP)  # np.arange's length
+    if size > _dh_grid.size:
+        grid = np.arange(0.0, theta_hi + _DH_STEP, _DH_STEP)
+        new = [cosine_hellinger_uniform(t) for t in grid[_dh_vals.size:].tolist()]
+        _dh_grid, _dh_vals = grid, np.concatenate([_dh_vals, new])
+    return _dh_grid[:size], _dh_vals[:size]
 
 
 def _region_above(eps: float, theta_hi: float):
@@ -180,6 +199,7 @@ class CosineEngine:
             raise ValueError("data must lie in [0,1]")
         self.quad_tol = float(quad_tol)
         self._cache: dict = {}
+        self._joint: dict = {}  # theta -> log_joint(theta)
         self._cap: float | None = None
 
     @property
@@ -187,12 +207,17 @@ class CosineEngine:
         return int(self.data.size)
 
     def log_joint(self, theta: float) -> float:
-        lp = self.prior.log_density(theta)
-        if lp == LOG_ZERO:
-            return LOG_ZERO
-        if self.n == 0:
-            return lp
-        return lp + cosine_loglik(theta, self.data)
+        """ln prior density + ln likelihood at theta, evaluated once per
+        theta and engine."""
+        v = self._joint.get(theta)
+        if v is None:
+            lp = self.prior.log_density(theta)
+            if lp == LOG_ZERO or self.n == 0:
+                v = lp
+            else:
+                v = lp + cosine_loglik(theta, self.data)
+            self._joint[theta] = v
+        return v
 
     # -- quadrature domain --------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Self-contained numerical kernel: log-space arithmetic, special functions,
-certified adaptive quadrature, and deterministic splittable random streams.
+adaptive quadrature with a Richardson error estimate, and deterministic
+splittable random streams.
 
 Everything here is pure (no global state); the only "state" is the value-type
 ``RandomStream``, which is advanced functionally.
@@ -71,16 +72,17 @@ def log_sub(a: float, b: float) -> float:
 
 def log_sum_exp(terms) -> float:
     """ln(sum_i e^{t_i}) with max-subtraction; empty input -> LOG_ZERO."""
-    arr = np.asarray(list(terms) if not isinstance(terms, np.ndarray) else terms,
-                     dtype=float)
+    if not isinstance(terms, (list, tuple, np.ndarray)):
+        terms = list(terms)
+    arr = np.asarray(terms, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
-    m = float(np.max(arr))
+    m = float(arr.max())
     if m == LOG_ZERO:
         return LOG_ZERO
     if math.isinf(m):  # +inf dominates
         return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return m + math.log(float(np.exp(arr - m).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def inv_square_tail(m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# certified adaptive Simpson quadrature in log space
+# adaptive Simpson quadrature in log space
 # ---------------------------------------------------------------------------
 
 class NumericError(ArithmeticError):
@@ -223,13 +225,14 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral estimate with a certified (heuristic-Richardson) error bound.
+    """Integral estimate with a Richardson error estimate.
 
     ``log_estimate`` is ln of the integral of e^f; ``estimate`` is its linear
     value (which may under/overflow for extreme magnitudes -- the log fields
-    are authoritative).  ``abs_error_bound`` bounds |estimate - truth| and
-    ``rel_error_bound`` bounds the relative error, both under the standard
-    smoothness assumptions of Simpson extrapolation.
+    are authoritative).  ``abs_error_bound`` and ``rel_error_bound`` are the
+    absolute and relative error estimates of Simpson extrapolation (with a
+    safety factor): they bound the error when the integrand is smooth enough
+    on each panel for extrapolation to hold, which is not proven.
     """
 
     log_estimate: float
@@ -257,12 +260,19 @@ class QuadratureResult:
                 self.log_estimate + math.log1p(r))
 
 
+_LN4 = math.log(4.0)
+
+
 def _simpson_log(a, b, fa, fm, fb):
-    # ln[ (b-a)/6 * (e^fa + 4 e^fm + e^fb) ]
-    s = log_sum_exp((fa, fm + math.log(4.0), fb))
-    if s == LOG_ZERO:
+    # ln[ (b-a)/6 * (e^fa + 4 e^fm + e^fb) ]: log_sum_exp of the three terms
+    # with one np.exp call; the max and the left-to-right sum in floats give
+    # the same bits as the array form
+    fm += _LN4
+    m = max(fa, fm, fb)
+    if m == LOG_ZERO:
         return LOG_ZERO
-    return math.log((b - a) / 6.0) + s
+    ea, em, eb = np.exp(np.array((fa - m, fm - m, fb - m))).tolist()
+    return math.log((b - a) / 6.0) + (m + math.log(ea + em + eb))
 
 
 def _log_abs_diff(s1, s2):

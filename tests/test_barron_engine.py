@@ -445,6 +445,28 @@ class TestStepPredictive:
         ks1000 = e.predictive_uniform_ks(256)
         assert ks1000 <= ks10
 
+    def test_unoccupied_factor_hoist_is_bitwise_equal(self):
+        # the per-state unoccupied-cell factor against the per-x formula it
+        # replaced; 300 points make k exceed N^2 on the low levels
+        e = BarronEngine()
+        e.add_points(_uniform_data(300))
+        m_trunc = e._resolve_levels()
+        w2 = barron._level_table(m_trunc)[0]
+        ks = e._occupancies(m_trunc).astype(np.float64)
+        for x in (0.001, 0.2, 0.5, 0.73, 0.999):
+            c_x = (w2 * x).astype(np.int64)
+            occupied = np.zeros(m_trunc, dtype=bool)
+            for nb in e._neighbours(x):
+                occupied |= c_x == (w2 * nb).astype(np.int64)
+            m = w2 / 2.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
+            want = np.where(occupied, math.log(2.0), unocc)
+            want[np.isnan(want)] = LOG_ZERO
+            got = e._predictive_log_factors(x, m_trunc)
+            assert (got == want).all(), x
+        assert (got == LOG_ZERO).any()
+
     def test_predictive_integrates_to_one(self):
         e = BarronEngine()
         e.add_points([0.15, 0.5, 0.85])

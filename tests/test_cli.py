@@ -74,6 +74,14 @@ class TestTrajCommand:
             side = json.load(fh)
         assert side["version"] == 2 and "trunc_multiplier" not in side["config"]
 
+    def test_v2_cosine_sidecar_replays_byte_identical(self, tmp_path):
+        golden = os.path.join(DATA, "v2_cosine_n40_seed1")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        for ext in (".csv", ".json"):
+            with open(golden + ext, "rb") as a, open(out + ext, "rb") as b:
+                assert a.read() == b.read(), ext
+
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_max": 20}))

@@ -7,6 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
     CosineEngine,
     CosinePriorConfig,
@@ -169,3 +170,80 @@ class TestHellingerMass:
         eng = CosineEngine(CosinePriorConfig(), [0.5])
         with pytest.raises(ValueError):
             eng.hellinger_mass(0.0)
+
+
+class TestHellingerGrid:
+    def test_slices_equal_fresh_grids(self):
+        cosine._hellinger_grid(1125.0)  # a grid longer than every cap below
+        for cap in (30.0, 120.0, 750.0):
+            grid, vals = cosine._hellinger_grid(cap)
+            fresh = np.arange(0.0, cap + 0.02, 0.02)
+            assert grid.size == fresh.size and (grid == fresh).all()
+            assert (vals == [cosine_hellinger_uniform(float(t)) for t in fresh]).all()
+
+
+def _scalar_log_joint(prior, data, theta):
+    # log_joint as it was before the memo and the batched seeds
+    lp = prior.log_density(theta)
+    if lp == LOG_ZERO or len(data) == 0:
+        return lp
+    return lp + cosine_loglik(theta, data)
+
+
+class TestOnePerTheta:
+    """The engine evaluates each theta once per state and keeps the bits of
+    the plain evaluation."""
+
+    @pytest.mark.parametrize("prior, data", [
+        (CosinePriorConfig("exponential", rate=1.0),
+         RandomStream(8, 0).uniform_open(300)),
+        (CosinePriorConfig("truncated_uniform", theta_max=7.0),
+         np.append(RandomStream(9, 0).uniform_open(40), 1.0)),
+        (CosinePriorConfig("exponential", rate=0.5), np.zeros(0)),
+    ])
+    def test_memoized_log_joint_equals_scalar(self, prior, data):
+        rng = np.random.default_rng(11)
+        thetas = [0.0, math.pi, 2.0 * math.pi, 7.0, 7.5, 120.0,
+                  *(rng.random(40) * 60.0).tolist()]
+        eng = CosineEngine(prior, data)
+        for t in thetas + thetas:  # the second pass reads the memo
+            assert eng.log_joint(t) == _scalar_log_joint(prior, data, t), t
+        # theta = pi on x = 1 sits on a pdf zero (up to float pi); beyond
+        # theta_max the prior density is zero
+        if prior.kind == "truncated_uniform":
+            assert eng.log_joint(math.pi) < -60.0
+            assert eng.log_joint(7.5) == LOG_ZERO
+
+    def test_each_theta_reaches_the_likelihood_once(self, monkeypatch):
+        prior = CosinePriorConfig("exponential", rate=1.0)
+        data = RandomStream(12, 0).uniform_open(60)
+        seen = []
+        quads = []
+        loglik = cosine.cosine_loglik
+
+        def count_loglik(theta, x):
+            seen.append(theta)
+            return loglik(theta, x)
+
+        def record_quadrature(f, a, b, tol, **kw):
+            res = numerics.adaptive_quadrature(f, a, b, tol, **kw)
+            quads.append((a, b, tol, kw, res))
+            return res
+
+        monkeypatch.setattr(cosine, "cosine_loglik", count_loglik)
+        monkeypatch.setattr(cosine, "adaptive_quadrature", record_quadrature)
+        eng = CosineEngine(prior, data)
+        eng.log_evidence()
+        eng.region_mass(5.0)
+        eng.region_mass(1.0, 3.0)
+        eng.hellinger_mass(0.3)
+        eng.hellinger_mass(0.5)
+        assert len(quads) >= 5
+        assert len(seen) == len(set(seen))
+        # interior panels repeat across the quadratures
+        assert len(seen) < sum(q[-1].evaluations for q in quads)
+        monkeypatch.undo()
+        for a, b, tol, kw, res in quads:
+            plain = numerics.adaptive_quadrature(
+                lambda t: _scalar_log_joint(prior, data, t), a, b, tol, **kw)
+            assert plain == res

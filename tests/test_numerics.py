@@ -26,6 +26,7 @@ from posterior_lab.numerics import (
     log_sum_exp,
     norm_cdf,
 )
+from posterior_lab.numerics import _simpson_log
 
 mp.mp.dps = 40
 
@@ -248,6 +249,36 @@ class TestAdaptiveQuadrature:
         res = adaptive_quadrature(lambda x: LOG_ZERO, 0.0, 1.0, 1e-9)
         assert res.log_estimate == LOG_ZERO
         assert res.estimate == 0.0
+
+
+def _simpson_log_reference(a, b, fa, fm, fb):
+    # the array form _simpson_log replaced
+    s = log_sum_exp((fa, fm + math.log(4.0), fb))
+    if s == LOG_ZERO:
+        return LOG_ZERO
+    return math.log((b - a) / 6.0) + s
+
+
+_log_values = st.one_of(st.floats(-1e4, 1e4), st.just(LOG_ZERO))
+
+
+class TestSimpsonLog:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 100.0), st.floats(1e-9, 50.0),
+           _log_values, _log_values, _log_values)
+    def test_bitwise_equal_to_array_form(self, a, h, fa, fm, fb):
+        got = _simpson_log(a, a + h, fa, fm, fb)
+        want = _simpson_log_reference(a, a + h, fa, fm, fb)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_close_terms(self):
+        # terms within a few ulps of each other, where the summation order
+        # decides the last bit
+        rng = np.random.default_rng(3)
+        for _ in range(20000):
+            fa, fm, fb = (rng.normal(0.0, 1e-12, 3) + rng.normal(0.0, 50.0)).tolist()
+            assert _simpson_log(0.0, 0.1, fa, fm, fb) == \
+                _simpson_log_reference(0.0, 0.1, fa, fm, fb)
 
 
 class TestRandomStream:
