@@ -5,13 +5,12 @@ weighted 6/(pi^2 N^2), uniform across the C(2N^2, N^2) members of a level).
 
 Every posterior quantity is computed exactly up to bracketed errors:
 
-* the step-family marginal is a closed-form sum over levels -- a step
-  density matches the data iff it selects every occupied cell, and the
-  fraction of members of level N doing so is the falling-factorial ratio
-  (N^2)_k / (2N^2)_k at occupancy k -- truncated at the level
-  M(n) = max(distinct-cell level, 4 n, 1) with an analytic two-sided tail
-  bound (the ratio increases in N toward 2^-k, and the remaining sum of
-  N^-2 is a trigamma value);
+* the step-family marginal is a sum over levels -- a step density matches
+  the data iff it selects every occupied cell, and the fraction of members
+  of level N doing so is the falling-factorial ratio (N^2)_k / (2N^2)_k at
+  occupancy k -- whose levels past the cut M (see BarronEngine) sum in
+  closed form against Hurwitz-zeta tails, with every series remainder and
+  the rounding in the bracket;
 * the tilt-family marginal is log-space adaptive quadrature of
   (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n), whose
   error bound is a Richardson estimate, not a proof.
@@ -23,13 +22,10 @@ constants 2 N^2 and ln 6/(pi^2 N^2) live in one process-wide table.
 
 The engine is single-writer (``add_point``); all queries are read-only.
 Each engine state (the data seen so far) caches what its queries share and
-``add_point`` drops it: the per-level log-ratios ln (N^2)_k / (2N^2)_k,
-computed on the first step query; the step sum per truncation level and
-likelihood flag (its terms, tail bracket and total), which the step
-marginal, the level posterior and the predictive all read; the
-predictive's per-level factor for an unoccupied cell, which does not
-depend on x; and the full-interval tilt integral, which the tilt marginal
-and every interval mass divide by.  The data-free normalizer Z0 is
+``add_point`` drops it: the step sum, which the step marginal, the level
+posterior and the predictive all read; the predictive's per-level factor
+for an unoccupied cell; and the full-interval tilt integral, which the tilt
+marginal and every interval mass divide by.  The data-free normalizer Z0 is
 integrated once per process.
 """
 
@@ -51,9 +47,8 @@ from .numerics import (
     QuadratureResult,
     adaptive_quadrature,
     inv_norm_cdf,
-    inv_square_tail,
     log_falling_factorial_ratio,
-    log_sum_exp,
+    zeta_series,
 )
 
 __all__ = [
@@ -65,14 +60,17 @@ __all__ = [
     "LevelPosterior",
     "log_step_term",
     "UndefinedPosteriorError",
-    "TruncationError",
 ]
 
 # ln of the level-weight normalizer 6/pi^2 (so that sum_N 6/(pi^2 N^2) = 1)
 _LOG_LEVEL_NORM = math.log(6.0) - 2.0 * math.log(math.pi)
 
-# levels kept per observation (see BarronEngine for why 4)
-TRUNCATION_MULTIPLIER = 4
+# terms of the series in 1/N^2 (used where q = (k-1)/N^2 <= _SERIES_Q) and in
+# (M+1)^2/N^2 past the cut; each one's remainder is part of the bracket
+_HEAD_TERMS = 20
+_SERIES_Q = 0.125
+_TAIL_TERMS = 40
+_EPS = math.ulp(1.0)
 
 # 2 N^2 and ln 6/(pi^2 N^2) for the levels N = 1, 2, ...: one table per
 # process, grown by doubling (see _level_table)
@@ -97,12 +95,6 @@ def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 class UndefinedPosteriorError(RuntimeError):
     """Both mixture components carry zero likelihood -- posterior undefined."""
-
-
-class TruncationError(ValueError):
-    """Requested truncation level is below the distinct-cell level, where
-    the analytic tail formula (occupancy = number of distinct points) would
-    be unsound."""
 
 
 @dataclass(frozen=True)
@@ -145,10 +137,9 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class OccupancyStats:
-    """Occupied-cell counts k_N for the levels 1..M of the truncation
-    M = max(distinct-cell level, 4 n, 1), filled with n_distinct from the
-    distinct-cell level on, where every distinct point sits in its own
-    cell."""
+    """Occupied-cell counts k_N for the levels 1..M up to the cut, filled with
+    n_distinct from the distinct-cell level on, where every distinct point
+    sits in its own cell."""
 
     n: int
     n_distinct: int
@@ -246,6 +237,12 @@ def _exp_or_zero(v: float) -> float:
     return math.exp(v) if v > LOG_ZERO else 0.0
 
 
+def _mass(part: LogBracket, total: LogBracket, cap: float) -> Bracket:
+    """Enclosure of part / total, capped at ``cap``."""
+    return Bracket(_exp_or_zero(part.lower - total.upper),
+                   min(cap, _exp_or_zero(part.upper - total.lower)))
+
+
 def _quotient(num: QuadratureResult, den: QuadratureResult) -> Bracket:
     """Enclosure of num / den from the log brackets of two quadratures,
     clamped to [0, 1]."""
@@ -300,10 +297,10 @@ def _z0(tol: float) -> QuadratureResult:
 
 
 class _StepSum(NamedTuple):
-    """The level sum of one engine state at one truncation level M: ln term
-    per level 1..M, the bracket on the levels beyond M, and their total."""
+    """Enclosures of the ln terms of the levels 1..M, of the tail and total."""
 
-    terms: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     tail: LogBracket
     total: LogBracket
 
@@ -317,13 +314,10 @@ class BarronEngine:
     running log-likelihood is tracked so diagnostics can convert between
     plain likelihoods and likelihood ratios.
 
-    The step sum is cut at M(n) = max(distinct-cell level, 4 n, 1).  From the
-    distinct-cell level on, every occupancy is the number k <= n of distinct
-    points, as the tail bracket [r_(M+1), 2^-k] assumes; its ends differ by
-    about k^2 / (4 (M+1)^2) <= 1/64 nats at M = 4n, and the step-marginal
-    bracket is about 1e-4 nats wide (6e-4 at 2n, 1.6e-5 at 8n; uniform truth,
-    n = 100 to 4000).  Every stored trajectory was made with 4; a sharper
-    tail bound, not another multiplier, is what would narrow the bracket.
+    The step sum is cut at M = max(distinct-cell level D, ceil(K / 2)),
+    K = n_distinct: past D every occupancy is K, and past K/2 the tail series
+    converges fast; no truncation is a setting.  The step-marginal bracket
+    is below 1e-10 nats wide (uniform truth, n = 100 to 8000), from rounding.
     """
 
     def __init__(self, prior: BarronPriorConfig | None = None,
@@ -358,7 +352,7 @@ class BarronEngine:
     def occupancy(self) -> OccupancyStats:
         return OccupancyStats(n=self._n, n_distinct=self._n_distinct,
                               distinct_level=self.distinct_level(),
-                              k_by_level=self._occupancies(self._resolve_levels()))
+                              k_by_level=self._occupancies(self._cut()))
 
     @property
     def w_n(self) -> float:
@@ -443,75 +437,90 @@ class BarronEngine:
 
     # -- step-family marginal ----------------------------------------------
 
-    def _resolve_levels(self, levels: int | None = None) -> int:
-        """The truncation level M(n) = max(distinct-cell level, 4 n, 1), or
-        ``levels`` if given, which must not lie below the distinct level."""
-        nd = self.distinct_level()
-        if levels is None:
-            return max(nd, TRUNCATION_MULTIPLIER * self._n, 1)
-        if levels < nd:
-            raise TruncationError(
-                f"truncation at M={levels} is below the distinct-cell "
-                f"level {nd}")
-        return int(levels)
+    def _cut(self) -> int:
+        """The cut M = max(D, ceil(n_distinct / 2)) (see the class docstring)."""
+        return max(self.distinct_level(), -(-self._n_distinct // 2))
 
-    def _log_ratios(self, m_trunc: int) -> np.ndarray:
-        """ln (N^2)_k / (2N^2)_k per level 1..M (LOG_ZERO where k > N^2),
-        computed once per engine state (again only if a query asks for more
-        levels than the last one did)."""
-        r = self._cache.get("ratios")
-        if r is None or r.size < m_trunc:
-            ks = self._occupancies(m_trunc)
-            r = np.full(m_trunc, LOG_ZERO)
-            idx = np.arange(max(1, int(ks.max())), dtype=np.float64)
-            for i, k in enumerate(ks.tolist()):
-                m = (i + 1) ** 2
-                if k > m:
-                    continue
-                if k == 0:
-                    r[i] = 0.0
-                else:
-                    sl = idx[:k]
-                    r[i] = np.sum(np.log(m - sl)) - np.sum(np.log(2 * m - sl))
-            self._cache["ratios"] = r
-        return r[:m_trunc]
+    def _head(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Enclosures [lo, hi] of ln w_N 2^n (N^2)_k / (2N^2)_k for the levels
+        1..levels (LOG_ZERO where k > N^2).  Where q = (k-1)/N^2 <= 1/8 the ratio
+        is -k ln 2 - sum_p (1 - 2^-p) S_p(k) / (p N^2p), with a rest after P
+        terms of at most k q^(P+1) / ((P+1)(1-q)); the other levels multiply
+        the factors (N^2-i)/(2N^2-i).  Both ends carry the rounding."""
+        ks, P = self._occupancies(levels), _HEAD_TERMS
+        m = np.arange(1, levels + 1, dtype=np.float64) ** 2
+        q = np.maximum((ks - 1) / m, 0.0)
+        ser, ratio, err = q <= _SERIES_Q, np.full(levels, LOG_ZERO), np.zeros(levels)
+        if "powers" not in self._cache:  # S_p(k) = sum_(i<k) i^p, k = 0..K
+            i = np.arange(self._n_distinct, dtype=np.float64)
+            self._cache["powers"] = np.array(
+                [np.concatenate(([0.0], np.cumsum(i ** p))) for p in range(1, P + 1)])
+        sums, k, acc = self._cache["powers"], ks[ser], 0.0
+        for p in range(P, 0, -1):
+            acc = (acc + (1.0 - 2.0 ** -p) / p * sums[p - 1, k]) / m[ser]
+        ratio[ser], err[ser] = -k * LN2 - acc, _EPS * (k + 4 * P + 8) * acc
+        rest = np.where(ser, ks * q ** (P + 1) / (P + 1) / (1 - np.minimum(q, 0.5)), 0)
+        for i in np.flatnonzero(~ser & (ks <= m)).tolist():
+            # blocks of factors (m-j)/(2m-j) >= 1/2m keep their products normal
+            k, j = int(ks[i]), np.arange(ks[i])
+            block = int(690.0 / math.log(2.0 * m[i]))
+            f = np.ones(-(-k // block) * block)
+            f[:k] = (m[i] - j) / (2.0 * m[i] - j)
+            logs = np.log(f.reshape(-1, block).prod(axis=1))
+            ratio[i], err[i] = logs.sum(), _EPS * (2 * k - (logs.size + 2) * logs.sum())
+        terms = _level_table(levels)[1] + self._n * LN2 + ratio
+        err += 4.0 * _EPS * np.where(ks <= m, abs(terms) + (self._n + ks) * LN2 + 1, 0)
+        return terms - err - rest, terms + err
 
-    def _step_log_terms(self, m_trunc: int, with_likelihood: bool) -> np.ndarray:
-        """ln term per level 1..M (LOG_ZERO where the level is inconsistent)."""
-        terms = _level_table(m_trunc)[1] + self._log_ratios(m_trunc)
-        if with_likelihood:
-            terms += self._n * LN2
-        return terms
-
-    def _step_tail(self, m_trunc: int, with_likelihood: bool) -> LogBracket:
-        """Two-sided enclosure of the level sum beyond M.  Every tail level
-        has occupancy n_distinct; the falling-factorial ratio there increases
-        in N toward 2^-n_distinct, and sum_{N>M} N^-2 is trigamma(M+1)."""
-        nd = self._n_distinct
-        base = _LOG_LEVEL_NORM + math.log(inv_square_tail(m_trunc))
-        if with_likelihood:
-            base += self._n * LN2
-        m1 = (m_trunc + 1) ** 2
-        r_next = log_falling_factorial_ratio(m1, 2 * m1, nd)
-        r_inf = -nd * LN2
-        lo, hi = base + min(r_next, r_inf), base + max(r_next, r_inf)
-        return LogBracket(lo, hi)
-
-    def _step_sum(self, m_trunc: int, with_likelihood: bool) -> _StepSum:
-        key = ("step", m_trunc, with_likelihood)
+    def _tail(self, cut: int, s0: int = 2, extra: int = 0) -> LogBracket:
+        """Enclosure of ln sum_{N > cut} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
+        at k = n_distinct + extra, every level past the cut holding all
+        n_distinct points.  In u = a^2/N^2 <= 1, a = cut + 1, the ratio is
+        2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
+        sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
+        is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
+        e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
+        key = ("tail", cut, s0, extra)
         if key not in self._cache:
-            terms = self._step_log_terms(m_trunc, with_likelihood)
-            tail = self._step_tail(m_trunc, with_likelihood)
-            total = LogBracket.point(log_sum_exp(terms)).add(tail)
-            self._cache[key] = _StepSum(terms, tail, total)
+            k, a, J = self._n_distinct + extra, cut + 1.0, _TAIL_TERMS
+            ix = np.arange(k) / (a * a)
+            pa = np.array([0.0] + [(ix ** p).sum() * (1.0 - 2.0 ** -p)  # p a_p
+                                   for p in range(1, J + 1)])
+            coef = np.r_[1.0, np.zeros(J)]
+            for j in range(1, J + 1):  # e^(-F): j c_j = -sum_p p a_p c_(j-p)
+                coef[j] = -np.dot(pa[1:j + 1], coef[j - 1::-1]) / j
+            slack = 0.0
+            if k > 1:
+                rho = min((J + 1) / pa[1], (J + 1) / ((J + 2) * ix[-1]))
+                u = np.outer((rho, 1.0), ix)  # F at rho and at 1
+                f_rho, f_one = np.log1p(-0.5 * u).sum(1) - np.log1p(-u).sum(1)
+                slack = _EPS * (k + 4 * J + 8) * (1.0 + pa.sum()) * math.exp(f_one) \
+                    + math.exp(f_rho - (J + 1) * math.log(rho) - math.log1p(-1 / rho))
+            lo, hi = zeta_series(coef, s0, a, slack)
+            base = _LOG_LEVEL_NORM + (self._n - k) * LN2
+            rnd = 4.0 * _EPS * (abs(base) + abs(hi) + (self._n + k) * LN2)
+            self._cache[key] = LogBracket(lo + base - rnd, hi + base + rnd)
         return self._cache[key]
 
-    def step_marginal(self, with_likelihood: bool = True,
-                      levels: int | None = None) -> LogBracket:
+    def _step_sum(self) -> _StepSum:
+        if "step" not in self._cache:
+            m_cut = self._cut()
+            lo, hi = self._head(m_cut)
+            tail = self._tail(m_cut)
+            self._cache["step"] = _StepSum(lo, hi, tail,
+                                           LogBracket.sum_of(lo, hi).add(tail))
+        return self._cache["step"]
+
+    def step_marginal(self, with_likelihood: bool = True) -> LogBracket:
         """Enclosure of ln of the step-component marginal: with the
         likelihood flag this is ln sum_N w_N 2^n (N^2)_{k_N} / (2N^2)_{k_N};
-        without it, the prior mass of the data-consistent step densities."""
-        return self._step_sum(self._resolve_levels(levels), with_likelihood).total
+        without it, shifted by -n ln 2, the prior mass of the data-consistent
+        step densities."""
+        total = self._step_sum().total
+        if with_likelihood:
+            return total
+        rnd = 4.0 * _EPS * (self._n * LN2 + abs(total.upper))
+        return LogBracket(total.lower - rnd, total.upper + rnd).shift(-self._n * LN2)
 
     # -- tilt-family marginal ----------------------------------------------
 
@@ -542,15 +551,13 @@ class BarronEngine:
         return g, s
 
     def posterior_split(self) -> tuple[Bracket, Bracket]:
-        """(mass of the tilt family, mass of the step families); the two
-        enclosures are exact complements at matched endpoints."""
+        """(mass of the tilt family, mass of the step families), each its own
+        marginal over the total, so neither flushes to 0 while positive."""
         g, s = self.component_marginals()
         if g.is_zero() and s.is_zero():
             raise UndefinedPosteriorError(
                 "both component marginals are zero for this data")
-        fstep = mass_ratio(s, g)
-        f0 = Bracket(1.0 - fstep.upper, 1.0 - fstep.lower)
-        return f0, fstep
+        return mass_ratio(g, s), mass_ratio(s, g)
 
     def log_evidence(self) -> LogBracket:
         """Enclosure of ln integral of the likelihood against the prior
@@ -565,23 +572,16 @@ class BarronEngine:
                                                   quad_tol=self.quad_tol)
         return self._cache["theta"]
 
-    def posterior_over_n(self, levels: int | None = None) -> LevelPosterior:
+    def posterior_over_n(self) -> LevelPosterior:
         """Posterior over partition levels within the step component."""
-        m_trunc = self._resolve_levels(levels)
-        terms, tail, total = self._step_sum(m_trunc, True)
-        w_lo = np.array([_exp_or_zero(t - total.upper) for t in terms])
-        w_hi = np.array([min(1.0, _exp_or_zero(t - total.lower)) for t in terms])
-        tail_w = Bracket(_exp_or_zero(tail.lower - total.upper),
-                         min(1.0, _exp_or_zero(tail.upper - total.lower)))
-        inv_terms = terms - np.log(np.arange(1, m_trunc + 1, dtype=float))
-        num_lo = log_sum_exp(inv_terms)
-        num_hi = log_sum_exp(np.append(inv_terms,
-                                       tail.upper - math.log(m_trunc + 1)))
-        mean_inv = Bracket(_exp_or_zero(num_lo - total.upper),
-                           min(1.0, _exp_or_zero(num_hi - total.lower)))
-        return LevelPosterior(levels=np.arange(1, m_trunc + 1),
-                              weights_lower=w_lo, weights_upper=w_hi,
-                              tail_weight=tail_w, mean_inv_level=mean_inv)
+        lo, hi, tail, total = self._step_sum()
+        log_n = np.log(np.arange(1, lo.size + 1, dtype=np.float64))
+        inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(self._tail(lo.size, 3))
+        return LevelPosterior(levels=np.arange(1, lo.size + 1),
+                              weights_lower=np.exp(lo - total.upper),
+                              weights_upper=np.minimum(1.0, np.exp(hi - total.lower)),
+                              tail_weight=_mass(tail, total, 1.0),
+                              mean_inv_level=_mass(inv, total, 1.0))
 
     def set_mass(self, steps: bool, thetas=()) -> Bracket:
         """Posterior mass of the set that holds every step density if
@@ -610,60 +610,58 @@ class BarronEngine:
 
     # -- step-family predictive ----------------------------------------------
 
-    def _unoccupied_log_factors(self, m_trunc: int) -> np.ndarray:
-        """ln 2 (N^2-k)/(2N^2-k) per level 1..M (LOG_ZERO where N^2 < k):
+    def _unoccupied_log_factors(self, levels: int) -> np.ndarray:
+        """ln 2 (N^2-k)/(2N^2-k) per level 1..levels (LOG_ZERO where N^2 < k):
         the predictive factor of an unoccupied cell, the same for every x,
-        so computed once per engine state and truncation level."""
-        key = ("unoccupied", m_trunc)
-        if key not in self._cache:
-            m = _level_table(m_trunc)[0] / 2.0
-            ks = self._occupancies(m_trunc).astype(np.float64)
+        so computed once per engine state (again only for more levels)."""
+        unocc = self._cache.get("unoccupied")
+        if unocc is None or unocc.size < levels:
+            m = _level_table(levels)[0] / 2.0
+            ks = self._occupancies(levels).astype(np.float64)
             with np.errstate(divide="ignore", invalid="ignore"):
                 unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
             unocc[np.isnan(unocc)] = LOG_ZERO
-            self._cache[key] = unocc
-        return self._cache[key]
+            self._cache["unoccupied"] = unocc
+        return unocc[:levels]
 
-    def _predictive_log_factors(self, x: float, m_trunc: int) -> np.ndarray:
+    def _predictive_log_factors(self, x: float, levels: int) -> np.ndarray:
         """ln of the per-level predictive density at x (occupied cell -> 2;
         unoccupied -> 2 (N^2-k)/(2N^2-k))."""
-        w2 = _level_table(m_trunc)[0]
+        w2 = _level_table(levels)[0]
         c_x = (w2 * x).astype(np.int64)
-        occupied = np.zeros(m_trunc, dtype=bool)
+        occupied = np.zeros(levels, dtype=bool)
         for nb in self._neighbours(x):
             occupied |= c_x == (w2 * nb).astype(np.int64)
-        return np.where(occupied, math.log(2.0), self._unoccupied_log_factors(m_trunc))
+        return np.where(occupied, math.log(2.0), self._unoccupied_log_factors(levels))
 
-    def _predictive_at(self, x: float, m_trunc: int) -> Bracket:
-        terms, tail, total = self._step_sum(m_trunc, True)
-        factors = self._predictive_log_factors(x, m_trunc)
-        head = log_sum_exp(terms + factors)
-        m1 = float((m_trunc + 1) ** 2)
-        nd = self._n_distinct
-        p_lo = 2.0 * (m1 - nd) / (2.0 * m1 - nd)
-        # once every data point is at least a full tail-cell width away, x's
-        # cell is unoccupied at every level beyond the cut, so the per-level
-        # factor stays below 1; otherwise it may reach 2 (occupied cell)
-        hi_factor = 0.0 if self._nearest_distance(x) >= 1.0 / m1 else math.log(2.0)
-        num = LogBracket.point(head).add(
-            LogBracket(tail.lower + math.log(p_lo), tail.upper + hi_factor))
-        return Bracket(_exp_or_zero(num.lower - total.upper),
-                       min(2.0, _exp_or_zero(num.upper - total.lower)))
+    def _predictive_at(self, x: float) -> Bracket:
+        """The level mixture of the cell predictives at x: per level up to
+        N^2 = 1/d, d the distance to the nearest point; past it x's cell is
+        unoccupied, and 2 (N^2-K)/(2N^2-K) (N^2)_K/(2N^2)_K is twice the
+        ratio at K+1 (at a data point every cell of x is occupied)."""
+        lo, hi, tail, total = self._step_sum()
+        d = self._nearest_distance(x)
+        if d > 0.0:
+            levels = max(lo.size, int(1.0 / math.sqrt(d)) + 1)
+            if levels > lo.size:
+                lo, hi = self._head(levels)
+            tail = self._tail(levels, 2, extra=1)
+        f = self._predictive_log_factors(x, lo.size)
+        tail = tail.shift(LN2)
+        return _mass(LogBracket.sum_of(lo + f, hi + f).add(tail), total, 2.0)
 
     def step_predictive(self, x: float) -> Bracket:
         """Posterior predictive density of the step component at x (the
         level mixture of per-level cell predictives)."""
         if not 0.0 <= x < 1.0:
             raise ValueError(f"x must lie in [0,1), got {x}")
-        return self._predictive_at(float(x), self._resolve_levels())
+        return self._predictive_at(float(x))
 
     def predictive_uniform_ks(self, grid: int = 1024) -> float:
         """Kolmogorov distance between the step-predictive CDF (midpoint
         values on a regular grid) and the uniform CDF."""
-        m_trunc = self._resolve_levels()
         xs = (np.arange(grid) + 0.5) / grid
-        mids = np.array([self._predictive_at(float(x), m_trunc).midpoint()
-                         for x in xs])
+        mids = np.array([self._predictive_at(float(x)).midpoint() for x in xs])
         cdf = np.cumsum(mids) / grid
         targets = (np.arange(grid) + 1.0) / grid
         return float(np.max(np.abs(cdf - targets)))

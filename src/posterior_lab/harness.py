@@ -60,9 +60,9 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# the v1 truncation keys, each with the one value this version replays
+# the v1 truncation keys, each accepted only at the default every v1 run used
 _V1_KEYS = {"trunc_multiplier": 4.0, "trunc_fixed": None}
 
 # stream id of the data within one replicate seed
@@ -197,7 +197,7 @@ class RunConfig:
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         """Decode a config; a v1 one may still carry the truncation keys,
-        each at the one value that this version replays exactly."""
+        each at its default, the one value this version replays."""
         if isinstance(d, dict):
             d = dict(d)
             for key, v1_value in _V1_KEYS.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import LOG_ZERO, NumericError, log_add
+from .numerics import LOG_ZERO, NumericError, log_add, log_sum_exp
 
 # outward rounding per combine, in log space (~relative 1e-13)
 COMBINE_SLACK = 1e-13
@@ -32,6 +32,15 @@ class LogBracket:
     @staticmethod
     def point(v: float) -> "LogBracket":
         return LogBracket(v, v)
+
+    @staticmethod
+    def sum_of(lower, upper) -> "LogBracket":
+        """Enclosure of ln sum_i e^(t_i) from arrays of lower and upper ends of
+        the t_i, widened by the rounding of log_sum_exp and of forming each t_i
+        (a few ulp, weighted by e^(t_i - max) <= (|max| + 1/e) / |t_i|)."""
+        hi = log_sum_exp(upper)
+        rnd = math.ulp(1.0) * (6.0 * (upper.size + abs(hi)) + 8.0)
+        return LogBracket(log_sum_exp(lower) - rnd, hi + rnd if hi > LOG_ZERO else hi)
 
     @staticmethod
     def zero() -> "LogBracket":

@@ -13,6 +13,7 @@ never overflow intermediates.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -35,7 +36,7 @@ __all__ = [
     "norm_logpdf",
     "inv_norm_cdf",
     "log_falling_factorial_ratio",
-    "inv_square_tail",
+    "zeta_series",
     "QuadratureResult",
     "QuadratureError",
     "adaptive_quadrature",
@@ -150,11 +151,6 @@ def inv_norm_cdf(p: float) -> float:
 # falling-factorial log ratios
 # ---------------------------------------------------------------------------
 
-# below this k the ratio is an explicit sum of log factors (exact up to one
-# rounding per term); above, lgamma differences are plenty accurate and O(1)
-_DIRECT_K = 2048
-
-
 def log_falling_factorial_ratio(m: int, m2: int, k: int) -> float:
     """ln[(m)_k / (m2)_k] for the falling factorials (m)_k = m(m-1)...(m-k+1).
 
@@ -169,35 +165,52 @@ def log_falling_factorial_ratio(m: int, m2: int, k: int) -> float:
         raise ValueError(f"requires k <= m2, got k={k} m2={m2}")
     if k > m:
         return LOG_ZERO
-    if k == 0:
-        return 0.0
-    if k <= _DIRECT_K:
-        i = np.arange(k, dtype=float)
-        return float(np.sum(np.log(m - i)) - np.sum(np.log(m2 - i)))
-    return (math.lgamma(m + 1) - math.lgamma(m - k + 1)) \
-        - (math.lgamma(m2 + 1) - math.lgamma(m2 - k + 1))
+    i = np.arange(k, dtype=float)  # one rounding per log factor
+    return float(np.sum(np.log(m - i)) - np.sum(np.log(m2 - i)))
 
 
-def inv_square_tail(m: int) -> float:
-    """sum_{N > m} 1/N^2, i.e. the trigamma value psi_1(m+1), to ~1e-15.
+# Euler-Maclaurin terms of the Hurwitz zeta function, and where they start
+_EM_TERMS = 40
+_EM_FROM = 32.0
+_EPS = math.ulp(1.0)
 
-    Small arguments are pushed up by the recurrence psi_1(z) = 1/z^2 +
-    psi_1(z+1); beyond z = 32 the asymptotic series through z^-11 is at
-    machine precision.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    z = float(m + 1)
-    acc = 0.0
-    while z < 32.0:
-        acc += 1.0 / (z * z)
-        z += 1.0
-    r = 1.0 / z
-    r2 = r * r
-    # 1/z + 1/(2 z^2) + 1/(6 z^3) - 1/(30 z^5) + 1/(42 z^7) - 1/(30 z^9) + 5/(66 z^11)
-    tail = r * (1.0 + r * (0.5 + r * (1.0 / 6.0 + r2 * (-1.0 / 30.0 + r2 * (
-        1.0 / 42.0 + r2 * (-1.0 / 30.0 + r2 * (5.0 / 66.0)))))))
-    return acc + tail
+
+@functools.lru_cache(maxsize=None)
+def _em_coefficients() -> np.ndarray:
+    """B_2k / (2k)! for k = 1.._EM_TERMS + 1, exact rationals rounded once."""
+    from fractions import Fraction  # imported on first use: it loads decimal
+    b = [Fraction(1)]
+    for m in range(1, 2 * _EM_TERMS + 3):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return np.array([float(b[2 * k] / math.factorial(2 * k))
+                     for k in range(1, _EM_TERMS + 2)])
+
+
+def zeta_series(coeffs, s0: int, a: float, slack: float = 0.0) -> tuple[float, float]:
+    """(ln lower, ln upper) of sum_{N = a, a+1, ...} N^-s0 g(a^2 / N^2), where
+    |g(u) - sum_j coeffs[j] u^j| <= slack on 0 < u <= 1: term j is coeffs[j]
+    a^(2j) zeta(s0 + 2j, a), and [1] at s0 = 2 is the trigamma tail.  Each
+    zeta sums N < 32 directly, the rest by Euler-Maclaurin through B_80,
+    whose remainder is at most the first omitted term (x^-s is completely
+    monotone); the bound adds it, the slack and the rounding."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    s = s0 + 2.0 * np.arange(c.size)
+    n = max(0, math.ceil(_EM_FROM - a))
+    direct = sum(((a / (a + i)) ** s for i in range(n)), np.zeros_like(s)) / a
+    z, k = a + n, np.arange(1, _EM_TERMS + 1)[:, None]
+    # row k-1 is (s)_(2k-1) / z^2k, k = 1.._EM_TERMS + 1
+    r = np.cumprod(np.vstack([s, (s + 2 * k - 1) * (s + 2 * k)]) / (z * z), axis=0)
+    b, lead, t = _em_coefficients(), 1.0 / (s - 1.0) + 0.5 / z, (a / z) ** (s - 1.0)
+    v = direct + t * (lead + b[:-1] @ r[:-1])
+    err = t * abs(b[-1]) * r[-1] + _EPS * (s + 4 * _EM_TERMS + n + c.size + 8) \
+        * (direct + t * (lead + abs(b[:-1]) @ r[:-1]))
+    total = float(np.dot(c, v))
+    bound = slack * float(v[0]) + float(np.dot(np.abs(c), err))
+    scale = (1 - s0) * math.log(a)
+    hi = math.log(total + bound)
+    rnd = 4.0 * _EPS * (abs(scale) + abs(hi) + 1.0)
+    lo = math.log(total - bound) - rnd if total > bound else LOG_ZERO
+    return lo + scale, hi + rnd + scale
 
 
 # ---------------------------------------------------------------------------

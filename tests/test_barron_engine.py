@@ -14,7 +14,6 @@ from posterior_lab.barron import (
     _LOG_LEVEL_NORM,
     BarronEngine,
     BarronPriorConfig,
-    TruncationError,
     log_step_term,
 )
 from posterior_lab.densities import GaussExpDensity, UniformDensity, sample_gauss_exp
@@ -47,6 +46,76 @@ def brute_force_step_sum(data, levels=(1, 2), with_likelihood=True):
                 continue
             total += w * (mp.mpf(2) ** len(data) if with_likelihood else 1)
     return total
+
+
+def mp_tilt_log_marginal(data):
+    """ln of (1/Z0) int_0^1 e^(-1/t - n t + sqrt(2 t) S_n) dt in mpmath, in
+    u = sqrt(t), with S_n from mpmath's inverse error function."""
+    with mp.workdps(30):
+        n = len(data)
+        s_n = mp.fsum(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(x) - 1) for x in data)
+
+        def log_integral(n, s):
+            def h(u):
+                return -1 / u**2 - n * u**2 + mp.sqrt(2) * s * u + mp.log(2 * u)
+
+            lo, hi = mp.mpf("1e-6"), mp.mpf(1)
+            for _ in range(120):  # bisect h' = 2/u^3 - 2 n u + sqrt(2) s + 1/u
+                mid = (lo + hi) / 2
+                if 2 / mid**3 - 2 * n * mid + mp.sqrt(2) * s + 1 / mid > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            peak = (lo + hi) / 2
+            top = h(peak)
+            pts = sorted({mp.mpf(0), mp.mpf(1), *(p for p in (
+                peak / 2, peak, (peak + 1) / 2) if 0 < p < 1)})
+            return top + mp.log(mp.quad(
+                lambda u: mp.exp(h(u) - top) if u > 0 else mp.mpf(0), pts))
+
+        return log_integral(n, s_n) - log_integral(0, mp.mpf(0))
+
+
+def mp_step_log_sum(data, power=0, x=None, dps=20):
+    """ln sum_N w_N 2^n (N^2)_k / (2N^2)_k N^-power [times the cell
+    predictive at x] in mpmath.  The levels up to L = max(D, K) + 1 (and
+    past the cells x may share with a point) take loggamma; beyond, every
+    level holds all K points, and the sum is 2^-K zeta(2 + power, L + 1)
+    plus an Euler-Maclaurin nsum of the rest, whose log-ratio is a sum of
+    log1p terms (loggamma differences lose every digit at the huge N the
+    nsum samples, and nsum's default method is far off on such tails)."""
+    pts = np.sort(np.asarray(data, dtype=float))
+    k_all, n = len(np.unique(pts)), len(pts)
+    gap = np.diff(np.unique(pts)).min() if k_all > 1 else 1.0
+    last = max(int(1 / math.sqrt(gap)) + 2, k_all) + 1
+    if x is not None:
+        last = max(last, int(1 / math.sqrt(np.abs(pts - x).min())) + 2)
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for level in range(1, last + 1):
+            m = level * level
+            cells = (2.0 * m * pts).astype(np.int64)
+            k = len(np.unique(cells))
+            if k > m:
+                continue
+            t = mp.exp(mp.loggamma(m + 1) - mp.loggamma(m - k + 1)
+                       - mp.loggamma(2 * m + 1) + mp.loggamma(2 * m - k + 1))
+            if x is not None:
+                t *= 2 if int(2.0 * m * x) in set(cells.tolist()) \
+                    else mp.mpf(2 * (m - k)) / (2 * m - k)
+            total += t / mp.mpf(level) ** (2 + power)
+
+        def rest(level):
+            m = level * level
+            v = mp.exp(mp.fsum(mp.log1p(-i / m) - mp.log1p(-i / (2 * m))
+                               for i in range(k_all)))
+            if x is not None:
+                v *= 2 * (m - k_all) / (2 * m - k_all)
+            return (v - 1) / level ** (2 + power)
+
+        tail = mp.zeta(2 + power, last + 1) + mp.nsum(
+            rest, [last + 1, mp.inf], method="euler-maclaurin")
+        return mp.log(6 / mp.pi**2 * (total + tail / mp.mpf(2) ** k_all)) + n * mp.log(2)
 
 
 class TestOccupancyTracking:
@@ -148,14 +217,17 @@ class TestStepMarginal:
             data = [float(x) for x in rng.uniform(0.001, 0.999, n)]
             e = BarronEngine()
             e.add_points(data)
+            lo, hi = e._head(2)
             for with_lik in (True, False):
-                mine = log_sum_exp(e._step_log_terms(2, with_lik))
+                shift = 0.0 if with_lik else -n * LN2
+                mine = LogBracket.sum_of(lo + shift, hi + shift)
                 brute = brute_force_step_sum(data, (1, 2), with_lik)
                 if brute == 0:
-                    assert mine == LOG_ZERO
+                    assert mine.upper == LOG_ZERO
                 else:
-                    assert mine == pytest.approx(float(mp.log(brute)),
-                                                 abs=1e-10), data
+                    want = float(mp.log(brute))
+                    assert mine.lower - 1e-10 <= want <= mine.upper + 1e-10, data
+                    assert mine.width() <= 1e-12
             checked += 1
         assert checked == 50
 
@@ -174,41 +246,70 @@ class TestStepMarginal:
         assert math.exp(br.midpoint()) == pytest.approx(1.0, abs=1e-12)
 
     def test_bracket_narrows_and_nests(self):
+        # the closed form lies inside the level loop plus the old tail
+        # bracket at 50 and at 500 levels, which nest and narrow
+        data = [0.1, 0.3, 0.7]
         e = BarronEngine()
-        e.add_points([0.1, 0.3, 0.7])
-        b50 = e.step_marginal(levels=50)
-        b500 = e.step_marginal(levels=500)
+        e.add_points(data)
+        b50, b500 = loop_bracket(data, 50), loop_bracket(data, 500)
+        closed = e.step_marginal()
         assert b50.width() / abs(b50.midpoint()) <= 1e-3
         assert b500.width() <= b50.width()
         assert b50.lower <= b500.lower and b500.upper <= b50.upper
+        assert b500.lower <= closed.lower and closed.upper <= b500.upper
+        assert closed.width() <= 1e-12
 
     def test_bracket_soundness_random(self):
-        # M=500 lies inside the M=50 bracket on random small instances
+        # on random small instances the closed form lies inside the loop
+        # brackets at 50 and 500 levels, up to the documented outward slack
         rng = np.random.default_rng(99)
         for _ in range(100):
             n = int(rng.integers(1, 6))
+            data = rng.uniform(0.001, 0.999, n)
             e = BarronEngine()
-            e.add_points(rng.uniform(0.001, 0.999, n))
-            wide = e.step_marginal(levels=50)
-            tight = e.step_marginal(levels=500)
-            # the refined value lies inside the coarse bracket; the bracket
-            # ends themselves nest up to the documented outward slack
-            assert wide.lower <= tight.midpoint() <= wide.upper
-            assert tight.lower >= wide.lower - 5e-13
-            assert tight.upper <= wide.upper + 5e-13
-
-    def test_truncation_below_distinct_level_refused(self):
-        e = BarronEngine()
-        e.add_points([0.5, 0.500001])  # min_gap 1e-6 -> distinct level ~1000
-        with pytest.raises(TruncationError):
-            e.step_marginal(levels=10)
+            e.add_points(data)
+            closed = e.step_marginal()
+            for levels in (50, 500):
+                ref = loop_bracket(data, levels)
+                assert closed.lower >= ref.lower - 5e-13, levels
+                assert closed.upper <= ref.upper + 5e-13, levels
 
     def test_tail_formula_against_wide_truncation(self):
+        data = [0.12, 0.48, 0.86]
         e = BarronEngine()
-        e.add_points([0.12, 0.48, 0.86])
-        near = e.step_marginal(levels=60)
-        far = e.step_marginal(levels=6000)
-        assert near.lower <= far.midpoint() <= near.upper
+        e.add_points(data)
+        closed = e.step_marginal()
+        for levels in (60, 6000):
+            ref = loop_bracket(data, levels)
+            assert ref.lower <= closed.lower and closed.upper <= ref.upper, levels
+
+
+ORACLE_DATA = {
+    "uniform n=100": lambda: [float(x) for x in RandomStream(1, 0).uniform_open(100)],
+    "lattice K=200": lambda: [(i + 0.5) / 200 for i in range(200)],
+}
+
+
+class TestClosedFormOracle:
+    # n = 100 has its cut at D; the lattice has D = 15 and its cut at K/2 = 100
+    @pytest.mark.parametrize("case", ORACLE_DATA)
+    def test_step_tails_enclose_mpmath(self, case):
+        data = ORACLE_DATA[case]()
+        e = BarronEngine()
+        e.add_points(data)
+        s = mp_step_log_sum(data)
+        assert e.step_marginal().contains(s)
+        assert e.step_marginal().width() <= 1e-9
+        mean_inv = mp.exp(mp_step_log_sum(data, power=1) - s)
+        assert e.posterior_over_n().mean_inv_level.contains(mean_inv)
+        pred = mp.exp(mp_step_log_sum(data, x=0.37) - s)
+        assert e.step_predictive(0.37).contains(pred)
+
+    def test_lattice_cut_is_half_the_distinct_points(self):
+        e = BarronEngine()
+        e.add_points(ORACLE_DATA["lattice K=200"]())
+        assert e.distinct_level() == 15
+        assert e.occupancy.k_by_level.size == 100
 
 
 class TestGaussMarginal:
@@ -274,13 +375,37 @@ class TestPosteriorSplit:
         assert fs.midpoint() == pytest.approx(0.5, abs=1e-12)
 
     def test_matched_endpoints_sum_to_one(self):
+        # both masses enclose the oracle split, and the matched ends are
+        # complements up to 4 ulp
+        data = [float(x) for x in RandomStream(17, 0).uniform_open(40)]
         e = BarronEngine()
-        e.add_points(RandomStream(17, 0).uniform_open(40))
+        e.add_points(data)
         f0, fs = e.posterior_split()
-        assert f0.lower + fs.upper == pytest.approx(1.0, abs=0.0)
-        assert f0.upper + fs.lower == pytest.approx(1.0, abs=0.0)
+        g = mp_tilt_log_marginal(data)
+        s = mp_step_log_sum(data)
+        want_f0 = 1 / (1 + mp.exp(s - g))
+        assert f0.contains(want_f0) and fs.contains(1 - want_f0)
+        assert abs(f0.lower + fs.upper - 1.0) <= 4 * math.ulp(1.0)
+        assert abs(f0.upper + fs.lower - 1.0) <= 4 * math.ulp(1.0)
         for b in (f0, fs):
             assert 0.0 <= b.lower <= b.upper <= 1.0
+
+    @pytest.mark.parametrize("n, ln_f0", [(400, -35.943), (1000, math.log(7.97e-26)),
+                                          (4000, math.log(2.2e-48))])
+    def test_tilt_mass_below_machine_epsilon(self, n, ln_f0):
+        # the tilt mass under uniform data falls far below 1e-16 and must
+        # neither flush to 0 nor miss the oracle: f0 = G / (G + S) with G
+        # from mpmath and S anywhere in the step bracket
+        data = [float(x) for x in RandomStream(1, 0).uniform_open(n)]
+        e = BarronEngine()
+        e.add_points(data)
+        f0, _ = e.posterior_split()
+        g = mp_tilt_log_marginal(data)
+        sm = e.step_marginal()
+        assert f0.lower <= 1 / (1 + mp.exp(sm.upper - g))
+        assert 1 / (1 + mp.exp(sm.lower - g)) <= f0.upper
+        assert 0.0 < f0.lower
+        assert math.log(f0.upper) == pytest.approx(ln_f0, abs=5e-3)
 
     def test_uniform_truth_concentrates_on_steps(self):
         e = BarronEngine(truth=UniformDensity())
@@ -349,21 +474,29 @@ class TestPosteriorTheta:
         assert post.log_density(0.0) == LOG_ZERO
 
 
+def prior_level_check(lp):
+    """The first 100 level weights and the weight past the cut are those of
+    the prior, 6/(pi^2 N^2)."""
+    levels = lp.levels[:100].astype(float)
+    want = (6.0 / math.pi**2) / levels ** 2
+    mid = 0.5 * (lp.weights_lower[:100] + lp.weights_upper[:100])
+    assert np.allclose(mid, want, rtol=1e-10, atol=0.0)
+    tail = 1.0 - float(6 / mp.pi**2 * mp.fsum(1 / mp.mpf(v) ** 2
+                                              for v in lp.levels.tolist()))
+    assert lp.tail_weight.lower - 1e-12 <= tail <= lp.tail_weight.upper + 1e-12
+
+
 class TestPosteriorOverLevels:
     def test_prior_weights_at_n0(self):
-        lp = BarronEngine().posterior_over_n(levels=100)
-        want = (6.0 / math.pi**2) / np.arange(1, 101, dtype=float) ** 2
-        assert np.allclose(lp.weights_lower, want, atol=1e-10)
-        assert np.allclose(lp.weights_upper, want, atol=1e-10)
+        lp = BarronEngine().posterior_over_n()
+        prior_level_check(lp)
+        assert np.allclose(lp.weights_lower, lp.weights_upper, rtol=1e-12)
 
     def test_single_point_keeps_prior_shape(self):
         # every level keeps ratio 1/2, so weights stay proportional to prior
         e = BarronEngine()
         e.add_point(0.77)
-        lp = e.posterior_over_n(levels=100)
-        want = (6.0 / math.pi**2) / np.arange(1, 101, dtype=float) ** 2
-        mid = 0.5 * (lp.weights_lower + lp.weights_upper)
-        assert np.allclose(mid[:20], want[:20], rtol=1e-6)
+        prior_level_check(e.posterior_over_n())
 
     def test_uniform_data_pushes_to_fine_levels(self):
         prior_mean_inv = 6.0 / math.pi**2 * 1.2020569031595943  # zeta(3)
@@ -450,7 +583,7 @@ class TestStepPredictive:
         # replaced; 300 points make k exceed N^2 on the low levels
         e = BarronEngine()
         e.add_points(_uniform_data(300))
-        m_trunc = e._resolve_levels()
+        m_trunc = e._step_sum().lo.size
         w2 = barron._level_table(m_trunc)[0]
         ks = e._occupancies(m_trunc).astype(np.float64)
         for x in (0.001, 0.2, 0.5, 0.73, 0.999):
@@ -489,6 +622,10 @@ CACHE_DATA = {
 }
 
 
+# rounding allowance of the test-local level loop, in nats
+LOOP_ROUNDING = 1e-10
+
+
 def recount_occupancy(data, levels):
     pts = np.sort(np.asarray(data))
     return np.array([len(np.unique((2.0 * lv * lv * pts).astype(np.int64)))
@@ -514,6 +651,27 @@ def loop_step_log_terms(ks, n, with_likelihood):
             r = float(np.sum(np.log(m - sl)) - np.sum(np.log(2 * m - sl)))
         out[i] = _LOG_LEVEL_NORM - 2.0 * math.log(level) + r + lik
     return out
+
+
+def old_tail(n, k, levels):
+    """The tail bracket the level loop was cut with: past ``levels`` the
+    ratio lies between r_(levels+1) and 2^-k, and sum_{N > levels} N^-2 is a
+    trigamma value."""
+    base = _LOG_LEVEL_NORM + float(mp.log(mp.polygamma(1, levels + 1))) + n * LN2
+    m1 = (levels + 1) ** 2
+    r_next = float(mp.log(mp.rf(m1 - k + 1, k) / mp.rf(2 * m1 - k + 1, k)))
+    r_inf = -k * LN2
+    return LogBracket(base + min(r_next, r_inf), base + max(r_next, r_inf))
+
+
+def loop_bracket(data, levels, with_likelihood=True):
+    """The level loop over 1..levels plus the old tail: the step-marginal
+    bracket before the closed form, valid from the distinct-cell level on."""
+    ks = recount_occupancy(data, levels)
+    terms = loop_step_log_terms(ks, len(data), with_likelihood)
+    k = len(np.unique(np.asarray(data)))
+    tail = old_tail(len(data) if with_likelihood else 0, k, levels)
+    return LogBracket.point(log_sum_exp(terms)).add(tail)
 
 
 def loop_level_posterior(terms, tail, total):
@@ -548,29 +706,37 @@ class TestStepStateCache:
     def test_occupancy_matches_recount_at_every_level(self, cached_engines, case):
         e, data = cached_engines[case]
         occ = e.occupancy
-        m_trunc = max(occ.distinct_level, 4 * e.n)
+        m_trunc = max(occ.distinct_level, -(-occ.n_distinct // 2))
         assert occ.k_by_level.size == m_trunc
         assert occ.distinct_level <= m_trunc
         assert np.array_equal(occ.k_by_level, recount_occupancy(data, m_trunc))
 
     @pytest.mark.parametrize("case", CACHE_DATA)
     def test_step_brackets_equal_the_level_loop(self, cached_engines, case):
+        # against the level loop the closed form replaced, cut at the old
+        # M = max(D, 4n) with the old tail bracket: the step brackets, the
+        # level weights and the mean of 1/N all lie inside the loop's.  The
+        # loop carries no rounding term; LOOP_ROUNDING covers its sums of up
+        # to n logs per level, which is all of its width where the tail
+        # holds no mass (the tilt-truth case)
         e, data = cached_engines[case]
-        m_trunc = e.occupancy.k_by_level.size
-        ks = recount_occupancy(data, m_trunc)
+        m_old = max(e.distinct_level(), 4 * e.n)
         for with_lik in (True, False):
-            terms = loop_step_log_terms(ks, e.n, with_lik)
-            tail = e._step_tail(m_trunc, with_lik)
-            want = LogBracket.point(log_sum_exp(terms)).add(tail)
-            assert e.step_marginal(with_likelihood=with_lik) == want, with_lik
-        terms = loop_step_log_terms(ks, e.n, True)
-        tail = e._step_tail(m_trunc, True)
+            ref = loop_bracket(data, m_old, with_lik)
+            got = e.step_marginal(with_likelihood=with_lik)
+            assert ref.lower - LOOP_ROUNDING <= got.lower, with_lik
+            assert got.upper <= ref.upper + LOOP_ROUNDING, with_lik
+            assert got.width() <= 1e-9
+        terms = loop_step_log_terms(recount_occupancy(data, m_old), e.n, True)
+        tail = old_tail(e.n, e.stats.n_distinct, m_old)
         total = LogBracket.point(log_sum_exp(terms)).add(tail)
         w_lo, w_hi, mean_inv = loop_level_posterior(terms, tail, total)
         lp = e.posterior_over_n()
-        assert np.array_equal(lp.weights_lower, w_lo)
-        assert np.array_equal(lp.weights_upper, w_hi)
-        assert (lp.mean_inv_level.lower, lp.mean_inv_level.upper) == mean_inv
+        m, slack = lp.levels.size, math.exp(2 * LOOP_ROUNDING)
+        assert np.all(w_lo[:m] <= lp.weights_lower * slack)
+        assert np.all(lp.weights_upper <= w_hi[:m] * slack)
+        assert mean_inv[0] <= lp.mean_inv_level.lower * slack
+        assert lp.mean_inv_level.upper <= mean_inv[1] * slack
 
     @pytest.mark.parametrize("case", CACHE_DATA)
     def test_queried_then_fed_equals_fresh(self, case):
@@ -630,7 +796,7 @@ class TestStepStateCache:
         for i, x in enumerate(data, 1):
             e.add_point(x)
             occ = e.occupancy
-            m_trunc = max(occ.distinct_level, 4 * i, 1)
+            m_trunc = max(occ.distinct_level, -(-occ.n_distinct // 2))
             assert occ.k_by_level.size == m_trunc
             assert np.array_equal(occ.k_by_level,
                                   recount_occupancy(data[:i], m_trunc)), i

@@ -26,6 +26,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_csv_cells(path):
+    """The rows of a trajectory CSV as {column: cell text}."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return [dict(zip(header, line.rstrip("\n").split(","))) for line in fh]
+
+
 class TestParsers:
     def test_truth(self):
         assert parse_truth("uniform").kind == "uniform"
@@ -64,23 +71,60 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", out + ".json", "--out", out2) == 0
         assert open(out + ".csv").read() == open(out2 + ".csv").read()
 
-    def test_v1_sidecar_replays_byte_identical(self, tmp_path):
+    def test_v1_sidecar_replays_inside_its_brackets(self, tmp_path):
+        # v1 cut the step sum at max(D, 4n) with a loose tail bracket and
+        # took the tilt mass as 1 - fstep; v3 replays it with a sharper step
+        # bracket inside the stored one
         v1 = os.path.join(DATA, "v1_uniform_n60_seed3")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
-        with open(v1 + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
-            assert a.read() == b.read()
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 2 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 3 and "trunc_multiplier" not in side["config"]
+        old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
+        assert [r["n"] for r in old] == [r["n"] for r in new]
+        for was, now in zip(old, new):
+            n = int(was["n"])
+            for col in ("n", "w_n", "sup_loglik", "realized_gamma"):
+                assert was[col] == now[col], (n, col)
+            for col in was:
+                if col.endswith(".lower"):
+                    stem = col[:-6]
+                    lo, hi = float(was[col]), float(was[stem + ".upper"])
+                    tol_lo = 1e-12 * abs(lo) + 1e-15
+                    tol_hi = 1e-12 * abs(hi) + 1e-15
+                    assert lo - tol_lo <= float(now[col]), (n, col)
+                    assert float(now[stem + ".upper"]) <= hi + tol_hi, (n, col)
+            # the stored step bracket is enclosed by fstep times the evidence;
+            # the exponent reads its midpoint, which moves at most half its
+            # width
+            step = [math.log(float(was["mass_fstep" + e])) + float(was["log_evidence" + e])
+                    for e in (".lower", ".upper")]
+            col = "band_prior_exponent_0.693147_0.693147"
+            moved = abs(float(now[col]) - float(was[col]))
+            assert moved <= 0.5 * (step[1] - step[0]) / n + 1e-15, n
+            assert now["evidence_flag"] in (was["evidence_flag"], "1"), n
 
-    def test_v2_cosine_sidecar_replays_byte_identical(self, tmp_path):
-        golden = os.path.join(DATA, "v2_cosine_n40_seed1")
+    def test_v3_sidecar_replays_byte_identical(self, tmp_path):
+        golden = os.path.join(DATA, "v3_uniform_n60_seed3")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         for ext in (".csv", ".json"):
             with open(golden + ext, "rb") as a, open(out + ext, "rb") as b:
                 assert a.read() == b.read(), ext
+
+    def test_v2_cosine_sidecar_replays_byte_identical(self, tmp_path):
+        # the cosine output did not change with v3: the same CSV bytes, and
+        # the same sidecar but for its version
+        golden = os.path.join(DATA, "v2_cosine_n40_seed1")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+            assert a.read() == b.read()
+        with open(golden + ".json") as a, open(out + ".json") as b:
+            was, now = json.load(a), json.load(b)
+        assert (was.pop("version"), now.pop("version")) == (2, 3)
+        assert was == now
 
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -251,8 +295,8 @@ class TestNumericFailureExit:
         from posterior_lab.barron import BarronEngine
         from posterior_lab.intervals import LogBracket
 
-        monkeypatch.setattr(BarronEngine, "_step_tail",
-                            lambda self, m_trunc, with_lik: LogBracket(0.0, -1.0))
+        monkeypatch.setattr(BarronEngine, "_tail",
+                            lambda self, *args, **kwargs: LogBracket(0.0, -1.0))
         code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3

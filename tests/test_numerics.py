@@ -19,14 +19,14 @@ from posterior_lab.numerics import (
     RandomStream,
     adaptive_quadrature,
     inv_norm_cdf,
-    inv_square_tail,
     log_add,
     log_falling_factorial_ratio,
     log_sub,
     log_sum_exp,
     norm_cdf,
+    zeta_series,
 )
-from posterior_lab.numerics import _simpson_log
+from posterior_lab.numerics import _EM_FROM, _simpson_log
 
 mp.mp.dps = 40
 
@@ -172,21 +172,55 @@ class TestFallingFactorialRatio:
         assert got == pytest.approx(direct, rel=1e-12)
 
 
+def inv_square_tail(m):
+    """Enclosure of sum_{N > m} 1/N^2: the s = 2 case of zeta_series."""
+    lo, hi = zeta_series([1.0], 2, m + 1)
+    return math.exp(lo), math.exp(hi)
+
+
 class TestInvSquareTail:
     def test_vs_trigamma_oracle(self):
         for m in (0, 1, 4, 31, 32, 100, 10_000):
-            want = float(mp.polygamma(1, m + 1))
-            assert inv_square_tail(m) == pytest.approx(want, rel=1e-14)
+            want = mp.polygamma(1, m + 1)
+            lo, hi = inv_square_tail(m)
+            assert lo <= want <= hi
+            assert hi - lo <= 1e-13 * want
 
     def test_vs_direct_sum(self):
         cutoff = 3_000_000
         direct = sum(1.0 / n**2 for n in range(6, cutoff))
         # the summed oracle misses its own tail, which lies in
         # (1/cutoff, 1/(cutoff-1))
-        assert direct + 1.0 / cutoff < inv_square_tail(5) < direct + 1.0 / (cutoff - 1)
+        lo, hi = inv_square_tail(5)
+        assert direct + 1.0 / cutoff < hi and lo < direct + 1.0 / (cutoff - 1)
 
     def test_zeta2(self):
-        assert inv_square_tail(0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+        lo, hi = inv_square_tail(0)
+        assert lo <= math.pi**2 / 6.0 <= hi
+        assert hi - lo <= 1e-13 * math.pi**2 / 6.0
+        assert math.sqrt(lo * hi) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+
+
+class TestHurwitzZeta:
+    # s up to 2J + 4 for the 40 tail terms of the step sum; z = 31 and 32
+    # sit on either side of the switch from the direct sum to Euler-Maclaurin
+    @pytest.mark.parametrize("z", [1.0, 2.0, _EM_FROM - 1.0, _EM_FROM, 1e3, 1e5])
+    def test_against_mpmath(self, z):
+        for s in range(2, 85):
+            lo, hi = zeta_series([1.0], s, z)
+            # mpmath's Hurwitz zeta loses about s log10(z) digits
+            with mp.workdps(30 + int(s * math.log10(z + 1.0))):
+                want = mp.log(mp.zeta(s, mp.mpf(z)))
+            assert lo <= want <= hi, (s, z)
+            assert hi - lo <= 2e-13 + 1e-14 * abs(hi), (s, z)
+
+    def test_series_against_mpmath(self):
+        # sum_{N >= a} N^-3 (1 - a^2/N^2 / 3) with its coefficient slack
+        a = 40.0
+        lo, hi = zeta_series([1.0, -1.0 / 3.0], 3, a, slack=1e-12)
+        want = mp.zeta(3, a) - a * a / 3 * mp.zeta(5, a)
+        assert lo <= mp.log(want) <= hi
+        assert hi - lo <= 3e-12
 
 
 class TestAdaptiveQuadrature:
