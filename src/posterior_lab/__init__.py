@@ -59,9 +59,7 @@ from .diagnostics import (
 from .cosine import (
     CosineEngine,
     CosinePriorConfig,
-    cosine_hellinger_mass,
     cosine_loglik,
-    cosine_posterior_mass,
 )
 from .harness import (
     RunConfig,

@@ -37,8 +37,7 @@ EXIT_NUMERIC = 3
 log = logging.getLogger("posterior_lab")
 
 # the parameter that --cosine-prior KIND:VALUE sets, per prior kind
-COSINE_PRIOR_PARAMS = {"exponential": "rate", "half_cauchy": "scale",
-                       "truncated_uniform": "theta_max"}
+COSINE_PRIOR_PARAMS = {"exponential": "rate", "truncated_uniform": "theta_max"}
 
 
 def parse_truth(spec: str) -> TruthSpec:
@@ -142,7 +141,7 @@ def _add_run_flags(p, with_seed=True):
     p.add_argument("--quad-tol", dest="quad_tol", type=float)
     p.add_argument("--config", help="JSON config or a sidecar from a previous run")
     p.add_argument("--cosine-prior", dest="cosine_prior",
-                   help="exponential:RATE | half_cauchy:SCALE | truncated_uniform:MAX")
+                   help="exponential:RATE | truncated_uniform:MAX")
     if with_seed:
         p.add_argument("--seed", type=int)
 

@@ -1,15 +1,18 @@
-"""Posterior computation for the one-parameter cosine family under priors
-on theta >= 0 with closed-form tails.
+"""Posterior computation for the one-parameter cosine family under an
+exponential or a truncated-uniform prior on theta >= 0.
 
-The quadrature domain is capped adaptively: beyond the cap the posterior
-contribution is bracketed by (prior tail mass) x (sup-likelihood bound
-(2/c_min)^n), and the cap is widened until that bound is a negligible
-fraction of the evidence.  The oscillatory likelihood is subdivided at
-half-period boundaries of the fastest data-driven oscillation.  The
-quadrature error bound is a Richardson estimate, not a proof.
+Every query integrates the head [0, theta_0] (``CosineEngine.cap``) to a
+relative quad_tol.  Beyond a reach c the joint mass is bracketed by the prior
+tail times the sup-likelihood bound (2 / (1 - 1/c))^n.  Each query works out
+c in closed form, so that this bound is at most quad_tol times the head part
+it joins, and integrates [theta_0, c] to that absolute error.  The bound is
+added whatever c is, so c sets only how sharp a bracket is, never whether it
+holds.  The oscillatory likelihood is subdivided at half-period boundaries of
+the fastest data-driven oscillation.  The quadrature error bound is a
+Richardson estimate, not a proof.
 
 An engine holds one data set.  Its evidence, region and Hellinger queries
-each integrate [0, cap] again, cut at their own edges but at the same
+each integrate their own pieces, cut at their own edges but at the same
 half-period breakpoints, so interior panels repeat exactly; the engine
 memoizes ln prior + ln likelihood per theta, and each theta reaches the
 likelihood (one pass over the data) once per engine.
@@ -17,7 +20,7 @@ likelihood (one pass over the data) once per engine.
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
 numeric integrator before it is relied on; distances are computed once per
-process on one theta grid, which grows with the largest cap asked for, and
+process on one theta grid, which grows with the largest reach asked for, and
 region masses use inner/outer envelope enclosures.
 """
 
@@ -36,24 +39,20 @@ __all__ = [
     "CosinePriorConfig",
     "CosineEngine",
     "cosine_loglik",
-    "cosine_posterior_mass",
-    "cosine_hellinger_mass",
     "cosine_hellinger_uniform",
 ]
 
-_PRIOR_KINDS = ("exponential", "half_cauchy", "truncated_uniform")
+_PRIOR_KINDS = ("exponential", "truncated_uniform")
 
 
 @dataclass(frozen=True)
 class CosinePriorConfig:
-    """Prior on theta >= 0: exponential(rate), half-Cauchy(scale), or
-    uniform on [0, theta_max]; all three have closed-form tail masses."""
+    """Prior on theta >= 0: exponential(rate) or uniform on [0, theta_max];
+    both have closed-form tail masses."""
 
     kind: str = "exponential"
     rate: float = 1.0
-    scale: float = 1.0
     theta_max: float = 50.0
-    tail_fraction: float = 1e-3  # cap widens until tail bound <= this x head
 
     def __post_init__(self):
         if self.kind not in _PRIOR_KINDS:
@@ -61,8 +60,6 @@ class CosinePriorConfig:
                              f"choose from {_PRIOR_KINDS}")
         if self.kind == "exponential" and self.rate <= 0:
             raise ValueError("rate must be positive")
-        if self.kind == "half_cauchy" and self.scale <= 0:
-            raise ValueError("scale must be positive")
         if self.kind == "truncated_uniform" and self.theta_max <= 0:
             raise ValueError("theta_max must be positive")
 
@@ -71,10 +68,6 @@ class CosinePriorConfig:
             return LOG_ZERO
         if self.kind == "exponential":
             return math.log(self.rate) - self.rate * theta
-        if self.kind == "half_cauchy":
-            z = theta / self.scale
-            return math.log(2.0 / math.pi) - math.log(self.scale) \
-                - math.log1p(z * z)
         return -math.log(self.theta_max) if theta <= self.theta_max else LOG_ZERO
 
     def log_tail_mass(self, t: float) -> float:
@@ -83,8 +76,6 @@ class CosinePriorConfig:
             return 0.0
         if self.kind == "exponential":
             return -self.rate * t
-        if self.kind == "half_cauchy":
-            return math.log(2.0 / math.pi) + math.log(math.atan2(self.scale, t))
         if t >= self.theta_max:
             return LOG_ZERO
         return math.log((self.theta_max - t) / self.theta_max)
@@ -141,8 +132,8 @@ def _tail_dh_bounds(theta: float) -> tuple[float, float]:
 
 
 _DH_STEP = 0.02
-# the theta grid of the largest cap asked for so far in this process and
-# d_h(f_theta, uniform) on it; the grid of a smaller cap is a prefix of it
+# the theta grid of the largest reach asked for so far in this process and
+# d_h(f_theta, uniform) on it; the grid of a smaller reach is a prefix of it
 _dh_grid = np.zeros(0)
 _dh_vals = np.zeros(0)
 
@@ -165,23 +156,12 @@ def _region_above(eps: float, theta_hi: float):
     {theta in [0, theta_hi] : d_h(f_theta, uniform) > eps}."""
     grid, vals = _hellinger_grid(theta_hi)
     above = vals > eps
-    inner_cells = above[:-1] & above[1:]
-    outer_cells = above[:-1] | above[1:]
 
-    def merge(mask):
-        out = []
-        start = None
-        for i, m in enumerate(mask):
-            if m and start is None:
-                start = grid[i]
-            if not m and start is not None:
-                out.append((start, grid[i]))
-                start = None
-        if start is not None:
-            out.append((start, grid[-1]))
-        return out
+    def runs(cells):  # (start, end) of each run of cells [grid[i], grid[i+1]]
+        step = np.diff(cells.astype(np.int8), prepend=0, append=0)
+        return list(zip(grid[step == 1].tolist(), grid[step == -1].tolist()))
 
-    return merge(inner_cells), merge(outer_cells)
+    return runs(above[:-1] & above[1:]), runs(above[:-1] | above[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +180,6 @@ class CosineEngine:
         self.quad_tol = float(quad_tol)
         self._cache: dict = {}
         self._joint: dict = {}  # theta -> log_joint(theta)
-        self._cap: float | None = None
 
     @property
     def n(self) -> int:
@@ -221,14 +200,33 @@ class CosineEngine:
 
     # -- quadrature domain --------------------------------------------------
 
-    def _log_tail_bound(self, cap: float) -> float:
-        """ln upper bound of the joint mass beyond cap: prior tail times the
-        sup-likelihood bound (2 / (1 - 1/cap))^n."""
-        pt = self.prior.log_tail_mass(cap)
+    def cap(self) -> float:
+        """The head end theta_0: theta_max under the truncated uniform,
+        else max(30, 0.75 n)."""
+        if self.prior.kind == "truncated_uniform":
+            return float(self.prior.theta_max)
+        return max(30.0, 0.75 * self.n)
+
+    def _log_tail_bound(self, c: float) -> float:
+        """ln upper bound of the joint mass beyond c >= cap(): prior tail
+        times the sup-likelihood bound (2 / (1 - 1/c))^n."""
+        pt = self.prior.log_tail_mass(c)
         if pt == LOG_ZERO or self.n == 0:
             return pt
-        c_min = 1.0 - 1.0 / cap if cap > 2.0 else 0.5
-        return pt + self.n * (LN2 - math.log(c_min))
+        return pt + self.n * (LN2 - math.log(1.0 - 1.0 / c))
+
+    def _reach(self, floor: float, region_end: float) -> float:
+        """The reach c >= max(cap(), region_end) at which the tail bound is at
+        most quad_tol * e^floor: past cap() it is at most
+        n ln(2 / (1 - 1/cap())) - rate c."""
+        head = self.cap()
+        if self.prior.kind == "truncated_uniform":  # no prior mass past head
+            return head
+        c = max(head, region_end)
+        if floor > LOG_ZERO:
+            sup = self.n * (LN2 - math.log(1.0 - 1.0 / head))
+            c = max(c, (sup - math.log(self.quad_tol) - floor) / self.prior.rate)
+        return c
 
     def _breakpoints(self, lo: float, hi: float) -> list:
         xmax = float(self.data.max()) if self.n else 0.0
@@ -238,120 +236,88 @@ class CosineEngine:
         k0 = int(lo / half) + 1
         return [k * half for k in range(k0, int(hi / half) + 1) if lo < k * half < hi]
 
-    def _piece_integral(self, lo: float, hi: float) -> LogBracket:
-        key = ("piece", lo, hi)
+    def _piece_integral(self, lo: float, hi: float, floor=None) -> LogBracket:
+        """The joint mass of [lo, hi] to a relative quad_tol, or, given a
+        floor F, to an absolute quad_tol * e^F."""
+        key = (lo, hi, floor)
         if key not in self._cache:
-            if not lo < hi:
-                self._cache[key] = LogBracket.zero()
-            else:
-                res = adaptive_quadrature(self.log_joint, lo, hi, self.quad_tol,
-                                          breakpoints=self._breakpoints(lo, hi),
-                                          relative=True)
-                self._cache[key] = LogBracket(*res.log_bracket())
+            f = self.log_joint if floor is None else \
+                (lambda t: self.log_joint(t) - floor)
+            res = adaptive_quadrature(f, lo, hi, self.quad_tol,
+                                      breakpoints=self._breakpoints(lo, hi),
+                                      relative=floor is None)
+            br = LogBracket(*res.log_bracket())
+            self._cache[key] = br if floor is None else br.shift(floor)
         return self._cache[key]
 
-    def cap(self) -> float:
-        """Quadrature cap: widened until the analytic tail bound is below
-        tail_fraction of the head integral."""
-        if self._cap is None:
-            if self.prior.kind == "truncated_uniform":
-                self._cap = float(self.prior.theta_max)
-            else:
-                cap = max(30.0, 0.75 * self.n)
-                head = self._piece_integral(0.0, cap)
-                for _ in range(200):
-                    tb = self._log_tail_bound(cap)
-                    if tb <= math.log(self.prior.tail_fraction) + head.lower:
-                        break
-                    cap *= 1.5
-                    head = self._piece_integral(0.0, cap)
-                else:
-                    raise RuntimeError("could not find a finite quadrature cap")
-                self._cap = cap
-        return self._cap
+    def _pieces(self, intervals, lo: float, hi: float, floor=None) -> list:
+        """[in, out]: log enclosures of the joint mass of [lo, hi] inside and
+        outside the union of intervals, summed over its pieces."""
+        cuts = sorted({lo, hi, *(min(max(e, lo), hi) for iv in intervals for e in iv)})
+        los, his = ([], []), ([], [])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            mid = 0.5 * (a + b)
+            side = 0 if any(s <= mid <= e for s, e in intervals) else 1
+            br = self._piece_integral(a, b, floor)
+            los[side].append(br.lower)
+            his[side].append(br.upper)
+        return [LogBracket(log_sum_exp(l), log_sum_exp(h)) for l, h in zip(los, his)]
+
+    def _parts(self, intervals_to, tail_in, region_end: float = 0.0) -> tuple:
+        """(in, out): log enclosures of the joint mass inside and outside a
+        theta region.  ``intervals_to(t)`` lists the region's intervals in
+        [0, t]; ``tail_in(t)`` says where (t, inf) lies: True inside, False
+        outside, None on either side."""
+        head = self.cap()
+        parts = self._pieces(intervals_to(head), 0.0, head)
+        side = tail_in(head)
+        # the floor F: ln of the head part the tail bound joins
+        joins = parts if side is None else [parts[0] if side else parts[1]]
+        floor = min(p.lower for p in joins)
+        if floor == LOG_ZERO:
+            floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
+        c = self._reach(floor, region_end)
+        if c > head:
+            ext = self._pieces(intervals_to(c), head, c, floor)
+            parts = [p.add(e) for p, e in zip(parts, ext)]
+            side = tail_in(c)
+        tb = self._log_tail_bound(c)
+        inside, outside = parts
+        if side is not False:
+            inside = LogBracket(inside.lower, log_add(inside.upper, tb))
+        if side is not True:
+            outside = LogBracket(outside.lower, log_add(outside.upper, tb))
+        return inside, outside
 
     def log_evidence(self) -> LogBracket:
-        cap = self.cap()
-        head = self._piece_integral(0.0, cap)
-        tb = self._log_tail_bound(cap)
-        return LogBracket(head.lower, log_add(head.upper, tb))
+        return self._parts(lambda t: [], lambda t: False)[1]
 
     # -- region masses --------------------------------------------------------
 
     def region_mass(self, lo: float, hi: float = math.inf) -> Bracket:
-        """Posterior mass of {lo <= theta <= hi} with the beyond-cap tail
-        bracketed analytically."""
+        """Posterior mass of {lo <= theta <= hi} with the tail beyond the
+        reach bracketed analytically; the reach covers a finite hi."""
         if lo < 0.0 or not lo <= hi:
             raise ValueError(f"invalid region [{lo}, {hi}]")
         tail_in = math.isinf(hi)
-        # a finite region end beyond the cap straddles the bracketed tail
-        tail_unc = (not tail_in) and hi > self.cap()
-        return self._mass_of_intervals([(lo, hi)], tail_in_region=tail_in,
-                                       tail_uncertain=tail_unc)
-
-    def _mass_of_intervals(self, intervals, tail_in_region: bool,
-                           tail_uncertain: bool = False) -> Bracket:
-        cap = self.cap()
-        cuts = sorted({0.0, cap, *(max(0.0, min(cap, b))
-                                   for iv in intervals for b in iv)})
-        in_region = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + b)
-            in_region.append(any(lo <= mid <= hi for lo, hi in intervals))
-        a_br = _sum_pieces(self, cuts, in_region, True)
-        b_br = _sum_pieces(self, cuts, in_region, False)
-        tb = self._log_tail_bound(cap)
-        if tail_uncertain:
-            a_br = LogBracket(a_br.lower, log_add(a_br.upper, tb))
-            b_br = LogBracket(b_br.lower, log_add(b_br.upper, tb))
-        elif tail_in_region:
-            a_br = LogBracket(a_br.lower, log_add(a_br.upper, tb))
-        else:
-            b_br = LogBracket(b_br.lower, log_add(b_br.upper, tb))
-        return mass_ratio(a_br, b_br)
+        return mass_ratio(*self._parts(lambda t: [(lo, hi)], lambda t: tail_in,
+                                       region_end=0.0 if tail_in else hi))
 
     def hellinger_mass(self, eps: float) -> Bracket:
         """Posterior mass of {theta : d_h(f_theta, uniform) > eps}, from
         inner/outer envelopes of the cached distance curve plus a certified
-        classification of the beyond-cap tail."""
+        classification of the tail beyond the reach."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         if eps >= math.sqrt(2.0):
             return Bracket(0.0, 0.0)
-        cap = self.cap()
-        inner, outer = _region_above(eps, cap)
-        d_lo, d_hi = _tail_dh_bounds(max(cap, 3.0))
-        lo_mass = self._mass_of_intervals(inner, tail_in_region=(eps < d_lo)).lower \
-            if inner or eps < d_lo else 0.0
-        if eps < d_lo:
-            hi_mass = self._mass_of_intervals(outer, tail_in_region=True).upper
-        elif eps >= d_hi:
-            hi_mass = self._mass_of_intervals(outer, tail_in_region=False).upper
-        else:
-            hi_mass = self._mass_of_intervals(outer, tail_in_region=False,
-                                              tail_uncertain=True).upper
-        return Bracket(min(lo_mass, hi_mass), hi_mass).clamp01()
 
+        def tail_in(t):
+            d_lo, d_hi = _tail_dh_bounds(max(t, 3.0))
+            return True if eps < d_lo else False if eps >= d_hi else None
 
-def _sum_pieces(engine: CosineEngine, cuts, in_region, want: bool) -> LogBracket:
-    los, his = [], []
-    for (a, b), flag in zip(zip(cuts[:-1], cuts[1:]), in_region):
-        if flag == want and a < b:
-            br = engine._piece_integral(a, b)
-            los.append(br.lower)
-            his.append(br.upper)
-    if not los:
-        return LogBracket.zero()
-    return LogBracket(log_sum_exp(los), log_sum_exp(his))
-
-
-def cosine_posterior_mass(prior: CosinePriorConfig, data,
-                          region: tuple, quad_tol: float = 1e-8) -> Bracket:
-    """Posterior mass of a theta interval (lo, hi); hi may be inf."""
-    return CosineEngine(prior, data, quad_tol).region_mass(*region)
-
-
-def cosine_hellinger_mass(prior: CosinePriorConfig, data, eps: float,
-                          quad_tol: float = 1e-8) -> Bracket:
-    """Posterior mass at Hellinger distance more than eps from the uniform."""
-    return CosineEngine(prior, data, quad_tol).hellinger_mass(eps)
+        lo = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[0],
+                                     tail_in)).lower
+        hi = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[1],
+                                     tail_in)).upper
+        return Bracket(min(lo, hi), hi).clamp01()

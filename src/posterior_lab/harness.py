@@ -39,7 +39,7 @@ from .diagnostics import (
     excursion_count,
 )
 from .intervals import Bracket
-from .numerics import ConfigError, RandomStream
+from .numerics import ConfigError, QuadratureError, RandomStream
 
 __all__ = [
     "TruthSpec",
@@ -60,10 +60,13 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-# the v1 truncation keys, each accepted only at the default every v1 run used
-_V1_KEYS = {"trunc_multiplier": 4.0, "trunc_fixed": None}
+# keys that older formats wrote, by dotted path, each accepted only at the
+# value every run that wrote it used: the truncation knobs of v1, and the
+# half-Cauchy scale and the cap-search fraction of v1 to v3
+_RETIRED_KEYS = {"trunc_multiplier": 4.0, "trunc_fixed": None,
+                 "cosine_prior.scale": 1.0, "cosine_prior.tail_fraction": 1e-3}
 
 # stream id of the data within one replicate seed
 DATA_STREAM = 0
@@ -196,15 +199,21 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        """Decode a config; a v1 one may still carry the truncation keys,
-        each at its default, the one value this version replays."""
+        """Decode a config; an older one may still carry retired keys, each
+        at the one value this version replays."""
         if isinstance(d, dict):
             d = dict(d)
-            for key, v1_value in _V1_KEYS.items():
-                if key in d and (value := d.pop(key)) != v1_value:
+            for path, old in _RETIRED_KEYS.items():
+                parent, _, key = path.rpartition(".")
+                node = d
+                if parent:
+                    if not isinstance(d.get(parent), dict):
+                        continue
+                    node = d[parent] = dict(d[parent])  # the caller's is kept
+                if key in node and (value := node.pop(key)) != old:
                     raise ConfigError(
-                        f"v1 config key {key!r} = {value!r} cannot be "
-                        f"replayed; only {json.dumps(v1_value)} can")
+                        f"retired config key {path!r} = {value!r} cannot be "
+                        f"replayed; only {json.dumps(old)} can")
         return decode_config(RunConfig, d)
 
 
@@ -426,12 +435,12 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
         for n in grid:
             eng = CosineEngine(cfg.cosine_prior, data[:n], quad_tol=cfg.quad_tol)
             row, gap = {"n": float(n)}, False
-            # NaN from the first failure on: a failed cap search is not
+            # NaN from the first failure on: a failed head quadrature is not
             # cached, so every later statistic would repeat it
             for stem, call in stats:
                 try:
                     br = None if gap else call(eng)
-                except (ArithmeticError, RuntimeError) as exc:  # recorded gap
+                except QuadratureError as exc:  # recorded gap
                     errors.append((n, f"{stem}: {exc}"))
                     br, gap = None, True
                 _put(row, stem, br)

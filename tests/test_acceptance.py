@@ -14,8 +14,10 @@ file was frozen:
 * criterion 5 crossing level pinned at 0.999 (a fortiori "exceeds 0.99");
   at 0.99 the tilt-component theta-tail still carries up to 5e-3 of mass at
   n <= 9, more than the 1e-3 agreement clause allows;
-* criterion 9 epsilon 0.3 trend confirmed at seeds 1,2,3 (mass drops from
-  ~1e-2 to ~1e-24).
+* criterion 9 epsilon 0.3 trend confirmed at seeds 1,2,3 (the mass drops
+  from 2e-3..0.17 at n = 10 to 6e-101..4e-92 at n = 1000, upper ends 4e-97..
+  2e-88; the ~1e-24 upper end of format v3 was its tail bound, which format
+  v4 keeps within quad_tol of the mass it joins).
 """
 
 import math

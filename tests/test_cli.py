@@ -73,14 +73,14 @@ class TestTrajCommand:
 
     def test_v1_sidecar_replays_inside_its_brackets(self, tmp_path):
         # v1 cut the step sum at max(D, 4n) with a loose tail bracket and
-        # took the tilt mass as 1 - fstep; v3 replays it with a sharper step
-        # bracket inside the stored one
+        # took the tilt mass as 1 - fstep; v3 on replays it with a sharper
+        # step bracket inside the stored one
         v1 = os.path.join(DATA, "v1_uniform_n60_seed3")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 3 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 4 and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -106,25 +106,52 @@ class TestTrajCommand:
             assert now["evidence_flag"] in (was["evidence_flag"], "1"), n
 
     def test_v3_sidecar_replays_byte_identical(self, tmp_path):
+        # the Barron output did not change with v4: the same CSV bytes, and
+        # the same sidecar but for its version, the retired cosine keys and
+        # the hash of the config without them
         golden = os.path.join(DATA, "v3_uniform_n60_seed3")
-        out = str(tmp_path / "replay")
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        for ext in (".csv", ".json"):
-            with open(golden + ext, "rb") as a, open(out + ext, "rb") as b:
-                assert a.read() == b.read(), ext
-
-    def test_v2_cosine_sidecar_replays_byte_identical(self, tmp_path):
-        # the cosine output did not change with v3: the same CSV bytes, and
-        # the same sidecar but for its version
-        golden = os.path.join(DATA, "v2_cosine_n40_seed1")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
             assert a.read() == b.read()
         with open(golden + ".json") as a, open(out + ".json") as b:
             was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (2, 3)
+        assert (was.pop("version"), now.pop("version")) == (3, 4)
+        retired = was["config"]["cosine_prior"]
+        assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
+        assert was.pop("config_hash") != now.pop("config_hash")
         assert was == now
+
+    def test_v4_cosine_sidecar_replays_byte_identical(self, tmp_path):
+        golden = os.path.join(DATA, "v4_cosine_n40_seed1")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        for ext in (".csv", ".json"):
+            with open(golden + ext, "rb") as a, open(out + ext, "rb") as b:
+                assert a.read() == b.read(), ext
+
+    def test_v2_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
+        # v2 widened the cap only until the tail bound fell below 1e-3 of the
+        # evidence; v4 bounds it to quad_tol of the part it joins.  Each
+        # bracket is a Richardson estimate, so the nesting holds up to
+        # 2 quad_tol: relative for masses, absolute for ln evidence
+        golden = os.path.join(DATA, "v2_cosine_n40_seed1")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        with open(golden + ".json") as fh:
+            slack = 2.0 * json.load(fh)["config"]["quad_tol"]
+        old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
+        assert [r["n"] for r in old] == [r["n"] for r in new]
+        for was, now in zip(old, new):
+            for col in (c for c in was if c.endswith(".lower")):
+                stem = col[:-6]
+                lo, hi = float(was[col]), float(was[stem + ".upper"])
+                new_lo, new_hi = float(now[col]), float(now[stem + ".upper"])
+                if stem == "log_evidence":
+                    assert lo - slack <= new_lo <= new_hi <= hi + slack, (was["n"], stem)
+                else:
+                    assert lo * (1 - slack) <= new_lo <= new_hi <= hi * (1 + slack), \
+                        (was["n"], stem)
 
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -138,24 +165,46 @@ class TestTrajCommand:
         assert open(a + ".csv").read() == open(b + ".csv").read()
 
     @pytest.mark.parametrize("key, value", [("trunc_multiplier", 8.0),
-                                            ("trunc_level", 3)])
+                                            ("trunc_level", 3),
+                                            ("cosine_prior.tail_fraction", 1e-4),
+                                            ("cosine_prior.scale", 2.0)])
     def test_unsupported_sidecar_key_exits_2(self, tmp_path, capsys, key, value):
         with open(os.path.join(DATA, "v1_uniform_n60_seed3.json")) as fh:
             side = json.load(fh)
-        side["config"][key] = value
+        *parents, name = key.split(".")
+        node = side["config"]
+        for p in parents:
+            node = node[p]
+        node[name] = value
         cfg = tmp_path / "side.json"
         cfg.write_text(json.dumps(side))
         code = run_cli("traj", "--config", str(cfg), "--out", str(tmp_path / "x"))
         assert code == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec, scale", [("half_cauchy", 1.0),
-                                             ("half_cauchy:2.5", 2.5)])
-    def test_cosine_prior_parameter(self, spec, scale):
+    @pytest.mark.parametrize("spec", ["half_cauchy", "half_cauchy:2.5"])
+    def test_retired_cosine_prior_exits_2(self, tmp_path, capsys, spec):
+        code = run_cli("traj", "--model", "cosine", "--cosine-prior", spec,
+                       "--n-max", "2", "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "half_cauchy" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    def test_cosine_prior_parameter(self):
         args = build_parser().parse_args(
-            ["traj", "--model", "cosine", "--cosine-prior", spec, "--out", "x"])
+            ["traj", "--model", "cosine", "--cosine-prior", "exponential:2.5",
+             "--out", "x"])
         prior = _config_from_args(args)[0].cosine_prior
-        assert prior == CosinePriorConfig(kind="half_cauchy", scale=scale)
+        assert prior == CosinePriorConfig(kind="exponential", rate=2.5)
+
+    def test_config_naming_half_cauchy_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "cosine", "n_max": 2,
+                                   "cosine_prior": {"kind": "half_cauchy"}}))
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "cosine_prior" in capsys.readouterr().err
 
     def test_bad_truth_exits_2(self, tmp_path):
         code = run_cli("traj", "--truth", "gauss:1.5", "--n-max", "5",
@@ -314,6 +363,17 @@ class TestNumericFailureExit:
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3
         assert "non-finite log value" in capsys.readouterr().err
+
+    def test_nonfinite_cosine_likelihood_exits_3(self, monkeypatch, tmp_path, capsys):
+        # a program fault, not a recorded gap of the trajectory
+        from posterior_lab import cosine
+
+        monkeypatch.setattr(cosine, "cosine_loglik", lambda theta, data: math.nan)
+        code = run_cli("traj", "--model", "cosine", "--n-max", "3",
+                       "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "non-finite log value" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x.csv"))
 
 
 class TestConfigErrorExit:

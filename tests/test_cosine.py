@@ -1,6 +1,7 @@
 """Cosine-model tests: the closed-form distance curve is verified against
 the generic numeric integrator before the engine relies on it; posterior
-masses are checked against a trapezoid oracle and for additivity."""
+masses are checked against trapezoid oracles, for additivity and for the
+sharpness of their tail brackets."""
 
 import math
 
@@ -11,10 +12,8 @@ from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
     CosineEngine,
     CosinePriorConfig,
-    cosine_hellinger_mass,
     cosine_hellinger_uniform,
     cosine_loglik,
-    cosine_posterior_mass,
 )
 from posterior_lab.densities import CosineDensity, UniformDensity, hellinger_numeric
 from posterior_lab.numerics import LOG_ZERO, RandomStream
@@ -28,12 +27,16 @@ class TestPriorConfig:
             CosinePriorConfig(kind="nope")
         with pytest.raises(ValueError):
             CosinePriorConfig(kind="exponential", rate=-1.0)
+        with pytest.raises(ValueError):
+            CosinePriorConfig(kind="truncated_uniform", theta_max=0.0)
+        with pytest.raises(ValueError, match="half_cauchy"):  # retired
+            CosinePriorConfig(kind="half_cauchy")
 
     def test_densities_normalize(self):
         # trapezoid head plus the closed-form tail must recover total mass 1
         # (this also cross-checks the tail formula against the density)
         for cfg in (CosinePriorConfig("exponential", rate=1.3),
-                    CosinePriorConfig("half_cauchy", scale=2.0),
+                    CosinePriorConfig("exponential", rate=0.05),
                     CosinePriorConfig("truncated_uniform", theta_max=7.0)):
             ts = np.linspace(0.0, 400.0, 400_001)
             dens = np.exp([cfg.log_density(float(t)) for t in ts])
@@ -44,9 +47,7 @@ class TestPriorConfig:
     def test_tail_closed_forms(self):
         exp_cfg = CosinePriorConfig("exponential", rate=2.0)
         assert exp_cfg.log_tail_mass(3.0) == pytest.approx(-6.0, abs=1e-12)
-        hc = CosinePriorConfig("half_cauchy", scale=1.5)
-        want = math.log(1.0 - 2.0 / math.pi * math.atan(4.0 / 1.5))
-        assert hc.log_tail_mass(4.0) == pytest.approx(want, abs=1e-10)
+        assert exp_cfg.log_tail_mass(0.0) == 0.0
         tu = CosinePriorConfig("truncated_uniform", theta_max=10.0)
         assert tu.log_tail_mass(4.0) == pytest.approx(math.log(0.6), abs=1e-12)
         assert tu.log_tail_mass(10.0) == LOG_ZERO
@@ -96,14 +97,14 @@ class TestClosedFormDistance:
 class TestPosteriorMasses:
     def test_prior_tail_at_n0(self):
         prior = CosinePriorConfig("exponential", rate=1.0)
-        m = cosine_posterior_mass(prior, [], (2.0, math.inf))
+        m = CosineEngine(prior, []).region_mass(2.0, math.inf)
         assert m.lower <= math.exp(-2.0) <= m.upper
         assert m.midpoint() == pytest.approx(math.exp(-2.0), abs=1e-3)
 
     def test_whole_space_is_one(self):
         prior = CosinePriorConfig("exponential", rate=1.0)
-        m = cosine_posterior_mass(prior, RandomStream(4, 0).uniform_open(20),
-                                  (0.0, math.inf))
+        m = CosineEngine(prior, RandomStream(4, 0).uniform_open(20)).region_mass(
+            0.0, math.inf)
         assert m.lower == 1.0 and m.upper == 1.0
 
     def test_additive_over_disjoint_regions(self):
@@ -150,6 +151,50 @@ class TestPosteriorMasses:
             eng.region_mass(3.0, 2.0)
 
 
+def _uniform_data(n, seed=1):
+    # the data of `traj --seed SEED` under the default uniform truth
+    return RandomStream(seed, 0).uniform_open(n)
+
+
+def _trapezoid_log(data, lo, hi, points):
+    """ln of the trapezoid rule for the joint density under the exponential
+    prior (rate 1) on [lo, hi], in chunks of theta."""
+    ts = np.linspace(lo, hi, points)
+    logs = []
+    for chunk in np.array_split(ts, max(1, points // 200_000)):
+        with np.errstate(divide="ignore"):  # log1p(cos) hits -1
+            ll = np.log1p(np.cos(np.outer(chunk, data))).sum(axis=1)
+        c = 1.0 + np.sin(chunk) / np.where(chunk == 0.0, 1.0, chunk)
+        c[chunk == 0.0] = 2.0
+        logs.append(ll - data.size * np.log(c) - chunk)
+    logs = np.concatenate(logs)
+    m = logs.max()
+    w = np.exp(logs - m)
+    return m + math.log((w.sum() - 0.5 * (w[0] + w[-1])) * (ts[1] - ts[0]))
+
+
+class TestSharpTail:
+    """The tail beyond the reach is bounded to quad_tol of the part it joins,
+    so a region holding the tail is as sharp as the quadrature."""
+
+    def test_tail_region_encloses_a_dense_trapezoid_oracle(self):
+        data = _uniform_data(40)
+        got = CosineEngine(CosinePriorConfig(), data, quad_tol=1e-9).region_mass(5.0)
+        # [5, 80] and [0, 5] at step 2.5e-5; beyond 80 the joint mass is
+        # below e^-80 (2 / (1 - 1/80))^40 = 3e-23, 3e-12 of the region's
+        log_in = _trapezoid_log(data, 5.0, 80.0, 3_000_001)
+        log_out = _trapezoid_log(data, 0.0, 5.0, 200_001)
+        want = 1.0 / (1.0 + math.exp(log_out - log_in))
+        assert got.lower <= want <= got.upper
+        assert got.upper - got.lower <= 1e-6 * got.lower
+
+    @pytest.mark.parametrize("n", [160, 1000])
+    def test_tail_region_bracket_is_sharp_at_large_n(self, n):
+        got = CosineEngine(CosinePriorConfig(), _uniform_data(n),
+                           quad_tol=1e-9).region_mass(5.0)
+        assert 0.0 < got.lower and got.upper <= (1.0 + 1e-6) * got.lower
+
+
 class TestHellingerMass:
     def test_diameter(self):
         eng = CosineEngine(CosinePriorConfig(), [0.5])
@@ -161,8 +206,8 @@ class TestHellingerMass:
     def test_trend_under_uniform_truth(self):
         prior = CosinePriorConfig("exponential", rate=1.0)
         data = RandomStream(5, 0).uniform_open(1000)
-        at10 = cosine_hellinger_mass(prior, data[:10], 0.3)
-        at1000 = cosine_hellinger_mass(prior, data, 0.3)
+        at10 = CosineEngine(prior, data[:10]).hellinger_mass(0.3)
+        at1000 = CosineEngine(prior, data).hellinger_mass(0.3)
         assert at1000.upper <= at10.upper
         assert at1000.midpoint() <= at10.midpoint()
 
@@ -180,6 +225,28 @@ class TestHellingerGrid:
             fresh = np.arange(0.0, cap + 0.02, 0.02)
             assert grid.size == fresh.size and (grid == fresh).all()
             assert (vals == [cosine_hellinger_uniform(float(t)) for t in fresh]).all()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.44, 0.45, 0.5, 0.7])
+    def test_envelopes_equal_a_loop_merge(self, eps):
+        def merge(grid, cells):  # the reference: one pass over the cells
+            out, start = [], None
+            for i, m in enumerate(cells):
+                if m and start is None:
+                    start = grid[i]
+                if not m and start is not None:
+                    out.append((start, grid[i]))
+                    start = None
+            if start is not None:
+                out.append((start, grid[-1]))
+            return out
+
+        for theta_hi in (3.0, 45.0, 750.0, 1237.3):
+            grid, vals = cosine._hellinger_grid(theta_hi)
+            above = (vals > eps).tolist()
+            inner = [a and b for a, b in zip(above[:-1], above[1:])]
+            outer = [a or b for a, b in zip(above[:-1], above[1:])]
+            want = (merge(grid.tolist(), inner), merge(grid.tolist(), outer))
+            assert cosine._region_above(eps, theta_hi) == want, theta_hi
 
 
 def _scalar_log_joint(prior, data, theta):
@@ -227,7 +294,7 @@ class TestOnePerTheta:
 
         def record_quadrature(f, a, b, tol, **kw):
             res = numerics.adaptive_quadrature(f, a, b, tol, **kw)
-            quads.append((a, b, tol, kw, res))
+            quads.append((f, a, b, tol, kw, res))
             return res
 
         monkeypatch.setattr(cosine, "cosine_loglik", count_loglik)
@@ -243,7 +310,11 @@ class TestOnePerTheta:
         # interior panels repeat across the quadratures
         assert len(seen) < sum(q[-1].evaluations for q in quads)
         monkeypatch.undo()
-        for a, b, tol, kw, res in quads:
-            plain = numerics.adaptive_quadrature(
-                lambda t: _scalar_log_joint(prior, data, t), a, b, tol, **kw)
-            assert plain == res
+        # the memo holds the bits of the plain evaluation, and each recorded
+        # quadrature (a head piece, or a piece past the head on an integrand
+        # shifted by its floor) replays to the same result
+        assert all(v == _scalar_log_joint(prior, data, t)
+                   for t, v in eng._joint.items())
+        assert any(not kw["relative"] for *_, kw, _ in quads)
+        for f, a, b, tol, kw, res in quads:
+            assert numerics.adaptive_quadrature(f, a, b, tol, **kw) == res

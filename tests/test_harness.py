@@ -26,7 +26,7 @@ from posterior_lab.harness import (
     summary_csv,
     write_trajectory,
 )
-from posterior_lab.numerics import LN2, ConfigError
+from posterior_lab.numerics import LN2, ConfigError, QuadratureError
 
 
 class TestIngestDataset:
@@ -168,8 +168,7 @@ DEFAULT_CONFIG_DICT = {
         "predictive_grid": 0,
         "track_mean_inv_level": True,
     },
-    "cosine_prior": {"kind": "exponential", "rate": 1.0, "scale": 1.0,
-                     "theta_max": 50.0, "tail_fraction": 1e-3},
+    "cosine_prior": {"kind": "exponential", "rate": 1.0, "theta_max": 50.0},
     "cosine_regions": [[5.0, math.inf]],
 }
 
@@ -192,8 +191,8 @@ class TestConfigSchema:
                 gamma=0.5, bands=(BandSpec(0.1, 1),), exponent_bands=(),
                 betas=(0.3, 1), epsilons=(1,), tau=0.2, predictive_grid=16,
                 track_mean_inv_level=False),
-            cosine_prior=CosinePriorConfig(kind="half_cauchy", scale=3,
-                                           theta_max=20, tail_fraction=1e-4),
+            cosine_prior=CosinePriorConfig(kind="truncated_uniform", rate=3,
+                                           theta_max=20),
             cosine_regions=((2, math.inf), (0.5, 1.5)))
         d = json.loads(json.dumps(cfg.to_dict()))  # through the JSON text
         assert RunConfig.from_dict(d) == cfg
@@ -201,7 +200,7 @@ class TestConfigSchema:
         # ints given for float fields are written as floats
         assert d["grid_ratio"] == 2.0 and type(d["grid_ratio"]) is float
         assert d["diagnostics"]["bands"] == [[0.1, 1.0]]
-        assert d["cosine_prior"]["scale"] == 3.0
+        assert d["cosine_prior"]["rate"] == 3.0
         assert d["cosine_regions"] == [[2.0, math.inf], [0.5, 1.5]]
         assert all(type(v) is float for v in d["diagnostics"]["betas"])
         assert set(d["truth"]) == {k for k, v in vars(truth).items()
@@ -214,9 +213,9 @@ class TestConfigSchema:
         assert RunConfig.from_dict({}) == RunConfig()
         assert RunConfig.from_dict({"n_max": 20}) == RunConfig(n_max=20)
         cfg = RunConfig.from_dict({"diagnostics": {"gamma": 0.5},
-                                   "cosine_prior": {"kind": "half_cauchy"}})
+                                   "cosine_prior": {"kind": "truncated_uniform"}})
         assert cfg.diagnostics == DiagnosticSettings(gamma=0.5)
-        assert cfg.cosine_prior == CosinePriorConfig(kind="half_cauchy")
+        assert cfg.cosine_prior == CosinePriorConfig(kind="truncated_uniform")
 
     @pytest.mark.parametrize("d, key", [
         ({"n_max": 20, "trunc_level": 3}, "trunc_level"),
@@ -249,6 +248,18 @@ class TestConfigSchema:
         for key, value in (("trunc_multiplier", 8.0), ("trunc_fixed", 100)):
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_dict({**v1, key: value})
+
+    def test_retired_cosine_keys_only_at_the_replayed_values(self):
+        old = {**DEFAULT_CONFIG_DICT, "cosine_prior": {
+            **DEFAULT_CONFIG_DICT["cosine_prior"], "scale": 1.0,
+            "tail_fraction": 1e-3}}
+        kept = json.dumps(old)
+        assert RunConfig.from_dict(old) == RunConfig()
+        assert json.dumps(old) == kept  # the caller's dict is left as it was
+        for key, value in (("scale", 2.0), ("tail_fraction", 1e-4)):
+            bad = {"cosine_prior": {**old["cosine_prior"], key: value}}
+            with pytest.raises(ConfigError, match=f"cosine_prior.{key}"):
+                RunConfig.from_dict(bad)
 
     def test_config_errors_are_value_errors(self):
         assert issubclass(DatasetError, ConfigError)
@@ -305,10 +316,13 @@ class TestTrajectoryRoundTrip:
         assert all(not math.isnan(last[c]) for c in traj.columns)
 
     @pytest.mark.parametrize("exc, recorded", [
-        (OverflowError("math range error"), True),
+        (QuadratureError("no convergence", 0.0, 0.0, 10), True),
         (TypeError("a programming error"), False),
+        (OverflowError("math range error"), False),
     ])
     def test_cosine_numeric_errors_are_gaps(self, monkeypatch, exc, recorded):
+        # a quadrature that runs out of intervals is a gap in the row; any
+        # other exception is a fault of the program and ends the run
         def failing(self, eps):
             raise exc
 
@@ -316,11 +330,11 @@ class TestTrajectoryRoundTrip:
         cfg = RunConfig(model="cosine", n_max=3,
                         diagnostics=DiagnosticSettings(epsilons=(0.3,)))
         if not recorded:
-            with pytest.raises(TypeError):
+            with pytest.raises(type(exc)):
                 run_trajectory(cfg, 2)
             return
         traj = run_trajectory(cfg, 2)
-        assert traj.errors == [(n, "hellinger_mass_0.3: math range error")
+        assert traj.errors == [(n, "hellinger_mass_0.3: no convergence")
                                for n in traj.grid]
         assert [int(r["n"]) for r in traj.rows] == traj.grid
         assert all(br is None for _, br in traj.bracket_series("hellinger_mass_0.3"))
