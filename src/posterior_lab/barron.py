@@ -15,9 +15,10 @@ Every posterior quantity is computed exactly up to bracketed errors:
   (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n), whose
   error bound is a Richardson estimate, not a proof.
 
-From the distinct-cell level D on, every level separates every pair of
-distinct points, so its occupancy is the number of distinct points; the
-engine stores occupancies only for the levels 1..D-1 below it.  The level
+No two points g or more apart share a cell from the separating level S(g)
+on, so from D = S(min_gap) on the occupancy is the number K of distinct
+points.  The engine stores the deficits K - k_N, 0 from D on, which a point
+joining g from its nearest one changes only below S(g).  The level
 constants 2 N^2 and ln 6/(pi^2 N^2) live in one process-wide table.
 
 The engine is single-writer (``add_point``); all queries are read-only.
@@ -91,6 +92,15 @@ def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
         _LOG_W = np.concatenate([_LOG_W, [_LOG_LEVEL_NORM - 2.0 * math.log(level)
                                           for level in range(cur + 1, cap + 1)]])
     return _W2[:m], _LOG_W[:m]
+
+
+def _separating_level(gap: float) -> int:
+    """S(gap), the smallest N with 1/(2 N^2) < gap/2: from it on, float
+    rounding in the cell map cannot merge two points gap or more apart."""
+    nd = math.isqrt(int(1.0 / gap)) + 1
+    while 1.0 / (2.0 * nd * nd) >= 0.5 * gap:
+        nd += 1
+    return nd
 
 
 class UndefinedPosteriorError(RuntimeError):
@@ -331,8 +341,8 @@ class BarronEngine:
         self._sum_log_truth = 0.0
         self._min_gap = math.inf
         self._n_distinct = 0
-        # occupancy k_N of the levels 1..D-1 below the distinct-cell level D
-        self._k = np.zeros(0, dtype=np.int64)
+        # deficit n_distinct - k_N of the levels 1..D-1 (0 from D on)
+        self._d = np.zeros(0, dtype=np.int64)
         self._cache: dict = {}
 
     # -- state ------------------------------------------------------------
@@ -364,22 +374,12 @@ class BarronEngine:
         return self._sum_log_truth / self._n if self._n else 0.0
 
     def distinct_level(self) -> int:
-        """Smallest level beyond which distinct points occupy distinct
-        cells.  Uses min_gap/2 so float rounding in the cell map cannot
-        merge two distinct points."""
-        if not math.isfinite(self._min_gap):
-            return 1
-        # smallest N with 1/(2 N^2) < min_gap / 2
-        nd = math.isqrt(int(1.0 / self._min_gap)) + 1
-        while 1.0 / (2.0 * nd * nd) >= 0.5 * self._min_gap:
-            nd += 1
-        return nd
+        """The distinct-cell level S(min_gap) (see _separating_level)."""
+        return _separating_level(self._min_gap)
 
     def _occupancies(self, m: int) -> np.ndarray:
-        """k_N for the levels 1..m: the stored ones below the distinct-cell
-        level, n_distinct from it on."""
-        fill = np.full(max(0, m - self._k.size), self._n_distinct, np.int64)
-        return np.concatenate([self._k[:m], fill])
+        """k_N = n_distinct - d_N for the levels 1..m (d_N = 0 past the stored ones)."""
+        return self._n_distinct - np.pad(self._d[:m], (0, max(0, m - self._d.size)))
 
     def _neighbours(self, x: float) -> list[float]:
         """The sample points next to x, one on each side where there is one.
@@ -391,23 +391,33 @@ class BarronEngine:
     def _nearest_distance(self, x: float) -> float:
         return min((abs(x - nb) for nb in self._neighbours(x)), default=math.inf)
 
+    def _shared_levels(self, x: float, levels: int) -> np.ndarray:
+        """Flags of the levels 1..levels on which a sample point shares x's
+        cell: all at a data point, else none from S(gap) on, gap the distance
+        to the nearest point, so only the levels below it are compared."""
+        gap = self._nearest_distance(x)
+        shared = np.full(levels, gap == 0.0)
+        w2 = _level_table(min(levels, _separating_level(gap) - 1) if gap else 0)[0]
+        c_x = (w2 * x).astype(np.int64)
+        for nb in self._neighbours(x):
+            shared[:w2.size] |= c_x == (w2 * nb).astype(np.int64)
+        return shared
+
     # -- updates ----------------------------------------------------------
 
     def add_point(self, x: float) -> None:
         """Insert one observation: updates S_n, the sorted sample, min_gap
-        and the stored occupancies, and drops the state's cached queries.
+        and the deficits, and drops the state's cached queries.
 
-        Cost: O(n) for the sorted-list insert plus O(D) cell compares over
-        the levels below the distinct-cell level D, with no recount of the
-        sample.  When a closer pair raises D, the levels that join the
-        stored ones held n_distinct before x, since they lay at or beyond
-        the old D.
+        Cost: O(n) for the sorted-list insert plus O(gap^-1/2) cell compares,
+        gap the distance from x to its nearest point: a distinct x raises
+        n_distinct and the deficits of the levels below S(gap) on which a
+        neighbour shares its cell; a duplicate changes neither.
         """
         x = float(x)
         if not 0.0 < x < 1.0:
             raise ValueError(f"data points must lie in (0,1), got {x}")
         self._cache.clear()
-        nbs = self._neighbours(x)
         gap = self._nearest_distance(x)
 
         self._n += 1
@@ -417,19 +427,12 @@ class BarronEngine:
 
         if gap > 0.0:  # x is not a duplicate
             self._min_gap = min(self._min_gap, gap)
-            below = self.distinct_level() - 1
-            if below > self._k.size:
-                self._k = self._occupancies(below)
+            below = _separating_level(gap) - 1
+            if below > self._d.size:
+                self._d = np.pad(self._d, (0, below - self._d.size))
+            self._d[:below] += self._shared_levels(x, below)
             self._n_distinct += 1
         insort(self._pts, x)
-
-        # x occupies a new cell at a level unless a neighbour shares it
-        w2 = _level_table(self._k.size)[0]
-        c_x = (w2 * x).astype(np.int64)
-        newly = np.ones(self._k.size, dtype=bool)
-        for nb in nbs:
-            newly &= c_x != (w2 * nb).astype(np.int64)
-        self._k += newly
 
     def add_points(self, xs) -> None:
         for x in xs:
@@ -627,12 +630,8 @@ class BarronEngine:
     def _predictive_log_factors(self, x: float, levels: int) -> np.ndarray:
         """ln of the per-level predictive density at x (occupied cell -> 2;
         unoccupied -> 2 (N^2-k)/(2N^2-k))."""
-        w2 = _level_table(levels)[0]
-        c_x = (w2 * x).astype(np.int64)
-        occupied = np.zeros(levels, dtype=bool)
-        for nb in self._neighbours(x):
-            occupied |= c_x == (w2 * nb).astype(np.int64)
-        return np.where(occupied, math.log(2.0), self._unoccupied_log_factors(levels))
+        return np.where(self._shared_levels(x, levels), math.log(2.0),
+                        self._unoccupied_log_factors(levels))
 
     def _predictive_at(self, x: float) -> Bracket:
         """The level mixture of the cell predictives at x: per level up to

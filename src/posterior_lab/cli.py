@@ -122,9 +122,12 @@ def _config_from_args(args):
         updates["seeds"] = (args.seed,)
     if getattr(args, "cosine_prior", None):
         kind, _, param = args.cosine_prior.partition(":")
-        if kind not in COSINE_PRIOR_PARAMS:
-            raise ConfigError(f"unknown cosine prior {args.cosine_prior!r}")
-        given = {COSINE_PRIOR_PARAMS[kind]: float(param)} if param else {}
+        try:
+            name = COSINE_PRIOR_PARAMS[kind]
+            given = {name: float(param)} if param else {}
+        except (KeyError, ValueError):
+            raise ConfigError(f"bad cosine prior {args.cosine_prior!r} (want "
+                              "exponential:RATE | truncated_uniform:MAX)") from None
         updates["cosine_prior"] = CosinePriorConfig(kind=kind, **given)
     try:
         cfg = replace(cfg, **updates) if updates else cfg

@@ -76,13 +76,11 @@ class DatasetError(ConfigError):
     """Malformed input dataset; the message names the offending row."""
 
 
-def ingest_dataset(path: str, fmt: str = "csv") -> list:
-    """Read one value per row, each strictly inside (0,1); an optional
+def ingest_dataset(path: str) -> list:
+    """Read one CSV value per row, each strictly inside (0,1); an optional
     header row ``x`` is skipped.  Raises DatasetError naming the row on any
     parse or range failure; an empty file yields an empty list with a
     warning."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported dataset format {fmt!r}")
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -464,11 +462,10 @@ class ReplicationResult:
     excursions: dict              # stem -> {delta -> {...}}
 
 
-def run_replications(cfg: RunConfig, parallelism: int = 1,
-                     deltas: tuple = (0.5, 0.9)) -> ReplicationResult:
+def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
     """One trajectory per seed (optionally in a process pool) plus an
-    order-normalized summary; results are independent of the parallelism
-    degree."""
+    order-normalized summary and the excursion counts at the thresholds
+    0.5 and 0.9; results are independent of the parallelism degree."""
     seeds = [int(s) for s in cfg.seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
@@ -498,7 +495,7 @@ def run_replications(cfg: RunConfig, parallelism: int = 1,
     stems = sorted({c[:-6] for c in data_cols if c.endswith(".lower")})
     for stem in stems:
         per_delta = {}
-        for delta in deltas:
+        for delta in (0.5, 0.9):
             counts = [excursion_count(t, stem, delta).count for t in trajs]
             per_delta[f"{delta:g}"] = {
                 "per_seed_counts": counts,

@@ -182,6 +182,25 @@ class TestOccupancyTracking:
             with pytest.raises(ValueError):
                 e.add_point(x)
 
+    def test_add_point_compares_below_its_own_separating_level(self, monkeypatch):
+        # a near-duplicate pair lifts D to 31623, but a point 0.5 from its
+        # nearest neighbour can share a cell only below S(0.5) = 2
+        e = BarronEngine()
+        e.add_points([0.3, 0.3 + 1e-9])
+        assert e.distinct_level() == 31623
+        asked, table = [], barron._level_table
+
+        def recording(m):
+            asked.append(m)
+            return table(m)
+
+        monkeypatch.setattr(barron, "_level_table", recording)
+        e.add_point(0.8)
+        assert max(asked, default=0) <= 1
+        monkeypatch.undo()
+        assert np.array_equal(e.occupancy.k_by_level,
+                              recount_occupancy([0.3, 0.3 + 1e-9, 0.8], 31623))
+
 
 class TestLogStepTerm:
     def test_enumeration_example(self):
@@ -600,6 +619,26 @@ class TestStepPredictive:
             assert (got == want).all(), x
         assert (got == LOG_ZERO).any()
 
+    def test_predictive_is_the_marginal_ratio(self):
+        # the predictive at x is M(data + x) / M(data), M the step marginal
+        # with likelihood, so the occupied flags at x must agree with the
+        # occupancies that ingesting x yields (at a data point, off one by
+        # 1e-6 and 3e-9, and midway between two points)
+        data = [float(x) for x in RandomStream(11).uniform_open(300)]
+        e = BarronEngine()
+        e.add_points(data)
+        base, srt = e.step_marginal(), sorted(data)
+        for x in (data[0], data[1] + 1e-6, data[2] + 3e-9,
+                  0.5 * (srt[10] + srt[11])):
+            ext = BarronEngine()
+            ext.add_points(data + [x])
+            ratio = ext.step_marginal()
+            lo = math.exp(ratio.lower - base.upper)
+            hi = math.exp(ratio.upper - base.lower)
+            pred = e.step_predictive(x)
+            assert pred.lower <= hi and lo <= pred.upper, x
+            assert hi - lo <= 1e-9 * hi and pred.width() <= 1e-9 * pred.upper, x
+
     def test_predictive_integrates_to_one(self):
         e = BarronEngine()
         e.add_points([0.15, 0.5, 0.85])
@@ -614,8 +653,16 @@ def _uniform_data(n):
     return [float(x) for x in RandomStream(65, 0).uniform_open(n)]
 
 
+def _near_duplicates(n):
+    # an exact duplicate and points 1e-7, 1e-8 and 1e-9 off data points
+    data = _uniform_data(n)
+    return data + [data[5], data[17] + 1e-7, data[40] - 1e-8, data[63] + 1e-9]
+
+
 CACHE_DATA = {
     "uniform n=300": lambda: _uniform_data(300),
+    "near duplicates n=300": lambda: _near_duplicates(300),
+    "lattice K=512": lambda: [(i + 0.5) / 512 for i in range(512)],
     "uniform n=2000": lambda: _uniform_data(2000),
     "gauss:0.5 n=1500": lambda: [float(x) for x in sample_gauss_exp(
         GaussExpDensity(0.5), RandomStream(7, 0), 1500)],
@@ -627,9 +674,16 @@ LOOP_ROUNDING = 1e-10
 
 
 def recount_occupancy(data, levels):
-    pts = np.sort(np.asarray(data))
-    return np.array([len(np.unique((2.0 * lv * lv * pts).astype(np.int64)))
-                     for lv in range(1, levels + 1)], dtype=np.int64)
+    """The number of distinct cells of the sample at each level 1..levels:
+    each level's cells of the sorted sample are non-decreasing, so they are
+    1 plus the number of steps, counted over blocks of levels."""
+    pts = np.sort(np.asarray(data, dtype=np.float64))
+    out = np.empty(levels, dtype=np.int64)
+    for start in range(0, levels, 4096):
+        lv = np.arange(start + 1, min(start + 4096, levels) + 1, dtype=np.float64)
+        cells = (2.0 * lv[:, None] * lv[:, None] * pts).astype(np.int64)
+        out[start:start + lv.size] = 1 + (np.diff(cells, axis=1) != 0).sum(axis=1)
+    return out
 
 
 def loop_step_log_terms(ks, n, with_likelihood):
@@ -786,12 +840,13 @@ class TestStepStateCache:
         assert len(full) == 3  # the new state's normalizer; Z0 is reused
 
     def test_raised_distinct_level_keeps_every_occupancy(self):
-        # a near-duplicate lifts the distinct-cell level far past 4n, an
-        # exact duplicate leaves it alone; the levels that join the stored
-        # ones must hold the recount, and the step brackets those of a
-        # fresh engine
+        # near-duplicates lift the distinct-cell level far past 4n (to
+        # 316228 at the gap 1e-11), an exact duplicate leaves it alone; every
+        # level up to the cut must hold the recount, and the step brackets
+        # those of a fresh engine
         data = _uniform_data(60)
         data += [data[17] + 1e-7, data[5]] + _uniform_data(80)[60:]
+        data += [data[30] - 1e-10, data[44] + 1e-11, data[44]]
         e = BarronEngine()
         for i, x in enumerate(data, 1):
             e.add_point(x)
@@ -805,5 +860,5 @@ class TestStepStateCache:
             for with_lik in (True, False):
                 assert e.step_marginal(with_likelihood=with_lik) == \
                     fresh.step_marginal(with_likelihood=with_lik), i
-        assert e.distinct_level() > 4 * e.n
-        assert e.stats.n_distinct == e.n - 1
+        assert e.distinct_level() == 316228
+        assert e.stats.n_distinct == e.n - 2

@@ -182,12 +182,16 @@ class TestTrajCommand:
         assert code == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["half_cauchy", "half_cauchy:2.5"])
+    @pytest.mark.parametrize("spec", ["half_cauchy", "half_cauchy:2.5",
+                                      "exponential:abc"])
     def test_retired_cosine_prior_exits_2(self, tmp_path, capsys, spec):
+        # a retired kind or an unreadable value: the message names the flag's
+        # value and the accepted forms
         code = run_cli("traj", "--model", "cosine", "--cosine-prior", spec,
                        "--n-max", "2", "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 2
-        assert "half_cauchy" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(spec) in err and "exponential:RATE" in err
         assert not os.path.exists(str(tmp_path / "x.csv"))
 
     def test_cosine_prior_parameter(self):
