@@ -11,9 +11,9 @@ Every posterior quantity is computed exactly up to bracketed errors:
   occupancy k -- whose levels past the cut M (see BarronEngine) sum in
   closed form against Hurwitz-zeta tails, with every series remainder and
   the rounding in the bracket;
-* the tilt-family marginal is log-space adaptive quadrature of
+* the tilt-family marginal is log-space G7/K15 Gauss-Kronrod quadrature of
   (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n), whose
-  error bound is a Richardson estimate, not a proof.
+  error bound is QUADPACK's error estimate, still not a proof.
 
 No two points g or more apart share a cell from the separating level S(g)
 on, so from D = S(min_gap) on the occupancy is the number K of distinct
@@ -289,9 +289,7 @@ def _tilt_integral(n: int, s: float, tol: float,
     rt2s = math.sqrt(2.0) * s
 
     def f(u):
-        if u <= 0.0:
-            return LOG_ZERO
-        return -1.0 / (u * u) - n * u * u + rt2s * u + math.log(2.0 * u)
+        return -1.0 / (u * u) - n * u * u + rt2s * u + np.log(2.0 * u)
 
     u_star = _tilt_integrand_max(n, s)
     bps = [x for x in (0.5 * u_star, u_star, 0.5 * (u_star + 1.0), 0.25, 0.5)

@@ -8,14 +8,14 @@ c in closed form, so that this bound is at most quad_tol times the head part
 it joins, and integrates [theta_0, c] to that absolute error.  The bound is
 added whatever c is, so c sets only how sharp a bracket is, never whether it
 holds.  The oscillatory likelihood is subdivided at half-period boundaries of
-the fastest data-driven oscillation.  The quadrature error bound is a
-Richardson estimate, not a proof.
+the fastest data-driven oscillation.  The quadrature is G7/K15
+Gauss-Kronrod with QUADPACK's error estimate, still not a proof.
 
 An engine holds one data set.  Its evidence, region and Hellinger queries
 each integrate their own pieces, cut at their own edges but at the same
 half-period breakpoints, so interior panels repeat exactly; the engine
 memoizes ln prior + ln likelihood per theta, and each theta reaches the
-likelihood (one pass over the data) once per engine.
+likelihood once per engine, in one theta x data pass per refinement round.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import CosineDensity
+from .densities import cosine_normalizer
 from .intervals import Bracket, LogBracket, mass_ratio
 from .numerics import LN2, LOG_ZERO, adaptive_quadrature, log_add, log_sum_exp
 
@@ -63,12 +63,14 @@ class CosinePriorConfig:
         if self.kind == "truncated_uniform" and self.theta_max <= 0:
             raise ValueError("theta_max must be positive")
 
-    def log_density(self, theta: float) -> float:
-        if theta < 0:
-            return LOG_ZERO
+    def log_density(self, theta):
+        """ln prior density at each theta of an array."""
+        t = np.asarray(theta, dtype=float)
         if self.kind == "exponential":
-            return math.log(self.rate) - self.rate * theta
-        return -math.log(self.theta_max) if theta <= self.theta_max else LOG_ZERO
+            v = math.log(self.rate) - self.rate * t
+        else:
+            v = np.where(t <= self.theta_max, -math.log(self.theta_max), LOG_ZERO)
+        return np.where(t < 0.0, LOG_ZERO, v)
 
     def log_tail_mass(self, t: float) -> float:
         """ln of the prior mass of (t, infinity), in closed form."""
@@ -81,42 +83,53 @@ class CosinePriorConfig:
         return math.log((self.theta_max - t) / self.theta_max)
 
 
-def cosine_loglik(theta: float, data) -> float:
-    """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta), via the
-    half-angle form 2 cos^2(theta x / 2); LOG_ZERO if any point sits on a
-    zero of the pdf."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+# elements of the theta x data matrix that one pass of cosine_loglik holds
+_CHUNK = 1 << 15
+
+
+def cosine_loglik(theta, data):
+    """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta) at each theta
+    of an array, via the half-angle form 2 cos^2(theta x / 2); LOG_ZERO where
+    a point sits on a zero of the pdf.  The thetas go through a theta x data
+    matrix a chunk of rows at a time, and each row is reduced on its own, so
+    a theta's value does not depend on the others."""
+    t = np.asarray(theta, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"theta must be >= 0, got {t.min()}")
     x = np.asarray(data, dtype=float)
-    c = np.cos(0.5 * theta * x)
-    if (c == 0.0).any():
-        return LOG_ZERO
-    return float(x.size * (LN2 - CosineDensity(theta).log_normalizer())
-                 + 2.0 * np.log(np.abs(c)).sum())
+    flat = t.ravel()
+    out = x.size * (LN2 - np.log(cosine_normalizer(flat)))
+    rows = max(1, _CHUNK // max(1, x.size))
+    with np.errstate(divide="ignore"):
+        for i in range(0, flat.size, rows):
+            c = np.cos(np.multiply.outer(0.5 * flat[i:i + rows], x))
+            out[i:i + rows] += 2.0 * np.log(np.abs(c)).sum(axis=1)
+    return out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
 # closed-form Hellinger distance to the uniform
 # ---------------------------------------------------------------------------
 
-def _int_abs_cos(t: float) -> float:
-    """integral of |cos u| du over [0, t], t >= 0."""
-    k, s = divmod(t, math.pi)
-    part = math.sin(s) if s <= 0.5 * math.pi else 2.0 - math.sin(s)
-    return 2.0 * k + part
+def _int_abs_cos(t):
+    """integral of |cos u| du over [0, t] at each t >= 0 of an array."""
+    k, s = np.divmod(t, math.pi)
+    sin = np.sin(s)
+    return 2.0 * k + np.where(s <= 0.5 * math.pi, sin, 2.0 - sin)
 
 
-def cosine_hellinger_uniform(theta: float) -> float:
-    """d_h(f_theta, uniform): the affinity integral of sqrt(1 + cos(theta x))
-    reduces to an |cos| primitive (verified against the numeric integrator
-    in the tests)."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    if theta == 0.0:
-        return 0.0
-    aff = math.sqrt(2.0) * (2.0 / theta) * _int_abs_cos(0.5 * theta) \
-        / math.sqrt(CosineDensity(theta).normalizer())
-    return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, aff)))
+def cosine_hellinger_uniform(theta):
+    """d_h(f_theta, uniform) at each theta >= 0 of an array: the affinity
+    integral of sqrt(1 + cos(theta x)) reduces to an |cos| primitive
+    (verified against the numeric integrator in the tests)."""
+    t = np.asarray(theta, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"theta must be >= 0, got {t.min()}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = math.sqrt(2.0) * (2.0 / t) * _int_abs_cos(0.5 * t) \
+            / np.sqrt(cosine_normalizer(t))
+    aff = np.where(t == 0.0, 1.0, aff)  # f_0 is the uniform
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, aff)))
 
 
 def _tail_dh_bounds(theta: float) -> tuple[float, float]:
@@ -146,7 +159,7 @@ def _hellinger_grid(theta_hi: float):
     size = math.ceil((theta_hi + _DH_STEP) / _DH_STEP)  # np.arange's length
     if size > _dh_grid.size:
         grid = np.arange(0.0, theta_hi + _DH_STEP, _DH_STEP)
-        new = [cosine_hellinger_uniform(t) for t in grid[_dh_vals.size:].tolist()]
+        new = cosine_hellinger_uniform(grid[_dh_vals.size:])
         _dh_grid, _dh_vals = grid, np.concatenate([_dh_vals, new])
     return _dh_grid[:size], _dh_vals[:size]
 
@@ -179,24 +192,27 @@ class CosineEngine:
             raise ValueError("data must lie in [0,1]")
         self.quad_tol = float(quad_tol)
         self._cache: dict = {}
-        self._joint: dict = {}  # theta -> log_joint(theta)
+        self._joint: dict = {}  # theta -> ln prior + ln likelihood
 
     @property
     def n(self) -> int:
         return int(self.data.size)
 
-    def log_joint(self, theta: float) -> float:
-        """ln prior density + ln likelihood at theta, evaluated once per
-        theta and engine."""
-        v = self._joint.get(theta)
-        if v is None:
-            lp = self.prior.log_density(theta)
-            if lp == LOG_ZERO or self.n == 0:
-                v = lp
-            else:
-                v = lp + cosine_loglik(theta, self.data)
-            self._joint[theta] = v
-        return v
+    def log_joint(self, theta):
+        """ln prior density + ln likelihood at each theta of an array; each
+        theta is evaluated once per engine, with the thetas not seen before
+        in one likelihood pass."""
+        t = np.asarray(theta, dtype=float)
+        keys = t.ravel().tolist()
+        memo = self._joint
+        new = [k for k in dict.fromkeys(keys) if k not in memo]
+        if new:
+            ts = np.array(new)
+            v = self.prior.log_density(ts)
+            if self.n:
+                v = v + cosine_loglik(ts, self.data)
+            memo.update(zip(new, v.tolist()))
+        return np.array([memo[k] for k in keys]).reshape(t.shape)
 
     # -- quadrature domain --------------------------------------------------
 

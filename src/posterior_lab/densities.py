@@ -10,6 +10,7 @@ them in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "StepDensity",
     "CosineDensity",
     "UniformDensity",
+    "cosine_normalizer",
     "cell_index",
     "kl_gauss_exp",
     "hellinger_gauss_exp",
@@ -156,6 +158,16 @@ class StepDensity:
         return tuple(self.partition.boundaries())
 
 
+def cosine_normalizer(theta):
+    """c(theta) = 1 + sin(theta)/theta at each theta >= 0 of an array."""
+    t = np.asarray(theta, dtype=float)
+    t2 = t * t
+    # sin(t)/t by series below 1e-6; 4 terms, exact to well below 1 ulp there
+    series = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 + np.where(t < 1e-6, series, np.sin(t) / t)
+
+
 @dataclass(frozen=True)
 class CosineDensity:
     """pdf(x) = (1 + cos(theta x)) / c(theta) on [0,1], theta >= 0, with
@@ -168,17 +180,15 @@ class CosineDensity:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
 
     def log_normalizer(self) -> float:
-        return math.log(self.normalizer())
+        return self._log_normalizer
 
     def normalizer(self) -> float:
-        t = self.theta
-        if t < 1e-6:
-            # sin(t)/t by series; 4 terms, exact to well below 1 ulp here
-            t2 = t * t
-            sinc = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-        else:
-            sinc = math.sin(t) / t
-        return 1.0 + sinc
+        return float(cosine_normalizer(self.theta))
+
+    @functools.cached_property
+    def _log_normalizer(self) -> float:
+        # once per instance: logpdf reads it at every x
+        return math.log(self.normalizer())
 
     def logpdf(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
@@ -281,9 +291,12 @@ def hellinger_numeric(f, g, tol: float = 1e-9) -> float:
             for x in get():
                 if 0.0 < x < 1.0:
                     bps.add(inv_norm_cdf(float(x)))
-    res = adaptive_quadrature(integrand, -_Z_CUTOFF, _Z_CUTOFF, tol,
-                              breakpoints=sorted(bps))
-    affinity = min(1.0, res.estimate + _TAIL_SLACK)
+    res = adaptive_quadrature(np.vectorize(integrand, otypes=[float]),
+                              -_Z_CUTOFF, _Z_CUTOFF, tol, breakpoints=sorted(bps))
+    # the upper end of the affinity bracket: near x = 1, x = Phi(z) rounds
+    # and the integrand carries rounding of about 1e-12, which the
+    # quadrature's error bound covers, so d(f, f) comes out 0
+    affinity = min(1.0, math.exp(res.log_bracket()[1]) + _TAIL_SLACK)
     return math.sqrt(max(0.0, 2.0 - 2.0 * affinity))
 
 

@@ -1,6 +1,6 @@
 """Self-contained numerical kernel: log-space arithmetic, special functions,
-adaptive quadrature with a Richardson error estimate, and deterministic
-splittable random streams.
+adaptive G7/K15 Gauss-Kronrod quadrature with QUADPACK's error estimate
+(still not a proof), and deterministic splittable random streams.
 
 Everything here is pure (no global state); the only "state" is the value-type
 ``RandomStream``, which is advanced functionally.
@@ -14,7 +14,6 @@ never overflow intermediates.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -214,7 +213,7 @@ def zeta_series(coeffs, s0: int, a: float, slack: float = 0.0) -> tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# adaptive Simpson quadrature in log space
+# globally adaptive Gauss-Kronrod quadrature in log space
 # ---------------------------------------------------------------------------
 
 class NumericError(ArithmeticError):
@@ -227,7 +226,8 @@ class ConfigError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; carries the best bracket reached."""
+    """Subdivision budget exhausted, or a panel too narrow to bisect;
+    carries the best bracket reached."""
 
     def __init__(self, message, log_estimate, log_error_bound, evaluations):
         super().__init__(message)
@@ -238,14 +238,14 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral estimate with a Richardson error estimate.
+    """Integral estimate from G7/K15 Gauss-Kronrod with QUADPACK's error
+    estimate, still not a proof.
 
     ``log_estimate`` is ln of the integral of e^f; ``estimate`` is its linear
     value (which may under/overflow for extreme magnitudes -- the log fields
     are authoritative).  ``abs_error_bound`` and ``rel_error_bound`` are the
-    absolute and relative error estimates of Simpson extrapolation (with a
-    safety factor): they bound the error when the integrand is smooth enough
-    on each panel for extrapolation to hold, which is not proven.
+    absolute and relative error estimates summed over the panels: they bound
+    the error when every panel resolves its integrand, which is not proven.
     """
 
     log_estimate: float
@@ -273,131 +273,104 @@ class QuadratureResult:
                 self.log_estimate + math.log1p(r))
 
 
-_LN4 = math.log(4.0)
+# QUADPACK's qk15: the nonnegative Kronrod nodes of [-1, 1] (those at odd
+# indices are the Gauss nodes), their Kronrod weights and the Gauss weights
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# the 15 nodes on [-1, 1] in ascending order, with both weight rows
+_NODES = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))
+_W_KRONROD = np.array(_WGK[:7] + _WGK[::-1])
+_W_GAUSS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                     0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
 
 
-def _simpson_log(a, b, fa, fm, fb):
-    # ln[ (b-a)/6 * (e^fa + 4 e^fm + e^fb) ]: log_sum_exp of the three terms
-    # with one np.exp call; the max and the left-to-right sum in floats give
-    # the same bits as the array form
-    fm += _LN4
-    m = max(fa, fm, fb)
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    ea, em, eb = np.exp(np.array((fa - m, fm - m, fb - m))).tolist()
-    return math.log((b - a) / 6.0) + (m + math.log(ea + em + eb))
-
-
-def _log_abs_diff(s1, s2):
-    # ln|e^{s1} - e^{s2}|
-    if s1 == s2:
-        return LOG_ZERO
-    hi, lo = (s1, s2) if s1 > s2 else (s2, s1)
-    if lo == LOG_ZERO:
-        return hi
-    return hi + math.log(-math.expm1(lo - hi))
+def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i]
+    from one call of f on all their nodes.  Each panel is scaled by its own
+    maximum, and its error is QUADPACK's
+    resasc min(1, (200 |K - G| / resasc)^1.5), at least 50 eps K."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = (c[:, None] + h[:, None] * _NODES).ravel()
+    fx = np.asarray(f(x), dtype=float)
+    if fx.shape != x.shape:
+        raise ValueError(f"integrand returned shape {fx.shape} for {x.shape} abscissae")
+    bad = np.isnan(fx) | (fx == math.inf)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericError(f"integrand returned non-finite log value {fx[i]} at x={x[i]}")
+    fx = fx.reshape(-1, _NODES.size)
+    m = fx.max(axis=1)
+    live = m > LOG_ZERO
+    e = np.exp(fx - np.where(live, m, 0.0)[:, None])
+    k = (e * _W_KRONROD).sum(axis=1)
+    g = (e * _W_GAUSS).sum(axis=1)
+    asc = (np.abs(e - 0.5 * k[:, None]) * _W_KRONROD).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrink = np.minimum(1.0, (200.0 * np.abs(k - g) / asc) ** 1.5)
+        err = np.maximum(np.where(asc > 0.0, asc * shrink, 0.0), 50.0 * _EPS * k)
+        scale = m + np.log(h)
+        return (np.where(live, scale + np.log(k), LOG_ZERO),
+                np.where(live, scale + np.log(err), LOG_ZERO))
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False,
                         max_intervals: int = 200_000) -> QuadratureResult:
-    """Globally adaptive Simpson rule for integrands given in LOG space.
+    """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
+    space, refined in rounds.
 
-    ``f(x)`` returns ln of the (nonnegative) integrand; LOG_ZERO is fine.
-    The interval with the largest estimated error is bisected until the
-    accumulated bound satisfies err <= tol * max(1, I) (or err <= tol * I
-    when ``relative`` is set).  ``breakpoints`` seed the initial subdivision,
-    e.g. at step-density cell boundaries or an integrand's interior mode.
+    ``f(x)`` takes an array of abscissae and returns ln of the (nonnegative)
+    integrand at each; LOG_ZERO is fine.  ``breakpoints`` seed the initial
+    panels, e.g. at step-density cell boundaries or an integrand's interior
+    mode.  Each round stops if the summed error estimate satisfies
+    err <= tol * max(1, I) (or err <= tol * I when ``relative`` is set);
+    otherwise it bisects the fewest largest-error panels whose errors cover
+    the excess and passes all their nodes to one call of f.
 
     Raises QuadratureError (carrying the best bracket) when the subdivision
-    budget is exhausted.
+    budget is exhausted or a panel is too narrow to bisect.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got [{a}, {b}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    pts = sorted({a, b, *(float(x) for x in breakpoints if a < x < b)})
-    evals = 0
-
-    def feval(x):
-        nonlocal evals
-        evals += 1
-        v = float(f(x))
-        if math.isnan(v) or v == float("inf"):
-            raise NumericError(f"integrand returned non-finite log value {v} at x={x}")
-        return v
-
-    # heap entries: (-err_log, tiebreak, a, b, fa, fm, fb, s_log, err_log);
-    # min-heap, so the interval with the largest error estimate pops first
-    heap = []
-    tie = 0
-    # Richardson divisor with a ~4x safety margin over the asymptotic 15:
-    # the raw estimate understates the true error on coarse meshes
-    log4 = math.log(4.0)
-
-    def push(lo, hi, flo, fmid, fhi, s_log, err_log):
-        nonlocal tie
-        key = -err_log if err_log > LOG_ZERO else float("inf")
-        heapq.heappush(heap, (key, tie, lo, hi, flo, fmid, fhi, s_log, err_log))
-        tie += 1
-
-    def split(lo, hi, flo, fmid, fhi, s1):
-        mid = 0.5 * (lo + hi)
-        m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        f1, f2 = feval(m1), feval(m2)
-        sl = _simpson_log(lo, mid, flo, f1, fmid)
-        sr = _simpson_log(mid, hi, fmid, f2, fhi)
-        s2 = log_add(sl, sr)
-        err = _log_abs_diff(s2, s1) - log4
-        # assign the Richardson estimate to the children pro rata by mass
-        if s2 > LOG_ZERO and err > LOG_ZERO:
-            el = err + sl - s2 if sl > LOG_ZERO else LOG_ZERO
-            er = err + sr - s2 if sr > LOG_ZERO else LOG_ZERO
-        else:
-            el = er = LOG_ZERO
-        push(lo, mid, flo, f1, fmid, sl, el)
-        push(mid, hi, fmid, f2, fhi, sr, er)
-
-    # seed intervals, splitting each once so all carry real error estimates
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = feval(lo), feval(mid), feval(hi)
-        split(lo, hi, flo, fmid, fhi, _simpson_log(lo, hi, flo, fmid, fhi))
-
-    def totals():
-        s_all = log_sum_exp([e[7] for e in heap])
-        e_all = log_sum_exp([e[8] for e in heap])
-        return s_all, e_all
-
-    def done(s_all, e_all):
-        if e_all == LOG_ZERO:
-            return True
-        thresh = math.log(tol) + (s_all if relative else max(0.0, s_all))
-        return e_all <= thresh
-
-    check_every, since_check = 1, 1
+    pts = np.array(sorted({a, b, *(float(x) for x in breakpoints if a < x < b)}))
+    lo, hi = pts[:-1], pts[1:]
+    li, le = _kronrod_panels(f, lo, hi)
+    evals = lo.size * _NODES.size
+    log_tol = math.log(tol)
     while True:
-        if since_check >= check_every:
-            since_check = 0
-            s_all, e_all = totals()
-            if done(s_all, e_all):
-                break
-            check_every = max(1, len(heap) // 16)
-        if len(heap) >= max_intervals:
-            s_all, e_all = totals()
+        s_all, e_all = log_sum_exp(li), log_sum_exp(le)
+        thresh = log_tol + (s_all if relative else max(0.0, s_all))
+        if e_all <= thresh:
+            break
+        order = np.argsort(-le, kind="stable")
+        covered = np.cumsum(np.exp(le[order] - e_all))
+        pick = order[:int(np.searchsorted(covered, -math.expm1(thresh - e_all))) + 1]
+        pa, pb = lo[pick], hi[pick]
+        mid = 0.5 * (pa + pb)
+        if lo.size + pick.size > max_intervals or not ((pa < mid) & (mid < pb)).all():
             raise QuadratureError(
-                f"no convergence within {max_intervals} intervals "
+                f"no convergence within {lo.size} intervals "
                 f"(bracket ln I = {s_all} +- e^{e_all})",
                 s_all, e_all, evals)
-        worst = heapq.heappop(heap)
-        if worst[8] == LOG_ZERO:  # nothing left to improve
-            heapq.heappush(heap, worst)
-            break
-        split(*worst[2:8])
-        since_check += 1
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        new_lo, new_hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
+        new_li, new_le = _kronrod_panels(f, new_lo, new_hi)
+        evals += new_lo.size * _NODES.size
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        li, le = np.concatenate([li[keep], new_li]), np.concatenate([le[keep], new_le])
 
-    s_all, e_all = totals()
     rel = math.exp(e_all - s_all) if s_all > LOG_ZERO and e_all > LOG_ZERO else (
         0.0 if e_all == LOG_ZERO else float("inf"))
     return QuadratureResult(log_estimate=s_all, rel_error_bound=rel, evaluations=evals)

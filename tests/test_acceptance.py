@@ -118,8 +118,10 @@ class TestCriterion1:
                     return LOG_ZERO if diff <= 0 else \
                         f1.logpdf(x) + math.log(diff) + norm_logpdf(z)
 
-                kl_num = adaptive_quadrature(kl_integrand, -9, 9, 1e-9).estimate \
-                    - adaptive_quadrature(kl_integrand_neg, -9, 9, 1e-9).estimate
+                kl_num = adaptive_quadrature(np.vectorize(kl_integrand), -9, 9,
+                                             1e-9).estimate \
+                    - adaptive_quadrature(np.vectorize(kl_integrand_neg), -9, 9,
+                                          1e-9).estimate
                 assert abs(kl_gauss_exp(t1, t2) - kl_num) <= 1e-6
 
         rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 from posterior_lab.cli import (
     _config_from_args,
@@ -31,6 +32,28 @@ def read_csv_cells(path):
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         return [dict(zip(header, line.rstrip("\n").split(","))) for line in fh]
+
+
+def assert_replay_nests(golden, out):
+    """Each bracket of the replay ``out`` lies inside the stored one of
+    ``golden``, on the same grid.  A bracket is a quadrature error estimate,
+    so the nesting holds up to 2 quad_tol: relative for masses, absolute for
+    ln evidence.  Returns both row lists."""
+    with open(golden + ".json") as fh:
+        slack = 2.0 * json.load(fh)["config"]["quad_tol"]
+    old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
+    assert [r["n"] for r in old] == [r["n"] for r in new]
+    for was, now in zip(old, new):
+        for col in (c for c in was if c.endswith(".lower")):
+            stem = col[:-6]
+            lo, hi = float(was[col]), float(was[stem + ".upper"])
+            new_lo, new_hi = float(now[col]), float(now[stem + ".upper"])
+            if stem == "log_evidence":
+                assert lo - slack <= new_lo <= new_hi <= hi + slack, (was["n"], stem)
+            else:
+                assert lo * (1 - slack) <= new_lo <= new_hi <= hi * (1 + slack), \
+                    (was["n"], stem)
+    return old, new
 
 
 class TestParsers:
@@ -80,7 +103,7 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 4 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 5 and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -105,25 +128,42 @@ class TestTrajCommand:
             assert moved <= 0.5 * (step[1] - step[0]) / n + 1e-15, n
             assert now["evidence_flag"] in (was["evidence_flag"], "1"), n
 
-    def test_v3_sidecar_replays_byte_identical(self, tmp_path):
-        # the Barron output did not change with v4: the same CSV bytes, and
-        # the same sidecar but for its version, the retired cosine keys and
-        # the hash of the config without them
+    def test_v3_sidecar_replays_inside_its_brackets(self, tmp_path):
+        # v5 moved the tilt quadrature to Gauss-Kronrod: every bracket nests
+        # in the stored one, the step-family level posterior and the columns
+        # without a bracket keep their bytes, and the sidecar is the same but
+        # for its version, the retired cosine keys and the hash of the config
+        # without them
         golden = os.path.join(DATA, "v3_uniform_n60_seed3")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
-            assert a.read() == b.read()
+        old, new = assert_replay_nests(golden, out)
+        for was, now in zip(old, new):
+            for col in was:
+                if col.startswith("mean_inv_level") or \
+                        not col.endswith((".lower", ".upper")):
+                    assert was[col] == now[col], (was["n"], col)
         with open(golden + ".json") as a, open(out + ".json") as b:
             was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (3, 4)
+        assert (was.pop("version"), now.pop("version")) == (3, 5)
         retired = was["config"]["cosine_prior"]
         assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
         assert was.pop("config_hash") != now.pop("config_hash")
         assert was == now
 
-    def test_v4_cosine_sidecar_replays_byte_identical(self, tmp_path):
+    def test_v4_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
         golden = os.path.join(DATA, "v4_cosine_n40_seed1")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        assert_replay_nests(golden, out)
+        with open(golden + ".json") as a, open(out + ".json") as b:
+            was, now = json.load(a), json.load(b)
+        assert (was.pop("version"), now.pop("version")) == (4, 5)
+        assert was == now
+
+    @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1"])
+    def test_v5_sidecar_replays_byte_identical(self, tmp_path, name):
+        golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         for ext in (".csv", ".json"):
@@ -132,26 +172,11 @@ class TestTrajCommand:
 
     def test_v2_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
         # v2 widened the cap only until the tail bound fell below 1e-3 of the
-        # evidence; v4 bounds it to quad_tol of the part it joins.  Each
-        # bracket is a Richardson estimate, so the nesting holds up to
-        # 2 quad_tol: relative for masses, absolute for ln evidence
+        # evidence; v4 on bounds it to quad_tol of the part it joins
         golden = os.path.join(DATA, "v2_cosine_n40_seed1")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        with open(golden + ".json") as fh:
-            slack = 2.0 * json.load(fh)["config"]["quad_tol"]
-        old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
-        assert [r["n"] for r in old] == [r["n"] for r in new]
-        for was, now in zip(old, new):
-            for col in (c for c in was if c.endswith(".lower")):
-                stem = col[:-6]
-                lo, hi = float(was[col]), float(was[stem + ".upper"])
-                new_lo, new_hi = float(now[col]), float(now[stem + ".upper"])
-                if stem == "log_evidence":
-                    assert lo - slack <= new_lo <= new_hi <= hi + slack, (was["n"], stem)
-                else:
-                    assert lo * (1 - slack) <= new_lo <= new_hi <= hi * (1 + slack), \
-                        (was["n"], stem)
+        assert_replay_nests(golden, out)
 
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -360,7 +385,7 @@ class TestNumericFailureExit:
         from posterior_lab.numerics import adaptive_quadrature
 
         def nan_integral(n, s, tol, lo=0.0, hi=1.0):
-            return adaptive_quadrature(lambda u: math.nan, lo, hi, tol)
+            return adaptive_quadrature(lambda u: np.full_like(u, math.nan), lo, hi, tol)
 
         monkeypatch.setattr(barron, "_tilt_integral", nan_integral)
         code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
@@ -372,7 +397,8 @@ class TestNumericFailureExit:
         # a program fault, not a recorded gap of the trajectory
         from posterior_lab import cosine
 
-        monkeypatch.setattr(cosine, "cosine_loglik", lambda theta, data: math.nan)
+        monkeypatch.setattr(cosine, "cosine_loglik",
+                            lambda theta, data: np.full_like(theta, math.nan))
         code = run_cli("traj", "--model", "cosine", "--n-max", "3",
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3

@@ -16,7 +16,7 @@ from posterior_lab.cosine import (
     cosine_loglik,
 )
 from posterior_lab.densities import CosineDensity, UniformDensity, hellinger_numeric
-from posterior_lab.numerics import LOG_ZERO, RandomStream
+from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
 
 mp.mp.dps = 30
 
@@ -39,7 +39,7 @@ class TestPriorConfig:
                     CosinePriorConfig("exponential", rate=0.05),
                     CosinePriorConfig("truncated_uniform", theta_max=7.0)):
             ts = np.linspace(0.0, 400.0, 400_001)
-            dens = np.exp([cfg.log_density(float(t)) for t in ts])
+            dens = np.exp(cfg.log_density(ts))
             head = float(np.trapezoid(dens, ts))
             tail = math.exp(cfg.log_tail_mass(400.0))
             assert head + tail == pytest.approx(1.0, abs=1e-3), cfg.kind
@@ -70,6 +70,17 @@ class TestCosineLoglik:
     def test_negative_theta(self):
         with pytest.raises(ValueError):
             cosine_loglik(-1.0, [0.5])
+
+    def test_batch_matches_a_per_theta_loop(self):
+        # the reference sums each theta on its own with math's functions;
+        # the batch's normalizer takes np.log, so the last bits may differ
+        data = RandomStream(4, 0).uniform_open(3000)  # 10 thetas per chunk
+        thetas = [0.0, 1e-7, 0.5, 3.0, 41.7, *np.linspace(0.1, 900.0, 37).tolist()]
+        got = cosine_loglik(np.array(thetas), data)
+        for t, v in zip(thetas, got.tolist()):
+            want = data.size * (math.log(2.0) - CosineDensity(t).log_normalizer()) \
+                + sum(2.0 * math.log(abs(math.cos(0.5 * t * x))) for x in data.tolist())
+            assert v == pytest.approx(want, rel=1e-13, abs=1e-12), t
 
 
 class TestClosedFormDistance:
@@ -173,6 +184,52 @@ def _trapezoid_log(data, lo, hi, points):
     return m + math.log((w.sum() - 0.5 * (w[0] + w[-1])) * (ts[1] - ts[0]))
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _gauss_legendre_log(data, lo, hi, panels):
+    """ln of the composite 20-node Gauss-Legendre rule for the joint density
+    under the exponential prior (rate 1) on [lo, hi], in chunks of theta."""
+    edges = np.linspace(lo, hi, panels + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    ts = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    logs = []
+    for chunk in np.array_split(ts, max(1, ts.size * data.size // (1 << 16))):
+        with np.errstate(divide="ignore"):  # log1p(cos) hits -1
+            ll = np.log1p(np.cos(np.outer(chunk, data))).sum(axis=1)
+        logs.append(ll - data.size * np.log1p(np.sin(chunk) / chunk) - chunk)
+    logs = np.concatenate(logs)
+    m = logs.max()
+    w = (half[:, None] * _GL_WEIGHTS).ravel()
+    return m + math.log(float(np.dot(w, np.exp(logs - m))))
+
+
+class TestGaussLegendreOracle:
+    """Brackets checked against a composite Gauss-Legendre rule, where an
+    adaptive Simpson rule with a Richardson estimate missed the oracle."""
+
+    def test_far_tail_region_at_n1000(self):
+        data = _uniform_data(1000, seed=3)
+        # past theta = 105 the joint density is below e^-118 of its maximum;
+        # on [5, 105], 1000 and 4000 panels agree to 10 digits
+        log_in = log_add(_gauss_legendre_log(data, 5.0, 105.0, 1000),
+                         _gauss_legendre_log(data, 105.0, 800.0, 200))
+        log_out = _gauss_legendre_log(data, 0.0, 5.0, 80)
+        want = 1.0 / (1.0 + math.exp(log_out - log_in))
+        assert want == pytest.approx(4.4542483626e-258, rel=1e-10)
+        got = CosineEngine(CosinePriorConfig(), data, quad_tol=1e-9).region_mass(5.0)
+        assert got.lower <= want <= got.upper
+
+    @pytest.mark.parametrize("seed, pinned", [(7, -0.0359267529), (11, -0.056182421)])
+    def test_small_n_evidence(self, seed, pinned):
+        # past theta = 200 the joint mass is below e^-200 2^20
+        data = _uniform_data(20, seed)
+        want = _gauss_legendre_log(data, 0.0, 200.0, 200)
+        assert want == pytest.approx(pinned, abs=1e-9)  # seed 7: also mpmath
+        got = CosineEngine(CosinePriorConfig(), data, quad_tol=1e-9).log_evidence()
+        assert got.lower <= want <= got.upper
+
+
 class TestSharpTail:
     """The tail beyond the reach is bounded to quad_tol of the part it joins,
     so a region holding the tail is as sharp as the quadrature."""
@@ -224,7 +281,7 @@ class TestHellingerGrid:
             grid, vals = cosine._hellinger_grid(cap)
             fresh = np.arange(0.0, cap + 0.02, 0.02)
             assert grid.size == fresh.size and (grid == fresh).all()
-            assert (vals == [cosine_hellinger_uniform(float(t)) for t in fresh]).all()
+            assert (vals == cosine_hellinger_uniform(fresh)).all()
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.44, 0.45, 0.5, 0.7])
     def test_envelopes_equal_a_loop_merge(self, eps):
@@ -250,16 +307,16 @@ class TestHellingerGrid:
 
 
 def _scalar_log_joint(prior, data, theta):
-    # log_joint as it was before the memo and the batched seeds
-    lp = prior.log_density(theta)
+    # log_joint of one theta on its own, without the memo
+    lp = float(prior.log_density(theta))
     if lp == LOG_ZERO or len(data) == 0:
         return lp
-    return lp + cosine_loglik(theta, data)
+    return lp + float(cosine_loglik(np.array([theta]), data)[0])
 
 
 class TestOnePerTheta:
     """The engine evaluates each theta once per state and keeps the bits of
-    the plain evaluation."""
+    the plain evaluation, whichever batch computed it."""
 
     @pytest.mark.parametrize("prior, data", [
         (CosinePriorConfig("exponential", rate=1.0),
@@ -267,19 +324,29 @@ class TestOnePerTheta:
         (CosinePriorConfig("truncated_uniform", theta_max=7.0),
          np.append(RandomStream(9, 0).uniform_open(40), 1.0)),
         (CosinePriorConfig("exponential", rate=0.5), np.zeros(0)),
+        # 6 thetas per chunk of the theta x data matrix
+        (CosinePriorConfig("exponential", rate=1.0),
+         RandomStream(10, 0).uniform_open(5000)),
     ])
     def test_memoized_log_joint_equals_scalar(self, prior, data):
         rng = np.random.default_rng(11)
         thetas = [0.0, math.pi, 2.0 * math.pi, 7.0, 7.5, 120.0,
                   *(rng.random(40) * 60.0).tolist()]
+        want = [_scalar_log_joint(prior, data, t) for t in thetas]
         eng = CosineEngine(prior, data)
-        for t in thetas + thetas:  # the second pass reads the memo
-            assert eng.log_joint(t) == _scalar_log_joint(prior, data, t), t
+        assert eng.log_joint(np.array(thetas)).tolist() == want
+        # the second pass reads the memo, in another order
+        assert eng.log_joint(np.array(thetas[::-1])).tolist() == want[::-1]
+        for size in (1, 3, 17):
+            fresh = CosineEngine(prior, data)
+            got = [fresh.log_joint(np.array(thetas[i:i + size])).tolist()
+                   for i in range(0, len(thetas), size)]
+            assert sum(got, []) == want, size
         # theta = pi on x = 1 sits on a pdf zero (up to float pi); beyond
         # theta_max the prior density is zero
         if prior.kind == "truncated_uniform":
-            assert eng.log_joint(math.pi) < -60.0
-            assert eng.log_joint(7.5) == LOG_ZERO
+            assert want[1] < -60.0
+            assert want[4] == LOG_ZERO
 
     def test_each_theta_reaches_the_likelihood_once(self, monkeypatch):
         prior = CosinePriorConfig("exponential", rate=1.0)
@@ -289,7 +356,7 @@ class TestOnePerTheta:
         loglik = cosine.cosine_loglik
 
         def count_loglik(theta, x):
-            seen.append(theta)
+            seen.extend(theta.tolist())
             return loglik(theta, x)
 
         def record_quadrature(f, a, b, tol, **kw):

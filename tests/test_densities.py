@@ -58,7 +58,7 @@ class TestGaussExp:
         for theta in THETA_GRID:
             d = GaussExpDensity(theta)
             res = adaptive_quadrature(
-                lambda x: d.logpdf(x) if 0.0 < x < 1.0 else LOG_ZERO,
+                lambda x: np.array([d.logpdf(v) for v in x.tolist()]),
                 0.0, 1.0, 1e-9)
             assert res.estimate == pytest.approx(1.0, abs=1e-8), theta
 
@@ -134,7 +134,7 @@ class TestCosine:
         for theta in (0.0, 1.0, math.pi, 10.0, 50.0):
             d = CosineDensity(theta)
             res = adaptive_quadrature(
-                lambda x: d.logpdf(x) if 0.0 <= x <= 1.0 else LOG_ZERO,
+                lambda x: np.array([d.logpdf(v) for v in x.tolist()]),
                 0.0, 1.0, 1e-9, breakpoints=d.quad_breakpoints())
             assert res.estimate == pytest.approx(1.0, abs=1e-8), theta
 
@@ -183,7 +183,8 @@ class TestKLClosedForm:
                         return LOG_ZERO  # split positive part below
                     return l1 + math.log(diff) + norm_logpdf(z)
 
-                pos = adaptive_quadrature(integrand, -9, 9, 1e-9).estimate
+                pos = adaptive_quadrature(np.vectorize(integrand), -9, 9,
+                                          1e-9).estimate
 
                 def integrand_neg(z):
                     x = norm_cdf(z)
@@ -195,7 +196,8 @@ class TestKLClosedForm:
                         return LOG_ZERO
                     return l1 + math.log(diff) + norm_logpdf(z)
 
-                neg = adaptive_quadrature(integrand_neg, -9, 9, 1e-9).estimate
+                neg = adaptive_quadrature(np.vectorize(integrand_neg), -9, 9,
+                                          1e-9).estimate
                 assert pos - neg == pytest.approx(kl_gauss_exp(t1, t2), abs=1e-6)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from posterior_lab.intervals import LogBracket, mass_ratio
 from posterior_lab.numerics import (
     LOG_ZERO,
+    NumericError,
     QuadratureError,
     RandomStream,
     adaptive_quadrature,
@@ -26,7 +27,7 @@ from posterior_lab.numerics import (
     norm_cdf,
     zeta_series,
 )
-from posterior_lab.numerics import _EM_FROM, _simpson_log
+from posterior_lab.numerics import _EM_FROM
 
 mp.mp.dps = 40
 
@@ -225,14 +226,13 @@ class TestHurwitzZeta:
 
 class TestAdaptiveQuadrature:
     def test_polynomial(self):
-        res = adaptive_quadrature(
-            lambda x: 2.0 * math.log(x) if x > 0 else LOG_ZERO, 0.0, 1.0, 1e-10)
+        with np.errstate(divide="ignore"):
+            res = adaptive_quadrature(lambda x: 2.0 * np.log(x), 0.0, 1.0, 1e-10)
         assert res.estimate == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_essential_singularity_prior_normalizer(self):
         # oracle: mpmath integral of e^(-1/t) over [0,1] = 0.148495506775922048
-        res = adaptive_quadrature(lambda t: -1.0 / t if t > 0 else LOG_ZERO,
-                                  0.0, 1.0, 1e-10)
+        res = adaptive_quadrature(lambda t: -1.0 / t, 0.0, 1.0, 1e-10)
         assert res.estimate == pytest.approx(0.148495506775922048, abs=2e-9)
         # independent high-resolution Simpson oracle
         xs = np.linspace(1e-9, 1.0, 200_001)
@@ -245,19 +245,19 @@ class TestAdaptiveQuadrature:
         from posterior_lab.densities import GaussExpDensity
         d = GaussExpDensity(0.5)
         res = adaptive_quadrature(
-            lambda x: d.logpdf(x) if 0 < x < 1 else LOG_ZERO, 0.0, 1.0, 1e-9)
+            lambda x: np.array([d.logpdf(v) for v in x.tolist()]), 0.0, 1.0, 1e-9)
         assert res.estimate == pytest.approx(1.0, abs=1e-6)
 
     def test_extreme_log_magnitudes(self):
-        up = adaptive_quadrature(lambda x: 5000.0, 0.0, 1.0, 1e-9)
+        up = adaptive_quadrature(lambda x: np.full_like(x, 5000.0), 0.0, 1.0, 1e-9)
         assert up.log_estimate == pytest.approx(5000.0, abs=1e-9)
-        down = adaptive_quadrature(lambda x: -5000.0 + math.log1p(x), 0.0, 1.0,
+        down = adaptive_quadrature(lambda x: -5000.0 + np.log1p(x), 0.0, 1.0,
                                    1e-9, relative=True)
         assert down.log_estimate == pytest.approx(-5000.0 + math.log(1.5),
                                                   abs=1e-9)
 
     def test_tol_refinement_monotone(self):
-        f = lambda x: math.sin(3.0 * x) - x * x  # noqa: E731
+        f = lambda x: np.sin(3.0 * x) - x * x  # noqa: E731
         prev = None
         for tol in (1e-4, 5e-5, 2.5e-5, 1.25e-5, 1e-6, 1e-8):
             res = adaptive_quadrature(f, 0.0, 2.0, tol)
@@ -268,51 +268,53 @@ class TestAdaptiveQuadrature:
 
     def test_budget_exhaustion_carries_bracket(self):
         with pytest.raises(QuadratureError) as ei:
-            adaptive_quadrature(lambda x: math.sin(50.0 / (x + 1e-3)), 0.0, 1.0,
+            adaptive_quadrature(lambda x: np.sin(50.0 / (x + 1e-3)), 0.0, 1.0,
                                 1e-14, max_intervals=24)
         assert math.isfinite(ei.value.log_estimate)
         assert ei.value.evaluations > 0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            adaptive_quadrature(lambda x: 0.0, 1.0, 1.0, 1e-9)
+            adaptive_quadrature(np.zeros_like, 1.0, 1.0, 1e-9)
         with pytest.raises(ValueError):
-            adaptive_quadrature(lambda x: 0.0, 0.0, 1.0, -1e-9)
+            adaptive_quadrature(np.zeros_like, 0.0, 1.0, -1e-9)
 
     def test_zero_integrand(self):
-        res = adaptive_quadrature(lambda x: LOG_ZERO, 0.0, 1.0, 1e-9)
+        res = adaptive_quadrature(lambda x: np.full_like(x, LOG_ZERO), 0.0, 1.0, 1e-9)
         assert res.log_estimate == LOG_ZERO
         assert res.estimate == 0.0
 
+    def test_nonfinite_log_value_is_a_numeric_error(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NumericError):
+                adaptive_quadrature(lambda x: np.where(x > 0.7, bad, 0.0), 0.0, 1.0)
 
-def _simpson_log_reference(a, b, fa, fm, fb):
-    # the array form _simpson_log replaced
-    s = log_sum_exp((fa, fm + math.log(4.0), fb))
-    if s == LOG_ZERO:
-        return LOG_ZERO
-    return math.log((b - a) / 6.0) + s
+    @pytest.mark.parametrize("f, a, b, kw", [
+        (lambda x: -1.0 / x, 0.0, 1.0, {}),
+        (lambda x: 300.0 * np.log(np.abs(np.cos(7.0 * x))), 0.0, 5.0,
+         {"breakpoints": (math.pi / 14, 3 * math.pi / 14), "relative": True}),
+        (lambda x: np.sin(20.0 * x) - x, 0.0, 3.0, {"breakpoints": (1.0, 2.0)}),
+    ])
+    def test_one_call_per_round(self, f, a, b, kw):
+        # each call of the integrand is one round: its abscissae are 15 nodes
+        # per panel, distinct and inside [a, b], and ``evaluations`` counts
+        # exactly the abscissae passed
+        calls = []
 
+        def recorded(x):
+            calls.append(x.copy())
+            with np.errstate(divide="ignore"):
+                return f(x)
 
-_log_values = st.one_of(st.floats(-1e4, 1e4), st.just(LOG_ZERO))
-
-
-class TestSimpsonLog:
-    @settings(max_examples=500, deadline=None)
-    @given(st.floats(0.0, 100.0), st.floats(1e-9, 50.0),
-           _log_values, _log_values, _log_values)
-    def test_bitwise_equal_to_array_form(self, a, h, fa, fm, fb):
-        got = _simpson_log(a, a + h, fa, fm, fb)
-        want = _simpson_log_reference(a, a + h, fa, fm, fb)
-        assert got == want or (math.isnan(got) and math.isnan(want))
-
-    def test_close_terms(self):
-        # terms within a few ulps of each other, where the summation order
-        # decides the last bit
-        rng = np.random.default_rng(3)
-        for _ in range(20000):
-            fa, fm, fb = (rng.normal(0.0, 1e-12, 3) + rng.normal(0.0, 50.0)).tolist()
-            assert _simpson_log(0.0, 0.1, fa, fm, fb) == \
-                _simpson_log_reference(0.0, 0.1, fa, fm, fb)
+        res = adaptive_quadrature(recorded, a, b, 1e-10, **kw)
+        assert len(calls) > 1
+        for x in calls:
+            assert x.ndim == 1 and x.size % 15 == 0
+            assert np.unique(x).size == x.size
+            assert ((a < x) & (x < b)).all()
+        assert res.evaluations == sum(x.size for x in calls)
+        # the first round holds one panel per breakpoint interval
+        assert calls[0].size == 15 * (len(kw.get("breakpoints", ())) + 1)
 
 
 class TestRandomStream:
