@@ -17,13 +17,16 @@ Every posterior quantity is computed exactly up to bracketed errors:
 
 No two points g or more apart share a cell from the separating level S(g)
 on, so from D = S(min_gap) on the occupancy is the number K of distinct
-points.  The engine stores the deficits K - k_N, 0 from D on, which a point
-joining g from its nearest one changes only below S(g).  The level
-constants 2 N^2 and ln 6/(pi^2 N^2) live in one process-wide table.
+points.  The engine stores the deficits K - k_N, 0 from D on: d_N counts
+the consecutive distinct points that share a level-N cell, so a pair g
+apart counts only below S(g).  The level constants 2 N^2 and
+ln 6/(pi^2 N^2) live in one process-wide table.
 
-The engine is single-writer (``add_point``); all queries are read-only.
-Each engine state (the data seen so far) caches what its queries share and
-``add_point`` drops it: the step sum, which the step marginal, the level
+The engine is single-writer: ``add_points`` ingests a block of data with
+one merge into the sorted sample, and cell compares on the consecutive
+pairs the block makes and splits; all queries are read-only.  Each engine
+state (the data seen so far) caches what its queries share and
+``add_points`` drops it: the step sum, which the step marginal, the level
 posterior and the predictive all read; the predictive's per-level factor
 for an unoccupied cell; and the full-interval tilt integral, which the tilt
 marginal and every interval mass divide by.  The data-free normalizer Z0 is
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,6 +105,35 @@ def _separating_level(gap: float) -> int:
     return nd
 
 
+# (pair, level) elements that one pass of _add_shared compares
+_CHUNK = 1 << 14
+
+
+def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
+                weight: np.ndarray) -> None:
+    """Add weight[i] to out[N - 1] at every level N on which the points
+    a[i] < b[i] share a cell.  Each pair is compared only below
+    S(b[i] - a[i]), where the cells part, over the flattened (pair, level)
+    range in chunks of _CHUNK elements, which may split one pair's levels;
+    np.add.at, unlike a bincount, needs no array as long as a chunk's level
+    range."""
+    sizes = np.array([_separating_level(g) - 1 for g in (b - a).tolist()], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    w2 = _level_table(int(sizes.max(initial=0)))[0]
+    total = int(sizes.sum())
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        p0, p1 = np.searchsorted(ends, (lo, hi - 1), side="right")
+        pairs = slice(p0, p1 + 1)
+        span = np.minimum(ends[pairs], hi) - np.maximum(starts[pairs], lo)
+        level = np.arange(lo, hi) - np.repeat(starts[pairs], span)
+        w = w2[level]
+        shared = (w * np.repeat(a[pairs], span)).astype(np.int64) == \
+            (w * np.repeat(b[pairs], span)).astype(np.int64)
+        np.add.at(out, level, shared * np.repeat(weight[pairs], span))
+
+
 class UndefinedPosteriorError(RuntimeError):
     """Both mixture components carry zero likelihood -- posterior undefined."""
 
@@ -130,9 +161,10 @@ class BarronPriorConfig:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Running data summaries: n, S_n = sum of PhiInv(x_i), W_n = S_n / n,
-    the sorted sample, and the smallest positive gap between consecutive
-    distinct points."""
+    """Running data summaries: n, S_n = sum of PhiInv(x_i) in data order,
+    W_n = S_n / n, the sorted sample (a copy of the array each block is
+    merged into), the smallest positive gap between consecutive distinct
+    points, and their number."""
 
     n: int
     s_n: float
@@ -316,11 +348,14 @@ class _StepSum(NamedTuple):
 class BarronEngine:
     """Single-writer exact posterior engine.
 
-    Feed data with ``add_point``/``add_points``; query marginals, the
-    component split, the within-component posteriors, Hellinger ball masses
-    and the step-family predictive.  When a truth density is supplied its
-    running log-likelihood is tracked so diagnostics can convert between
-    plain likelihoods and likelihood ratios.
+    Feed data in blocks with ``add_points`` (``add_point`` is a block of
+    one); query marginals, the component split, the within-component
+    posteriors, Hellinger ball masses and the step-family predictive.  A
+    block costs one O(n) merge plus sum S(gap) cell compares over the
+    consecutive pairs it makes and splits, so the points between two queries
+    go in as one block.  When a truth density is supplied its running
+    log-likelihood is tracked so diagnostics can convert between plain
+    likelihoods and likelihood ratios.
 
     The step sum is cut at M = max(distinct-cell level D, ceil(K / 2)),
     K = n_distinct: past D every occupancy is K, and past K/2 the tail series
@@ -333,7 +368,7 @@ class BarronEngine:
         self.prior = prior or BarronPriorConfig()
         self.quad_tol = float(quad_tol)
         self.truth = truth
-        self._pts: list[float] = []
+        self._pts = np.zeros(0)  # the sorted sample, duplicates included
         self._n = 0
         self._s = 0.0
         self._sum_log_truth = 0.0
@@ -352,7 +387,7 @@ class BarronEngine:
     @property
     def stats(self) -> SufficientStats:
         return SufficientStats(n=self._n, s_n=self._s,
-                               sorted_points=np.array(self._pts),
+                               sorted_points=self._pts.copy(),
                                min_gap=self._min_gap,
                                n_distinct=self._n_distinct)
 
@@ -383,8 +418,8 @@ class BarronEngine:
         """The sample points next to x, one on each side where there is one.
         At every level, a point in x's cell on one side implies the nearest
         point on that side is in it too."""
-        pos = bisect_left(self._pts, x)
-        return self._pts[max(pos - 1, 0):pos + 1]
+        pos = int(np.searchsorted(self._pts, x))
+        return self._pts[max(pos - 1, 0):pos + 1].tolist()
 
     def _nearest_distance(self, x: float) -> float:
         return min((abs(x - nb) for nb in self._neighbours(x)), default=math.inf)
@@ -404,37 +439,57 @@ class BarronEngine:
     # -- updates ----------------------------------------------------------
 
     def add_point(self, x: float) -> None:
-        """Insert one observation: updates S_n, the sorted sample, min_gap
-        and the deficits, and drops the state's cached queries.
-
-        Cost: O(n) for the sorted-list insert plus O(gap^-1/2) cell compares,
-        gap the distance from x to its nearest point: a distinct x raises
-        n_distinct and the deficits of the levels below S(gap) on which a
-        neighbour shares its cell; a duplicate changes neither.
-        """
-        x = float(x)
-        if not 0.0 < x < 1.0:
-            raise ValueError(f"data points must lie in (0,1), got {x}")
-        self._cache.clear()
-        gap = self._nearest_distance(x)
-
-        self._n += 1
-        self._s += inv_norm_cdf(x)
-        if self.truth is not None:
-            self._sum_log_truth += self.truth.logpdf(x)
-
-        if gap > 0.0:  # x is not a duplicate
-            self._min_gap = min(self._min_gap, gap)
-            below = _separating_level(gap) - 1
-            if below > self._d.size:
-                self._d = np.pad(self._d, (0, below - self._d.size))
-            self._d[:below] += self._shared_levels(x, below)
-            self._n_distinct += 1
-        insort(self._pts, x)
+        """Insert one observation (see add_points)."""
+        self.add_points((x,))
 
     def add_points(self, xs) -> None:
-        for x in xs:
-            self.add_point(x)
+        """Insert a block of observations: updates S_n, the sorted sample,
+        min_gap and the deficits, and drops the state's cached queries.  A
+        block with a point outside (0,1) raises and changes nothing.
+
+        The deficit d_N counts the consecutive distinct points that share a
+        level-N cell, so the block adds the flags of the consecutive pairs it
+        makes and subtracts those of the pairs it splits, each compared only
+        below S(gap).  Cost: one O(n) merge into the sorted sample plus the
+        sum of S(gap) cell compares over those pairs.  S_n and the truth's
+        log-likelihood are folded point by point in data order, as a
+        sequence of single points would.
+        """
+        xs = np.asarray(xs, dtype=np.float64).ravel()
+        bad = ~((xs > 0.0) & (xs < 1.0))
+        if bad.any():
+            raise ValueError(f"data points must lie in (0,1), got {float(xs[bad][0])}")
+        if not xs.size:
+            return
+        s, log_truth = self._s, self._sum_log_truth
+        for x in xs.tolist():
+            s += inv_norm_cdf(x)
+            if self.truth is not None:
+                log_truth += self.truth.logpdf(x)
+
+        # merged sample, with each new point after its old copies, so that
+        # the first copy of a value is new only if the value is
+        block = np.sort(xs)
+        pos = np.searchsorted(self._pts, block, side="right")
+        pts = np.insert(self._pts, pos, block)
+        first = np.r_[True, pts[1:] != pts[:-1]]
+        u = pts[first]
+        new = np.insert(np.zeros(self._pts.size, dtype=bool), pos, True)[first]
+        made = np.flatnonzero(new[:-1] | new[1:])
+        old = np.flatnonzero(~new)
+        split = np.flatnonzero(np.diff(old) > 1)
+        left = np.r_[u[made], u[old[split]]]
+        right = np.r_[u[made + 1], u[old[split + 1]]]
+        sign = np.repeat(np.array([1, -1], dtype=np.int64), (made.size, split.size))
+
+        min_gap = min(self._min_gap, float((u[made + 1] - u[made]).min(initial=math.inf)))
+        grow = _separating_level(min_gap) - 1 - self._d.size
+        d = np.pad(self._d, (0, grow)) if grow > 0 else self._d
+        _add_shared(d, left, right, sign)
+
+        self._cache.clear()
+        self._pts, self._n, self._s, self._sum_log_truth = pts, self._n + xs.size, s, log_truth
+        self._n_distinct, self._min_gap, self._d = u.size, min_gap, d
 
     # -- step-family marginal ----------------------------------------------
 

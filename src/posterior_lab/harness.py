@@ -415,13 +415,11 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
     if cfg.model == "barron":
         engine = BarronEngine(prior=cfg.barron_prior(), quad_tol=cfg.quad_tol,
                               truth=cfg.truth.density())
-        want = set(grid)
-        for i, x in enumerate(data, 1):
-            engine.add_point(float(x))
-            if i in want:
-                rec = evaluate_diagnostics(engine, cfg.diagnostics)
-                rows.append(rec.row)
-                errors.extend((i, msg) for msg in rec.errors)
+        for prev, n in zip([0] + grid, grid):
+            engine.add_points(data[prev:n])
+            rec = evaluate_diagnostics(engine, cfg.diagnostics)
+            rows.append(rec.row)
+            errors.extend((n, msg) for msg in rec.errors)
     else:
         stats = [(f"hellinger_mass_{eps:g}",
                   lambda eng, eps=eps: eng.hellinger_mass(eps))

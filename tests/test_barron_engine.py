@@ -4,11 +4,14 @@ with the closed-form marginal to 1e-10 in log space; the continuous
 component is checked against mpmath quadrature and a Laplace window."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from posterior_lab import barron
 from posterior_lab.barron import (
     _LOG_LEVEL_NORM,
@@ -24,6 +27,7 @@ from posterior_lab.numerics import (
     LOG_ZERO,
     RandomStream,
     adaptive_quadrature,
+    inv_norm_cdf,
     log_sum_exp,
 )
 
@@ -862,3 +866,77 @@ class TestStepStateCache:
                     fresh.step_marginal(with_likelihood=with_lik), i
         assert e.distinct_level() == 316228
         assert e.stats.n_distinct == e.n - 2
+
+
+@st.composite
+def blocked_samples(draw):
+    """A sample with exact duplicates, near-duplicates 1e-9 to 1e-12 off a
+    point and cell boundaries k/(2 N^2), in random order, and the sorted
+    cut positions that split it into blocks."""
+    data = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=30))
+    level = draw(st.integers(1, 40))
+    data += [k / (2 * level * level) for k in
+             draw(st.lists(st.integers(1, 2 * level * level - 1), max_size=5))]
+    pick = st.integers(0, len(data) - 1)
+    data += [data[i] for i in draw(st.lists(pick, max_size=3))]
+    data += [data[i] + sign * gap for i, gap, sign in draw(st.lists(st.tuples(
+        pick, st.sampled_from([1e-9, 1e-10, 1e-11, 1e-12]), st.sampled_from([-1, 1])),
+        max_size=1))]
+    data = draw(st.permutations(data))
+    return data, sorted(draw(st.lists(st.integers(0, len(data)), max_size=6)))
+
+
+class TestBlockIngestion:
+    @given(blocked_samples())
+    @settings(max_examples=25, deadline=None)
+    def test_blocks_equal_one_block_and_the_recount(self, sample):
+        data, cuts = sample
+        truth = GaussExpDensity(0.5)
+        blocks, whole = BarronEngine(truth=truth), BarronEngine(truth=truth)
+        for lo, hi in zip([0] + cuts, cuts + [len(data)]):
+            blocks.add_points(data[lo:hi])
+        whole.add_points(data)
+        occ = blocks.occupancy
+        assert np.array_equal(occ.k_by_level, whole.occupancy.k_by_level)
+        assert np.array_equal(occ.k_by_level, recount_occupancy(data, occ.k_by_level.size))
+        distinct = np.unique(data)
+        assert blocks.stats.n_distinct == whole.stats.n_distinct == distinct.size
+        assert blocks.stats.min_gap == np.diff(distinct).min(initial=math.inf)
+        s_n, log_truth = 0.0, 0.0
+        for x in data:  # the sequential folds, in data order
+            s_n += inv_norm_cdf(x)
+            log_truth += truth.logpdf(x)
+        assert blocks.stats.s_n == s_n
+        assert blocks.mean_log_truth == log_truth / len(data)
+        assert blocks.step_marginal() == whole.step_marginal()
+
+    @pytest.mark.parametrize("block", [[0.2, 0.4, 1.5], [0.5, math.nan],
+                                       [math.inf], [0.6, 0.0]])
+    def test_rejected_block_changes_nothing(self, block):
+        e = BarronEngine(truth=GaussExpDensity(0.5))
+        e.add_points([0.1, 0.3, 0.7])
+        stats, occ, marginal = e.stats, e.occupancy, e.step_marginal()
+        log_truth = e.mean_log_truth
+        with pytest.raises(ValueError):
+            e.add_points(block)
+        after = e.stats
+        assert (after.n, after.s_n, after.min_gap, after.n_distinct) == \
+            (stats.n, stats.s_n, stats.min_gap, stats.n_distinct)
+        assert np.array_equal(after.sorted_points, stats.sorted_points)
+        assert e.mean_log_truth == log_truth
+        assert np.array_equal(e.occupancy.k_by_level, occ.k_by_level)
+        assert e.step_marginal() == marginal
+
+    def test_near_duplicate_ingestion_memory_is_bounded(self):
+        # the pair 1e-12 apart is compared on its 1000011 levels in chunks,
+        # so beyond the deficits ingestion holds O(chunk) memory
+        barron._level_table(1_000_012)
+        e = BarronEngine()
+        tracemalloc.start()
+        try:
+            e.add_points([0.3, 0.3 + 1e-12, 0.7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.distinct_level() == 1_000_012
+        assert peak <= e._d.nbytes + 8 * 2 ** 20

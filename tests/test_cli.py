@@ -161,7 +161,8 @@ class TestTrajCommand:
         assert (was.pop("version"), now.pop("version")) == (4, 5)
         assert was == now
 
-    @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1"])
+    @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1",
+                                      "v5_uniform_n8000_seed65"])
     def test_v5_sidecar_replays_byte_identical(self, tmp_path, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
