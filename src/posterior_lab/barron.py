@@ -27,10 +27,11 @@ one merge into the sorted sample, and cell compares on the consecutive
 pairs the block makes and splits; all queries are read-only.  Each engine
 state (the data seen so far) caches what its queries share and
 ``add_points`` drops it: the step sum, which the step marginal, the level
-posterior and the predictive all read; the predictive's per-level factor
-for an unoccupied cell; and the full-interval tilt integral, which the tilt
-marginal and every interval mass divide by.  The data-free normalizer Z0 is
-integrated once per process.
+posterior and the predictive all read; the tail series past a cut, which
+the step sum's tail and the level posterior's 1/N tail both sum; the
+predictive's per-level factor for an unoccupied cell; and the full-interval
+tilt integral, which the tilt marginal and every interval mass divide by.
+The data-free normalizer Z0 is integrated once per process.
 """
 
 from __future__ import annotations
@@ -97,12 +98,41 @@ def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _separating_level(gap: float) -> int:
-    """S(gap), the smallest N with 1/(2 N^2) < gap/2: from it on, float
-    rounding in the cell map cannot merge two points gap or more apart."""
+    """S(gap): from the start isqrt(int(1/gap)) + 1, the first N with
+    1/(2 N^2) < gap/2 in floats.  From it on, float rounding in the cell map
+    cannot merge two points gap or more apart.  It is the smallest such N or
+    one above it: one ulp above fl(1/9), at 0.11111111111111112, the level 3
+    already holds, and S is 4."""
     nd = math.isqrt(int(1.0 / gap)) + 1
     while 1.0 / (2.0 * nd * nd) >= 0.5 * gap:
         nd += 1
     return nd
+
+
+# below this, int(1/gap) converts to a float exactly, so the float sqrt of
+# it is within one of its isqrt
+_EXACT_INV = 2.0 ** 52
+
+
+def _separating_levels(gaps: np.ndarray) -> np.ndarray:
+    """_separating_level of each gap, as int64: the isqrt start from a float
+    sqrt with a one-step integer correction, then the float test over the
+    gaps that still meet it; gaps with 1/gap >= 2^52 take the scalar."""
+    inv = 1.0 / gaps
+    exact = inv < _EXACT_INV
+    v = inv[exact].astype(np.int64)
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    nd, g = r + 1, gaps[exact]
+    todo = np.flatnonzero(1.0 / (2.0 * nd * nd) >= 0.5 * g)
+    while todo.size:
+        nd[todo] += 1
+        todo = todo[1.0 / (2.0 * nd[todo] * nd[todo]) >= 0.5 * g[todo]]
+    out = np.empty(gaps.shape, dtype=np.int64)
+    out[exact] = nd
+    out[~exact] = [_separating_level(x) for x in gaps[~exact].tolist()]
+    return out
 
 
 # (pair, level) elements that one pass of _add_shared compares
@@ -117,7 +147,7 @@ def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
     range in chunks of _CHUNK elements, which may split one pair's levels;
     np.add.at, unlike a bincount, needs no array as long as a chunk's level
     range."""
-    sizes = np.array([_separating_level(g) - 1 for g in (b - a).tolist()], dtype=np.int64)
+    sizes = _separating_levels(b - a) - 1
     ends = np.cumsum(sizes)
     starts = ends - sizes
     w2 = _level_table(int(sizes.max(initial=0)))[0]
@@ -528,15 +558,11 @@ class BarronEngine:
         err += 4.0 * _EPS * np.where(ks <= m, abs(terms) + (self._n + ks) * LN2 + 1, 0)
         return terms - err - rest, terms + err
 
-    def _tail(self, cut: int, s0: int = 2, extra: int = 0) -> LogBracket:
-        """Enclosure of ln sum_{N > cut} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
-        at k = n_distinct + extra, every level past the cut holding all
-        n_distinct points.  In u = a^2/N^2 <= 1, a = cut + 1, the ratio is
-        2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
-        sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
-        is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
-        e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
-        key = ("tail", cut, s0, extra)
+    def _tail_series(self, cut: int, extra: int) -> tuple[np.ndarray, float]:
+        """(coefficients, slack) of e^-F(u) cut after J terms at
+        k = n_distinct + extra and a = cut + 1 (see _tail), built once per
+        engine state: every s0 of _tail sums the same series."""
+        key = ("tail_series", cut, extra)
         if key not in self._cache:
             k, a, J = self._n_distinct + extra, cut + 1.0, _TAIL_TERMS
             ix = np.arange(k) / (a * a)
@@ -552,6 +578,21 @@ class BarronEngine:
                 f_rho, f_one = np.log1p(-0.5 * u).sum(1) - np.log1p(-u).sum(1)
                 slack = _EPS * (k + 4 * J + 8) * (1.0 + pa.sum()) * math.exp(f_one) \
                     + math.exp(f_rho - (J + 1) * math.log(rho) - math.log1p(-1 / rho))
+            self._cache[key] = coef, slack
+        return self._cache[key]
+
+    def _tail(self, cut: int, s0: int = 2, extra: int = 0) -> LogBracket:
+        """Enclosure of ln sum_{N > cut} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
+        at k = n_distinct + extra, every level past the cut holding all
+        n_distinct points.  In u = a^2/N^2 <= 1, a = cut + 1, the ratio is
+        2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
+        sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
+        is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
+        e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
+        key = ("tail", cut, s0, extra)
+        if key not in self._cache:
+            k, a = self._n_distinct + extra, cut + 1.0
+            coef, slack = self._tail_series(cut, extra)
             lo, hi = zeta_series(coef, s0, a, slack)
             base = _LOG_LEVEL_NORM + (self._n - k) * LN2
             rnd = 4.0 * _EPS * (abs(base) + abs(hi) + (self._n + k) * LN2)

@@ -460,10 +460,47 @@ class ReplicationResult:
     excursions: dict              # stem -> {delta -> {...}}
 
 
+def _nanmedian(vals: np.ndarray) -> np.ndarray:
+    """np.nanmedian over the last axis, NaN where every value is NaN, from
+    one sort (NaN last): the middle value of an odd count and the mean of
+    the two middle values of an even one, with np.mean's operations
+    (0.0 + lo + hi) / 2, so that -0.0 comes out as 0.0 as it does there."""
+    count = (~np.isnan(vals)).sum(axis=-1, keepdims=True)
+    srt = np.sort(vals, axis=-1)
+    lo = np.take_along_axis(srt, (count - 1) // 2, axis=-1)[..., 0]  # count 0: a NaN
+    hi = np.take_along_axis(srt, count // 2, axis=-1)[..., 0]
+    even = (count[..., 0] % 2 == 0) & (count[..., 0] > 0)
+    med = 0.0 + lo
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf is NaN
+        med[even] = (med[even] + hi[even]) / 2
+    return med
+
+
+def _summary(trajs: list) -> tuple[list, list]:
+    """(columns, rows) of the summary: per grid point, the min, median and
+    max of each column over the trajectories, ignoring NaN (NaN where every
+    trajectory is NaN).  One pass over the seed axis of a (grid, columns,
+    seeds) array, equal to np.nanmin, np.nanmedian and np.nanmax cell by
+    cell: each cell's seeds are contiguous, so fmin.reduce and fmax.reduce
+    run np.nanmin's and np.nanmax's loop on every cell."""
+    grid = trajs[0].grid
+    data_cols = [c for c in trajs[0].columns if c != "n"]
+    columns = ["n"]
+    for c in data_cols:
+        columns += [f"{c}.min", f"{c}.median", f"{c}.max"]
+    vals = np.array([[[t.rows[gi].get(c, math.nan) for t in trajs] for c in data_cols]
+                     for gi in range(len(grid))])
+    stats = np.stack((np.fmin.reduce(vals, axis=-1), _nanmedian(vals),
+                      np.fmax.reduce(vals, axis=-1)), axis=-1).reshape(len(grid), -1)
+    return columns, [dict(zip(columns, [float(n)] + cells))
+                     for n, cells in zip(grid, stats.tolist())]
+
+
 def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
     """One trajectory per seed (optionally in a process pool) plus an
-    order-normalized summary and the excursion counts at the thresholds
-    0.5 and 0.9; results are independent of the parallelism degree."""
+    order-normalized summary (see _summary: one array pass over the seeds)
+    and the excursion counts at the thresholds 0.5 and 0.9; results are
+    independent of the parallelism degree."""
     seeds = [int(s) for s in cfg.seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
@@ -473,24 +510,9 @@ def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
         with ProcessPoolExecutor(max_workers=min(parallelism, len(seeds))) as ex:
             trajs = list(ex.map(_worker, [(cfg, s) for s in seeds]))
 
-    grid = trajs[0].grid
-    data_cols = [c for c in trajs[0].columns if c != "n"]
-    summary_columns = ["n"]
-    for c in data_cols:
-        summary_columns += [f"{c}.min", f"{c}.median", f"{c}.max"]
-    summary_rows = []
-    for gi, n in enumerate(grid):
-        row = {"n": float(n)}
-        for c in data_cols:
-            vals = np.array([t.rows[gi].get(c, math.nan) for t in trajs])
-            empty = np.all(np.isnan(vals))
-            for stat, reduce in (("min", np.nanmin), ("median", np.nanmedian),
-                                 ("max", np.nanmax)):
-                row[f"{c}.{stat}"] = math.nan if empty else float(reduce(vals))
-        summary_rows.append(row)
-
+    summary_columns, summary_rows = _summary(trajs)
     excursions: dict = {}
-    stems = sorted({c[:-6] for c in data_cols if c.endswith(".lower")})
+    stems = sorted({c[:-6] for c in trajs[0].columns if c.endswith(".lower")})
     for stem in stems:
         per_delta = {}
         for delta in (0.5, 0.9):

@@ -13,7 +13,6 @@ never overflow intermediates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -174,15 +173,26 @@ _EM_FROM = 32.0
 _EPS = math.ulp(1.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _em_coefficients() -> np.ndarray:
-    """B_2k / (2k)! for k = 1.._EM_TERMS + 1, exact rationals rounded once."""
-    from fractions import Fraction  # imported on first use: it loads decimal
-    b = [Fraction(1)]
-    for m in range(1, 2 * _EM_TERMS + 3):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return np.array([float(b[2 * k] / math.factorial(2 * k))
-                     for k in range(1, _EM_TERMS + 2)])
+# B_2k / (2k)! for k = 1.._EM_TERMS + 1, the Euler-Maclaurin coefficients:
+# the exact rationals, each rounded once to the nearest float, written out so
+# that no process recomputes them (tests/test_numerics.py rebuilds them with
+# the Bernoulli recurrence in exact fractions)
+_EM_COEFFICIENTS = np.array((
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+    6.514456035233815e-50, -1.6501309906896525e-51, 4.179830628539476e-53,
+    -1.058763466770291e-54, 2.6818791912607708e-56, -6.793279351107421e-58,
+    1.7207577616681404e-59, -4.358730329348894e-61, 1.1040792903684666e-62,
+    -2.7966655133781345e-64, 7.084036501679471e-66,
+))
 
 
 def zeta_series(coeffs, s0: int, a: float, slack: float = 0.0) -> tuple[float, float]:
@@ -199,7 +209,7 @@ def zeta_series(coeffs, s0: int, a: float, slack: float = 0.0) -> tuple[float, f
     z, k = a + n, np.arange(1, _EM_TERMS + 1)[:, None]
     # row k-1 is (s)_(2k-1) / z^2k, k = 1.._EM_TERMS + 1
     r = np.cumprod(np.vstack([s, (s + 2 * k - 1) * (s + 2 * k)]) / (z * z), axis=0)
-    b, lead, t = _em_coefficients(), 1.0 / (s - 1.0) + 0.5 / z, (a / z) ** (s - 1.0)
+    b, lead, t = _EM_COEFFICIENTS, 1.0 / (s - 1.0) + 0.5 / z, (a / z) ** (s - 1.0)
     v = direct + t * (lead + b[:-1] @ r[:-1])
     err = t * abs(b[-1]) * r[-1] + _EPS * (s + 4 * _EM_TERMS + n + c.size + 8) \
         * (direct + t * (lead + abs(b[:-1]) @ r[:-1]))

@@ -868,6 +868,72 @@ class TestStepStateCache:
         assert e.stats.n_distinct == e.n - 2
 
 
+class TestTailSeries:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """A fed engine whose cache records every key it stores."""
+        stored = []
+
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                stored.append(key)
+                super().__setitem__(key, value)
+
+        e = BarronEngine()
+        e.add_points(_uniform_data(300))
+        monkeypatch.setattr(e, "_cache", Recording())
+        return e, stored
+
+    def test_step_and_level_tails_build_one_series(self, recorded):
+        e, stored = recorded
+        m = e._cut()
+        e.step_marginal()
+        e.posterior_over_n()
+        e.posterior_over_n()
+        assert [k for k in stored if k[0] == "tail_series"] == [("tail_series", m, 0)]
+        for s0 in (2, 3):  # each as a fresh engine computes it alone
+            fresh = BarronEngine()
+            fresh.add_points(_uniform_data(300))
+            assert e._cache[("tail", m, s0, 0)] == fresh._tail(m, s0)
+        e.add_point(0.123)
+        assert not e._cache
+
+    def test_predictive_tail_has_its_own_series(self, recorded):
+        e, stored = recorded
+        e.step_predictive(0.5)
+        series = [k for k in stored if k[0] == "tail_series"]
+        assert len(series) == 2 and series[0][2] == 0
+        _, levels, extra = series[1]
+        assert extra == 1 and levels >= e._cut()
+        fresh = BarronEngine()
+        fresh.add_points(_uniform_data(300))
+        assert e._cache[("tail", levels, 2, 1)] == fresh._tail(levels, 2, extra=1)
+        assert e._cache[("tail", levels, 2, 1)] != fresh._tail(levels, 2)
+
+
+class TestSeparatingLevels:
+    def test_vector_equals_the_scalar(self):
+        # 1/r^2 and its neighbouring floats, where the float test moves the
+        # isqrt start, random gaps, and gaps whose 1/gap passes 2^52
+        rng = np.random.default_rng(11)
+        r = np.r_[np.arange(1, 3000), rng.integers(3000, 10**8, 3000)].astype(np.float64)
+        base = 1.0 / (r * r)
+        gaps = np.r_[base, np.nextafter(base, 1.0), np.nextafter(base, 0.0),
+                     rng.random(3000), 10.0 ** rng.uniform(-18, 0, 3000),
+                     2.0 ** -52, np.nextafter(2.0 ** -52, 1.0), 2.0 ** -53]
+        want = [barron._separating_level(g) for g in gaps.tolist()]
+        assert np.array_equal(barron._separating_levels(gaps), want)
+        assert barron._separating_levels(np.zeros(0)).size == 0
+
+    def test_start_can_sit_one_above_the_smallest_level(self):
+        # S keeps the isqrt start: one ulp above fl(1/9) level 3 already
+        # parts the cells
+        gap = np.nextafter(1.0 / 9.0, 1.0)
+        assert gap == 0.11111111111111112
+        assert 1.0 / (2.0 * 3 * 3) < 0.5 * gap
+        assert barron._separating_level(gap) == 4
+
+
 @st.composite
 def blocked_samples(draw):
     """A sample with exact duplicates, near-duplicates 1e-9 to 1e-12 off a

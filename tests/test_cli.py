@@ -265,6 +265,17 @@ class TestReplicateCommand:
             b = open(os.path.join(d8, name), "rb").read()
             assert a == b, name
 
+    def test_v5_replicate_summary_is_byte_identical(self, tmp_path):
+        # four seeds: every median cell of the summary is the mean of two
+        golden = os.path.join(DATA, "v5_replicate_uniform_n300_seeds1-4")
+        out = str(tmp_path / "r")
+        assert run_cli("replicate", "--truth", "uniform", "--n-max", "300",
+                       "--seeds", "1..4", "--jobs", "2", "--out-dir", out) == 0
+        for ext in (".csv", ".json"):
+            with open(golden + ext, "rb") as a, \
+                    open(os.path.join(out, "summary" + ext), "rb") as b:
+                assert a.read() == b.read(), ext
+
     def test_duplicate_seeds_exit_2(self, tmp_path):
         code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",
                        "--seeds", "2,2", "--jobs", "1",

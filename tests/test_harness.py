@@ -10,12 +10,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from posterior_lab.cosine import CosineEngine, CosinePriorConfig
 from posterior_lab.diagnostics import BandSpec, DiagnosticSettings
 from posterior_lab.harness import (
     DatasetError,
+    ReplicationResult,
     RunConfig,
+    TrajectoryRecord,
     TruthSpec,
+    _summary,
     config_hash,
     evaluation_grid,
     ingest_dataset,
@@ -376,6 +381,78 @@ class TestReplications:
         assert "gamma_stat.lower.median" in r.summary_columns
         gs = r.excursions["gamma_stat"]["0.9"]
         assert gs["frequency"] == gs["seeds_with_excursion"] / 2
+
+
+def reference_summary(trajs):
+    """The summary cell by cell, one np.nanmin, np.nanmedian and np.nanmax
+    call per (grid point, column), NaN where every seed is NaN."""
+    data_cols = [c for c in trajs[0].columns if c != "n"]
+    columns = ["n"] + [f"{c}.{stat}" for c in data_cols
+                       for stat in ("min", "median", "max")]
+    rows = []
+    for gi, n in enumerate(trajs[0].grid):
+        row = {"n": float(n)}
+        for c in data_cols:
+            vals = np.array([t.rows[gi].get(c, math.nan) for t in trajs])
+            empty = np.all(np.isnan(vals))
+            for stat, reduce in (("min", np.nanmin), ("median", np.nanmedian),
+                                 ("max", np.nanmax)):
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+                    row[f"{c}.{stat}"] = math.nan if empty else float(reduce(vals))
+        rows.append(row)
+    return columns, rows
+
+
+CELL = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf]),
+                 st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0]))
+
+
+@st.composite
+def seed_tables(draw):
+    """Per-seed rows over a shared grid and columns: NaN, +-inf and +-0.0
+    cells, all-NaN columns and missing cells, in two seed orders."""
+    seeds = draw(st.integers(1, 9))
+    grid = list(range(1, draw(st.integers(1, 4)) + 1))
+    columns = ["n"] + [f"c{j}" for j in range(draw(st.integers(1, 4)))]
+    all_nan = {c for c in columns[1:] if draw(st.booleans())}
+    trajs = []
+    for seed in range(seeds):
+        rows = []
+        for n in grid:
+            row = {"n": float(n)}
+            for c in columns[1:]:
+                cell = math.nan if c in all_nan else draw(st.one_of(CELL, st.none()))
+                if cell is not None:  # None: the row lacks the cell
+                    row[c] = cell
+            rows.append(row)
+        trajs.append(TrajectoryRecord(config=RunConfig(), seed=seed + 1, grid=grid,
+                                      columns=columns, rows=rows))
+    return trajs, draw(st.permutations(trajs))
+
+
+def same_cells(a, b):
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (math.isnan(a[k]) and math.isnan(b[k])) for k in a)
+
+
+def summary_text(columns, rows):
+    return summary_csv(ReplicationResult([], columns, rows, {}))
+
+
+class TestSummaryReduction:
+    @given(seed_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_the_cell_loop(self, tables):
+        for trajs in tables:
+            columns, rows = _summary(trajs)
+            ref_columns, ref_rows = reference_summary(trajs)
+            assert columns == ref_columns
+            assert all(same_cells(a, b) for a, b in zip(rows, ref_rows))
+            assert summary_text(columns, rows) == summary_text(ref_columns, ref_rows)
+        # the seed order moves at most the sign of a zero min or max
+        (_, rows), (_, shuffled) = _summary(tables[0]), _summary(tables[1])
+        assert all(same_cells(a, b) for a, b in zip(rows, shuffled))
 
 
 BARRON_COLUMNS = [

@@ -27,7 +27,7 @@ from posterior_lab.numerics import (
     norm_cdf,
     zeta_series,
 )
-from posterior_lab.numerics import _EM_FROM
+from posterior_lab.numerics import _EM_COEFFICIENTS, _EM_FROM, _EM_TERMS
 
 mp.mp.dps = 40
 
@@ -222,6 +222,23 @@ class TestHurwitzZeta:
         want = mp.zeta(3, a) - a * a / 3 * mp.zeta(5, a)
         assert lo <= mp.log(want) <= hi
         assert hi - lo <= 3e-12
+
+
+def bernoulli_over_factorial(terms):
+    """B_2k / (2k)! for k = 1..terms + 1, from the Bernoulli recurrence
+    sum_(j <= m) C(m + 1, j) B_j = 0 in exact rationals, each rounded once."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * terms + 3):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return [float(b[2 * k] / math.factorial(2 * k)) for k in range(1, terms + 2)]
+
+
+class TestEulerMaclaurinTable:
+    def test_constants_are_the_rounded_rationals(self):
+        got = _EM_COEFFICIENTS
+        want = np.array(bernoulli_over_factorial(_EM_TERMS))
+        assert got.dtype == np.float64 and got.shape == (_EM_TERMS + 1,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestAdaptiveQuadrature:
