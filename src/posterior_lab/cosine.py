@@ -205,14 +205,16 @@ class CosineEngine:
         t = np.asarray(theta, dtype=float)
         keys = t.ravel().tolist()
         memo = self._joint
-        new = [k for k in dict.fromkeys(keys) if k not in memo]
-        if new:
+        got = list(map(memo.get, keys))
+        if None in got:
+            new = list(dict.fromkeys([k for k, v in zip(keys, got) if v is None]))
             ts = np.array(new)
             v = self.prior.log_density(ts)
             if self.n:
                 v = v + cosine_loglik(ts, self.data)
             memo.update(zip(new, v.tolist()))
-        return np.array([memo[k] for k in keys]).reshape(t.shape)
+            got = list(map(memo.__getitem__, keys))
+        return np.array(got).reshape(t.shape)
 
     # -- quadrature domain --------------------------------------------------
 

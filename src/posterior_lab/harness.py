@@ -12,10 +12,12 @@ one engine per seed and reduce to an order-normalized summary.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
+import threading
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -447,9 +449,50 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
                             columns=list(rows[0]), rows=rows, errors=errors)
 
 
-def _worker(args) -> TrajectoryRecord:
-    cfg, seed = args
-    return run_trajectory(cfg, seed)
+def _run_pooled(cfg: RunConfig, seeds: list, jobs: int) -> list:
+    """run_trajectory for every seed in ``jobs`` processes: this one and a
+    pool of jobs - 1 workers.  Every process takes the next seed no process
+    has taken as soon as it finishes one; a worker is fed by one thread that
+    submits its next seed when the last comes back, so no seed waits in the
+    pool's queue behind a busy process.  After the first failure no seed is
+    handed out; the trajectories in flight finish, and the exception of the
+    earliest failing seed in seed order is re-raised, as a serial run would
+    raise it.  The records come back in seed order."""
+    trajs = [None] * len(seeds)
+    failed = {}                     # seed index -> exception
+    todo = iter(range(len(seeds)))
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return None if failed else next(todo, None)
+
+    def run(i, call):
+        try:
+            trajs[i] = call()
+        except BaseException as exc:  # re-raised below if it is the earliest
+            with lock:
+                failed[i] = exc
+
+    def feed(i, fut):
+        run(i, fut.result)
+        while (i := take()) is not None:
+            run(i, lambda: ex.submit(run_trajectory, cfg, seeds[i]).result())
+
+    with ProcessPoolExecutor(max_workers=jobs - 1) as ex:
+        # submitted before any thread starts, so a forking pool forks here
+        first = [(i, ex.submit(run_trajectory, cfg, seeds[i]))
+                 for i in itertools.islice(todo, jobs - 1)]
+        feeders = [threading.Thread(target=feed, args=f) for f in first]
+        for t in feeders:
+            t.start()
+        while (i := take()) is not None:
+            run(i, lambda: run_trajectory(cfg, seeds[i]))
+        for t in feeders:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
+    return trajs
 
 
 @dataclass
@@ -497,18 +540,21 @@ def _summary(trajs: list) -> tuple[list, list]:
 
 
 def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
-    """One trajectory per seed (optionally in a process pool) plus an
-    order-normalized summary (see _summary: one array pass over the seeds)
-    and the excursion counts at the thresholds 0.5 and 0.9; results are
-    independent of the parallelism degree."""
+    """One trajectory per seed plus an order-normalized summary (see
+    _summary: one array pass over the seeds) and the excursion counts at the
+    thresholds 0.5 and 0.9; results are independent of the parallelism
+    degree.  ``parallelism`` k runs the seeds in k processes in all, the
+    invoking one included (see _run_pooled); k < 1 is a ConfigError."""
     seeds = [int(s) for s in cfg.seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    if parallelism <= 1 or len(seeds) == 1:
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be at least 1, got {parallelism}")
+    jobs = min(parallelism, len(seeds))
+    if jobs == 1:
         trajs = [run_trajectory(cfg, s) for s in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(seeds))) as ex:
-            trajs = list(ex.map(_worker, [(cfg, s) for s in seeds]))
+        trajs = _run_pooled(cfg, seeds, jobs)
 
     summary_columns, summary_rows = _summary(trajs)
     excursions: dict = {}

@@ -282,6 +282,14 @@ class TestReplicateCommand:
                        "--out-dir", str(tmp_path / "d"))
         assert code == 2
 
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys):
+        code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",
+                       "--seeds", "1,2", "--jobs", "0",
+                       "--out-dir", str(tmp_path / "d"))
+        assert code == 2
+        assert "parallelism" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "d")
+
 
 class TestScanCommand:
     def test_scan_table(self, tmp_path):
@@ -311,6 +319,16 @@ class TestScanCommand:
                        "--beta-grid", "0.3:0.3:1",
                        "--out", str(tmp_path / "no.csv"))
         assert code == 2
+
+    def test_negative_jobs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "neg.csv"
+        code = run_cli("scan", "--truth", "uniform", "--n-max", "12",
+                       "--seeds", "1,2", "--alpha-grid", "0.6:0.6:1",
+                       "--beta-grid", "0.75:0.75:1", "--jobs", "-4",
+                       "--out", str(out))
+        assert code == 2
+        assert "parallelism" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotCommand:

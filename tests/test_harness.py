@@ -5,13 +5,17 @@ summaries are independent of seed order and parallelism."""
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from posterior_lab import harness
 from posterior_lab.cosine import CosineEngine, CosinePriorConfig
 from posterior_lab.diagnostics import BandSpec, DiagnosticSettings
 from posterior_lab.harness import (
@@ -381,6 +385,120 @@ class TestReplications:
         assert "gamma_stat.lower.median" in r.summary_columns
         gs = r.excursions["gamma_stat"]["0.9"]
         assert gs["frequency"] == gs["seeds_with_excursion"] / 2
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """The harness's pool, recording the worker count of each one made and
+    the seed of each trajectory submitted to it."""
+
+    sizes: list = []
+    submitted: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+    def submit(self, fn, cfg, seed):
+        RecordingPool.submitted.append(seed)
+        return super().submit(fn, cfg, seed)
+
+
+class SeedFailure(RuntimeError):
+    pass
+
+
+# module state a forked pool worker inherits: the (pid, seed) of each call
+# below (a worker appends to its own copy, so this process sees only its
+# own calls) and the seeds whose trajectory raises
+TRAJECTORY_CALLS: list = []
+FAILING_SEEDS: set = set()
+
+
+def recording_trajectory(cfg, seed):
+    """run_trajectory, noting its pid and seed and raising for FAILING_SEEDS
+    with a message that names the seed and the process it ran in."""
+    TRAJECTORY_CALLS.append((os.getpid(), seed))
+    if seed in FAILING_SEEDS:
+        raise SeedFailure(f"seed {seed} in pid {os.getpid()}")
+    return run_trajectory(cfg, seed)
+
+
+class TestReplicationLayout:
+    """parallelism k runs the seeds in k processes: this one and a pool of
+    k - 1 workers, each taking the next seed when it finishes one."""
+
+    CFG = RunConfig(truth=TruthSpec("uniform"), n_max=40, seeds=(1, 2, 3, 4))
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "run_trajectory", recording_trajectory)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(RecordingPool, "submitted", [])
+        monkeypatch.setattr(sys.modules[__name__], "TRAJECTORY_CALLS", [])
+
+    def test_parent_is_one_of_the_jobs(self, recorded):
+        run_replications(self.CFG, parallelism=3)
+        assert RecordingPool.sizes == [2]
+        # seeds 1 and 2 go to the workers, and this process takes seed 3
+        assert (os.getpid(), 3) in TRAJECTORY_CALLS
+        assert multiprocessing.active_children() == []
+
+    def test_serial_run_makes_no_pool(self, recorded):
+        run_replications(self.CFG, parallelism=1)
+        assert RecordingPool.sizes == []
+        assert TRAJECTORY_CALLS == [(os.getpid(), s) for s in (1, 2, 3, 4)]
+
+    def test_results_independent_of_jobs(self):
+        ref = run_replications(self.CFG, parallelism=1)
+        for jobs in (2, 3, 8):  # 8: more jobs than seeds
+            r = run_replications(self.CFG, parallelism=jobs)
+            assert [t.seed for t in r.trajectories] == [1, 2, 3, 4]
+            assert [t.rows for t in r.trajectories] == [t.rows for t in ref.trajectories]
+            assert r.summary_columns == ref.summary_columns
+            assert r.summary_rows == ref.summary_rows
+            assert r.excursions == ref.excursions
+
+    def test_every_seed_once_under_fast_thread_switching(self):
+        # more jobs than cores, and the feeder threads switched every 10 us:
+        # a seed taken twice or never would change the records
+        cfg = RunConfig(truth=TruthSpec("uniform"), n_max=3, seeds=tuple(range(1, 13)))
+        ref = run_replications(cfg, parallelism=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            r = run_replications(cfg, parallelism=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [t.seed for t in r.trajectories] == list(range(1, 13))
+        assert [t.rows for t in r.trajectories] == [t.rows for t in ref.trajectories]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing, where", [
+        ({1}, "worker"),       # seeds 1 and 2 go to the two workers first
+        ({3}, "parent"),       # the parent takes seed 3 first
+        ({2, 3}, "worker"),    # both fail: the earlier seed's error is raised
+    ])
+    def test_earliest_failing_seed_is_raised(self, recorded, monkeypatch,
+                                             failing, where):
+        monkeypatch.setattr(sys.modules[__name__], "FAILING_SEEDS", failing)
+        first = min(failing)
+        for jobs in (1, 3):
+            TRAJECTORY_CALLS.clear()
+            with pytest.raises(SeedFailure, match=f"seed {first} in") as info:
+                run_replications(self.CFG, parallelism=jobs)
+            assert multiprocessing.active_children() == []
+            in_parent = f"pid {os.getpid()}" in str(info.value)
+            assert in_parent == (jobs == 1 or where == "parent")
+        if where == "parent":  # it fails at once, so seed 4 is never handed out
+            assert RecordingPool.submitted == [1, 2]
+            assert TRAJECTORY_CALLS == [(os.getpid(), 3)]
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_parallelism_below_one_rejected(self, recorded, jobs):
+        with pytest.raises(ConfigError, match="parallelism"):
+            run_replications(self.CFG, parallelism=jobs)
+        assert TRAJECTORY_CALLS == [] and RecordingPool.sizes == []
 
 
 def reference_summary(trajs):
