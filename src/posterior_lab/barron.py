@@ -91,9 +91,9 @@ def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     if m > cur:
         cap = max(m, 2 * cur)
         levels = np.arange(cur + 1, cap + 1, dtype=np.float64)
+        logs = np.fromiter(map(math.log, range(cur + 1, cap + 1)), np.float64, cap - cur)
         _W2 = np.concatenate([_W2, 2.0 * levels * levels])
-        _LOG_W = np.concatenate([_LOG_W, [_LOG_LEVEL_NORM - 2.0 * math.log(level)
-                                          for level in range(cur + 1, cap + 1)]])
+        _LOG_W = np.concatenate([_LOG_W, _LOG_LEVEL_NORM - 2.0 * logs])
     return _W2[:m], _LOG_W[:m]
 
 
@@ -110,7 +110,9 @@ def _separating_level(gap: float) -> int:
 
 
 # below this, int(1/gap) converts to a float exactly, so the float sqrt of
-# it is within one of its isqrt
+# it is within one of its isqrt.  Past it 2 N^2 >= 2^53 at the level S(gap),
+# where fl(2 N^2 x) can round by a whole cell, so add_points rejects a sample
+# with a gap that small
 _EXACT_INV = 2.0 ** 52
 
 
@@ -475,7 +477,8 @@ class BarronEngine:
     def add_points(self, xs) -> None:
         """Insert a block of observations: updates S_n, the sorted sample,
         min_gap and the deficits, and drops the state's cached queries.  A
-        block with a point outside (0,1) raises and changes nothing.
+        block with a point outside (0,1) raises and changes nothing, and so
+        does one that makes two points closer than 2^-52.
 
         The deficit d_N counts the consecutive distinct points that share a
         level-N cell, so the block adds the flags of the consecutive pairs it
@@ -483,7 +486,8 @@ class BarronEngine:
         below S(gap).  Cost: one O(n) merge into the sorted sample plus the
         sum of S(gap) cell compares over those pairs.  S_n and the truth's
         log-likelihood are folded point by point in data order, as a
-        sequence of single points would.
+        sequence of single points would.  A gap below 2^-52 is past the
+        resolution of the cell map (see _EXACT_INV).
         """
         xs = np.asarray(xs, dtype=np.float64).ravel()
         bad = ~((xs > 0.0) & (xs < 1.0))
@@ -512,7 +516,13 @@ class BarronEngine:
         right = np.r_[u[made + 1], u[old[split + 1]]]
         sign = np.repeat(np.array([1, -1], dtype=np.int64), (made.size, split.size))
 
-        min_gap = min(self._min_gap, float((u[made + 1] - u[made]).min(initial=math.inf)))
+        gaps = u[made + 1] - u[made]
+        min_gap = min(self._min_gap, float(gaps.min(initial=math.inf)))
+        if 1.0 / min_gap >= _EXACT_INV:
+            i = made[gaps.argmin()]
+            a, b = u[i:i + 2].tolist()
+            raise ValueError(f"data points {a!r} and {b!r} lie closer than 2^-52: "
+                             f"the level cells cannot part them in floats")
         grow = _separating_level(min_gap) - 1 - self._d.size
         d = np.pad(self._d, (0, grow)) if grow > 0 else self._d
         _add_shared(d, left, right, sign)
@@ -539,8 +549,9 @@ class BarronEngine:
         ser, ratio, err = q <= _SERIES_Q, np.full(levels, LOG_ZERO), np.zeros(levels)
         if "powers" not in self._cache:  # S_p(k) = sum_(i<k) i^p, k = 0..K
             i = np.arange(self._n_distinct, dtype=np.float64)
-            self._cache["powers"] = np.array(
-                [np.concatenate(([0.0], np.cumsum(i ** p))) for p in range(1, P + 1)])
+            sums = self._cache["powers"] = np.zeros((P, i.size + 1))
+            for p in range(1, P + 1):
+                np.cumsum(i ** p, out=sums[p - 1, 1:])
         sums, k, acc = self._cache["powers"], ks[ser], 0.0
         for p in range(P, 0, -1):
             acc = (acc + (1.0 - 2.0 ** -p) / p * sums[p - 1, k]) / m[ser]

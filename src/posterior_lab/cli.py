@@ -28,7 +28,6 @@ from .harness import (
     write_trajectory,
 )
 from .numerics import ConfigError, QuadratureError
-from .svgplot import PlotSpec, Series, render_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,6 +218,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import PlotSpec, Series, render_svg  # only plot draws
+
     columns = [c for c in args.columns.split(",") if c]
     if not columns:
         raise ConfigError("no columns requested")

@@ -11,7 +11,6 @@ one engine per seed and reduce to an order-normalized summary.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import logging
@@ -20,7 +19,6 @@ import os
 import threading
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -310,6 +308,8 @@ def _element_types(tp, size: int, where: str) -> tuple:
 def config_hash(cfg: RunConfig) -> str:
     """sha256 of the canonical JSON form (sorted keys, seeds sorted -- seed
     order is not semantically meaningful)."""
+    import hashlib  # loaded here: a pool worker forks before OpenSSL is mapped
+
     payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -458,6 +458,8 @@ def _run_pooled(cfg: RunConfig, seeds: list, jobs: int) -> list:
     handed out; the trajectories in flight finish, and the exception of the
     earliest failing seed in seed order is re-raised, as a serial run would
     raise it.  The records come back in seed order."""
+    from concurrent.futures import ProcessPoolExecutor  # traj never loads it
+
     trajs = [None] * len(seeds)
     failed = {}                     # seed index -> exception
     todo = iter(range(len(seeds)))

@@ -10,7 +10,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from posterior_lab import barron
 from posterior_lab.barron import (
@@ -952,14 +952,29 @@ def blocked_samples(draw):
     return data, sorted(draw(st.lists(st.integers(0, len(data)), max_size=6)))
 
 
+def unresolvable(xs) -> bool:
+    """Whether two distinct points of xs lie closer than 2^-52, past the
+    resolution of the cell map."""
+    return bool((1.0 / np.diff(np.unique(xs)) >= 2.0 ** 52).any())
+
+
 class TestBlockIngestion:
     @given(blocked_samples())
+    @example(([0.001, 0.0010000000000000002], [1]))
     @settings(max_examples=25, deadline=None)
     def test_blocks_equal_one_block_and_the_recount(self, sample):
         data, cuts = sample
         truth = GaussExpDensity(0.5)
         blocks, whole = BarronEngine(truth=truth), BarronEngine(truth=truth)
         for lo, hi in zip([0] + cuts, cuts + [len(data)]):
+            if unresolvable(data[:hi]):
+                # the block that makes the pair and the whole sample raise
+                with pytest.raises(ValueError, match=r"2\^-52"):
+                    blocks.add_points(data[lo:hi])
+                with pytest.raises(ValueError, match=r"2\^-52"):
+                    whole.add_points(data)
+                assert (blocks.n, whole.n) == (lo, 0)
+                return
             blocks.add_points(data[lo:hi])
         whole.add_points(data)
         occ = blocks.occupancy
@@ -977,7 +992,9 @@ class TestBlockIngestion:
         assert blocks.step_marginal() == whole.step_marginal()
 
     @pytest.mark.parametrize("block", [[0.2, 0.4, 1.5], [0.5, math.nan],
-                                       [math.inf], [0.6, 0.0]])
+                                       [math.inf], [0.6, 0.0],
+                                       [0.001, 0.0010000000000000002],
+                                       [0.5, math.nextafter(0.3, 1.0)]])
     def test_rejected_block_changes_nothing(self, block):
         e = BarronEngine(truth=GaussExpDensity(0.5))
         e.add_points([0.1, 0.3, 0.7])

@@ -6,6 +6,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +484,24 @@ class TestConfigErrorExit:
         assert runs == []
         assert not os.path.exists(str(tmp_path / "x.csv"))
 
+    def test_one_ulp_dataset_exits_2_without_allocating(self, tmp_path, capsys):
+        # two points one ulp apart are past the resolution of the cell map,
+        # and their separating level is about 2^31: the engine must refuse
+        # them before it sizes anything by that level
+        data = tmp_path / "pair.csv"
+        data.write_text("0.001\n0.0010000000000000002\n")
+        tracemalloc.start()
+        try:
+            code = run_cli("traj", "--truth", f"file:{data}", "--n-max", "2",
+                           "--out", str(tmp_path / "x"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "2^-52" in capsys.readouterr().err
+        assert peak < 2 ** 24
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
     def test_corrupted_plot_input_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "base")
         assert run_cli("traj", "--truth", "uniform", "--n-max", "12",
@@ -493,3 +514,33 @@ class TestConfigErrorExit:
                        "--out", str(tmp_path / "p.svg"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+# modules a process need not load to run one trajectory: OpenSSL's hash
+# module (config_hash loads it to write the sidecar), the process pool and
+# the SVG renderer
+HEAVY = ("_hashlib", "multiprocessing", "concurrent.futures.process",
+         "posterior_lab.svgplot")
+
+
+def loaded_in_fresh_process(code):
+    """The HEAVY modules loaded after ``code`` runs in a fresh interpreter
+    (with ``cli`` imported from this checkout)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    script = ("import sys\nimport posterior_lab.cli as cli\n" + code +
+              f"\nprint(','.join(m for m in {HEAVY!r} if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    last = out.stdout.split("\n")[-2]  # the line the script prints last
+    return set(filter(None, last.split(",")))
+
+
+class TestLeanProcesses:
+    def test_parsing_a_traj_loads_none_of_the_heavy_modules(self):
+        code = "cli.build_parser().parse_args(['traj', '--n-max', '20', '--out', 'x'])"
+        assert loaded_in_fresh_process(code) == set()
+
+    def test_traj_loads_no_pool_and_no_plotting(self, tmp_path):
+        out = str(tmp_path / "t")
+        code = f"assert cli.main(['traj', '--n-max', '20', '--out', {out!r}]) == 0"
+        assert loaded_in_fresh_process(code) <= {"_hashlib"}

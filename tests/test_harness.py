@@ -2,12 +2,14 @@
 persisted trajectories replay exactly, config hashes canonicalize, and
 summaries are independent of seed order and parallelism."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -431,7 +433,7 @@ class TestReplicationLayout:
 
     @pytest.fixture()
     def recorded(self, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "run_trajectory", recording_trajectory)
         monkeypatch.setattr(RecordingPool, "sizes", [])
         monkeypatch.setattr(RecordingPool, "submitted", [])
@@ -498,6 +500,32 @@ class TestReplicationLayout:
     def test_parallelism_below_one_rejected(self, recorded, jobs):
         with pytest.raises(ConfigError, match="parallelism"):
             run_replications(self.CFG, parallelism=jobs)
+
+    def test_worker_forks_without_the_hash_library(self, tmp_path):
+        # in a fresh interpreter, each trajectory notes its pid and whether
+        # OpenSSL's hash module is loaded in the process that ran it
+        (tmp_path / "lean_probe.py").write_text(
+            "import os, sys\n"
+            "from posterior_lab import harness\n"
+            "run = harness.run_trajectory\n"
+            "def probe(cfg, seed):\n"
+            "    traj = run(cfg, seed)\n"
+            "    traj.probe = (os.getpid(), '_hashlib' in sys.modules)\n"
+            "    return traj\n")
+        code = (
+            "import json, os, lean_probe\n"
+            "from posterior_lab import harness\n"
+            "harness.run_trajectory = lean_probe.probe\n"
+            "cfg = harness.RunConfig(n_max=20, seeds=(1, 2))\n"
+            "r = harness.run_replications(cfg, parallelism=2)\n"
+            "print(json.dumps([os.getpid(), [t.probe for t in r.trajectories]]))\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        parent, probes = json.loads(out)
+        assert probes[0][0] != parent  # seed 1 runs in the worker
+        assert [loaded for _, loaded in probes] == [False, False]
         assert TRAJECTORY_CALLS == [] and RecordingPool.sizes == []
 
 
