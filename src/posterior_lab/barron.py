@@ -119,22 +119,20 @@ _EXACT_INV = 2.0 ** 52
 def _separating_levels(gaps: np.ndarray) -> np.ndarray:
     """_separating_level of each gap, as int64: the isqrt start from a float
     sqrt with a one-step integer correction, then the float test over the
-    gaps that still meet it; gaps with 1/gap >= 2^52 take the scalar."""
+    gaps that still meet it.  Every gap must have 1/gap < 2^52, as
+    add_points ensures."""
     inv = 1.0 / gaps
-    exact = inv < _EXACT_INV
-    v = inv[exact].astype(np.int64)
+    assert (inv < _EXACT_INV).all()
+    v = inv.astype(np.int64)
     r = np.sqrt(v.astype(np.float64)).astype(np.int64)
     r -= r * r > v
     r += (r + 1) * (r + 1) <= v
-    nd, g = r + 1, gaps[exact]
-    todo = np.flatnonzero(1.0 / (2.0 * nd * nd) >= 0.5 * g)
+    nd = r + 1
+    todo = np.flatnonzero(1.0 / (2.0 * nd * nd) >= 0.5 * gaps)
     while todo.size:
         nd[todo] += 1
-        todo = todo[1.0 / (2.0 * nd[todo] * nd[todo]) >= 0.5 * g[todo]]
-    out = np.empty(gaps.shape, dtype=np.int64)
-    out[exact] = nd
-    out[~exact] = [_separating_level(x) for x in gaps[~exact].tolist()]
-    return out
+        todo = todo[1.0 / (2.0 * nd[todo] * nd[todo]) >= 0.5 * gaps[todo]]
+    return nd
 
 
 # (pair, level) elements that one pass of _add_shared compares

@@ -914,13 +914,14 @@ class TestTailSeries:
 class TestSeparatingLevels:
     def test_vector_equals_the_scalar(self):
         # 1/r^2 and its neighbouring floats, where the float test moves the
-        # isqrt start, random gaps, and gaps whose 1/gap passes 2^52
+        # isqrt start, random gaps, and the smallest gap add_points accepts
         rng = np.random.default_rng(11)
-        r = np.r_[np.arange(1, 3000), rng.integers(3000, 10**8, 3000)].astype(np.float64)
+        r = np.r_[np.arange(1, 3000), rng.integers(3000, 2**26, 3000)].astype(np.float64)
         base = 1.0 / (r * r)
         gaps = np.r_[base, np.nextafter(base, 1.0), np.nextafter(base, 0.0),
-                     rng.random(3000), 10.0 ** rng.uniform(-18, 0, 3000),
-                     2.0 ** -52, np.nextafter(2.0 ** -52, 1.0), 2.0 ** -53]
+                     rng.random(3000), 2.0 ** -rng.uniform(0, 52, 3000),
+                     np.nextafter(2.0 ** -52, 1.0)]
+        assert (1.0 / gaps < barron._EXACT_INV).all()
         want = [barron._separating_level(g) for g in gaps.tolist()]
         assert np.array_equal(barron._separating_levels(gaps), want)
         assert barron._separating_levels(np.zeros(0)).size == 0

@@ -500,6 +500,7 @@ class TestReplicationLayout:
     def test_parallelism_below_one_rejected(self, recorded, jobs):
         with pytest.raises(ConfigError, match="parallelism"):
             run_replications(self.CFG, parallelism=jobs)
+        assert TRAJECTORY_CALLS == [] and RecordingPool.sizes == []
 
     def test_worker_forks_without_the_hash_library(self, tmp_path):
         # in a fresh interpreter, each trajectory notes its pid and whether
@@ -526,7 +527,6 @@ class TestReplicationLayout:
         parent, probes = json.loads(out)
         assert probes[0][0] != parent  # seed 1 runs in the worker
         assert [loaded for _, loaded in probes] == [False, False]
-        assert TRAJECTORY_CALLS == [] and RecordingPool.sizes == []
 
 
 def reference_summary(trajs):
