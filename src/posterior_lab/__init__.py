@@ -47,7 +47,6 @@ from .diagnostics import (
     BandSpec,
     DiagnosticRecord,
     DiagnosticSettings,
-    accumulation_scan,
     band_posterior_mass,
     band_prior_exponent,
     beta_bound_mass,

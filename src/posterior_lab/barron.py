@@ -202,10 +202,6 @@ class SufficientStats:
     min_gap: float
     n_distinct: int
 
-    @property
-    def w_n(self) -> float:
-        return self.s_n / self.n if self.n else 0.0
-
 
 @dataclass(frozen=True)
 class OccupancyStats:
@@ -258,13 +254,6 @@ class PosteriorTheta:
     n: int
     s_n: float
     quad_tol: float
-
-    def log_density(self, theta: float) -> float:
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError(f"theta must lie in [0,1], got {theta}")
-        if theta == 0.0:
-            return LOG_ZERO
-        return -1.0 / theta - self.n * theta + math.sqrt(2.0 * theta) * self.s_n
 
     def _integral(self, lo: float, hi: float) -> QuadratureResult:
         return _tilt_integral(self.n, self.s_n, self.quad_tol, lo, hi)
@@ -740,10 +729,15 @@ class BarronEngine:
         """The level mixture of the cell predictives at x: per level up to
         N^2 = 1/d, d the distance to the nearest point; past it x's cell is
         unoccupied, and 2 (N^2-K)/(2N^2-K) (N^2)_K/(2N^2)_K is twice the
-        ratio at K+1 (at a data point every cell of x is occupied)."""
+        ratio at K+1 (at a data point every cell of x is occupied).  An x
+        within 2^-52 of a point but not on it raises, as add_points does."""
         lo, hi, tail, total = self._step_sum()
         d = self._nearest_distance(x)
         if d > 0.0:
+            if 1.0 / d >= _EXACT_INV:
+                nb = min(self._neighbours(x), key=lambda p: abs(x - p))
+                raise ValueError(f"x = {x!r} and the data point {nb!r} lie closer "
+                                 f"than 2^-52: the level cells cannot part them in floats")
             levels = max(lo.size, int(1.0 / math.sqrt(d)) + 1)
             if levels > lo.size:
                 lo, hi = self._head(levels)

@@ -37,7 +37,6 @@ __all__ = [
     "evidence_lower_flag",
     "evaluate_diagnostics",
     "excursion_count",
-    "accumulation_scan",
 ]
 
 # float tolerance for "the realized exact level equals the queried gamma"
@@ -119,6 +118,12 @@ def band_u_intervals(w: float, lo: float, hi: float) -> list:
     return segs
 
 
+def _tilt_set(engine: BarronEngine, lo: float, hi: float) -> list:
+    """The theta intervals of the tilt members whose mean log-likelihood
+    n^-1 ln L_n(f_theta) (uniform reference) lies in [lo, hi]."""
+    return [(ua * ua, ub * ub) for ua, ub in band_u_intervals(engine.w_n, lo, hi)]
+
+
 def gamma_stat(engine: BarronEngine, gamma: float = LN2) -> GammaStat:
     """Posterior mass of {f : R_n(f) = e^(gamma n)}.
 
@@ -150,9 +155,8 @@ def band_posterior_mass(engine: BarronEngine, band: BandSpec) -> Bracket:
         # R_0 is identically 1 and the band excludes 0
         return Bracket(0.0, 0.0)
     cbar = engine.mean_log_truth
-    segs = band_u_intervals(engine.w_n, band.alpha + cbar, band.beta + cbar)
     return engine.set_mass(band.alpha <= LN2 - cbar <= band.beta,
-                           [(ua * ua, ub * ub) for ua, ub in segs])
+                           _tilt_set(engine, band.alpha + cbar, band.beta + cbar))
 
 
 def band_prior_exponent(engine: BarronEngine, band: BandSpec) -> float:
@@ -175,10 +179,9 @@ def band_prior_exponent(engine: BarronEngine, band: BandSpec) -> float:
     if not band.degenerate:
         post = engine.posterior_theta()
         acc = 0.0
-        for (ua, ub) in band_u_intervals(engine.w_n, band.alpha + cbar,
-                                         band.beta + cbar):
-            acc += post.prior_ball_mass(ub * ub).midpoint() - \
-                (post.prior_ball_mass(ua * ua).midpoint() if ua > 0.0 else 0.0)
+        for ta, tb in _tilt_set(engine, band.alpha + cbar, band.beta + cbar):
+            acc += post.prior_ball_mass(tb).midpoint() - \
+                (post.prior_ball_mass(ta).midpoint() if ta > 0.0 else 0.0)
         if acc > 0.0:
             log_mass = log_add(log_mass,
                                math.log(acc) + engine.prior.log_continuous_weight)
@@ -198,10 +201,8 @@ def beta_bound_mass(engine: BarronEngine, beta: float) -> Bracket:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if engine.n == 0:
         return Bracket(0.0, 0.0)
-    segs = []
-    if sup_loglik_f0(engine.w_n, engine.n) / engine.n > beta:
-        segs = band_u_intervals(engine.w_n, beta, math.inf)
-    return engine.set_mass(beta < LN2, [(ua * ua, ub * ub) for ua, ub in segs])
+    tilt = sup_loglik_f0(engine.w_n, engine.n) / engine.n > beta
+    return engine.set_mass(beta < LN2, _tilt_set(engine, beta, math.inf) if tilt else [])
 
 
 def evidence_lower_flag(engine: BarronEngine, tau: float) -> bool:
@@ -335,22 +336,3 @@ def excursion_count(trajectory, statistic: str, delta: float) -> ExcursionReport
         raise ValueError(f"trajectory has no statistic named {statistic!r}")
     ns = tuple(n for n, br in series if br is not None and br.lower > delta)
     return ExcursionReport(count=len(ns), ns=ns)
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    ns: tuple
-    count: int
-    last_n: int | None
-
-
-def accumulation_scan(trajectory, gamma: float, tol: float,
-                      statistic: str = "band_prior_exponent") -> ScanReport:
-    """Grid points where |named exponent series - gamma| <= tol (finite-n
-    witnesses of gamma being an accumulation point of the prior exponent)."""
-    series = trajectory.value_series(statistic)
-    if not series:
-        raise ValueError(f"trajectory has no statistic named {statistic!r}")
-    ns = tuple(n for n, v in series
-               if v is not None and math.isfinite(v) and abs(v - gamma) <= tol)
-    return ScanReport(ns=ns, count=len(ns), last_n=ns[-1] if ns else None)

@@ -612,9 +612,3 @@ def load_trajectory(prefix: str) -> TrajectoryRecord:
     return TrajectoryRecord(config=cfg, seed=int(side["seed"]),
                             grid=list(side["grid"]), columns=columns, rows=rows,
                             errors=[(int(n), m) for n, m in side.get("errors", [])])
-
-
-def replay(prefix: str) -> TrajectoryRecord:
-    """Re-run the config stored in a sidecar with its seed."""
-    loaded = load_trajectory(prefix)
-    return run_trajectory(loaded.config, loaded.seed)

@@ -42,10 +42,6 @@ class LogBracket:
         rnd = math.ulp(1.0) * (6.0 * (upper.size + abs(hi)) + 8.0)
         return LogBracket(log_sum_exp(lower) - rnd, hi + rnd if hi > LOG_ZERO else hi)
 
-    @staticmethod
-    def zero() -> "LogBracket":
-        return LogBracket(LOG_ZERO, LOG_ZERO)
-
     def is_zero(self) -> bool:
         return self.upper == LOG_ZERO
 
@@ -58,9 +54,6 @@ class LogBracket:
 
     def shift(self, c: float) -> "LogBracket":
         """Multiply the underlying quantity by e^c (exact in log space)."""
-        if self.is_zero() and self.lower == LOG_ZERO:
-            return LogBracket(LOG_ZERO, LOG_ZERO if self.upper == LOG_ZERO
-                              else self.upper + c)
         return LogBracket(self.lower + c if self.lower > LOG_ZERO else LOG_ZERO,
                           self.upper + c if self.upper > LOG_ZERO else LOG_ZERO)
 

@@ -2,8 +2,8 @@
 adaptive G7/K15 Gauss-Kronrod quadrature with QUADPACK's error estimate
 (still not a proof), and deterministic splittable random streams.
 
-Everything here is pure (no global state); the only "state" is the value-type
-``RandomStream``, which is advanced functionally.
+Everything here is pure (no global state); a ``RandomStream`` is a value
+whose words depend only on its seed and stream id.
 
 Log-space convention: a nonnegative real w is represented by ln(w), with
 ``LOG_ZERO = -inf`` as the distinguished representation of w = 0.  All
@@ -14,7 +14,7 @@ never overflow intermediates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "LOG_ZERO",
     "LN2",
     "log_add",
-    "log_sub",
     "log_sum_exp",
     "norm_cdf",
     "norm_logpdf",
@@ -56,17 +55,6 @@ def log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-def log_sub(a: float, b: float) -> float:
-    """ln(e^a - e^b) for a >= b; returns LOG_ZERO when a == b."""
-    if b == LOG_ZERO:
-        return a
-    if b > a:
-        raise ValueError(f"log_sub requires a >= b, got a={a} b={b}")
-    if a == b:
-        return LOG_ZERO
-    return a + math.log(-math.expm1(b - a))
 
 
 def log_sum_exp(terms) -> float:
@@ -397,21 +385,8 @@ _MIX_M2 = 0x94D049BB133111EB
 _STREAM_SALT = 0x6A09E667F3BCC909
 
 
-def _mix64(z: int) -> int:
-    # SplitMix64 finalizer (Stafford mix13): full-avalanche 64-bit mixer
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_M2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def _stream_key(seed: int, stream_id: int) -> int:
-    k1 = _mix64(seed & _MASK64)
-    k2 = _mix64((stream_id & _MASK64) ^ _STREAM_SALT)
-    return _mix64((k1 + (_GOLDEN * k2)) & _MASK64)
-
-
 def _mix64_np(z: np.ndarray) -> np.ndarray:
+    # SplitMix64 finalizer (Stafford mix13): full-avalanche 64-bit mixer
     z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_M1)
@@ -421,31 +396,31 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _stream_key(seed: int, stream_id: int) -> np.ndarray:
+    """The key of stream (seed, stream_id), as a one-element uint64 array
+    (array arithmetic wraps modulo 2^64 without a warning)."""
+    k = _mix64_np(np.array([seed & _MASK64, (stream_id & _MASK64) ^ _STREAM_SALT],
+                           dtype=np.uint64))
+    return _mix64_np(k[:1] + np.uint64(_GOLDEN) * k[1:])
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Counter-based deterministic random stream (SplitMix64-derived key,
-    Stafford-mix13 output).  A value type: drawing does not mutate; use
-    ``advance`` to move the counter.  (seed, stream_id, counter) fully
-    determine every output, and distinct stream_ids from one seed give
-    decorrelated streams.
+    Stafford-mix13 output).  A value type: word i (i = 1, 2, ...) is the
+    mix of key + i * golden, so (seed, stream_id) fully determine every
+    output, and distinct stream_ids from one seed give decorrelated streams.
     """
 
     seed: int
     stream_id: int = 0
-    counter: int = 0
-
-    def advance(self, n: int) -> "RandomStream":
-        return replace(self, counter=self.counter + int(n))
 
     def bits64(self, n: int) -> np.ndarray:
-        """n raw 64-bit words starting at the current counter."""
+        """The first n raw 64-bit words of the stream."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        key = _stream_key(self.seed, self.stream_id)
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            words = _mix64_np(np.uint64(key) + idx * np.uint64(_GOLDEN))
-        return words
+        idx = np.arange(1, n + 1, dtype=np.uint64)
+        return _mix64_np(_stream_key(self.seed, self.stream_id) + idx * np.uint64(_GOLDEN))
 
     def uniform(self, n: int) -> np.ndarray:
         """n deterministic uniforms in [0, 1) (53-bit mantissas)."""

@@ -32,8 +32,6 @@ class Series:
 @dataclass
 class PlotSpec:
     series: list
-    x_label: str = "n"
-    y_label: str = ""
     log_x: bool = False
     log_y: bool = False
     reflines: list = field(default_factory=list)
@@ -132,13 +130,7 @@ def render_svg(spec: PlotSpec) -> str:
         out.append(f'<text x="{_f(_ML - 8)}" y="{_f(yp + 4)}" text-anchor="end" '
                    f'font-family="monospace" font-size="11">{label}</text>')
     out.append(f'<text x="{_f((_ML + _W - _MR) / 2)}" y="{_f(_H - 10)}" '
-               f'text-anchor="middle" font-family="monospace" font-size="12">'
-               f'{_esc(spec.x_label)}</text>')
-    if spec.y_label:
-        out.append(f'<text x="16" y="{_f((_MT + _H - _MB) / 2)}" '
-                   f'text-anchor="middle" font-family="monospace" font-size="12" '
-                   f'transform="rotate(-90 16 {_f((_MT + _H - _MB) / 2)})">'
-                   f'{_esc(spec.y_label)}</text>')
+               f'text-anchor="middle" font-family="monospace" font-size="12">n</text>')
 
     # bracket bands first (under the lines)
     for i, s in enumerate(spec.series):

@@ -486,16 +486,6 @@ class TestPosteriorTheta:
         assert a.lower + b.lower <= 1.0 + 1e-10
         assert a.upper + b.upper >= 1.0 - 1e-10
 
-    def test_log_density_formula(self):
-        e = BarronEngine()
-        e.add_points([0.6, 0.7])
-        post = e.posterior_theta()
-        s = e.stats.s_n
-        theta = 0.42
-        want = -1.0 / theta - 2 * theta + math.sqrt(2 * theta) * s
-        assert post.log_density(theta) == pytest.approx(want, abs=1e-12)
-        assert post.log_density(0.0) == LOG_ZERO
-
 
 def prior_level_check(lp):
     """The first 100 level weights and the weight past the cut are those of
@@ -649,6 +639,24 @@ class TestStepPredictive:
         xs = (np.arange(512) + 0.5) / 512
         mids = [e.step_predictive(float(x)).midpoint() for x in xs]
         assert np.mean(mids) == pytest.approx(1.0, abs=5e-3)
+
+    def test_one_ulp_off_a_point_raises_without_allocating(self):
+        # one ulp off 0.3 the head would run to 1/sqrt(d), about 1.3e8
+        # levels: x is refused, naming the point, before anything is sized
+        e = BarronEngine()
+        e.add_points([0.3, 0.9])
+        e.step_marginal()
+        for x, nb in ((math.nextafter(0.3, 1.0), "0.3"), (math.nextafter(0.9, 0.0), "0.9")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"2\^-52") as info:
+                    e.step_predictive(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert repr(x) in str(info.value) and nb in str(info.value)
+            assert peak < 16 * 2 ** 20
+        assert e.step_predictive(0.3).lower > 0.0
 
 
 # -- the per-state cache against the per-level loop it replaced --------------

@@ -164,8 +164,11 @@ class TestTrajCommand:
         assert (was.pop("version"), now.pop("version")) == (4, 5)
         assert was == now
 
+    # the gauss run's bands and betas hold tilt members, so it reads the
+    # tilt side of the band mass, the band prior exponent and the beta bound
     @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1",
-                                      "v5_uniform_n8000_seed65"])
+                                      "v5_uniform_n8000_seed65",
+                                      "v5_gauss_tiltband_n300_seed9"])
     def test_v5_sidecar_replays_byte_identical(self, tmp_path, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
@@ -307,6 +310,15 @@ class TestScanCommand:
         cells = [tuple(float(v) for v in ln.split(",")[:2]) for ln in lines[1:]]
         assert all(a <= b for a, b in cells)          # alpha > beta omitted
         assert (0.2, 0.4) in cells and (0.6, 0.75) in cells
+
+    def test_v5_scan_table_is_byte_identical(self, tmp_path):
+        out = str(tmp_path / "scan.csv")
+        assert run_cli("scan", "--n-max", "150", "--seeds", "1..3",
+                       "--alpha-grid", "0.1:0.7:0.3", "--beta-grid", "0.4:0.8:0.2",
+                       "--delta-grid", "0.3:0.9:0.3", "--out", out) == 0
+        with open(os.path.join(DATA, "v5_scan_uniform_n150_seeds1-3.csv"), "rb") as a, \
+                open(out, "rb") as b:
+            assert a.read() == b.read()
 
     def test_single_cell(self, tmp_path):
         out = str(tmp_path / "one.csv")
@@ -493,6 +505,27 @@ class TestConfigErrorExit:
         tracemalloc.start()
         try:
             code = run_cli("traj", "--truth", f"file:{data}", "--n-max", "2",
+                           "--out", str(tmp_path / "x"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "2^-52" in capsys.readouterr().err
+        assert peak < 2 ** 24
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    def test_one_ulp_predictive_exits_2_without_allocating(self, tmp_path, capsys):
+        # the predictive grid point 0.375 is one ulp off the first data
+        # point, where the step head would run to about 1e8 levels
+        data = tmp_path / "pair.csv"
+        data.write_text("0.37500000000000006\n0.9\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 2,
+                                   "truth": {"kind": "external", "path": str(data)},
+                                   "diagnostics": {"predictive_grid": 4}}))
+        tracemalloc.start()
+        try:
+            code = run_cli("traj", "--config", str(cfg), "--seed", "1",
                            "--out", str(tmp_path / "x"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

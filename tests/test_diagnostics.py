@@ -302,15 +302,6 @@ class TestTrajectoryScans:
         with pytest.raises(ValueError):
             excursion_count(traj, "no_such_stat", 0.5)
 
-    def test_accumulation_scan(self):
-        from posterior_lab.diagnostics import accumulation_scan
-        traj = self._toy_trajectory()
-        wide = accumulation_scan(traj, LN2, 10.0)
-        assert wide.count == len(traj.grid)
-        narrow = accumulation_scan(traj, 0.3, 0.01)
-        tight_tail = [n for n in narrow.ns if n > 50]
-        assert tight_tail == []
-
 
 class TestRecordInvariants:
     def test_gamma_plus_band_complement_at_most_one(self):

@@ -31,7 +31,6 @@ from posterior_lab.harness import (
     evaluation_grid,
     ingest_dataset,
     load_trajectory,
-    replay,
     run_replications,
     run_trajectory,
     summary_csv,
@@ -296,7 +295,7 @@ class TestTrajectoryRoundTrip:
         assert loaded.grid == traj.grid
         assert loaded.to_csv() == traj.to_csv()
 
-        replayed = replay(prefix)
+        replayed = run_trajectory(loaded.config, loaded.seed)
         assert replayed.to_csv() == traj.to_csv()
         assert replayed.sidecar() == traj.sidecar()
 
