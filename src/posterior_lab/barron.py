@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import gauss_exp_hellinger_threshold, HELLINGER_STEP_UNIFORM
+from .densities import cell_floor, gauss_exp_hellinger_threshold, HELLINGER_STEP_UNIFORM
 from .intervals import Bracket, LogBracket, mass_ratio
 from .numerics import (
     LN2,
@@ -97,30 +97,25 @@ def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _W2[:m], _LOG_W[:m]
 
 
-def _separating_level(gap: float) -> int:
-    """S(gap): from the start isqrt(int(1/gap)) + 1, the first N with
-    1/(2 N^2) < gap/2 in floats.  From it on, float rounding in the cell map
-    cannot merge two points gap or more apart.  It is the smallest such N or
-    one above it: one ulp above fl(1/9), at 0.11111111111111112, the level 3
-    already holds, and S is 4."""
-    nd = math.isqrt(int(1.0 / gap)) + 1
-    while 1.0 / (2.0 * nd * nd) >= 0.5 * gap:
-        nd += 1
-    return nd
-
-
-# below this, int(1/gap) converts to a float exactly, so the float sqrt of
-# it is within one of its isqrt.  Past it 2 N^2 >= 2^53 at the level S(gap),
-# where fl(2 N^2 x) can round by a whole cell, so add_points rejects a sample
-# with a gap that small
+# a 1/gap below this keeps the levels below S(gap) under 2 N^2 = 2^53, the
+# range of cell_floor, and converts int(1/gap) to a float exactly, so its
+# float sqrt is within one of its isqrt; add_points rejects a smaller gap
 _EXACT_INV = 2.0 ** 52
 
 
 def _separating_levels(gaps: np.ndarray) -> np.ndarray:
-    """_separating_level of each gap, as int64: the isqrt start from a float
-    sqrt with a one-step integer correction, then the float test over the
-    gaps that still meet it.  Every gap must have 1/gap < 2^52, as
-    add_points ensures."""
+    """S(gap) of each gap, as int64: from the start isqrt(int(1/gap)) + 1,
+    the first N with 1/(2 N^2) < gap/2 in floats, so that two points gap or
+    more apart share no level-N cell from S(gap) on.  It is the smallest
+    such level or one above it: one ulp above fl(1/9), at
+    0.11111111111111112, the level 3 already holds, and S is 4.  The margin
+    of half the gap is wider than the exact cells need (a cell narrower than
+    the gap parts the pair, the gap's own rounding aside), but D and the cut
+    M follow it, and so do the output bits.  The levels below S have
+    N^2 <= 1/gap, so every gap must have 1/gap < 2^52, as add_points
+    ensures.  The isqrt start comes from a float sqrt with a one-step
+    integer correction; the float test then runs over the gaps that still
+    meet it."""
     inv = 1.0 / gaps
     assert (inv < _EXACT_INV).all()
     v = inv.astype(np.int64)
@@ -140,14 +135,13 @@ _CHUNK = 1 << 14
 
 
 def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
-                weight: np.ndarray) -> None:
+                sizes: np.ndarray, weight: np.ndarray) -> None:
     """Add weight[i] to out[N - 1] at every level N on which the points
-    a[i] < b[i] share a cell.  Each pair is compared only below
-    S(b[i] - a[i]), where the cells part, over the flattened (pair, level)
-    range in chunks of _CHUNK elements, which may split one pair's levels;
-    np.add.at, unlike a bincount, needs no array as long as a chunk's level
-    range."""
-    sizes = _separating_levels(b - a) - 1
+    a[i] < b[i] share a cell.  Each pair is compared only on its levels
+    1..sizes[i] = S(b[i] - a[i]) - 1, where the cells part, over the
+    flattened (pair, level) range in chunks of _CHUNK elements, which may
+    split one pair's levels; np.add.at, unlike a bincount, needs no array as
+    long as a chunk's level range."""
     ends = np.cumsum(sizes)
     starts = ends - sizes
     w2 = _level_table(int(sizes.max(initial=0)))[0]
@@ -159,8 +153,8 @@ def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
         span = np.minimum(ends[pairs], hi) - np.maximum(starts[pairs], lo)
         level = np.arange(lo, hi) - np.repeat(starts[pairs], span)
         w = w2[level]
-        shared = (w * np.repeat(a[pairs], span)).astype(np.int64) == \
-            (w * np.repeat(b[pairs], span)).astype(np.int64)
+        shared = cell_floor(w, np.repeat(a[pairs], span)) == \
+            cell_floor(w, np.repeat(b[pairs], span))
         np.add.at(out, level, shared * np.repeat(weight[pairs], span))
 
 
@@ -426,8 +420,9 @@ class BarronEngine:
         return self._sum_log_truth / self._n if self._n else 0.0
 
     def distinct_level(self) -> int:
-        """The distinct-cell level S(min_gap) (see _separating_level)."""
-        return _separating_level(self._min_gap)
+        """The distinct-cell level D = S(min_gap) (see _separating_levels):
+        the deficits hold the levels 1..D-1."""
+        return self._d.size + 1
 
     def _occupancies(self, m: int) -> np.ndarray:
         """k_N = n_distinct - d_N for the levels 1..m (d_N = 0 past the stored ones)."""
@@ -449,10 +444,11 @@ class BarronEngine:
         to the nearest point, so only the levels below it are compared."""
         gap = self._nearest_distance(x)
         shared = np.full(levels, gap == 0.0)
-        w2 = _level_table(min(levels, _separating_level(gap) - 1) if gap else 0)[0]
-        c_x = (w2 * x).astype(np.int64)
+        below = int(_separating_levels(np.array([gap]))[0]) - 1 if gap else 0
+        w2 = _level_table(min(levels, below))[0]
+        c_x = cell_floor(w2, x)
         for nb in self._neighbours(x):
-            shared[:w2.size] |= c_x == (w2 * nb).astype(np.int64)
+            shared[:w2.size] |= c_x == cell_floor(w2, nb)
         return shared
 
     # -- updates ----------------------------------------------------------
@@ -510,9 +506,12 @@ class BarronEngine:
             a, b = u[i:i + 2].tolist()
             raise ValueError(f"data points {a!r} and {b!r} lie closer than 2^-52: "
                              f"the level cells cannot part them in floats")
-        grow = _separating_level(min_gap) - 1 - self._d.size
+        # S falls as the gap grows, and a new min_gap is a made pair's gap,
+        # so the deficits grow to the most levels any pair compares, D - 1
+        sizes = _separating_levels(right - left) - 1
+        grow = int(sizes.max(initial=0)) - self._d.size
         d = np.pad(self._d, (0, grow)) if grow > 0 else self._d
-        _add_shared(d, left, right, sign)
+        _add_shared(d, left, right, sizes, sign)
 
         self._cache.clear()
         self._pts, self._n, self._s, self._sum_log_truth = pts, self._n + xs.size, s, log_truth

@@ -32,6 +32,7 @@ __all__ = [
     "CosineDensity",
     "UniformDensity",
     "cosine_normalizer",
+    "cell_floor",
     "cell_index",
     "kl_gauss_exp",
     "hellinger_gauss_exp",
@@ -43,14 +44,46 @@ __all__ = [
 
 HELLINGER_STEP_UNIFORM = math.sqrt(2.0 - math.sqrt(2.0))  # 0.765366...
 
+# Veltkamp's splitting constant 2^27 + 1 for doubles
+_SPLIT = 134217729.0
+
+
+def cell_floor(w, x) -> np.ndarray:
+    """floor(w x) exactly, elementwise, for integers w < 2^53 and x in
+    [0,1), w and x numbers or float64 arrays of one shape: the cell of x in
+    a partition of [0,1) into w cells, as float64 integers (each below
+    2^53, so exact).  The floor of f = fl(w x) is exact unless f is an
+    integer (an integer strictly between f and w x would be a float nearer
+    to w x than f is).  Only there is the rounding error w x - f read, from
+    Dekker's two-product with Veltkamp splits (no FMA), and a negative one
+    moves x one cell down.  f >= 1 makes x >= 1/w, so the split products
+    stay normal; f = 0 only at x = 0."""
+    f = w * x
+    cells = np.floor(f)
+    tie = cells == f
+    # a single point skips the reduction, which costs more than its floor
+    if tie.any() if tie.ndim else tie:
+        cells = np.asarray(cells)
+        w, x, f = (v[tie] if np.ndim(v) else v for v in (w, x, np.asarray(f)))
+        t = _SPLIT * w
+        w_hi = t - (t - w)
+        w_lo = w - w_hi
+        t = _SPLIT * x
+        x_hi = t - (t - x)
+        x_lo = x - x_hi
+        err = ((w_hi * x_hi - f) + w_hi * x_lo + w_lo * x_hi) + w_lo * x_lo
+        cells[tie] -= err < 0.0
+    return cells
+
 
 def cell_index(x: float, level: int) -> int:
-    """Index of the cell of P_level containing x, i.e. floor(2 level^2 x)."""
+    """Index of the cell of P_level containing x, i.e. floor(2 level^2 x)
+    (see cell_floor)."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x must lie in [0,1), got {x}")
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    return int(2 * level * level * x)
+    if not 1 <= level < 2 ** 26:
+        raise ValueError("level must be a positive integer below 2^26")
+    return int(cell_floor(2 * level * level, x))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,23 @@ from posterior_lab.numerics import (
 mp.mp.dps = 40
 
 
+def exact_cells(w, x):
+    """floor(w x) for integer-valued w and floats x, elementwise over their
+    broadcast, as int64.  The floor of the float product is exact where
+    that product is not an integer; every element where it is one is redone
+    in Python integers from float.as_integer_ratio."""
+    w, x = np.broadcast_arrays(np.asarray(w, dtype=np.float64),
+                               np.asarray(x, dtype=np.float64))
+    f = w * x
+    out = np.floor(f).astype(np.int64)
+    tie = out == f
+    for v in np.unique(x[tie]).tolist():
+        p, q = v.as_integer_ratio()
+        at = tie & (x == v)
+        out[at] = [int(wi) * p // q for wi in w[at].tolist()]
+    return out
+
+
 def brute_force_step_sum(data, levels=(1, 2), with_likelihood=True):
     """Sum over every step density of the given levels of
     (level weight) x (within-level weight) x (likelihood or indicator)."""
@@ -43,10 +60,9 @@ def brute_force_step_sum(data, levels=(1, 2), with_likelihood=True):
         cells = 2 * m
         members = list(combinations(range(cells), m))
         w = (6 / mp.pi**2) / (level * level) / len(members)
+        occupied = set(exact_cells(cells, data).tolist())
         for sel in members:
-            sel = set(sel)
-            ok = all(int(cells * x) in sel for x in data)
-            if not ok:
+            if not occupied <= set(sel):
                 continue
             total += w * (mp.mpf(2) ** len(data) if with_likelihood else 1)
     return total
@@ -98,14 +114,14 @@ def mp_step_log_sum(data, power=0, x=None, dps=20):
         total = mp.mpf(0)
         for level in range(1, last + 1):
             m = level * level
-            cells = (2.0 * m * pts).astype(np.int64)
+            cells = exact_cells(2 * m, pts)
             k = len(np.unique(cells))
             if k > m:
                 continue
             t = mp.exp(mp.loggamma(m + 1) - mp.loggamma(m - k + 1)
                        - mp.loggamma(2 * m + 1) + mp.loggamma(2 * m - k + 1))
             if x is not None:
-                t *= 2 if int(2.0 * m * x) in set(cells.tolist()) \
+                t *= 2 if exact_cells(2 * m, [x])[0] in set(cells.tolist()) \
                     else mp.mpf(2 * (m - k)) / (2 * m - k)
             total += t / mp.mpf(level) ** (2 + power)
 
@@ -138,6 +154,15 @@ class TestOccupancyTracking:
         assert e.occupancy.k(1) == 2   # halves {0, 1}
         assert e.occupancy.k(2) == 3   # eighths {0, 2, 5}
 
+    def test_decimal_point_below_a_cell_boundary(self):
+        # 50 * 0.3 rounds up to 15, but the float 0.3 lies below 3/10, so at
+        # every level N divisible by 5 it sits one cell below 0.305
+        e = BarronEngine()
+        e.add_points([0.3, 0.305, 0.9])
+        assert e.occupancy.k(5) == 3
+        assert np.array_equal(e.occupancy.k_by_level,
+                              recount_occupancy([0.3, 0.305, 0.9], e._cut()))
+
     def test_incremental_matches_scratch(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -146,8 +171,7 @@ class TestOccupancyTracking:
             e.add_points(data)
             pts = np.sort(data)
             for level in range(1, e.occupancy.k_by_level.size + 1):
-                cells = (2.0 * level * level * pts).astype(np.int64)
-                want = len(np.unique(cells))
+                want = len(np.unique(exact_cells(2 * level * level, pts)))
                 assert e.occupancy.k(level) == want, (level, data)
 
     def test_k_monotone_in_n_and_bounds(self):
@@ -310,6 +334,8 @@ class TestStepMarginal:
 ORACLE_DATA = {
     "uniform n=100": lambda: [float(x) for x in RandomStream(1, 0).uniform_open(100)],
     "lattice K=200": lambda: [(i + 0.5) / 200 for i in range(200)],
+    # fl(50 * 0.3) = 15, but 0.3 lies below 15/50 and so in cell 14
+    "decimal cell boundary": lambda: [0.3, 0.305, 0.9],
 }
 
 
@@ -327,6 +353,15 @@ class TestClosedFormOracle:
         assert e.posterior_over_n().mean_inv_level.contains(mean_inv)
         pred = mp.exp(mp_step_log_sum(data, x=0.37) - s)
         assert e.step_predictive(0.37).contains(pred)
+
+    def test_predictive_on_a_decimal_cell_boundary(self):
+        # 0.3 lies just below the level-5 boundary 15/50 and 0.305 above it,
+        # so x = 0.3 falls in a cell no point occupies at level 5
+        data = [0.305, 0.9]
+        e = BarronEngine()
+        e.add_points(data)
+        pred = mp.exp(mp_step_log_sum(data, x=0.3) - mp_step_log_sum(data))
+        assert e.step_predictive(0.3).contains(pred)
 
     def test_lattice_cut_is_half_the_distinct_points(self):
         e = BarronEngine()
@@ -600,10 +635,10 @@ class TestStepPredictive:
         w2 = barron._level_table(m_trunc)[0]
         ks = e._occupancies(m_trunc).astype(np.float64)
         for x in (0.001, 0.2, 0.5, 0.73, 0.999):
-            c_x = (w2 * x).astype(np.int64)
+            c_x = exact_cells(w2, x)
             occupied = np.zeros(m_trunc, dtype=bool)
             for nb in e._neighbours(x):
-                occupied |= c_x == (w2 * nb).astype(np.int64)
+                occupied |= c_x == exact_cells(w2, nb)
             m = w2 / 2.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
@@ -693,7 +728,7 @@ def recount_occupancy(data, levels):
     out = np.empty(levels, dtype=np.int64)
     for start in range(0, levels, 4096):
         lv = np.arange(start + 1, min(start + 4096, levels) + 1, dtype=np.float64)
-        cells = (2.0 * lv[:, None] * lv[:, None] * pts).astype(np.int64)
+        cells = exact_cells(2.0 * lv[:, None] * lv[:, None], pts)
         out[start:start + lv.size] = 1 + (np.diff(cells, axis=1) != 0).sum(axis=1)
     return out
 
@@ -919,6 +954,15 @@ class TestTailSeries:
         assert e._cache[("tail", levels, 2, 1)] != fresh._tail(levels, 2)
 
 
+def separating_level(gap: float) -> int:
+    """S(gap) one gap at a time: from the start isqrt(int(1/gap)) + 1, the
+    first N with 1/(2 N^2) < gap/2 in floats."""
+    nd = math.isqrt(int(1.0 / gap)) + 1
+    while 1.0 / (2.0 * nd * nd) >= 0.5 * gap:
+        nd += 1
+    return nd
+
+
 class TestSeparatingLevels:
     def test_vector_equals_the_scalar(self):
         # 1/r^2 and its neighbouring floats, where the float test moves the
@@ -930,7 +974,7 @@ class TestSeparatingLevels:
                      rng.random(3000), 2.0 ** -rng.uniform(0, 52, 3000),
                      np.nextafter(2.0 ** -52, 1.0)]
         assert (1.0 / gaps < barron._EXACT_INV).all()
-        want = [barron._separating_level(g) for g in gaps.tolist()]
+        want = [separating_level(g) for g in gaps.tolist()]
         assert np.array_equal(barron._separating_levels(gaps), want)
         assert barron._separating_levels(np.zeros(0)).size == 0
 
@@ -940,7 +984,7 @@ class TestSeparatingLevels:
         gap = np.nextafter(1.0 / 9.0, 1.0)
         assert gap == 0.11111111111111112
         assert 1.0 / (2.0 * 3 * 3) < 0.5 * gap
-        assert barron._separating_level(gap) == 4
+        assert barron._separating_levels(np.array([gap]))[0] == 4
 
 
 @st.composite

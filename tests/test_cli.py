@@ -165,13 +165,18 @@ class TestTrajCommand:
         assert was == now
 
     # the gauss run's bands and betas hold tilt members, so it reads the
-    # tilt side of the band mass, the band prior exponent and the beta bound
+    # tilt side of the band mass, the band prior exponent and the beta bound;
+    # the decimal run's dataset decimal.csv (0.3, 0.305, 0.9, read from the
+    # working directory) puts 0.3 just below a level-5 cell boundary
     @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1",
                                       "v5_uniform_n8000_seed65",
-                                      "v5_gauss_tiltband_n300_seed9"])
-    def test_v5_sidecar_replays_byte_identical(self, tmp_path, name):
+                                      "v5_gauss_tiltband_n300_seed9",
+                                      "v5_decimal_n3_seed1"])
+    def test_v5_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
+        (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
+        monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         for ext in (".csv", ".json"):
             with open(golden + ext, "rb") as a, open(out + ext, "rb") as b:

@@ -15,6 +15,7 @@ from posterior_lab.densities import (
     Partition,
     StepDensity,
     UniformDensity,
+    cell_floor,
     cell_index,
     hellinger_gauss_exp,
     hellinger_numeric,
@@ -74,6 +75,41 @@ class TestPartitionAndSteps:
             cell_index(1.0, 2)
         with pytest.raises(ValueError):
             cell_index(-0.1, 2)
+        with pytest.raises(ValueError):
+            cell_index(0.5, 2 ** 26)
+
+    def test_cell_floor_is_the_integer_floor_next_to_boundaries(self):
+        # one ulp either side of j/(2 N^2), N up to 8e5, where fl(2 N^2 x)
+        # can round onto the boundary, and boundaries that are floats (N a
+        # power of two); the oracle is floor(2 N^2 p / q) in Python
+        # integers, p/q the float x
+        rng = np.random.default_rng(18)
+        levels = rng.integers(1, 800_000, 5_000)
+        w = 2 * levels * levels
+        j = rng.integers(1, w)
+        edge = j / w
+        dyadic = 2 * 4 ** rng.integers(0, 19, 1_000)
+        x = np.r_[np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), edge,
+                  rng.random(5_000), rng.integers(1, dyadic) / dyadic]
+        w = np.r_[w, w, w, w, dyadic]
+        want = [wi * p // q for wi, (p, q) in
+                zip(w.tolist(), map(float.as_integer_ratio, x.tolist()))]
+        assert cell_floor(w, x).tolist() == want
+        assert ((w * x).astype(np.int64) != want).any()  # the plain float map misses
+
+    def test_cell_floor_broadcasts(self):
+        w = 2.0 * np.arange(1, 6) ** 2
+        assert cell_floor(w, 0.3).tolist() == [0, 2, 5, 9, 14]
+        assert cell_floor(50, np.array([0.0, 0.3, 0.305])).tolist() == [0, 14, 15]
+        assert cell_floor(50, 0.3) == 14
+
+    def test_decimal_point_below_a_cell_boundary(self):
+        # fl(50 * 0.3) = 15, but the float 0.3 lies below 3/10
+        assert cell_index(0.3, 5) == 14
+        below = StepDensity(5, frozenset(range(14, 39)))
+        above = StepDensity(5, frozenset(range(15, 40)))
+        assert below.logpdf(0.3) == math.log(2.0) and below.pdf(0.3) == 2.0
+        assert above.logpdf(0.3) == LOG_ZERO and above.pdf(0.3) == 0.0
 
     def test_partition_geometry(self):
         p = Partition(3)
@@ -287,12 +323,21 @@ class TestSamplers:
 
         s2 = StepDensity(3, frozenset(range(0, 18, 2)))
         xs2 = sample_step(s2, RandomStream(6, 0), 100_000)
-        cells = (xs2 * 18).astype(int)
+        cells = cell_floor(18, xs2).astype(int)
         assert set(np.unique(cells)) == set(range(0, 18, 2))
         counts = np.bincount(cells, minlength=18)[list(range(0, 18, 2))]
         expected = xs2.size / 9.0
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert scipy.stats.chi2.sf(stat, 8) > 0.001
+
+    @pytest.mark.parametrize("level", [5, 7, 11])
+    def test_step_draws_lie_in_selected_cells(self, level):
+        # 2 N^2 is no power of two, so the cell width 1/(2 N^2) is inexact
+        rng = np.random.default_rng(level)
+        sel = rng.choice(2 * level * level, level * level, replace=False)
+        s = StepDensity(level, frozenset(sel.tolist()))
+        xs = sample_step(s, RandomStream(level, 0), 50_000)
+        assert set(cell_floor(2 * level * level, xs).tolist()) <= s.selected
 
     def test_step_empty(self):
         s = StepDensity(1, frozenset({0}))
