@@ -11,12 +11,11 @@ one engine per seed and reduce to an order-normalized summary.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
 import os
-import threading
+import pickle
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -318,6 +317,10 @@ def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:
     """Geometric grid of sample sizes, always containing 1..10 and n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max * (ratio - 1.0) < 0.5:
+        # every step below n_max moves v by less than 0.5, so the rounds
+        # visit every integer, in about log(n_max) / (ratio - 1) steps
+        return list(range(1, n_max + 1))
     pts = set(range(1, min(10, n_max) + 1))
     v = 10.0
     while v < n_max:
@@ -450,51 +453,82 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
 
 
 def _run_pooled(cfg: RunConfig, seeds: list, jobs: int) -> list:
-    """run_trajectory for every seed in ``jobs`` processes: this one and a
-    pool of jobs - 1 workers.  Every process takes the next seed no process
-    has taken as soon as it finishes one; a worker is fed by one thread that
-    submits its next seed when the last comes back, so no seed waits in the
-    pool's queue behind a busy process.  After the first failure no seed is
-    handed out; the trajectories in flight finish, and the exception of the
-    earliest failing seed in seed order is re-raised, as a serial run would
-    raise it.  The records come back in seed order."""
-    from concurrent.futures import ProcessPoolExecutor  # traj never loads it
+    """run_trajectory for every seed in ``jobs`` processes: this one and
+    jobs - 1 forks of it, made with POSIX ``os.fork`` before any thread
+    exists (a spawned worker would import numpy again).  Fork i starts on
+    seed i and this process on seed ``jobs``; then each process takes the
+    next seed no process has taken from a pipe that holds one 4-byte token,
+    the index of that seed.  After the first failure the token reads
+    len(seeds), so no seed is handed out; the trajectories in flight finish,
+    and the exception of the earliest failing seed in seed order is
+    re-raised, as a serial run would raise it.  A fork pickles its
+    (index, record | exception) pairs into its own pipe when its seeds run
+    out; a fork that ends without sending them all is a RuntimeError naming
+    its pid and wait status.  On any exception here, KeyboardInterrupt
+    included, the forks are killed and reaped.  The records come back in
+    seed order."""
+    token = os.pipe()
+    forks = {}                      # pid -> the file its results come through
+    try:
+        os.write(token[1], jobs.to_bytes(4, "little"))
+        for first in range(jobs - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a fork: run its seeds, send them, and never return
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        pickle.dump(_take_seeds(cfg, seeds, first, token), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            forks[pid] = open(r, "rb")
+            os.close(w)
+        done = dict(_take_seeds(cfg, seeds, jobs - 1, token))
+        for pid in list(forks):
+            with forks[pid] as fh:
+                sent = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del forks[pid]
+            if status:  # a fork exits 0 only once all it sent is written
+                code = os.waitstatus_to_exitcode(status)
+                how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(f"replicate worker {pid} ended without "
+                                   f"sending its results (wait status "
+                                   f"{status}: {how})")
+            done.update(pickle.loads(sent))
+    finally:
+        if forks:  # only after an exception here
+            import signal  # 2 ms to import, so loaded only to kill forks
 
-    trajs = [None] * len(seeds)
-    failed = {}                     # seed index -> exception
-    todo = iter(range(len(seeds)))
-    lock = threading.Lock()
+            for pid, fh in forks.items():
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        os.close(token[0])
+        os.close(token[1])
+    failures = [v for _, v in sorted(done.items()) if isinstance(v, Exception)]
+    if failures:
+        raise failures[0]
+    return [done[i] for i in range(len(seeds))]
 
-    def take():
-        with lock:
-            return None if failed else next(todo, None)
 
-    def run(i, call):
+def _take_seeds(cfg: RunConfig, seeds: list, first: int, token: tuple) -> list:
+    """(index, record | exception) of seed ``first`` and of every seed
+    index taken from the token pipe after it, until the token reads
+    len(seeds).  Reading the token takes it; each process writes it back at
+    once, one index further on, or at len(seeds) after a failure."""
+    out, i, end = [], first, len(seeds)
+    while i < end:
         try:
-            trajs[i] = call()
-        except BaseException as exc:  # re-raised below if it is the earliest
-            with lock:
-                failed[i] = exc
-
-    def feed(i, fut):
-        run(i, fut.result)
-        while (i := take()) is not None:
-            run(i, lambda: ex.submit(run_trajectory, cfg, seeds[i]).result())
-
-    with ProcessPoolExecutor(max_workers=jobs - 1) as ex:
-        # submitted before any thread starts, so a forking pool forks here
-        first = [(i, ex.submit(run_trajectory, cfg, seeds[i]))
-                 for i in itertools.islice(todo, jobs - 1)]
-        feeders = [threading.Thread(target=feed, args=f) for f in first]
-        for t in feeders:
-            t.start()
-        while (i := take()) is not None:
-            run(i, lambda: run_trajectory(cfg, seeds[i]))
-        for t in feeders:
-            t.join()
-    if failed:
-        raise failed[min(failed)]
-    return trajs
+            out.append((i, run_trajectory(cfg, seeds[i])))
+        except Exception as exc:  # re-raised by _run_pooled if the earliest
+            out.append((i, exc))
+        taken = int.from_bytes(os.read(token[0], 4), "little")
+        i = end if isinstance(out[-1][1], Exception) else taken
+        os.write(token[1], min(i + 1, end).to_bytes(4, "little"))
+    return out
 
 
 @dataclass
@@ -545,15 +579,18 @@ def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
     """One trajectory per seed plus an order-normalized summary (see
     _summary: one array pass over the seeds) and the excursion counts at the
     thresholds 0.5 and 0.9; results are independent of the parallelism
-    degree.  ``parallelism`` k runs the seeds in k processes in all, the
-    invoking one included (see _run_pooled); k < 1 is a ConfigError."""
+    degree: every record is byte for byte the same for any k.
+    ``parallelism`` k runs the seeds in k processes in all: the invoking one
+    plus k - 1 forks of it, made with POSIX ``os.fork`` before any thread
+    exists (see _run_pooled); where ``os.fork`` is missing the seeds run
+    serially.  k < 1 is a ConfigError."""
     seeds = [int(s) for s in cfg.seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     if parallelism < 1:
         raise ConfigError(f"parallelism must be at least 1, got {parallelism}")
     jobs = min(parallelism, len(seeds))
-    if jobs == 1:
+    if jobs == 1 or not hasattr(os, "fork"):
         trajs = [run_trajectory(cfg, s) for s in seeds]
     else:
         trajs = _run_pooled(cfg, seeds, jobs)

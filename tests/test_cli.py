@@ -557,7 +557,7 @@ class TestConfigErrorExit:
 # modules a process need not load to run one trajectory: OpenSSL's hash
 # module (config_hash loads it to write the sidecar), the process pool and
 # the SVG renderer
-HEAVY = ("_hashlib", "multiprocessing", "concurrent.futures.process",
+HEAVY = ("_hashlib", "multiprocessing", "concurrent.futures",
          "posterior_lab.svgplot")
 
 
@@ -582,3 +582,9 @@ class TestLeanProcesses:
         out = str(tmp_path / "t")
         code = f"assert cli.main(['traj', '--n-max', '20', '--out', {out!r}]) == 0"
         assert loaded_in_fresh_process(code) <= {"_hashlib"}
+
+    def test_replicate_forks_without_pool_machinery(self, tmp_path):
+        out = str(tmp_path / "r")
+        code = ("assert cli.main(['replicate', '--n-max', '20', '--seeds', '1,2', "
+                f"'--jobs', '2', '--out-dir', {out!r}]) == 0")
+        assert loaded_in_fresh_process(code) == {"_hashlib"}

@@ -2,22 +2,20 @@
 persisted trajectories replay exactly, config hashes canonicalize, and
 summaries are independent of seed order and parallelism."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from posterior_lab import harness
+from posterior_lab import cli, harness
 from posterior_lab.cosine import CosineEngine, CosinePriorConfig
 from posterior_lab.diagnostics import BandSpec, DiagnosticSettings
 from posterior_lab.harness import (
@@ -110,6 +108,40 @@ class TestEvaluationGrid:
         big = [g for g in grid if g >= 100]
         ratios = [b / a for a, b in zip(big, big[1:])]
         assert all(1.05 < r < 1.25 for r in ratios)
+
+    def test_ratio_next_to_one_gives_every_n(self):
+        # below n_max (ratio - 1) = 0.5 the rounds visit every integer
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n_max = int(rng.integers(1, 400))
+            ratio = 1.0 + rng.uniform(0.1, 1.0) * 0.5 / n_max
+            assert n_max * (ratio - 1.0) < 0.5
+            assert evaluation_grid(n_max, ratio) == grid_by_rounds(n_max, ratio) \
+                == list(range(1, n_max + 1))
+
+    def test_traj_on_a_ratio_next_to_one_exits_at_once(self, tmp_path):
+        # the rounds alone would take about 10^10 steps here
+        out = str(tmp_path / "t")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        subprocess.run([sys.executable, "-m", "posterior_lab.cli", "traj",
+                        "--n-max", "30", "--grid-ratio", "1.0000000001", "--out", out],
+                       env=dict(os.environ, PYTHONPATH=src), check=True,
+                       capture_output=True, timeout=60)
+        with open(out + ".json", encoding="utf-8") as fh:
+            assert json.load(fh)["grid"] == list(range(1, 31))
+
+
+def grid_by_rounds(n_max, ratio):
+    """The grid as the rounds of evaluation_grid make it: 1..10, n_max and
+    round(10 ratio^j) up to n_max."""
+    pts = set(range(1, min(10, n_max) + 1))
+    v = 10.0
+    while v < n_max:
+        v *= ratio
+        if (r := int(round(v))) <= n_max:
+            pts.add(r)
+    pts.add(n_max)
+    return sorted(pts)
 
 
 class TestConfigHash:
@@ -388,67 +420,87 @@ class TestReplications:
         assert gs["frequency"] == gs["seeds_with_excursion"] / 2
 
 
-class RecordingPool(ProcessPoolExecutor):
-    """The harness's pool, recording the worker count of each one made and
-    the seed of each trajectory submitted to it."""
-
-    sizes: list = []
-    submitted: list = []
-
-    def __init__(self, max_workers=None, **kwargs):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-    def submit(self, fn, cfg, seed):
-        RecordingPool.submitted.append(seed)
-        return super().submit(fn, cfg, seed)
-
-
 class SeedFailure(RuntimeError):
     pass
 
 
-# module state a forked pool worker inherits: the (pid, seed) of each call
-# below (a worker appends to its own copy, so this process sees only its
-# own calls) and the seeds whose trajectory raises
-TRAJECTORY_CALLS: list = []
+# module state a fork inherits: the file that every process appends the
+# (pid, seed) of each call below to, the seeds whose trajectory raises, the
+# seeds that end a fork ("kill": SIGKILL, "exit": SystemExit) or interrupt
+# this process ("interrupt"), and the pid of each fork this process makes
+TEST_PID = os.getpid()
+CALL_LOG = ""
 FAILING_SEEDS: set = set()
+ABORTS: dict = {}
+FORKS: list = []
+REAL_FORK = os.fork
+
+
+def recording_fork():
+    pid = REAL_FORK()
+    if pid:
+        FORKS.append(pid)
+    return pid
 
 
 def recording_trajectory(cfg, seed):
-    """run_trajectory, noting its pid and seed and raising for FAILING_SEEDS
-    with a message that names the seed and the process it ran in."""
-    TRAJECTORY_CALLS.append((os.getpid(), seed))
+    """run_trajectory, noting its pid and seed in CALL_LOG, raising for
+    FAILING_SEEDS with a message that names the seed and its process, and
+    acting out ABORTS."""
+    with open(CALL_LOG, "a", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()} {seed}\n")
     if seed in FAILING_SEEDS:
         raise SeedFailure(f"seed {seed} in pid {os.getpid()}")
+    abort, in_fork = ABORTS.get(seed), os.getpid() != TEST_PID
+    if abort == "kill" and in_fork:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if abort == "exit" and in_fork:
+        raise SystemExit(5)
+    if abort == "interrupt" and not in_fork:
+        raise KeyboardInterrupt
     return run_trajectory(cfg, seed)
 
 
+def trajectory_calls():
+    """(pid, seed) of every recorded call, in every process, in order."""
+    with open(CALL_LOG, encoding="ascii") as fh:
+        return [tuple(int(v) for v in line.split()) for line in fh]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestReplicationLayout:
-    """parallelism k runs the seeds in k processes: this one and a pool of
-    k - 1 workers, each taking the next seed when it finishes one."""
+    """parallelism k runs the seeds in k processes: this one and k - 1 forks
+    of it, each taking the next seed when it finishes one."""
 
     CFG = RunConfig(truth=TruthSpec("uniform"), n_max=40, seeds=(1, 2, 3, 4))
 
     @pytest.fixture()
-    def recorded(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def recorded(self, monkeypatch, tmp_path):
+        this = sys.modules[__name__]
+        monkeypatch.setattr(os, "fork", recording_fork)
         monkeypatch.setattr(harness, "run_trajectory", recording_trajectory)
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(RecordingPool, "submitted", [])
-        monkeypatch.setattr(sys.modules[__name__], "TRAJECTORY_CALLS", [])
+        monkeypatch.setattr(this, "FORKS", [])
+        monkeypatch.setattr(this, "CALL_LOG", str(tmp_path / "calls"))
+        (tmp_path / "calls").write_text("")
 
     def test_parent_is_one_of_the_jobs(self, recorded):
         run_replications(self.CFG, parallelism=3)
-        assert RecordingPool.sizes == [2]
-        # seeds 1 and 2 go to the workers, and this process takes seed 3
-        assert (os.getpid(), 3) in TRAJECTORY_CALLS
-        assert multiprocessing.active_children() == []
+        assert len(FORKS) == 2
+        calls = trajectory_calls()
+        # seeds 1 and 2 go to the forks, and this process takes seed 3 first
+        assert (FORKS[0], 1) in calls and (FORKS[1], 2) in calls
+        assert [s for pid, s in calls if pid == os.getpid()][0] == 3
+        assert sorted(s for _, s in calls) == [1, 2, 3, 4]
+        assert_no_child_left()
 
     def test_serial_run_makes_no_pool(self, recorded):
         run_replications(self.CFG, parallelism=1)
-        assert RecordingPool.sizes == []
-        assert TRAJECTORY_CALLS == [(os.getpid(), s) for s in (1, 2, 3, 4)]
+        assert FORKS == []
+        assert trajectory_calls() == [(os.getpid(), s) for s in (1, 2, 3, 4)]
 
     def test_results_independent_of_jobs(self):
         ref = run_replications(self.CFG, parallelism=1)
@@ -460,23 +512,20 @@ class TestReplicationLayout:
             assert r.summary_rows == ref.summary_rows
             assert r.excursions == ref.excursions
 
-    def test_every_seed_once_under_fast_thread_switching(self):
-        # more jobs than cores, and the feeder threads switched every 10 us:
-        # a seed taken twice or never would change the records
+    def test_every_seed_once_with_more_jobs_than_cores(self, recorded):
+        # five processes contend for the token: a seed taken twice or never
+        # would change the records or the calls
         cfg = RunConfig(truth=TruthSpec("uniform"), n_max=3, seeds=tuple(range(1, 13)))
-        ref = run_replications(cfg, parallelism=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            r = run_replications(cfg, parallelism=5)
-        finally:
-            sys.setswitchinterval(interval)
+        ref = [run_trajectory(cfg, s) for s in cfg.seeds]
+        r = run_replications(cfg, parallelism=5)
+        assert len(FORKS) == 4
+        assert sorted(s for _, s in trajectory_calls()) == list(range(1, 13))
         assert [t.seed for t in r.trajectories] == list(range(1, 13))
-        assert [t.rows for t in r.trajectories] == [t.rows for t in ref.trajectories]
-        assert multiprocessing.active_children() == []
+        assert [t.rows for t in r.trajectories] == [t.rows for t in ref]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("failing, where", [
-        ({1}, "worker"),       # seeds 1 and 2 go to the two workers first
+        ({1}, "worker"),       # seeds 1 and 2 go to the two forks first
         ({3}, "parent"),       # the parent takes seed 3 first
         ({2, 3}, "worker"),    # both fail: the earlier seed's error is raised
     ])
@@ -485,46 +534,81 @@ class TestReplicationLayout:
         monkeypatch.setattr(sys.modules[__name__], "FAILING_SEEDS", failing)
         first = min(failing)
         for jobs in (1, 3):
-            TRAJECTORY_CALLS.clear()
+            open(CALL_LOG, "w").close()
             with pytest.raises(SeedFailure, match=f"seed {first} in") as info:
                 run_replications(self.CFG, parallelism=jobs)
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             in_parent = f"pid {os.getpid()}" in str(info.value)
             assert in_parent == (jobs == 1 or where == "parent")
+        assert len(FORKS) == 2
         if where == "parent":  # it fails at once, so seed 4 is never handed out
-            assert RecordingPool.submitted == [1, 2]
-            assert TRAJECTORY_CALLS == [(os.getpid(), 3)]
+            assert sorted(trajectory_calls()) == sorted(
+                [(FORKS[0], 1), (FORKS[1], 2), (os.getpid(), 3)])
+
+    @pytest.mark.parametrize("abort, status", [
+        ("kill", f"signal {int(signal.SIGKILL)}"),
+        ("exit", "exit code 1"),   # a BaseException ends the fork
+    ])
+    def test_fork_ending_early_is_a_runtime_error(self, recorded, monkeypatch,
+                                                  abort, status):
+        monkeypatch.setattr(sys.modules[__name__], "ABORTS", {1: abort})
+        with pytest.raises(RuntimeError) as info:
+            run_replications(self.CFG, parallelism=3)
+        assert not isinstance(info.value, SeedFailure)
+        assert f"worker {FORKS[0]} " in str(info.value)
+        assert status in str(info.value)
+        assert_no_child_left()
+
+    def test_killed_fork_exits_3(self, recorded, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sys.modules[__name__], "ABORTS", {1: "kill"})
+        code = cli.main(["replicate", "--truth", "uniform", "--n-max", "40",
+                         "--seeds", "1..4", "--jobs", "3",
+                         "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert f"worker {FORKS[0]} " in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_interrupt_here_kills_the_forks(self, recorded, monkeypatch):
+        # seed 3 runs in this process while the forks run seeds 1 and 2
+        monkeypatch.setattr(sys.modules[__name__], "ABORTS", {3: "interrupt"})
+        with pytest.raises(KeyboardInterrupt):
+            run_replications(self.CFG, parallelism=3)
+        assert len(FORKS) == 2
+        assert_no_child_left()
+
+    def test_without_fork_the_seeds_run_here(self, recorded, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        run_replications(self.CFG, parallelism=3)
+        assert trajectory_calls() == [(os.getpid(), s) for s in (1, 2, 3, 4)]
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_parallelism_below_one_rejected(self, recorded, jobs):
         with pytest.raises(ConfigError, match="parallelism"):
             run_replications(self.CFG, parallelism=jobs)
-        assert TRAJECTORY_CALLS == [] and RecordingPool.sizes == []
+        assert trajectory_calls() == [] and FORKS == []
 
-    def test_worker_forks_without_the_hash_library(self, tmp_path):
+    def test_worker_forks_without_the_hash_library(self):
         # in a fresh interpreter, each trajectory notes its pid and whether
         # OpenSSL's hash module is loaded in the process that ran it
-        (tmp_path / "lean_probe.py").write_text(
-            "import os, sys\n"
+        code = (
+            "import json, os, sys\n"
             "from posterior_lab import harness\n"
             "run = harness.run_trajectory\n"
             "def probe(cfg, seed):\n"
             "    traj = run(cfg, seed)\n"
             "    traj.probe = (os.getpid(), '_hashlib' in sys.modules)\n"
-            "    return traj\n")
-        code = (
-            "import json, os, lean_probe\n"
-            "from posterior_lab import harness\n"
-            "harness.run_trajectory = lean_probe.probe\n"
+            "    return traj\n"
+            "harness.run_trajectory = probe\n"
             "cfg = harness.RunConfig(n_max=20, seeds=(1, 2))\n"
             "r = harness.run_replications(cfg, parallelism=2)\n"
             "print(json.dumps([os.getpid(), [t.probe for t in r.trajectories]]))\n")
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True).stdout
         parent, probes = json.loads(out)
-        assert probes[0][0] != parent  # seed 1 runs in the worker
+        # seed 1 runs in the fork and seed 2 here
+        assert probes[0][0] != parent and probes[1][0] == parent
         assert [loaded for _, loaded in probes] == [False, False]
 
 
