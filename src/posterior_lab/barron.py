@@ -130,6 +130,19 @@ def _separating_levels(gaps: np.ndarray) -> np.ndarray:
     return nd
 
 
+def _compared_levels(gaps: np.ndarray) -> np.ndarray:
+    """How many levels 1..c two points gap > 0 apart are compared on, as
+    int64 c = min(S(gap) - 1, floor(sqrt(0.5 / gap)) + 1): about
+    sqrt(0.5 / gap) levels, 1/sqrt 2 of the S(gap) - 1 that the deficits
+    hold.  The exact cells of a < b part once 2 N^2 (b - a) >= 1, as then
+    floor(2 N^2 b) >= floor(2 N^2 a) + 1, so they share only levels
+    N < sqrt(0.5 / (b - a)).  gap = fl(b - a), the quotient and the sqrt
+    each round by half an ulp, and the root lies below 2^26, so that bound
+    is below the float sqrt + 1 and no shared level lies past c."""
+    return np.minimum(_separating_levels(gaps) - 1,
+                      np.sqrt(0.5 / gaps).astype(np.int64) + 1)
+
+
 # (pair, level) elements that one pass of _add_shared compares
 _CHUNK = 1 << 14
 
@@ -138,7 +151,7 @@ def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
                 sizes: np.ndarray, weight: np.ndarray) -> None:
     """Add weight[i] to out[N - 1] at every level N on which the points
     a[i] < b[i] share a cell.  Each pair is compared only on its levels
-    1..sizes[i] = S(b[i] - a[i]) - 1, where the cells part, over the
+    1..sizes[i] (see _compared_levels), past which the cells part, over the
     flattened (pair, level) range in chunks of _CHUNK elements, which may
     split one pair's levels; np.add.at, unlike a bincount, needs no array as
     long as a chunk's level range."""
@@ -306,8 +319,12 @@ def _quotient(num: QuadratureResult, den: QuadratureResult) -> Bracket:
     return Bracket(_exp_or_zero(nl - dh), _exp_or_zero(nh - dl)).clamp01()
 
 
+@functools.lru_cache(maxsize=4)
 def _tilt_integrand_max(n: int, s: float) -> float:
-    """Maximizer of h(u) = -1/u^2 - n u^2 + sqrt(2) s u on (0, 1]."""
+    """Maximizer of h(u) = -1/u^2 - n u^2 + sqrt(2) s u on (0, 1], a
+    bisection of up to 200 steps.  It is cached by (n, S_n), so an engine
+    state's normalizer, interval masses and tilt bands find it once; the
+    data-free (0, 0) of Z0 and the prior ball is the other live key."""
     def dh(u):
         return 2.0 / u ** 3 - 2.0 * n * u + math.sqrt(2.0) * s
 
@@ -364,8 +381,8 @@ class BarronEngine:
     Feed data in blocks with ``add_points`` (``add_point`` is a block of
     one); query marginals, the component split, the within-component
     posteriors, Hellinger ball masses and the step-family predictive.  A
-    block costs one O(n) merge plus sum S(gap) cell compares over the
-    consecutive pairs it makes and splits, so the points between two queries
+    block costs one O(n) merge plus about sqrt(0.5 / gap) cell compares per
+    consecutive pair it makes and splits, so the points between two queries
     go in as one block.  When a truth density is supplied its running
     log-likelihood is tracked so diagnostics can convert between plain
     likelihoods and likelihood ratios.
@@ -440,11 +457,12 @@ class BarronEngine:
 
     def _shared_levels(self, x: float, levels: int) -> np.ndarray:
         """Flags of the levels 1..levels on which a sample point shares x's
-        cell: all at a data point, else none from S(gap) on, gap the distance
-        to the nearest point, so only the levels below it are compared."""
+        cell: all at a data point, else none past about sqrt(0.5 / gap)
+        levels, gap the distance to the nearest point (see
+        _compared_levels), so only the levels up to there are compared."""
         gap = self._nearest_distance(x)
         shared = np.full(levels, gap == 0.0)
-        below = int(_separating_levels(np.array([gap]))[0]) - 1 if gap else 0
+        below = int(_compared_levels(np.array([gap]))[0]) if gap else 0
         w2 = _level_table(min(levels, below))[0]
         c_x = cell_floor(w2, x)
         for nb in self._neighbours(x):
@@ -465,12 +483,13 @@ class BarronEngine:
 
         The deficit d_N counts the consecutive distinct points that share a
         level-N cell, so the block adds the flags of the consecutive pairs it
-        makes and subtracts those of the pairs it splits, each compared only
-        below S(gap).  Cost: one O(n) merge into the sorted sample plus the
-        sum of S(gap) cell compares over those pairs.  S_n and the truth's
-        log-likelihood are folded point by point in data order, as a
-        sequence of single points would.  A gap below 2^-52 is past the
-        resolution of the cell map (see _EXACT_INV).
+        makes and subtracts those of the pairs it splits, each compared on
+        about sqrt(0.5 / gap) levels (see _compared_levels).  Cost: one O(n)
+        merge into the sorted sample plus the sum of those cell compares
+        over the pairs.  S_n and the truth's log-likelihood take one array
+        call each, and each is folded in data order with one cumsum, the
+        same left fold a sequence of single points makes.  A gap below
+        2^-52 is past the resolution of the cell map (see _EXACT_INV).
         """
         xs = np.asarray(xs, dtype=np.float64).ravel()
         bad = ~((xs > 0.0) & (xs < 1.0))
@@ -478,11 +497,10 @@ class BarronEngine:
             raise ValueError(f"data points must lie in (0,1), got {float(xs[bad][0])}")
         if not xs.size:
             return
-        s, log_truth = self._s, self._sum_log_truth
-        for x in xs.tolist():
-            s += inv_norm_cdf(x)
-            if self.truth is not None:
-                log_truth += self.truth.logpdf(x)
+        s = float(np.cumsum(np.r_[self._s, inv_norm_cdf(xs)])[-1])
+        log_truth = self._sum_log_truth
+        if self.truth is not None:
+            log_truth = float(np.cumsum(np.r_[log_truth, self.truth.logpdf(xs)])[-1])
 
         # merged sample, with each new point after its old copies, so that
         # the first copy of a value is new only if the value is
@@ -506,12 +524,11 @@ class BarronEngine:
             a, b = u[i:i + 2].tolist()
             raise ValueError(f"data points {a!r} and {b!r} lie closer than 2^-52: "
                              f"the level cells cannot part them in floats")
-        # S falls as the gap grows, and a new min_gap is a made pair's gap,
-        # so the deficits grow to the most levels any pair compares, D - 1
-        sizes = _separating_levels(right - left) - 1
-        grow = int(sizes.max(initial=0)) - self._d.size
+        # the deficits hold the levels below D = S(min_gap), and S falls as
+        # the gap grows, so no pair compares past them
+        grow = int(_separating_levels(np.array([min_gap]))[0]) - 1 - self._d.size
         d = np.pad(self._d, (0, grow)) if grow > 0 else self._d
-        _add_shared(d, left, right, sizes, sign)
+        _add_shared(d, left, right, _compared_levels(right - left), sign)
 
         self._cache.clear()
         self._pts, self._n, self._s, self._sum_log_truth = pts, self._n + xs.size, s, log_truth
@@ -543,13 +560,20 @@ class BarronEngine:
             acc = (acc + (1.0 - 2.0 ** -p) / p * sums[p - 1, k]) / m[ser]
         ratio[ser], err[ser] = -k * LN2 - acc, _EPS * (k + 4 * P + 8) * acc
         rest = np.where(ser, ks * q ** (P + 1) / (P + 1) / (1 - np.minimum(q, 0.5)), 0)
-        for i in np.flatnonzero(~ser & (ks <= m)).tolist():
-            # blocks of factors (m-j)/(2m-j) >= 1/2m keep their products normal
-            k, j = int(ks[i]), np.arange(ks[i])
-            block = int(690.0 / math.log(2.0 * m[i]))
-            f = np.ones(-(-k // block) * block)
-            f[:k] = (m[i] - j) / (2.0 * m[i] - j)
-            logs = np.log(f.reshape(-1, block).prod(axis=1))
+        prod = np.flatnonzero(~ser & (ks <= m))
+        # one j = 0..k-1 and one factor buffer for every product level
+        j = np.arange(ks[prod].max(initial=0), dtype=np.float64)
+        f, den = np.empty(j.size), np.empty(j.size)
+        for i in prod.tolist():
+            # blocks of factors (m-j)/(2m-j) >= 1/2m keep their products
+            # normal; each block's product is a left fold, the last block's
+            # over the k mod block factors left
+            k, mi = int(ks[i]), m[i]
+            block = int(690.0 / math.log(2.0 * mi))
+            np.subtract(mi, j[:k], out=f[:k])
+            np.subtract(2.0 * mi, j[:k], out=den[:k])
+            np.divide(f[:k], den[:k], out=f[:k])
+            logs = np.log(np.multiply.reduceat(f[:k], np.arange(0, k, block)))
             ratio[i], err[i] = logs.sum(), _EPS * (2 * k - (logs.size + 2) * logs.sum())
         terms = _level_table(levels)[1] + self._n * LN2 + ratio
         err += 4.0 * _EPS * np.where(ks <= m, abs(terms) + (self._n + ks) * LN2 + 1, 0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    LN2,
     LOG_ZERO,
     RandomStream,
     adaptive_quadrature,
@@ -86,6 +87,24 @@ def cell_index(x: float, level: int) -> int:
     return int(cell_floor(2 * level * level, x))
 
 
+def _unit_values(x, open_low: bool):
+    """x as a float, or an array as float64, once every element lies in
+    [0,1), or in (0,1) with ``open_low``."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        v = float(x)
+        if (0.0 < v if open_low else 0.0 <= v) and v < 1.0:
+            return v
+        bad = v
+    else:
+        v = np.asarray(x, dtype=np.float64)
+        inside = ((v > 0.0) if open_low else (v >= 0.0)) & (v < 1.0)
+        if inside.all():
+            return v
+        bad = float(v[~inside][0])
+    span = "the open interval (0,1)" if open_low else "[0,1)"
+    raise ValueError(f"x must lie in {span}, got {bad}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Partition of [0,1) into 2*level^2 half-open cells of equal width."""
@@ -122,12 +141,12 @@ class GaussExpDensity:
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0,1], got {self.theta}")
 
-    def logpdf(self, x: float) -> float:
-        if not 0.0 < x < 1.0:
-            # pdf -> 0 at x=0 and -> inf at x=1 for theta>0; endpoints are a
-            # measure-zero event for continuous data, so we reject
-            raise ValueError(f"x must lie in the open interval (0,1), got {x}")
-        return -self.theta + math.sqrt(2.0 * self.theta) * inv_norm_cdf(x)
+    def logpdf(self, x):
+        """ln f_theta at x, a number or an array, in (0,1): pdf -> 0 at x=0
+        and -> inf at x=1 for theta>0, and endpoints are a measure-zero event
+        for continuous data, so they are rejected."""
+        z = inv_norm_cdf(_unit_values(x, open_low=True))
+        return -self.theta + math.sqrt(2.0 * self.theta) * z
 
     def pdf(self, x: float) -> float:
         return math.exp(self.logpdf(x))
@@ -146,10 +165,10 @@ class UniformDensity:
     """The uniform density on [0,1) (identical to GaussExpDensity(0), but
     accepts the closed endpoint and never touches PhiInv)."""
 
-    def logpdf(self, x: float) -> float:
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"x must lie in [0,1), got {x}")
-        return 0.0
+    def logpdf(self, x):
+        """0 at x, a number or an array, in [0,1)."""
+        v = _unit_values(x, open_low=False)
+        return 0.0 if isinstance(v, float) else np.zeros(v.shape)
 
     def pdf(self, x: float) -> float:
         self.logpdf(x)
@@ -184,8 +203,14 @@ class StepDensity:
     def pdf(self, x: float) -> float:
         return 2.0 if cell_index(x, self.level) in self.selected else 0.0
 
-    def logpdf(self, x: float) -> float:
-        return math.log(2.0) if cell_index(x, self.level) in self.selected else LOG_ZERO
+    def logpdf(self, x):
+        """ln 2 on a selected cell, LOG_ZERO elsewhere, at x, a number or an
+        array, in [0,1)."""
+        v = _unit_values(x, open_low=False)
+        if isinstance(v, float):
+            return LN2 if cell_index(v, self.level) in self.selected else LOG_ZERO
+        cells = cell_floor(self.partition.n_cells, v)
+        return np.where(np.isin(cells, tuple(self.selected)), LN2, LOG_ZERO)
 
     def quad_breakpoints(self) -> tuple:
         return tuple(self.partition.boundaries())
@@ -346,7 +371,7 @@ def sample_gauss_exp(d: GaussExpDensity, rs: RandomStream, n: int) -> np.ndarray
     (inverse-CDF, so the output is a pure function of the stream)."""
     u = rs.uniform_open(n)
     shift = math.sqrt(2.0 * d.theta)
-    out = np.fromiter((norm_cdf(shift + inv_norm_cdf(float(ui))) for ui in u),
+    out = np.fromiter(map(norm_cdf, (shift + inv_norm_cdf(u)).tolist()),
                       dtype=float, count=n)
     return np.clip(out, _OPEN_LO, _OPEN_HI)
 

@@ -101,36 +101,73 @@ _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
 _ACK_PLOW = 0.02425
+_ACK_PHIGH = 1.0 - _ACK_PLOW
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if p < _ACK_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _ACK_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
+# The rational functions and the Halley step are written once and run on
+# floats and on float64 arrays alike: numpy's +, -, *, / and sqrt round as
+# Python's float operations do.  Only ln, erfc and exp are taken element by
+# element with math, as np.log rounds some inputs differently.
+
+def _acklam_tail(q):
+    """Acklam's lower-tail rational function of q = sqrt(-2 ln p)."""
+    c, d = _ACK_C, _ACK_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
+def _acklam_central(q):
+    """Acklam's central rational function of q = p - 1/2."""
+    a, b = _ACK_A, _ACK_B
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
-def inv_norm_cdf(p: float) -> float:
+def _halley(z, p, erfc, exp):
+    """One Halley refinement against Phi(z) = erfc(-z/sqrt 2)/2:
+    u = (Phi(z)-p)/phi(z); z <- z - u/(1 + z*u/2)."""
+    u = (0.5 * erfc(-z / _SQRT2) - p) * exp(0.5 * z * z + _LOG_SQRT_2PI)
+    return z - u / (1.0 + 0.5 * z * u)
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """The math function f on every element of a float64 array."""
+    return np.fromiter(map(f, x.tolist()), np.float64, x.size)
+
+
+def inv_norm_cdf(p):
     """Inverse standard normal CDF on (0,1), abs error <= 1e-9 on
     [1e-12, 1-1e-12] (in practice near machine precision after refinement).
+    p is a number or an array; an array is mapped element by element, each
+    element bit for bit equal to the number's result.  Where |z| > 37,
+    phi(z) underflows and Acklam's value alone is all float64 offers.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"inv_norm_cdf requires 0 < p < 1, got {p}")
-    z = _acklam(p)
-    if abs(z) > 37.0:  # phi(z) underflows; Acklam alone is all float64 offers
-        return z
-    # one Halley refinement: u = (Phi(z)-p)/phi(z); z <- z - u/(1 + z*u/2)
-    u = (norm_cdf(z) - p) * math.exp(0.5 * z * z + _LOG_SQRT_2PI)
-    return z - u / (1.0 + 0.5 * z * u)
+    if isinstance(p, float) or np.ndim(p) == 0:
+        p = float(p)
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"inv_norm_cdf requires 0 < p < 1, got {p}")
+        if p < _ACK_PLOW:
+            z = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
+        elif p > _ACK_PHIGH:
+            z = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
+        else:
+            z = _acklam_central(p - 0.5)
+        return z if abs(z) > 37.0 else _halley(z, p, math.erfc, math.exp)
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p > 0.0) & (p < 1.0))
+    if bad.any():
+        raise ValueError(f"inv_norm_cdf requires 0 < p < 1, got {p[bad][0]}")
+    z = np.empty_like(p)
+    low, high = p < _ACK_PLOW, p > _ACK_PHIGH
+    mid = ~(low | high)
+    z[low] = _acklam_tail(np.sqrt(-2.0 * _each(math.log, p[low])))
+    z[high] = -_acklam_tail(np.sqrt(-2.0 * _each(math.log, 1.0 - p[high])))
+    z[mid] = _acklam_central(p[mid] - 0.5)
+    near = np.abs(z) <= 37.0
+    z[near] = _halley(z[near], p[near], lambda v: _each(math.erfc, v),
+                      lambda v: _each(math.exp, v))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +269,12 @@ class QuadratureError(RuntimeError):
         self.log_estimate = log_estimate
         self.log_error_bound = log_error_bound
         self.evaluations = evaluations
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone, which
+        # __init__ rejects: a replicate fork pickles what it raised
+        return (type(self), (self.args[0], self.log_estimate,
+                             self.log_error_bound, self.evaluations))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,14 @@ from posterior_lab.barron import (
     BarronPriorConfig,
     log_step_term,
 )
-from posterior_lab.densities import GaussExpDensity, UniformDensity, sample_gauss_exp
+from posterior_lab.densities import (
+    GaussExpDensity,
+    StepDensity,
+    UniformDensity,
+    cell_index,
+    sample_gauss_exp,
+    sample_step,
+)
 from posterior_lab.diagnostics import DiagnosticSettings, evaluate_diagnostics
 from posterior_lab.intervals import LogBracket
 from posterior_lab.numerics import (
@@ -987,6 +994,53 @@ class TestSeparatingLevels:
         assert barron._separating_levels(np.array([gap]))[0] == 4
 
 
+class TestComparedLevels:
+    def test_no_cell_is_shared_past_the_count(self):
+        # a = k/(2 N^2), k = 1..3, moved an ulp up or down, and b = a + g for
+        # g = 1/(2 N^2) and the two floats either side of it: near 0, b - a
+        # is exact or rounds toward b, and 2 N^2 (b - a) lies within a few
+        # ulps of 1.  The rest are random pairs 1e-6 to 1e-1 apart.
+        rng = np.random.default_rng(20)
+        level = rng.integers(1, 3000, 600).astype(np.float64)
+        w = 2.0 * level * level
+        a0 = np.nextafter(rng.integers(1, 4, 600) / w,
+                          rng.choice([-np.inf, np.inf], 600))
+        g = [1.0 / w]
+        for to in (-np.inf, np.inf):
+            g += [np.nextafter(g[0], to), np.nextafter(np.nextafter(g[0], to), to)]
+        ar = rng.random(400) * 0.9
+        a = np.r_[np.tile(a0, len(g)), ar]
+        b = np.r_[np.concatenate([a0 + gi for gi in g]), ar + 10.0 ** rng.uniform(-6, -1, 400)]
+        count = barron._compared_levels(b - a)
+        sep = barron._separating_levels(b - a)
+        assert (count >= 1).all() and (count <= sep - 1).all()
+        # the last level, up to S(gap) + 2, on which the exact cells share
+        last = np.zeros(a.size, dtype=np.int64)
+        for i in range(a.size):
+            lv = np.arange(1, sep[i] + 3, dtype=np.float64)
+            shared = exact_cells(2.0 * lv * lv, a[i]) == exact_cells(2.0 * lv * lv, b[i])
+            last[i] = lv[shared][-1] if shared.any() else 0
+        assert (last <= count).all()
+        # the boundary pairs that share their level N are compared on N + 1
+        # levels at most
+        at_n = last[:-400] == np.tile(level, len(g))
+        assert at_n.sum() >= 100
+        assert (count[:-400][at_n] <= last[:-400][at_n] + 1).all()
+
+    def test_predictive_compares_the_same_levels(self, monkeypatch):
+        e = BarronEngine()
+        e.add_points([0.2, 0.6])
+        asked, table = [], barron._level_table
+
+        def recording(m):
+            asked.append(m)
+            return table(m)
+
+        monkeypatch.setattr(barron, "_level_table", recording)
+        e._shared_levels(0.2 + 1e-4, 200)
+        assert asked == [int(barron._compared_levels(np.array([1e-4]))[0])] == [71]
+
+
 @st.composite
 def blocked_samples(draw):
     """A sample with exact duplicates, near-duplicates 1e-9 to 1e-12 off a
@@ -1003,6 +1057,9 @@ def blocked_samples(draw):
         max_size=1))]
     data = draw(st.permutations(data))
     return data, sorted(draw(st.lists(st.integers(0, len(data)), max_size=6)))
+
+
+STEP_TRUTH = StepDensity(2, frozenset({0, 3, 5, 7}))
 
 
 def unresolvable(xs) -> bool:
@@ -1043,6 +1100,30 @@ class TestBlockIngestion:
         assert blocks.stats.s_n == s_n
         assert blocks.mean_log_truth == log_truth / len(data)
         assert blocks.step_marginal() == whole.step_marginal()
+
+    @pytest.mark.parametrize("truth, draw, point_logpdf", [
+        (UniformDensity(), lambda rs, n: rs.uniform_open(n), lambda x: 0.0),
+        (GaussExpDensity(0.5), lambda rs, n: sample_gauss_exp(GaussExpDensity(0.5), rs, n),
+         lambda x: -0.5 + math.sqrt(2.0 * 0.5) * inv_norm_cdf(x)),
+        (STEP_TRUTH, lambda rs, n: np.r_[sample_step(STEP_TRUTH, rs, n - 40),
+                                        rs.uniform_open(40)],
+         lambda x: LN2 if cell_index(x, 2) in STEP_TRUTH.selected else LOG_ZERO),
+    ], ids=["uniform", "gauss:0.5", "step:2:0,3,5,7"])
+    def test_block_folds_equal_the_point_folds(self, truth, draw, point_logpdf):
+        # the step sample ends with 40 uniform points, some off the selected
+        # cells, so its log-likelihood folds to LOG_ZERO from there on
+        data = draw(RandomStream(4, 0), 3000).tolist()
+        e = BarronEngine(truth=truth)
+        s_n, log_truth, cuts = 0.0, 0.0, [0, 1, 2, 5, 40, 700, 2961, 2990, 3000]
+        for lo, hi in zip(cuts, cuts[1:]):
+            e.add_points(data[lo:hi])
+            for x in data[lo:hi]:
+                s_n += inv_norm_cdf(x)
+                log_truth += point_logpdf(x)
+            assert e.stats.s_n == s_n and e._sum_log_truth == log_truth
+        assert type(e._sum_log_truth) is float and type(e.stats.s_n) is float
+        if truth is STEP_TRUTH:
+            assert log_truth == LOG_ZERO
 
     @pytest.mark.parametrize("block", [[0.2, 0.4, 1.5], [0.5, math.nan],
                                        [math.inf], [0.6, 0.0],

@@ -167,11 +167,13 @@ class TestTrajCommand:
     # the gauss run's bands and betas hold tilt members, so it reads the
     # tilt side of the band mass, the band prior exponent and the beta bound;
     # the decimal run's dataset decimal.csv (0.3, 0.305, 0.9, read from the
-    # working directory) puts 0.3 just below a level-5 cell boundary
+    # working directory) puts 0.3 just below a level-5 cell boundary; the
+    # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns
     @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1",
                                       "v5_uniform_n8000_seed65",
                                       "v5_gauss_tiltband_n300_seed9",
-                                      "v5_decimal_n3_seed1"])
+                                      "v5_decimal_n3_seed1",
+                                      "v5_step_n300_seed4"])
     def test_v5_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")

@@ -64,6 +64,24 @@ class TestGaussExp:
             assert res.estimate == pytest.approx(1.0, abs=1e-8), theta
 
 
+@pytest.mark.parametrize("d", [UniformDensity(), GaussExpDensity(0.5),
+                               StepDensity(2, frozenset({0, 3, 5, 7}))],
+                         ids=["uniform", "gauss:0.5", "step:2:0,3,5,7"])
+class TestArrayLogpdf:
+    def test_array_equals_the_numbers(self, d):
+        # cell boundaries k/8 of level 2, including the selected cells' ends
+        x = np.r_[np.arange(1, 8) / 8.0, RandomStream(3, 0).uniform_open(500)]
+        got = d.logpdf(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == np.array([d.logpdf(v) for v in x.tolist()]).tobytes()
+        assert d.logpdf(x.reshape(-1, 3)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("bad", [1.0, -0.2, math.nan])
+    def test_array_with_a_point_outside_raises(self, d, bad):
+        with pytest.raises(ValueError, match="x must lie in"):
+            d.logpdf(np.array([0.25, bad, 0.5]))
+
+
 class TestPartitionAndSteps:
     def test_cell_index_examples(self):
         assert cell_index(0.3, 2) == 2

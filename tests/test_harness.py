@@ -426,8 +426,9 @@ class SeedFailure(RuntimeError):
 
 # module state a fork inherits: the file that every process appends the
 # (pid, seed) of each call below to, the seeds whose trajectory raises, the
-# seeds that end a fork ("kill": SIGKILL, "exit": SystemExit) or interrupt
-# this process ("interrupt"), and the pid of each fork this process makes
+# seeds that end a fork ("kill": SIGKILL, "exit": SystemExit), make a fork
+# raise a QuadratureError ("quadrature") or interrupt this process
+# ("interrupt"), and the pid of each fork this process makes
 TEST_PID = os.getpid()
 CALL_LOG = ""
 FAILING_SEEDS: set = set()
@@ -456,6 +457,8 @@ def recording_trajectory(cfg, seed):
         os.kill(os.getpid(), signal.SIGKILL)
     if abort == "exit" and in_fork:
         raise SystemExit(5)
+    if abort == "quadrature" and in_fork:
+        raise QuadratureError(f"no convergence for seed {seed}", -1.5, -30.0, 45)
     if abort == "interrupt" and not in_fork:
         raise KeyboardInterrupt
     return run_trajectory(cfg, seed)
@@ -566,6 +569,17 @@ class TestReplicationLayout:
                          "--out-dir", str(tmp_path / "r")])
         assert code == 3
         assert f"worker {FORKS[0]} " in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_quadrature_error_in_a_fork_exits_3(self, recorded, monkeypatch,
+                                               tmp_path, capsys):
+        # the fork pickles the exception and this process unpickles it
+        monkeypatch.setattr(sys.modules[__name__], "ABORTS", {1: "quadrature"})
+        code = cli.main(["replicate", "--truth", "uniform", "--n-max", "40",
+                         "--seeds", "1..4", "--jobs", "3",
+                         "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert "no convergence for seed 1" in capsys.readouterr().err
         assert_no_child_left()
 
     def test_interrupt_here_kills_the_forks(self, recorded, monkeypatch):

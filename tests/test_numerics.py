@@ -2,7 +2,10 @@
 independent oracle (mpmath at 40 digits, exact integer arithmetic, or a
 high-resolution composite-Simpson rule) before being pinned."""
 
+import hashlib
 import math
+import pickle
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -77,6 +80,42 @@ class TestInvNormCdf:
     def test_monotone(self, p):
         q = min(p * 1.0001 + 1e-12, 1 - 1e-12)
         assert inv_norm_cdf(p) <= inv_norm_cdf(q)
+
+    # both ends of the tail branches and their float neighbours, the far
+    # tail where |z| > 37 and Acklam's value is returned unrefined, the
+    # last float below 1, the centre and 2^-53
+    EDGES = [0.02425, math.nextafter(0.02425, 0.0), math.nextafter(0.02425, 1.0),
+             1 - 0.02425, math.nextafter(1 - 0.02425, 0.0),
+             math.nextafter(1 - 0.02425, 1.0), 1e-300, 1e-310, 5e-324,
+             1 - 2.0 ** -53, 0.5, 2.0 ** -53]
+
+    def test_array_equals_the_numbers_bit_for_bit(self):
+        p = np.r_[RandomStream(20, 0).uniform_open(200_000), self.EDGES]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = inv_norm_cdf(p)
+        assert z.dtype == np.float64 and z.shape == p.shape
+        one_by_one = np.array([inv_norm_cdf(v) for v in p.tolist()])
+        assert z.tobytes() == one_by_one.tobytes()
+        assert abs(inv_norm_cdf(1e-300)) > 37.0
+        # the digest of these values as the float-only code computed them,
+        # one element at a time, before inv_norm_cdf took arrays
+        assert hashlib.sha256(z.tobytes()).hexdigest() == \
+            "3bc5830e22fe4f33f606f321a6fb32c7f59c77e3e9f198f304a186a7171051f1"
+        assert inv_norm_cdf(np.zeros(0)).size == 0
+        assert inv_norm_cdf(p.reshape(-1, 2)).tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan, math.inf])
+    def test_array_domain(self, bad):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            inv_norm_cdf(np.array([0.3, bad, 0.7]))
+
+
+class TestQuadratureError:
+    def test_survives_a_pickle_round_trip(self):
+        e = pickle.loads(pickle.dumps(QuadratureError("m", 1.0, 2.0, 3)))
+        assert type(e) is QuadratureError and str(e) == "m"
+        assert (e.log_estimate, e.log_error_bound, e.evaluations) == (1.0, 2.0, 3)
 
 
 class TestLogSumExp:
