@@ -18,7 +18,6 @@ from .numerics import (
     RandomStream,
     adaptive_quadrature,
     inv_norm_cdf,
-    log_falling_factorial_ratio,
     log_sum_exp,
 )
 from .intervals import Bracket, LogBracket
@@ -41,7 +40,6 @@ from .barron import (
     BarronPriorConfig,
     OccupancyStats,
     SufficientStats,
-    log_step_term,
 )
 from .diagnostics import (
     BandSpec,

@@ -8,9 +8,10 @@ Every posterior quantity is computed exactly up to bracketed errors:
 * the step-family marginal is a sum over levels -- a step density matches
   the data iff it selects every occupied cell, and the fraction of members
   of level N doing so is the falling-factorial ratio (N^2)_k / (2N^2)_k at
-  occupancy k -- whose levels past the cut M (see BarronEngine) sum in
-  closed form against Hurwitz-zeta tails, with every series remainder and
-  the rounding in the bracket;
+  occupancy k -- whose levels up to the cut M (see BarronEngine) each take
+  one closed form, Stirling pairs with Binet's remainder (see _log_ratio),
+  and whose levels past it sum in closed form against Hurwitz-zeta tails,
+  with every remainder and the rounding in the bracket;
 * the tilt-family marginal is log-space G7/K15 Gauss-Kronrod quadrature of
   (1/Z0) * integral of exp(-1/theta - n theta + sqrt(2 theta) S_n), whose
   error bound is QUADPACK's error estimate, still not a proof.
@@ -50,8 +51,8 @@ from .numerics import (
     LOG_ZERO,
     QuadratureResult,
     adaptive_quadrature,
+    binet,
     inv_norm_cdf,
-    log_falling_factorial_ratio,
     zeta_series,
 )
 
@@ -62,17 +63,14 @@ __all__ = [
     "BarronEngine",
     "PosteriorTheta",
     "LevelPosterior",
-    "log_step_term",
     "UndefinedPosteriorError",
 ]
 
 # ln of the level-weight normalizer 6/pi^2 (so that sum_N 6/(pi^2 N^2) = 1)
 _LOG_LEVEL_NORM = math.log(6.0) - 2.0 * math.log(math.pi)
 
-# terms of the series in 1/N^2 (used where q = (k-1)/N^2 <= _SERIES_Q) and in
-# (M+1)^2/N^2 past the cut; each one's remainder is part of the bracket
-_HEAD_TERMS = 20
-_SERIES_Q = 0.125
+# terms of the series in (M+1)^2/N^2 past the cut; its remainder is part of
+# the bracket
 _TAIL_TERMS = 40
 _EPS = math.ulp(1.0)
 
@@ -143,7 +141,8 @@ def _compared_levels(gaps: np.ndarray) -> np.ndarray:
                       np.sqrt(0.5 / gaps).astype(np.int64) + 1)
 
 
-# (pair, level) elements that one pass of _add_shared compares
+# (pair, level) elements that one pass of _add_shared compares, and levels
+# that one pass of _head sums
 _CHUNK = 1 << 14
 
 
@@ -169,6 +168,32 @@ def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
         shared = cell_floor(w, np.repeat(a[pairs], span)) == \
             cell_floor(w, np.repeat(b[pairs], span))
         np.add.at(out, level, shared * np.repeat(weight[pairs], span))
+
+
+def _log_ratio(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, bound) of ln (m)_k / (2m)_k = ln m! - ln b! - ln (2m)! + ln d!
+    at integers 0 <= k <= m, b = m - k and d = 2m - k.  Stirling's main
+    terms pair off, with Binet's function beta (see binet), into
+      -k ln 2 + (b + 1/2) log1p(k / 2b) + m log1p(-k / 2m)
+        + beta(m) - beta(b) - beta(2m) + beta(d),
+    the two log1p terms each about k/2; at k = m (ln 0! = 0) the b terms
+    are ln sqrt(pi m).  The bound adds the betas' and, in ulps: each log1p
+    argument's rounding carried through it, k (d + 1/2) / 2d; each log1p
+    (within an ulp, as numpy's accuracy tests hold) and its product, 3/2
+    of the product, and one more where b + 1/2 rounds (b >= 2^52); and the
+    sums, |s| + 2k ln 2 + 1."""
+    b, d = m - k, 2.0 * m - k
+    full = b == 0.0
+    p1 = np.where(full, 0.5 * np.log(math.pi * m),
+                  (b + 0.5) * np.log1p(k / (2.0 * np.maximum(b, 1.0))))
+    p2 = m * np.log1p(-0.5 * (k / m))
+    (bm, em), (bb, eb), (b2, e2), (bd, ed) = (
+        binet(z) for z in (m, np.maximum(b, 1.0), 2.0 * m, d))
+    s = p1 + p2
+    r = (bm - b2) + (bd - np.where(full, 0.0, bb)) - k * LN2 + s
+    err = _EPS * (0.5 * k * (d + 0.5) / d + 1.5 * (abs(p1) + abs(p2)) + abs(s)
+                  + (b >= 2.0 ** 52) * abs(p1) + 2.0 * k * LN2 + 1.0)
+    return r, err + em + np.where(full, 0.0, eb) + e2 + ed
 
 
 class UndefinedPosteriorError(RuntimeError):
@@ -227,29 +252,6 @@ class OccupancyStats:
         if level >= self.distinct_level:
             return self.n_distinct
         raise KeyError(f"level {level} not maintained")
-
-
-def log_step_term(level: int, k: int, n: int, with_likelihood: bool = True) -> float:
-    """ln of the level-N contribution to the step-family marginal:
-    (6/(pi^2 N^2)) * [2^n] * (N^2)_k / (2N^2)_k.
-
-    LOG_ZERO when k > N^2 (no member of the level can hold all occupied
-    cells); k > n violates the precondition.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if k > n:
-        raise ValueError(f"occupancy k={k} cannot exceed the sample size n={n}")
-    m = level * level
-    if k > 2 * m:
-        raise ValueError(f"occupancy k={k} exceeds the cell count {2*m}")
-    r = log_falling_factorial_ratio(m, 2 * m, k)
-    if r == LOG_ZERO:
-        return LOG_ZERO
-    t = float(_level_table(level)[1][-1]) + r
-    if with_likelihood:
-        t += n * LN2
-    return t
 
 
 @dataclass(frozen=True)
@@ -542,42 +544,21 @@ class BarronEngine:
 
     def _head(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
         """Enclosures [lo, hi] of ln w_N 2^n (N^2)_k / (2N^2)_k for the levels
-        1..levels (LOG_ZERO where k > N^2).  Where q = (k-1)/N^2 <= 1/8 the ratio
-        is -k ln 2 - sum_p (1 - 2^-p) S_p(k) / (p N^2p), with a rest after P
-        terms of at most k q^(P+1) / ((P+1)(1-q)); the other levels multiply
-        the factors (N^2-i)/(2N^2-i).  Both ends carry the rounding."""
-        ks, P = self._occupancies(levels), _HEAD_TERMS
-        m = np.arange(1, levels + 1, dtype=np.float64) ** 2
-        q = np.maximum((ks - 1) / m, 0.0)
-        ser, ratio, err = q <= _SERIES_Q, np.full(levels, LOG_ZERO), np.zeros(levels)
-        if "powers" not in self._cache:  # S_p(k) = sum_(i<k) i^p, k = 0..K
-            i = np.arange(self._n_distinct, dtype=np.float64)
-            sums = self._cache["powers"] = np.zeros((P, i.size + 1))
-            for p in range(1, P + 1):
-                np.cumsum(i ** p, out=sums[p - 1, 1:])
-        sums, k, acc = self._cache["powers"], ks[ser], 0.0
-        for p in range(P, 0, -1):
-            acc = (acc + (1.0 - 2.0 ** -p) / p * sums[p - 1, k]) / m[ser]
-        ratio[ser], err[ser] = -k * LN2 - acc, _EPS * (k + 4 * P + 8) * acc
-        rest = np.where(ser, ks * q ** (P + 1) / (P + 1) / (1 - np.minimum(q, 0.5)), 0)
-        prod = np.flatnonzero(~ser & (ks <= m))
-        # one j = 0..k-1 and one factor buffer for every product level
-        j = np.arange(ks[prod].max(initial=0), dtype=np.float64)
-        f, den = np.empty(j.size), np.empty(j.size)
-        for i in prod.tolist():
-            # blocks of factors (m-j)/(2m-j) >= 1/2m keep their products
-            # normal; each block's product is a left fold, the last block's
-            # over the k mod block factors left
-            k, mi = int(ks[i]), m[i]
-            block = int(690.0 / math.log(2.0 * mi))
-            np.subtract(mi, j[:k], out=f[:k])
-            np.subtract(2.0 * mi, j[:k], out=den[:k])
-            np.divide(f[:k], den[:k], out=f[:k])
-            logs = np.log(np.multiply.reduceat(f[:k], np.arange(0, k, block)))
-            ratio[i], err[i] = logs.sum(), _EPS * (2 * k - (logs.size + 2) * logs.sum())
-        terms = _level_table(levels)[1] + self._n * LN2 + ratio
-        err += 4.0 * _EPS * np.where(ks <= m, abs(terms) + (self._n + ks) * LN2 + 1, 0)
-        return terms - err - rest, terms + err
+        1..levels (LOG_ZERO where k > N^2), the ratio in closed form (see
+        _log_ratio), _CHUNK levels at a time.  Both ends carry the ratio's
+        bound and the rounding of ln w_N, of n ln 2 and of their sum."""
+        ks = self._occupancies(levels).astype(np.float64)
+        w2, log_w = _level_table(levels)
+        lo, hi = np.empty(levels), np.empty(levels)
+        for a in range(0, levels, _CHUNK):
+            i = slice(a, a + _CHUNK)
+            m, k, lw = w2[i] / 2.0, ks[i], log_w[i]
+            r, err = _log_ratio(m, np.minimum(k, m))
+            terms = lw + self._n * LN2 + r
+            err += _EPS * (2.0 * abs(lw) + 2.0 * self._n * LN2 + abs(terms) + 1.0)
+            lo[i] = np.where(k <= m, terms - err, LOG_ZERO)
+            hi[i] = np.where(k <= m, terms + err, LOG_ZERO)
+        return lo, hi
 
     def _tail_series(self, cut: int, extra: int) -> tuple[np.ndarray, float]:
         """(coefficients, slack) of e^-F(u) cut after J terms at

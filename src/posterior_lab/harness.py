@@ -59,7 +59,7 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # keys that older formats wrote, by dotted path, each accepted only at the
 # value every run that wrote it used: the truncation knobs of v1, and the
@@ -314,7 +314,9 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:
-    """Geometric grid of sample sizes, always containing 1..10 and n_max."""
+    """Geometric grid of sample sizes, always containing 1..10 and n_max:
+    the rounds of v = 10 ratio, 10 ratio^2, ... up to the first v >= n_max,
+    each v the float product of the one before and ratio."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max * (ratio - 1.0) < 0.5:
@@ -324,10 +326,16 @@ def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:
     pts = set(range(1, min(10, n_max) + 1))
     v = 10.0
     while v < n_max:
-        v *= ratio
-        r = int(round(v))
-        if r <= n_max:
-            pts.add(r)
+        # the next steps as one left fold, the products of repeated
+        # v *= ratio, about as many as reach n_max: only a ratio near the
+        # float range overflows, and such a v is past n_max anyway
+        steps = min(1 << 16, max(1, math.ceil(math.log(n_max / v) / math.log(ratio))))
+        with np.errstate(over="ignore"):
+            vs = np.multiply.accumulate(np.r_[v, np.full(steps, ratio)])[1:]
+        vs = vs[:np.searchsorted(vs, n_max) + 1]
+        r = np.rint(vs[vs < n_max + 0.5])  # rounds below n_max, non-decreasing
+        pts.update(r[np.diff(r, prepend=0.0) != 0.0].astype(np.int64).tolist())
+        v = float(vs[-1])
     pts.add(n_max)
     return sorted(pts)
 

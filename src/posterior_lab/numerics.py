@@ -32,7 +32,7 @@ __all__ = [
     "norm_cdf",
     "norm_logpdf",
     "inv_norm_cdf",
-    "log_falling_factorial_ratio",
+    "binet",
     "zeta_series",
     "QuadratureResult",
     "QuadratureError",
@@ -170,28 +170,6 @@ def inv_norm_cdf(p):
     return z
 
 
-# ---------------------------------------------------------------------------
-# falling-factorial log ratios
-# ---------------------------------------------------------------------------
-
-def log_falling_factorial_ratio(m: int, m2: int, k: int) -> float:
-    """ln[(m)_k / (m2)_k] for the falling factorials (m)_k = m(m-1)...(m-k+1).
-
-    Preconditions: 0 <= k, m <= m2.  Returns LOG_ZERO when k > m (the upper
-    product contains a zero factor); k > m2 is a domain error.
-    """
-    if k < 0 or m < 0 or m2 < 0:
-        raise ValueError("arguments must be nonnegative integers")
-    if m > m2:
-        raise ValueError(f"requires m <= m2, got m={m} m2={m2}")
-    if k > m2:
-        raise ValueError(f"requires k <= m2, got k={k} m2={m2}")
-    if k > m:
-        return LOG_ZERO
-    i = np.arange(k, dtype=float)  # one rounding per log factor
-    return float(np.sum(np.log(m - i)) - np.sum(np.log(m2 - i)))
-
-
 # Euler-Maclaurin terms of the Hurwitz zeta function, and where they start
 _EM_TERMS = 40
 _EM_FROM = 32.0
@@ -218,6 +196,36 @@ _EM_COEFFICIENTS = np.array((
     1.7207577616681404e-59, -4.358730329348894e-61, 1.1040792903684666e-62,
     -2.7966655133781345e-64, 7.084036501679471e-66,
 ))
+
+
+# Binet's function at z = 1..19, each exact value rounded once to the nearest
+# float (tests/test_numerics.py rebuilds them in mpmath), and the Stirling
+# coefficients B_2j / (2j (2j-1)) = (B_2j / (2j)!) (2j-2)!, j = 1..7
+_BINET_TABLE = np.array((
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801, 0.0052076559196096404,
+    0.004901395948434738, 0.004629153749334028, 0.004385560249232324,
+))
+_BINET_COEFFICIENTS = _EM_COEFFICIENTS[:7] * [math.factorial(2 * j) for j in range(7)]
+
+
+def binet(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, bound) of Binet's function beta(z) = ln z! - (z + 1/2) ln z +
+    z - ln sqrt(2 pi) at each integer z >= 1 of a float array: below 20
+    from _BINET_TABLE, within half an ulp; from 20 on the Stirling series
+    sum_(j <= 6) B_2j / (2j (2j-1) z^(2j-1)), whose remainder for real z > 0
+    is below the first omitted term (DLMF 5.11(ii)), with that term and 2
+    ulps of rounding (each coefficient's two, 1/z^2, Horner and the division)."""
+    c, w = _BINET_COEFFICIENTS, 1.0 / (z * z)
+    acc = np.full(z.shape, c[5])
+    for cj in c[4::-1]:
+        acc = acc * w + cj
+    series, small = acc / z, z < _BINET_TABLE.size + 1
+    table = _BINET_TABLE[np.minimum(z, _BINET_TABLE.size).astype(np.int64) - 1]
+    return (np.where(small, table, series),
+            np.where(small, 0.5 * _EPS * table, c[6] * w ** 6 / z + 2.0 * _EPS * series))
 
 
 def zeta_series(coeffs, s0: int, a: float, slack: float = 0.0) -> tuple[float, float]:

@@ -17,7 +17,6 @@ from posterior_lab.barron import (
     _LOG_LEVEL_NORM,
     BarronEngine,
     BarronPriorConfig,
-    log_step_term,
 )
 from posterior_lab.densities import (
     GaussExpDensity,
@@ -50,11 +49,9 @@ def exact_cells(w, x):
                                np.asarray(x, dtype=np.float64))
     f = w * x
     out = np.floor(f).astype(np.int64)
-    tie = out == f
-    for v in np.unique(x[tie]).tolist():
-        p, q = v.as_integer_ratio()
-        at = tie & (x == v)
-        out[at] = [int(wi) * p // q for wi in w[at].tolist()]
+    tie = np.flatnonzero(out == f)
+    out.flat[tie] = [int(wi) * p // q for wi, (p, q) in zip(
+        w.flat[tie].tolist(), map(float.as_integer_ratio, x.flat[tie].tolist()))]
     return out
 
 
@@ -237,6 +234,22 @@ class TestOccupancyTracking:
                               recount_occupancy([0.3, 0.3 + 1e-9, 0.8], 31623))
 
 
+def log_step_term(level, k, n, with_likelihood=True):
+    """ln of the level-N term (6/(pi^2 N^2)) [2^n] (N^2)_k / (2N^2)_k, one log
+    factor at a time: the oracle the engine's closed-form head replaced.
+    LOG_ZERO when k > N^2; k > n or a level below 1 is an error."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if k > n:
+        raise ValueError(f"occupancy k={k} cannot exceed the sample size n={n}")
+    m = level * level
+    if k > m:
+        return LOG_ZERO
+    i = np.arange(k, dtype=float)
+    r = float(np.sum(np.log(m - i)) - np.sum(np.log(2 * m - i)))
+    return _LOG_LEVEL_NORM - 2.0 * math.log(level) + r + (n * LN2 if with_likelihood else 0.0)
+
+
 class TestLogStepTerm:
     def test_enumeration_example(self):
         # oracle: 70-member enumeration at level 2 gives (6/pi^2)/7
@@ -375,6 +388,104 @@ class TestClosedFormOracle:
         e.add_points(ORACLE_DATA["lattice K=200"]())
         assert e.distinct_level() == 15
         assert e.occupancy.k_by_level.size == 100
+
+
+def mp_log_head_term(level, k, n):
+    """ln w_N 2^n (N^2)_k / (2N^2)_k from mpmath's loggamma at 50 digits."""
+    with mp.workdps(50):
+        m = level * level
+        return (mp.log(6 / mp.pi**2) - 2 * mp.log(level) + n * mp.log(2)
+                + mp.loggamma(m + 1) - mp.loggamma(m - k + 1)
+                - mp.loggamma(2 * m + 1) + mp.loggamma(2 * m - k + 1))
+
+
+def mp_log_ratio(m, k):
+    """ln (m)_k / (2m)_k from mpmath's loggamma at 50 digits."""
+    with mp.workdps(50):
+        return (mp.loggamma(m + 1) - mp.loggamma(m - k + 1)
+                - mp.loggamma(2 * m + 1) + mp.loggamma(2 * m - k + 1))
+
+
+HEAD_ORACLE_DATA = {
+    "uniform n=100": ORACLE_DATA["uniform n=100"],
+    "uniform n=1000": lambda: [float(x) for x in RandomStream(1, 0).uniform_open(1000)],
+    "lattice K=4096": lambda: [(i + 0.5) / 4096 for i in range(4096)],
+}
+
+
+def assert_ratios_inside_mpmath(m, k):
+    """_log_ratio at the integer pairs (m, k): each bracket holds mpmath's
+    value and is at most 8 ulps of k + 1 wide on each side."""
+    r, err = barron._log_ratio(np.array(m, dtype=np.float64), np.array(k, dtype=np.float64))
+    for mi, ki, ri, ei in zip(m, k, r.tolist(), err.tolist()):
+        want = mp_log_ratio(mi, ki)
+        assert ri - ei <= want <= ri + ei, (mi, ki)
+        assert ei <= 8 * math.ulp(1.0) * (ki + 1), (mi, ki)
+
+
+class TestClosedFormHead:
+    """The head's closed form in Stirling pairs against mpmath's loggamma:
+    every live level of three engine states, then the formula alone at
+    (m, k) pairs an engine reaches only at n = 10^6, and at its edges."""
+
+    @pytest.mark.parametrize("case", HEAD_ORACLE_DATA)
+    def test_every_live_level_lies_inside_mpmath(self, case):
+        # the uniform states cut at D = 69 and 2377, the lattice at K/2 = 2048
+        data = HEAD_ORACLE_DATA[case]()
+        e = BarronEngine()
+        e.add_points(data)
+        levels = e._cut()
+        ks = recount_occupancy(data, levels).tolist()
+        lo, hi = e._head(levels)
+        live = 0
+        for i, k in enumerate(ks):
+            if k > (i + 1) ** 2:
+                assert lo[i] == hi[i] == LOG_ZERO
+                continue
+            live += 1
+            assert lo[i] <= mp_log_head_term(i + 1, k, e.n) <= hi[i], (case, i + 1)
+        assert live >= levels - math.isqrt(len(data))
+        finite = lo > LOG_ZERO
+        assert (hi[finite] - lo[finite]).max() <= 2e-11
+
+    def test_formula_at_the_million_scale(self):
+        # m = N^2 up to 10^12 and k up to 10^6, the occupancies of the
+        # seed-65 n = 10^6 state, without ingesting it
+        pairs = [(n * n, k) for n in (1000, 2000, 31623, 10**5, 10**6)
+                 for k in (2, 999, 10**4, 123457, 10**6) if k <= n * n]
+        assert_ratios_inside_mpmath(*zip(*pairs))
+
+    def test_edges(self):
+        # k = 0 and 1, k = N^2, N^2 - k in 1..20, every k at N <= 4, and
+        # the level 2^26 + 1 past the cell map's range, where b + 1/2 rounds
+        pairs = [(n * n, k) for n in (1, 2, 5, 30, 1000, 10**6, 2**26 + 1) for k in (0, 1)]
+        pairs += [((2**26 + 1) ** 2, k) for k in (5, 10**6)]
+        pairs += [(n * n, n * n) for n in (1, 2, 3, 5, 20, 1000)]
+        pairs += [(n * n, n * n - j) for n in (5, 10, 100, 10**4) for j in range(1, 21)
+                  if j < n * n]
+        pairs += [(n * n, k) for n in (1, 2, 3, 4) for k in range(n * n + 1)]
+        assert_ratios_inside_mpmath(*zip(*pairs))
+        r, err = barron._log_ratio(np.array([1.0, 1e12]), np.zeros(2))
+        assert r.tolist() == [0.0, 0.0]
+
+    def test_levels_past_the_occupancy_are_zero(self):
+        # 12 points: level 1 holds 2 cells and level 2 holds 8, so the levels
+        # 1 to 3 have k > N^2 and both ends of each are exactly ln 0
+        data = [(i + 0.5) / 12 for i in range(12)]
+        e = BarronEngine()
+        e.add_points(data)
+        ks = recount_occupancy(data, e._cut())
+        lo, hi = e._head(ks.size)
+        dead = ks > np.arange(1, ks.size + 1) ** 2
+        assert dead[:3].all() and not dead[3:].any()
+        assert (lo[dead] == LOG_ZERO).all() and (hi[dead] == LOG_ZERO).all()
+        assert np.isfinite(lo[~dead]).all()
+
+    @pytest.mark.parametrize("n", [100, 1000, 8000])
+    def test_step_marginal_stays_sharp(self, n):
+        e = BarronEngine()
+        e.add_points([float(x) for x in RandomStream(1, 0).uniform_open(n)])
+        assert e.step_marginal().width() < 1e-10
 
 
 class TestGaussMarginal:

@@ -37,13 +37,14 @@ def read_csv_cells(path):
         return [dict(zip(header, line.rstrip("\n").split(","))) for line in fh]
 
 
-def assert_replay_nests(golden, out):
+def assert_replay_nests(golden, out, slack=None):
     """Each bracket of the replay ``out`` lies inside the stored one of
     ``golden``, on the same grid.  A bracket is a quadrature error estimate,
-    so the nesting holds up to 2 quad_tol: relative for masses, absolute for
-    ln evidence.  Returns both row lists."""
-    with open(golden + ".json") as fh:
-        slack = 2.0 * json.load(fh)["config"]["quad_tol"]
+    so by default the nesting holds up to 2 quad_tol: relative for masses,
+    absolute for ln evidence.  Returns both row lists."""
+    if slack is None:
+        with open(golden + ".json") as fh:
+            slack = 2.0 * json.load(fh)["config"]["quad_tol"]
     old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
     assert [r["n"] for r in old] == [r["n"] for r in new]
     for was, now in zip(old, new):
@@ -57,6 +58,35 @@ def assert_replay_nests(golden, out):
                 assert lo * (1 - slack) <= new_lo <= new_hi <= hi * (1 + slack), \
                     (was["n"], stem)
     return old, new
+
+
+def assert_bracket_free_columns_keep(old, new):
+    """The columns without a bracket keep their bytes, all but the band prior
+    exponent, which reads the midpoint of the step bracket: that midpoint
+    lies inside the stored bracket, so the exponent moves by at most half
+    the stored step width over n (the step bracket enclosed here by fstep
+    times the evidence)."""
+    for was, now in zip(old, new):
+        n = int(was["n"])
+        step = [math.log(float(was["mass_fstep" + e])) + float(was["log_evidence" + e])
+                for e in (".lower", ".upper")]
+        for col in was:
+            if col.endswith((".lower", ".upper")) or was[col] == now[col]:
+                continue
+            if col.startswith("band_prior_exponent"):
+                moved = abs(float(now[col]) - float(was[col]))
+                assert moved <= 0.5 * (step[1] - step[0]) / n + 1e-15, (n, col)
+            else:
+                raise AssertionError((n, col, was[col], now[col]))
+
+
+def assert_sidecars_differ_in_version(golden, out, versions):
+    """The two sidecars are equal but for their versions, which are
+    ``versions``."""
+    with open(golden + ".json") as a, open(out + ".json") as b:
+        was, now = json.load(a), json.load(b)
+    assert (was.pop("version"), now.pop("version")) == versions
+    assert was == now
 
 
 class TestParsers:
@@ -106,7 +136,7 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 5 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 6 and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -132,23 +162,19 @@ class TestTrajCommand:
             assert now["evidence_flag"] in (was["evidence_flag"], "1"), n
 
     def test_v3_sidecar_replays_inside_its_brackets(self, tmp_path):
-        # v5 moved the tilt quadrature to Gauss-Kronrod: every bracket nests
-        # in the stored one, the step-family level posterior and the columns
-        # without a bracket keep their bytes, and the sidecar is the same but
+        # v5 moved the tilt quadrature to Gauss-Kronrod and v6 the step head
+        # to Stirling pairs: every bracket nests in the stored one, the
+        # columns without a bracket keep their bytes (see
+        # assert_bracket_free_columns_keep), and the sidecar is the same but
         # for its version, the retired cosine keys and the hash of the config
         # without them
         golden = os.path.join(DATA, "v3_uniform_n60_seed3")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        old, new = assert_replay_nests(golden, out)
-        for was, now in zip(old, new):
-            for col in was:
-                if col.startswith("mean_inv_level") or \
-                        not col.endswith((".lower", ".upper")):
-                    assert was[col] == now[col], (was["n"], col)
+        assert_bracket_free_columns_keep(*assert_replay_nests(golden, out))
         with open(golden + ".json") as a, open(out + ".json") as b:
             was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (3, 5)
+        assert (was.pop("version"), now.pop("version")) == (3, 6)
         retired = was["config"]["cosine_prior"]
         assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
         assert was.pop("config_hash") != now.pop("config_hash")
@@ -159,22 +185,40 @@ class TestTrajCommand:
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_replay_nests(golden, out)
-        with open(golden + ".json") as a, open(out + ".json") as b:
-            was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (4, 5)
-        assert was == now
+        assert_sidecars_differ_in_version(golden, out, (4, 6))
+
+    # v6 sums the step head in closed form: the v5 Barron runs replay with
+    # every bracket inside the stored one, with no slack, as the tilt
+    # quadrature is unchanged
+    @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_uniform_n8000_seed65",
+                                      "v5_gauss_tiltband_n300_seed9",
+                                      "v5_decimal_n3_seed1", "v5_step_n300_seed4"])
+    def test_v5_sidecar_replays_inside_its_brackets(self, tmp_path, monkeypatch, name):
+        golden = os.path.join(DATA, name)
+        out = str(tmp_path / "replay")
+        (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        assert_bracket_free_columns_keep(*assert_replay_nests(golden, out, slack=0.0))
+        assert_sidecars_differ_in_version(golden, out, (5, 6))
+
+    def test_v5_cosine_csv_keeps_its_bytes(self, tmp_path):
+        golden = os.path.join(DATA, "v5_cosine_n40_seed1")
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+            assert a.read() == b.read()
+        assert_sidecars_differ_in_version(golden, out, (5, 6))
 
     # the gauss run's bands and betas hold tilt members, so it reads the
     # tilt side of the band mass, the band prior exponent and the beta bound;
     # the decimal run's dataset decimal.csv (0.3, 0.305, 0.9, read from the
     # working directory) puts 0.3 just below a level-5 cell boundary; the
     # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns
-    @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_cosine_n40_seed1",
-                                      "v5_uniform_n8000_seed65",
-                                      "v5_gauss_tiltband_n300_seed9",
-                                      "v5_decimal_n3_seed1",
-                                      "v5_step_n300_seed4"])
-    def test_v5_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
+                                      "v6_gauss_tiltband_n300_seed9",
+                                      "v6_decimal_n3_seed1", "v6_step_n300_seed4"])
+    def test_v6_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
         (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
@@ -278,9 +322,14 @@ class TestReplicateCommand:
             b = open(os.path.join(d8, name), "rb").read()
             assert a == b, name
 
-    def test_v5_replicate_summary_is_byte_identical(self, tmp_path):
-        # four seeds: every median cell of the summary is the mean of two
-        golden = os.path.join(DATA, "v5_replicate_uniform_n300_seeds1-4")
+    def test_v6_replicate_summary_is_byte_identical(self, tmp_path):
+        # four seeds: every median cell of the summary is the mean of two.
+        # Against the v5 summary every .lower cell (min, median or max over
+        # the seeds of a bracket's lower end) is no lower and every .upper
+        # cell no higher, as each seed's brackets nest; the other cells keep
+        # their bytes but the band prior exponent's, which moves by an ulp
+        # or two with the step bracket's midpoint
+        golden = os.path.join(DATA, "v6_replicate_uniform_n300_seeds1-4")
         out = str(tmp_path / "r")
         assert run_cli("replicate", "--truth", "uniform", "--n-max", "300",
                        "--seeds", "1..4", "--jobs", "2", "--out-dir", out) == 0
@@ -288,6 +337,19 @@ class TestReplicateCommand:
             with open(golden + ext, "rb") as a, \
                     open(os.path.join(out, "summary" + ext), "rb") as b:
                 assert a.read() == b.read(), ext
+        old = read_csv_cells(os.path.join(DATA, "v5_replicate_uniform_n300_seeds1-4.csv"))
+        new = read_csv_cells(os.path.join(out, "summary.csv"))
+        assert [r["n"] for r in old] == [r["n"] for r in new]
+        for was, now in zip(old, new):
+            for col in was:
+                if ".lower." in col:
+                    assert float(was[col]) <= float(now[col]), (was["n"], col)
+                elif ".upper." in col:
+                    assert float(now[col]) <= float(was[col]), (was["n"], col)
+                elif col.startswith("band_prior_exponent"):
+                    assert float(now[col]) == pytest.approx(float(was[col]), abs=1e-15)
+                else:
+                    assert was[col] == now[col], (was["n"], col)
 
     def test_duplicate_seeds_exit_2(self, tmp_path):
         code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",

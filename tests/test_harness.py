@@ -119,6 +119,22 @@ class TestEvaluationGrid:
             assert evaluation_grid(n_max, ratio) == grid_by_rounds(n_max, ratio) \
                 == list(range(1, n_max + 1))
 
+    def test_fold_equals_the_rounds(self):
+        # seeded cases just above the n_max (ratio - 1) = 0.5 threshold, at
+        # ordinary ratios and at ratios up to 1e300, whose first step already
+        # passes n_max; 12.5 and 22.5 round half to even, to 12 and 22
+        rng = np.random.default_rng(23)
+        cases = [(10**4, 1.0 + 0.5 / 10**4), (11, 1e300), (2, 7.0), (20, 1.25), (100, 1.5)]
+        for _ in range(30):
+            n_max = int(rng.integers(11, 3000))
+            cases += [(n_max, 1.0 + 0.5 / n_max * (1.0 + rng.uniform(0.0, 0.05))),
+                      (n_max, 1.0 + rng.uniform(0.001, 2.0)),
+                      (n_max, 10.0 ** rng.uniform(0.5, 300.0))]
+        for n_max, ratio in cases:
+            assert n_max * (ratio - 1.0) >= 0.5
+            assert evaluation_grid(n_max, ratio) == grid_by_rounds(n_max, ratio), \
+                (n_max, ratio)
+
     def test_traj_on_a_ratio_next_to_one_exits_at_once(self, tmp_path):
         # the rounds alone would take about 10^10 steps here
         out = str(tmp_path / "t")

@@ -22,14 +22,20 @@ from posterior_lab.numerics import (
     QuadratureError,
     RandomStream,
     adaptive_quadrature,
+    binet,
     inv_norm_cdf,
     log_add,
-    log_falling_factorial_ratio,
     log_sum_exp,
     norm_cdf,
     zeta_series,
 )
-from posterior_lab.numerics import _EM_COEFFICIENTS, _EM_FROM, _EM_TERMS
+from posterior_lab.numerics import (
+    _BINET_COEFFICIENTS,
+    _BINET_TABLE,
+    _EM_COEFFICIENTS,
+    _EM_FROM,
+    _EM_TERMS,
+)
 
 mp.mp.dps = 40
 
@@ -162,6 +168,23 @@ class TestLogSumExp:
         assert log_add(LOG_ZERO, b) == b and log_add(a, LOG_ZERO) == a
 
 
+def log_falling_factorial_ratio(m: int, m2: int, k: int) -> float:
+    """ln[(m)_k / (m2)_k] for the falling factorials (m)_k = m(m-1)...(m-k+1),
+    the plain sum of k log factors: the oracle the step head's closed form
+    replaced.  Preconditions: 0 <= k, m <= m2.  Returns LOG_ZERO when k > m
+    (the upper product contains a zero factor); k > m2 is a domain error."""
+    if k < 0 or m < 0 or m2 < 0:
+        raise ValueError("arguments must be nonnegative integers")
+    if m > m2:
+        raise ValueError(f"requires m <= m2, got m={m} m2={m2}")
+    if k > m2:
+        raise ValueError(f"requires k <= m2, got k={k} m2={m2}")
+    if k > m:
+        return LOG_ZERO
+    i = np.arange(k, dtype=float)  # one rounding per log factor
+    return float(np.sum(np.log(m - i)) - np.sum(np.log(m2 - i)))
+
+
 class TestFallingFactorialRatio:
     def test_single_factor(self):
         assert log_falling_factorial_ratio(1, 2, 1) == pytest.approx(
@@ -262,12 +285,18 @@ class TestHurwitzZeta:
         assert hi - lo <= 3e-12
 
 
-def bernoulli_over_factorial(terms):
-    """B_2k / (2k)! for k = 1..terms + 1, from the Bernoulli recurrence
-    sum_(j <= m) C(m + 1, j) B_j = 0 in exact rationals, each rounded once."""
+def bernoulli_numbers(count):
+    """B_0 .. B_(count - 1) in exact rationals, from the Bernoulli recurrence
+    sum_(j <= m) C(m + 1, j) B_j = 0."""
     b = [Fraction(1)]
-    for m in range(1, 2 * terms + 3):
+    for m in range(1, count):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def bernoulli_over_factorial(terms):
+    """B_2k / (2k)! for k = 1..terms + 1, each rounded once."""
+    b = bernoulli_numbers(2 * terms + 3)
     return [float(b[2 * k] / math.factorial(2 * k)) for k in range(1, terms + 2)]
 
 
@@ -277,6 +306,35 @@ class TestEulerMaclaurinTable:
         want = np.array(bernoulli_over_factorial(_EM_TERMS))
         assert got.dtype == np.float64 and got.shape == (_EM_TERMS + 1,)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBinet:
+    """Binet's function beta(z) = ln z! - (z + 1/2) ln z + z - ln sqrt(2 pi),
+    the remainder of Stirling's formula that the step head sums."""
+
+    def test_table_is_the_rounded_values(self):
+        with mp.workdps(50):
+            want = np.array([float(mp.loggamma(z + 1) - (z + mp.mpf(1) / 2) * mp.log(z)
+                                   + z - mp.log(2 * mp.pi) / 2) for z in range(1, 20)])
+        assert np.array_equal(_BINET_TABLE.view(np.int64), want.view(np.int64))
+
+    def test_coefficients_lie_within_one_rounding(self):
+        # B_2j / (2j (2j - 1)), j = 1..7: one rounding of B_2j / (2j)! and
+        # one of its product with (2j - 2)!
+        b = bernoulli_numbers(15)
+        for j, got in enumerate(_BINET_COEFFICIENTS.tolist(), 1):
+            exact = b[2 * j] / (2 * j * (2 * j - 1))
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(1.0)) * abs(exact), j
+
+    def test_values_lie_inside_their_bounds(self):
+        z = np.array([*range(1, 45), 99.0, 1e3, 12345.0, 1e6, 2**40, 1e14, 2.0**51])
+        val, err = binet(z)
+        with mp.workdps(50):
+            for zi, v, e in zip(z.tolist(), val.tolist(), err.tolist()):
+                zm = mp.mpf(zi)
+                want = mp.loggamma(zm + 1) - (zm + 0.5) * mp.log(zm) + zm - mp.log(2 * mp.pi) / 2
+                assert v - e <= want <= v + e, zi
+                assert e <= 4 * math.ulp(v), zi
 
 
 class TestAdaptiveQuadrature:
