@@ -141,9 +141,12 @@ def _compared_levels(gaps: np.ndarray) -> np.ndarray:
                       np.sqrt(0.5 / gaps).astype(np.int64) + 1)
 
 
-# (pair, level) elements that one pass of _add_shared compares, and levels
-# that one pass of _head sums
+# (pair, level) elements that one pass of _add_shared compares
 _CHUNK = 1 << 14
+# levels that one pass of _head sums: its closed form holds about twenty
+# float temporaries per level, so a pass of 2^12 levels peaks near 1 MiB;
+# the bits do not depend on the pass size
+_HEAD_CHUNK = 1 << 12
 
 
 def _add_shared(out: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -545,13 +548,13 @@ class BarronEngine:
     def _head(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
         """Enclosures [lo, hi] of ln w_N 2^n (N^2)_k / (2N^2)_k for the levels
         1..levels (LOG_ZERO where k > N^2), the ratio in closed form (see
-        _log_ratio), _CHUNK levels at a time.  Both ends carry the ratio's
-        bound and the rounding of ln w_N, of n ln 2 and of their sum."""
+        _log_ratio), _HEAD_CHUNK levels at a time.  Both ends carry the
+        ratio's bound and the rounding of ln w_N, of n ln 2 and of their sum."""
         ks = self._occupancies(levels).astype(np.float64)
         w2, log_w = _level_table(levels)
         lo, hi = np.empty(levels), np.empty(levels)
-        for a in range(0, levels, _CHUNK):
-            i = slice(a, a + _CHUNK)
+        for a in range(0, levels, _HEAD_CHUNK):
+            i = slice(a, a + _HEAD_CHUNK)
             m, k, lw = w2[i] / 2.0, ks[i], log_w[i]
             r, err = _log_ratio(m, np.minimum(k, m))
             terms = lw + self._n * LN2 + r

@@ -33,7 +33,8 @@ import numpy as np
 
 from .densities import cosine_normalizer
 from .intervals import Bracket, LogBracket, mass_ratio
-from .numerics import LN2, LOG_ZERO, adaptive_quadrature, log_add, log_sum_exp
+from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError,
+                       adaptive_quadrature, log_add, log_sum_exp)
 
 __all__ = [
     "CosinePriorConfig",
@@ -58,10 +59,10 @@ class CosinePriorConfig:
         if self.kind not in _PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}; "
                              f"choose from {_PRIOR_KINDS}")
-        if self.kind == "exponential" and self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.kind == "truncated_uniform" and self.theta_max <= 0:
-            raise ValueError("theta_max must be positive")
+        name = "rate" if self.kind == "exponential" else "theta_max"
+        value = getattr(self, name)
+        if not (math.isfinite(value) and value > 0):  # a NaN fails no <= 0
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def log_density(self, theta):
         """ln prior density at each theta of an array."""
@@ -154,8 +155,15 @@ _dh_vals = np.zeros(0)
 def _hellinger_grid(theta_hi: float):
     """np.arange(0, theta_hi + 0.02, 0.02) and d_h to the uniform on it,
     sliced from the process-wide grid, which grows (computing only its new
-    points) when theta_hi lies beyond it."""
+    points) when theta_hi lies beyond it.  d_h oscillates with period 2 pi
+    in theta, so the envelope's runs, and the quadrature pieces cut at them,
+    may change every half period pi: past MAX_INTERVALS of them no budget
+    holds the query, and QuadratureError is raised before the grid grows."""
     global _dh_grid, _dh_vals
+    if theta_hi / math.pi > MAX_INTERVALS:
+        raise QuadratureError(f"[0, {theta_hi}] holds more than {MAX_INTERVALS} "
+                              f"half periods of the Hellinger distance, past the "
+                              f"quadrature budget", math.nan, math.inf, 0)
     size = math.ceil((theta_hi + _DH_STEP) / _DH_STEP)  # np.arange's length
     if size > _dh_grid.size:
         grid = np.arange(0.0, theta_hi + _DH_STEP, _DH_STEP)
@@ -246,13 +254,31 @@ class CosineEngine:
             c = max(c, (sup - math.log(self.quad_tol) - floor) / self.prior.rate)
         return c
 
-    def _breakpoints(self, lo: float, hi: float) -> list:
+    def _half_period(self) -> float:
+        """pi / max(data): the half period of the fastest oscillation, or
+        inf where no point lies above 0."""
         xmax = float(self.data.max()) if self.n else 0.0
-        if xmax <= 0.0:
+        return math.pi / xmax if xmax > 0.0 else math.inf
+
+    def _breakpoints(self, lo: float, hi: float) -> list:
+        half = self._half_period()
+        if math.isinf(half):
             return []
-        half = math.pi / xmax
         k0 = int(lo / half) + 1
         return [k * half for k in range(k0, int(hi / half) + 1) if lo < k * half < hi]
+
+    def _check_panels(self, lo: float, hi: float) -> None:
+        """Raise QuadratureError if [lo, hi] holds more half-period panels
+        than one quadrature may, counted with floor arithmetic before any
+        breakpoint list or Hellinger grid is built for it."""
+        half = self._half_period()
+        top = hi / half  # inf (or NaN) past the float range: no budget holds it
+        panels = math.floor(top) - math.floor(lo / half) + 1 \
+            if math.isfinite(top) else math.inf
+        if panels > MAX_INTERVALS:
+            raise QuadratureError(f"[{lo}, {hi}] holds {panels:.6g} panels of a half "
+                                  f"period of the likelihood, past the budget of "
+                                  f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
 
     def _piece_integral(self, lo: float, hi: float, floor=None) -> LogBracket:
         """The joint mass of [lo, hi] to a relative quad_tol, or, given a
@@ -287,6 +313,7 @@ class CosineEngine:
         [0, t]; ``tail_in(t)`` says where (t, inf) lies: True inside, False
         outside, None on either side."""
         head = self.cap()
+        self._check_panels(0.0, head)
         parts = self._pieces(intervals_to(head), 0.0, head)
         side = tail_in(head)
         # the floor F: ln of the head part the tail bound joins
@@ -296,6 +323,7 @@ class CosineEngine:
             floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
         c = self._reach(floor, region_end)
         if c > head:
+            self._check_panels(head, c)
             ext = self._pieces(intervals_to(c), head, c, floor)
             parts = [p.add(e) for p, e in zip(parts, ext)]
             side = tail_in(c)

@@ -306,11 +306,22 @@ def _element_types(tp, size: int, where: str) -> tuple:
 
 def config_hash(cfg: RunConfig) -> str:
     """sha256 of the canonical JSON form (sorted keys, seeds sorted -- seed
-    order is not semantically meaningful)."""
-    import hashlib  # loaded here: a pool worker forks before OpenSSL is mapped
+    order is not semantically meaningful).  The digest comes from CPython's
+    built-in SHA-256 module (``_sha2`` on 3.12+, ``_sha256`` before), as the
+    stdlib's ``random`` takes its sha512: ``hashlib`` would map OpenSSL's
+    libcrypto, about 3.6 MB of RSS, to hash a few hundred bytes.  ``hashlib``
+    is the fallback where neither module exists; every source gives the
+    same digest."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def evaluation_grid(n_max: int, ratio: float = RunConfig.grid_ratio) -> list:

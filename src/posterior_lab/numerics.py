@@ -36,6 +36,7 @@ __all__ = [
     "zeta_series",
     "QuadratureResult",
     "QuadratureError",
+    "MAX_INTERVALS",
     "adaptive_quadrature",
     "NumericError",
     "ConfigError",
@@ -370,9 +371,13 @@ def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
                 np.where(live, scale + np.log(err), LOG_ZERO))
 
 
+# panels one adaptive_quadrature may hold, its seed panels included
+MAX_INTERVALS = 200_000
+
+
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False,
-                        max_intervals: int = 200_000) -> QuadratureResult:
+                        max_intervals: int = MAX_INTERVALS) -> QuadratureResult:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
     space, refined in rounds.
 
@@ -385,7 +390,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     the excess and passes all their nodes to one call of f.
 
     Raises QuadratureError (carrying the best bracket) when the subdivision
-    budget is exhausted or a panel is too narrow to bisect.
+    budget is exhausted or a panel is too narrow to bisect, and (carrying
+    none) when the seed panels alone exceed the budget.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got [{a}, {b}]")
@@ -393,6 +399,9 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         raise ValueError("tol must be positive")
 
     pts = np.array(sorted({a, b, *(float(x) for x in breakpoints if a < x < b)}))
+    if pts.size - 1 > max_intervals:
+        raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
+                              f"{max_intervals} intervals", math.nan, math.inf, 0)
     lo, hi = pts[:-1], pts[1:]
     li, le = _kronrod_panels(f, lo, hi)
     evals = lo.size * _NODES.size

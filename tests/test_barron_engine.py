@@ -481,6 +481,30 @@ class TestClosedFormHead:
         assert (lo[dead] == LOG_ZERO).all() and (hi[dead] == LOG_ZERO).all()
         assert np.isfinite(lo[~dead]).all()
 
+    def test_a_head_pass_peaks_near_a_mebibyte(self):
+        # the seed-65 n = 8000 state cuts at 16599 levels; passes of 2^14
+        # levels peaked at 3.3 MiB
+        e = BarronEngine()
+        e.add_points(_uniform_data(8000))
+        levels = e._cut()
+        barron._level_table(levels)  # the process-wide table, grown once
+        tracemalloc.start()
+        try:
+            e._head(levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("size", [777, 1 << 10, 1 << 14])
+    def test_head_bits_do_not_depend_on_the_pass_size(self, monkeypatch, size):
+        e = BarronEngine()
+        e.add_points(_uniform_data(8000))
+        lo, hi = e._head(e._cut())
+        monkeypatch.setattr(barron, "_HEAD_CHUNK", size)
+        again = e._head(e._cut())
+        assert lo.tobytes() == again[0].tobytes() and hi.tobytes() == again[1].tobytes()
+
     @pytest.mark.parametrize("n", [100, 1000, 8000])
     def test_step_marginal_stays_sharp(self, n):
         e = BarronEngine()

@@ -293,6 +293,52 @@ class TestTrajCommand:
         assert code == 2
         assert "cosine_prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field", [
+        ("exponential:inf", "rate"), ("exponential:nan", "rate"),
+        ("truncated_uniform:inf", "theta_max"), ("truncated_uniform:nan", "theta_max")])
+    def test_nonfinite_cosine_prior_exits_2(self, tmp_path, capsys, spec, field):
+        # a NaN fails no "<= 0" test, and an infinite one used to end as a
+        # numeric failure (exit 3) in the first quadrature
+        code = run_cli("traj", "--model", "cosine", "--cosine-prior", spec,
+                       "--n-max", "3", "--seed", "1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    def test_infinite_rate_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": "cosine", "n_max": 3, '
+                       '"cosine_prior": {"kind": "exponential", "rate": Infinity}}')
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cosine_prior" in err and "rate must be finite and positive" in err
+        assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("spec", ["truncated_uniform:1e6", "exponential:1e-5",
+                                      "exponential:5e-324"])
+    def test_reach_past_the_quadrature_budget_is_a_recorded_gap(self, tmp_path, spec):
+        # a reach of 10^6 or more (inf at a subnormal rate) holds too many
+        # half periods for one quadrature: each row records the budget
+        # failure, before a breakpoint list or a Hellinger grid of that
+        # reach is built
+        out = str(tmp_path / "x")
+        tracemalloc.start()
+        try:
+            code = run_cli("traj", "--model", "cosine", "--cosine-prior", spec,
+                           "--n-max", "3", "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2 ** 20
+        errors = json.load(open(out + ".json"))["errors"]
+        assert [n for n, _ in errors] == [1, 2, 3]
+        assert all("half period" in msg and "200000" in msg for _, msg in errors)
+        rows = read_csv_cells(out + ".csv")
+        assert all(cell == "nan" for row in rows for c, cell in row.items() if c != "n")
+
     def test_bad_truth_exits_2(self, tmp_path):
         code = run_cli("traj", "--truth", "gauss:1.5", "--n-max", "5",
                        "--seed", "1", "--out", str(tmp_path / "x"))
@@ -619,8 +665,8 @@ class TestConfigErrorExit:
 
 
 # modules a process need not load to run one trajectory: OpenSSL's hash
-# module (config_hash loads it to write the sidecar), the process pool and
-# the SVG renderer
+# module (the sidecar digest uses CPython's built-in SHA-256, so no process
+# loads OpenSSL), the process pool and the SVG renderer
 HEAVY = ("_hashlib", "multiprocessing", "concurrent.futures",
          "posterior_lab.svgplot")
 
@@ -645,10 +691,10 @@ class TestLeanProcesses:
     def test_traj_loads_no_pool_and_no_plotting(self, tmp_path):
         out = str(tmp_path / "t")
         code = f"assert cli.main(['traj', '--n-max', '20', '--out', {out!r}]) == 0"
-        assert loaded_in_fresh_process(code) <= {"_hashlib"}
+        assert loaded_in_fresh_process(code) == set()
 
     def test_replicate_forks_without_pool_machinery(self, tmp_path):
         out = str(tmp_path / "r")
         code = ("assert cli.main(['replicate', '--n-max', '20', '--seeds', '1,2', "
                 f"'--jobs', '2', '--out-dir', {out!r}]) == 0")
-        assert loaded_in_fresh_process(code) == {"_hashlib"}
+        assert loaded_in_fresh_process(code) == set()

@@ -32,6 +32,13 @@ class TestPriorConfig:
         with pytest.raises(ValueError, match="half_cauchy"):  # retired
             CosinePriorConfig(kind="half_cauchy")
 
+    @pytest.mark.parametrize("kind, field", [("exponential", "rate"),
+                                             ("truncated_uniform", "theta_max")])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_nonfinite_parameter_rejected(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            CosinePriorConfig(kind=kind, **{field: value})
+
     def test_densities_normalize(self):
         # trapezoid head plus the closed-form tail must recover total mass 1
         # (this also cross-checks the tail formula against the density)
@@ -304,6 +311,41 @@ class TestHellingerGrid:
             outer = [a or b for a, b in zip(above[:-1], above[1:])]
             want = (merge(grid.tolist(), inner), merge(grid.tolist(), outer))
             assert cosine._region_above(eps, theta_hi) == want, theta_hi
+
+
+class TestQuadratureBudget:
+    """A reach with more half periods than one quadrature may hold fails
+    before anything of that reach is built."""
+
+    @pytest.fixture
+    def no_likelihood(self, monkeypatch):
+        def fail(theta, data):
+            raise AssertionError("the likelihood was evaluated")
+
+        monkeypatch.setattr(cosine, "cosine_loglik", fail)
+
+    def test_head_past_the_budget(self, no_likelihood):
+        # [0, 10^6] holds 286479 half periods pi / 0.9 of the likelihood
+        eng = CosineEngine(CosinePriorConfig("truncated_uniform", theta_max=1e6), [0.9])
+        with pytest.raises(numerics.QuadratureError,
+                           match="holds 286479 panels of a half period of the likelihood"):
+            eng.log_evidence()
+
+    def test_hellinger_grid_past_the_budget(self, no_likelihood):
+        # 31832 half periods pi / 0.1 of the likelihood, but the distance
+        # curve's half period is pi: its grid is never grown to 10^6
+        eng = CosineEngine(CosinePriorConfig("truncated_uniform", theta_max=1e6), [0.1])
+        size = cosine._dh_grid.size
+        with pytest.raises(numerics.QuadratureError, match="the Hellinger distance"):
+            eng.hellinger_mass(0.5)
+        assert cosine._dh_grid.size == size
+
+    def test_reach_past_the_budget(self):
+        # the head [0, 30] integrates; the reach near 2e6 is refused
+        eng = CosineEngine(CosinePriorConfig("exponential", rate=1e-5), [0.9])
+        with pytest.raises(numerics.QuadratureError,
+                           match=r"\[30.0, .*half period of the likelihood"):
+            eng.log_evidence()
 
 
 def _scalar_log_joint(prior, data, theta):

@@ -207,6 +207,25 @@ class TestConfigHash:
         again = RunConfig.from_dict(cfg.to_dict())
         assert config_hash(again) == config_hash(cfg)
 
+    @pytest.mark.parametrize("golden", ["v6_uniform_n60_seed3", "v6_step_n300_seed4"])
+    def test_hashlib_fallback_keeps_the_stored_digest(self, monkeypatch, golden):
+        import hashlib
+
+        path = os.path.join(os.path.dirname(__file__), "data", golden + ".json")
+        with open(path) as fh:
+            side = json.load(fh)
+        cfg = RunConfig.from_dict(side["config"])
+        assert config_hash(cfg) == side["config_hash"]  # a built-in module
+        # neither built-in SHA-256 module imports: hashlib gives the digest
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda data: calls.append(data) or sha256(data))
+        assert config_hash(cfg) == side["config_hash"]
+        assert len(calls) == 1
+
 
 DEFAULT_CONFIG_DICT = {
     "truth": {"kind": "uniform"},

@@ -386,6 +386,22 @@ class TestAdaptiveQuadrature:
         assert math.isfinite(ei.value.log_estimate)
         assert ei.value.evaluations > 0
 
+    def test_seed_panels_past_the_budget_fail_before_any_evaluation(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.zeros_like(x)
+
+        with pytest.raises(QuadratureError, match="25 seed panels") as ei:
+            adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 25) / 25,
+                                max_intervals=24)
+        assert calls == [] and ei.value.evaluations == 0
+        # as many seed panels as the budget allows still integrate
+        res = adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 24) / 24,
+                                  max_intervals=24)
+        assert res.log_estimate == pytest.approx(0.0, abs=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(np.zeros_like, 1.0, 1.0, 1e-9)
