@@ -22,16 +22,9 @@ from .numerics import (
 )
 from .intervals import Bracket, LogBracket
 from .densities import (
-    CosineDensity,
     GaussExpDensity,
-    Partition,
     StepDensity,
     UniformDensity,
-    cell_index,
-    hellinger_gauss_exp,
-    hellinger_numeric,
-    hellinger_step_uniform,
-    kl_gauss_exp,
     sample_gauss_exp,
     sample_step,
 )
@@ -39,7 +32,6 @@ from .barron import (
     BarronEngine,
     BarronPriorConfig,
     OccupancyStats,
-    SufficientStats,
 )
 from .diagnostics import (
     BandSpec,

@@ -27,9 +27,9 @@ The engine is single-writer: ``add_points`` ingests a block of data with
 one merge into the sorted sample, and cell compares on the consecutive
 pairs the block makes and splits; all queries are read-only.  Each engine
 state (the data seen so far) caches what its queries share and
-``add_points`` drops it: the step sum, which the step marginal, the level
-posterior and the predictive all read; the tail series past a cut, which
-the step sum's tail and the level posterior's 1/N tail both sum; the
+``add_points`` drops it: the step sum, which the step marginal, the mean
+of 1/N and the predictive all read; the tail series past a cut, which the
+step sum's tail and the 1/N tail both sum; the
 predictive's per-level factor for an unoccupied cell; and the full-interval
 tilt integral, which the tilt marginal and every interval mass divide by.
 The data-free normalizer Z0 is integrated once per process.
@@ -58,11 +58,9 @@ from .numerics import (
 
 __all__ = [
     "BarronPriorConfig",
-    "SufficientStats",
     "OccupancyStats",
     "BarronEngine",
     "PosteriorTheta",
-    "LevelPosterior",
     "UndefinedPosteriorError",
 ]
 
@@ -225,36 +223,16 @@ class BarronPriorConfig:
 
 
 @dataclass(frozen=True)
-class SufficientStats:
-    """Running data summaries: n, S_n = sum of PhiInv(x_i) in data order,
-    W_n = S_n / n, the sorted sample (a copy of the array each block is
-    merged into), the smallest positive gap between consecutive distinct
-    points, and their number."""
-
-    n: int
-    s_n: float
-    sorted_points: np.ndarray
-    min_gap: float
-    n_distinct: int
-
-
-@dataclass(frozen=True)
 class OccupancyStats:
-    """Occupied-cell counts k_N for the levels 1..M up to the cut, filled with
-    n_distinct from the distinct-cell level on, where every distinct point
-    sits in its own cell."""
+    """Occupied-cell counts k_N for the levels 1..M up to the cut; from the
+    distinct-cell level on every level holds n_distinct.  The package does
+    not read it: the benchmark's tracer reads n, the size of k_by_level and
+    distinct_level after each diagnostics row, for its level metrics."""
 
     n: int
     n_distinct: int
     distinct_level: int
     k_by_level: np.ndarray  # k_by_level[i] = occupancy of level i+1
-
-    def k(self, level: int) -> int:
-        if 1 <= level <= self.k_by_level.size:
-            return int(self.k_by_level[level - 1])
-        if level >= self.distinct_level:
-            return self.n_distinct
-        raise KeyError(f"level {level} not maintained")
 
 
 @dataclass(frozen=True)
@@ -292,18 +270,6 @@ class PosteriorTheta:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
         return _quotient(_tilt_integral(0, 0.0, self.quad_tol, 0.0, delta),
                          _z0(self.quad_tol))
-
-
-@dataclass(frozen=True)
-class LevelPosterior:
-    """Posterior over partition levels within the step component."""
-
-    levels: np.ndarray          # 1..M
-    weights_lower: np.ndarray   # per-level posterior weight enclosures
-    weights_upper: np.ndarray
-    tail_weight: Bracket        # total weight of levels > M
-    mean_inv_level: Bracket     # posterior mean of 1/N (0 signals escape to
-                                # ever finer partitions)
 
 
 def _exp_or_zero(v: float) -> float:
@@ -420,14 +386,9 @@ class BarronEngine:
         return self._n
 
     @property
-    def stats(self) -> SufficientStats:
-        return SufficientStats(n=self._n, s_n=self._s,
-                               sorted_points=self._pts.copy(),
-                               min_gap=self._min_gap,
-                               n_distinct=self._n_distinct)
-
-    @property
     def occupancy(self) -> OccupancyStats:
+        """The occupancies up to the cut (see OccupancyStats, which says who
+        reads them)."""
         return OccupancyStats(n=self._n, n_distinct=self._n_distinct,
                               distinct_level=self.distinct_level(),
                               k_by_level=self._occupancies(self._cut()))
@@ -674,16 +635,14 @@ class BarronEngine:
                                                   quad_tol=self.quad_tol)
         return self._cache["theta"]
 
-    def posterior_over_n(self) -> LevelPosterior:
-        """Posterior over partition levels within the step component."""
-        lo, hi, tail, total = self._step_sum()
+    def posterior_over_n(self) -> Bracket:
+        """Enclosure of the posterior mean of 1/N over the partition levels
+        within the step component; near 0 it signals escape to ever finer
+        partitions."""
+        lo, hi, _, total = self._step_sum()
         log_n = np.log(np.arange(1, lo.size + 1, dtype=np.float64))
         inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(self._tail(lo.size, 3))
-        return LevelPosterior(levels=np.arange(1, lo.size + 1),
-                              weights_lower=np.exp(lo - total.upper),
-                              weights_upper=np.minimum(1.0, np.exp(hi - total.lower)),
-                              tail_weight=_mass(tail, total, 1.0),
-                              mean_inv_level=_mass(inv, total, 1.0))
+        return _mass(inv, total, 1.0)
 
     def set_mass(self, steps: bool, thetas=()) -> Bracket:
         """Posterior mass of the set that holds every step density if

@@ -19,9 +19,9 @@ likelihood once per engine, in one theta x data pass per refinement round.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
-numeric integrator before it is relied on; distances are computed once per
-process on one theta grid, which grows with the largest reach asked for, and
-region masses use inner/outer envelope enclosures.
+numeric integrator before it is relied on; each query computes distances on
+a theta grid only up to the point from which a certified tail bound decides
+the region, and region masses use inner/outer envelope enclosures.
 """
 
 from __future__ import annotations
@@ -146,37 +146,55 @@ def _tail_dh_bounds(theta: float) -> tuple[float, float]:
 
 
 _DH_STEP = 0.02
-# the theta grid of the largest reach asked for so far in this process and
-# d_h(f_theta, uniform) on it; the grid of a smaller reach is a prefix of it
-_dh_grid = np.zeros(0)
-_dh_vals = np.zeros(0)
+# the first point i * 0.02 of the Hellinger grid at or past theta = 3
+_DH_FROM = 150
 
 
-def _hellinger_grid(theta_hi: float):
-    """np.arange(0, theta_hi + 0.02, 0.02) and d_h to the uniform on it,
-    sliced from the process-wide grid, which grows (computing only its new
-    points) when theta_hi lies beyond it.  d_h oscillates with period 2 pi
-    in theta, so the envelope's runs, and the quadrature pieces cut at them,
-    may change every half period pi: past MAX_INTERVALS of them no budget
-    holds the query, and QuadratureError is raised before the grid grows."""
-    global _dh_grid, _dh_vals
+def _decided_from(eps: float, size: int):
+    """The index i of the first point i * 0.02 >= 3 of the Hellinger grid of
+    ``size`` points where _tail_dh_bounds decides eps, and whether d_h
+    exceeds eps from there on; None where no point of the grid decides it.
+    The bounds narrow as theta grows, in floats too (each operation rounds
+    monotonically), so a decided point is the first by bisection."""
+    def side(i):
+        d_lo, d_hi = _tail_dh_bounds(i * _DH_STEP)
+        return True if eps < d_lo else False if eps >= d_hi else None
+
+    lo, hi = _DH_FROM, size - 1
+    if hi < lo or side(hi) is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if side(mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi, side(hi)
+
+
+def _region_above(eps: float, theta_hi: float):
+    """Inner and outer unions of the cells of the grid np.arange(0, theta_hi
+    + 0.02, 0.02) approximating {theta in [0, theta_hi] : d_h(f_theta,
+    uniform) > eps}.  From the first point at or past theta = 3 where
+    _tail_dh_bounds decides eps, every cell lies inside (or every one
+    outside) the region, so d_h is computed only up to there and a run that
+    reaches the grid's end ends at theta_hi, where the quadrature pieces are
+    clamped anyway; an eps no point decides takes the whole grid.  d_h
+    oscillates with period 2 pi in theta, so its runs may change every half
+    period pi: a theta_hi past MAX_INTERVALS of them raises QuadratureError
+    before anything is computed, for every eps, so that such a reach stays a
+    recorded gap rather than one quadrature over it."""
     if theta_hi / math.pi > MAX_INTERVALS:
         raise QuadratureError(f"[0, {theta_hi}] holds more than {MAX_INTERVALS} "
                               f"half periods of the Hellinger distance, past the "
                               f"quadrature budget", math.nan, math.inf, 0)
     size = math.ceil((theta_hi + _DH_STEP) / _DH_STEP)  # np.arange's length
-    if size > _dh_grid.size:
-        grid = np.arange(0.0, theta_hi + _DH_STEP, _DH_STEP)
-        new = cosine_hellinger_uniform(grid[_dh_vals.size:])
-        _dh_grid, _dh_vals = grid, np.concatenate([_dh_vals, new])
-    return _dh_grid[:size], _dh_vals[:size]
-
-
-def _region_above(eps: float, theta_hi: float):
-    """Inner and outer unions of grid cells approximating
-    {theta in [0, theta_hi] : d_h(f_theta, uniform) > eps}."""
-    grid, vals = _hellinger_grid(theta_hi)
-    above = vals > eps
+    k, inside = _decided_from(eps, size) or (size - 1, False)
+    grid = np.arange(k + 1) * _DH_STEP  # the prefix of np.arange's grid
+    above = cosine_hellinger_uniform(grid) > eps
+    if k < size - 1:
+        grid = np.append(grid, theta_hi)
+        above = np.append(above, inside)
 
     def runs(cells):  # (start, end) of each run of cells [grid[i], grid[i+1]]
         step = np.diff(cells.astype(np.int8), prepend=0, append=0)

@@ -309,8 +309,7 @@ def evaluate_diagnostics(engine: BarronEngine,
     # in the likelihood-ratio normalization, which the flag reads too
     _put(row, "log_evidence", ev and ev.shift(-n * engine.mean_log_truth))
     if settings.track_mean_inv_level:
-        lp = attempt("posterior_over_n", engine.posterior_over_n)
-        _put(row, "mean_inv_level", lp and lp.mean_inv_level)
+        _put(row, "mean_inv_level", attempt("posterior_over_n", engine.posterior_over_n))
     if settings.predictive_grid:
         row["predictive_ks"] = _num(attempt(
             "predictive_ks", engine.predictive_uniform_ks, settings.predictive_grid))

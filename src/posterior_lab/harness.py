@@ -153,11 +153,10 @@ class TruthSpec:
                                f"need {n}")
         return np.asarray(data[:n])
 
-    def to_dict(self) -> dict:
-        return encode_config(self)
-
     @staticmethod
     def from_dict(d: dict) -> "TruthSpec":
+        """Decode a truth alone.  The package decodes it inside RunConfig;
+        the benchmark's tilt oracle calls this to rebuild a run's data."""
         return decode_config(TruthSpec, d)
 
 
@@ -390,6 +389,8 @@ class TrajectoryRecord:
         return out
 
     def value_series(self, name: str):
+        """[(n, value)] of a one-column statistic, matched as bracket_series
+        matches; ``plot`` draws every column without a bracket from it."""
         col = self._resolve(name, "")
         if col is None:
             return []

@@ -30,7 +30,6 @@ __all__ = [
     "log_add",
     "log_sum_exp",
     "norm_cdf",
-    "norm_logpdf",
     "inv_norm_cdf",
     "binet",
     "zeta_series",
@@ -86,10 +85,6 @@ def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def norm_logpdf(z: float) -> float:
-    return -0.5 * z * z - _LOG_SQRT_2PI
-
-
 # Acklam's rational approximation to the inverse normal CDF (|err| ~ 1.15e-9),
 # then one Halley step against the erfc-based CDF pushes the error to the
 # rounding level of Phi itself.
@@ -142,7 +137,9 @@ def inv_norm_cdf(p):
     [1e-12, 1-1e-12] (in practice near machine precision after refinement).
     p is a number or an array; an array is mapped element by element, each
     element bit for bit equal to the number's result.  Where |z| > 37,
-    phi(z) underflows and Acklam's value alone is all float64 offers.
+    phi(z) underflows and Acklam's value alone is all float64 offers.  The
+    number branch stays, though the package passes arrays: it is the
+    reference that the data-order fold tests sum point by point.
     """
     if isinstance(p, float) or np.ndim(p) == 0:
         p = float(p)
@@ -291,28 +288,15 @@ class QuadratureResult:
     """Integral estimate from G7/K15 Gauss-Kronrod with QUADPACK's error
     estimate, still not a proof.
 
-    ``log_estimate`` is ln of the integral of e^f; ``estimate`` is its linear
-    value (which may under/overflow for extreme magnitudes -- the log fields
-    are authoritative).  ``abs_error_bound`` and ``rel_error_bound`` are the
-    absolute and relative error estimates summed over the panels: they bound
-    the error when every panel resolves its integrand, which is not proven.
+    ``log_estimate`` is ln of the integral of e^f.  ``rel_error_bound`` is
+    the error estimate summed over the panels, relative to the integral: it
+    bounds the error when every panel resolves its integrand, which is not
+    proven.
     """
 
     log_estimate: float
     rel_error_bound: float
     evaluations: int
-
-    @property
-    def estimate(self) -> float:
-        return math.exp(self.log_estimate) if self.log_estimate > LOG_ZERO else 0.0
-
-    @property
-    def abs_error_bound(self) -> float:
-        if self.log_estimate == LOG_ZERO:
-            return 0.0
-        b = self.log_estimate + math.log(self.rel_error_bound) \
-            if self.rel_error_bound > 0 else LOG_ZERO
-        return math.exp(b) if b > LOG_ZERO else 0.0
 
     def log_bracket(self) -> tuple[float, float]:
         """[lower, upper] bracket on the log of the integral."""

@@ -22,7 +22,6 @@ from posterior_lab.densities import (
     GaussExpDensity,
     StepDensity,
     UniformDensity,
-    cell_index,
     sample_gauss_exp,
     sample_step,
 )
@@ -53,6 +52,24 @@ def exact_cells(w, x):
     out.flat[tie] = [int(wi) * p // q for wi, (p, q) in zip(
         w.flat[tie].tolist(), map(float.as_integer_ratio, x.flat[tie].tolist()))]
     return out
+
+
+def occupancy_at(e, level):
+    """k_N of an engine at any level N: the stored occupancies up to the
+    cut, n_distinct from the distinct-cell level on."""
+    occ = e.occupancy
+    if level <= occ.k_by_level.size:
+        return int(occ.k_by_level[level - 1])
+    assert level >= occ.distinct_level
+    return occ.n_distinct
+
+
+def level_weights(e):
+    """(lower, upper) posterior weights of the levels 1..M within the step
+    component, and the weight past the cut M, from the engine's step sum."""
+    lo, hi, tail, total = e._step_sum()
+    return (np.exp(lo - total.upper), np.minimum(1.0, np.exp(hi - total.lower)),
+            barron._mass(tail, total, 1.0))
 
 
 def brute_force_step_sum(data, levels=(1, 2), with_likelihood=True):
@@ -146,24 +163,23 @@ class TestOccupancyTracking:
     def test_first_point(self):
         e = BarronEngine()
         e.add_point(0.5)
-        assert e.stats.n == 1
-        assert e.stats.s_n == 0.0  # PhiInv(0.5) = 0
-        occ = e.occupancy
+        assert e.n == 1
+        assert e._s == 0.0  # PhiInv(0.5) = 0
         for level in (1, 2, 3, 5):
-            assert occ.k(level) == 1
+            assert occupancy_at(e, level) == 1
 
     def test_small_example_cells(self):
         e = BarronEngine()
         e.add_points([0.1, 0.3, 0.7])
-        assert e.occupancy.k(1) == 2   # halves {0, 1}
-        assert e.occupancy.k(2) == 3   # eighths {0, 2, 5}
+        assert occupancy_at(e, 1) == 2   # halves {0, 1}
+        assert occupancy_at(e, 2) == 3   # eighths {0, 2, 5}
 
     def test_decimal_point_below_a_cell_boundary(self):
         # 50 * 0.3 rounds up to 15, but the float 0.3 lies below 3/10, so at
         # every level N divisible by 5 it sits one cell below 0.305
         e = BarronEngine()
         e.add_points([0.3, 0.305, 0.9])
-        assert e.occupancy.k(5) == 3
+        assert occupancy_at(e, 5) == 3
         assert np.array_equal(e.occupancy.k_by_level,
                               recount_occupancy([0.3, 0.305, 0.9], e._cut()))
 
@@ -176,7 +192,7 @@ class TestOccupancyTracking:
             pts = np.sort(data)
             for level in range(1, e.occupancy.k_by_level.size + 1):
                 want = len(np.unique(exact_cells(2 * level * level, pts)))
-                assert e.occupancy.k(level) == want, (level, data)
+                assert occupancy_at(e, level) == want, (level, data)
 
     def test_k_monotone_in_n_and_bounds(self):
         rng = np.random.default_rng(3)
@@ -198,15 +214,15 @@ class TestOccupancyTracking:
         e = BarronEngine()
         e.add_points([0.1, 0.30001, 0.3, 0.9])
         nd = e.distinct_level()
-        assert 1.0 / (2.0 * nd * nd) < e.stats.min_gap
-        assert e.occupancy.k(nd) == e.stats.n_distinct
+        assert 1.0 / (2.0 * nd * nd) < e._min_gap
+        assert occupancy_at(e, nd) == e.occupancy.n_distinct
 
     def test_duplicates(self):
         e = BarronEngine()
         e.add_points([0.25, 0.25, 0.75])
-        assert e.stats.n == 3
-        assert e.stats.n_distinct == 2
-        assert e.occupancy.k(1) == 2
+        assert e.n == 3
+        assert e.occupancy.n_distinct == 2
+        assert occupancy_at(e, 1) == 2
 
     def test_rejects_out_of_range(self):
         e = BarronEngine()
@@ -370,7 +386,7 @@ class TestClosedFormOracle:
         assert e.step_marginal().contains(s)
         assert e.step_marginal().width() <= 1e-9
         mean_inv = mp.exp(mp_step_log_sum(data, power=1) - s)
-        assert e.posterior_over_n().mean_inv_level.contains(mean_inv)
+        assert e.posterior_over_n().contains(mean_inv)
         pred = mp.exp(mp_step_log_sum(data, x=0.37) - s)
         assert e.step_predictive(0.37).contains(pred)
 
@@ -544,7 +560,7 @@ class TestGaussMarginal:
         for _ in range(n // 2):
             e.add_point(norm_cdf(z))
             e.add_point(norm_cdf(-z))
-        assert abs(e.stats.s_n) < 1e-9
+        assert abs(e._s) < 1e-9
         got = e.gauss_marginal().log_estimate
         laplace = -2.0 * math.sqrt(n) - 0.75 * math.log(n) \
             + math.log(math.sqrt(math.pi) / 0.148495506775922)
@@ -664,37 +680,40 @@ class TestPosteriorTheta:
         assert a.upper + b.upper >= 1.0 - 1e-10
 
 
-def prior_level_check(lp):
+def prior_level_check(e):
     """The first 100 level weights and the weight past the cut are those of
     the prior, 6/(pi^2 N^2)."""
-    levels = lp.levels[:100].astype(float)
+    w_lo, w_hi, tail_weight = level_weights(e)
+    all_levels = np.arange(1, w_lo.size + 1)
+    levels = all_levels[:100].astype(float)
     want = (6.0 / math.pi**2) / levels ** 2
-    mid = 0.5 * (lp.weights_lower[:100] + lp.weights_upper[:100])
+    mid = 0.5 * (w_lo[:100] + w_hi[:100])
     assert np.allclose(mid, want, rtol=1e-10, atol=0.0)
     tail = 1.0 - float(6 / mp.pi**2 * mp.fsum(1 / mp.mpf(v) ** 2
-                                              for v in lp.levels.tolist()))
-    assert lp.tail_weight.lower - 1e-12 <= tail <= lp.tail_weight.upper + 1e-12
+                                              for v in all_levels.tolist()))
+    assert tail_weight.lower - 1e-12 <= tail <= tail_weight.upper + 1e-12
 
 
 class TestPosteriorOverLevels:
     def test_prior_weights_at_n0(self):
-        lp = BarronEngine().posterior_over_n()
-        prior_level_check(lp)
-        assert np.allclose(lp.weights_lower, lp.weights_upper, rtol=1e-12)
+        e = BarronEngine()
+        prior_level_check(e)
+        w_lo, w_hi, _ = level_weights(e)
+        assert np.allclose(w_lo, w_hi, rtol=1e-12)
 
     def test_single_point_keeps_prior_shape(self):
         # every level keeps ratio 1/2, so weights stay proportional to prior
         e = BarronEngine()
         e.add_point(0.77)
-        prior_level_check(e.posterior_over_n())
+        prior_level_check(e)
 
     def test_uniform_data_pushes_to_fine_levels(self):
         prior_mean_inv = 6.0 / math.pi**2 * 1.2020569031595943  # zeta(3)
         e = BarronEngine(truth=UniformDensity())
         e.add_points(RandomStream(8, 0).uniform_open(1000))
-        lp = e.posterior_over_n()
-        assert lp.mean_inv_level.upper <= prior_mean_inv
-        assert lp.mean_inv_level.upper < 0.2  # far finer than the prior
+        mean_inv = e.posterior_over_n()
+        assert mean_inv.upper <= prior_mean_inv
+        assert mean_inv.upper < 0.2  # far finer than the prior
 
 
 class TestSetMass:
@@ -971,15 +990,16 @@ class TestStepStateCache:
             assert got.upper <= ref.upper + LOOP_ROUNDING, with_lik
             assert got.width() <= 1e-9
         terms = loop_step_log_terms(recount_occupancy(data, m_old), e.n, True)
-        tail = old_tail(e.n, e.stats.n_distinct, m_old)
+        tail = old_tail(e.n, e.occupancy.n_distinct, m_old)
         total = LogBracket.point(log_sum_exp(terms)).add(tail)
         w_lo, w_hi, mean_inv = loop_level_posterior(terms, tail, total)
-        lp = e.posterior_over_n()
-        m, slack = lp.levels.size, math.exp(2 * LOOP_ROUNDING)
-        assert np.all(w_lo[:m] <= lp.weights_lower * slack)
-        assert np.all(lp.weights_upper <= w_hi[:m] * slack)
-        assert mean_inv[0] <= lp.mean_inv_level.lower * slack
-        assert lp.mean_inv_level.upper <= mean_inv[1] * slack
+        weights_lower, weights_upper, _ = level_weights(e)
+        got = e.posterior_over_n()
+        m, slack = weights_lower.size, math.exp(2 * LOOP_ROUNDING)
+        assert np.all(w_lo[:m] <= weights_lower * slack)
+        assert np.all(weights_upper <= w_hi[:m] * slack)
+        assert mean_inv[0] <= got.lower * slack
+        assert got.upper <= mean_inv[1] * slack
 
     @pytest.mark.parametrize("case", CACHE_DATA)
     def test_queried_then_fed_equals_fresh(self, case):
@@ -1001,10 +1021,10 @@ class TestStepStateCache:
         assert fed.gauss_marginal() == fresh.gauss_marginal()
         assert fed.posterior_theta().interval_mass(0.2, 0.6) == \
             fresh.posterior_theta().interval_mass(0.2, 0.6)
-        a, b = fed.posterior_over_n(), fresh.posterior_over_n()
-        assert np.array_equal(a.weights_lower, b.weights_lower)
-        assert np.array_equal(a.weights_upper, b.weights_upper)
-        assert a.mean_inv_level == b.mean_inv_level
+        a, b = level_weights(fed), level_weights(fresh)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+        assert fed.posterior_over_n() == fresh.posterior_over_n()
 
     def test_one_full_tilt_integral_per_state(self, monkeypatch):
         full = []
@@ -1050,7 +1070,7 @@ class TestStepStateCache:
                 assert e.step_marginal(with_likelihood=with_lik) == \
                     fresh.step_marginal(with_likelihood=with_lik), i
         assert e.distinct_level() == 316228
-        assert e.stats.n_distinct == e.n - 2
+        assert e.occupancy.n_distinct == e.n - 2
 
 
 class TestTailSeries:
@@ -1226,13 +1246,13 @@ class TestBlockIngestion:
         assert np.array_equal(occ.k_by_level, whole.occupancy.k_by_level)
         assert np.array_equal(occ.k_by_level, recount_occupancy(data, occ.k_by_level.size))
         distinct = np.unique(data)
-        assert blocks.stats.n_distinct == whole.stats.n_distinct == distinct.size
-        assert blocks.stats.min_gap == np.diff(distinct).min(initial=math.inf)
+        assert blocks.occupancy.n_distinct == whole.occupancy.n_distinct == distinct.size
+        assert blocks._min_gap == np.diff(distinct).min(initial=math.inf)
         s_n, log_truth = 0.0, 0.0
         for x in data:  # the sequential folds, in data order
             s_n += inv_norm_cdf(x)
             log_truth += truth.logpdf(x)
-        assert blocks.stats.s_n == s_n
+        assert blocks._s == s_n
         assert blocks.mean_log_truth == log_truth / len(data)
         assert blocks.step_marginal() == whole.step_marginal()
 
@@ -1242,7 +1262,7 @@ class TestBlockIngestion:
          lambda x: -0.5 + math.sqrt(2.0 * 0.5) * inv_norm_cdf(x)),
         (STEP_TRUTH, lambda rs, n: np.r_[sample_step(STEP_TRUTH, rs, n - 40),
                                         rs.uniform_open(40)],
-         lambda x: LN2 if cell_index(x, 2) in STEP_TRUTH.selected else LOG_ZERO),
+         lambda x: LN2 if int(exact_cells(8, x)) in STEP_TRUTH.selected else LOG_ZERO),
     ], ids=["uniform", "gauss:0.5", "step:2:0,3,5,7"])
     def test_block_folds_equal_the_point_folds(self, truth, draw, point_logpdf):
         # the step sample ends with 40 uniform points, some off the selected
@@ -1255,8 +1275,8 @@ class TestBlockIngestion:
             for x in data[lo:hi]:
                 s_n += inv_norm_cdf(x)
                 log_truth += point_logpdf(x)
-            assert e.stats.s_n == s_n and e._sum_log_truth == log_truth
-        assert type(e._sum_log_truth) is float and type(e.stats.s_n) is float
+            assert e._s == s_n and e._sum_log_truth == log_truth
+        assert type(e._sum_log_truth) is float and type(e._s) is float
         if truth is STEP_TRUTH:
             assert log_truth == LOG_ZERO
 
@@ -1267,14 +1287,16 @@ class TestBlockIngestion:
     def test_rejected_block_changes_nothing(self, block):
         e = BarronEngine(truth=GaussExpDensity(0.5))
         e.add_points([0.1, 0.3, 0.7])
-        stats, occ, marginal = e.stats, e.occupancy, e.step_marginal()
+        def stats():
+            return e.n, e._s, e._min_gap, e.occupancy.n_distinct, e._pts.copy()
+
+        before, occ, marginal = stats(), e.occupancy, e.step_marginal()
         log_truth = e.mean_log_truth
         with pytest.raises(ValueError):
             e.add_points(block)
-        after = e.stats
-        assert (after.n, after.s_n, after.min_gap, after.n_distinct) == \
-            (stats.n, stats.s_n, stats.min_gap, stats.n_distinct)
-        assert np.array_equal(after.sorted_points, stats.sorted_points)
+        after = stats()
+        assert after[:4] == before[:4]
+        assert np.array_equal(after[4], before[4])
         assert e.mean_log_truth == log_truth
         assert np.array_equal(e.occupancy.k_by_level, occ.k_by_level)
         assert e.step_marginal() == marginal

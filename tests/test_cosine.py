@@ -4,10 +4,12 @@ masses are checked against trapezoid oracles, for additivity and for the
 sharpness of their tail brackets."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import CosineDensity, hellinger_numeric
 from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
     CosineEngine,
@@ -15,7 +17,7 @@ from posterior_lab.cosine import (
     cosine_hellinger_uniform,
     cosine_loglik,
 )
-from posterior_lab.densities import CosineDensity, UniformDensity, hellinger_numeric
+from posterior_lab.densities import UniformDensity
 from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
 
 mp.mp.dps = 30
@@ -282,16 +284,11 @@ class TestHellingerMass:
 
 
 class TestHellingerGrid:
-    def test_slices_equal_fresh_grids(self):
-        cosine._hellinger_grid(1125.0)  # a grid longer than every cap below
-        for cap in (30.0, 120.0, 750.0):
-            grid, vals = cosine._hellinger_grid(cap)
-            fresh = np.arange(0.0, cap + 0.02, 0.02)
-            assert grid.size == fresh.size and (grid == fresh).all()
-            assert (vals == cosine_hellinger_uniform(fresh)).all()
-
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.44, 0.45, 0.5, 0.7])
     def test_envelopes_equal_a_loop_merge(self, eps):
+        # the reference merges the cells of the full grid; 12.28 and 73.1
+        # are where the tail bounds decide 0.7 and 0.5, past which the
+        # region stops its grid, so the runs agree once clamped to theta_hi
         def merge(grid, cells):  # the reference: one pass over the cells
             out, start = [], None
             for i, m in enumerate(cells):
@@ -304,13 +301,29 @@ class TestHellingerGrid:
                 out.append((start, grid[-1]))
             return out
 
-        for theta_hi in (3.0, 45.0, 750.0, 1237.3):
-            grid, vals = cosine._hellinger_grid(theta_hi)
-            above = (vals > eps).tolist()
+        def clamp(runs, hi):
+            return [(min(a, hi), min(b, hi)) for a, b in runs]
+
+        for theta_hi in (3.0, 12.28, 30.0, 45.0, 73.1, 750.0, 1237.3):
+            grid = np.arange(0.0, theta_hi + 0.02, 0.02)
+            above = (cosine_hellinger_uniform(grid) > eps).tolist()
             inner = [a and b for a, b in zip(above[:-1], above[1:])]
             outer = [a or b for a, b in zip(above[:-1], above[1:])]
-            want = (merge(grid.tolist(), inner), merge(grid.tolist(), outer))
-            assert cosine._region_above(eps, theta_hi) == want, theta_hi
+            want = [clamp(merge(grid.tolist(), cells), theta_hi) for cells in (inner, outer)]
+            got = [clamp(runs, theta_hi) for runs in cosine._region_above(eps, theta_hi)]
+            assert got == want, theta_hi
+
+    def test_a_region_stops_its_grid_where_the_tail_bounds_decide(self):
+        assert cosine._decided_from(0.5, 10 ** 8) == (3655, False)  # theta = 73.1
+        assert cosine._decided_from(0.7, 10 ** 8) == (614, False)   # theta = 12.28
+        # the grid up to 5e4 holds 2.5e6 points; only the 3656 up to 73.1 are built
+        tracemalloc.start()
+        try:
+            cosine._region_above(0.5, 5e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestQuadratureBudget:
@@ -331,14 +344,16 @@ class TestQuadratureBudget:
                            match="holds 286479 panels of a half period of the likelihood"):
             eng.log_evidence()
 
-    def test_hellinger_grid_past_the_budget(self, no_likelihood):
+    def test_hellinger_grid_past_the_budget(self, no_likelihood, monkeypatch):
         # 31832 half periods pi / 0.1 of the likelihood, but the distance
-        # curve's half period is pi: its grid is never grown to 10^6
+        # curve's half period is pi: no grid of d_h is built for 10^6
+        def fail(theta):
+            raise AssertionError("the Hellinger grid was built")
+
+        monkeypatch.setattr(cosine, "cosine_hellinger_uniform", fail)
         eng = CosineEngine(CosinePriorConfig("truncated_uniform", theta_max=1e6), [0.1])
-        size = cosine._dh_grid.size
         with pytest.raises(numerics.QuadratureError, match="the Hellinger distance"):
             eng.hellinger_mass(0.5)
-        assert cosine._dh_grid.size == size
 
     def test_reach_past_the_budget(self):
         # the head [0, 30] integrates; the reach near 2e6 is refused

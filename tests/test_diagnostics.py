@@ -146,7 +146,7 @@ class TestBandPosteriorMass:
         got = band_posterior_mass(e, band)
         thetas = np.linspace(1e-6, 1.0, 400_001)
         logpost = -1.0 / thetas - e.n * thetas + \
-            np.sqrt(2 * thetas) * e.stats.s_n
+            np.sqrt(2 * thetas) * e._s
         w = np.exp(logpost - logpost.max())
         level = -thetas + np.sqrt(2 * thetas) * e.w_n - cbar
         inband = (level >= band.alpha) & (level <= band.beta)

@@ -81,7 +81,7 @@ class TestTruthSpec:
         for spec in (TruthSpec("uniform"),
                      TruthSpec("gauss_exp", theta=0.25),
                      TruthSpec("step", level=2, selected=(7, 0, 3, 5))):
-            assert TruthSpec.from_dict(spec.to_dict()) == spec
+            assert TruthSpec.from_dict(harness.encode_config(spec)) == spec
 
     def test_external(self, tmp_path):
         p = tmp_path / "d.csv"
