@@ -13,8 +13,9 @@ Gauss-Kronrod with QUADPACK's error estimate, still not a proof.
 
 An engine holds one data set.  Its evidence, region and Hellinger queries
 each integrate their own pieces, cut at their own edges but at the same
-half-period breakpoints, so interior panels repeat exactly; the engine
-memoizes ln prior + ln likelihood per theta, and each theta reaches the
+half-period breakpoints, so interior panels repeat exactly; the engine keeps
+one table of Kronrod panels per integrand (the joint, and the joint less
+each extension floor), and each panel of an integrand reaches the
 likelihood once per engine, in one theta x data pass per refinement round.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
@@ -26,6 +27,7 @@ the region, and region masses use inner/outer envelope enclosures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,8 +94,9 @@ def cosine_loglik(theta, data):
     """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta) at each theta
     of an array, via the half-angle form 2 cos^2(theta x / 2); LOG_ZERO where
     a point sits on a zero of the pdf.  The thetas go through a theta x data
-    matrix a chunk of rows at a time, and each row is reduced on its own, so
-    a theta's value does not depend on the others."""
+    matrix a chunk of rows at a time, in one buffer that each step
+    overwrites, and each row is reduced on its own, so a theta's value does
+    not depend on the others."""
     t = np.asarray(theta, dtype=float)
     if (t < 0).any():
         raise ValueError(f"theta must be >= 0, got {t.min()}")
@@ -101,10 +104,12 @@ def cosine_loglik(theta, data):
     flat = t.ravel()
     out = x.size * (LN2 - np.log(cosine_normalizer(flat)))
     rows = max(1, _CHUNK // max(1, x.size))
+    buf = np.empty((min(rows, flat.size), x.size))
     with np.errstate(divide="ignore"):
         for i in range(0, flat.size, rows):
-            c = np.cos(np.multiply.outer(0.5 * flat[i:i + rows], x))
-            out[i:i + rows] += 2.0 * np.log(np.abs(c)).sum(axis=1)
+            c = np.multiply.outer(0.5 * flat[i:i + rows], x, out=buf[:flat.size - i])
+            np.log(np.abs(np.cos(c, out=c), out=c), out=c)
+            out[i:i + rows] += 2.0 * c.sum(axis=1)
     return out.reshape(t.shape)
 
 
@@ -172,6 +177,9 @@ def _decided_from(eps: float, size: int):
     return hi, side(hi)
 
 
+# hellinger_mass asks for the region at the head and at the reach, for the
+# inner and again for the outer envelope: 4 entries hold one query's
+@functools.lru_cache(maxsize=4)
 def _region_above(eps: float, theta_hi: float):
     """Inner and outer unions of the cells of the grid np.arange(0, theta_hi
     + 0.02, 0.02) approximating {theta in [0, theta_hi] : d_h(f_theta,
@@ -183,7 +191,9 @@ def _region_above(eps: float, theta_hi: float):
     oscillates with period 2 pi in theta, so its runs may change every half
     period pi: a theta_hi past MAX_INTERVALS of them raises QuadratureError
     before anything is computed, for every eps, so that such a reach stays a
-    recorded gap rather than one quadrature over it."""
+    recorded gap rather than one quadrature over it.  Each union is a tuple
+    of (start, end) pairs, cached for the next call with the same eps and
+    theta_hi."""
     if theta_hi / math.pi > MAX_INTERVALS:
         raise QuadratureError(f"[0, {theta_hi}] holds more than {MAX_INTERVALS} "
                               f"half periods of the Hellinger distance, past the "
@@ -198,7 +208,7 @@ def _region_above(eps: float, theta_hi: float):
 
     def runs(cells):  # (start, end) of each run of cells [grid[i], grid[i+1]]
         step = np.diff(cells.astype(np.int8), prepend=0, append=0)
-        return list(zip(grid[step == 1].tolist(), grid[step == -1].tolist()))
+        return tuple(zip(grid[step == 1].tolist(), grid[step == -1].tolist()))
 
     return runs(above[:-1] & above[1:]), runs(above[:-1] | above[1:])
 
@@ -218,29 +228,19 @@ class CosineEngine:
             raise ValueError("data must lie in [0,1]")
         self.quad_tol = float(quad_tol)
         self._cache: dict = {}
-        self._joint: dict = {}  # theta -> ln prior + ln likelihood
+        # floor (None for the joint itself) -> that integrand's panel table
+        self._panels: dict = {}
 
     @property
     def n(self) -> int:
         return int(self.data.size)
 
     def log_joint(self, theta):
-        """ln prior density + ln likelihood at each theta of an array; each
-        theta is evaluated once per engine, with the thetas not seen before
-        in one likelihood pass."""
+        """ln prior density + ln likelihood at each theta of an array, in one
+        likelihood pass; a theta's value does not depend on the others."""
         t = np.asarray(theta, dtype=float)
-        keys = t.ravel().tolist()
-        memo = self._joint
-        got = list(map(memo.get, keys))
-        if None in got:
-            new = list(dict.fromkeys([k for k, v in zip(keys, got) if v is None]))
-            ts = np.array(new)
-            v = self.prior.log_density(ts)
-            if self.n:
-                v = v + cosine_loglik(ts, self.data)
-            memo.update(zip(new, v.tolist()))
-            got = list(map(memo.__getitem__, keys))
-        return np.array(got).reshape(t.shape)
+        v = self.prior.log_density(t)
+        return v + cosine_loglik(t, self.data) if self.n else v
 
     # -- quadrature domain --------------------------------------------------
 
@@ -300,14 +300,17 @@ class CosineEngine:
 
     def _piece_integral(self, lo: float, hi: float, floor=None) -> LogBracket:
         """The joint mass of [lo, hi] to a relative quad_tol, or, given a
-        floor F, to an absolute quad_tol * e^F."""
+        floor F, to an absolute quad_tol * e^F.  Its integrand (the joint, or
+        the joint less F) reads and fills that integrand's panel table, so a
+        panel shared with another piece is evaluated once."""
         key = (lo, hi, floor)
         if key not in self._cache:
             f = self.log_joint if floor is None else \
                 (lambda t: self.log_joint(t) - floor)
             res = adaptive_quadrature(f, lo, hi, self.quad_tol,
                                       breakpoints=self._breakpoints(lo, hi),
-                                      relative=floor is None)
+                                      relative=floor is None,
+                                      panels=self._panels.setdefault(floor, {}))
             br = LogBracket(*res.log_bracket())
             self._cache[key] = br if floor is None else br.shift(floor)
         return self._cache[key]

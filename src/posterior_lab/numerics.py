@@ -326,11 +326,22 @@ _W_GAUSS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                      0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
 
 
-def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i]
-    from one call of f on all their nodes.  Each panel is scaled by its own
-    maximum, and its error is QUADPACK's
-    resasc min(1, (200 |K - G| / resasc)^1.5), at least 50 eps K."""
+def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray, panels=None):
+    """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i],
+    and the number of abscissae passed to f: one call of f on the nodes of
+    every panel or, given a ``panels`` table, of every panel not in it, which
+    then holds them too.  Each panel is scaled by its own maximum, and its
+    error is QUADPACK's resasc min(1, (200 |K - G| / resasc)^1.5), at least
+    50 eps K."""
+    if panels is not None:
+        keys = list(zip(lo.tolist(), hi.tolist()))
+        new = [i for i, key in enumerate(keys) if key not in panels]
+        evals = 0
+        if new:
+            li, le, evals = _kronrod_panels(f, lo[new], hi[new])
+            panels.update(zip([keys[i] for i in new], zip(li.tolist(), le.tolist())))
+        li, le = np.array(list(map(panels.__getitem__, keys))).T
+        return li, le, evals
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = (c[:, None] + h[:, None] * _NODES).ravel()
     fx = np.asarray(f(x), dtype=float)
@@ -352,7 +363,7 @@ def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
         err = np.maximum(np.where(asc > 0.0, asc * shrink, 0.0), 50.0 * _EPS * k)
         scale = m + np.log(h)
         return (np.where(live, scale + np.log(k), LOG_ZERO),
-                np.where(live, scale + np.log(err), LOG_ZERO))
+                np.where(live, scale + np.log(err), LOG_ZERO), x.size)
 
 
 # panels one adaptive_quadrature may hold, its seed panels included
@@ -361,7 +372,8 @@ MAX_INTERVALS = 200_000
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False,
-                        max_intervals: int = MAX_INTERVALS) -> QuadratureResult:
+                        max_intervals: int = MAX_INTERVALS,
+                        panels=None) -> QuadratureResult:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
     space, refined in rounds.
 
@@ -372,6 +384,12 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     err <= tol * max(1, I) (or err <= tol * I when ``relative`` is set);
     otherwise it bisects the fewest largest-error panels whose errors cover
     the excess and passes all their nodes to one call of f.
+
+    ``panels``, a dict owned by the caller, maps (lo, hi) to the panel's
+    (ln K, ln error) for this one integrand f: a panel found there is not
+    evaluated again, and each panel evaluated is added to it, so quadratures
+    over pieces that share panels evaluate each of them once.
+    ``evaluations`` counts the abscissae passed to f.
 
     Raises QuadratureError (carrying the best bracket) when the subdivision
     budget is exhausted or a panel is too narrow to bisect, and (carrying
@@ -387,8 +405,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
                               f"{max_intervals} intervals", math.nan, math.inf, 0)
     lo, hi = pts[:-1], pts[1:]
-    li, le = _kronrod_panels(f, lo, hi)
-    evals = lo.size * _NODES.size
+    li, le, evals = _kronrod_panels(f, lo, hi, panels)
     log_tol = math.log(tol)
     while True:
         s_all, e_all = log_sum_exp(li), log_sum_exp(le)
@@ -408,8 +425,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         new_lo, new_hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        new_li, new_le = _kronrod_panels(f, new_lo, new_hi)
-        evals += new_lo.size * _NODES.size
+        new_li, new_le, new_evals = _kronrod_panels(f, new_lo, new_hi, panels)
+        evals += new_evals
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         li, le = np.concatenate([li[keep], new_li]), np.concatenate([le[keep], new_le])
 

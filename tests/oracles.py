@@ -3,8 +3,9 @@ collect this module, and the package never imports it.
 
 * the closed-form KL and Hellinger divergences of the tilt family, and the
   constant Hellinger distance of every step density to the uniform;
-* an independent numeric Hellinger integrator, with the subdivision points
-  of each density (step cell boundaries, cosine pdf zeros);
+* independent numeric Hellinger and KL integrators, the Hellinger one with
+  the subdivision points of each density (step cell boundaries, cosine pdf
+  zeros);
 * the cosine density as a pointwise object, the reference for
   ``cosine.cosine_loglik``;
 * the standard normal log-density, the tilt family's CDF, and the linear
@@ -150,6 +151,25 @@ _Z_CUTOFF = 9.0
 _TAIL_SLACK = 1e-13
 
 
+def _logpdf(d, x: np.ndarray) -> np.ndarray:
+    """d's log-density at each x of an array: one call on the whole array,
+    or one call per point for the pointwise CosineDensity."""
+    if isinstance(d, CosineDensity):
+        return np.array([d.logpdf(v) for v in x.tolist()])
+    return np.asarray(d.logpdf(x), dtype=float)
+
+
+def _in_z(z: np.ndarray, logf) -> np.ndarray:
+    """ln of an integrand over x in (0,1), moved to z = PhiInv(x)
+    coordinates, at each z of an array: ``logf(x, z)`` gets the points with
+    0 < Phi(z) < 1 as one array, and every other point is LOG_ZERO."""
+    x = np.array([norm_cdf(v) for v in z.tolist()])
+    inside = (0.0 < x) & (x < 1.0)
+    out = np.full(z.shape, LOG_ZERO)
+    out[inside] = logf(x[inside], z[inside])
+    return out
+
+
 def hellinger_numeric(f, g, tol: float = 1e-9) -> float:
     """d_h(f, g) by adaptive quadrature of the affinity integral.
 
@@ -158,25 +178,38 @@ def hellinger_numeric(f, g, tol: float = 1e-9) -> float:
     blow-up; step-density cell boundaries (and cosine pdf zeros) are passed
     as subdivision breakpoints.
     """
-    def integrand(z: float) -> float:
-        x = norm_cdf(z)
-        if not 0.0 < x < 1.0:
-            return LOG_ZERO
-        lf = f.logpdf(x)
-        lg = g.logpdf(x)
-        if lf == LOG_ZERO or lg == LOG_ZERO:
-            return LOG_ZERO
-        return 0.5 * (lf + lg) + norm_logpdf(z)
+    def affinity(x, z):
+        lf, lg = _logpdf(f, x), _logpdf(g, x)
+        live = (lf > LOG_ZERO) & (lg > LOG_ZERO)
+        return np.where(live, 0.5 * (lf + lg) + norm_logpdf(z), LOG_ZERO)
 
     bps = set()
     for d in (f, g):
         for x in quad_breakpoints(d):
             if 0.0 < x < 1.0:
                 bps.add(inv_norm_cdf(float(x)))
-    res = adaptive_quadrature(np.vectorize(integrand, otypes=[float]),
+    res = adaptive_quadrature(lambda z: _in_z(z, affinity),
                               -_Z_CUTOFF, _Z_CUTOFF, tol, breakpoints=sorted(bps))
     # the upper end of the affinity bracket: near x = 1, x = Phi(z) rounds
     # and the integrand carries rounding of about 1e-12, which the
     # quadrature's error bound covers, so d(f, f) comes out 0
     affinity = min(1.0, math.exp(res.log_bracket()[1]) + _TAIL_SLACK)
     return math.sqrt(max(0.0, 2.0 - 2.0 * affinity))
+
+
+def kl_numeric(f1, f2, tol: float = 1e-9) -> float:
+    """KL(f1, f2) = integral f1 ln(f1 / f2), as the quadratures over z in
+    [-9, 9] of its positive part less its negative part, in z = PhiInv(x)
+    coordinates."""
+    def part(sign):
+        def logf(x, z):
+            l1 = _logpdf(f1, x)
+            diff = sign * (l1 - _logpdf(f2, x))
+            out = np.full(x.shape, LOG_ZERO)
+            pos = diff > 0.0
+            out[pos] = l1[pos] + np.log(diff[pos]) + norm_logpdf(z[pos])
+            return out
+
+        return estimate(adaptive_quadrature(lambda z: _in_z(z, logf), -9, 9, tol))
+
+    return part(1.0) - part(-1.0)

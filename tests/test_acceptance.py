@@ -28,12 +28,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 from oracles import (
-    estimate,
     hellinger_gauss_exp,
     hellinger_numeric,
     hellinger_step_uniform,
     kl_gauss_exp,
-    norm_logpdf,
+    kl_numeric,
 )
 
 from posterior_lab.barron import BarronEngine
@@ -59,8 +58,6 @@ from posterior_lab.numerics import (
     LN2,
     LOG_ZERO,
     RandomStream,
-    adaptive_quadrature,
-    norm_cdf,
     zeta_series,
 )
 
@@ -105,26 +102,7 @@ class TestCriterion1:
                 dh_num = hellinger_numeric(f1, f2, 1e-9)
                 assert abs(dh_closed - dh_num) <= 1e-6
 
-                def kl_integrand(z, f1=f1, f2=f2):
-                    x = norm_cdf(z)
-                    if not 0.0 < x < 1.0:
-                        return LOG_ZERO
-                    diff = f1.logpdf(x) - f2.logpdf(x)
-                    return LOG_ZERO if diff <= 0 else \
-                        f1.logpdf(x) + math.log(diff) + norm_logpdf(z)
-
-                def kl_integrand_neg(z, f1=f1, f2=f2):
-                    x = norm_cdf(z)
-                    if not 0.0 < x < 1.0:
-                        return LOG_ZERO
-                    diff = f2.logpdf(x) - f1.logpdf(x)
-                    return LOG_ZERO if diff <= 0 else \
-                        f1.logpdf(x) + math.log(diff) + norm_logpdf(z)
-
-                kl_num = estimate(adaptive_quadrature(np.vectorize(kl_integrand), -9, 9,
-                                                      1e-9)) \
-                    - estimate(adaptive_quadrature(np.vectorize(kl_integrand_neg), -9, 9,
-                                                   1e-9))
+                kl_num = kl_numeric(f1, f2)
                 assert abs(kl_gauss_exp(t1, t2) - kl_num) <= 1e-6
 
         rng = np.random.default_rng(0)

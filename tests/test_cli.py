@@ -214,10 +214,12 @@ class TestTrajCommand:
     # tilt side of the band mass, the band prior exponent and the beta bound;
     # the decimal run's dataset decimal.csv (0.3, 0.305, 0.9, read from the
     # working directory) puts 0.3 just below a level-5 cell boundary; the
-    # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns
+    # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns;
+    # the cosine run reaches past its head and shares panels between pieces
     @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
                                       "v6_gauss_tiltband_n300_seed9",
-                                      "v6_decimal_n3_seed1", "v6_step_n300_seed4"])
+                                      "v6_decimal_n3_seed1", "v6_step_n300_seed4",
+                                      "v6_cosine_n640_seed3"])
     def test_v6_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")

@@ -18,6 +18,7 @@ from posterior_lab.cosine import (
     cosine_loglik,
 )
 from posterior_lab.densities import UniformDensity
+from posterior_lab.harness import DATA_STREAM, RunConfig
 from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
 
 mp.mp.dps = 30
@@ -317,6 +318,7 @@ class TestHellingerGrid:
         assert cosine._decided_from(0.5, 10 ** 8) == (3655, False)  # theta = 73.1
         assert cosine._decided_from(0.7, 10 ** 8) == (614, False)   # theta = 12.28
         # the grid up to 5e4 holds 2.5e6 points; only the 3656 up to 73.1 are built
+        cosine._region_above.cache_clear()
         tracemalloc.start()
         try:
             cosine._region_above(0.5, 5e4)
@@ -324,6 +326,21 @@ class TestHellingerGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_a_query_computes_each_region_once(self, monkeypatch):
+        # the inner and the outer envelope both ask for the region at the
+        # head (45 at n = 60) and at their reach past it
+        grids = []
+        dh = cosine.cosine_hellinger_uniform
+        monkeypatch.setattr(cosine, "cosine_hellinger_uniform",
+                            lambda t: grids.append(t.size) or dh(t))
+        cosine._region_above.cache_clear()
+        eng = CosineEngine(CosinePriorConfig("exponential", rate=1.0),
+                           RandomStream(12, 0).uniform_open(60))
+        eng.hellinger_mass(0.5)
+        info = cosine._region_above.cache_info()
+        assert info.hits + info.misses == 4 and info.hits >= 1
+        assert len(grids) == info.misses
 
 
 class TestQuadratureBudget:
@@ -364,16 +381,24 @@ class TestQuadratureBudget:
 
 
 def _scalar_log_joint(prior, data, theta):
-    # log_joint of one theta on its own, without the memo
+    # log_joint of one theta on its own, outside any batch
     lp = float(prior.log_density(theta))
     if lp == LOG_ZERO or len(data) == 0:
         return lp
     return lp + float(cosine_loglik(np.array([theta]), data)[0])
 
 
+def _panel_nodes(lo, hi):
+    # the 15 Kronrod abscissae of [lo, hi], as adaptive_quadrature forms them
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return c + h * numerics._NODES
+
+
 class TestOnePerTheta:
-    """The engine evaluates each theta once per state and keeps the bits of
-    the plain evaluation, whichever batch computed it."""
+    """The engine keeps one table of Kronrod panels per integrand: each panel
+    of an integrand reaches the likelihood once per engine, so each of its
+    thetas does, and a panel keeps the bits of the plain evaluation,
+    whichever batch computed it."""
 
     @pytest.mark.parametrize("prior, data", [
         (CosinePriorConfig("exponential", rate=1.0),
@@ -386,13 +411,15 @@ class TestOnePerTheta:
          RandomStream(10, 0).uniform_open(5000)),
     ])
     def test_memoized_log_joint_equals_scalar(self, prior, data):
+        # what a panel table holds is computed from log_joint on whole
+        # batches of thetas: each value must not depend on the batch
         rng = np.random.default_rng(11)
         thetas = [0.0, math.pi, 2.0 * math.pi, 7.0, 7.5, 120.0,
                   *(rng.random(40) * 60.0).tolist()]
         want = [_scalar_log_joint(prior, data, t) for t in thetas]
         eng = CosineEngine(prior, data)
         assert eng.log_joint(np.array(thetas)).tolist() == want
-        # the second pass reads the memo, in another order
+        # the second pass, in another order
         assert eng.log_joint(np.array(thetas[::-1])).tolist() == want[::-1]
         for size in (1, 3, 17):
             fresh = CosineEngine(prior, data)
@@ -405,19 +432,24 @@ class TestOnePerTheta:
             assert want[1] < -60.0
             assert want[4] == LOG_ZERO
 
-    def test_each_theta_reaches_the_likelihood_once(self, monkeypatch):
+    def test_each_panel_reaches_the_likelihood_once(self, monkeypatch):
         prior = CosinePriorConfig("exponential", rate=1.0)
         data = RandomStream(12, 0).uniform_open(60)
-        seen = []
+        calls = []   # (table, abscissae) of each integrand call
         quads = []
+        seen = []    # the thetas of each likelihood pass
         loglik = cosine.cosine_loglik
 
         def count_loglik(theta, x):
-            seen.extend(theta.tolist())
+            seen.append(theta.copy())
             return loglik(theta, x)
 
         def record_quadrature(f, a, b, tol, **kw):
-            res = numerics.adaptive_quadrature(f, a, b, tol, **kw)
+            def g(t):
+                calls.append((kw["panels"], t.copy()))
+                return f(t)
+
+            res = numerics.adaptive_quadrature(g, a, b, tol, **kw)
             quads.append((f, a, b, tol, kw, res))
             return res
 
@@ -429,16 +461,61 @@ class TestOnePerTheta:
         eng.region_mass(1.0, 3.0)
         eng.hellinger_mass(0.3)
         eng.hellinger_mass(0.5)
-        assert len(quads) >= 5
-        assert len(seen) == len(set(seen))
-        # interior panels repeat across the quadratures
-        assert len(seen) < sum(q[-1].evaluations for q in quads)
         monkeypatch.undo()
-        # the memo holds the bits of the plain evaluation, and each recorded
-        # quadrature (a head piece, or a piece past the head on an integrand
-        # shifted by its floor) replays to the same result
-        assert all(v == _scalar_log_joint(prior, data, t)
-                   for t, v in eng._joint.items())
+        assert len(quads) >= 5
+        # the joint, and the joint less each extension floor
+        tables = eng._panels
+        assert None in tables and len(tables) >= 2
         assert any(not kw["relative"] for *_, kw, _ in quads)
+        # every integrand call is one likelihood pass, and the thetas an
+        # integrand passes are the nodes of its table's panels, each panel's
+        # once (two panels may share a float node)
+        assert [t.tolist() for _, t in calls] == [t.tolist() for t in seen]
+        for floor, table in tables.items():
+            got = np.concatenate([t for tab, t in calls if tab is table])
+            want = np.concatenate([_panel_nodes(lo, hi) for lo, hi in table])
+            assert np.array_equal(np.sort(got), np.sort(want)), floor
+        assert sum(q[-1].evaluations for q in quads) == sum(t.size for t in seen)
+        # each panel holds the bits of its own evaluation, one panel alone,
+        # on the pointwise joint less the table's floor
+        for floor, table in tables.items():
+            def pointwise(t, floor=floor):
+                v = np.array([_scalar_log_joint(prior, data, x) for x in t.tolist()])
+                return v if floor is None else v - floor
+
+            for (lo, hi), value in table.items():
+                li, le, _ = numerics._kronrod_panels(pointwise, np.array([lo]),
+                                                     np.array([hi]))
+                assert (li[0], le[0]) == value, (floor, lo, hi)
+        # each recorded quadrature (a head piece, or a piece past the head on
+        # an integrand shifted by its floor) replays to the same result
+        # without a table, and reads every panel from the engine's table;
+        # interior panels repeat across the quadratures
+        replays = 0
         for f, a, b, tol, kw, res in quads:
-            assert numerics.adaptive_quadrature(f, a, b, tol, **kw) == res
+            alone = numerics.adaptive_quadrature(f, a, b, tol, **{**kw, "panels": None})
+            again = numerics.adaptive_quadrature(f, a, b, tol, **kw)
+            assert (alone.log_estimate, alone.rel_error_bound) == \
+                (res.log_estimate, res.rel_error_bound)
+            assert again == numerics.QuadratureResult(res.log_estimate,
+                                                      res.rel_error_bound, 0)
+            replays += alone.evaluations
+        assert replays > sum(t.size for t in seen)
+
+    def test_four_statistics_at_n1000_peak_under_0_8_mib(self):
+        # a default cosine row at seed 3, n = 1000: the panel tables and one
+        # chunk of the theta x data matrix, not a float pair per theta
+        cfg = RunConfig(model="cosine")
+        data = cfg.truth.sample(RandomStream(3, DATA_STREAM), 1000)
+        cosine._region_above.cache_clear()
+        tracemalloc.start()
+        try:
+            eng = CosineEngine(cfg.cosine_prior, data, quad_tol=cfg.quad_tol)
+            eng.hellinger_mass(0.5)
+            eng.hellinger_mass(0.7)
+            eng.region_mass(5.0)
+            eng.log_evidence()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 2 ** 20
