@@ -411,27 +411,26 @@ class BarronEngine:
         """k_N = n_distinct - d_N for the levels 1..m (d_N = 0 past the stored ones)."""
         return self._n_distinct - np.pad(self._d[:m], (0, max(0, m - self._d.size)))
 
-    def _neighbours(self, x: float) -> list[float]:
-        """The sample points next to x, one on each side where there is one.
-        At every level, a point in x's cell on one side implies the nearest
+    def _neighbours(self, x: float) -> tuple[list[float], float]:
+        """The sample points next to x, one on each side where there is one,
+        and the distance from x to the nearest (inf without a sample).  At
+        every level, a point in x's cell on one side implies the nearest
         point on that side is in it too."""
         pos = int(np.searchsorted(self._pts, x))
-        return self._pts[max(pos - 1, 0):pos + 1].tolist()
+        nbs = self._pts[max(pos - 1, 0):pos + 1].tolist()
+        return nbs, min((abs(x - nb) for nb in nbs), default=math.inf)
 
-    def _nearest_distance(self, x: float) -> float:
-        return min((abs(x - nb) for nb in self._neighbours(x)), default=math.inf)
-
-    def _shared_levels(self, x: float, levels: int) -> np.ndarray:
+    def _shared_levels(self, x: float, levels: int, nbs: list[float],
+                       gap: float) -> np.ndarray:
         """Flags of the levels 1..levels on which a sample point shares x's
-        cell: all at a data point, else none past about sqrt(0.5 / gap)
-        levels, gap the distance to the nearest point (see
+        cell, given x's neighbours and gap (see _neighbours): all at a data
+        point, else none past about sqrt(0.5 / gap) levels (see
         _compared_levels), so only the levels up to there are compared."""
-        gap = self._nearest_distance(x)
         shared = np.full(levels, gap == 0.0)
         below = int(_compared_levels(np.array([gap]))[0]) if gap else 0
         w2 = _level_table(min(levels, below))[0]
         c_x = cell_floor(w2, x)
-        for nb in self._neighbours(x):
+        for nb in nbs:
             shared[:w2.size] |= c_x == cell_floor(w2, nb)
         return shared
 
@@ -685,10 +684,11 @@ class BarronEngine:
             self._cache["unoccupied"] = unocc
         return unocc[:levels]
 
-    def _predictive_log_factors(self, x: float, levels: int) -> np.ndarray:
+    def _predictive_log_factors(self, x: float, levels: int, nbs: list[float],
+                                gap: float) -> np.ndarray:
         """ln of the per-level predictive density at x (occupied cell -> 2;
-        unoccupied -> 2 (N^2-k)/(2N^2-k))."""
-        return np.where(self._shared_levels(x, levels), math.log(2.0),
+        unoccupied -> 2 (N^2-k)/(2N^2-k)), given x's neighbours and gap."""
+        return np.where(self._shared_levels(x, levels, nbs, gap), math.log(2.0),
                         self._unoccupied_log_factors(levels))
 
     def _predictive_at(self, x: float) -> Bracket:
@@ -698,17 +698,17 @@ class BarronEngine:
         ratio at K+1 (at a data point every cell of x is occupied).  An x
         within 2^-52 of a point but not on it raises, as add_points does."""
         lo, hi, tail, total = self._step_sum()
-        d = self._nearest_distance(x)
+        nbs, d = self._neighbours(x)
         if d > 0.0:
             if 1.0 / d >= _EXACT_INV:
-                nb = min(self._neighbours(x), key=lambda p: abs(x - p))
+                nb = min(nbs, key=lambda p: abs(x - p))
                 raise ValueError(f"x = {x!r} and the data point {nb!r} lie closer "
                                  f"than 2^-52: the level cells cannot part them in floats")
             levels = max(lo.size, int(1.0 / math.sqrt(d)) + 1)
             if levels > lo.size:
                 lo, hi = self._head(levels)
             tail = self._tail(levels, 2, extra=1)
-        f = self._predictive_log_factors(x, lo.size)
+        f = self._predictive_log_factors(x, lo.size, nbs, d)
         tail = tail.shift(LN2)
         return _mass(LogBracket.sum_of(lo + f, hi + f).add(tail), total, 2.0)
 

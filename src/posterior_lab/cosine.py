@@ -138,16 +138,18 @@ def cosine_hellinger_uniform(theta):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, aff)))
 
 
-def _tail_dh_bounds(theta: float) -> tuple[float, float]:
-    """Certified [min, max] of d_h(f_t, uniform) over t >= theta (theta > 2):
-    the |cos| primitive is (2/pi) t within +-0.25 and c(t) is within 1/t of 1.
-    """
+def _tail_side(eps: float, theta: float):
+    """Whether d_h(f_t, uniform) > eps for every t >= T = max(theta, 3): True
+    or False where the certified [min, max] of d_h over t >= T decides it,
+    None where it does not.  The |cos| primitive is (2/pi) t within +-0.25
+    and c(t) is within 1/t of 1."""
+    theta = max(theta, 3.0)
     dev = 1.0 / theta  # (2/t) * 0.25 * 2 safety
     a_hi = math.sqrt(2.0) * (2.0 / math.pi + dev) / math.sqrt(1.0 - 1.0 / theta)
     a_lo = math.sqrt(2.0) * (2.0 / math.pi - dev) / math.sqrt(1.0 + 1.0 / theta)
     d_lo = math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, a_hi)))
     d_hi = math.sqrt(max(0.0, 2.0 - 2.0 * max(0.0, a_lo)))
-    return d_lo, d_hi
+    return True if eps < d_lo else False if eps >= d_hi else None
 
 
 _DH_STEP = 0.02
@@ -157,24 +159,20 @@ _DH_FROM = 150
 
 def _decided_from(eps: float, size: int):
     """The index i of the first point i * 0.02 >= 3 of the Hellinger grid of
-    ``size`` points where _tail_dh_bounds decides eps, and whether d_h
-    exceeds eps from there on; None where no point of the grid decides it.
-    The bounds narrow as theta grows, in floats too (each operation rounds
+    ``size`` points where _tail_side decides eps, and whether d_h exceeds
+    eps from there on; None where no point of the grid decides it.  The
+    bounds narrow as theta grows, in floats too (each operation rounds
     monotonically), so a decided point is the first by bisection."""
-    def side(i):
-        d_lo, d_hi = _tail_dh_bounds(i * _DH_STEP)
-        return True if eps < d_lo else False if eps >= d_hi else None
-
     lo, hi = _DH_FROM, size - 1
-    if hi < lo or side(hi) is None:
+    if hi < lo or _tail_side(eps, hi * _DH_STEP) is None:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if side(mid) is None:
+        if _tail_side(eps, mid * _DH_STEP) is None:
             lo = mid + 1
         else:
             hi = mid
-    return hi, side(hi)
+    return hi, _tail_side(eps, hi * _DH_STEP)
 
 
 # hellinger_mass asks for the region at the head and at the reach, for the
@@ -184,7 +182,7 @@ def _region_above(eps: float, theta_hi: float):
     """Inner and outer unions of the cells of the grid np.arange(0, theta_hi
     + 0.02, 0.02) approximating {theta in [0, theta_hi] : d_h(f_theta,
     uniform) > eps}.  From the first point at or past theta = 3 where
-    _tail_dh_bounds decides eps, every cell lies inside (or every one
+    _tail_side decides eps, every cell lies inside (or every one
     outside) the region, so d_h is computed only up to there and a run that
     reaches the grid's end ends at theta_hi, where the quadrature pieces are
     clamped anyway; an eps no point decides takes the whole grid.  d_h
@@ -379,10 +377,7 @@ class CosineEngine:
         if eps >= math.sqrt(2.0):
             return Bracket(0.0, 0.0)
 
-        def tail_in(t):
-            d_lo, d_hi = _tail_dh_bounds(max(t, 3.0))
-            return True if eps < d_lo else False if eps >= d_hi else None
-
+        tail_in = functools.partial(_tail_side, eps)
         lo = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[0],
                                      tail_in)).lower
         hi = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[1],

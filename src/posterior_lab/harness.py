@@ -475,37 +475,33 @@ def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
 def _run_pooled(cfg: RunConfig, seeds: list, jobs: int) -> list:
     """run_trajectory for every seed in ``jobs`` processes: this one and
     jobs - 1 forks of it, made with POSIX ``os.fork`` before any thread
-    exists (a spawned worker would import numpy again).  Fork i starts on
-    seed i and this process on seed ``jobs``; then each process takes the
-    next seed no process has taken from a pipe that holds one 4-byte token,
-    the index of that seed.  After the first failure the token reads
-    len(seeds), so no seed is handed out; the trajectories in flight finish,
-    and the exception of the earliest failing seed in seed order is
-    re-raised, as a serial run would raise it.  A fork pickles its
-    (index, record | exception) pairs into its own pipe when its seeds run
-    out; a fork that ends without sending them all is a RuntimeError naming
-    its pid and wait status.  On any exception here, KeyboardInterrupt
-    included, the forks are killed and reaped.  The records come back in
-    seed order."""
-    token = os.pipe()
+    exists (a spawned worker would import numpy again); at jobs = 1 there
+    is no fork and no pipe.  Fork i runs the share of seed indices i,
+    i + jobs, ... and this process the share from jobs - 1 (see _run_share).
+    The exception of the earliest failing seed is re-raised, as a serial run
+    would raise it: each seed before it lies in a share whose first failure
+    comes no earlier, so it has run.  A fork pickles its (index, record |
+    exception) pairs into its own pipe when its share is done; one that ends
+    without sending them all is a RuntimeError naming its pid and wait
+    status.  On any exception here, KeyboardInterrupt included, the forks
+    are killed and reaped.  The records come back in seed order."""
     forks = {}                      # pid -> the file its results come through
     try:
-        os.write(token[1], jobs.to_bytes(4, "little"))
         for first in range(jobs - 1):
             r, w = os.pipe()
             pid = os.fork()
-            if pid == 0:  # a fork: run its seeds, send them, and never return
+            if pid == 0:  # a fork: run its share, send it, and never return
                 code = 1
                 try:
                     os.close(r)
                     with open(w, "wb") as fh:
-                        pickle.dump(_take_seeds(cfg, seeds, first, token), fh)
+                        pickle.dump(_run_share(cfg, seeds, first, jobs), fh)
                     code = 0
                 finally:
                     os._exit(code)
             forks[pid] = open(r, "rb")
             os.close(w)
-        done = dict(_take_seeds(cfg, seeds, jobs - 1, token))
+        done = dict(_run_share(cfg, seeds, jobs - 1, jobs))
         for pid in list(forks):
             with forks[pid] as fh:
                 sent = fh.read()
@@ -526,28 +522,22 @@ def _run_pooled(cfg: RunConfig, seeds: list, jobs: int) -> list:
                 fh.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        os.close(token[0])
-        os.close(token[1])
     failures = [v for _, v in sorted(done.items()) if isinstance(v, Exception)]
     if failures:
         raise failures[0]
     return [done[i] for i in range(len(seeds))]
 
 
-def _take_seeds(cfg: RunConfig, seeds: list, first: int, token: tuple) -> list:
-    """(index, record | exception) of seed ``first`` and of every seed
-    index taken from the token pipe after it, until the token reads
-    len(seeds).  Reading the token takes it; each process writes it back at
-    once, one index further on, or at len(seeds) after a failure."""
-    out, i, end = [], first, len(seeds)
-    while i < end:
+def _run_share(cfg: RunConfig, seeds: list, first: int, step: int) -> list:
+    """(index, record | exception) of the seed indices first, first + step,
+    first + 2 step, ..., in order, up to and including the first failure."""
+    out = []
+    for i in range(first, len(seeds), step):
         try:
             out.append((i, run_trajectory(cfg, seeds[i])))
         except Exception as exc:  # re-raised by _run_pooled if the earliest
             out.append((i, exc))
-        taken = int.from_bytes(os.read(token[0], 4), "little")
-        i = end if isinstance(out[-1][1], Exception) else taken
-        os.write(token[1], min(i + 1, end).to_bytes(4, "little"))
+            break
     return out
 
 
@@ -600,20 +590,18 @@ def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
     _summary: one array pass over the seeds) and the excursion counts at the
     thresholds 0.5 and 0.9; results are independent of the parallelism
     degree: every record is byte for byte the same for any k.
-    ``parallelism`` k runs the seeds in k processes in all: the invoking one
-    plus k - 1 forks of it, made with POSIX ``os.fork`` before any thread
-    exists (see _run_pooled); where ``os.fork`` is missing the seeds run
-    serially.  k < 1 is a ConfigError."""
+    ``parallelism`` k runs the seeds in min(k, len(seeds)) processes in all,
+    1 where ``os.fork`` is missing: the invoking one plus a fork of it per
+    further process, each running a fixed share of the seeds (see
+    _run_pooled).  The exception raised is the earliest failing seed's, for
+    every k.  k < 1 is a ConfigError."""
     seeds = [int(s) for s in cfg.seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     if parallelism < 1:
         raise ConfigError(f"parallelism must be at least 1, got {parallelism}")
-    jobs = min(parallelism, len(seeds))
-    if jobs == 1 or not hasattr(os, "fork"):
-        trajs = [run_trajectory(cfg, s) for s in seeds]
-    else:
-        trajs = _run_pooled(cfg, seeds, jobs)
+    jobs = min(parallelism, len(seeds)) if hasattr(os, "fork") else 1
+    trajs = _run_pooled(cfg, seeds, jobs)
 
     summary_columns, summary_rows = _summary(trajs)
     excursions: dict = {}

@@ -58,9 +58,7 @@ def log_add(a: float, b: float) -> float:
 
 
 def log_sum_exp(terms) -> float:
-    """ln(sum_i e^{t_i}) with max-subtraction; empty input -> LOG_ZERO."""
-    if not isinstance(terms, (list, tuple, np.ndarray)):
-        terms = list(terms)
+    """ln(sum_i e^{t_i}) of a list or array; empty input -> LOG_ZERO."""
     arr = np.asarray(terms, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
@@ -366,13 +364,12 @@ def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray, panels=None):
                 np.where(live, scale + np.log(err), LOG_ZERO), x.size)
 
 
-# panels one adaptive_quadrature may hold, its seed panels included
+# panels one adaptive_quadrature call may hold, seed panels included
 MAX_INTERVALS = 200_000
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False,
-                        max_intervals: int = MAX_INTERVALS,
                         panels=None) -> QuadratureResult:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
     space, refined in rounds.
@@ -392,8 +389,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     ``evaluations`` counts the abscissae passed to f.
 
     Raises QuadratureError (carrying the best bracket) when the subdivision
-    budget is exhausted or a panel is too narrow to bisect, and (carrying
-    none) when the seed panels alone exceed the budget.
+    budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
+    and (carrying none) when the seed panels alone exceed the budget.
     """
     if not a < b:
         raise ValueError(f"requires a < b, got [{a}, {b}]")
@@ -401,9 +398,9 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         raise ValueError("tol must be positive")
 
     pts = np.array(sorted({a, b, *(float(x) for x in breakpoints if a < x < b)}))
-    if pts.size - 1 > max_intervals:
+    if pts.size - 1 > MAX_INTERVALS:
         raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
-                              f"{max_intervals} intervals", math.nan, math.inf, 0)
+                              f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
     lo, hi = pts[:-1], pts[1:]
     li, le, evals = _kronrod_panels(f, lo, hi, panels)
     log_tol = math.log(tol)
@@ -417,7 +414,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         pick = order[:int(np.searchsorted(covered, -math.expm1(thresh - e_all))) + 1]
         pa, pb = lo[pick], hi[pick]
         mid = 0.5 * (pa + pb)
-        if lo.size + pick.size > max_intervals or not ((pa < mid) & (mid < pb)).all():
+        if lo.size + pick.size > MAX_INTERVALS or not ((pa < mid) & (mid < pb)).all():
             raise QuadratureError(
                 f"no convergence within {lo.size} intervals "
                 f"(bracket ln I = {s_all} +- e^{e_all})",

@@ -772,7 +772,7 @@ class TestStepPredictive:
         # member selects that cell, so its predictive there is exactly 2
         e = BarronEngine()
         e.add_point(0.2)
-        factors = e._predictive_log_factors(0.3, 4)
+        factors = e._predictive_log_factors(0.3, 4, *e._neighbours(0.3))
         assert factors[0] == pytest.approx(math.log(2.0), abs=1e-12)
         # and 2 (N^2-k)/(2N^2-k) on an unoccupied cell (level 2)
         assert factors[1] == pytest.approx(
@@ -798,14 +798,14 @@ class TestStepPredictive:
         for x in (0.001, 0.2, 0.5, 0.73, 0.999):
             c_x = exact_cells(w2, x)
             occupied = np.zeros(m_trunc, dtype=bool)
-            for nb in e._neighbours(x):
+            for nb in e._neighbours(x)[0]:
                 occupied |= c_x == exact_cells(w2, nb)
             m = w2 / 2.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
             want = np.where(occupied, math.log(2.0), unocc)
             want[np.isnan(want)] = LOG_ZERO
-            got = e._predictive_log_factors(x, m_trunc)
+            got = e._predictive_log_factors(x, m_trunc, *e._neighbours(x))
             assert (got == want).all(), x
         assert (got == LOG_ZERO).any()
 
@@ -1192,7 +1192,7 @@ class TestComparedLevels:
             return table(m)
 
         monkeypatch.setattr(barron, "_level_table", recording)
-        e._shared_levels(0.2 + 1e-4, 200)
+        e._shared_levels(0.2 + 1e-4, 200, *e._neighbours(0.2 + 1e-4))
         assert asked == [int(barron._compared_levels(np.array([1e-4]))[0])] == [71]
 
 

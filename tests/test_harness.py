@@ -512,7 +512,9 @@ def assert_no_child_left():
 
 class TestReplicationLayout:
     """parallelism k runs the seeds in k processes: this one and k - 1 forks
-    of it, each taking the next seed when it finishes one."""
+    of it.  Fork i = 0..k - 2 runs the seed indices i, i + k, i + 2k, ...
+    and this process the indices k - 1, 2k - 1, ...; each runs its share in
+    order and stops at its first failure."""
 
     CFG = RunConfig(truth=TruthSpec("uniform"), n_max=40, seeds=(1, 2, 3, 4))
 
@@ -551,8 +553,8 @@ class TestReplicationLayout:
             assert r.excursions == ref.excursions
 
     def test_every_seed_once_with_more_jobs_than_cores(self, recorded):
-        # five processes contend for the token: a seed taken twice or never
-        # would change the records or the calls
+        # five processes split twelve seeds into shares of three and two:
+        # a seed run twice or never would change the records or the calls
         cfg = RunConfig(truth=TruthSpec("uniform"), n_max=3, seeds=tuple(range(1, 13)))
         ref = [run_trajectory(cfg, s) for s in cfg.seeds]
         r = run_replications(cfg, parallelism=5)
@@ -579,9 +581,22 @@ class TestReplicationLayout:
             in_parent = f"pid {os.getpid()}" in str(info.value)
             assert in_parent == (jobs == 1 or where == "parent")
         assert len(FORKS) == 2
-        if where == "parent":  # it fails at once, so seed 4 is never handed out
+        if where == "parent":  # the shares are fixed: fork 0 goes on to seed 4
             assert sorted(trajectory_calls()) == sorted(
-                [(FORKS[0], 1), (FORKS[1], 2), (os.getpid(), 3)])
+                [(FORKS[0], 1), (FORKS[0], 4), (FORKS[1], 2), (os.getpid(), 3)])
+
+    def test_a_share_stops_at_its_first_failure(self, recorded, monkeypatch):
+        # seed 1 fails in fork 0, whose share ends there, while this
+        # process runs all of its own share
+        monkeypatch.setattr(sys.modules[__name__], "FAILING_SEEDS", {1})
+        cfg = RunConfig(truth=TruthSpec("uniform"), n_max=3, seeds=tuple(range(1, 7)))
+        with pytest.raises(SeedFailure, match="seed 1 in") as info:
+            run_replications(cfg, parallelism=2)
+        assert_no_child_left()
+        assert len(FORKS) == 1 and f"pid {FORKS[0]}" in str(info.value)
+        calls = trajectory_calls()
+        assert [s for pid, s in calls if pid == FORKS[0]] == [1]
+        assert [s for pid, s in calls if pid == os.getpid()] == [2, 4, 6]
 
     @pytest.mark.parametrize("abort, status", [
         ("kill", f"signal {int(signal.SIGKILL)}"),

@@ -381,14 +381,16 @@ class TestAdaptiveQuadrature:
                 assert abs(estimate(res) - estimate(prev)) <= abs_error_bound(prev)
             prev = res
 
-    def test_budget_exhaustion_carries_bracket(self):
+    def test_budget_exhaustion_carries_bracket(self, monkeypatch):
+        monkeypatch.setattr("posterior_lab.numerics.MAX_INTERVALS", 24)
         with pytest.raises(QuadratureError) as ei:
             adaptive_quadrature(lambda x: np.sin(50.0 / (x + 1e-3)), 0.0, 1.0,
-                                1e-14, max_intervals=24)
+                                1e-14)
         assert math.isfinite(ei.value.log_estimate)
         assert ei.value.evaluations > 0
 
-    def test_seed_panels_past_the_budget_fail_before_any_evaluation(self):
+    def test_seed_panels_past_the_budget_fail_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr("posterior_lab.numerics.MAX_INTERVALS", 24)
         calls = []
 
         def f(x):
@@ -396,12 +398,10 @@ class TestAdaptiveQuadrature:
             return np.zeros_like(x)
 
         with pytest.raises(QuadratureError, match="25 seed panels") as ei:
-            adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 25) / 25,
-                                max_intervals=24)
+            adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 25) / 25)
         assert calls == [] and ei.value.evaluations == 0
         # as many seed panels as the budget allows still integrate
-        res = adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 24) / 24,
-                                  max_intervals=24)
+        res = adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 24) / 24)
         assert res.log_estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_domain_errors(self):
