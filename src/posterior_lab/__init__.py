@@ -35,7 +35,6 @@ from .barron import (
 )
 from .diagnostics import (
     BandSpec,
-    DiagnosticRecord,
     DiagnosticSettings,
     band_posterior_mass,
     band_prior_exponent,

@@ -16,7 +16,7 @@ each integrate their own pieces, cut at their own edges but at the same
 half-period breakpoints, so interior panels repeat exactly; the engine keeps
 one table of Kronrod panels per integrand (the joint, and the joint less
 each extension floor), and each panel of an integrand reaches the
-likelihood once per engine, in one theta x data pass per refinement round.
+likelihood once per data set, in one theta x data pass per refinement round.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
@@ -220,14 +220,20 @@ class CosineEngine:
     CosinePriorConfig, with bracketed region masses."""
 
     def __init__(self, prior: CosinePriorConfig, data, quad_tol: float = 1e-8):
-        self.prior = prior
-        self.data = np.asarray(list(data), dtype=float)
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
-            raise ValueError("data must lie in [0,1]")
-        self.quad_tol = float(quad_tol)
-        self._cache: dict = {}
-        # floor (None for the joint itself) -> that integrand's panel table
-        self._panels: dict = {}
+        self.prior, self.quad_tol, self.data = prior, float(quad_tol), np.zeros(0)
+        self.add_points(data)
+
+    def add_points(self, xs) -> None:
+        """Append a block of points in [0,1] (one outside or NaN raises and
+        changes nothing) and drop every cached query, as a fresh engine."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        bad = ~((xs >= 0.0) & (xs <= 1.0))
+        if bad.any():
+            raise ValueError(f"data points must lie in [0,1], got {float(xs[bad][0])}")
+        self.data = np.concatenate([self.data, xs])
+        # floor (None for the joint itself) -> that integrand's panel table;
+        # the first QuadratureError, which every later query raises again
+        self._cache, self._panels, self._failure = {}, {}, None
 
     @property
     def n(self) -> int:
@@ -331,21 +337,27 @@ class CosineEngine:
         theta region.  ``intervals_to(t)`` lists the region's intervals in
         [0, t]; ``tail_in(t)`` says where (t, inf) lies: True inside, False
         outside, None on either side."""
+        if self._failure is not None:
+            raise self._failure
         head = self.cap()
-        self._check_panels(0.0, head)
-        parts = self._pieces(intervals_to(head), 0.0, head)
-        side = tail_in(head)
-        # the floor F: ln of the head part the tail bound joins
-        joins = parts if side is None else [parts[0] if side else parts[1]]
-        floor = min(p.lower for p in joins)
-        if floor == LOG_ZERO:
-            floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
-        c = self._reach(floor, region_end)
-        if c > head:
-            self._check_panels(head, c)
-            ext = self._pieces(intervals_to(c), head, c, floor)
-            parts = [p.add(e) for p, e in zip(parts, ext)]
-            side = tail_in(c)
+        try:
+            self._check_panels(0.0, head)
+            parts = self._pieces(intervals_to(head), 0.0, head)
+            side = tail_in(head)
+            # the floor F: ln of the head part the tail bound joins
+            joins = parts if side is None else [parts[0] if side else parts[1]]
+            floor = min(p.lower for p in joins)
+            if floor == LOG_ZERO:
+                floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
+            c = self._reach(floor, region_end)
+            if c > head:
+                self._check_panels(head, c)
+                ext = self._pieces(intervals_to(c), head, c, floor)
+                parts = [p.add(e) for p, e in zip(parts, ext)]
+                side = tail_in(c)
+        except QuadratureError as exc:
+            self._failure = exc
+            raise
         tb = self._log_tail_bound(c)
         inside, outside = parts
         if side is not False:
@@ -374,7 +386,7 @@ class CosineEngine:
         classification of the tail beyond the reach."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if eps >= math.sqrt(2.0):
+        if eps >= math.sqrt(2.0) and self._failure is None:  # else _parts raises it
             return Bracket(0.0, 0.0)
 
         tail_in = functools.partial(_tail_side, eps)

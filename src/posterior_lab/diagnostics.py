@@ -11,14 +11,16 @@ the uniform reference throughout, which makes its emptiness condition
 The exact level, the band and the beta-bound are sets of densities; each
 statistic only describes its set (whether it holds the step densities and
 which theta intervals of the tilt family) and ``BarronEngine.set_mass``
-turns that into a posterior mass.  ``evaluate_diagnostics`` writes one
-trajectory row per sample size, and its columns are the CSV layout.
+turns that into a posterior mass.  Each model has one statistic list in
+CSV column order (``barron_statistics``, ``cosine_statistics``), and
+``evaluate_diagnostics`` writes a row of either engine from its list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .intervals import Bracket
 from .numerics import LN2, LOG_ZERO, QuadratureError, log_add
@@ -28,13 +30,14 @@ __all__ = [
     "BandSpec",
     "GammaStat",
     "DiagnosticSettings",
-    "DiagnosticRecord",
     "gamma_stat",
     "band_posterior_mass",
     "band_prior_exponent",
     "beta_bound_mass",
     "sup_loglik_f0",
     "evidence_lower_flag",
+    "barron_statistics",
+    "cosine_statistics",
     "evaluate_diagnostics",
     "excursion_count",
 ]
@@ -246,74 +249,77 @@ class DiagnosticSettings:
                 f"predictive_grid must be >= 0, got {self.predictive_grid}")
 
 
-@dataclass
-class DiagnosticRecord:
-    """All diagnostics at one sample size as one trajectory row: ``row``
-    maps each column to its value, in column order, and a bracketed
-    statistic fills the two columns ``stem.lower`` and ``stem.upper``.  A
-    statistic that failed is NaN in its columns, and ``errors`` holds its
-    message."""
-
-    n: int
-    row: dict
-    errors: list = field(default_factory=list)
+def _ends(stem: str) -> list:
+    return [f"{stem}.lower", f"{stem}.upper"]
 
 
-def _put(row: dict, stem: str, br) -> None:
-    """Store a bracket (or NaNs for a missing one) in its two columns."""
-    row[f"{stem}.lower"] = br.lower if br is not None else math.nan
-    row[f"{stem}.upper"] = br.upper if br is not None else math.nan
+_pair = attrgetter("lower", "upper")  # a bracket's two column values
 
 
-def _num(v) -> float:
-    """A one-column value; None (a failed statistic) is NaN."""
-    return math.nan if v is None else float(v)
+def barron_statistics(settings: DiagnosticSettings) -> list:
+    """The Barron model's statistics in CSV column order, as (name, columns,
+    statistic) entries: ``statistic(engine)`` gives one value per column,
+    and the sidecar's errors call a failure of it by ``name``."""
 
+    def gamma(e):
+        gs = gamma_stat(e, settings.gamma)
+        return (gs.realized_level, *_pair(gs.mass))
 
-def evaluate_diagnostics(engine: BarronEngine,
-                         settings: DiagnosticSettings) -> DiagnosticRecord:
-    """Evaluate every configured statistic into one trajectory row; numeric
-    failures are recorded per statistic and evaluation continues (flagged
-    gaps, not aborts)."""
-    n, errors = engine.n, []
-
-    def attempt(name, fn, *args):
-        try:
-            return fn(*args)
-        except (QuadratureError, UndefinedPosteriorError) as exc:
-            errors.append(f"{name}: {exc}")
-            return None
-
-    f0, fstep = attempt("posterior_split", engine.posterior_split) or (None, None)
-    gs = attempt("gamma_stat", gamma_stat, engine, settings.gamma)
-    row = {"n": float(n), "w_n": engine.w_n,
-           "sup_loglik": sup_loglik_f0(engine.w_n, n) if n >= 1 else math.nan,
-           "realized_gamma": _num(gs and gs.realized_level)}
-    _put(row, "gamma_stat", gs and gs.mass)
-    _put(row, "mass_f0", f0)
-    _put(row, "mass_fstep", fstep)
-    for band in settings.bands:
-        _put(row, f"band_mass_{band.key()}",
-             attempt(f"band_mass[{band.key()}]", band_posterior_mass, engine, band))
-    for band in settings.exponent_bands:
-        row[f"band_prior_exponent_{band.key()}"] = _num(attempt(
-            f"band_prior_exponent[{band.key()}]", band_prior_exponent, engine, band))
-    for beta in settings.betas:
-        _put(row, f"beta_bound_mass_{beta:g}",
-             attempt(f"beta_bound[{beta:g}]", beta_bound_mass, engine, beta))
-    for eps in settings.epsilons:
-        _put(row, f"hellinger_mass_{eps:g}",
-             attempt(f"hellinger_mass[{eps:g}]", engine.hellinger_ball_mass, eps))
-    ev = attempt("evidence", engine.log_evidence)
-    row["evidence_flag"] = _num(ev and evidence_lower_flag(engine, settings.tau))
-    # in the likelihood-ratio normalization, which the flag reads too
-    _put(row, "log_evidence", ev and ev.shift(-n * engine.mean_log_truth))
+    stats = [
+        ("w_n", ["w_n", "sup_loglik"],
+         lambda e: (e.w_n, sup_loglik_f0(e.w_n, e.n) if e.n >= 1 else math.nan)),
+        ("gamma_stat", ["realized_gamma", *_ends("gamma_stat")], gamma),
+        ("posterior_split", _ends("mass_f0") + _ends("mass_fstep"),
+         lambda e: [v for br in e.posterior_split() for v in _pair(br)]),
+        *((f"band_mass[{b.key()}]", _ends(f"band_mass_{b.key()}"),
+           lambda e, b=b: _pair(band_posterior_mass(e, b))) for b in settings.bands),
+        *((f"band_prior_exponent[{b.key()}]", [f"band_prior_exponent_{b.key()}"],
+           lambda e, b=b: (band_prior_exponent(e, b),)) for b in settings.exponent_bands),
+        *((f"beta_bound[{v:g}]", _ends(f"beta_bound_mass_{v:g}"),
+           lambda e, v=v: _pair(beta_bound_mass(e, v))) for v in settings.betas),
+        *((f"hellinger_mass[{v:g}]", _ends(f"hellinger_mass_{v:g}"),
+           lambda e, v=v: _pair(e.hellinger_ball_mass(v))) for v in settings.epsilons),
+        # log_evidence in the likelihood-ratio normalization, as the flag reads it
+        ("evidence", ["evidence_flag", *_ends("log_evidence")],
+         lambda e: (float(evidence_lower_flag(e, settings.tau)),
+                    *_pair(e.log_evidence().shift(-e.n * e.mean_log_truth)))),
+    ]
     if settings.track_mean_inv_level:
-        _put(row, "mean_inv_level", attempt("posterior_over_n", engine.posterior_over_n))
+        stats.append(("posterior_over_n", _ends("mean_inv_level"),
+                      lambda e: _pair(e.posterior_over_n())))
     if settings.predictive_grid:
-        row["predictive_ks"] = _num(attempt(
-            "predictive_ks", engine.predictive_uniform_ks, settings.predictive_grid))
-    return DiagnosticRecord(n=n, row=row, errors=errors)
+        stats.append(("predictive_ks", ["predictive_ks"],
+                      lambda e: (e.predictive_uniform_ks(settings.predictive_grid),)))
+    return stats
+
+
+def cosine_statistics(settings: DiagnosticSettings, regions) -> list:
+    """The cosine model's statistics as barron_statistics lists them, each
+    named by its column stem: Hellinger masses, region masses, evidence."""
+    stats = [(f"hellinger_mass_{v:g}", lambda e, v=v: e.hellinger_mass(v))
+             for v in settings.epsilons]
+    stats += [(f"region_mass_{lo:g}_{hi:g}", lambda e, lo=lo, hi=hi: e.region_mass(lo, hi))
+              for lo, hi in regions]
+    stats.append(("log_evidence", lambda e: e.log_evidence()))
+    return [(stem, _ends(stem), lambda e, q=q: _pair(q(e))) for stem, q in stats]
+
+
+def evaluate_diagnostics(engine, statistics: list) -> tuple[dict, list]:
+    """(row, errors): n, then each entry's columns.  A statistic raising
+    QuadratureError or UndefinedPosteriorError is NaN in its columns and
+    the row goes on; "<name>: <message>" is recorded unless that exception
+    was recorded last (a cosine engine raises its first failure again)."""
+    row, errors, last = {"n": float(engine.n)}, [], None
+    for name, columns, statistic in statistics:
+        try:
+            values = statistic(engine)
+        except (QuadratureError, UndefinedPosteriorError) as exc:
+            values = [math.nan] * len(columns)
+            if exc is not last:
+                errors.append(f"{name}: {exc}")
+            last = exc
+        row.update(zip(columns, values))
+    return row, errors
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from .densities import (
 )
 from .diagnostics import (
     DiagnosticSettings,
-    _put,
+    barron_statistics,
+    cosine_statistics,
     evaluate_diagnostics,
     excursion_count,
 )
 from .intervals import Bracket
-from .numerics import ConfigError, QuadratureError, RandomStream
+from .numerics import ConfigError, RandomStream
 
 __all__ = [
     "TruthSpec",
@@ -186,6 +187,9 @@ class RunConfig:
             raise ValueError("quad_tol must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for lo, hi in self.cosine_regions:  # a NaN fails every comparison
+            if not 0.0 <= lo <= hi:
+                raise ValueError(f"cosine_regions needs 0 <= lo <= hi, got [{lo}, {hi}]")
 
     def barron_prior(self) -> BarronPriorConfig:
         return BarronPriorConfig(continuous_weight=self.continuous_weight)
@@ -430,42 +434,25 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 
 def run_trajectory(cfg: RunConfig, seed: int) -> TrajectoryRecord:
-    """Stream data from the truth, update the engine incrementally, and
-    evaluate the configured diagnostics on the grid.  Deterministic given
-    (cfg, seed); numeric failures are recorded per grid point and the run
-    continues."""
+    """Stream data from the truth into the model's engine one block per grid
+    point, and evaluate the model's statistic list at each (see
+    evaluate_diagnostics).  Deterministic given (cfg, seed); numeric
+    failures are recorded per grid point and the run continues."""
     grid = evaluation_grid(cfg.n_max, cfg.grid_ratio)
     data = cfg.truth.sample(RandomStream(seed, DATA_STREAM), cfg.n_max)
-    rows, errors = [], []
     if cfg.model == "barron":
         engine = BarronEngine(prior=cfg.barron_prior(), quad_tol=cfg.quad_tol,
                               truth=cfg.truth.density())
-        for prev, n in zip([0] + grid, grid):
-            engine.add_points(data[prev:n])
-            rec = evaluate_diagnostics(engine, cfg.diagnostics)
-            rows.append(rec.row)
-            errors.extend((n, msg) for msg in rec.errors)
+        stats = barron_statistics(cfg.diagnostics)
     else:
-        stats = [(f"hellinger_mass_{eps:g}",
-                  lambda eng, eps=eps: eng.hellinger_mass(eps))
-                 for eps in cfg.diagnostics.epsilons]
-        stats += [(f"region_mass_{lo:g}_{hi:g}",
-                   lambda eng, lo=lo, hi=hi: eng.region_mass(lo, hi))
-                  for lo, hi in cfg.cosine_regions]
-        stats.append(("log_evidence", CosineEngine.log_evidence))
-        for n in grid:
-            eng = CosineEngine(cfg.cosine_prior, data[:n], quad_tol=cfg.quad_tol)
-            row, gap = {"n": float(n)}, False
-            # NaN from the first failure on: a failed head quadrature is not
-            # cached, so every later statistic would repeat it
-            for stem, call in stats:
-                try:
-                    br = None if gap else call(eng)
-                except QuadratureError as exc:  # recorded gap
-                    errors.append((n, f"{stem}: {exc}"))
-                    br, gap = None, True
-                _put(row, stem, br)
-            rows.append(row)
+        engine = CosineEngine(cfg.cosine_prior, (), quad_tol=cfg.quad_tol)
+        stats = cosine_statistics(cfg.diagnostics, cfg.cosine_regions)
+    rows, errors = [], []
+    for prev, n in zip([0] + grid, grid):
+        engine.add_points(data[prev:n])
+        row, errs = evaluate_diagnostics(engine, stats)
+        rows.append(row)
+        errors.extend((n, msg) for msg in errs)
     log.info("trajectory seed=%d: %d grid points, %d flagged errors",
              seed, len(rows), len(errors))
     return TrajectoryRecord(config=cfg, seed=seed, grid=grid,

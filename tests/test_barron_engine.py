@@ -25,7 +25,11 @@ from posterior_lab.densities import (
     sample_gauss_exp,
     sample_step,
 )
-from posterior_lab.diagnostics import DiagnosticSettings, evaluate_diagnostics
+from posterior_lab.diagnostics import (
+    DiagnosticSettings,
+    barron_statistics,
+    evaluate_diagnostics,
+)
 from posterior_lab.intervals import LogBracket
 from posterior_lab.numerics import (
     LN2,
@@ -1040,11 +1044,11 @@ class TestStepStateCache:
         e = BarronEngine(truth=UniformDensity())
         e.add_points(data[:-1])
         for _ in range(2):
-            evaluate_diagnostics(e, DiagnosticSettings())
+            evaluate_diagnostics(e, barron_statistics(DiagnosticSettings()))
             e.gauss_marginal()
         assert len(full) == 2  # Z0 and this state's normalizer
         e.add_point(data[-1])
-        evaluate_diagnostics(e, DiagnosticSettings())
+        evaluate_diagnostics(e, barron_statistics(DiagnosticSettings()))
         BarronEngine().posterior_theta().prior_ball_mass(0.3)
         assert len(full) == 3  # the new state's normalizer; Z0 is reused
 

@@ -399,6 +399,20 @@ class TestReplicateCommand:
                 else:
                     assert was[col] == now[col], (was["n"], col)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_v6_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
+        # every row of the cosine model through the streamed engine and the
+        # shared statistic loop, against a summary written before either
+        golden = os.path.join(DATA, "v6_replicate_cosine_n300_seeds1-3")
+        out = str(tmp_path / "r")
+        assert run_cli("replicate", "--model", "cosine", "--grid-ratio", "2.0",
+                       "--n-max", "300", "--seeds", "1..3", "--jobs", jobs,
+                       "--out-dir", out) == 0
+        for ext in (".csv", ".json"):
+            with open(golden + ext, "rb") as a, \
+                    open(os.path.join(out, "summary" + ext), "rb") as b:
+                assert a.read() == b.read(), ext
+
     def test_duplicate_seeds_exit_2(self, tmp_path):
         code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",
                        "--seeds", "2,2", "--jobs", "1",
@@ -596,20 +610,25 @@ class TestConfigErrorExit:
         assert "tau must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("predictive_grid", -5), ("epsilons", [0.0]), ("betas", [-1.0])])
+        ("predictive_grid", -5), ("epsilons", [0.0]), ("betas", [-1.0]),
+        ("cosine_regions", [[-1, 2]])])
     def test_bad_diagnostic_setting_exits_2_before_sampling(
             self, monkeypatch, tmp_path, capsys, key, value):
         import posterior_lab.cli as cli
 
         runs = []
         monkeypatch.setattr(cli, "run_trajectory", lambda *a: runs.append(a))
+        # the cosine model's regions sit at the top of the config, and a
+        # Barron run rejects a bad one too
+        section = "config" if key == "cosine_regions" else "diagnostics"
+        body = {key: value} if section == "config" else {section: {key: value}}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_max": 3, "diagnostics": {key: value}}))
+        cfg.write_text(json.dumps({"n_max": 3, **body}))
         code = run_cli("traj", "--config", str(cfg), "--seed", "1",
                        "--out", str(tmp_path / "x"))
         assert code == 2
         err = capsys.readouterr().err
-        assert "diagnostics" in err and key in err
+        assert section in err and key in err
         assert runs == []
         assert not os.path.exists(str(tmp_path / "x.csv"))
 

@@ -18,7 +18,8 @@ from posterior_lab.cosine import (
     cosine_loglik,
 )
 from posterior_lab.densities import UniformDensity
-from posterior_lab.harness import DATA_STREAM, RunConfig
+from posterior_lab.harness import DATA_STREAM, RunConfig, evaluation_grid
+from posterior_lab.intervals import Bracket
 from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
 
 mp.mp.dps = 30
@@ -170,6 +171,66 @@ class TestPosteriorMasses:
             eng.region_mass(-1.0, 2.0)
         with pytest.raises(ValueError):
             eng.region_mass(3.0, 2.0)
+
+
+class TestAddPoints:
+    """The engine streams as the Barron engine does: add_points appends a
+    block and leaves the state of a fresh engine on all the data."""
+
+    def test_streamed_engine_equals_a_fresh_engine_per_n(self):
+        # the four default statistics, bit for bit, along a grid that reaches
+        # past the head (pieces share panels from n = 40 on)
+        cfg = RunConfig(model="cosine")
+        data = cfg.truth.sample(RandomStream(3, DATA_STREAM), 160)
+        grid = evaluation_grid(160, 2.0)
+
+        def four(eng):
+            return (eng.hellinger_mass(0.5), eng.hellinger_mass(0.7),
+                    eng.region_mass(5.0), eng.log_evidence())
+
+        streamed = CosineEngine(cfg.cosine_prior, [], quad_tol=cfg.quad_tol)
+        for prev, n in zip([0] + grid, grid):
+            streamed.add_points(data[prev:n])
+            fresh = CosineEngine(cfg.cosine_prior, data[:n], quad_tol=cfg.quad_tol)
+            assert streamed.n == n
+            assert four(streamed) == four(fresh), n
+
+    def test_a_kept_failure_is_raised_again_without_quadrature(self, monkeypatch):
+        calls, raised = [], []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args[1:3])
+            if not raised:
+                raised.append(numerics.QuadratureError("injected", 0.0, math.inf, 0))
+                raise raised[0]
+            return numerics.adaptive_quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(cosine, "adaptive_quadrature", first_fails)
+        eng = CosineEngine(CosinePriorConfig(), RandomStream(6, 0).uniform_open(20))
+        with pytest.raises(numerics.QuadratureError) as first:
+            eng.hellinger_mass(0.5)
+        assert first.value is raised[0] and len(calls) == 1
+        # every later query at this n, the eps >= sqrt(2) shortcut included
+        for query in (lambda: eng.hellinger_mass(0.7), lambda: eng.region_mass(5.0),
+                      eng.log_evidence, lambda: eng.hellinger_mass(2.0)):
+            with pytest.raises(numerics.QuadratureError) as again:
+                query()
+            assert again.value is raised[0]
+        assert len(calls) == 1
+        eng.add_points([0.4])
+        assert eng.hellinger_mass(2.0) == Bracket(0.0, 0.0)
+        assert math.isfinite(eng.log_evidence().upper)
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_a_point_outside_the_unit_interval_is_rejected(self, bad):
+        # NaN fails every comparison, so the check is a negated in-range test
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            CosineEngine(CosinePriorConfig(), [0.3, bad])
+        eng = CosineEngine(CosinePriorConfig(), [0.3, 0.6])
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            eng.add_points([0.5, bad])
+        assert eng.data.tolist() == [0.3, 0.6]
 
 
 def _uniform_data(n, seed=1):

@@ -14,13 +14,15 @@ from posterior_lab.diagnostics import (
     band_posterior_mass,
     band_prior_exponent,
     band_u_intervals,
+    barron_statistics,
     beta_bound_mass,
+    cosine_statistics,
     evaluate_diagnostics,
     evidence_lower_flag,
     gamma_stat,
     sup_loglik_f0,
 )
-from posterior_lab.numerics import LN2, RandomStream
+from posterior_lab.numerics import LN2, QuadratureError, RandomStream
 
 
 def uniform_engine(n, seed=1):
@@ -241,48 +243,79 @@ class TestEvaluateDiagnostics:
     def test_full_record(self):
         e = uniform_engine(60)
         settings = DiagnosticSettings(predictive_grid=128)
-        rec = evaluate_diagnostics(e, settings)
-        assert rec.n == 60 and rec.row["n"] == 60.0
-        assert rec.errors == []
-        assert all(not math.isnan(v) for v in rec.row.values())
-        assert rec.row["mass_f0.lower"] <= rec.row["mass_f0.upper"]
-        assert rec.row["mass_fstep.lower"] <= rec.row["mass_fstep.upper"]
+        row, errors = evaluate_diagnostics(e, barron_statistics(settings))
+        assert row["n"] == 60.0
+        assert errors == []
+        assert all(not math.isnan(v) for v in row.values())
+        assert row["mass_f0.lower"] <= row["mass_f0.upper"]
+        assert row["mass_fstep.lower"] <= row["mass_fstep.upper"]
         for band in settings.bands:
-            assert f"band_mass_{band.key()}.lower" in rec.row
-        assert [c for c in rec.row if c.startswith("beta_bound_mass_")] == [
+            assert f"band_mass_{band.key()}.lower" in row
+        assert [c for c in row if c.startswith("beta_bound_mass_")] == [
             f"beta_bound_mass_{LN2:g}.lower", f"beta_bound_mass_{LN2:g}.upper"]
-        assert rec.row["evidence_flag"] in (0.0, 1.0)
-        assert 0.0 <= rec.row["hellinger_mass_0.5.upper"] <= 1.0
-        assert math.isfinite(rec.row["predictive_ks"])
-        assert "mean_inv_level.lower" in rec.row
+        assert row["evidence_flag"] in (0.0, 1.0)
+        assert 0.0 <= row["hellinger_mass_0.5.upper"] <= 1.0
+        assert math.isfinite(row["predictive_ks"])
+        assert "mean_inv_level.lower" in row
 
     def test_evidence_flag_is_the_flag_function(self):
         e = uniform_engine(200)
         for tau in (0.01, 0.1):
-            rec = evaluate_diagnostics(e, DiagnosticSettings(tau=tau))
-            assert rec.row["evidence_flag"] == float(evidence_lower_flag(e, tau))
+            row, _ = evaluate_diagnostics(e, barron_statistics(DiagnosticSettings(tau=tau)))
+            assert row["evidence_flag"] == float(evidence_lower_flag(e, tau))
 
     def test_failed_statistic_is_nan_in_its_columns(self, monkeypatch):
+        # one gap rule for both models: the failed statistic's columns are
+        # NaN, its error is recorded, and every other column keeps its value
         import posterior_lab.diagnostics as diagnostics
-        from posterior_lab.numerics import QuadratureError
+        from posterior_lab.cosine import CosineEngine, CosinePriorConfig
 
-        real = diagnostics.band_posterior_mass
+        def failing_on(real, bad):
+            def failing(engine, arg, *rest):
+                if arg == bad:
+                    raise QuadratureError("synthetic failure", 0.0, math.inf, 0)
+                return real(engine, arg, *rest)
+            return failing
 
-        def failing(engine, band):
-            if band == BandSpec(0.6, 0.75):
-                raise QuadratureError("synthetic failure", 0.0, math.inf, 0)
-            return real(engine, band)
-
-        e = uniform_engine(60)
         settings = DiagnosticSettings()
-        want = evaluate_diagnostics(e, settings).row
-        monkeypatch.setattr(diagnostics, "band_posterior_mass", failing)
-        rec = evaluate_diagnostics(e, settings)
-        assert list(rec.row) == list(want)
-        assert rec.errors == ["band_mass[0.6_0.75]: synthetic failure"]
-        nan_cols = [c for c, v in rec.row.items() if math.isnan(v)]
-        assert nan_cols == ["band_mass_0.6_0.75.lower", "band_mass_0.6_0.75.upper"]
-        assert all(rec.row[c] == want[c] for c in want if c not in nan_cols)
+        barron_case = (uniform_engine(60), barron_statistics(settings),
+                       diagnostics, "band_posterior_mass", BandSpec(0.6, 0.75),
+                       "band_mass[0.6_0.75]", "band_mass_0.6_0.75")
+        cosine_case = (CosineEngine(CosinePriorConfig(),
+                                    RandomStream(1, 0).uniform_open(60)),
+                       cosine_statistics(settings, ((5.0, math.inf), (1.0, 3.0))),
+                       CosineEngine, "region_mass", 5.0,
+                       "region_mass_5_inf", "region_mass_5_inf")
+        for engine, stats, owner, attr, bad, name, stem in (barron_case, cosine_case):
+            want, errors = evaluate_diagnostics(engine, stats)
+            assert errors == []
+            with monkeypatch.context() as m:
+                m.setattr(owner, attr, failing_on(getattr(owner, attr), bad))
+                row, errors = evaluate_diagnostics(engine, stats)
+            assert list(row) == list(want)
+            assert errors == [f"{name}: synthetic failure"]
+            nan_cols = [c for c, v in row.items() if math.isnan(v)]
+            assert nan_cols == [f"{stem}.lower", f"{stem}.upper"]
+            assert all(row[c] == want[c] for c in want if c not in nan_cols)
+
+    def test_an_error_raised_again_is_recorded_once(self):
+        # an engine that keeps its first failure raises the same exception
+        # for the rest of the row: its columns are all NaN, one error names
+        # the statistic that failed first
+        failure = QuadratureError("kept failure", 0.0, math.inf, 0)
+
+        def fail(engine):
+            raise failure
+
+        def fresh(engine):
+            raise QuadratureError("another failure", 0.0, math.inf, 0)
+
+        stats = [("a", ["a"], fail), ("b", ["b.lower", "b.upper"], fail),
+                 ("c", ["c"], fresh), ("d", ["d"], fail)]
+        row, errors = evaluate_diagnostics(uniform_engine(3), stats)
+        assert list(row) == ["n", "a", "b.lower", "b.upper", "c", "d"]
+        assert all(math.isnan(v) for c, v in row.items() if c != "n")
+        assert errors == ["a: kept failure", "c: another failure", "d: kept failure"]
 
 
 class TestTrajectoryScans:

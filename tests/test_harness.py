@@ -2,6 +2,7 @@
 persisted trajectories replay exactly, config hashes canonicalize, and
 summaries are independent of seed order and parallelism."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from posterior_lab import cli, harness
-from posterior_lab.cosine import CosineEngine, CosinePriorConfig
+from posterior_lab import cli, cosine, harness
+from posterior_lab.cosine import CosinePriorConfig
 from posterior_lab.diagnostics import BandSpec, DiagnosticSettings
 from posterior_lab.harness import (
     DatasetError,
@@ -399,11 +400,14 @@ class TestTrajectoryRoundTrip:
     ])
     def test_cosine_numeric_errors_are_gaps(self, monkeypatch, exc, recorded):
         # a quadrature that runs out of intervals is a gap in the row; any
-        # other exception is a fault of the program and ends the run
-        def failing(self, eps):
-            raise exc
+        # other exception is a fault of the program and ends the run.  The
+        # failure is injected below the engine's queries, a new exception per
+        # quadrature: the engine keeps the first and raises it again for the
+        # rest of the row, so the row records it once
+        def failing(*args, **kwargs):
+            raise copy.copy(exc)
 
-        monkeypatch.setattr(CosineEngine, "hellinger_mass", failing)
+        monkeypatch.setattr(cosine, "adaptive_quadrature", failing)
         cfg = RunConfig(model="cosine", n_max=3,
                         diagnostics=DiagnosticSettings(epsilons=(0.3,)))
         if not recorded:
