@@ -25,18 +25,20 @@ ln 6/(pi^2 N^2) live in one process-wide table.
 
 The engine is single-writer: ``add_points`` ingests a block of data with
 one merge into the sorted sample, and cell compares on the consecutive
-pairs the block makes and splits; all queries are read-only.  Each engine
-state (the data seen so far) caches what its queries share and
-``add_points`` drops it: the step sum, which the step marginal, the mean
+pairs the block makes and splits; all queries are read-only.  The step
+predictive at x is the ratio M(data + x) / M(data) of two step marginals
+with likelihood: it merges x into a copy of the engine's step state.  Each
+engine state (the data seen so far) caches what its queries share, and a
+merge starts a new cache: the step sum, which the step marginal, the mean
 of 1/N and the predictive all read; the tail series past a cut, which the
-step sum's tail and the 1/N tail both sum; the
-predictive's per-level factor for an unoccupied cell; and the full-interval
-tilt integral, which the tilt marginal and every interval mass divide by.
-The data-free normalizer Z0 is integrated once per process.
+step sum's tail and the 1/N tail both sum; and the full-interval tilt
+integral, which the tilt marginal and every interval mass divide by.  The
+data-free normalizer Z0 is integrated once per process.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -354,9 +356,10 @@ class BarronEngine:
     posteriors, Hellinger ball masses and the step-family predictive.  A
     block costs one O(n) merge plus about sqrt(0.5 / gap) cell compares per
     consecutive pair it makes and splits, so the points between two queries
-    go in as one block.  When a truth density is supplied its running
-    log-likelihood is tracked so diagnostics can convert between plain
-    likelihoods and likelihood ratios.
+    go in as one block.  A predictive costs one such merge of x into a copy
+    of the step state and one step sum of the copy.  When a truth density
+    is supplied its running log-likelihood is tracked so diagnostics can
+    convert between plain likelihoods and likelihood ratios.
 
     The step sum is cut at M = max(distinct-cell level D, ceil(K / 2)),
     K = n_distinct: past D every occupancy is K, and past K/2 the tail series
@@ -411,29 +414,6 @@ class BarronEngine:
         """k_N = n_distinct - d_N for the levels 1..m (d_N = 0 past the stored ones)."""
         return self._n_distinct - np.pad(self._d[:m], (0, max(0, m - self._d.size)))
 
-    def _neighbours(self, x: float) -> tuple[list[float], float]:
-        """The sample points next to x, one on each side where there is one,
-        and the distance from x to the nearest (inf without a sample).  At
-        every level, a point in x's cell on one side implies the nearest
-        point on that side is in it too."""
-        pos = int(np.searchsorted(self._pts, x))
-        nbs = self._pts[max(pos - 1, 0):pos + 1].tolist()
-        return nbs, min((abs(x - nb) for nb in nbs), default=math.inf)
-
-    def _shared_levels(self, x: float, levels: int, nbs: list[float],
-                       gap: float) -> np.ndarray:
-        """Flags of the levels 1..levels on which a sample point shares x's
-        cell, given x's neighbours and gap (see _neighbours): all at a data
-        point, else none past about sqrt(0.5 / gap) levels (see
-        _compared_levels), so only the levels up to there are compared."""
-        shared = np.full(levels, gap == 0.0)
-        below = int(_compared_levels(np.array([gap]))[0]) if gap else 0
-        w2 = _level_table(min(levels, below))[0]
-        c_x = cell_floor(w2, x)
-        for nb in nbs:
-            shared[:w2.size] |= c_x == cell_floor(w2, nb)
-        return shared
-
     # -- updates ----------------------------------------------------------
 
     def add_point(self, x: float) -> None:
@@ -441,21 +421,11 @@ class BarronEngine:
         self.add_points((x,))
 
     def add_points(self, xs) -> None:
-        """Insert a block of observations: updates S_n, the sorted sample,
-        min_gap and the deficits, and drops the state's cached queries.  A
-        block with a point outside (0,1) raises and changes nothing, and so
-        does one that makes two points closer than 2^-52.
-
-        The deficit d_N counts the consecutive distinct points that share a
-        level-N cell, so the block adds the flags of the consecutive pairs it
-        makes and subtracts those of the pairs it splits, each compared on
-        about sqrt(0.5 / gap) levels (see _compared_levels).  Cost: one O(n)
-        merge into the sorted sample plus the sum of those cell compares
-        over the pairs.  S_n and the truth's log-likelihood take one array
-        call each, and each is folded in data order with one cumsum, the
-        same left fold a sequence of single points makes.  A gap below
-        2^-52 is past the resolution of the cell map (see _EXACT_INV).
-        """
+        """Insert a block of observations: fold S_n and the truth's
+        log-likelihood in data order (one cumsum each, the left fold a
+        sequence of single points makes) and merge the block into the step
+        state (see _merge).  A block with a point outside (0,1), or one that
+        makes two points closer than 2^-52, raises and changes nothing."""
         xs = np.asarray(xs, dtype=np.float64).ravel()
         bad = ~((xs > 0.0) & (xs < 1.0))
         if bad.any():
@@ -466,7 +436,23 @@ class BarronEngine:
         log_truth = self._sum_log_truth
         if self.truth is not None:
             log_truth = float(np.cumsum(np.r_[log_truth, self.truth.logpdf(xs)])[-1])
+        self._merge(xs)
+        self._s, self._sum_log_truth = s, log_truth
 
+    def _merge(self, xs: np.ndarray) -> None:
+        """Merge the points xs in [0,1) into the step state: the sorted
+        sample, n, n_distinct, min_gap and the deficits, with a new cache.
+        Two points closer than 2^-52 raise before anything is assigned, as
+        that is past the resolution of the cell map (see _EXACT_INV).
+
+        The deficit d_N counts the consecutive distinct points that share a
+        level-N cell, so the block adds the flags of the consecutive pairs it
+        makes and subtracts those of the pairs it splits, each compared on
+        about sqrt(0.5 / gap) levels (see _compared_levels).  Cost: one O(n)
+        merge into the sorted sample plus the sum of those cell compares
+        over the pairs.  The deficits are always a new array, so a copy of
+        the engine (see step_predictive) never writes into the original's.
+        """
         # merged sample, with each new point after its old copies, so that
         # the first copy of a value is new only if the value is
         block = np.sort(xs)
@@ -492,12 +478,11 @@ class BarronEngine:
         # the deficits hold the levels below D = S(min_gap), and S falls as
         # the gap grows, so no pair compares past them
         grow = int(_separating_levels(np.array([min_gap]))[0]) - 1 - self._d.size
-        d = np.pad(self._d, (0, grow)) if grow > 0 else self._d
+        d = np.pad(self._d, (0, max(grow, 0)))
         _add_shared(d, left, right, _compared_levels(right - left), sign)
 
-        self._cache.clear()
-        self._pts, self._n, self._s, self._sum_log_truth = pts, self._n + xs.size, s, log_truth
-        self._n_distinct, self._min_gap, self._d = u.size, min_gap, d
+        self._pts, self._n, self._n_distinct = pts, self._n + xs.size, u.size
+        self._min_gap, self._d, self._cache = min_gap, d, {}
 
     # -- step-family marginal ----------------------------------------------
 
@@ -523,13 +508,13 @@ class BarronEngine:
             hi[i] = np.where(k <= m, terms + err, LOG_ZERO)
         return lo, hi
 
-    def _tail_series(self, cut: int, extra: int) -> tuple[np.ndarray, float]:
+    def _tail_series(self, cut: int) -> tuple[np.ndarray, float]:
         """(coefficients, slack) of e^-F(u) cut after J terms at
-        k = n_distinct + extra and a = cut + 1 (see _tail), built once per
-        engine state: every s0 of _tail sums the same series."""
-        key = ("tail_series", cut, extra)
+        k = n_distinct and a = cut + 1 (see _tail), built once per engine
+        state: every s0 of _tail sums the same series."""
+        key = ("tail_series", cut)
         if key not in self._cache:
-            k, a, J = self._n_distinct + extra, cut + 1.0, _TAIL_TERMS
+            k, a, J = self._n_distinct, cut + 1.0, _TAIL_TERMS
             ix = np.arange(k) / (a * a)
             pa = np.array([0.0] + [(ix ** p).sum() * (1.0 - 2.0 ** -p)  # p a_p
                                    for p in range(1, J + 1)])
@@ -546,18 +531,18 @@ class BarronEngine:
             self._cache[key] = coef, slack
         return self._cache[key]
 
-    def _tail(self, cut: int, s0: int = 2, extra: int = 0) -> LogBracket:
+    def _tail(self, cut: int, s0: int = 2) -> LogBracket:
         """Enclosure of ln sum_{N > cut} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
-        at k = n_distinct + extra, every level past the cut holding all
-        n_distinct points.  In u = a^2/N^2 <= 1, a = cut + 1, the ratio is
+        at k = n_distinct, every level past the cut holding all n_distinct
+        points.  In u = a^2/N^2 <= 1, a = cut + 1, the ratio is
         2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
         sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
         is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
         e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
-        key = ("tail", cut, s0, extra)
+        key = ("tail", cut, s0)
         if key not in self._cache:
-            k, a = self._n_distinct + extra, cut + 1.0
-            coef, slack = self._tail_series(cut, extra)
+            k, a = self._n_distinct, cut + 1.0
+            coef, slack = self._tail_series(cut)
             lo, hi = zeta_series(coef, s0, a, slack)
             base = _LOG_LEVEL_NORM + (self._n - k) * LN2
             rnd = 4.0 * _EPS * (abs(base) + abs(hi) + (self._n + k) * LN2)
@@ -670,60 +655,14 @@ class BarronEngine:
 
     # -- step-family predictive ----------------------------------------------
 
-    def _unoccupied_log_factors(self, levels: int) -> np.ndarray:
-        """ln 2 (N^2-k)/(2N^2-k) per level 1..levels (LOG_ZERO where N^2 < k):
-        the predictive factor of an unoccupied cell, the same for every x,
-        so computed once per engine state (again only for more levels)."""
-        unocc = self._cache.get("unoccupied")
-        if unocc is None or unocc.size < levels:
-            m = _level_table(levels)[0] / 2.0
-            ks = self._occupancies(levels).astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
-            unocc[np.isnan(unocc)] = LOG_ZERO
-            self._cache["unoccupied"] = unocc
-        return unocc[:levels]
-
-    def _predictive_log_factors(self, x: float, levels: int, nbs: list[float],
-                                gap: float) -> np.ndarray:
-        """ln of the per-level predictive density at x (occupied cell -> 2;
-        unoccupied -> 2 (N^2-k)/(2N^2-k)), given x's neighbours and gap."""
-        return np.where(self._shared_levels(x, levels, nbs, gap), math.log(2.0),
-                        self._unoccupied_log_factors(levels))
-
-    def _predictive_at(self, x: float) -> Bracket:
-        """The level mixture of the cell predictives at x: per level up to
-        N^2 = 1/d, d the distance to the nearest point; past it x's cell is
-        unoccupied, and 2 (N^2-K)/(2N^2-K) (N^2)_K/(2N^2)_K is twice the
-        ratio at K+1 (at a data point every cell of x is occupied).  An x
-        within 2^-52 of a point but not on it raises, as add_points does."""
-        lo, hi, tail, total = self._step_sum()
-        nbs, d = self._neighbours(x)
-        if d > 0.0:
-            if 1.0 / d >= _EXACT_INV:
-                nb = min(nbs, key=lambda p: abs(x - p))
-                raise ValueError(f"x = {x!r} and the data point {nb!r} lie closer "
-                                 f"than 2^-52: the level cells cannot part them in floats")
-            levels = max(lo.size, int(1.0 / math.sqrt(d)) + 1)
-            if levels > lo.size:
-                lo, hi = self._head(levels)
-            tail = self._tail(levels, 2, extra=1)
-        f = self._predictive_log_factors(x, lo.size, nbs, d)
-        tail = tail.shift(LN2)
-        return _mass(LogBracket.sum_of(lo + f, hi + f).add(tail), total, 2.0)
-
     def step_predictive(self, x: float) -> Bracket:
-        """Posterior predictive density of the step component at x (the
-        level mixture of per-level cell predictives)."""
+        """Posterior predictive density of the step component at x: the
+        ratio M(data + x) / M(data) of the step marginals with likelihood,
+        the first from a copy of the step state with x merged in.  An x
+        within 2^-52 of a data point but not on it raises, as add_points
+        does."""
         if not 0.0 <= x < 1.0:
             raise ValueError(f"x must lie in [0,1), got {x}")
-        return self._predictive_at(float(x))
-
-    def predictive_uniform_ks(self, grid: int = 1024) -> float:
-        """Kolmogorov distance between the step-predictive CDF (midpoint
-        values on a regular grid) and the uniform CDF."""
-        xs = (np.arange(grid) + 0.5) / grid
-        mids = np.array([self._predictive_at(float(x)).midpoint() for x in xs])
-        cdf = np.cumsum(mids) / grid
-        targets = (np.arange(grid) + 1.0) / grid
-        return float(np.max(np.abs(cdf - targets)))
+        ext = copy.copy(self)
+        ext._merge(np.array([x], dtype=np.float64))
+        return _mass(ext._step_sum().total, self._step_sum().total, 2.0)

@@ -195,7 +195,7 @@ def cmd_scan(args) -> int:
     cfg, _ = _config_from_args(args)
     cfg = replace(cfg, diagnostics=replace(
         cfg.diagnostics, bands=tuple(bands), epsilons=(),
-        track_mean_inv_level=False, predictive_grid=0))
+        track_mean_inv_level=False))
     result = run_replications(cfg, parallelism=args.jobs)
     n_seeds = len(result.trajectories)
     lines = ["alpha,beta,delta,seeds_with_excursion,n_seeds,frequency,"
@@ -314,7 +314,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a path the user named, such as a failed fork
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, ArithmeticError, RuntimeError) as exc:

@@ -232,7 +232,6 @@ class DiagnosticSettings:
     betas: tuple[float, ...] = (LN2,)
     epsilons: tuple[float, ...] = (0.5, 0.7)
     tau: float = 0.1
-    predictive_grid: int = 0  # 0 disables the Kolmogorov summary
     track_mean_inv_level: bool = True
 
     def __post_init__(self):
@@ -244,9 +243,6 @@ class DiagnosticSettings:
             raise ValueError(f"epsilons must be positive, got {self.epsilons}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.predictive_grid < 0:
-            raise ValueError(
-                f"predictive_grid must be >= 0, got {self.predictive_grid}")
 
 
 def _ends(stem: str) -> list:
@@ -287,9 +283,6 @@ def barron_statistics(settings: DiagnosticSettings) -> list:
     if settings.track_mean_inv_level:
         stats.append(("posterior_over_n", _ends("mean_inv_level"),
                       lambda e: _pair(e.posterior_over_n())))
-    if settings.predictive_grid:
-        stats.append(("predictive_ks", ["predictive_ks"],
-                      lambda e: (e.predictive_uniform_ks(settings.predictive_grid),)))
     return stats
 
 

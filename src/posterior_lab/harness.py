@@ -60,13 +60,15 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 # keys that older formats wrote, by dotted path, each accepted only at the
-# value every run that wrote it used: the truncation knobs of v1, and the
-# half-Cauchy scale and the cap-search fraction of v1 to v3
+# value every run that wrote it used: the truncation knobs of v1, the
+# half-Cauchy scale and the cap-search fraction of v1 to v3, and the
+# predictive grid of v1 to v6
 _RETIRED_KEYS = {"trunc_multiplier": 4.0, "trunc_fixed": None,
-                 "cosine_prior.scale": 1.0, "cosine_prior.tail_fraction": 1e-3}
+                 "cosine_prior.scale": 1.0, "cosine_prior.tail_fraction": 1e-3,
+                 "diagnostics.predictive_grid": 0}
 
 # stream id of the data within one replicate seed
 DATA_STREAM = 0

@@ -403,6 +403,23 @@ class TestClosedFormOracle:
         pred = mp.exp(mp_step_log_sum(data, x=0.3) - mp_step_log_sum(data))
         assert e.step_predictive(0.3).contains(pred)
 
+    # x = 0 lies on the first cell boundary of every level; 1e-7 above 0.3
+    # the predictive's levels run past the sample's distinct-cell level
+    @pytest.mark.parametrize("x", [0.0, 0.3 + 1e-7])
+    def test_predictive_at_an_edge_and_near_a_point(self, x):
+        data = [0.05, 0.3, 0.305, 0.9]
+        e = BarronEngine()
+        e.add_points(data)
+        pred = mp.exp(mp_step_log_sum(data, x=x) - mp_step_log_sum(data))
+        assert e.step_predictive(x).contains(pred)
+
+    def test_predictive_at_a_data_point_is_two(self):
+        # every cell of a data point is occupied, so each level's factor is 2
+        e = BarronEngine()
+        e.add_points([0.05, 0.3, 0.305, 0.9])
+        for x in (0.05, 0.3, 0.305, 0.9):
+            assert e.step_predictive(x).contains(2.0), x
+
     def test_lattice_cut_is_half_the_distinct_points(self):
         e = BarronEngine()
         e.add_points(ORACLE_DATA["lattice K=200"]())
@@ -772,46 +789,16 @@ class TestStepPredictive:
             assert b.width() <= 1e-9
 
     def test_occupied_cell_level_one(self):
-        # data in cell 0 of the halves partition: the only surviving level-1
-        # member selects that cell, so its predictive there is exactly 2
+        # 0.2 and 0.3 share cell 0 of the halves partition, so the one
+        # level-1 member left selects it and gives the factor 2; from level
+        # 2 on 0.3 falls in a cell 0.2 leaves empty, 2 (N^2-k)/(2N^2-k).
+        # The mpmath sum takes each level's factor from the cells themselves
         e = BarronEngine()
         e.add_point(0.2)
-        factors = e._predictive_log_factors(0.3, 4, *e._neighbours(0.3))
-        assert factors[0] == pytest.approx(math.log(2.0), abs=1e-12)
-        # and 2 (N^2-k)/(2N^2-k) on an unoccupied cell (level 2)
-        assert factors[1] == pytest.approx(
-            math.log(2.0 * (4 - 1) / (8 - 1)), abs=1e-12)
-
-    def test_kolmogorov_trend_uniform_truth(self):
-        e = BarronEngine(truth=UniformDensity())
-        data = RandomStream(1, 0).uniform_open(1000)
-        e.add_points(data[:10])
-        ks10 = e.predictive_uniform_ks(256)
-        e.add_points(data[10:])
-        ks1000 = e.predictive_uniform_ks(256)
-        assert ks1000 <= ks10
-
-    def test_unoccupied_factor_hoist_is_bitwise_equal(self):
-        # the per-state unoccupied-cell factor against the per-x formula it
-        # replaced; 300 points make k exceed N^2 on the low levels
-        e = BarronEngine()
-        e.add_points(_uniform_data(300))
-        m_trunc = e._step_sum().lo.size
-        w2 = barron._level_table(m_trunc)[0]
-        ks = e._occupancies(m_trunc).astype(np.float64)
-        for x in (0.001, 0.2, 0.5, 0.73, 0.999):
-            c_x = exact_cells(w2, x)
-            occupied = np.zeros(m_trunc, dtype=bool)
-            for nb in e._neighbours(x)[0]:
-                occupied |= c_x == exact_cells(w2, nb)
-            m = w2 / 2.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unocc = np.log(2.0) + np.log(m - ks) - np.log(2.0 * m - ks)
-            want = np.where(occupied, math.log(2.0), unocc)
-            want[np.isnan(want)] = LOG_ZERO
-            got = e._predictive_log_factors(x, m_trunc, *e._neighbours(x))
-            assert (got == want).all(), x
-        assert (got == LOG_ZERO).any()
+        pred = mp.exp(mp_step_log_sum([0.2], x=0.3) - mp_step_log_sum([0.2]))
+        b = e.step_predictive(0.3)
+        assert b.contains(pred)
+        assert b.width() <= 1e-12
 
     def test_predictive_is_the_marginal_ratio(self):
         # the predictive at x is M(data + x) / M(data), M the step marginal
@@ -832,6 +819,20 @@ class TestStepPredictive:
             pred = e.step_predictive(x)
             assert pred.lower <= hi and lo <= pred.upper, x
             assert hi - lo <= 1e-9 * hi and pred.width() <= 1e-9 * pred.upper, x
+
+    def test_predictive_leaves_the_engine_unchanged(self):
+        # the predictive merges x into a shallow copy, which starts out
+        # sharing the sample, the deficits and the cache with the engine
+        # asked: a cleared cache or a deficit written in place shows here
+        e = BarronEngine()
+        e.add_points(_uniform_data(300))
+        step, pts, d = e._step_sum(), e._pts, e._d
+        want_pts, want_d = pts.copy(), d.copy()
+        for x in (0.0, 0.5, pts[7], pts[7] + 1e-9, 0.999):
+            e.step_predictive(float(x))
+        assert e._pts is pts and e._d is d and e._cache["step"] is step
+        assert np.array_equal(pts, want_pts) and np.array_equal(d, want_d)
+        assert e.n == 300 and e._step_sum() is step
 
     def test_predictive_integrates_to_one(self):
         e = BarronEngine()
@@ -1099,25 +1100,13 @@ class TestTailSeries:
         e.step_marginal()
         e.posterior_over_n()
         e.posterior_over_n()
-        assert [k for k in stored if k[0] == "tail_series"] == [("tail_series", m, 0)]
+        assert [k for k in stored if k[0] == "tail_series"] == [("tail_series", m)]
         for s0 in (2, 3):  # each as a fresh engine computes it alone
             fresh = BarronEngine()
             fresh.add_points(_uniform_data(300))
-            assert e._cache[("tail", m, s0, 0)] == fresh._tail(m, s0)
+            assert e._cache[("tail", m, s0)] == fresh._tail(m, s0)
         e.add_point(0.123)
         assert not e._cache
-
-    def test_predictive_tail_has_its_own_series(self, recorded):
-        e, stored = recorded
-        e.step_predictive(0.5)
-        series = [k for k in stored if k[0] == "tail_series"]
-        assert len(series) == 2 and series[0][2] == 0
-        _, levels, extra = series[1]
-        assert extra == 1 and levels >= e._cut()
-        fresh = BarronEngine()
-        fresh.add_points(_uniform_data(300))
-        assert e._cache[("tail", levels, 2, 1)] == fresh._tail(levels, 2, extra=1)
-        assert e._cache[("tail", levels, 2, 1)] != fresh._tail(levels, 2)
 
 
 def separating_level(gap: float) -> int:
@@ -1185,20 +1174,6 @@ class TestComparedLevels:
         at_n = last[:-400] == np.tile(level, len(g))
         assert at_n.sum() >= 100
         assert (count[:-400][at_n] <= last[:-400][at_n] + 1).all()
-
-    def test_predictive_compares_the_same_levels(self, monkeypatch):
-        e = BarronEngine()
-        e.add_points([0.2, 0.6])
-        asked, table = [], barron._level_table
-
-        def recording(m):
-            asked.append(m)
-            return table(m)
-
-        monkeypatch.setattr(barron, "_level_table", recording)
-        e._shared_levels(0.2 + 1e-4, 200, *e._neighbours(0.2 + 1e-4))
-        assert asked == [int(barron._compared_levels(np.array([1e-4]))[0])] == [71]
-
 
 @st.composite
 def blocked_samples(draw):

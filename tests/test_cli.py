@@ -82,10 +82,13 @@ def assert_bracket_free_columns_keep(old, new):
 
 def assert_sidecars_differ_in_version(golden, out, versions):
     """The two sidecars are equal but for their versions, which are
-    ``versions``."""
+    ``versions``, and the predictive grid that format v7 retired (0 in every
+    older sidecar) with the config hash it was part of."""
     with open(golden + ".json") as a, open(out + ".json") as b:
         was, now = json.load(a), json.load(b)
     assert (was.pop("version"), now.pop("version")) == versions
+    assert was["config"]["diagnostics"].pop("predictive_grid") == 0
+    assert was.pop("config_hash") != now.pop("config_hash")
     assert was == now
 
 
@@ -136,7 +139,7 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 6 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 7 and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -166,7 +169,7 @@ class TestTrajCommand:
         # to Stirling pairs: every bracket nests in the stored one, the
         # columns without a bracket keep their bytes (see
         # assert_bracket_free_columns_keep), and the sidecar is the same but
-        # for its version, the retired cosine keys and the hash of the config
+        # for its version, the retired keys and the hash of the config
         # without them
         golden = os.path.join(DATA, "v3_uniform_n60_seed3")
         out = str(tmp_path / "replay")
@@ -174,9 +177,10 @@ class TestTrajCommand:
         assert_bracket_free_columns_keep(*assert_replay_nests(golden, out))
         with open(golden + ".json") as a, open(out + ".json") as b:
             was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (3, 6)
+        assert (was.pop("version"), now.pop("version")) == (3, 7)
         retired = was["config"]["cosine_prior"]
         assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
+        assert was["config"]["diagnostics"].pop("predictive_grid") == 0
         assert was.pop("config_hash") != now.pop("config_hash")
         assert was == now
 
@@ -185,7 +189,7 @@ class TestTrajCommand:
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_replay_nests(golden, out)
-        assert_sidecars_differ_in_version(golden, out, (4, 6))
+        assert_sidecars_differ_in_version(golden, out, (4, 7))
 
     # v6 sums the step head in closed form: the v5 Barron runs replay with
     # every bracket inside the stored one, with no slack, as the tilt
@@ -200,7 +204,7 @@ class TestTrajCommand:
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_bracket_free_columns_keep(*assert_replay_nests(golden, out, slack=0.0))
-        assert_sidecars_differ_in_version(golden, out, (5, 6))
+        assert_sidecars_differ_in_version(golden, out, (5, 7))
 
     def test_v5_cosine_csv_keeps_its_bytes(self, tmp_path):
         golden = os.path.join(DATA, "v5_cosine_n40_seed1")
@@ -208,7 +212,23 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
             assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (5, 6))
+        assert_sidecars_differ_in_version(golden, out, (5, 7))
+
+    # v7 retired the predictive grid, which no v6 run turned on: the v6
+    # runs replay their CSVs byte for byte
+    @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
+                                      "v6_gauss_tiltband_n300_seed9",
+                                      "v6_decimal_n3_seed1", "v6_step_n300_seed4",
+                                      "v6_cosine_n640_seed3"])
+    def test_v6_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
+        golden = os.path.join(DATA, name)
+        out = str(tmp_path / "replay")
+        (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+            assert a.read() == b.read()
+        assert_sidecars_differ_in_version(golden, out, (6, 7))
 
     # the gauss run's bands and betas hold tilt members, so it reads the
     # tilt side of the band mass, the band prior exponent and the beta bound;
@@ -216,11 +236,11 @@ class TestTrajCommand:
     # working directory) puts 0.3 just below a level-5 cell boundary; the
     # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns;
     # the cosine run reaches past its head and shares panels between pieces
-    @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
-                                      "v6_gauss_tiltband_n300_seed9",
-                                      "v6_decimal_n3_seed1", "v6_step_n300_seed4",
-                                      "v6_cosine_n640_seed3"])
-    def test_v6_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["v7_uniform_n60_seed3", "v7_uniform_n8000_seed65",
+                                      "v7_gauss_tiltband_n300_seed9",
+                                      "v7_decimal_n3_seed1", "v7_step_n300_seed4",
+                                      "v7_cosine_n640_seed3"])
+    def test_v7_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
         (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
@@ -652,7 +672,8 @@ class TestConfigErrorExit:
 
     def test_one_ulp_predictive_exits_2_without_allocating(self, tmp_path, capsys):
         # the predictive grid point 0.375 is one ulp off the first data
-        # point, where the step head would run to about 1e8 levels
+        # point; format v7 retired the grid, so a config that turns it on is
+        # refused as a retired key before any data is read
         data = tmp_path / "pair.csv"
         data.write_text("0.37500000000000006\n0.9\n")
         cfg = tmp_path / "cfg.json"
@@ -667,9 +688,33 @@ class TestConfigErrorExit:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert "2^-52" in capsys.readouterr().err
+        assert "diagnostics.predictive_grid" in capsys.readouterr().err
         assert peak < 2 ** 24
         assert not os.path.exists(str(tmp_path / "x.csv"))
+
+    # a path the user named that the file system refuses: the config is a
+    # directory, a regular file sits where the output directory goes, and
+    # the replicate output directory is a regular file (found after the runs)
+    @pytest.mark.parametrize("argv", [
+        ("traj", "--n-max", "3", "--config", "{tmp}", "--out", "{tmp}/x"),
+        ("traj", "--n-max", "3", "--out", "{tmp}/f/x"),
+        ("replicate", "--n-max", "3", "--seeds", "1..2", "--out-dir", "{tmp}/f")])
+    def test_file_system_error_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "f").write_text("")
+        assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path) in err
+
+    def test_os_error_without_a_path_is_not_a_config_error(self, monkeypatch, tmp_path):
+        # a failed fork names no file: it is raised, not reported as input
+        import posterior_lab.cli as cli
+
+        def fail(*args):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "run_trajectory", fail)
+        with pytest.raises(BlockingIOError):
+            run_cli("traj", "--n-max", "3", "--out", str(tmp_path / "x"))
 
     def test_corrupted_plot_input_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "base")

@@ -208,7 +208,7 @@ class TestConfigHash:
         again = RunConfig.from_dict(cfg.to_dict())
         assert config_hash(again) == config_hash(cfg)
 
-    @pytest.mark.parametrize("golden", ["v6_uniform_n60_seed3", "v6_step_n300_seed4"])
+    @pytest.mark.parametrize("golden", ["v7_uniform_n60_seed3", "v7_step_n300_seed4"])
     def test_hashlib_fallback_keeps_the_stored_digest(self, monkeypatch, golden):
         import hashlib
 
@@ -243,7 +243,6 @@ DEFAULT_CONFIG_DICT = {
         "betas": [LN2],
         "epsilons": [0.5, 0.7],
         "tau": 0.1,
-        "predictive_grid": 0,
         "track_mean_inv_level": True,
     },
     "cosine_prior": {"kind": "exponential", "rate": 1.0, "theta_max": 50.0},
@@ -267,7 +266,7 @@ class TestConfigSchema:
             quad_tol=1e-7, continuous_weight=0.25,
             diagnostics=DiagnosticSettings(
                 gamma=0.5, bands=(BandSpec(0.1, 1),), exponent_bands=(),
-                betas=(0.3, 1), epsilons=(1,), tau=0.2, predictive_grid=16,
+                betas=(0.3, 1), epsilons=(1,), tau=0.2,
                 track_mean_inv_level=False),
             cosine_prior=CosinePriorConfig(kind="truncated_uniform", rate=3,
                                            theta_max=20),
@@ -338,6 +337,16 @@ class TestConfigSchema:
             bad = {"cosine_prior": {**old["cosine_prior"], key: value}}
             with pytest.raises(ConfigError, match=f"cosine_prior.{key}"):
                 RunConfig.from_dict(bad)
+
+    def test_retired_predictive_grid_only_at_zero(self):
+        old = {**DEFAULT_CONFIG_DICT, "diagnostics": {
+            **DEFAULT_CONFIG_DICT["diagnostics"], "predictive_grid": 0}}
+        kept = json.dumps(old)
+        assert RunConfig.from_dict(old) == RunConfig()
+        assert json.dumps(old) == kept
+        for value in (4, -5):
+            with pytest.raises(ConfigError, match="diagnostics.predictive_grid"):
+                RunConfig.from_dict({"diagnostics": {"predictive_grid": value}})
 
     def test_config_errors_are_value_errors(self):
         assert issubclass(DatasetError, ConfigError)
@@ -783,9 +792,13 @@ class TestColumnLayout:
             "log_evidence.lower", "log_evidence.upper"]
 
     def test_predictive_without_level_columns(self):
-        dg = DiagnosticSettings(predictive_grid=64, track_mean_inv_level=False)
-        traj = run_trajectory(RunConfig(n_max=3, diagnostics=dg), 1)
-        assert traj.columns == BARRON_COLUMNS + ["predictive_ks"]
+        # every sidecar up to v6 holds the predictive grid at 0, the value
+        # format v7 retired, and decodes to the plain column layout
+        cfg = RunConfig.from_dict({"n_max": 3, "diagnostics": {
+            "predictive_grid": 0, "track_mean_inv_level": False}})
+        assert cfg == RunConfig(n_max=3, diagnostics=DiagnosticSettings(
+            track_mean_inv_level=False))
+        assert run_trajectory(cfg, 1).columns == BARRON_COLUMNS
 
 
 class TestRecordCounts:
