@@ -30,10 +30,11 @@ predictive at x is the ratio M(data + x) / M(data) of two step marginals
 with likelihood: it merges x into a copy of the engine's step state.  Each
 engine state (the data seen so far) caches what its queries share, and a
 merge starts a new cache: the step sum, which the step marginal, the mean
-of 1/N and the predictive all read; the tail series past a cut, which the
-step sum's tail and the 1/N tail both sum; and the full-interval tilt
-integral, which the tilt marginal and every interval mass divide by.  The
-data-free normalizer Z0 is integrated once per process.
+of 1/N and the predictive all read; the tail series past the cut, which the
+step sum's tail and the 1/N tail both sum; and the tilt state
+(PosteriorTheta), which keeps its integrand's peak, its full-interval
+integral and its marginal.  The data-free tilt state, whose full integral
+is Z0, is built once per process and tolerance.
 """
 
 from __future__ import annotations
@@ -101,44 +102,34 @@ def _level_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 _EXACT_INV = 2.0 ** 52
 
 
-def _separating_levels(gaps: np.ndarray) -> np.ndarray:
-    """S(gap) of each gap, as int64: from the start isqrt(int(1/gap)) + 1,
-    the first N with 1/(2 N^2) < gap/2 in floats, so that two points gap or
-    more apart share no level-N cell from S(gap) on.  It is the smallest
-    such level or one above it: one ulp above fl(1/9), at
-    0.11111111111111112, the level 3 already holds, and S is 4.  The margin
-    of half the gap is wider than the exact cells need (a cell narrower than
-    the gap parts the pair, the gap's own rounding aside), but D and the cut
-    M follow it, and so do the output bits.  The levels below S have
-    N^2 <= 1/gap, so every gap must have 1/gap < 2^52, as add_points
-    ensures.  The isqrt start comes from a float sqrt with a one-step
-    integer correction; the float test then runs over the gaps that still
-    meet it."""
-    inv = 1.0 / gaps
-    assert (inv < _EXACT_INV).all()
-    v = inv.astype(np.int64)
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    r -= r * r > v
-    r += (r + 1) * (r + 1) <= v
-    nd = r + 1
-    todo = np.flatnonzero(1.0 / (2.0 * nd * nd) >= 0.5 * gaps)
-    while todo.size:
-        nd[todo] += 1
-        todo = todo[1.0 / (2.0 * nd[todo] * nd[todo]) >= 0.5 * gaps[todo]]
+def _separating_level(gap: float) -> int:
+    """S(gap): from the start isqrt(int(1/gap)) + 1, the first N with
+    1/(2 N^2) < gap/2 in floats, so that two points gap or more apart share
+    no level-N cell from S(gap) on.  It is the smallest such level or one
+    above it: one ulp above fl(1/9), at 0.11111111111111112, the level 3
+    already holds, and S is 4.  The margin of half the gap is wider than the
+    exact cells need (a cell narrower than the gap parts the pair, the gap's
+    own rounding aside), but D and the cut M follow it, and so do the output
+    bits.  The levels below S have N^2 <= 1/gap, so the gap must have
+    1/gap < 2^52, as add_points ensures."""
+    assert 1.0 / gap < _EXACT_INV
+    nd = math.isqrt(int(1.0 / gap)) + 1
+    while 1.0 / (2.0 * nd * nd) >= 0.5 * gap:
+        nd += 1
     return nd
 
 
-def _compared_levels(gaps: np.ndarray) -> np.ndarray:
+def _compared_levels(gaps: np.ndarray, limit: int) -> np.ndarray:
     """How many levels 1..c two points gap > 0 apart are compared on, as
-    int64 c = min(S(gap) - 1, floor(sqrt(0.5 / gap)) + 1): about
-    sqrt(0.5 / gap) levels, 1/sqrt 2 of the S(gap) - 1 that the deficits
-    hold.  The exact cells of a < b part once 2 N^2 (b - a) >= 1, as then
-    floor(2 N^2 b) >= floor(2 N^2 a) + 1, so they share only levels
-    N < sqrt(0.5 / (b - a)).  gap = fl(b - a), the quotient and the sqrt
-    each round by half an ulp, and the root lies below 2^26, so that bound
-    is below the float sqrt + 1 and no shared level lies past c."""
-    return np.minimum(_separating_levels(gaps) - 1,
-                      np.sqrt(0.5 / gaps).astype(np.int64) + 1)
+    int64 c = min(limit, floor(sqrt(0.5 / gap)) + 1), where limit = D - 1
+    is the number of levels the deficits hold.  The exact cells of a < b
+    part once 2 N^2 (b - a) >= 1, as then floor(2 N^2 b) >= floor(2 N^2 a)
+    + 1, so they share only levels N < sqrt(0.5 / (b - a)).  gap = fl(b - a),
+    the quotient and the sqrt each round by half an ulp, and the root lies
+    below 2^26, so that bound is below the float sqrt + 1 and no shared
+    level lies past c.  A pair no closer than min_gap shares no cell from
+    S(gap) <= D on, so the levels compared past S(gap) - 1 add nothing."""
+    return np.minimum(limit, np.sqrt(0.5 / gaps).astype(np.int64) + 1)
 
 
 # (pair, level) elements that one pass of _add_shared compares
@@ -239,21 +230,72 @@ class OccupancyStats:
 
 @dataclass(frozen=True)
 class PosteriorTheta:
-    """Posterior over theta within the tilt component (unnormalized log
-    density -1/theta - n theta + sqrt(2 theta) S_n) with bracketed interval
-    masses and the prior small-ball query that witnesses KL support."""
+    """The tilt component's state for one data set: the posterior over theta
+    (unnormalized log density -1/theta - n theta + sqrt(2 theta) S_n) with
+    bracketed interval masses, the component's marginal over Z0, and the
+    prior small-ball query that witnesses KL support.  The integrand's peak,
+    the full-interval integral and the marginal are each computed once per
+    instance; the data-free instance of _prior holds Z0 and the prior."""
 
     n: int
     s_n: float
     quad_tol: float
 
-    def _integral(self, lo: float, hi: float) -> QuadratureResult:
-        return _tilt_integral(self.n, self.s_n, self.quad_tol, lo, hi)
+    @functools.cached_property
+    def _peak(self) -> float:
+        """Maximizer of h(u) = -1/u^2 - n u^2 + sqrt(2) s u on (0, 1], a
+        bisection of up to 200 steps."""
+        n, s = self.n, self.s_n
+
+        def dh(u):
+            return 2.0 / u ** 3 - 2.0 * n * u + math.sqrt(2.0) * s
+
+        if dh(1.0) >= 0.0:  # h increasing on the whole interval
+            return 1.0
+        lo, hi = 1e-8, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if dh(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14:
+                break
+        return 0.5 * (lo + hi)
+
+    def _integral(self, theta_lo: float, theta_hi: float) -> QuadratureResult:
+        """ln of integral over theta in [theta_lo, theta_hi] of
+        e^(-1/theta - n theta + sqrt(2 theta) s), via theta = u^2 (the
+        substitution regularizes the essential zero at theta = 0)."""
+        u_lo, u_hi = math.sqrt(theta_lo), math.sqrt(theta_hi)
+        n, rt2s = self.n, math.sqrt(2.0) * self.s_n
+
+        def f(u):
+            return -1.0 / (u * u) - n * u * u + rt2s * u + np.log(2.0 * u)
+
+        u_star = self._peak
+        bps = [x for x in (0.5 * u_star, u_star, 0.5 * (u_star + 1.0), 0.25, 0.5)
+               if u_lo < x < u_hi]
+        return adaptive_quadrature(f, u_lo, u_hi, self.quad_tol, breakpoints=bps,
+                                   relative=True)
 
     @functools.cached_property
     def _normalizer(self) -> QuadratureResult:
-        """The full-interval integral, computed once per instance."""
+        """The full-interval integral (Z0 for the data-free instance)."""
         return self._integral(0.0, 1.0)
+
+    @functools.cached_property
+    def _marginal(self) -> QuadratureResult:
+        """ln of the component's marginal likelihood, the normalizer over Z0,
+        with the two relative bounds composed."""
+        if self.n == 0 and self.s_n == 0.0:
+            # numerator and normalizer are the same integral
+            return QuadratureResult(0.0, 0.0, 0)
+        num, den = self._normalizer, _prior(self.quad_tol)._normalizer
+        rel = (1.0 + num.rel_error_bound) * (1.0 + den.rel_error_bound) - 1.0
+        return QuadratureResult(log_estimate=num.log_estimate - den.log_estimate,
+                                rel_error_bound=rel,
+                                evaluations=num.evaluations + den.evaluations)
 
     def interval_mass(self, lo: float, hi: float) -> Bracket:
         """Posterior mass of {lo <= theta <= hi} within the tilt family."""
@@ -262,7 +304,8 @@ class PosteriorTheta:
             return Bracket(0.0, 0.0)
         if lo == 0.0 and hi == 1.0:
             return Bracket(1.0, 1.0)  # the whole component, by definition
-        return _quotient(self._integral(lo, hi), self._normalizer)
+        return _mass(LogBracket(*self._integral(lo, hi).log_bracket()),
+                     LogBracket(*self._normalizer.log_bracket()), 1.0)
 
     def prior_ball_mass(self, delta: float) -> Bracket:
         """Prior mass of {theta < delta}; since KL(uniform, f_theta) = theta,
@@ -270,8 +313,16 @@ class PosteriorTheta:
         every delta > 0."""
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
-        return _quotient(_tilt_integral(0, 0.0, self.quad_tol, 0.0, delta),
-                         _z0(self.quad_tol))
+        prior = _prior(self.quad_tol)
+        return _mass(LogBracket(*prior._integral(0.0, delta).log_bracket()),
+                     LogBracket(*prior._normalizer.log_bracket()), 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _prior(tol: float) -> PosteriorTheta:
+    """The data-free tilt state: its normalizer is Z0, the integral of
+    e^(-1/theta) over [0,1], which depends on the tolerance alone."""
+    return PosteriorTheta(0, 0.0, tol)
 
 
 def _exp_or_zero(v: float) -> float:
@@ -279,64 +330,9 @@ def _exp_or_zero(v: float) -> float:
 
 
 def _mass(part: LogBracket, total: LogBracket, cap: float) -> Bracket:
-    """Enclosure of part / total, capped at ``cap``."""
-    return Bracket(_exp_or_zero(part.lower - total.upper),
+    """Enclosure of part / total, both ends capped at ``cap``."""
+    return Bracket(min(cap, _exp_or_zero(part.lower - total.upper)),
                    min(cap, _exp_or_zero(part.upper - total.lower)))
-
-
-def _quotient(num: QuadratureResult, den: QuadratureResult) -> Bracket:
-    """Enclosure of num / den from the log brackets of two quadratures,
-    clamped to [0, 1]."""
-    nl, nh = num.log_bracket()
-    dl, dh = den.log_bracket()
-    return Bracket(_exp_or_zero(nl - dh), _exp_or_zero(nh - dl)).clamp01()
-
-
-@functools.lru_cache(maxsize=4)
-def _tilt_integrand_max(n: int, s: float) -> float:
-    """Maximizer of h(u) = -1/u^2 - n u^2 + sqrt(2) s u on (0, 1], a
-    bisection of up to 200 steps.  It is cached by (n, S_n), so an engine
-    state's normalizer, interval masses and tilt bands find it once; the
-    data-free (0, 0) of Z0 and the prior ball is the other live key."""
-    def dh(u):
-        return 2.0 / u ** 3 - 2.0 * n * u + math.sqrt(2.0) * s
-
-    if dh(1.0) >= 0.0:  # h increasing on the whole interval
-        return 1.0
-    lo, hi = 1e-8, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dh(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _tilt_integral(n: int, s: float, tol: float,
-                   theta_lo: float = 0.0, theta_hi: float = 1.0) -> QuadratureResult:
-    """ln of integral over theta in [theta_lo, theta_hi] of
-    e^(-1/theta - n theta + sqrt(2 theta) s), via theta = u^2 (the
-    substitution regularizes the essential zero at theta = 0)."""
-    u_lo, u_hi = math.sqrt(theta_lo), math.sqrt(theta_hi)
-    rt2s = math.sqrt(2.0) * s
-
-    def f(u):
-        return -1.0 / (u * u) - n * u * u + rt2s * u + np.log(2.0 * u)
-
-    u_star = _tilt_integrand_max(n, s)
-    bps = [x for x in (0.5 * u_star, u_star, 0.5 * (u_star + 1.0), 0.25, 0.5)
-           if u_lo < x < u_hi]
-    return adaptive_quadrature(f, u_lo, u_hi, tol, breakpoints=bps, relative=True)
-
-
-@functools.lru_cache(maxsize=None)
-def _z0(tol: float) -> QuadratureResult:
-    """The data-free normalizer Z0 = integral of e^(-1/theta) over [0,1]; it
-    depends on the tolerance alone, so it is integrated once per process."""
-    return _tilt_integral(0, 0.0, tol)
 
 
 class _StepSum(NamedTuple):
@@ -406,7 +402,7 @@ class BarronEngine:
         return self._sum_log_truth / self._n if self._n else 0.0
 
     def distinct_level(self) -> int:
-        """The distinct-cell level D = S(min_gap) (see _separating_levels):
+        """The distinct-cell level D = S(min_gap) (see _separating_level):
         the deficits hold the levels 1..D-1."""
         return self._d.size + 1
 
@@ -475,11 +471,11 @@ class BarronEngine:
             a, b = u[i:i + 2].tolist()
             raise ValueError(f"data points {a!r} and {b!r} lie closer than 2^-52: "
                              f"the level cells cannot part them in floats")
-        # the deficits hold the levels below D = S(min_gap), and S falls as
-        # the gap grows, so no pair compares past them
-        grow = int(_separating_levels(np.array([min_gap]))[0]) - 1 - self._d.size
+        # the deficits hold the levels below D = S(min_gap), and no pair is
+        # compared past them
+        grow = _separating_level(min_gap) - 1 - self._d.size
         d = np.pad(self._d, (0, max(grow, 0)))
-        _add_shared(d, left, right, _compared_levels(right - left), sign)
+        _add_shared(d, left, right, _compared_levels(right - left, d.size), sign)
 
         self._pts, self._n, self._n_distinct = pts, self._n + xs.size, u.size
         self._min_gap, self._d, self._cache = min_gap, d, {}
@@ -508,13 +504,13 @@ class BarronEngine:
             hi[i] = np.where(k <= m, terms + err, LOG_ZERO)
         return lo, hi
 
-    def _tail_series(self, cut: int) -> tuple[np.ndarray, float]:
+    def _tail_series(self) -> tuple[np.ndarray, float]:
         """(coefficients, slack) of e^-F(u) cut after J terms at
-        k = n_distinct and a = cut + 1 (see _tail), built once per engine
+        k = n_distinct and a = M + 1 (see _tail), built once per engine
         state: every s0 of _tail sums the same series."""
-        key = ("tail_series", cut)
+        key = "tail_series"
         if key not in self._cache:
-            k, a, J = self._n_distinct, cut + 1.0, _TAIL_TERMS
+            k, a, J = self._n_distinct, self._cut() + 1.0, _TAIL_TERMS
             ix = np.arange(k) / (a * a)
             pa = np.array([0.0] + [(ix ** p).sum() * (1.0 - 2.0 ** -p)  # p a_p
                                    for p in range(1, J + 1)])
@@ -531,18 +527,18 @@ class BarronEngine:
             self._cache[key] = coef, slack
         return self._cache[key]
 
-    def _tail(self, cut: int, s0: int = 2) -> LogBracket:
-        """Enclosure of ln sum_{N > cut} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
-        at k = n_distinct, every level past the cut holding all n_distinct
-        points.  In u = a^2/N^2 <= 1, a = cut + 1, the ratio is
+    def _tail(self, s0: int = 2) -> LogBracket:
+        """Enclosure of ln sum_{N > M} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
+        at k = n_distinct, every level past the cut M holding all n_distinct
+        points.  In u = a^2/N^2 <= 1, a = M + 1, the ratio is
         2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
         sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
         is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
         e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
-        key = ("tail", cut, s0)
+        key = ("tail", s0)
         if key not in self._cache:
-            k, a = self._n_distinct, cut + 1.0
-            coef, slack = self._tail_series(cut)
+            k, a = self._n_distinct, self._cut() + 1.0
+            coef, slack = self._tail_series()
             lo, hi = zeta_series(coef, s0, a, slack)
             base = _LOG_LEVEL_NORM + (self._n - k) * LN2
             rnd = 4.0 * _EPS * (abs(base) + abs(hi) + (self._n + k) * LN2)
@@ -553,7 +549,7 @@ class BarronEngine:
         if "step" not in self._cache:
             m_cut = self._cut()
             lo, hi = self._head(m_cut)
-            tail = self._tail(m_cut)
+            tail = self._tail()
             self._cache["step"] = _StepSum(lo, hi, tail,
                                            LogBracket.sum_of(lo, hi).add(tail))
         return self._cache["step"]
@@ -575,18 +571,7 @@ class BarronEngine:
         """ln of the tilt-component marginal likelihood
         (1/Z0) * integral_0^1 e^(-1/theta) e^(-n theta + sqrt(2 theta) S_n)
         d theta, as a log-space quadrature result with a relative bound."""
-        if "gauss" not in self._cache:
-            if self._n == 0 and self._s == 0.0:
-                # numerator and normalizer are the same integral
-                return QuadratureResult(0.0, 0.0, 0)
-            num = self.posterior_theta()._normalizer
-            den = _z0(self.quad_tol)
-            rel = (1.0 + num.rel_error_bound) * (1.0 + den.rel_error_bound) - 1.0
-            self._cache["gauss"] = QuadratureResult(
-                log_estimate=num.log_estimate - den.log_estimate,
-                rel_error_bound=rel,
-                evaluations=num.evaluations + den.evaluations)
-        return self._cache["gauss"]
+        return self.posterior_theta()._marginal
 
     # -- posterior queries ---------------------------------------------------
 
@@ -625,7 +610,7 @@ class BarronEngine:
         partitions."""
         lo, hi, _, total = self._step_sum()
         log_n = np.log(np.arange(1, lo.size + 1, dtype=np.float64))
-        inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(self._tail(lo.size, 3))
+        inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(self._tail(3))
         return _mass(inv, total, 1.0)
 
     def set_mass(self, steps: bool, thetas=()) -> Bracket:
@@ -637,11 +622,12 @@ class BarronEngine:
         if not steps and not thetas:
             return Bracket(0.0, 0.0)
         f0, fstep = self.posterior_split()
-        total = fstep if steps else Bracket(0.0, 0.0)
-        for lo, hi in thetas:
-            im = self.posterior_theta().interval_mass(lo, hi)
-            total = total + Bracket(f0.lower * im.lower, f0.upper * im.upper)
-        return total.clamp01()
+        # a plain left fold of each end: sum() compensates from Python 3.12
+        lo, hi = (fstep.lower, fstep.upper) if steps else (0.0, 0.0)
+        for a, b in thetas:
+            im = self.posterior_theta().interval_mass(a, b)
+            lo, hi = lo + f0.lower * im.lower, hi + f0.upper * im.upper
+        return Bracket(min(lo, 1.0), min(hi, 1.0))
 
     def hellinger_ball_mass(self, eps: float) -> Bracket:
         """Posterior mass of {f : d_h(f, uniform) > eps}.  Every step density

@@ -9,6 +9,7 @@ verbosity comes from the POSTERIOR_LAB_LOG environment variable
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
@@ -135,6 +136,18 @@ def _config_from_args(args):
     return cfg, sidecar_seed
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise an OSError naming the nearest existing one of the directory
+    path and its ancestors if that is not a directory, so that an output
+    location that cannot be written is refused before any work.  Creates
+    nothing."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def _add_run_flags(p, with_seed=True):
     p.add_argument("--model", choices=("barron", "cosine"))
     p.add_argument("--truth", help="uniform | gauss:T | step:N:I,J,... | file:PATH")
@@ -149,6 +162,7 @@ def _add_run_flags(p, with_seed=True):
 
 
 def cmd_traj(args) -> int:
+    _check_out_dir(os.path.dirname(os.path.abspath(args.out)))
     cfg, sidecar_seed = _config_from_args(args)
     if args.seed is not None:
         seed = args.seed
@@ -164,6 +178,7 @@ def cmd_traj(args) -> int:
 
 
 def cmd_replicate(args) -> int:
+    _check_out_dir(args.out_dir)
     cfg, _ = _config_from_args(args)
     result = run_replications(cfg, parallelism=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -186,6 +201,8 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    _check_out_dir(out_dir)
     alphas = parse_grid(args.alpha_grid)
     betas = parse_grid(args.beta_grid)
     deltas = parse_grid(args.delta_grid) if args.delta_grid else [0.5]
@@ -210,7 +227,7 @@ def cmd_scan(args) -> int:
                 f"{band.alpha:.17g}", f"{band.beta:.17g}", f"{delta:.17g}",
                 str(hits), str(n_seeds), f"{hits / n_seeds:.17g}",
                 f"{sum(counts) / n_seeds:.17g}"]))
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(args.out)
@@ -220,6 +237,8 @@ def cmd_scan(args) -> int:
 def cmd_plot(args) -> int:
     from .svgplot import PlotSpec, Series, render_svg  # only plot draws
 
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    _check_out_dir(out_dir)
     columns = [c for c in args.columns.split(",") if c]
     if not columns:
         raise ConfigError("no columns requested")
@@ -253,7 +272,7 @@ def cmd_plot(args) -> int:
         svg = render_svg(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(args.out)

@@ -394,4 +394,4 @@ class CosineEngine:
                                      tail_in)).lower
         hi = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[1],
                                      tail_in)).upper
-        return Bracket(min(lo, hi), hi).clamp01()
+        return Bracket(min(lo, hi), hi)

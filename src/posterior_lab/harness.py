@@ -192,6 +192,7 @@ class RunConfig:
         for lo, hi in self.cosine_regions:  # a NaN fails every comparison
             if not 0.0 <= lo <= hi:
                 raise ValueError(f"cosine_regions needs 0 <= lo <= hi, got [{lo}, {hi}]")
+        self.barron_prior()  # its check of continuous_weight, for either model
 
     def barron_prior(self) -> BarronPriorConfig:
         return BarronPriorConfig(continuous_weight=self.continuous_weight)

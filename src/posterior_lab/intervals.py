@@ -97,13 +97,6 @@ class Bracket:
     def contains(self, v: float) -> bool:
         return self.lower <= v <= self.upper
 
-    def clamp01(self) -> "Bracket":
-        return Bracket(min(max(self.lower, 0.0), 1.0),
-                       min(max(self.upper, 0.0), 1.0))
-
-    def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lower + other.lower, self.upper + other.upper)
-
 
 def mass_ratio(num: LogBracket, rest: LogBracket) -> Bracket:
     """Enclosure of A/(A+B) given log enclosures of A and B.
@@ -128,4 +121,4 @@ def mass_ratio(num: LogBracket, rest: LogBracket) -> Bracket:
     hi = ratio(num.upper, rest.lower)
     if num.upper > LOG_ZERO:
         hi = max(hi, math.ulp(0.0))
-    return Bracket(min(lo, hi), max(lo, hi)).clamp01()
+    return Bracket(min(lo, hi), max(lo, hi))

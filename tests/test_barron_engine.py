@@ -236,7 +236,8 @@ class TestOccupancyTracking:
 
     def test_add_point_compares_below_its_own_separating_level(self, monkeypatch):
         # a near-duplicate pair lifts D to 31623, but a point 0.5 from its
-        # nearest neighbour can share a cell only below S(0.5) = 2
+        # nearest neighbour is compared on floor(sqrt(0.5 / 0.5)) + 1 = 2
+        # levels: the compares do not grow with D
         e = BarronEngine()
         e.add_points([0.3, 0.3 + 1e-9])
         assert e.distinct_level() == 31623
@@ -248,7 +249,7 @@ class TestOccupancyTracking:
 
         monkeypatch.setattr(barron, "_level_table", recording)
         e.add_point(0.8)
-        assert max(asked, default=0) <= 1
+        assert max(asked, default=0) <= 2
         monkeypatch.undo()
         assert np.array_equal(e.occupancy.k_by_level,
                               recount_occupancy([0.3, 0.3 + 1e-9, 0.8], 31623))
@@ -1039,7 +1040,7 @@ class TestStepStateCache:
                 full.append(1)
             return adaptive_quadrature(f, a, b, *args, **kwargs)
 
-        barron._z0.cache_clear()
+        barron._prior.cache_clear()
         monkeypatch.setattr(barron, "adaptive_quadrature", counting)
         data = _uniform_data(300)
         e = BarronEngine(truth=UniformDensity())
@@ -1096,30 +1097,21 @@ class TestTailSeries:
 
     def test_step_and_level_tails_build_one_series(self, recorded):
         e, stored = recorded
-        m = e._cut()
         e.step_marginal()
         e.posterior_over_n()
         e.posterior_over_n()
-        assert [k for k in stored if k[0] == "tail_series"] == [("tail_series", m)]
+        assert [k for k in stored if k == "tail_series"] == ["tail_series"]
+        assert {k for k in stored if k[0] == "tail"} == {("tail", 2), ("tail", 3)}
         for s0 in (2, 3):  # each as a fresh engine computes it alone
             fresh = BarronEngine()
             fresh.add_points(_uniform_data(300))
-            assert e._cache[("tail", m, s0)] == fresh._tail(m, s0)
+            assert e._cache[("tail", s0)] == fresh._tail(s0)
         e.add_point(0.123)
         assert not e._cache
 
 
-def separating_level(gap: float) -> int:
-    """S(gap) one gap at a time: from the start isqrt(int(1/gap)) + 1, the
-    first N with 1/(2 N^2) < gap/2 in floats."""
-    nd = math.isqrt(int(1.0 / gap)) + 1
-    while 1.0 / (2.0 * nd * nd) >= 0.5 * gap:
-        nd += 1
-    return nd
-
-
 class TestSeparatingLevels:
-    def test_vector_equals_the_scalar(self):
+    def test_first_level_past_half_the_gap_from_the_isqrt_start(self):
         # 1/r^2 and its neighbouring floats, where the float test moves the
         # isqrt start, random gaps, and the smallest gap add_points accepts
         rng = np.random.default_rng(11)
@@ -1129,9 +1121,10 @@ class TestSeparatingLevels:
                      rng.random(3000), 2.0 ** -rng.uniform(0, 52, 3000),
                      np.nextafter(2.0 ** -52, 1.0)]
         assert (1.0 / gaps < barron._EXACT_INV).all()
-        want = [separating_level(g) for g in gaps.tolist()]
-        assert np.array_equal(barron._separating_levels(gaps), want)
-        assert barron._separating_levels(np.zeros(0)).size == 0
+        for gap in gaps.tolist():
+            s, start = barron._separating_level(gap), math.isqrt(int(1.0 / gap)) + 1
+            assert s >= start and 1.0 / (2.0 * s * s) < 0.5 * gap
+            assert s == start or 1.0 / (2.0 * (s - 1) * (s - 1)) >= 0.5 * gap
 
     def test_start_can_sit_one_above_the_smallest_level(self):
         # S keeps the isqrt start: one ulp above fl(1/9) level 3 already
@@ -1139,7 +1132,7 @@ class TestSeparatingLevels:
         gap = np.nextafter(1.0 / 9.0, 1.0)
         assert gap == 0.11111111111111112
         assert 1.0 / (2.0 * 3 * 3) < 0.5 * gap
-        assert barron._separating_levels(np.array([gap]))[0] == 4
+        assert barron._separating_level(gap) == 4
 
 
 class TestComparedLevels:
@@ -1159,9 +1152,11 @@ class TestComparedLevels:
         ar = rng.random(400) * 0.9
         a = np.r_[np.tile(a0, len(g)), ar]
         b = np.r_[np.concatenate([a0 + gi for gi in g]), ar + 10.0 ** rng.uniform(-6, -1, 400)]
-        count = barron._compared_levels(b - a)
-        sep = barron._separating_levels(b - a)
-        assert (count >= 1).all() and (count <= sep - 1).all()
+        # the limit D - 1 that a near-duplicate pair 1e-12 apart sets
+        limit = barron._separating_level(1e-12) - 1
+        count = barron._compared_levels(b - a, limit)
+        sep = np.array([barron._separating_level(gap) for gap in (b - a).tolist()])
+        assert (count >= 1).all() and (count <= limit).all()
         # the last level, up to S(gap) + 2, on which the exact cells share
         last = np.zeros(a.size, dtype=np.int64)
         for i in range(a.size):
@@ -1169,6 +1164,9 @@ class TestComparedLevels:
             shared = exact_cells(2.0 * lv * lv, a[i]) == exact_cells(2.0 * lv * lv, b[i])
             last[i] = lv[shared][-1] if shared.any() else 0
         assert (last <= count).all()
+        # no pair shares a cell from S(gap) on, so past S(gap) - 1 the
+        # compares add nothing
+        assert (last < sep).all()
         # the boundary pairs that share their level N are compared on N + 1
         # levels at most
         at_n = last[:-400] == np.tile(level, len(g))
@@ -1205,6 +1203,9 @@ def unresolvable(xs) -> bool:
 class TestBlockIngestion:
     @given(blocked_samples())
     @example(([0.001, 0.0010000000000000002], [1]))
+    # wide gaps, compared past S(gap) - 1 under the D of a 1e-12 pair, made
+    # by one block and split by the next
+    @example(([0.2, 0.5, 0.5 + 1e-12, 0.35, 0.9, 0.62], [3, 4]))
     @settings(max_examples=25, deadline=None)
     def test_blocks_equal_one_block_and_the_recount(self, sample):
         data, cuts = sample

@@ -580,10 +580,11 @@ class TestNumericFailureExit:
         from posterior_lab import barron
         from posterior_lab.numerics import adaptive_quadrature
 
-        def nan_integral(n, s, tol, lo=0.0, hi=1.0):
-            return adaptive_quadrature(lambda u: np.full_like(u, math.nan), lo, hi, tol)
+        def nan_integral(self, lo, hi):
+            return adaptive_quadrature(lambda u: np.full_like(u, math.nan), lo, hi,
+                                       self.quad_tol)
 
-        monkeypatch.setattr(barron, "_tilt_integral", nan_integral)
+        monkeypatch.setattr(barron.PosteriorTheta, "_integral", nan_integral)
         code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3
@@ -693,17 +694,46 @@ class TestConfigErrorExit:
         assert not os.path.exists(str(tmp_path / "x.csv"))
 
     # a path the user named that the file system refuses: the config is a
-    # directory, a regular file sits where the output directory goes, and
-    # the replicate output directory is a regular file (found after the runs)
+    # directory, a regular file sits where an output directory goes, and
+    # the replicate output directory is a regular file; each is refused
+    # before any run, and nothing is created
     @pytest.mark.parametrize("argv", [
         ("traj", "--n-max", "3", "--config", "{tmp}", "--out", "{tmp}/x"),
         ("traj", "--n-max", "3", "--out", "{tmp}/f/x"),
-        ("replicate", "--n-max", "3", "--seeds", "1..2", "--out-dir", "{tmp}/f")])
-    def test_file_system_error_exits_2(self, tmp_path, capsys, argv):
+        ("replicate", "--n-max", "3", "--seeds", "1..2", "--out-dir", "{tmp}/f"),
+        ("scan", "--n-max", "3", "--seeds", "1..2", "--alpha-grid", "0.1:0.1:0.1",
+         "--beta-grid", "0.4:0.4:0.1", "--out", "{tmp}/f/s.csv"),
+        ("plot", "--input", "{tmp}/x.csv", "--columns", "w_n", "--out", "{tmp}/f/x.svg")])
+    def test_file_system_error_exits_2(self, monkeypatch, tmp_path, capsys, argv):
+        import posterior_lab.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for name in ("run_trajectory", "run_replications", "load_trajectory"):
+            monkeypatch.setattr(cli, name, never)
         (tmp_path / "f").write_text("")
         assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(tmp_path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+    @pytest.mark.parametrize("model", ["barron", "cosine"])
+    def test_continuous_weight_out_of_range_exits_2_before_sampling(
+            self, monkeypatch, tmp_path, capsys, model):
+        from posterior_lab.harness import TruthSpec
+
+        def never(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(TruthSpec, "sample", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "n_max": 3, "continuous_weight": 2.0}))
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "continuous_weight" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x.csv"))
 
     def test_os_error_without_a_path_is_not_a_config_error(self, monkeypatch, tmp_path):
         # a failed fork names no file: it is raised, not reported as input
