@@ -56,6 +56,7 @@ from .numerics import (
     adaptive_quadrature,
     binet,
     inv_norm_cdf,
+    kronrod_nodes,
     zeta_series,
 )
 
@@ -270,7 +271,8 @@ class PosteriorTheta:
         u_lo, u_hi = math.sqrt(theta_lo), math.sqrt(theta_hi)
         n, rt2s = self.n, math.sqrt(2.0) * self.s_n
 
-        def f(u):
+        def f(c, h):
+            u = kronrod_nodes(c, h)
             return -1.0 / (u * u) - n * u * u + rt2s * u + np.log(2.0 * u)
 
         u_star = self._peak

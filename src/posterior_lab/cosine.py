@@ -7,16 +7,26 @@ tail times the sup-likelihood bound (2 / (1 - 1/c))^n.  Each query works out
 c in closed form, so that this bound is at most quad_tol times the head part
 it joins, and integrates [theta_0, c] to that absolute error.  The bound is
 added whatever c is, so c sets only how sharp a bracket is, never whether it
-holds.  The oscillatory likelihood is subdivided at half-period boundaries of
-the fastest data-driven oscillation.  The quadrature is G7/K15
+holds.  The oscillatory likelihood is subdivided at the multiples of the
+half period pi / max(data) of its fastest oscillation, rounded down to a
+multiple of 2^-20, so that every seed panel between two breakpoints has the
+same exact width and bisection halves it exactly.  The quadrature is G7/K15
 Gauss-Kronrod with QUADPACK's error estimate, still not a proof.
 
+The likelihood is evaluated a Kronrod panel at a time (``_panel_loglik``):
+the half-angle cosine at each node c + h xi_k comes from the panel's centre
+c by angle addition, so a panel costs one cos and one sin per data point,
+and each distinct half-width h one table of cos and sin of h xi_k x / 2,
+which the panels of that width share.  ``cosine_loglik`` is the pointwise
+definition it is tested against.
+
 An engine holds one data set.  Its evidence, region and Hellinger queries
-each integrate their own pieces, cut at their own edges but at the same
-half-period breakpoints, so interior panels repeat exactly; the engine keeps
-one table of Kronrod panels per integrand (the joint, and the joint less
-each extension floor), and each panel of an integrand reaches the
-likelihood once per data set, in one theta x data pass per refinement round.
+each integrate their own pieces, cut at their own edges (the two Hellinger
+envelopes at the edges of both) but at the same half-period breakpoints, so
+interior panels repeat exactly; the engine keeps one table of Kronrod panels
+per integrand (the joint, and the joint less each extension floor), and each
+panel of an integrand reaches the likelihood once per data set, in one pass
+per refinement round.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
@@ -36,7 +46,7 @@ import numpy as np
 from .densities import cosine_normalizer
 from .intervals import Bracket, LogBracket, mass_ratio
 from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError,
-                       adaptive_quadrature, log_add, log_sum_exp)
+                       adaptive_quadrature, kronrod_nodes, log_add, log_sum_exp)
 
 __all__ = [
     "CosinePriorConfig",
@@ -86,8 +96,12 @@ class CosinePriorConfig:
         return math.log((self.theta_max - t) / self.theta_max)
 
 
-# elements of the theta x data matrix that one pass of cosine_loglik holds
+# elements of the theta x data matrix that one pass of cosine_loglik holds,
+# and of each (panel, node, data) buffer of _panel_loglik
 _CHUNK = 1 << 15
+# the positive Kronrod nodes xi_k: the centre less h xi_k is column k of a
+# panel's row, the centre plus h xi_k column 14 - k
+_XI = -kronrod_nodes(np.zeros(1), np.ones(1))[0, :7]
 
 
 def cosine_loglik(theta, data):
@@ -111,6 +125,46 @@ def cosine_loglik(theta, data):
             np.log(np.abs(np.cos(c, out=c), out=c), out=c)
             out[i:i + rows] += 2.0 * c.sum(axis=1)
     return out.reshape(t.shape)
+
+
+def _panel_loglik(c: np.ndarray, h: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """cosine_loglik at the 15 Kronrod nodes of each panel (c_j, h_j), as an
+    (m, 15) array.  With u = c x / 2 and v_k = h xi_k x / 2, the half-angle
+    cosines are cos(u -+ v_k) = cos u cos v_k +- sin u sin v_k and cos u at
+    the centre: a panel costs one cos and one sin per data point, and each
+    distinct half-width a table of cos v_k and sin v_k.  The panels go in
+    order of h, one table alive at a time, a chunk of rows at a time through
+    (rows, 7, n) buffers that each step overwrites; each (panel, node) row
+    is reduced on its own, so a panel's values do not depend on the others.
+    The normalizer term is taken at the float nodes."""
+    x = 0.5 * data
+    out = x.size * (LN2 - np.log(cosine_normalizer(kronrod_nodes(c, h))))
+    rows = min(c.size, max(1, _CHUNK // (14 * max(1, x.size))))
+    anchor, sine = np.empty((rows, x.size)), np.empty((rows, x.size))
+    prod, cross = np.empty((rows, 7, x.size)), np.empty((rows, 7, x.size))
+    order = np.argsort(h, kind="stable")
+    cuts = np.flatnonzero(h[order][1:] != h[order][:-1]) + 1
+    with np.errstate(divide="ignore"):
+        for group in np.split(order, cuts):
+            v = np.multiply.outer(h[group[0]] * _XI, x)
+            cos_v, sin_v = np.cos(v), np.sin(v, out=v)
+            for i in range(0, group.size, rows):
+                sel = group[i:i + rows]
+                r = sel.size
+                a = np.multiply.outer(c[sel], x, out=anchor[:r])
+                b = np.sin(a, out=sine[:r])
+                np.cos(a, out=a)
+                mid = np.abs(a, out=prod[:r, 0])
+                out[sel, 7] += 2.0 * np.log(mid, out=mid).sum(axis=1)
+                p = np.multiply(a[:, None], cos_v, out=prod[:r])
+                q = np.multiply(b[:, None], sin_v, out=cross[:r])
+                np.subtract(p, q, out=q)  # cos(u + v_k)
+                np.log(np.abs(q, out=q), out=q)
+                out[sel, 8:] += 2.0 * q.sum(axis=2)[:, ::-1]
+                np.add(p, np.multiply(b[:, None], sin_v, out=q), out=p)  # cos(u - v_k)
+                np.log(np.abs(p, out=p), out=p)
+                out[sel, :7] += 2.0 * p.sum(axis=2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +229,8 @@ def _decided_from(eps: float, size: int):
     return hi, _tail_side(eps, hi * _DH_STEP)
 
 
-# hellinger_mass asks for the region at the head and at the reach, for the
-# inner and again for the outer envelope: 4 entries hold one query's
+# hellinger_mass asks for the region at the head and at the reach of the
+# inner and of the outer envelope: 4 entries hold one query's
 @functools.lru_cache(maxsize=4)
 def _region_above(eps: float, theta_hi: float):
     """Inner and outer unions of the cells of the grid np.arange(0, theta_hi
@@ -239,13 +293,6 @@ class CosineEngine:
     def n(self) -> int:
         return int(self.data.size)
 
-    def log_joint(self, theta):
-        """ln prior density + ln likelihood at each theta of an array, in one
-        likelihood pass; a theta's value does not depend on the others."""
-        t = np.asarray(theta, dtype=float)
-        v = self.prior.log_density(t)
-        return v + cosine_loglik(t, self.data) if self.n else v
-
     # -- quadrature domain --------------------------------------------------
 
     def cap(self) -> float:
@@ -277,10 +324,13 @@ class CosineEngine:
         return c
 
     def _half_period(self) -> float:
-        """pi / max(data): the half period of the fastest oscillation, or
-        inf where no point lies above 0."""
+        """pi / max(data), the half period of the fastest oscillation,
+        rounded down to a multiple of 2^-20, or inf where no point lies
+        above 0.  Its multiples are exact, so every seed panel between two
+        breakpoints has one width, which bisection halves exactly."""
         xmax = float(self.data.max()) if self.n else 0.0
-        return math.pi / xmax if xmax > 0.0 else math.inf
+        half = math.pi / xmax if xmax > 0.0 else math.inf
+        return math.floor(half * 2 ** 20) / 2 ** 20 if math.isfinite(half) else half
 
     def _breakpoints(self, lo: float, hi: float) -> list:
         half = self._half_period()
@@ -309,8 +359,11 @@ class CosineEngine:
         panel shared with another piece is evaluated once."""
         key = (lo, hi, floor)
         if key not in self._cache:
-            f = self.log_joint if floor is None else \
-                (lambda t: self.log_joint(t) - floor)
+            def f(c, h):  # ln prior + ln likelihood at each panel's nodes
+                v = self.prior.log_density(kronrod_nodes(c, h)) \
+                    + _panel_loglik(c, h, self.data)
+                return v if floor is None else v - floor
+
             res = adaptive_quadrature(f, lo, hi, self.quad_tol,
                                       breakpoints=self._breakpoints(lo, hi),
                                       relative=floor is None,
@@ -319,10 +372,11 @@ class CosineEngine:
             self._cache[key] = br if floor is None else br.shift(floor)
         return self._cache[key]
 
-    def _pieces(self, intervals, lo: float, hi: float, floor=None) -> list:
+    def _pieces(self, intervals, cut_at, lo: float, hi: float, floor=None) -> list:
         """[in, out]: log enclosures of the joint mass of [lo, hi] inside and
-        outside the union of intervals, summed over its pieces."""
-        cuts = sorted({lo, hi, *(min(max(e, lo), hi) for iv in intervals for e in iv)})
+        outside the union of intervals, summed over its pieces: [lo, hi] cut
+        at every end of the intervals ``cut_at``, the region's own among them."""
+        cuts = sorted({lo, hi, *(min(max(e, lo), hi) for iv in cut_at for e in iv)})
         los, his = ([], []), ([], [])
         for a, b in zip(cuts[:-1], cuts[1:]):
             mid = 0.5 * (a + b)
@@ -332,17 +386,19 @@ class CosineEngine:
             his[side].append(br.upper)
         return [LogBracket(log_sum_exp(l), log_sum_exp(h)) for l, h in zip(los, his)]
 
-    def _parts(self, intervals_to, tail_in, region_end: float = 0.0) -> tuple:
+    def _parts(self, intervals_to, cuts_to, tail_in, region_end: float = 0.0) -> tuple:
         """(in, out): log enclosures of the joint mass inside and outside a
         theta region.  ``intervals_to(t)`` lists the region's intervals in
-        [0, t]; ``tail_in(t)`` says where (t, inf) lies: True inside, False
+        [0, t], and ``cuts_to(t)`` the intervals at whose ends the pieces are
+        cut (the region's own, or those of two regions that share their
+        pieces); ``tail_in(t)`` says where (t, inf) lies: True inside, False
         outside, None on either side."""
         if self._failure is not None:
             raise self._failure
         head = self.cap()
         try:
             self._check_panels(0.0, head)
-            parts = self._pieces(intervals_to(head), 0.0, head)
+            parts = self._pieces(intervals_to(head), cuts_to(head), 0.0, head)
             side = tail_in(head)
             # the floor F: ln of the head part the tail bound joins
             joins = parts if side is None else [parts[0] if side else parts[1]]
@@ -352,7 +408,7 @@ class CosineEngine:
             c = self._reach(floor, region_end)
             if c > head:
                 self._check_panels(head, c)
-                ext = self._pieces(intervals_to(c), head, c, floor)
+                ext = self._pieces(intervals_to(c), cuts_to(c), head, c, floor)
                 parts = [p.add(e) for p, e in zip(parts, ext)]
                 side = tail_in(c)
         except QuadratureError as exc:
@@ -367,7 +423,10 @@ class CosineEngine:
         return inside, outside
 
     def log_evidence(self) -> LogBracket:
-        return self._parts(lambda t: [], lambda t: False)[1]
+        def none(t):
+            return []
+
+        return self._parts(none, none, lambda t: False)[1]
 
     # -- region masses --------------------------------------------------------
 
@@ -376,8 +435,12 @@ class CosineEngine:
         reach bracketed analytically; the reach covers a finite hi."""
         if lo < 0.0 or not lo <= hi:
             raise ValueError(f"invalid region [{lo}, {hi}]")
+
+        def region(t):
+            return [(lo, hi)]
+
         tail_in = math.isinf(hi)
-        return mass_ratio(*self._parts(lambda t: [(lo, hi)], lambda t: tail_in,
+        return mass_ratio(*self._parts(region, region, lambda t: tail_in,
                                        region_end=0.0 if tail_in else hi))
 
     def hellinger_mass(self, eps: float) -> Bracket:
@@ -389,9 +452,14 @@ class CosineEngine:
         if eps >= math.sqrt(2.0) and self._failure is None:  # else _parts raises it
             return Bracket(0.0, 0.0)
 
-        tail_in = functools.partial(_tail_side, eps)
-        lo = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[0],
-                                     tail_in)).lower
-        hi = mass_ratio(*self._parts(lambda t: _region_above(eps, t)[1],
-                                     tail_in)).upper
-        return Bracket(min(lo, hi), hi)
+        def envelope(i):  # cut at the ends of both, so the two share pieces
+            return mass_ratio(*self._parts(lambda t: _region_above(eps, t)[i],
+                                           lambda t: sum(_region_above(eps, t), ()),
+                                           functools.partial(_tail_side, eps)))
+
+        lo, hi = envelope(0).lower, envelope(1).upper
+        if lo > hi:  # only a quadrature miss inverts the pair
+            raise QuadratureError(f"hellinger_mass({eps}) at n = {self.n}: the inner "
+                                  f"envelope's lower end {lo!r} lies above the outer "
+                                  f"envelope's upper end {hi!r}", math.nan, math.inf, 0)
+        return Bracket(lo, hi)

@@ -2,6 +2,12 @@
 adaptive G7/K15 Gauss-Kronrod quadrature with QUADPACK's error estimate
 (still not a proof), and deterministic splittable random streams.
 
+The quadrature calls its integrand on whole panels: ``f(c, h)`` gets the
+centres and half-widths of a batch of panels and returns ln of the
+integrand at each panel's 15 Kronrod nodes.  A pointwise integrand maps
+itself over ``kronrod_nodes(c, h)``; the cosine likelihood instead builds
+its nodes from each panel's centre by angle addition.
+
 Everything here is pure (no global state); a ``RandomStream`` is a value
 whose words depend only on its seed and stream id.
 
@@ -37,6 +43,7 @@ __all__ = [
     "QuadratureError",
     "MAX_INTERVALS",
     "adaptive_quadrature",
+    "kronrod_nodes",
     "NumericError",
     "ConfigError",
     "RandomStream",
@@ -324,13 +331,20 @@ _W_GAUSS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                      0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
 
 
+def kronrod_nodes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (m, 15) Kronrod abscissae c + h xi of the panels with centres c
+    and half-widths h, in ascending order along each row: what a pointwise
+    integrand evaluates, ``lambda c, h: g(kronrod_nodes(c, h))``."""
+    return c[:, None] + h[:, None] * _NODES
+
+
 def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray, panels=None):
     """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i],
-    and the number of abscissae passed to f: one call of f on the nodes of
-    every panel or, given a ``panels`` table, of every panel not in it, which
-    then holds them too.  Each panel is scaled by its own maximum, and its
-    error is QUADPACK's resasc min(1, (200 |K - G| / resasc)^1.5), at least
-    50 eps K."""
+    and the number of abscissae f evaluated: one call f(c, h) on the centres
+    and half-widths of every panel or, given a ``panels`` table, of every
+    panel not in it, which then holds them too.  Each panel is scaled by its
+    own maximum, and its error is QUADPACK's resasc min(1, (200 |K - G| /
+    resasc)^1.5), at least 50 eps K."""
     if panels is not None:
         keys = list(zip(lo.tolist(), hi.tolist()))
         new = [i for i, key in enumerate(keys) if key not in panels]
@@ -341,15 +355,15 @@ def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray, panels=None):
         li, le = np.array(list(map(panels.__getitem__, keys))).T
         return li, le, evals
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = (c[:, None] + h[:, None] * _NODES).ravel()
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        raise ValueError(f"integrand returned shape {fx.shape} for {x.shape} abscissae")
+    fx = np.asarray(f(c, h), dtype=float)
+    if fx.shape != (c.size, _NODES.size):
+        raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
+                         f"of {_NODES.size} nodes")
     bad = np.isnan(fx) | (fx == math.inf)
     if bad.any():
-        i = int(bad.argmax())
-        raise NumericError(f"integrand returned non-finite log value {fx[i]} at x={x[i]}")
-    fx = fx.reshape(-1, _NODES.size)
+        i, k = np.unravel_index(int(bad.argmax()), fx.shape)
+        x = kronrod_nodes(c[i:i + 1], h[i:i + 1])[0, k]
+        raise NumericError(f"integrand returned non-finite log value {fx[i, k]} at x={x}")
     m = fx.max(axis=1)
     live = m > LOG_ZERO
     e = np.exp(fx - np.where(live, m, 0.0)[:, None])
@@ -361,7 +375,7 @@ def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray, panels=None):
         err = np.maximum(np.where(asc > 0.0, asc * shrink, 0.0), 50.0 * _EPS * k)
         scale = m + np.log(h)
         return (np.where(live, scale + np.log(k), LOG_ZERO),
-                np.where(live, scale + np.log(err), LOG_ZERO), x.size)
+                np.where(live, scale + np.log(err), LOG_ZERO), fx.size)
 
 
 # panels one adaptive_quadrature call may hold, seed panels included
@@ -374,19 +388,23 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
     space, refined in rounds.
 
-    ``f(x)`` takes an array of abscissae and returns ln of the (nonnegative)
-    integrand at each; LOG_ZERO is fine.  ``breakpoints`` seed the initial
-    panels, e.g. at step-density cell boundaries or an integrand's interior
-    mode.  Each round stops if the summed error estimate satisfies
-    err <= tol * max(1, I) (or err <= tol * I when ``relative`` is set);
-    otherwise it bisects the fewest largest-error panels whose errors cover
-    the excess and passes all their nodes to one call of f.
+    ``f(c, h)`` takes the centres c and half-widths h of m panels and
+    returns the (m, 15) array of ln of the (nonnegative) integrand at their
+    Kronrod nodes ``kronrod_nodes(c, h)``; LOG_ZERO is fine.  A pointwise
+    integrand g is ``lambda c, h: g(kronrod_nodes(c, h))``; an integrand
+    that shares work among a panel's nodes computes them itself.
+    ``breakpoints`` seed the initial panels, e.g. at step-density cell
+    boundaries or an integrand's interior mode.  Each round stops if the
+    summed error estimate satisfies err <= tol * max(1, I) (or err <= tol *
+    I when ``relative`` is set); otherwise it bisects the fewest
+    largest-error panels whose errors cover the excess and passes all their
+    halves to one call of f.
 
     ``panels``, a dict owned by the caller, maps (lo, hi) to the panel's
     (ln K, ln error) for this one integrand f: a panel found there is not
     evaluated again, and each panel evaluated is added to it, so quadratures
     over pieces that share panels evaluate each of them once.
-    ``evaluations`` counts the abscissae passed to f.
+    ``evaluations`` counts the abscissae f evaluated, 15 per panel.
 
     Raises QuadratureError (carrying the best bracket) when the subdivision
     budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,

@@ -9,7 +9,10 @@ collect this module, and the package never imports it.
 * the cosine density as a pointwise object, the reference for
   ``cosine.cosine_loglik``;
 * the standard normal log-density, the tilt family's CDF, and the linear
-  value of a log-space quadrature result.
+  value of a log-space quadrature result;
+* ``on_nodes``, a pointwise integrand in the quadrature's panel protocol;
+* the composite 20-node Gauss-Legendre rule for the cosine model's joint
+  density, the oracle of its posterior masses and evidence.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from posterior_lab.densities import (
 )
 from posterior_lab.numerics import (
     LOG_ZERO,
+    log_sum_exp,
     QuadratureResult,
     adaptive_quadrature,
     inv_norm_cdf,
+    kronrod_nodes,
     norm_cdf,
 )
 
@@ -38,6 +43,16 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 def norm_logpdf(z: float) -> float:
     return -0.5 * z * z - _LOG_SQRT_2PI
+
+
+def on_nodes(g):
+    """The integrand f(c, h) of adaptive_quadrature for a pointwise log
+    integrand g: g on the flat array of every panel's Kronrod nodes."""
+    def f(c, h):
+        x = kronrod_nodes(c, h)
+        return np.asarray(g(x.ravel()), dtype=float).reshape(x.shape)
+
+    return f
 
 
 def estimate(res: QuadratureResult) -> float:
@@ -188,7 +203,7 @@ def hellinger_numeric(f, g, tol: float = 1e-9) -> float:
         for x in quad_breakpoints(d):
             if 0.0 < x < 1.0:
                 bps.add(inv_norm_cdf(float(x)))
-    res = adaptive_quadrature(lambda z: _in_z(z, affinity),
+    res = adaptive_quadrature(on_nodes(lambda z: _in_z(z, affinity)),
                               -_Z_CUTOFF, _Z_CUTOFF, tol, breakpoints=sorted(bps))
     # the upper end of the affinity bracket: near x = 1, x = Phi(z) rounds
     # and the integrand carries rounding of about 1e-12, which the
@@ -210,6 +225,38 @@ def kl_numeric(f1, f2, tol: float = 1e-9) -> float:
             out[pos] = l1[pos] + np.log(diff[pos]) + norm_logpdf(z[pos])
             return out
 
-        return estimate(adaptive_quadrature(lambda z: _in_z(z, logf), -9, 9, tol))
+        return estimate(adaptive_quadrature(on_nodes(lambda z: _in_z(z, logf)),
+                                            -9, 9, tol))
 
     return part(1.0) - part(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre oracle of the cosine joint density
+# ---------------------------------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def gauss_legendre_panels(data, edges) -> np.ndarray:
+    """ln of the 20-node Gauss-Legendre rule for the cosine joint density
+    under the exponential prior (rate 1) on each panel [edges[j],
+    edges[j+1]], the theta x data matrix a chunk of thetas at a time."""
+    edges = np.asarray(edges, dtype=float)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    ts = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    logs = []
+    for chunk in np.array_split(ts, max(1, ts.size * data.size // (1 << 16))):
+        with np.errstate(divide="ignore"):  # log1p(cos) hits -1
+            ll = np.log1p(np.cos(np.outer(chunk, data))).sum(axis=1)
+        logs.append(ll - data.size * np.log1p(np.sin(chunk) / chunk) - chunk)
+    logs = np.concatenate(logs).reshape(mid.size, _GL_NODES.size)
+    m = logs.max(axis=1)
+    return m + np.log(np.exp(logs - m[:, None]) @ _GL_WEIGHTS * half)
+
+
+def gauss_legendre_log(data, lo: float, hi: float, panels: int) -> float:
+    """ln of the composite 20-node Gauss-Legendre rule for the cosine joint
+    density under the exponential prior (rate 1) on [lo, hi], in ``panels``
+    equal panels."""
+    return log_sum_exp(gauss_legendre_panels(data, np.linspace(lo, hi, panels + 1)))

@@ -21,6 +21,7 @@ from posterior_lab.cli import (
     parse_truth,
 )
 from posterior_lab.cosine import CosinePriorConfig
+from posterior_lab.harness import RunConfig
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -82,13 +83,15 @@ def assert_bracket_free_columns_keep(old, new):
 
 def assert_sidecars_differ_in_version(golden, out, versions):
     """The two sidecars are equal but for their versions, which are
-    ``versions``, and the predictive grid that format v7 retired (0 in every
-    older sidecar) with the config hash it was part of."""
+    ``versions``, and, in a sidecar older than v7, the predictive grid that
+    format v7 retired (0 in every such sidecar) with the config hash it was
+    part of."""
     with open(golden + ".json") as a, open(out + ".json") as b:
         was, now = json.load(a), json.load(b)
     assert (was.pop("version"), now.pop("version")) == versions
-    assert was["config"]["diagnostics"].pop("predictive_grid") == 0
-    assert was.pop("config_hash") != now.pop("config_hash")
+    if versions[0] < 7:
+        assert was["config"]["diagnostics"].pop("predictive_grid") == 0
+        assert was.pop("config_hash") != now.pop("config_hash")
     assert was == now
 
 
@@ -139,7 +142,7 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 7 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 8 and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -177,7 +180,7 @@ class TestTrajCommand:
         assert_bracket_free_columns_keep(*assert_replay_nests(golden, out))
         with open(golden + ".json") as a, open(out + ".json") as b:
             was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (3, 7)
+        assert (was.pop("version"), now.pop("version")) == (3, 8)
         retired = was["config"]["cosine_prior"]
         assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
         assert was["config"]["diagnostics"].pop("predictive_grid") == 0
@@ -189,7 +192,7 @@ class TestTrajCommand:
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_replay_nests(golden, out)
-        assert_sidecars_differ_in_version(golden, out, (4, 7))
+        assert_sidecars_differ_in_version(golden, out, (4, 8))
 
     # v6 sums the step head in closed form: the v5 Barron runs replay with
     # every bracket inside the stored one, with no slack, as the tilt
@@ -204,18 +207,24 @@ class TestTrajCommand:
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_bracket_free_columns_keep(*assert_replay_nests(golden, out, slack=0.0))
-        assert_sidecars_differ_in_version(golden, out, (5, 7))
+        assert_sidecars_differ_in_version(golden, out, (5, 8))
 
-    def test_v5_cosine_csv_keeps_its_bytes(self, tmp_path):
-        golden = os.path.join(DATA, "v5_cosine_n40_seed1")
+    # v8 moved the cosine bits by rounding (the likelihood per Kronrod panel
+    # by angle addition, the half period on a 2^-20 grid, both Hellinger
+    # envelopes cut at the same points): every stored cosine run replays
+    # with each bracket inside the stored one up to 2 quad_tol
+    @pytest.mark.parametrize("name", ["v5_cosine_n40_seed1", "v6_cosine_n640_seed3",
+                                      "v7_cosine_n640_seed3"])
+    def test_cosine_sidecar_replays_inside_its_brackets(self, tmp_path, name):
+        golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
-            assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (5, 7))
+        assert_replay_nests(golden, out)
+        assert_sidecars_differ_in_version(golden, out, (int(name[1]), 8))
 
-    # v7 retired the predictive grid, which no v6 run turned on: the v6
-    # runs replay their CSVs byte for byte
+    # v7 retired the predictive grid, which no v6 run turned on, and v8 left
+    # the Barron bits alone: each v6 run replays to its v8 CSV byte for
+    # byte, which for a Barron run is the v6 CSV
     @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
                                       "v6_gauss_tiltband_n300_seed9",
                                       "v6_decimal_n3_seed1", "v6_step_n300_seed4",
@@ -226,16 +235,22 @@ class TestTrajCommand:
         (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+        with open(os.path.join(DATA, "v8" + name[2:] + ".csv"), "rb") as a, \
+                open(out + ".csv", "rb") as b:
             assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (6, 7))
+        if "cosine" not in name:
+            with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+                assert a.read() == b.read()
+        assert_sidecars_differ_in_version(golden, out, (6, 8))
 
     # the gauss run's bands and betas hold tilt members, so it reads the
     # tilt side of the band mass, the band prior exponent and the beta bound;
     # the decimal run's dataset decimal.csv (0.3, 0.305, 0.9, read from the
     # working directory) puts 0.3 just below a level-5 cell boundary; the
     # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns;
-    # the cosine run reaches past its head and shares panels between pieces
+    # the cosine run reaches past its head and shares panels between pieces.
+    # Each v7 sidecar replays to its v8 pair byte for byte, CSV and sidecar;
+    # the sidecars differ only in version, and a Barron CSV keeps its v7 bytes
     @pytest.mark.parametrize("name", ["v7_uniform_n60_seed3", "v7_uniform_n8000_seed65",
                                       "v7_gauss_tiltband_n300_seed9",
                                       "v7_decimal_n3_seed1", "v7_step_n300_seed4",
@@ -247,8 +262,13 @@ class TestTrajCommand:
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         for ext in (".csv", ".json"):
-            with open(golden + ext, "rb") as a, open(out + ext, "rb") as b:
+            with open(os.path.join(DATA, "v8" + name[2:] + ext), "rb") as a, \
+                    open(out + ext, "rb") as b:
                 assert a.read() == b.read(), ext
+        if "cosine" not in name:
+            with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
+                assert a.read() == b.read()
+        assert_sidecars_differ_in_version(golden, out, (7, 8))
 
     def test_v2_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
         # v2 widened the cap only until the tail bound fell below 1e-3 of the
@@ -420,10 +440,13 @@ class TestReplicateCommand:
                     assert was[col] == now[col], (was["n"], col)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_v6_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
+    def test_v8_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
         # every row of the cosine model through the streamed engine and the
-        # shared statistic loop, against a summary written before either
-        golden = os.path.join(DATA, "v6_replicate_cosine_n300_seeds1-3")
+        # shared statistic loop.  Against the v6 summary, written before
+        # either, every .lower cell (min, median or max over the seeds of a
+        # bracket's lower end) is no lower and every .upper cell no higher,
+        # up to 2 quad_tol, as each seed's brackets nest; n keeps its bytes
+        golden = os.path.join(DATA, "v8_replicate_cosine_n300_seeds1-3")
         out = str(tmp_path / "r")
         assert run_cli("replicate", "--model", "cosine", "--grid-ratio", "2.0",
                        "--n-max", "300", "--seeds", "1..3", "--jobs", jobs,
@@ -432,6 +455,21 @@ class TestReplicateCommand:
             with open(golden + ext, "rb") as a, \
                     open(os.path.join(out, "summary" + ext), "rb") as b:
                 assert a.read() == b.read(), ext
+        old = read_csv_cells(os.path.join(DATA, "v6_replicate_cosine_n300_seeds1-3.csv"))
+        new = read_csv_cells(os.path.join(out, "summary.csv"))
+        slack = 2.0 * RunConfig().quad_tol
+        assert [r["n"] for r in old] == [r["n"] for r in new]
+        for was, now in zip(old, new):
+            for col in was:
+                w, v = float(was[col]), float(now[col])
+                if ".lower." in col:
+                    assert w - slack * (1.0 if col.startswith("log_evidence") else w) <= v, \
+                        (was["n"], col)
+                elif ".upper." in col:
+                    assert v <= w + slack * (1.0 if col.startswith("log_evidence") else w), \
+                        (was["n"], col)
+                else:
+                    assert was[col] == now[col], (was["n"], col)
 
     def test_duplicate_seeds_exit_2(self, tmp_path):
         code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",
@@ -578,11 +616,12 @@ class TestNumericFailureExit:
 
     def test_nonfinite_quadrature_value_exits_3(self, monkeypatch, tmp_path, capsys):
         from posterior_lab import barron
-        from posterior_lab.numerics import adaptive_quadrature
+        from posterior_lab.numerics import adaptive_quadrature, kronrod_nodes
 
         def nan_integral(self, lo, hi):
-            return adaptive_quadrature(lambda u: np.full_like(u, math.nan), lo, hi,
-                                       self.quad_tol)
+            return adaptive_quadrature(
+                lambda c, h: np.full_like(kronrod_nodes(c, h), math.nan), lo, hi,
+                self.quad_tol)
 
         monkeypatch.setattr(barron.PosteriorTheta, "_integral", nan_integral)
         code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
@@ -594,8 +633,8 @@ class TestNumericFailureExit:
         # a program fault, not a recorded gap of the trajectory
         from posterior_lab import cosine
 
-        monkeypatch.setattr(cosine, "cosine_loglik",
-                            lambda theta, data: np.full_like(theta, math.nan))
+        monkeypatch.setattr(cosine, "_panel_loglik",
+                            lambda c, h, data: np.full((c.size, 15), math.nan))
         code = run_cli("traj", "--model", "cosine", "--n-max", "3",
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3

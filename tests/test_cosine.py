@@ -3,13 +3,15 @@ the generic numeric integrator before the engine relies on it; posterior
 masses are checked against trapezoid oracles, for additivity and for the
 sharpness of their tail brackets."""
 
+import functools
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import CosineDensity, hellinger_numeric
+from oracles import CosineDensity, gauss_legendre_log, hellinger_numeric
 from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
     CosineEngine,
@@ -18,8 +20,9 @@ from posterior_lab.cosine import (
     cosine_loglik,
 )
 from posterior_lab.densities import UniformDensity
-from posterior_lab.harness import DATA_STREAM, RunConfig, evaluation_grid
-from posterior_lab.intervals import Bracket
+from posterior_lab.diagnostics import DiagnosticSettings
+from posterior_lab.harness import DATA_STREAM, RunConfig, evaluation_grid, run_trajectory
+from posterior_lab.intervals import Bracket, LogBracket
 from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
 
 mp.mp.dps = 30
@@ -92,6 +95,59 @@ class TestCosineLoglik:
             want = data.size * (math.log(2.0) - CosineDensity(t).log_normalizer()) \
                 + sum(2.0 * math.log(abs(math.cos(0.5 * t * x))) for x in data.tolist())
             assert v == pytest.approx(want, rel=1e-13, abs=1e-12), t
+
+
+def _loglik_mp(theta, data):
+    """ln L at theta (an mpf) from the half-angle form 2 cos^2(u_i), u_i =
+    theta x_i / 2, with the bound eps sum_i (|u_i| + 8) / |cos u_i| + 64 eps
+    |ln L| on the error of a float evaluation at theta"""
+    ln_l, terms = mp.mpf(0), mp.mpf(0)
+    for x in data.tolist():
+        u = theta * x / 2
+        cu = mp.cos(u)
+        ln_l += mp.log(2 * cu * cu)
+        terms += (abs(u) + 8) / abs(cu)
+    ln_l -= data.size * mp.log(1 + mp.sin(theta) / theta)
+    return ln_l, numerics._EPS * (terms + 64 * abs(ln_l))
+
+
+class TestPanelLikelihood:
+    """The panel kernel builds each node's half-angle cosine from its
+    panel's centre by angle addition; checked against mpmath at 40 digits."""
+
+    @staticmethod
+    def panels():
+        # 3 panels a width, from the seed panel width of data reaching
+        # x = 1 down to 2^-12 of it, with centres up to theta = 6000, and a
+        # panel centred on theta = pi, a pdf zero at x = 1: 600 nodes
+        rng = np.random.default_rng(14)
+        half = CosineEngine(CosinePriorConfig(), [1.0])._half_period()
+        h = np.repeat(0.5 * half * 2.0 ** -np.arange(13.0), 3)
+        k = rng.integers(0, (6000.0 / (2.0 * h)).astype(np.int64))
+        return np.append((k + 0.5) * 2.0 * h, math.pi), np.append(h, 0.25)
+
+    def test_within_the_rounding_bound_of_mpmath(self):
+        data = np.append(RandomStream(13, 0).uniform_open(39), 1.0)
+        c, h = self.panels()
+        assert c.max() > 5000.0 and c.size * 15 == 600
+        kernel = cosine._panel_loglik(c, h, data)
+        floats = cosine_loglik(numerics.kronrod_nodes(c, h), data)
+        worst = [0.0, 0.0]
+        with mp.workdps(40):
+            for ci, hi, row_k, row_f in zip(c.tolist(), h.tolist(), kernel, floats):
+                for xi, vk, vf in zip(numerics._NODES.tolist(), row_k.tolist(),
+                                      row_f.tolist()):
+                    # the kernel at the exact node c + h xi, cosine_loglik
+                    # at its float value
+                    for j, (theta, v) in enumerate(
+                            ((mp.mpf(ci) + mp.mpf(hi) * mp.mpf(xi), vk),
+                             (mp.mpf(ci + hi * xi), vf))):
+                        want, bound = _loglik_mp(theta, data)
+                        ratio = float(abs(v - want) / bound)
+                        assert ratio <= 1.0, (ci, hi, xi, j)
+                        worst[j] = max(worst[j], ratio)
+        assert kernel[-1, 7] < -60.0  # the node on the pdf zero
+        assert 0.0 < worst[0] and 0.0 < worst[1]
 
 
 class TestClosedFormDistance:
@@ -255,26 +311,6 @@ def _trapezoid_log(data, lo, hi, points):
     return m + math.log((w.sum() - 0.5 * (w[0] + w[-1])) * (ts[1] - ts[0]))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
-def _gauss_legendre_log(data, lo, hi, panels):
-    """ln of the composite 20-node Gauss-Legendre rule for the joint density
-    under the exponential prior (rate 1) on [lo, hi], in chunks of theta."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    ts = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    logs = []
-    for chunk in np.array_split(ts, max(1, ts.size * data.size // (1 << 16))):
-        with np.errstate(divide="ignore"):  # log1p(cos) hits -1
-            ll = np.log1p(np.cos(np.outer(chunk, data))).sum(axis=1)
-        logs.append(ll - data.size * np.log1p(np.sin(chunk) / chunk) - chunk)
-    logs = np.concatenate(logs)
-    m = logs.max()
-    w = (half[:, None] * _GL_WEIGHTS).ravel()
-    return m + math.log(float(np.dot(w, np.exp(logs - m))))
-
-
 class TestGaussLegendreOracle:
     """Brackets checked against a composite Gauss-Legendre rule, where an
     adaptive Simpson rule with a Richardson estimate missed the oracle."""
@@ -283,9 +319,9 @@ class TestGaussLegendreOracle:
         data = _uniform_data(1000, seed=3)
         # past theta = 105 the joint density is below e^-118 of its maximum;
         # on [5, 105], 1000 and 4000 panels agree to 10 digits
-        log_in = log_add(_gauss_legendre_log(data, 5.0, 105.0, 1000),
-                         _gauss_legendre_log(data, 105.0, 800.0, 200))
-        log_out = _gauss_legendre_log(data, 0.0, 5.0, 80)
+        log_in = log_add(gauss_legendre_log(data, 5.0, 105.0, 1000),
+                         gauss_legendre_log(data, 105.0, 800.0, 200))
+        log_out = gauss_legendre_log(data, 0.0, 5.0, 80)
         want = 1.0 / (1.0 + math.exp(log_out - log_in))
         assert want == pytest.approx(4.4542483626e-258, rel=1e-10)
         got = CosineEngine(CosinePriorConfig(), data, quad_tol=1e-9).region_mass(5.0)
@@ -295,7 +331,7 @@ class TestGaussLegendreOracle:
     def test_small_n_evidence(self, seed, pinned):
         # past theta = 200 the joint mass is below e^-200 2^20
         data = _uniform_data(20, seed)
-        want = _gauss_legendre_log(data, 0.0, 200.0, 200)
+        want = gauss_legendre_log(data, 0.0, 200.0, 200)
         assert want == pytest.approx(pinned, abs=1e-9)  # seed 7: also mpmath
         got = CosineEngine(CosinePriorConfig(), data, quad_tol=1e-9).log_evidence()
         assert got.lower <= want <= got.upper
@@ -344,6 +380,36 @@ class TestHellingerMass:
         with pytest.raises(ValueError):
             eng.hellinger_mass(0.0)
 
+    def test_an_inverted_envelope_pair_is_a_recorded_gap(self, monkeypatch):
+        # only a quadrature miss can put the inner envelope's lower end above
+        # the outer one's upper end: the inner envelope here holds nearly all
+        # the mass and the outer one nearly none
+        parts, envelopes = CosineEngine._parts, []
+
+        def inverted(self, intervals_to, cuts_to, tail_in, region_end=0.0):
+            if not isinstance(tail_in, functools.partial):  # not a Hellinger query
+                return parts(self, intervals_to, cuts_to, tail_in, region_end)
+            envelopes.append(len(envelopes) % 2)
+            heavy, light = LogBracket(0.0, 0.0), LogBracket(-50.0, -50.0)
+            return (light, heavy) if envelopes[-1] else (heavy, light)
+
+        monkeypatch.setattr(CosineEngine, "_parts", inverted)
+        cfg = RunConfig(model="cosine", n_max=3,
+                        diagnostics=DiagnosticSettings(epsilons=(0.5,)))
+        traj = run_trajectory(cfg, 2)
+        message = re.compile(r"hellinger_mass_0\.5: hellinger_mass\(0\.5\) at n = (\d+): "
+                             r"the inner envelope's lower end (\S+) lies above the "
+                             r"outer envelope's upper end (\S+)$")
+        assert [n for n, _ in traj.errors] == traj.grid
+        for n, text in traj.errors:
+            got = message.match(text)
+            assert got and int(got[1]) == n
+            assert float(got[2]) == 1.0
+            assert float(got[3]) == pytest.approx(math.exp(-50.0), rel=1e-12)
+        assert envelopes == [0, 1] * len(traj.grid)
+        assert all(br is None for _, br in traj.bracket_series("hellinger_mass_0.5"))
+        assert all(br is not None for _, br in traj.bracket_series("log_evidence"))
+
 
 class TestHellingerGrid:
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.44, 0.45, 0.5, 0.7])
@@ -390,7 +456,8 @@ class TestHellingerGrid:
 
     def test_a_query_computes_each_region_once(self, monkeypatch):
         # the inner and the outer envelope both ask for the region at the
-        # head (45 at n = 60) and at their reach past it
+        # head (45 at n = 60) and at their reach past it, once for their
+        # intervals and once for the cuts that both share
         grids = []
         dh = cosine.cosine_hellinger_uniform
         monkeypatch.setattr(cosine, "cosine_hellinger_uniform",
@@ -400,7 +467,7 @@ class TestHellingerGrid:
                            RandomStream(12, 0).uniform_open(60))
         eng.hellinger_mass(0.5)
         info = cosine._region_above.cache_info()
-        assert info.hits + info.misses == 4 and info.hits >= 1
+        assert info.hits + info.misses == 8 and info.misses <= 3
         assert len(grids) == info.misses
 
 
@@ -410,10 +477,10 @@ class TestQuadratureBudget:
 
     @pytest.fixture
     def no_likelihood(self, monkeypatch):
-        def fail(theta, data):
+        def fail(c, h, data):
             raise AssertionError("the likelihood was evaluated")
 
-        monkeypatch.setattr(cosine, "cosine_loglik", fail)
+        monkeypatch.setattr(cosine, "_panel_loglik", fail)
 
     def test_head_past_the_budget(self, no_likelihood):
         # [0, 10^6] holds 286479 half periods pi / 0.9 of the likelihood
@@ -441,25 +508,27 @@ class TestQuadratureBudget:
             eng.log_evidence()
 
 
-def _scalar_log_joint(prior, data, theta):
-    # log_joint of one theta on its own, outside any batch
-    lp = float(prior.log_density(theta))
-    if lp == LOG_ZERO or len(data) == 0:
-        return lp
-    return lp + float(cosine_loglik(np.array([theta]), data)[0])
+def _log_joint(prior, data):
+    # the engine's integrand on panels: the prior at the float nodes plus
+    # the panel likelihood
+    def f(c, h):
+        return prior.log_density(numerics.kronrod_nodes(c, h)) \
+            + cosine._panel_loglik(c, h, data)
+
+    return f
 
 
-def _panel_nodes(lo, hi):
-    # the 15 Kronrod abscissae of [lo, hi], as adaptive_quadrature forms them
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return c + h * numerics._NODES
+def _panel_alone(f, c, h):
+    # f's 15 values on each panel computed on its own, outside any batch
+    return np.array([f(np.array([ci]), np.array([hi]))[0]
+                     for ci, hi in zip(c.tolist(), h.tolist())])
 
 
 class TestOnePerTheta:
     """The engine keeps one table of Kronrod panels per integrand: each panel
-    of an integrand reaches the likelihood once per engine, so each of its
-    thetas does, and a panel keeps the bits of the plain evaluation,
-    whichever batch computed it."""
+    of an integrand reaches the likelihood once per engine, and a panel
+    keeps the bits of its evaluation on its own, whichever batch, order or
+    chunk computed it."""
 
     @pytest.mark.parametrize("prior, data", [
         (CosinePriorConfig("exponential", rate=1.0),
@@ -467,54 +536,58 @@ class TestOnePerTheta:
         (CosinePriorConfig("truncated_uniform", theta_max=7.0),
          np.append(RandomStream(9, 0).uniform_open(40), 1.0)),
         (CosinePriorConfig("exponential", rate=0.5), np.zeros(0)),
-        # 6 thetas per chunk of the theta x data matrix
+        # one panel per chunk of the (panel, node, data) buffers
         (CosinePriorConfig("exponential", rate=1.0),
          RandomStream(10, 0).uniform_open(5000)),
     ])
     def test_memoized_log_joint_equals_scalar(self, prior, data):
-        # what a panel table holds is computed from log_joint on whole
-        # batches of thetas: each value must not depend on the batch
+        # what a panel table holds is computed on whole batches of panels,
+        # widths mixed: each panel's values must not depend on the batch.
+        # 40 panels share one width, so at n = 300 (7 panels a chunk) and
+        # n = 41 (39) that width's rows cross chunk boundaries
         rng = np.random.default_rng(11)
-        thetas = [0.0, math.pi, 2.0 * math.pi, 7.0, 7.5, 120.0,
-                  *(rng.random(40) * 60.0).tolist()]
-        want = [_scalar_log_joint(prior, data, t) for t in thetas]
-        eng = CosineEngine(prior, data)
-        assert eng.log_joint(np.array(thetas)).tolist() == want
-        # the second pass, in another order
-        assert eng.log_joint(np.array(thetas[::-1])).tolist() == want[::-1]
-        for size in (1, 3, 17):
-            fresh = CosineEngine(prior, data)
-            got = [fresh.log_joint(np.array(thetas[i:i + size])).tolist()
-                   for i in range(0, len(thetas), size)]
-            assert sum(got, []) == want, size
-        # theta = pi on x = 1 sits on a pdf zero (up to float pi); beyond
-        # theta_max the prior density is zero
+        half = math.pi / 0.9 / 4
+        c = np.array([math.pi, 2.0 * math.pi, 7.0, 7.5, 120.0,
+                      *(half * (rng.integers(0, 160, 40) + 0.5)).tolist(),
+                      *(rng.random(12) * 60.0).tolist()])
+        h = np.array([0.5, 0.5, 0.25, 0.5, 3.0, *[0.5 * half] * 40,
+                      *(rng.random(12) + 0.01).tolist()])
+        f = _log_joint(prior, data)
+        want = _panel_alone(f, c, h)
+        assert np.array_equal(f(c, h), want)
+        # in the other order, and in batches of every size
+        assert np.array_equal(f(c[::-1], h[::-1]), want[::-1])
+        for size in (2, 3, 17):
+            got = [f(c[i:i + size], h[i:i + size]) for i in range(0, c.size, size)]
+            assert np.array_equal(np.concatenate(got), want), size
+        # theta = pi on x = 1 sits on a pdf zero (up to float pi): the
+        # centre of the first panel; beyond theta_max the prior density is zero
         if prior.kind == "truncated_uniform":
-            assert want[1] < -60.0
-            assert want[4] == LOG_ZERO
+            assert want[0, 7] < -60.0
+            assert want[3, 14] == LOG_ZERO
 
     def test_each_panel_reaches_the_likelihood_once(self, monkeypatch):
         prior = CosinePriorConfig("exponential", rate=1.0)
         data = RandomStream(12, 0).uniform_open(60)
-        calls = []   # (table, abscissae) of each integrand call
+        calls = []   # (table, panel centres, half-widths) of each integrand call
         quads = []
-        seen = []    # the thetas of each likelihood pass
-        loglik = cosine.cosine_loglik
+        seen = []    # the panels of each likelihood pass
+        loglik = cosine._panel_loglik
 
-        def count_loglik(theta, x):
-            seen.append(theta.copy())
-            return loglik(theta, x)
+        def count_loglik(c, h, x):
+            seen.append((c.copy(), h.copy()))
+            return loglik(c, h, x)
 
         def record_quadrature(f, a, b, tol, **kw):
-            def g(t):
-                calls.append((kw["panels"], t.copy()))
-                return f(t)
+            def g(c, h):
+                calls.append((kw["panels"], c.copy(), h.copy()))
+                return f(c, h)
 
             res = numerics.adaptive_quadrature(g, a, b, tol, **kw)
             quads.append((f, a, b, tol, kw, res))
             return res
 
-        monkeypatch.setattr(cosine, "cosine_loglik", count_loglik)
+        monkeypatch.setattr(cosine, "_panel_loglik", count_loglik)
         monkeypatch.setattr(cosine, "adaptive_quadrature", record_quadrature)
         eng = CosineEngine(prior, data)
         eng.log_evidence()
@@ -528,24 +601,26 @@ class TestOnePerTheta:
         tables = eng._panels
         assert None in tables and len(tables) >= 2
         assert any(not kw["relative"] for *_, kw, _ in quads)
-        # every integrand call is one likelihood pass, and the thetas an
-        # integrand passes are the nodes of its table's panels, each panel's
-        # once (two panels may share a float node)
-        assert [t.tolist() for _, t in calls] == [t.tolist() for t in seen]
+        # every integrand call is one likelihood pass on its panels, and the
+        # panels an integrand passes are its table's panels, each once
+        assert [(c.tolist(), h.tolist()) for _, c, h in calls] == \
+            [(c.tolist(), h.tolist()) for c, h in seen]
         for floor, table in tables.items():
-            got = np.concatenate([t for tab, t in calls if tab is table])
-            want = np.concatenate([_panel_nodes(lo, hi) for lo, hi in table])
-            assert np.array_equal(np.sort(got), np.sort(want)), floor
-        assert sum(q[-1].evaluations for q in quads) == sum(t.size for t in seen)
+            got = [p for tab, c, h in calls if tab is table
+                   for p in zip(c.tolist(), h.tolist())]
+            want = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in table]
+            assert sorted(got) == sorted(want), floor
+        assert sum(q[-1].evaluations for q in quads) == 15 * sum(c.size for c, _ in seen)
         # each panel holds the bits of its own evaluation, one panel alone,
-        # on the pointwise joint less the table's floor
+        # on the joint less the table's floor
+        joint = _log_joint(prior, data)
         for floor, table in tables.items():
-            def pointwise(t, floor=floor):
-                v = np.array([_scalar_log_joint(prior, data, x) for x in t.tolist()])
+            def alone(c, h, floor=floor):
+                v = _panel_alone(joint, c, h)
                 return v if floor is None else v - floor
 
             for (lo, hi), value in table.items():
-                li, le, _ = numerics._kronrod_panels(pointwise, np.array([lo]),
+                li, le, _ = numerics._kronrod_panels(alone, np.array([lo]),
                                                      np.array([hi]))
                 assert (li[0], le[0]) == value, (floor, lo, hi)
         # each recorded quadrature (a head piece, or a piece past the head on
@@ -561,7 +636,7 @@ class TestOnePerTheta:
             assert again == numerics.QuadratureResult(res.log_estimate,
                                                       res.rel_error_bound, 0)
             replays += alone.evaluations
-        assert replays > sum(t.size for t in seen)
+        assert replays > 15 * sum(c.size for c, _ in seen)
 
     def test_four_statistics_at_n1000_peak_under_0_8_mib(self):
         # a default cosine row at seed 3, n = 1000: the panel tables and one

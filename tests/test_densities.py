@@ -17,6 +17,7 @@ from oracles import (
     hellinger_step_uniform,
     kl_gauss_exp,
     kl_numeric,
+    on_nodes,
     quad_breakpoints,
 )
 from posterior_lab.densities import (
@@ -63,7 +64,7 @@ class TestGaussExp:
         for theta in THETA_GRID:
             d = GaussExpDensity(theta)
             res = adaptive_quadrature(
-                lambda x: np.array([d.logpdf(v) for v in x.tolist()]),
+                on_nodes(lambda x: np.array([d.logpdf(v) for v in x.tolist()])),
                 0.0, 1.0, 1e-9)
             assert estimate(res) == pytest.approx(1.0, abs=1e-8), theta
 
@@ -185,7 +186,7 @@ class TestCosine:
         for theta in (0.0, 1.0, math.pi, 10.0, 50.0):
             d = CosineDensity(theta)
             res = adaptive_quadrature(
-                lambda x: np.array([d.logpdf(v) for v in x.tolist()]),
+                on_nodes(lambda x: np.array([d.logpdf(v) for v in x.tolist()])),
                 0.0, 1.0, 1e-9, breakpoints=quad_breakpoints(d))
             assert estimate(res) == pytest.approx(1.0, abs=1e-8), theta
 

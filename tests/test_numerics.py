@@ -14,8 +14,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import abs_error_bound, estimate
+from oracles import abs_error_bound, estimate, on_nodes
 
+from posterior_lab import numerics
 from posterior_lab.intervals import LogBracket, mass_ratio
 from posterior_lab.numerics import (
     LOG_ZERO,
@@ -26,6 +27,7 @@ from posterior_lab.numerics import (
     adaptive_quadrature,
     binet,
     inv_norm_cdf,
+    kronrod_nodes,
     log_add,
     log_sum_exp,
     norm_cdf,
@@ -342,12 +344,12 @@ class TestBinet:
 class TestAdaptiveQuadrature:
     def test_polynomial(self):
         with np.errstate(divide="ignore"):
-            res = adaptive_quadrature(lambda x: 2.0 * np.log(x), 0.0, 1.0, 1e-10)
+            res = adaptive_quadrature(on_nodes(lambda x: 2.0 * np.log(x)), 0.0, 1.0, 1e-10)
         assert estimate(res) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_essential_singularity_prior_normalizer(self):
         # oracle: mpmath integral of e^(-1/t) over [0,1] = 0.148495506775922048
-        res = adaptive_quadrature(lambda t: -1.0 / t, 0.0, 1.0, 1e-10)
+        res = adaptive_quadrature(on_nodes(lambda t: -1.0 / t), 0.0, 1.0, 1e-10)
         assert estimate(res) == pytest.approx(0.148495506775922048, abs=2e-9)
         # independent high-resolution Simpson oracle
         xs = np.linspace(1e-9, 1.0, 200_001)
@@ -360,19 +362,19 @@ class TestAdaptiveQuadrature:
         from posterior_lab.densities import GaussExpDensity
         d = GaussExpDensity(0.5)
         res = adaptive_quadrature(
-            lambda x: np.array([d.logpdf(v) for v in x.tolist()]), 0.0, 1.0, 1e-9)
+            on_nodes(lambda x: np.array([d.logpdf(v) for v in x.tolist()])), 0.0, 1.0, 1e-9)
         assert estimate(res) == pytest.approx(1.0, abs=1e-6)
 
     def test_extreme_log_magnitudes(self):
-        up = adaptive_quadrature(lambda x: np.full_like(x, 5000.0), 0.0, 1.0, 1e-9)
+        up = adaptive_quadrature(on_nodes(lambda x: np.full_like(x, 5000.0)), 0.0, 1.0, 1e-9)
         assert up.log_estimate == pytest.approx(5000.0, abs=1e-9)
-        down = adaptive_quadrature(lambda x: -5000.0 + np.log1p(x), 0.0, 1.0,
+        down = adaptive_quadrature(on_nodes(lambda x: -5000.0 + np.log1p(x)), 0.0, 1.0,
                                    1e-9, relative=True)
         assert down.log_estimate == pytest.approx(-5000.0 + math.log(1.5),
                                                   abs=1e-9)
 
     def test_tol_refinement_monotone(self):
-        f = lambda x: np.sin(3.0 * x) - x * x  # noqa: E731
+        f = on_nodes(lambda x: np.sin(3.0 * x) - x * x)
         prev = None
         for tol in (1e-4, 5e-5, 2.5e-5, 1.25e-5, 1e-6, 1e-8):
             res = adaptive_quadrature(f, 0.0, 2.0, tol)
@@ -384,7 +386,7 @@ class TestAdaptiveQuadrature:
     def test_budget_exhaustion_carries_bracket(self, monkeypatch):
         monkeypatch.setattr("posterior_lab.numerics.MAX_INTERVALS", 24)
         with pytest.raises(QuadratureError) as ei:
-            adaptive_quadrature(lambda x: np.sin(50.0 / (x + 1e-3)), 0.0, 1.0,
+            adaptive_quadrature(on_nodes(lambda x: np.sin(50.0 / (x + 1e-3))), 0.0, 1.0,
                                 1e-14)
         assert math.isfinite(ei.value.log_estimate)
         assert ei.value.evaluations > 0
@@ -393,9 +395,9 @@ class TestAdaptiveQuadrature:
         monkeypatch.setattr("posterior_lab.numerics.MAX_INTERVALS", 24)
         calls = []
 
-        def f(x):
-            calls.append(x.size)
-            return np.zeros_like(x)
+        def f(c, h):
+            calls.append(c.size)
+            return np.zeros((c.size, 15))
 
         with pytest.raises(QuadratureError, match="25 seed panels") as ei:
             adaptive_quadrature(f, 0.0, 1.0, 1e-9, breakpoints=np.arange(1, 25) / 25)
@@ -406,19 +408,36 @@ class TestAdaptiveQuadrature:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            adaptive_quadrature(np.zeros_like, 1.0, 1.0, 1e-9)
+            adaptive_quadrature(on_nodes(np.zeros_like), 1.0, 1.0, 1e-9)
         with pytest.raises(ValueError):
-            adaptive_quadrature(np.zeros_like, 0.0, 1.0, -1e-9)
+            adaptive_quadrature(on_nodes(np.zeros_like), 0.0, 1.0, -1e-9)
 
     def test_zero_integrand(self):
-        res = adaptive_quadrature(lambda x: np.full_like(x, LOG_ZERO), 0.0, 1.0, 1e-9)
+        res = adaptive_quadrature(on_nodes(lambda x: np.full_like(x, LOG_ZERO)), 0.0, 1.0, 1e-9)
         assert res.log_estimate == LOG_ZERO
         assert estimate(res) == 0.0
 
     def test_nonfinite_log_value_is_a_numeric_error(self):
+        # the message names the first offending node of the seed panel [0, 1]
+        node = float(kronrod_nodes(np.array([0.5]), np.array([0.5]))[0, 9])
+        assert 0.7 < node < 0.71
         for bad in (math.nan, math.inf):
-            with pytest.raises(NumericError):
-                adaptive_quadrature(lambda x: np.where(x > 0.7, bad, 0.0), 0.0, 1.0)
+            with pytest.raises(NumericError, match=f"value {bad} at x={node}$"):
+                adaptive_quadrature(on_nodes(lambda x: np.where(x > 0.7, bad, 0.0)), 0.0, 1.0)
+
+    def test_kronrod_nodes_are_the_ascending_rule_on_each_panel(self):
+        c, h = np.array([0.5, 3.0, 1e3]), np.array([0.5, 0.25, 2.0 ** -20])
+        x = kronrod_nodes(c, h)
+        assert x.shape == (3, 15)
+        assert (np.diff(x, axis=1) > 0).all()
+        assert np.array_equal(x[:, 7], c)
+        xgk = np.array(numerics._XGK[:7])
+        assert np.allclose((x - c[:, None]) / h[:, None],
+                           np.concatenate([-xgk, [0.0], xgk[::-1]]), rtol=0, atol=1e-6)
+
+    def test_an_integrand_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(15,\) for 1 panels of 15 nodes"):
+            adaptive_quadrature(lambda c, h: np.zeros(15), 0.0, 1.0)
 
     @pytest.mark.parametrize("f, a, b, kw", [
         (lambda x: -1.0 / x, 0.0, 1.0, {}),
@@ -427,20 +446,21 @@ class TestAdaptiveQuadrature:
         (lambda x: np.sin(20.0 * x) - x, 0.0, 3.0, {"breakpoints": (1.0, 2.0)}),
     ])
     def test_one_call_per_round(self, f, a, b, kw):
-        # each call of the integrand is one round: its abscissae are 15 nodes
-        # per panel, distinct and inside [a, b], and ``evaluations`` counts
-        # exactly the abscissae passed
+        # each call of the integrand is one round: its panels' 15 nodes each
+        # are distinct and inside [a, b], and ``evaluations`` counts exactly
+        # the abscissae of the panels passed
         calls = []
 
-        def recorded(x):
-            calls.append(x.copy())
+        def recorded(c, h):
+            x = kronrod_nodes(c, h)
+            calls.append(x.ravel())
             with np.errstate(divide="ignore"):
                 return f(x)
 
         res = adaptive_quadrature(recorded, a, b, 1e-10, **kw)
         assert len(calls) > 1
         for x in calls:
-            assert x.ndim == 1 and x.size % 15 == 0
+            assert x.size % 15 == 0
             assert np.unique(x).size == x.size
             assert ((a < x) & (x < b)).all()
         assert res.evaluations == sum(x.size for x in calls)
@@ -450,9 +470,11 @@ class TestAdaptiveQuadrature:
     def test_a_panel_table_evaluates_each_panel_once(self):
         calls = []
 
-        def f(x):
+        def g(x):
             calls.append(x.size)
             return np.sin(20.0 * x) - x
+
+        f = on_nodes(g)
 
         def bits(res):
             return res.log_estimate, res.rel_error_bound
