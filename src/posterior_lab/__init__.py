@@ -31,7 +31,7 @@ from .densities import (
 from .barron import (
     BarronEngine,
     BarronPriorConfig,
-    OccupancyStats,
+    StepState,
 )
 from .diagnostics import (
     BandSpec,

@@ -25,25 +25,22 @@ ln 6/(pi^2 N^2) live in one process-wide table.
 
 The engine is single-writer: ``add_points`` ingests a block of data with
 one merge into the sorted sample, and cell compares on the consecutive
-pairs the block makes and splits; all queries are read-only.  The step
-predictive at x is the ratio M(data + x) / M(data) of two step marginals
-with likelihood: it merges x into a copy of the engine's step state.  Each
-engine state (the data seen so far) caches what its queries share, and a
-merge starts a new cache: the step sum, which the step marginal, the mean
-of 1/N and the predictive all read; the tail series past the cut, which the
-step sum's tail and the 1/N tail both sum; and the tilt state
-(PosteriorTheta), which keeps its integrand's peak, its full-interval
-integral and its marginal.  The data-free tilt state, whose full integral
-is Z0, is built once per process and tolerance.
+pairs the block makes and splits; all queries are read-only.  Each
+component's state for the data seen so far is one frozen value that
+computes what its queries share once: the step state (StepState) holds the
+sample and the deficits, and keeps the cut, the head, the tail series past
+the cut (which the step sum's tail and the 1/N tail both sum) and the step
+sum (which the step marginal and the mean of 1/N read); the tilt state
+(PosteriorTheta) keeps its integrand's peak, its full-interval integral and
+its marginal.  A block makes a new state of each.  The data-free tilt
+state, whose full integral is Z0, is built once per process and tolerance.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +59,9 @@ from .numerics import (
 
 __all__ = [
     "BarronPriorConfig",
-    "OccupancyStats",
     "BarronEngine",
     "PosteriorTheta",
+    "StepState",
     "UndefinedPosteriorError",
 ]
 
@@ -191,6 +188,27 @@ def _log_ratio(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, err + em + np.where(full, 0.0, eb) + e2 + ed
 
 
+def _head(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosures [lo, hi] of ln w_N 2^n (N^2)_k / (2N^2)_k at the
+    occupancies ks of the levels 1..ks.size (LOG_ZERO where k > N^2), the
+    ratio in closed form (see _log_ratio), _HEAD_CHUNK levels at a time.
+    Both ends carry the ratio's bound and the rounding of ln w_N, of n ln 2
+    and of their sum."""
+    levels = ks.size
+    ks = ks.astype(np.float64)
+    w2, log_w = _level_table(levels)
+    lo, hi = np.empty(levels), np.empty(levels)
+    for a in range(0, levels, _HEAD_CHUNK):
+        i = slice(a, a + _HEAD_CHUNK)
+        m, k, lw = w2[i] / 2.0, ks[i], log_w[i]
+        r, err = _log_ratio(m, np.minimum(k, m))
+        terms = lw + n * LN2 + r
+        err += _EPS * (2.0 * abs(lw) + 2.0 * n * LN2 + abs(terms) + 1.0)
+        lo[i] = np.where(k <= m, terms - err, LOG_ZERO)
+        hi[i] = np.where(k <= m, terms + err, LOG_ZERO)
+    return lo, hi
+
+
 class UndefinedPosteriorError(RuntimeError):
     """Both mixture components carry zero likelihood -- posterior undefined."""
 
@@ -214,19 +232,6 @@ class BarronPriorConfig:
     @property
     def log_step_weight(self) -> float:
         return math.log1p(-self.continuous_weight)
-
-
-@dataclass(frozen=True)
-class OccupancyStats:
-    """Occupied-cell counts k_N for the levels 1..M up to the cut; from the
-    distinct-cell level on every level holds n_distinct.  The package does
-    not read it: the benchmark's tracer reads n, the size of k_by_level and
-    distinct_level after each diagnostics row, for its level metrics."""
-
-    n: int
-    n_distinct: int
-    distinct_level: int
-    k_by_level: np.ndarray  # k_by_level[i] = occupancy of level i+1
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ class PosteriorTheta:
         if lo == 0.0 and hi == 1.0:
             return Bracket(1.0, 1.0)  # the whole component, by definition
         return _mass(LogBracket(*self._integral(lo, hi).log_bracket()),
-                     LogBracket(*self._normalizer.log_bracket()), 1.0)
+                     LogBracket(*self._normalizer.log_bracket()))
 
     def prior_ball_mass(self, delta: float) -> Bracket:
         """Prior mass of {theta < delta}; since KL(uniform, f_theta) = theta,
@@ -317,7 +322,7 @@ class PosteriorTheta:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
         prior = _prior(self.quad_tol)
         return _mass(LogBracket(*prior._integral(0.0, delta).log_bracket()),
-                     LogBracket(*prior._normalizer.log_bracket()), 1.0)
+                     LogBracket(*prior._normalizer.log_bracket()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,19 +336,144 @@ def _exp_or_zero(v: float) -> float:
     return math.exp(v) if v > LOG_ZERO else 0.0
 
 
-def _mass(part: LogBracket, total: LogBracket, cap: float) -> Bracket:
-    """Enclosure of part / total, both ends capped at ``cap``."""
-    return Bracket(min(cap, _exp_or_zero(part.lower - total.upper)),
-                   min(cap, _exp_or_zero(part.upper - total.lower)))
+def _mass(part: LogBracket, total: LogBracket) -> Bracket:
+    """Enclosure of part / total <= 1, both ends capped at 1."""
+    return Bracket(min(1.0, _exp_or_zero(part.lower - total.upper)),
+                   min(1.0, _exp_or_zero(part.upper - total.lower)))
 
 
-class _StepSum(NamedTuple):
-    """Enclosures of the ln terms of the levels 1..M, of the tail and total."""
+@dataclass(frozen=True, eq=False)
+class StepState:
+    """The step component's state for one data set, as PosteriorTheta is the
+    tilt's: the sorted sample (duplicates included), n, n_distinct, the
+    smallest gap between distinct points and the deficits n_distinct - k_N of
+    the levels 1..D-1 (0 from D = S(min_gap) on).  The default instance holds
+    no data.  The cut, the occupancies up to it, the head, the tail series,
+    the two tails and the step sum are each computed once per instance."""
 
-    lo: np.ndarray
-    hi: np.ndarray
-    tail: LogBracket
-    total: LogBracket
+    pts: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    n: int = 0
+    n_distinct: int = 0
+    min_gap: float = math.inf
+    deficits: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    @property
+    def distinct_level(self) -> int:
+        """The distinct-cell level D = S(min_gap) (see _separating_level):
+        the deficits hold the levels 1..D-1."""
+        return self.deficits.size + 1
+
+    def merged(self, xs) -> StepState:
+        """The state with the points xs in [0,1) merged in.  Two points
+        closer than 2^-52 raise, as that is past the resolution of the cell
+        map (see _EXACT_INV).
+
+        The deficit d_N counts the consecutive distinct points that share a
+        level-N cell, so the block adds the flags of the consecutive pairs it
+        makes and subtracts those of the pairs it splits, each compared on
+        about sqrt(0.5 / gap) levels (see _compared_levels).  Cost: one O(n)
+        merge into the sorted sample plus the sum of those cell compares
+        over the pairs.  The new state's arrays are new, so this state's
+        arrays and cached values stay as they are.
+        """
+        # merged sample, with each new point after its old copies, so that
+        # the first copy of a value is new only if the value is
+        xs = np.asarray(xs, dtype=np.float64)
+        block = np.sort(xs)
+        pos = np.searchsorted(self.pts, block, side="right")
+        pts = np.insert(self.pts, pos, block)
+        first = np.r_[True, pts[1:] != pts[:-1]]
+        u = pts[first]
+        new = np.insert(np.zeros(self.pts.size, dtype=bool), pos, True)[first]
+        made = np.flatnonzero(new[:-1] | new[1:])
+        old = np.flatnonzero(~new)
+        split = np.flatnonzero(np.diff(old) > 1)
+        left = np.r_[u[made], u[old[split]]]
+        right = np.r_[u[made + 1], u[old[split + 1]]]
+        sign = np.repeat(np.array([1, -1], dtype=np.int64), (made.size, split.size))
+
+        gaps = u[made + 1] - u[made]
+        min_gap = min(self.min_gap, float(gaps.min(initial=math.inf)))
+        if 1.0 / min_gap >= _EXACT_INV:
+            i = made[gaps.argmin()]
+            a, b = u[i:i + 2].tolist()
+            raise ValueError(f"data points {a!r} and {b!r} lie closer than 2^-52: "
+                             f"the level cells cannot part them in floats")
+        # the deficits hold the levels below D = S(min_gap), and no pair is
+        # compared past them
+        grow = _separating_level(min_gap) - 1 - self.deficits.size
+        d = np.pad(self.deficits, (0, max(grow, 0)))
+        _add_shared(d, left, right, _compared_levels(right - left, d.size), sign)
+        return StepState(pts, self.n + xs.size, u.size, min_gap, d)
+
+    @functools.cached_property
+    def cut(self) -> int:
+        """The cut M = max(D, ceil(n_distinct / 2)) (see BarronEngine)."""
+        return max(self.distinct_level, -(-self.n_distinct // 2))
+
+    @functools.cached_property
+    def k_by_level(self) -> np.ndarray:
+        """The occupancies k_N = n_distinct - d_N of the levels 1..M (d_N = 0
+        from D on), read-only: the head and the engine's callers share them."""
+        k = self.n_distinct - np.pad(self.deficits, (0, self.cut - self.deficits.size))
+        k.flags.writeable = False
+        return k
+
+    @functools.cached_property
+    def head(self) -> tuple[np.ndarray, np.ndarray]:
+        """Enclosures [lo, hi] of the ln terms of the levels 1..M (see _head)."""
+        return _head(self.k_by_level, self.n)
+
+    @functools.cached_property
+    def tail_series(self) -> tuple[np.ndarray, float]:
+        """(coefficients, slack) of e^-F(u) cut after J terms at
+        k = n_distinct and a = M + 1 (see _tail): both tails sum it."""
+        k, a, J = self.n_distinct, self.cut + 1.0, _TAIL_TERMS
+        ix = np.arange(k) / (a * a)
+        pa = np.array([0.0] + [(ix ** p).sum() * (1.0 - 2.0 ** -p)  # p a_p
+                               for p in range(1, J + 1)])
+        coef = np.r_[1.0, np.zeros(J)]
+        for j in range(1, J + 1):  # e^(-F): j c_j = -sum_p p a_p c_(j-p)
+            coef[j] = -np.dot(pa[1:j + 1], coef[j - 1::-1]) / j
+        slack = 0.0
+        if k > 1:
+            rho = min((J + 1) / pa[1], (J + 1) / ((J + 2) * ix[-1]))
+            u = np.outer((rho, 1.0), ix)  # F at rho and at 1
+            f_rho, f_one = np.log1p(-0.5 * u).sum(1) - np.log1p(-u).sum(1)
+            slack = _EPS * (k + 4 * J + 8) * (1.0 + pa.sum()) * math.exp(f_one) \
+                + math.exp(f_rho - (J + 1) * math.log(rho) - math.log1p(-1 / rho))
+        return coef, slack
+
+    def _tail(self, s0: int) -> LogBracket:
+        """Enclosure of ln sum_{N > M} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
+        at k = n_distinct, every level past the cut M holding all n_distinct
+        points.  In u = a^2/N^2 <= 1, a = M + 1, the ratio is
+        2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
+        sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
+        is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
+        e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
+        k, a = self.n_distinct, self.cut + 1.0
+        coef, slack = self.tail_series
+        lo, hi = zeta_series(coef, s0, a, slack)
+        base = _LOG_LEVEL_NORM + (self.n - k) * LN2
+        rnd = 4.0 * _EPS * (abs(base) + abs(hi) + (self.n + k) * LN2)
+        return LogBracket(lo + base - rnd, hi + base + rnd)
+
+    @functools.cached_property
+    def tail(self) -> LogBracket:
+        """The step sum's tail past the cut (_tail at s0 = 2)."""
+        return self._tail(2)
+
+    @functools.cached_property
+    def inv_level_tail(self) -> LogBracket:
+        """The tail of the sum of the terms over N (_tail at s0 = 3)."""
+        return self._tail(3)
+
+    @functools.cached_property
+    def step_sum(self) -> LogBracket:
+        """Enclosure of ln sum_N w_N 2^n (N^2)_(k_N) / (2N^2)_(k_N): the head
+        and the tail."""
+        return LogBracket.sum_of(*self.head).add(self.tail)
 
 
 class BarronEngine:
@@ -351,13 +481,12 @@ class BarronEngine:
 
     Feed data in blocks with ``add_points`` (``add_point`` is a block of
     one); query marginals, the component split, the within-component
-    posteriors, Hellinger ball masses and the step-family predictive.  A
-    block costs one O(n) merge plus about sqrt(0.5 / gap) cell compares per
-    consecutive pair it makes and splits, so the points between two queries
-    go in as one block.  A predictive costs one such merge of x into a copy
-    of the step state and one step sum of the copy.  When a truth density
-    is supplied its running log-likelihood is tracked so diagnostics can
-    convert between plain likelihoods and likelihood ratios.
+    posteriors and Hellinger ball masses.  A block costs one O(n) merge
+    plus about sqrt(0.5 / gap) cell compares per consecutive pair it makes
+    and splits, so the points between two queries go in as one block.  The
+    engine holds S_n, the truth's log-likelihood (so diagnostics can convert
+    likelihoods to likelihood ratios), the prior weights, and one StepState
+    and one PosteriorTheta for the data seen so far.
 
     The step sum is cut at M = max(distinct-cell level D, ceil(K / 2)),
     K = n_distinct: past D every occupancy is K, and past K/2 the tail series
@@ -370,47 +499,34 @@ class BarronEngine:
         self.prior = prior or BarronPriorConfig()
         self.quad_tol = float(quad_tol)
         self.truth = truth
-        self._pts = np.zeros(0)  # the sorted sample, duplicates included
-        self._n = 0
-        self._s = 0.0
-        self._sum_log_truth = 0.0
-        self._min_gap = math.inf
-        self._n_distinct = 0
-        # deficit n_distinct - k_N of the levels 1..D-1 (0 from D on)
-        self._d = np.zeros(0, dtype=np.int64)
-        self._cache: dict = {}
+        self._s, self._sum_log_truth = 0.0, 0.0
+        self._step = StepState()
+        self._theta = PosteriorTheta(0, 0.0, self.quad_tol)
 
     # -- state ------------------------------------------------------------
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._step.n
 
     @property
-    def occupancy(self) -> OccupancyStats:
-        """The occupancies up to the cut (see OccupancyStats, which says who
-        reads them)."""
-        return OccupancyStats(n=self._n, n_distinct=self._n_distinct,
-                              distinct_level=self.distinct_level(),
-                              k_by_level=self._occupancies(self._cut()))
+    def step(self) -> StepState:
+        """The step component's state for the data seen so far."""
+        return self._step
+
+    occupancy = step  # the benchmark's tracer reads k_by_level by this name
 
     @property
     def w_n(self) -> float:
-        return self._s / self._n if self._n else 0.0
+        return self._s / self.n if self.n else 0.0
 
     @property
     def mean_log_truth(self) -> float:
         """(1/n) sum_i ln f_star(x_i); 0 under the uniform truth."""
-        return self._sum_log_truth / self._n if self._n else 0.0
+        return self._sum_log_truth / self.n if self.n else 0.0
 
-    def distinct_level(self) -> int:
-        """The distinct-cell level D = S(min_gap) (see _separating_level):
-        the deficits hold the levels 1..D-1."""
-        return self._d.size + 1
-
-    def _occupancies(self, m: int) -> np.ndarray:
-        """k_N = n_distinct - d_N for the levels 1..m (d_N = 0 past the stored ones)."""
-        return self._n_distinct - np.pad(self._d[:m], (0, max(0, m - self._d.size)))
+    def posterior_theta(self) -> PosteriorTheta:
+        return self._theta
 
     # -- updates ----------------------------------------------------------
 
@@ -422,8 +538,9 @@ class BarronEngine:
         """Insert a block of observations: fold S_n and the truth's
         log-likelihood in data order (one cumsum each, the left fold a
         sequence of single points makes) and merge the block into the step
-        state (see _merge).  A block with a point outside (0,1), or one that
-        makes two points closer than 2^-52, raises and changes nothing."""
+        state (see StepState.merged).  A block with a point outside (0,1),
+        or one that makes two points closer than 2^-52, raises and changes
+        nothing."""
         xs = np.asarray(xs, dtype=np.float64).ravel()
         bad = ~((xs > 0.0) & (xs < 1.0))
         if bad.any():
@@ -434,138 +551,22 @@ class BarronEngine:
         log_truth = self._sum_log_truth
         if self.truth is not None:
             log_truth = float(np.cumsum(np.r_[log_truth, self.truth.logpdf(xs)])[-1])
-        self._merge(xs)
+        self._step = self._step.merged(xs)
         self._s, self._sum_log_truth = s, log_truth
-
-    def _merge(self, xs: np.ndarray) -> None:
-        """Merge the points xs in [0,1) into the step state: the sorted
-        sample, n, n_distinct, min_gap and the deficits, with a new cache.
-        Two points closer than 2^-52 raise before anything is assigned, as
-        that is past the resolution of the cell map (see _EXACT_INV).
-
-        The deficit d_N counts the consecutive distinct points that share a
-        level-N cell, so the block adds the flags of the consecutive pairs it
-        makes and subtracts those of the pairs it splits, each compared on
-        about sqrt(0.5 / gap) levels (see _compared_levels).  Cost: one O(n)
-        merge into the sorted sample plus the sum of those cell compares
-        over the pairs.  The deficits are always a new array, so a copy of
-        the engine (see step_predictive) never writes into the original's.
-        """
-        # merged sample, with each new point after its old copies, so that
-        # the first copy of a value is new only if the value is
-        block = np.sort(xs)
-        pos = np.searchsorted(self._pts, block, side="right")
-        pts = np.insert(self._pts, pos, block)
-        first = np.r_[True, pts[1:] != pts[:-1]]
-        u = pts[first]
-        new = np.insert(np.zeros(self._pts.size, dtype=bool), pos, True)[first]
-        made = np.flatnonzero(new[:-1] | new[1:])
-        old = np.flatnonzero(~new)
-        split = np.flatnonzero(np.diff(old) > 1)
-        left = np.r_[u[made], u[old[split]]]
-        right = np.r_[u[made + 1], u[old[split + 1]]]
-        sign = np.repeat(np.array([1, -1], dtype=np.int64), (made.size, split.size))
-
-        gaps = u[made + 1] - u[made]
-        min_gap = min(self._min_gap, float(gaps.min(initial=math.inf)))
-        if 1.0 / min_gap >= _EXACT_INV:
-            i = made[gaps.argmin()]
-            a, b = u[i:i + 2].tolist()
-            raise ValueError(f"data points {a!r} and {b!r} lie closer than 2^-52: "
-                             f"the level cells cannot part them in floats")
-        # the deficits hold the levels below D = S(min_gap), and no pair is
-        # compared past them
-        grow = _separating_level(min_gap) - 1 - self._d.size
-        d = np.pad(self._d, (0, max(grow, 0)))
-        _add_shared(d, left, right, _compared_levels(right - left, d.size), sign)
-
-        self._pts, self._n, self._n_distinct = pts, self._n + xs.size, u.size
-        self._min_gap, self._d, self._cache = min_gap, d, {}
+        self._theta = PosteriorTheta(self._step.n, s, self.quad_tol)
 
     # -- step-family marginal ----------------------------------------------
-
-    def _cut(self) -> int:
-        """The cut M = max(D, ceil(n_distinct / 2)) (see the class docstring)."""
-        return max(self.distinct_level(), -(-self._n_distinct // 2))
-
-    def _head(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Enclosures [lo, hi] of ln w_N 2^n (N^2)_k / (2N^2)_k for the levels
-        1..levels (LOG_ZERO where k > N^2), the ratio in closed form (see
-        _log_ratio), _HEAD_CHUNK levels at a time.  Both ends carry the
-        ratio's bound and the rounding of ln w_N, of n ln 2 and of their sum."""
-        ks = self._occupancies(levels).astype(np.float64)
-        w2, log_w = _level_table(levels)
-        lo, hi = np.empty(levels), np.empty(levels)
-        for a in range(0, levels, _HEAD_CHUNK):
-            i = slice(a, a + _HEAD_CHUNK)
-            m, k, lw = w2[i] / 2.0, ks[i], log_w[i]
-            r, err = _log_ratio(m, np.minimum(k, m))
-            terms = lw + self._n * LN2 + r
-            err += _EPS * (2.0 * abs(lw) + 2.0 * self._n * LN2 + abs(terms) + 1.0)
-            lo[i] = np.where(k <= m, terms - err, LOG_ZERO)
-            hi[i] = np.where(k <= m, terms + err, LOG_ZERO)
-        return lo, hi
-
-    def _tail_series(self) -> tuple[np.ndarray, float]:
-        """(coefficients, slack) of e^-F(u) cut after J terms at
-        k = n_distinct and a = M + 1 (see _tail), built once per engine
-        state: every s0 of _tail sums the same series."""
-        key = "tail_series"
-        if key not in self._cache:
-            k, a, J = self._n_distinct, self._cut() + 1.0, _TAIL_TERMS
-            ix = np.arange(k) / (a * a)
-            pa = np.array([0.0] + [(ix ** p).sum() * (1.0 - 2.0 ** -p)  # p a_p
-                                   for p in range(1, J + 1)])
-            coef = np.r_[1.0, np.zeros(J)]
-            for j in range(1, J + 1):  # e^(-F): j c_j = -sum_p p a_p c_(j-p)
-                coef[j] = -np.dot(pa[1:j + 1], coef[j - 1::-1]) / j
-            slack = 0.0
-            if k > 1:
-                rho = min((J + 1) / pa[1], (J + 1) / ((J + 2) * ix[-1]))
-                u = np.outer((rho, 1.0), ix)  # F at rho and at 1
-                f_rho, f_one = np.log1p(-0.5 * u).sum(1) - np.log1p(-u).sum(1)
-                slack = _EPS * (k + 4 * J + 8) * (1.0 + pa.sum()) * math.exp(f_one) \
-                    + math.exp(f_rho - (J + 1) * math.log(rho) - math.log1p(-1 / rho))
-            self._cache[key] = coef, slack
-        return self._cache[key]
-
-    def _tail(self, s0: int = 2) -> LogBracket:
-        """Enclosure of ln sum_{N > M} w_N 2^n (N^2)_k / (2N^2)_k N^(2-s0)
-        at k = n_distinct, every level past the cut M holding all n_distinct
-        points.  In u = a^2/N^2 <= 1, a = M + 1, the ratio is
-        2^-k e^-F(u), F(u) = sum_p (1 - 2^-p) S_p(k) u^p / (p a^2p) =
-        sum_(i<k) ln((1 - i u/2a^2) / (1 - i u/a^2)); e^-F, cut after J terms,
-        is summed against Hurwitz-zeta tails, and its rest is at most Cauchy's
-        e^F(rho) / rho^j on the majorant e^F, at rho inside its pole a^2/(k-1)."""
-        key = ("tail", s0)
-        if key not in self._cache:
-            k, a = self._n_distinct, self._cut() + 1.0
-            coef, slack = self._tail_series()
-            lo, hi = zeta_series(coef, s0, a, slack)
-            base = _LOG_LEVEL_NORM + (self._n - k) * LN2
-            rnd = 4.0 * _EPS * (abs(base) + abs(hi) + (self._n + k) * LN2)
-            self._cache[key] = LogBracket(lo + base - rnd, hi + base + rnd)
-        return self._cache[key]
-
-    def _step_sum(self) -> _StepSum:
-        if "step" not in self._cache:
-            m_cut = self._cut()
-            lo, hi = self._head(m_cut)
-            tail = self._tail()
-            self._cache["step"] = _StepSum(lo, hi, tail,
-                                           LogBracket.sum_of(lo, hi).add(tail))
-        return self._cache["step"]
 
     def step_marginal(self, with_likelihood: bool = True) -> LogBracket:
         """Enclosure of ln of the step-component marginal: with the
         likelihood flag this is ln sum_N w_N 2^n (N^2)_{k_N} / (2N^2)_{k_N};
         without it, shifted by -n ln 2, the prior mass of the data-consistent
         step densities."""
-        total = self._step_sum().total
+        total = self._step.step_sum
         if with_likelihood:
             return total
-        rnd = 4.0 * _EPS * (self._n * LN2 + abs(total.upper))
-        return LogBracket(total.lower - rnd, total.upper + rnd).shift(-self._n * LN2)
+        rnd = 4.0 * _EPS * (self.n * LN2 + abs(total.upper))
+        return LogBracket(total.lower - rnd, total.upper + rnd).shift(-self.n * LN2)
 
     # -- tilt-family marginal ----------------------------------------------
 
@@ -573,7 +574,7 @@ class BarronEngine:
         """ln of the tilt-component marginal likelihood
         (1/Z0) * integral_0^1 e^(-1/theta) e^(-n theta + sqrt(2 theta) S_n)
         d theta, as a log-space quadrature result with a relative bound."""
-        return self.posterior_theta()._marginal
+        return self._theta._marginal
 
     # -- posterior queries ---------------------------------------------------
 
@@ -600,20 +601,15 @@ class BarronEngine:
         g, s = self.component_marginals()
         return g.add(s)
 
-    def posterior_theta(self) -> PosteriorTheta:
-        if "theta" not in self._cache:
-            self._cache["theta"] = PosteriorTheta(n=self._n, s_n=self._s,
-                                                  quad_tol=self.quad_tol)
-        return self._cache["theta"]
-
     def posterior_over_n(self) -> Bracket:
         """Enclosure of the posterior mean of 1/N over the partition levels
         within the step component; near 0 it signals escape to ever finer
         partitions."""
-        lo, hi, _, total = self._step_sum()
+        st = self._step
+        lo, hi = st.head
         log_n = np.log(np.arange(1, lo.size + 1, dtype=np.float64))
-        inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(self._tail(3))
-        return _mass(inv, total, 1.0)
+        inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(st.inv_level_tail)
+        return _mass(inv, st.step_sum)
 
     def set_mass(self, steps: bool, thetas=()) -> Bracket:
         """Posterior mass of the set that holds every step density if
@@ -627,7 +623,7 @@ class BarronEngine:
         # a plain left fold of each end: sum() compensates from Python 3.12
         lo, hi = (fstep.lower, fstep.upper) if steps else (0.0, 0.0)
         for a, b in thetas:
-            im = self.posterior_theta().interval_mass(a, b)
+            im = self._theta.interval_mass(a, b)
             lo, hi = lo + f0.lower * im.lower, hi + f0.upper * im.upper
         return Bracket(min(lo, 1.0), min(hi, 1.0))
 
@@ -640,17 +636,3 @@ class BarronEngine:
         thr = gauss_exp_hellinger_threshold(eps)
         return self.set_mass(eps < HELLINGER_STEP_UNIFORM,
                              [(thr, 1.0)] if thr < 1.0 else [])
-
-    # -- step-family predictive ----------------------------------------------
-
-    def step_predictive(self, x: float) -> Bracket:
-        """Posterior predictive density of the step component at x: the
-        ratio M(data + x) / M(data) of the step marginals with likelihood,
-        the first from a copy of the step state with x merged in.  An x
-        within 2^-52 of a data point but not on it raises, as add_points
-        does."""
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"x must lie in [0,1), got {x}")
-        ext = copy.copy(self)
-        ext._merge(np.array([x], dtype=np.float64))
-        return _mass(ext._step_sum().total, self._step_sum().total, 2.0)

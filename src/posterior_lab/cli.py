@@ -86,13 +86,14 @@ def parse_seeds(spec: str) -> tuple:
 
 
 def parse_grid(spec: str) -> list:
-    """'a:b:step' inclusive grid."""
+    """'a:b:step' inclusive grid of finite parts and a step of at least 1e-12,
+    the resolution of its rounded values (a smaller one may not move v)."""
     try:
         a, b, step = (float(t) for t in spec.split(":"))
     except ValueError:
         raise ConfigError(f"bad grid {spec!r} (want a:b:step)") from None
-    if step <= 0 or b < a:
-        raise ConfigError(f"bad grid {spec!r}")
+    if not all(map(math.isfinite, (a, b, step))) or step < 1e-12 or b < a:
+        raise ConfigError(f"bad grid {spec!r} (want finite a <= b and step >= 1e-12)")
     out = []
     v = a
     while v <= b + 1e-12 * step:

@@ -32,6 +32,7 @@ from .densities import (
     sample_step,
 )
 from .diagnostics import (
+    BandSpec,
     DiagnosticSettings,
     barron_statistics,
     cosine_statistics,
@@ -193,6 +194,19 @@ class RunConfig:
             if not 0.0 <= lo <= hi:
                 raise ValueError(f"cosine_regions needs 0 <= lo <= hi, got [{lo}, {hi}]")
         self.barron_prior()  # its check of continuous_weight, for either model
+        # two values whose column stems print alike would write one column
+        d, g = self.diagnostics, "{:g}".format
+        for key, stem, values in (
+                ("diagnostics.epsilons", g, d.epsilons), ("diagnostics.betas", g, d.betas),
+                ("diagnostics.bands", BandSpec.key, d.bands),
+                ("diagnostics.exponent_bands", BandSpec.key, d.exponent_bands),
+                ("cosine_regions", "{0[0]:g}_{0[1]:g}".format, self.cosine_regions)):
+            seen = {}
+            for v in values:
+                if (s := stem(v)) in seen:
+                    raise ValueError(f"{key}: {seen[s]!r} and {v!r} share the "
+                                     f"column stem {s!r}")
+                seen[s] = v
 
     def barron_prior(self) -> BarronPriorConfig:
         return BarronPriorConfig(continuous_weight=self.continuous_weight)

@@ -105,10 +105,11 @@ _ACK_PLOW = 0.02425
 _ACK_PHIGH = 1.0 - _ACK_PLOW
 
 
-# The rational functions and the Halley step are written once and run on
-# floats and on float64 arrays alike: numpy's +, -, *, / and sqrt round as
-# Python's float operations do.  Only ln, erfc and exp are taken element by
-# element with math, as np.log rounds some inputs differently.
+# The rational functions and the Halley step are written once, for float64
+# arrays here and for floats in the test suite's point-by-point reference:
+# numpy's +, -, *, / and sqrt round as Python's float operations do.  Only
+# ln, erfc and exp are taken element by element with math, as np.log rounds
+# some inputs differently.
 
 def _acklam_tail(q):
     """Acklam's lower-tail rational function of q = sqrt(-2 ln p)."""
@@ -139,24 +140,11 @@ def _each(f, x: np.ndarray) -> np.ndarray:
 
 def inv_norm_cdf(p):
     """Inverse standard normal CDF on (0,1), abs error <= 1e-9 on
-    [1e-12, 1-1e-12] (in practice near machine precision after refinement).
-    p is a number or an array; an array is mapped element by element, each
-    element bit for bit equal to the number's result.  Where |z| > 37,
-    phi(z) underflows and Acklam's value alone is all float64 offers.  The
-    number branch stays, though the package passes arrays: it is the
-    reference that the data-order fold tests sum point by point.
+    [1e-12, 1-1e-12] (in practice near machine precision after refinement),
+    element by element over a float64 array (a number is a 0-d one).  Where
+    |z| > 37, phi(z) underflows and Acklam's value alone is all float64
+    offers.
     """
-    if isinstance(p, float) or np.ndim(p) == 0:
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"inv_norm_cdf requires 0 < p < 1, got {p}")
-        if p < _ACK_PLOW:
-            z = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
-        elif p > _ACK_PHIGH:
-            z = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
-        else:
-            z = _acklam_central(p - 0.5)
-        return z if abs(z) > 37.0 else _halley(z, p, math.erfc, math.exp)
     p = np.asarray(p, dtype=np.float64)
     bad = ~((p > 0.0) & (p < 1.0))
     if bad.any():

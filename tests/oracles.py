@@ -8,6 +8,9 @@ collect this module, and the package never imports it.
   zeros);
 * the cosine density as a pointwise object, the reference for
   ``cosine.cosine_loglik``;
+* the inverse normal CDF of one number, the point-by-point reference that
+  the data-order fold tests sum;
+* the step predictive density, M(data + x) / M(data) from two step states;
 * the standard normal log-density, the tilt family's CDF, and the linear
   value of a log-space quadrature result;
 * ``on_nodes``, a pointwise integrand in the quadrature's panel protocol;
@@ -23,22 +26,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from posterior_lab import numerics
 from posterior_lab.densities import (
     HELLINGER_STEP_UNIFORM,
     StepDensity,
     cosine_normalizer,
 )
+from posterior_lab.intervals import Bracket
 from posterior_lab.numerics import (
     LOG_ZERO,
     log_sum_exp,
     QuadratureResult,
     adaptive_quadrature,
-    inv_norm_cdf,
     kronrod_nodes,
     norm_cdf,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def inv_norm_cdf_point(p: float) -> float:
+    """numerics.inv_norm_cdf of one number in float arithmetic: Acklam's
+    rational functions and one Halley step, which the array code must match
+    bit for bit."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"inv_norm_cdf requires 0 < p < 1, got {p}")
+    if p < numerics._ACK_PLOW:
+        z = numerics._acklam_tail(math.sqrt(-2.0 * math.log(p)))
+    elif p > numerics._ACK_PHIGH:
+        z = -numerics._acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
+    else:
+        z = numerics._acklam_central(p - 0.5)
+    return z if abs(z) > 37.0 else numerics._halley(z, p, math.erfc, math.exp)
+
+
+def step_predictive(state, x: float) -> Bracket:
+    """The step component's posterior predictive density at x in [0,1): the
+    ratio M(data + x) / M(data) of the step sums of the state with x merged
+    in and of the state itself, at most 2."""
+    part, total = state.merged([x]).step_sum, state.step_sum
+    return Bracket(min(2.0, math.exp(part.lower - total.upper)),
+                   min(2.0, math.exp(part.upper - total.lower)))
 
 
 def norm_logpdf(z: float) -> float:
@@ -74,7 +102,7 @@ def gauss_exp_cdf(d, x: float) -> float:
     """The CDF of a tilt member d: Phi(PhiInv(x) - sqrt(2 theta))."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0,1), got {x}")
-    return norm_cdf(inv_norm_cdf(x) - math.sqrt(2.0 * d.theta))
+    return norm_cdf(inv_norm_cdf_point(x) - math.sqrt(2.0 * d.theta))
 
 
 @dataclass(frozen=True)
@@ -202,7 +230,7 @@ def hellinger_numeric(f, g, tol: float = 1e-9) -> float:
     for d in (f, g):
         for x in quad_breakpoints(d):
             if 0.0 < x < 1.0:
-                bps.add(inv_norm_cdf(float(x)))
+                bps.add(inv_norm_cdf_point(float(x)))
     res = adaptive_quadrature(on_nodes(lambda z: _in_z(z, affinity)),
                               -_Z_CUTOFF, _Z_CUTOFF, tol, breakpoints=sorted(bps))
     # the upper end of the affinity bracket: near x = 1, x = Phi(z) rounds

@@ -33,8 +33,10 @@ from oracles import (
     hellinger_step_uniform,
     kl_gauss_exp,
     kl_numeric,
+    step_predictive,
 )
 
+from posterior_lab import barron
 from posterior_lab.barron import BarronEngine
 from posterior_lab.densities import (
     GaussExpDensity,
@@ -130,7 +132,9 @@ class TestCriterion2:
             data = [float(x) for x in rng.uniform(0.001, 0.999, n)]
             eng = BarronEngine()
             eng.add_points(data)
-            closed = LogBracket.sum_of(*eng._head(2))
+            st = eng.step  # past the cut every level holds n_distinct
+            ks = np.r_[st.k_by_level, [st.n_distinct] * 2][:2]
+            closed = LogBracket.sum_of(*barron._head(ks, n))
             total = 0.0
             for level in (1, 2):
                 m = level * level
@@ -291,9 +295,9 @@ class TestCriterion9:
             assert hm[1000].midpoint() <= hm[10].midpoint(), seed
             assert hm[1000].upper <= hm[10].upper, seed
 
-        eng = BarronEngine()
+        prior = BarronEngine().step
         xs = (np.arange(1024) + 0.5) / 1024
-        devs = [abs(eng.step_predictive(float(x)).midpoint() - 1.0) for x in xs]
+        devs = [abs(step_predictive(prior, float(x)).midpoint() - 1.0) for x in xs]
         assert max(devs) <= 1e-9
         elapsed = time.time() - t0
         assert elapsed < 300.0

@@ -3,6 +3,7 @@ over every step density of levels 1 and 2 (72 members), which must agree
 with the closed-form marginal to 1e-10 in log space; the continuous
 component is checked against mpmath quadrature and a Laplace window."""
 
+import functools
 import math
 import tracemalloc
 from itertools import combinations
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import inv_norm_cdf_point, step_predictive
 from posterior_lab import barron
 from posterior_lab.barron import (
     _LOG_LEVEL_NORM,
     BarronEngine,
     BarronPriorConfig,
+    StepState,
 )
 from posterior_lab.densities import (
     GaussExpDensity,
@@ -36,7 +39,6 @@ from posterior_lab.numerics import (
     LOG_ZERO,
     RandomStream,
     adaptive_quadrature,
-    inv_norm_cdf,
     log_sum_exp,
 )
 
@@ -71,9 +73,17 @@ def occupancy_at(e, level):
 def level_weights(e):
     """(lower, upper) posterior weights of the levels 1..M within the step
     component, and the weight past the cut M, from the engine's step sum."""
-    lo, hi, tail, total = e._step_sum()
+    st = e.step
+    (lo, hi), total = st.head, st.step_sum
     return (np.exp(lo - total.upper), np.minimum(1.0, np.exp(hi - total.lower)),
-            barron._mass(tail, total, 1.0))
+            barron._mass(st.tail, total))
+
+
+def first_two_head_terms(e):
+    """The head's enclosures at the levels 1 and 2, past the cut too, where
+    every level holds all n_distinct points."""
+    st = e.step
+    return barron._head(np.r_[st.k_by_level, [st.n_distinct] * 2][:2], st.n)
 
 
 def brute_force_step_sum(data, levels=(1, 2), with_likelihood=True):
@@ -185,7 +195,7 @@ class TestOccupancyTracking:
         e.add_points([0.3, 0.305, 0.9])
         assert occupancy_at(e, 5) == 3
         assert np.array_equal(e.occupancy.k_by_level,
-                              recount_occupancy([0.3, 0.305, 0.9], e._cut()))
+                              recount_occupancy([0.3, 0.305, 0.9], e.step.cut))
 
     def test_incremental_matches_scratch(self):
         rng = np.random.default_rng(42)
@@ -217,8 +227,8 @@ class TestOccupancyTracking:
     def test_distinct_level_relation(self):
         e = BarronEngine()
         e.add_points([0.1, 0.30001, 0.3, 0.9])
-        nd = e.distinct_level()
-        assert 1.0 / (2.0 * nd * nd) < e._min_gap
+        nd = e.step.distinct_level
+        assert 1.0 / (2.0 * nd * nd) < e.step.min_gap
         assert occupancy_at(e, nd) == e.occupancy.n_distinct
 
     def test_duplicates(self):
@@ -240,7 +250,7 @@ class TestOccupancyTracking:
         # levels: the compares do not grow with D
         e = BarronEngine()
         e.add_points([0.3, 0.3 + 1e-9])
-        assert e.distinct_level() == 31623
+        assert e.step.distinct_level == 31623
         asked, table = [], barron._level_table
 
         def recording(m):
@@ -305,7 +315,7 @@ class TestStepMarginal:
             data = [float(x) for x in rng.uniform(0.001, 0.999, n)]
             e = BarronEngine()
             e.add_points(data)
-            lo, hi = e._head(2)
+            lo, hi = first_two_head_terms(e)
             for with_lik in (True, False):
                 shift = 0.0 if with_lik else -n * LN2
                 mine = LogBracket.sum_of(lo + shift, hi + shift)
@@ -393,7 +403,7 @@ class TestClosedFormOracle:
         mean_inv = mp.exp(mp_step_log_sum(data, power=1) - s)
         assert e.posterior_over_n().contains(mean_inv)
         pred = mp.exp(mp_step_log_sum(data, x=0.37) - s)
-        assert e.step_predictive(0.37).contains(pred)
+        assert step_predictive(e.step, 0.37).contains(pred)
 
     def test_predictive_on_a_decimal_cell_boundary(self):
         # 0.3 lies just below the level-5 boundary 15/50 and 0.305 above it,
@@ -402,7 +412,7 @@ class TestClosedFormOracle:
         e = BarronEngine()
         e.add_points(data)
         pred = mp.exp(mp_step_log_sum(data, x=0.3) - mp_step_log_sum(data))
-        assert e.step_predictive(0.3).contains(pred)
+        assert step_predictive(e.step, 0.3).contains(pred)
 
     # x = 0 lies on the first cell boundary of every level; 1e-7 above 0.3
     # the predictive's levels run past the sample's distinct-cell level
@@ -412,19 +422,19 @@ class TestClosedFormOracle:
         e = BarronEngine()
         e.add_points(data)
         pred = mp.exp(mp_step_log_sum(data, x=x) - mp_step_log_sum(data))
-        assert e.step_predictive(x).contains(pred)
+        assert step_predictive(e.step, x).contains(pred)
 
     def test_predictive_at_a_data_point_is_two(self):
         # every cell of a data point is occupied, so each level's factor is 2
         e = BarronEngine()
         e.add_points([0.05, 0.3, 0.305, 0.9])
         for x in (0.05, 0.3, 0.305, 0.9):
-            assert e.step_predictive(x).contains(2.0), x
+            assert step_predictive(e.step, x).contains(2.0), x
 
     def test_lattice_cut_is_half_the_distinct_points(self):
         e = BarronEngine()
         e.add_points(ORACLE_DATA["lattice K=200"]())
-        assert e.distinct_level() == 15
+        assert e.step.distinct_level == 15
         assert e.occupancy.k_by_level.size == 100
 
 
@@ -472,9 +482,10 @@ class TestClosedFormHead:
         data = HEAD_ORACLE_DATA[case]()
         e = BarronEngine()
         e.add_points(data)
-        levels = e._cut()
+        st = e.step
+        levels = st.cut
         ks = recount_occupancy(data, levels).tolist()
-        lo, hi = e._head(levels)
+        lo, hi = st.head
         live = 0
         for i, k in enumerate(ks):
             if k > (i + 1) ** 2:
@@ -512,8 +523,8 @@ class TestClosedFormHead:
         data = [(i + 0.5) / 12 for i in range(12)]
         e = BarronEngine()
         e.add_points(data)
-        ks = recount_occupancy(data, e._cut())
-        lo, hi = e._head(ks.size)
+        ks = recount_occupancy(data, e.step.cut)
+        lo, hi = e.step.head
         dead = ks > np.arange(1, ks.size + 1) ** 2
         assert dead[:3].all() and not dead[3:].any()
         assert (lo[dead] == LOG_ZERO).all() and (hi[dead] == LOG_ZERO).all()
@@ -524,11 +535,11 @@ class TestClosedFormHead:
         # levels peaked at 3.3 MiB
         e = BarronEngine()
         e.add_points(_uniform_data(8000))
-        levels = e._cut()
-        barron._level_table(levels)  # the process-wide table, grown once
+        st = e.step
+        barron._level_table(st.cut)  # the process-wide table, grown once
         tracemalloc.start()
         try:
-            e._head(levels)
+            barron._head(st.k_by_level, st.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,9 +549,10 @@ class TestClosedFormHead:
     def test_head_bits_do_not_depend_on_the_pass_size(self, monkeypatch, size):
         e = BarronEngine()
         e.add_points(_uniform_data(8000))
-        lo, hi = e._head(e._cut())
+        st = e.step
+        lo, hi = st.head
         monkeypatch.setattr(barron, "_HEAD_CHUNK", size)
-        again = e._head(e._cut())
+        again = barron._head(st.k_by_level, st.n)
         assert lo.tobytes() == again[0].tobytes() and hi.tobytes() == again[1].tobytes()
 
     @pytest.mark.parametrize("n", [100, 1000, 8000])
@@ -785,7 +797,7 @@ class TestStepPredictive:
         e = BarronEngine()
         xs = (np.arange(1024) + 0.5) / 1024
         for x in xs[::97]:
-            b = e.step_predictive(float(x))
+            b = step_predictive(e.step, float(x))
             assert abs(b.midpoint() - 1.0) <= 1e-9
             assert b.width() <= 1e-9
 
@@ -797,7 +809,7 @@ class TestStepPredictive:
         e = BarronEngine()
         e.add_point(0.2)
         pred = mp.exp(mp_step_log_sum([0.2], x=0.3) - mp_step_log_sum([0.2]))
-        b = e.step_predictive(0.3)
+        b = step_predictive(e.step, 0.3)
         assert b.contains(pred)
         assert b.width() <= 1e-12
 
@@ -817,29 +829,35 @@ class TestStepPredictive:
             ratio = ext.step_marginal()
             lo = math.exp(ratio.lower - base.upper)
             hi = math.exp(ratio.upper - base.lower)
-            pred = e.step_predictive(x)
+            pred = step_predictive(e.step, x)
             assert pred.lower <= hi and lo <= pred.upper, x
             assert hi - lo <= 1e-9 * hi and pred.width() <= 1e-9 * pred.upper, x
 
     def test_predictive_leaves_the_engine_unchanged(self):
-        # the predictive merges x into a shallow copy, which starts out
-        # sharing the sample, the deficits and the cache with the engine
-        # asked: a cleared cache or a deficit written in place shows here
+        # the predictive merges x into the engine's step state, whose
+        # sample, deficits and cached values the merged state must neither
+        # write into nor replace: a value dropped, recomputed or written in
+        # place shows here
         e = BarronEngine()
         e.add_points(_uniform_data(300))
-        step, pts, d = e._step_sum(), e._pts, e._d
+        e.posterior_over_n()
+        st = e.step
+        pts, d, held = st.pts, st.deficits, dict(vars(st))
+        assert {"cut", "head", "tail_series", "tail", "inv_level_tail",
+                "step_sum"} <= held.keys()
         want_pts, want_d = pts.copy(), d.copy()
         for x in (0.0, 0.5, pts[7], pts[7] + 1e-9, 0.999):
-            e.step_predictive(float(x))
-        assert e._pts is pts and e._d is d and e._cache["step"] is step
+            step_predictive(st, float(x))
+        assert e.step is st and e.n == 300
+        assert vars(st).keys() == held.keys()
+        assert all(vars(st)[k] is v for k, v in held.items())
         assert np.array_equal(pts, want_pts) and np.array_equal(d, want_d)
-        assert e.n == 300 and e._step_sum() is step
 
     def test_predictive_integrates_to_one(self):
         e = BarronEngine()
         e.add_points([0.15, 0.5, 0.85])
         xs = (np.arange(512) + 0.5) / 512
-        mids = [e.step_predictive(float(x)).midpoint() for x in xs]
+        mids = [step_predictive(e.step, float(x)).midpoint() for x in xs]
         assert np.mean(mids) == pytest.approx(1.0, abs=5e-3)
 
     def test_one_ulp_off_a_point_raises_without_allocating(self):
@@ -852,13 +870,13 @@ class TestStepPredictive:
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=r"2\^-52") as info:
-                    e.step_predictive(x)
+                    e.step.merged([x])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert repr(x) in str(info.value) and nb in str(info.value)
             assert peak < 16 * 2 ** 20
-        assert e.step_predictive(0.3).lower > 0.0
+        assert step_predictive(e.step, 0.3).lower > 0.0
 
 
 # -- the per-state cache against the per-level loop it replaced --------------
@@ -978,6 +996,7 @@ class TestStepStateCache:
         assert occ.k_by_level.size == m_trunc
         assert occ.distinct_level <= m_trunc
         assert np.array_equal(occ.k_by_level, recount_occupancy(data, m_trunc))
+        assert not occ.k_by_level.flags.writeable  # the head reads the same array
 
     @pytest.mark.parametrize("case", CACHE_DATA)
     def test_step_brackets_equal_the_level_loop(self, cached_engines, case):
@@ -988,7 +1007,7 @@ class TestStepStateCache:
         # to n logs per level, which is all of its width where the tail
         # holds no mass (the tilt-truth case)
         e, data = cached_engines[case]
-        m_old = max(e.distinct_level(), 4 * e.n)
+        m_old = max(e.step.distinct_level, 4 * e.n)
         for with_lik in (True, False):
             ref = loop_bracket(data, m_old, with_lik)
             got = e.step_marginal(with_likelihood=with_lik)
@@ -1075,39 +1094,39 @@ class TestStepStateCache:
             for with_lik in (True, False):
                 assert e.step_marginal(with_likelihood=with_lik) == \
                     fresh.step_marginal(with_likelihood=with_lik), i
-        assert e.distinct_level() == 316228
+        assert e.step.distinct_level == 316228
         assert e.occupancy.n_distinct == e.n - 2
 
 
 class TestTailSeries:
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        """A fed engine whose cache records every key it stores."""
-        stored = []
+    def test_step_and_level_tails_build_one_series(self, monkeypatch):
+        built = []
+        series = StepState.tail_series
 
-        class Recording(dict):
-            def __setitem__(self, key, value):
-                stored.append(key)
-                super().__setitem__(key, value)
+        def counting(state):
+            built.append(state)
+            return series.func(state)
 
+        counted = functools.cached_property(counting)
+        counted.__set_name__(StepState, "tail_series")
+        monkeypatch.setattr(StepState, "tail_series", counted)
         e = BarronEngine()
         e.add_points(_uniform_data(300))
-        monkeypatch.setattr(e, "_cache", Recording())
-        return e, stored
-
-    def test_step_and_level_tails_build_one_series(self, recorded):
-        e, stored = recorded
         e.step_marginal()
         e.posterior_over_n()
         e.posterior_over_n()
-        assert [k for k in stored if k == "tail_series"] == ["tail_series"]
-        assert {k for k in stored if k[0] == "tail"} == {("tail", 2), ("tail", 3)}
-        for s0 in (2, 3):  # each as a fresh engine computes it alone
+        st = e.step
+        assert built == [st]
+        for s0, tail in ((2, st.tail), (3, st.inv_level_tail)):
+            # each as a fresh state computes it alone
             fresh = BarronEngine()
             fresh.add_points(_uniform_data(300))
-            assert e._cache[("tail", s0)] == fresh._tail(s0)
+            assert tail == fresh.step._tail(s0)
+        assert len(built) == 3
         e.add_point(0.123)
-        assert not e._cache
+        assert "tail_series" not in vars(e.step)
+        e.posterior_over_n()
+        assert len(built) == 4 and built[-1] is e.step
 
 
 class TestSeparatingLevels:
@@ -1227,10 +1246,10 @@ class TestBlockIngestion:
         assert np.array_equal(occ.k_by_level, recount_occupancy(data, occ.k_by_level.size))
         distinct = np.unique(data)
         assert blocks.occupancy.n_distinct == whole.occupancy.n_distinct == distinct.size
-        assert blocks._min_gap == np.diff(distinct).min(initial=math.inf)
+        assert blocks.step.min_gap == np.diff(distinct).min(initial=math.inf)
         s_n, log_truth = 0.0, 0.0
         for x in data:  # the sequential folds, in data order
-            s_n += inv_norm_cdf(x)
+            s_n += inv_norm_cdf_point(x)
             log_truth += truth.logpdf(x)
         assert blocks._s == s_n
         assert blocks.mean_log_truth == log_truth / len(data)
@@ -1239,7 +1258,7 @@ class TestBlockIngestion:
     @pytest.mark.parametrize("truth, draw, point_logpdf", [
         (UniformDensity(), lambda rs, n: rs.uniform_open(n), lambda x: 0.0),
         (GaussExpDensity(0.5), lambda rs, n: sample_gauss_exp(GaussExpDensity(0.5), rs, n),
-         lambda x: -0.5 + math.sqrt(2.0 * 0.5) * inv_norm_cdf(x)),
+         lambda x: -0.5 + math.sqrt(2.0 * 0.5) * inv_norm_cdf_point(x)),
         (STEP_TRUTH, lambda rs, n: np.r_[sample_step(STEP_TRUTH, rs, n - 40),
                                         rs.uniform_open(40)],
          lambda x: LN2 if int(exact_cells(8, x)) in STEP_TRUTH.selected else LOG_ZERO),
@@ -1253,7 +1272,7 @@ class TestBlockIngestion:
         for lo, hi in zip(cuts, cuts[1:]):
             e.add_points(data[lo:hi])
             for x in data[lo:hi]:
-                s_n += inv_norm_cdf(x)
+                s_n += inv_norm_cdf_point(x)
                 log_truth += point_logpdf(x)
             assert e._s == s_n and e._sum_log_truth == log_truth
         assert type(e._sum_log_truth) is float and type(e._s) is float
@@ -1268,7 +1287,8 @@ class TestBlockIngestion:
         e = BarronEngine(truth=GaussExpDensity(0.5))
         e.add_points([0.1, 0.3, 0.7])
         def stats():
-            return e.n, e._s, e._min_gap, e.occupancy.n_distinct, e._pts.copy()
+            st = e.step
+            return e.n, e._s, st.min_gap, st.n_distinct, st.pts.copy()
 
         before, occ, marginal = stats(), e.occupancy, e.step_marginal()
         log_truth = e.mean_log_truth
@@ -1292,5 +1312,5 @@ class TestBlockIngestion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert e.distinct_level() == 1_000_012
-        assert peak <= e._d.nbytes + 8 * 2 ** 20
+        assert e.step.distinct_level == 1_000_012
+        assert peak <= e.step.deficits.nbytes + 8 * 2 ** 20

@@ -604,11 +604,10 @@ class TestNumericFailureExit:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_invalid_bracket_exits_3(self, monkeypatch, tmp_path, capsys):
-        from posterior_lab.barron import BarronEngine
+        from posterior_lab.barron import StepState
         from posterior_lab.intervals import LogBracket
 
-        monkeypatch.setattr(BarronEngine, "_tail",
-                            lambda self, *args, **kwargs: LogBracket(0.0, -1.0))
+        monkeypatch.setattr(StepState, "tail", property(lambda self: LogBracket(0.0, -1.0)))
         code = run_cli("traj", "--truth", "uniform", "--n-max", "5",
                        "--seed", "1", "--out", str(tmp_path / "x"))
         assert code == 3
@@ -797,6 +796,75 @@ class TestConfigErrorExit:
                        "--out", str(tmp_path / "p.svg"))
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    # adding the step never passes b: to inf or from -inf it runs on
+    # forever, 1e-300 leaves 0.1 where it is, and 9e-13 takes 10^11 steps.
+    # The child runs under a 1 GiB address-space limit and a timeout, so a
+    # grid that grows without end fails the test instead of filling the
+    # machine
+    @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:0.2:1e-300",
+                                      "-inf:0.2:0.1", "0.1:0.2:9e-13"])
+    def test_endless_scan_grid_exits_2_at_once(self, tmp_path, grid):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        out = tmp_path / "s.csv"
+        argv = ["scan", "--n-max", "5", "--seeds", "1", f"--alpha-grid={grid}",
+                "--beta-grid", "0.6:0.6:0.1", "--out", str(out)]
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from posterior_lab.cli import main\n"
+                  f"sys.exit(main({argv!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2, proc.stderr
+        assert f"bad grid {grid!r}" in proc.stderr
+        assert not out.exists()
+
+    def test_a_nan_grid_part_is_refused(self):
+        # it failed every comparison, so the grid came out empty
+        from posterior_lab.cli import ConfigError
+        for bad in ("nan:0.2:0.1", "0.1:nan:0.1", "0.1:0.2:nan"):
+            with pytest.raises(ConfigError, match="bad grid"):
+                parse_grid(bad)
+        assert parse_grid("0.1:0.1:1e-12") == [0.1]
+
+    # stems print values with :g, six significant digits, so each pair would
+    # write one column that holds the values of whichever was computed last
+    @pytest.mark.parametrize("body, names", [
+        ({"diagnostics": {"epsilons": [0.5, 0.5000001]}},
+         ["diagnostics.epsilons", "0.5", "0.5000001"]),
+        ({"model": "cosine", "cosine_regions": [[5, 10], [5.0000001, 10]]},
+         ["cosine_regions", "(5.0, 10.0)", "(5.0000001, 10.0)"])], ids=["eps", "region"])
+    def test_colliding_column_stems_exit_2_before_sampling(
+            self, monkeypatch, tmp_path, capsys, body, names):
+        from posterior_lab.harness import TruthSpec
+
+        def never(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(TruthSpec, "sample", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": 5, **body}))
+        code = run_cli("traj", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names) and "column stem" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_colliding_scan_bands_exit_2_before_running(self, monkeypatch, tmp_path, capsys):
+        import posterior_lab.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the bands were checked")
+
+        monkeypatch.setattr(cli, "run_replications", never)
+        code = run_cli("scan", "--n-max", "20", "--seeds", "1",
+                       "--alpha-grid", "0.1:0.1000002:0.0000001",
+                       "--beta-grid", "0.6:0.6:0.1", "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpha=0.1," in err and "alpha=0.1000001," in err and "'0.1_0.6'" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # modules a process need not load to run one trajectory: OpenSSL's hash
