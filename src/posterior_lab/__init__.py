@@ -47,7 +47,6 @@ from .diagnostics import (
 from .cosine import (
     CosineEngine,
     CosinePriorConfig,
-    cosine_loglik,
 )
 from .harness import (
     RunConfig,

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .cosine import CosinePriorConfig
+from .cosine import PRIOR_PARAMS, CosinePriorConfig
 from .diagnostics import BandSpec, excursion_count
 from .harness import (
     RunConfig,
@@ -35,10 +35,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 log = logging.getLogger("posterior_lab")
-
-# the parameter that --cosine-prior KIND:VALUE sets, per prior kind
-COSINE_PRIOR_PARAMS = {"exponential": "rate", "truncated_uniform": "theta_max"}
-
 
 def parse_truth(spec: str) -> TruthSpec:
     """uniform | gauss:THETA | step:LEVEL:IDX,IDX,... | file:PATH"""
@@ -124,7 +120,7 @@ def _config_from_args(args):
     if getattr(args, "cosine_prior", None):
         kind, _, param = args.cosine_prior.partition(":")
         try:
-            name = COSINE_PRIOR_PARAMS[kind]
+            name = PRIOR_PARAMS[kind]  # the parameter VALUE sets
             given = {name: float(param)} if param else {}
         except (KeyError, ValueError):
             raise ConfigError(f"bad cosine prior {args.cosine_prior!r} (want "

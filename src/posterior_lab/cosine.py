@@ -17,16 +17,16 @@ The likelihood is evaluated a Kronrod panel at a time (``_panel_loglik``):
 the half-angle cosine at each node c + h xi_k comes from the panel's centre
 c by angle addition, so a panel costs one cos and one sin per data point,
 and each distinct half-width h one table of cos and sin of h xi_k x / 2,
-which the panels of that width share.  ``cosine_loglik`` is the pointwise
-definition it is tested against.
+which the panels of that width share.
 
 An engine holds one data set.  Its evidence, region and Hellinger queries
 each integrate their own pieces, cut at their own edges (the two Hellinger
 envelopes at the edges of both) but at the same half-period breakpoints, so
-interior panels repeat exactly; the engine keeps one table of Kronrod panels
-per integrand (the joint, and the joint less each extension floor), and each
-panel of an integrand reaches the likelihood once per data set, in one pass
-per refinement round.
+interior panels repeat exactly.  The engine keeps one memo of the joint's
+values at each panel's 15 nodes, keyed by (centre, half-width); the head's
+integrand and each extension's (the joint less its floor) all read it, so
+each panel reaches the likelihood once per data set, in one pass per
+refinement round.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
@@ -49,13 +49,14 @@ from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError,
                        adaptive_quadrature, kronrod_nodes, log_add, log_sum_exp)
 
 __all__ = [
+    "PRIOR_PARAMS",
     "CosinePriorConfig",
     "CosineEngine",
-    "cosine_loglik",
     "cosine_hellinger_uniform",
 ]
 
-_PRIOR_KINDS = ("exponential", "truncated_uniform")
+# the parameter each prior kind takes
+PRIOR_PARAMS = {"exponential": "rate", "truncated_uniform": "theta_max"}
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,10 @@ class CosinePriorConfig:
     theta_max: float = 50.0
 
     def __post_init__(self):
-        if self.kind not in _PRIOR_KINDS:
+        if self.kind not in PRIOR_PARAMS:
             raise ValueError(f"unknown prior kind {self.kind!r}; "
-                             f"choose from {_PRIOR_KINDS}")
-        name = "rate" if self.kind == "exponential" else "theta_max"
+                             f"choose from {tuple(PRIOR_PARAMS)}")
+        name = PRIOR_PARAMS[self.kind]
         value = getattr(self, name)
         if not (math.isfinite(value) and value > 0):  # a NaN fails no <= 0
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -96,47 +97,25 @@ class CosinePriorConfig:
         return math.log((self.theta_max - t) / self.theta_max)
 
 
-# elements of the theta x data matrix that one pass of cosine_loglik holds,
-# and of each (panel, node, data) buffer of _panel_loglik
+# elements of each (panel, node, data) buffer of _panel_loglik
 _CHUNK = 1 << 15
 # the positive Kronrod nodes xi_k: the centre less h xi_k is column k of a
 # panel's row, the centre plus h xi_k column 14 - k
 _XI = -kronrod_nodes(np.zeros(1), np.ones(1))[0, :7]
 
 
-def cosine_loglik(theta, data):
-    """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta) at each theta
-    of an array, via the half-angle form 2 cos^2(theta x / 2); LOG_ZERO where
-    a point sits on a zero of the pdf.  The thetas go through a theta x data
-    matrix a chunk of rows at a time, in one buffer that each step
-    overwrites, and each row is reduced on its own, so a theta's value does
-    not depend on the others."""
-    t = np.asarray(theta, dtype=float)
-    if (t < 0).any():
-        raise ValueError(f"theta must be >= 0, got {t.min()}")
-    x = np.asarray(data, dtype=float)
-    flat = t.ravel()
-    out = x.size * (LN2 - np.log(cosine_normalizer(flat)))
-    rows = max(1, _CHUNK // max(1, x.size))
-    buf = np.empty((min(rows, flat.size), x.size))
-    with np.errstate(divide="ignore"):
-        for i in range(0, flat.size, rows):
-            c = np.multiply.outer(0.5 * flat[i:i + rows], x, out=buf[:flat.size - i])
-            np.log(np.abs(np.cos(c, out=c), out=c), out=c)
-            out[i:i + rows] += 2.0 * c.sum(axis=1)
-    return out.reshape(t.shape)
-
-
 def _panel_loglik(c: np.ndarray, h: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """cosine_loglik at the 15 Kronrod nodes of each panel (c_j, h_j), as an
-    (m, 15) array.  With u = c x / 2 and v_k = h xi_k x / 2, the half-angle
-    cosines are cos(u -+ v_k) = cos u cos v_k +- sin u sin v_k and cos u at
-    the centre: a panel costs one cos and one sin per data point, and each
-    distinct half-width a table of cos v_k and sin v_k.  The panels go in
-    order of h, one table alive at a time, a chunk of rows at a time through
-    (rows, 7, n) buffers that each step overwrites; each (panel, node) row
-    is reduced on its own, so a panel's values do not depend on the others.
-    The normalizer term is taken at the float nodes."""
+    """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta) at the 15
+    Kronrod nodes theta of each panel (c_j, h_j), as an (m, 15) array;
+    LOG_ZERO where a point sits on a zero of the pdf.  With u = c x / 2 and
+    v_k = h xi_k x / 2, the half-angle cosines are cos(u -+ v_k) = cos u
+    cos v_k +- sin u sin v_k and cos u at the centre: a panel costs one cos
+    and one sin per data point, and each distinct half-width a table of
+    cos v_k and sin v_k.  The panels go in order of h, one table alive at a
+    time, a chunk of rows at a time through (rows, 7, n) buffers that each
+    step overwrites; each (panel, node) row is reduced on its own, so a
+    panel's values do not depend on the others.  The normalizer term is
+    taken at the float nodes."""
     x = 0.5 * data
     out = x.size * (LN2 - np.log(cosine_normalizer(kronrod_nodes(c, h))))
     rows = min(c.size, max(1, _CHUNK // (14 * max(1, x.size))))
@@ -279,15 +258,25 @@ class CosineEngine:
 
     def add_points(self, xs) -> None:
         """Append a block of points in [0,1] (one outside or NaN raises and
-        changes nothing) and drop every cached query, as a fresh engine."""
+        changes nothing) and drop every cached query, as a fresh engine.
+        The half period pi / max(data) of the fastest oscillation is rounded
+        down to a multiple of 2^-20 (inf where no point lies above 0): its
+        multiples are exact, so every seed panel between two breakpoints has
+        one width, which bisection halves exactly."""
         xs = np.asarray(xs, dtype=float).ravel()
         bad = ~((xs >= 0.0) & (xs <= 1.0))
         if bad.any():
             raise ValueError(f"data points must lie in [0,1], got {float(xs[bad][0])}")
         self.data = np.concatenate([self.data, xs])
-        # floor (None for the joint itself) -> that integrand's panel table;
-        # the first QuadratureError, which every later query raises again
-        self._cache, self._panels, self._failure = {}, {}, None
+        xmax = float(self.data.max()) if self.n else 0.0
+        half = math.pi / xmax if xmax > 0.0 else math.inf
+        self._half = math.floor(half * 2 ** 20) / 2 ** 20 if math.isfinite(half) else half
+        # (lo, hi, floor) -> a piece's bracket; the memo, (centre,
+        # half-width) -> the row of _rows holding the joint's 15 values on
+        # that panel (an index, not a row view, keeps it small); the first
+        # QuadratureError, which every later query raises again
+        self._cache, self._memo, self._failure = {}, {}, None
+        self._rows = np.empty((0, 15))
 
     @property
     def n(self) -> int:
@@ -323,17 +312,8 @@ class CosineEngine:
             c = max(c, (sup - math.log(self.quad_tol) - floor) / self.prior.rate)
         return c
 
-    def _half_period(self) -> float:
-        """pi / max(data), the half period of the fastest oscillation,
-        rounded down to a multiple of 2^-20, or inf where no point lies
-        above 0.  Its multiples are exact, so every seed panel between two
-        breakpoints has one width, which bisection halves exactly."""
-        xmax = float(self.data.max()) if self.n else 0.0
-        half = math.pi / xmax if xmax > 0.0 else math.inf
-        return math.floor(half * 2 ** 20) / 2 ** 20 if math.isfinite(half) else half
-
     def _breakpoints(self, lo: float, hi: float) -> list:
-        half = self._half_period()
+        half = self._half
         if math.isinf(half):
             return []
         k0 = int(lo / half) + 1
@@ -343,7 +323,7 @@ class CosineEngine:
         """Raise QuadratureError if [lo, hi] holds more half-period panels
         than one quadrature may, counted with floor arithmetic before any
         breakpoint list or Hellinger grid is built for it."""
-        half = self._half_period()
+        half = self._half
         top = hi / half  # inf (or NaN) past the float range: no budget holds it
         panels = math.floor(top) - math.floor(lo / half) + 1 \
             if math.isfinite(top) else math.inf
@@ -352,22 +332,29 @@ class CosineEngine:
                                   f"period of the likelihood, past the budget of "
                                   f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
 
+    def _joint(self, c: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """ln prior + ln likelihood at the 15 Kronrod nodes of each panel
+        (c_j, h_j), read from the memo; the panels it lacks are evaluated in
+        one pass and appended to it."""
+        keys = list(zip(c.tolist(), h.tolist()))
+        new = [i for i, key in enumerate(keys) if key not in self._memo]
+        if new:
+            nc, nh = c[new], h[new]
+            rows = self.prior.log_density(kronrod_nodes(nc, nh)) \
+                + _panel_loglik(nc, nh, self.data)
+            self._memo.update((keys[i], len(self._rows) + j) for j, i in enumerate(new))
+            self._rows = np.concatenate([self._rows, rows])
+        return self._rows[list(map(self._memo.__getitem__, keys))]
+
     def _piece_integral(self, lo: float, hi: float, floor=None) -> LogBracket:
         """The joint mass of [lo, hi] to a relative quad_tol, or, given a
-        floor F, to an absolute quad_tol * e^F.  Its integrand (the joint, or
-        the joint less F) reads and fills that integrand's panel table, so a
-        panel shared with another piece is evaluated once."""
+        floor F, to an absolute quad_tol * e^F on the joint less F."""
         key = (lo, hi, floor)
         if key not in self._cache:
-            def f(c, h):  # ln prior + ln likelihood at each panel's nodes
-                v = self.prior.log_density(kronrod_nodes(c, h)) \
-                    + _panel_loglik(c, h, self.data)
-                return v if floor is None else v - floor
-
+            f = self._joint if floor is None else lambda c, h: self._joint(c, h) - floor
             res = adaptive_quadrature(f, lo, hi, self.quad_tol,
                                       breakpoints=self._breakpoints(lo, hi),
-                                      relative=floor is None,
-                                      panels=self._panels.setdefault(floor, {}))
+                                      relative=floor is None)
             br = LogBracket(*res.log_bracket())
             self._cache[key] = br if floor is None else br.shift(floor)
         return self._cache[key]

@@ -645,19 +645,29 @@ def write_trajectory(traj: TrajectoryRecord, prefix: str) -> tuple:
 
 
 def load_trajectory(prefix: str) -> TrajectoryRecord:
-    """Load a persisted trajectory (CSV + sidecar) back into memory."""
+    """Load a persisted trajectory (CSV + sidecar) back into memory.  A line
+    that is not one number per column, or a CSV with a row count other than
+    the sidecar's grid, raises ValueError naming the line."""
     with open(prefix + ".json", "r", encoding="utf-8") as fh:
         side = json.load(fh)
     cfg = RunConfig.from_dict(side["config"])
-    columns = list(side["columns"])
+    columns, grid = list(side["columns"]), list(side["grid"])
     rows = []
     with open(prefix + ".csv", "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header != columns:
             raise ValueError("CSV header does not match sidecar columns")
-        for line in fh:
-            vals = [float(v) for v in line.strip().split(",")]
-            rows.append(dict(zip(columns, vals)))
+        for i, line in enumerate(fh, start=2):
+            vals = line.strip().split(",")
+            try:
+                if len(vals) != len(columns):
+                    raise ValueError(f"{len(vals)} values for {len(columns)} columns")
+                rows.append(dict(zip(columns, map(float, vals))))
+            except ValueError as exc:
+                raise ValueError(f"{prefix}.csv line {i}: {exc}") from None
+    if len(rows) != len(grid):
+        raise ValueError(f"{prefix}.csv ends at line {len(rows) + 1} after {len(rows)} "
+                         f"rows, but its sidecar's grid has {len(grid)} points")
     return TrajectoryRecord(config=cfg, seed=int(side["seed"]),
-                            grid=list(side["grid"]), columns=columns, rows=rows,
+                            grid=grid, columns=columns, rows=rows,
                             errors=[(int(n), m) for n, m in side.get("errors", [])])

@@ -6,7 +6,9 @@ The quadrature calls its integrand on whole panels: ``f(c, h)`` gets the
 centres and half-widths of a batch of panels and returns ln of the
 integrand at each panel's 15 Kronrod nodes.  A pointwise integrand maps
 itself over ``kronrod_nodes(c, h)``; the cosine likelihood instead builds
-its nodes from each panel's centre by angle addition.
+its nodes from each panel's centre by angle addition, and the cosine engine
+keeps a memo of the panels it has evaluated.  The quadrature itself keeps
+no table and changes none of its arguments.
 
 Everything here is pure (no global state); a ``RandomStream`` is a value
 whose words depend only on its seed and stream id.
@@ -326,22 +328,13 @@ def kronrod_nodes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return c[:, None] + h[:, None] * _NODES
 
 
-def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray, panels=None):
+def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
     """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i],
-    and the number of abscissae f evaluated: one call f(c, h) on the centres
-    and half-widths of every panel or, given a ``panels`` table, of every
-    panel not in it, which then holds them too.  Each panel is scaled by its
-    own maximum, and its error is QUADPACK's resasc min(1, (200 |K - G| /
-    resasc)^1.5), at least 50 eps K."""
-    if panels is not None:
-        keys = list(zip(lo.tolist(), hi.tolist()))
-        new = [i for i, key in enumerate(keys) if key not in panels]
-        evals = 0
-        if new:
-            li, le, evals = _kronrod_panels(f, lo[new], hi[new])
-            panels.update(zip([keys[i] for i in new], zip(li.tolist(), le.tolist())))
-        li, le = np.array(list(map(panels.__getitem__, keys))).T
-        return li, le, evals
+    and the number of abscissae f was asked for: one call f(c, h) on the
+    centres and half-widths of every panel.  Each panel is scaled by its own
+    maximum, and its error is QUADPACK's resasc min(1, (200 |K - G| /
+    resasc)^1.5), at least 50 eps K; the sums are taken row by row, so a
+    panel's values do not depend on the others in its batch."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fx = np.asarray(f(c, h), dtype=float)
     if fx.shape != (c.size, _NODES.size):
@@ -371,8 +364,7 @@ MAX_INTERVALS = 200_000
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
-                        breakpoints=(), relative: bool = False,
-                        panels=None) -> QuadratureResult:
+                        breakpoints=(), relative: bool = False) -> QuadratureResult:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
     space, refined in rounds.
 
@@ -386,13 +378,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     summed error estimate satisfies err <= tol * max(1, I) (or err <= tol *
     I when ``relative`` is set); otherwise it bisects the fewest
     largest-error panels whose errors cover the excess and passes all their
-    halves to one call of f.
-
-    ``panels``, a dict owned by the caller, maps (lo, hi) to the panel's
-    (ln K, ln error) for this one integrand f: a panel found there is not
-    evaluated again, and each panel evaluated is added to it, so quadratures
-    over pieces that share panels evaluate each of them once.
-    ``evaluations`` counts the abscissae f evaluated, 15 per panel.
+    halves to one call of f.  ``evaluations`` counts the abscissae the rule
+    asked f for, 15 per panel, including any that f read from its own memo.
 
     Raises QuadratureError (carrying the best bracket) when the subdivision
     budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
@@ -408,7 +395,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
                               f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
     lo, hi = pts[:-1], pts[1:]
-    li, le, evals = _kronrod_panels(f, lo, hi, panels)
+    li, le, evals = _kronrod_panels(f, lo, hi)
     log_tol = math.log(tol)
     while True:
         s_all, e_all = log_sum_exp(li), log_sum_exp(le)
@@ -428,7 +415,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         new_lo, new_hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        new_li, new_le, new_evals = _kronrod_panels(f, new_lo, new_hi, panels)
+        new_li, new_le, new_evals = _kronrod_panels(f, new_lo, new_hi)
         evals += new_evals
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         li, le = np.concatenate([li[keep], new_li]), np.concatenate([le[keep], new_le])

@@ -6,8 +6,8 @@ collect this module, and the package never imports it.
 * independent numeric Hellinger and KL integrators, the Hellinger one with
   the subdivision points of each density (step cell boundaries, cosine pdf
   zeros);
-* the cosine density as a pointwise object, the reference for
-  ``cosine.cosine_loglik``;
+* the cosine density as a pointwise object, and the cosine log-likelihood
+  on a theta x data matrix, the references for ``cosine._panel_loglik``;
 * the inverse normal CDF of one number, the point-by-point reference that
   the data-order fold tests sum;
 * the step predictive density, M(data + x) / M(data) from two step states;
@@ -34,6 +34,7 @@ from posterior_lab.densities import (
 )
 from posterior_lab.intervals import Bracket
 from posterior_lab.numerics import (
+    LN2,
     LOG_ZERO,
     log_sum_exp,
     QuadratureResult,
@@ -135,6 +136,26 @@ class CosineDensity:
         if c == 0.0:
             return LOG_ZERO
         return math.log(2.0) + 2.0 * math.log(abs(c)) - self.log_normalizer()
+
+
+def cosine_loglik(theta, data):
+    """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta) at each theta
+    of an array, via the half-angle form 2 cos^2(theta x / 2); LOG_ZERO where
+    a point sits on a zero of the pdf.  The thetas go through a theta x data
+    matrix a chunk of 2^15 elements at a time, and each row is reduced on
+    its own, so a theta's value does not depend on the others."""
+    t = np.asarray(theta, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"theta must be >= 0, got {t.min()}")
+    x = np.asarray(data, dtype=float)
+    flat = t.ravel()
+    out = x.size * (LN2 - np.log(cosine_normalizer(flat)))
+    rows = max(1, (1 << 15) // max(1, x.size))
+    with np.errstate(divide="ignore"):
+        for i in range(0, flat.size, rows):
+            c = np.cos(np.multiply.outer(0.5 * flat[i:i + rows], x))
+            out[i:i + rows] += 2.0 * np.log(np.abs(c)).sum(axis=1)
+    return out.reshape(t.shape)
 
 
 def quad_breakpoints(d) -> tuple:

@@ -784,18 +784,29 @@ class TestConfigErrorExit:
         with pytest.raises(BlockingIOError):
             run_cli("traj", "--n-max", "3", "--out", str(tmp_path / "x"))
 
-    def test_corrupted_plot_input_exits_2(self, tmp_path, capsys):
+    # each edit corrupts the second data row, which is line 3 of the CSV;
+    # with that row dropped, the file ends one row short of the sidecar's grid
+    @pytest.mark.parametrize("edit, where", [
+        (lambda row: ["not-a-number" + row[row.index(","):]], "line 3:"),
+        (lambda row: [row.rsplit(",", 3)[0]], "line 3: 23 values for 26 columns"),
+        (lambda row: [row + ",0.5"], "line 3: 27 values for 26 columns"),
+        (lambda row: [], "ends at line 11 after 10 rows"),
+    ], ids=["not-a-number", "short-line", "long-line", "dropped-row"])
+    def test_corrupted_plot_input_exits_2(self, tmp_path, capsys, edit, where):
         out = str(tmp_path / "base")
         assert run_cli("traj", "--truth", "uniform", "--n-max", "12",
                        "--seed", "1", "--out", out) == 0
         lines = open(out + ".csv").read().splitlines()
-        lines[2] = "not-a-number" + lines[2][lines[2].index(","):]
+        assert len(lines[2].split(",")) == 26 and len(lines) == 12
+        lines[2:3] = edit(lines[2])
         with open(out + ".csv", "w") as fh:
             fh.write("\n".join(lines) + "\n")
         code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
                        "--out", str(tmp_path / "p.svg"))
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and where in err
+        assert not os.path.exists(tmp_path / "p.svg")
 
     # adding the step never passes b: to inf or from -inf it runs on
     # forever, 1e-300 leaves 0.1 where it is, and 9e-13 takes 10^11 steps.

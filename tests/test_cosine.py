@@ -11,16 +11,16 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import CosineDensity, gauss_legendre_log, hellinger_numeric
+from oracles import CosineDensity, cosine_loglik, gauss_legendre_log, hellinger_numeric
 from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
     CosineEngine,
     CosinePriorConfig,
     cosine_hellinger_uniform,
-    cosine_loglik,
 )
 from posterior_lab.densities import UniformDensity
-from posterior_lab.diagnostics import DiagnosticSettings
+from posterior_lab.diagnostics import (DiagnosticSettings, cosine_statistics,
+                                       evaluate_diagnostics)
 from posterior_lab.harness import DATA_STREAM, RunConfig, evaluation_grid, run_trajectory
 from posterior_lab.intervals import Bracket, LogBracket
 from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
@@ -121,7 +121,7 @@ class TestPanelLikelihood:
         # x = 1 down to 2^-12 of it, with centres up to theta = 6000, and a
         # panel centred on theta = pi, a pdf zero at x = 1: 600 nodes
         rng = np.random.default_rng(14)
-        half = CosineEngine(CosinePriorConfig(), [1.0])._half_period()
+        half = CosineEngine(CosinePriorConfig(), [1.0])._half
         h = np.repeat(0.5 * half * 2.0 ** -np.arange(13.0), 3)
         k = rng.integers(0, (6000.0 / (2.0 * h)).astype(np.int64))
         return np.append((k + 0.5) * 2.0 * h, math.pi), np.append(h, 0.25)
@@ -546,10 +546,10 @@ def _panel_alone(f, c, h):
 
 
 class TestOnePerTheta:
-    """The engine keeps one table of Kronrod panels per integrand: each panel
-    of an integrand reaches the likelihood once per engine, and a panel
-    keeps the bits of its evaluation on its own, whichever batch, order or
-    chunk computed it."""
+    """The engine keeps one memo of the joint on Kronrod panels: each panel
+    reaches the likelihood once per data set, whichever integrand asks for
+    it, and a panel keeps the bits of its evaluation on its own, whichever
+    batch, order or chunk computed it."""
 
     @pytest.mark.parametrize("prior, data", [
         (CosinePriorConfig("exponential", rate=1.0),
@@ -562,7 +562,7 @@ class TestOnePerTheta:
          RandomStream(10, 0).uniform_open(5000)),
     ])
     def test_memoized_log_joint_equals_scalar(self, prior, data):
-        # what a panel table holds is computed on whole batches of panels,
+        # what the memo holds is computed on whole batches of panels,
         # widths mixed: each panel's values must not depend on the batch.
         # 40 panels share one width, so at n = 300 (7 panels a chunk) and
         # n = 41 (39) that width's rows cross chunk boundaries
@@ -588,79 +588,75 @@ class TestOnePerTheta:
             assert want[3, 14] == LOG_ZERO
 
     def test_each_panel_reaches_the_likelihood_once(self, monkeypatch):
-        prior = CosinePriorConfig("exponential", rate=1.0)
-        data = RandomStream(12, 0).uniform_open(60)
-        calls = []   # (table, panel centres, half-widths) of each integrand call
+        # at n = 60 the head ends at theta = 45, and the four default
+        # statistics extend past it with several floors (four here) over the
+        # same half-period breakpoints: the integrands of all of them read
+        # one memo
+        cfg = RunConfig(model="cosine")
+        prior, data = cfg.cosine_prior, RandomStream(12, 0).uniform_open(60)
+        asked = []   # the panels each quadrature's integrand asked for
         quads = []
-        seen = []    # the panels of each likelihood pass
+        seen = []    # every panel a likelihood pass evaluated
         loglik = cosine._panel_loglik
 
         def count_loglik(c, h, x):
-            seen.append((c.copy(), h.copy()))
+            seen.extend(zip(c.tolist(), h.tolist()))
             return loglik(c, h, x)
 
         def record_quadrature(f, a, b, tol, **kw):
+            mine = []
+
             def g(c, h):
-                calls.append((kw["panels"], c.copy(), h.copy()))
+                mine.extend(zip(c.tolist(), h.tolist()))
                 return f(c, h)
 
+            asked.append(mine)
             res = numerics.adaptive_quadrature(g, a, b, tol, **kw)
-            quads.append((f, a, b, tol, kw, res))
+            quads.append(res)
             return res
 
         monkeypatch.setattr(cosine, "_panel_loglik", count_loglik)
         monkeypatch.setattr(cosine, "adaptive_quadrature", record_quadrature)
-        eng = CosineEngine(prior, data)
-        eng.log_evidence()
-        eng.region_mass(5.0)
-        eng.region_mass(1.0, 3.0)
-        eng.hellinger_mass(0.3)
-        eng.hellinger_mass(0.5)
+        eng = CosineEngine(prior, data, quad_tol=cfg.quad_tol)
+        row, errors = evaluate_diagnostics(
+            eng, cosine_statistics(cfg.diagnostics, cfg.cosine_regions))
         monkeypatch.undo()
-        assert len(quads) >= 5
-        # the joint, and the joint less each extension floor
-        tables = eng._panels
-        assert None in tables and len(tables) >= 2
-        assert any(not kw["relative"] for *_, kw, _ in quads)
-        # every integrand call is one likelihood pass on its panels, and the
-        # panels an integrand passes are its table's panels, each once
-        assert [(c.tolist(), h.tolist()) for _, c, h in calls] == \
-            [(c.tolist(), h.tolist()) for c, h in seen]
-        for floor, table in tables.items():
-            got = [p for tab, c, h in calls if tab is table
-                   for p in zip(c.tolist(), h.tolist())]
-            want = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in table]
-            assert sorted(got) == sorted(want), floor
-        assert sum(q[-1].evaluations for q in quads) == 15 * sum(c.size for c, _ in seen)
-        # each panel holds the bits of its own evaluation, one panel alone,
-        # on the joint less the table's floor
+        assert errors == [] and all(map(math.isfinite, row.values()))
+        # each new piece is one quadrature, in the order the cache holds them
+        assert len(quads) == len(eng._cache)
+        floors = {}
+        for (lo, hi, floor), panels in zip(eng._cache, asked):
+            for p in panels:
+                floors.setdefault(p, set()).add(floor)
+        assert len({floor for *_, floor in eng._cache} - {None}) >= 2
+        assert sum(len(f - {None}) >= 2 for f in floors.values()) > 50
+        # every panel asked for reached the likelihood once, whichever
+        # integrand asked first; the rule counts the nodes it asked for
+        assert len(seen) == len(set(seen)) == len(eng._memo)
+        assert set(seen) == set(floors) == set(eng._memo)
+        assert sum(q.evaluations for q in quads) == 15 * sum(map(len, asked)) \
+            > 15 * len(seen)
+        # each memo row holds the bits of its panel evaluated alone
         joint = _log_joint(prior, data)
-        for floor, table in tables.items():
+        assert sorted(eng._memo.values()) == list(range(len(eng._rows)))
+        for (c, h), i in eng._memo.items():
+            assert np.array_equal(eng._rows[i], _panel_alone(joint, np.array([c]),
+                                                             np.array([h]))[0]), (c, h)
+        # and each piece keeps the bits of a quadrature that evaluates every
+        # panel itself, on the joint or on the joint less its floor
+        for (lo, hi, floor), br in eng._cache.items():
             def alone(c, h, floor=floor):
-                v = _panel_alone(joint, c, h)
+                v = joint(c, h)
                 return v if floor is None else v - floor
 
-            for (lo, hi), value in table.items():
-                li, le, _ = numerics._kronrod_panels(alone, np.array([lo]),
-                                                     np.array([hi]))
-                assert (li[0], le[0]) == value, (floor, lo, hi)
-        # each recorded quadrature (a head piece, or a piece past the head on
-        # an integrand shifted by its floor) replays to the same result
-        # without a table, and reads every panel from the engine's table;
-        # interior panels repeat across the quadratures
-        replays = 0
-        for f, a, b, tol, kw, res in quads:
-            alone = numerics.adaptive_quadrature(f, a, b, tol, **{**kw, "panels": None})
-            again = numerics.adaptive_quadrature(f, a, b, tol, **kw)
-            assert (alone.log_estimate, alone.rel_error_bound) == \
-                (res.log_estimate, res.rel_error_bound)
-            assert again == numerics.QuadratureResult(res.log_estimate,
-                                                      res.rel_error_bound, 0)
-            replays += alone.evaluations
-        assert replays > 15 * sum(c.size for c, _ in seen)
+            res = numerics.adaptive_quadrature(
+                alone, lo, hi, cfg.quad_tol, breakpoints=eng._breakpoints(lo, hi),
+                relative=floor is None)
+            want = LogBracket(*res.log_bracket())
+            assert br == (want if floor is None else want.shift(floor)), (lo, hi, floor)
 
     def test_four_statistics_at_n1000_peak_under_0_8_mib(self):
-        # a default cosine row at seed 3, n = 1000: the panel tables and one
+        # a default cosine row at seed 3, n = 1000: the panel memo and one
         # chunk of the theta x data matrix, not a float pair per theta
         cfg = RunConfig(model="cosine")
         data = cfg.truth.sample(RandomStream(3, DATA_STREAM), 1000)

@@ -22,7 +22,6 @@ from posterior_lab.numerics import (
     LOG_ZERO,
     NumericError,
     QuadratureError,
-    QuadratureResult,
     RandomStream,
     adaptive_quadrature,
     binet,
@@ -466,38 +465,6 @@ class TestAdaptiveQuadrature:
         assert res.evaluations == sum(x.size for x in calls)
         # the first round holds one panel per breakpoint interval
         assert calls[0].size == 15 * (len(kw.get("breakpoints", ())) + 1)
-
-    def test_a_panel_table_evaluates_each_panel_once(self):
-        calls = []
-
-        def g(x):
-            calls.append(x.size)
-            return np.sin(20.0 * x) - x
-
-        f = on_nodes(g)
-
-        def bits(res):
-            return res.log_estimate, res.rel_error_bound
-
-        table = {}
-        whole = adaptive_quadrature(f, 0.0, 3.0, 1e-10, breakpoints=(1.0, 2.0),
-                                    panels=table)
-        assert whole.evaluations == sum(calls) == 15 * len(table)
-        assert bits(whole) == bits(adaptive_quadrature(f, 0.0, 3.0, 1e-10,
-                                                       breakpoints=(1.0, 2.0)))
-        # the same quadrature again reads every panel from the table
-        calls.clear()
-        again = adaptive_quadrature(f, 0.0, 3.0, 1e-10, breakpoints=(1.0, 2.0),
-                                    panels=table)
-        assert calls == [] and again == QuadratureResult(*bits(whole), 0)
-        # a piece cut at the same breakpoint evaluates only the panels the
-        # table lacks, and keeps the bits of a quadrature without a table
-        size = len(table)
-        piece = adaptive_quadrature(f, 1.0, 3.0, 1e-10, breakpoints=(2.0,),
-                                    panels=table)
-        alone = adaptive_quadrature(f, 1.0, 3.0, 1e-10, breakpoints=(2.0,))
-        assert bits(piece) == bits(alone)
-        assert piece.evaluations == 15 * (len(table) - size) < alone.evaluations
 
 
 class TestRandomStream:
