@@ -25,8 +25,6 @@ from .densities import (
     GaussExpDensity,
     StepDensity,
     UniformDensity,
-    sample_gauss_exp,
-    sample_step,
 )
 from .barron import (
     BarronEngine,

@@ -37,34 +37,33 @@ EXIT_NUMERIC = 3
 log = logging.getLogger("posterior_lab")
 
 def parse_truth(spec: str) -> TruthSpec:
-    """uniform | gauss:THETA | step:LEVEL:IDX,IDX,... | file:PATH"""
+    """uniform | gauss:THETA | step:LEVEL:IDX,IDX,... | file:PATH; a value
+    that TruthSpec rejects is a ConfigError carrying its message."""
     if spec == "uniform":
-        return TruthSpec("uniform")
-    if spec.startswith("gauss:"):
+        fields = {"kind": "uniform"}
+    elif spec.startswith("gauss:"):
         try:
-            theta = float(spec.split(":", 1)[1])
+            fields = {"kind": "gauss_exp", "theta": float(spec.split(":", 1)[1])}
         except ValueError:
             raise ConfigError(f"bad gauss truth {spec!r}") from None
-        if not 0.0 <= theta <= 1.0:
-            raise ConfigError(f"gauss truth theta must lie in [0,1], got {theta}")
-        return TruthSpec("gauss_exp", theta=theta)
-    if spec.startswith("step:"):
+    elif spec.startswith("step:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad step truth {spec!r} "
                               "(want step:LEVEL:IDX,IDX,...)")
         try:
-            level = int(parts[1])
-            idx = tuple(int(t) for t in parts[2].split(",") if t)
+            fields = {"kind": "step", "level": int(parts[1]),
+                      "selected": tuple(int(t) for t in parts[2].split(",") if t)}
         except ValueError:
             raise ConfigError(f"bad step truth {spec!r}") from None
-        try:
-            return TruthSpec("step", level=level, selected=idx)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if spec.startswith("file:"):
-        return TruthSpec("external", path=spec.split(":", 1)[1])
-    raise ConfigError(f"unknown truth spec {spec!r}")
+    elif spec.startswith("file:"):
+        fields = {"kind": "external", "path": spec.split(":", 1)[1]}
+    else:
+        raise ConfigError(f"unknown truth spec {spec!r}")
+    try:
+        return TruthSpec(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_seeds(spec: str) -> tuple:
@@ -217,8 +216,7 @@ def cmd_scan(args) -> int:
     for band in bands:
         stem = f"band_mass_{band.key()}"
         for delta in deltas:
-            counts = [excursion_count(t, stem, delta).count
-                      for t in result.trajectories]
+            counts = [excursion_count(t, stem, delta) for t in result.trajectories]
             hits = sum(1 for c in counts if c > 0)
             lines.append(",".join([
                 f"{band.alpha:.17g}", f"{band.beta:.17g}", f"{delta:.17g}",

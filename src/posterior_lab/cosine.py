@@ -260,17 +260,19 @@ class CosineEngine:
         """Append a block of points in [0,1] (one outside or NaN raises and
         changes nothing) and drop every cached query, as a fresh engine.
         The half period pi / max(data) of the fastest oscillation is rounded
-        down to a multiple of 2^-20 (inf where no point lies above 0): its
-        multiples are exact, so every seed panel between two breakpoints has
-        one width, which bisection halves exactly."""
+        down to a multiple of 2^-20: its multiples are exact, so every seed
+        panel between two breakpoints has one width, which bisection halves
+        exactly.  It is inf where no point lies above 0, and where it is
+        past the float range in units of 2^-20 (max(data) below about
+        1.8e-302), since so long a half period ends no piece."""
         xs = np.asarray(xs, dtype=float).ravel()
         bad = ~((xs >= 0.0) & (xs <= 1.0))
         if bad.any():
             raise ValueError(f"data points must lie in [0,1], got {float(xs[bad][0])}")
         self.data = np.concatenate([self.data, xs])
         xmax = float(self.data.max()) if self.n else 0.0
-        half = math.pi / xmax if xmax > 0.0 else math.inf
-        self._half = math.floor(half * 2 ** 20) / 2 ** 20 if math.isfinite(half) else half
+        units = math.pi / xmax * 2 ** 20 if xmax > 0.0 else math.inf
+        self._half = math.floor(units) / 2 ** 20 if math.isfinite(units) else math.inf
         # (lo, hi, floor) -> a piece's bracket; the memo, (centre,
         # half-width) -> the row of _rows holding the joint's 15 values on
         # that panel (an index, not a row view, keeps it small); the first

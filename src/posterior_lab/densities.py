@@ -3,9 +3,12 @@ f_theta(x) = exp(-theta + sqrt(2 theta) * PhiInv(x)), the oscillatory step
 families on the partitions of [0,1) into 2 N^2 cells, and the normalizer of
 the one-parameter cosine family f_theta(x) proportional to 1 + cos(theta x).
 
-Each density has one log-density, on arrays; a number is a 0-d array.  The
-closed-form divergences, the numeric Hellinger integrator and the cosine
-density itself are the test suite's oracles and live beside it.
+Each density validates its parameters when built, and has one log-density,
+on arrays (a number is a 0-d array), and one exact sampler, a pure function
+of a RandomStream whose draws lie strictly inside (0,1); a run's truth
+scores and samples its data through them.  The closed-form divergences,
+the numeric Hellinger integrator and the cosine density itself are the test
+suite's oracles and live beside it.
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ __all__ = [
     "UniformDensity",
     "cosine_normalizer",
     "cell_floor",
-    "sample_gauss_exp",
-    "sample_step",
 ]
 
 HELLINGER_STEP_UNIFORM = math.sqrt(2.0 - math.sqrt(2.0))  # 0.765366...
 
 # Veltkamp's splitting constant 2^27 + 1 for doubles
 _SPLIT = 134217729.0
+
+# clamp guard of the samplers: the posterior engine's update contract
+# excludes the endpoints, so draws stay strictly inside (0,1)
+_OPEN_LO = math.ulp(0.5)
+_OPEN_HI = 1.0 - math.ulp(0.5)
 
 
 def cell_floor(w, x) -> np.ndarray:
@@ -82,7 +88,7 @@ class GaussExpDensity:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
+        if self.theta is None or not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0,1], got {self.theta}")
 
     def logpdf(self, x):
@@ -92,15 +98,29 @@ class GaussExpDensity:
         z = inv_norm_cdf(_unit_values(x, open_low=True))
         return -self.theta + math.sqrt(2.0 * self.theta) * z
 
+    def sample(self, rs: RandomStream, n: int) -> np.ndarray:
+        """n draws: X = Phi(sqrt(2 theta) + Z), Z standard normal
+        (inverse-CDF, one stream word per draw)."""
+        u = rs.uniform_open(n)
+        shift = math.sqrt(2.0 * self.theta)
+        out = np.fromiter(map(norm_cdf, (shift + inv_norm_cdf(u)).tolist()),
+                          dtype=float, count=n)
+        return np.clip(out, _OPEN_LO, _OPEN_HI)
+
 
 @dataclass(frozen=True)
 class UniformDensity:
     """The uniform density on [0,1) (identical to GaussExpDensity(0), but
-    accepts the closed endpoint and never touches PhiInv)."""
+    accepts the closed endpoint and never touches PhiInv, so its draws are
+    the stream's words as they are)."""
 
     def logpdf(self, x):
         """0 at each x of an array in [0,1)."""
         return np.zeros(_unit_values(x, open_low=False).shape)
+
+    def sample(self, rs: RandomStream, n: int) -> np.ndarray:
+        """n draws, one stream word each, already inside (0,1)."""
+        return rs.uniform_open(n)
 
 
 @dataclass(frozen=True)
@@ -133,6 +153,15 @@ class StepDensity:
         cells = cell_floor(self.n_cells, _unit_values(x, open_low=False))
         return np.where(np.isin(cells, tuple(self.selected)), LN2, LOG_ZERO)
 
+    def sample(self, rs: RandomStream, n: int) -> np.ndarray:
+        """n draws: uniform cell among the selected ones, then uniform
+        within the cell (two stream words per draw)."""
+        cells = np.array(sorted(self.selected), dtype=float)
+        u = rs.uniform(2 * n)
+        pick = np.minimum((u[0::2] * cells.size).astype(int), cells.size - 1)
+        x = (cells[pick] + u[1::2]) * (1.0 / self.n_cells)
+        return np.clip(x, _OPEN_LO, _OPEN_HI)
+
 
 def cosine_normalizer(theta):
     """c(theta) = 1 + sin(theta)/theta at each theta >= 0 of an array."""
@@ -152,34 +181,3 @@ def gauss_exp_hellinger_threshold(eps: float) -> float:
     if a <= 0.0:
         return float("inf")
     return -4.0 * math.log(a)
-
-
-# ---------------------------------------------------------------------------
-# exact samplers
-# ---------------------------------------------------------------------------
-
-_OPEN_LO = math.ulp(0.5)  # clamp guard: keep samples strictly inside (0,1)
-_OPEN_HI = 1.0 - math.ulp(0.5)
-
-
-def sample_gauss_exp(d: GaussExpDensity, rs: RandomStream, n: int) -> np.ndarray:
-    """n draws from f_theta: X = Phi(sqrt(2 theta) + Z), Z standard normal
-    (inverse-CDF, so the output is a pure function of the stream)."""
-    u = rs.uniform_open(n)
-    shift = math.sqrt(2.0 * d.theta)
-    out = np.fromiter(map(norm_cdf, (shift + inv_norm_cdf(u)).tolist()),
-                      dtype=float, count=n)
-    return np.clip(out, _OPEN_LO, _OPEN_HI)
-
-
-def sample_step(d: StepDensity, rs: RandomStream, n: int) -> np.ndarray:
-    """n draws from a step density: uniform cell among the selected ones,
-    then uniform within the cell (two stream words per draw)."""
-    cells = np.array(sorted(d.selected), dtype=float)
-    u = rs.uniform(2 * n)
-    pick = np.minimum((u[0::2] * cells.size).astype(int), cells.size - 1)
-    width = 1.0 / d.n_cells
-    x = (cells[pick] + u[1::2]) * width
-    # keep draws strictly inside (0,1): the posterior engine's update
-    # contract excludes the endpoints
-    return np.clip(x, _OPEN_LO, _OPEN_HI)

@@ -319,18 +319,11 @@ def evaluate_diagnostics(engine, statistics: list) -> tuple[dict, list]:
 # trajectory scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExcursionReport:
-    count: int
-    ns: tuple
-
-
-def excursion_count(trajectory, statistic: str, delta: float) -> ExcursionReport:
-    """Grid points where the named statistic's certified lower bound exceeds
-    delta.  ``trajectory`` must expose ``bracket_series(name) ->
-    list[(n, Bracket | None)]`` (see the harness record)."""
+def excursion_count(trajectory, statistic: str, delta: float) -> int:
+    """Number of grid points where the named statistic's certified lower
+    bound exceeds delta.  ``trajectory`` must expose ``bracket_series(name)
+    -> list[(n, Bracket | None)]`` (see the harness record)."""
     series = trajectory.bracket_series(statistic)
     if not series:
         raise ValueError(f"trajectory has no statistic named {statistic!r}")
-    ns = tuple(n for n, br in series if br is not None and br.lower > delta)
-    return ExcursionReport(count=len(ns), ns=ns)
+    return sum(1 for _, br in series if br is not None and br.lower > delta)

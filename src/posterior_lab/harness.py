@@ -1,6 +1,10 @@
 """Truth specification, trajectory orchestration, replication management,
 dataset ingestion, and persistence.
 
+A truth maps its kind to its density in one place, TruthSpec.density, and
+samples its data through that density; an external dataset is read from
+its file instead, with the uniform as its reference density.
+
 A trajectory is one (config, seed) run: data are streamed into the engine
 and the configured diagnostics are evaluated on a geometric grid of sample
 sizes (always including n = 1..10, so the small-n analytic identities stay
@@ -24,13 +28,7 @@ import numpy as np
 
 from .barron import BarronEngine, BarronPriorConfig
 from .cosine import CosineEngine, CosinePriorConfig
-from .densities import (
-    GaussExpDensity,
-    StepDensity,
-    UniformDensity,
-    sample_gauss_exp,
-    sample_step,
-)
+from .densities import GaussExpDensity, StepDensity, UniformDensity
 from .diagnostics import (
     BandSpec,
     DiagnosticSettings,
@@ -119,38 +117,30 @@ class TruthSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind == "uniform":
-            pass
-        elif self.kind == "gauss_exp":
-            if self.theta is None or not 0.0 <= self.theta <= 1.0:
-                raise ValueError(f"gauss_exp truth needs theta in [0,1], "
-                                 f"got {self.theta}")
-        elif self.kind == "step":
+        if self.kind == "step":
             if self.level is None or self.selected is None:
                 raise ValueError("step truth needs level and selected cells")
             object.__setattr__(self, "selected",
                                tuple(sorted(int(i) for i in self.selected)))
-            StepDensity(self.level, frozenset(self.selected))  # validates
-        elif self.kind == "external":
-            if not self.path:
-                raise ValueError("external truth needs a dataset path")
-        else:
-            raise ValueError(f"unknown truth kind {self.kind!r}")
+        elif self.kind == "external" and not self.path:
+            raise ValueError("external truth needs a dataset path")
+        self.density()  # validates the kind and the density's parameters
 
     def density(self):
-        if self.kind == "uniform" or self.kind == "external":
+        """The truth's density, the one map from a kind to it; an external
+        dataset's is the uniform reference."""
+        if self.kind in ("uniform", "external"):
             return UniformDensity()
         if self.kind == "gauss_exp":
             return GaussExpDensity(self.theta)
-        return StepDensity(self.level, frozenset(self.selected))
+        if self.kind == "step":
+            return StepDensity(self.level, frozenset(self.selected))
+        raise ValueError(f"unknown truth kind {self.kind!r}")
 
     def sample(self, rs: RandomStream, n: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return rs.uniform_open(n)
-        if self.kind == "gauss_exp":
-            return sample_gauss_exp(GaussExpDensity(self.theta), rs, n)
-        if self.kind == "step":
-            return sample_step(self.density(), rs, n)
+        """n draws from the density, or the first n points of the dataset."""
+        if self.kind != "external":
+            return self.density().sample(rs, n)
         data = ingest_dataset(self.path)
         if len(data) < n:
             raise DatasetError(f"dataset {self.path} holds {len(data)} points, "
@@ -613,7 +603,7 @@ def run_replications(cfg: RunConfig, parallelism: int = 1) -> ReplicationResult:
     for stem in stems:
         per_delta = {}
         for delta in (0.5, 0.9):
-            counts = [excursion_count(t, stem, delta).count for t in trajs]
+            counts = [excursion_count(t, stem, delta) for t in trajs]
             per_delta[f"{delta:g}"] = {
                 "per_seed_counts": counts,
                 "seeds_with_excursion": int(sum(1 for c in counts if c > 0)),

@@ -2,9 +2,10 @@
 
 ``LogBracket`` carries [lower, upper] bounds on the log of a nonnegative
 quantity (marginals, series with truncated tails); ``Bracket`` carries plain
-linear bounds (posterior masses, probabilities).  Every combining operation
-rounds outward by a fixed relative slack so float rounding cannot silently
-invalidate an enclosure.
+linear bounds (posterior masses, probabilities).  ``add`` widens each end
+by a fixed slack, which is more than half an ulp only while the end is below
+1024 in magnitude; ``sum_of`` widens by its own term, scaled with the count
+and the size of the sum; ``shift`` rounds each end to nearest.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from posterior_lab.densities import (
     GaussExpDensity,
     StepDensity,
     UniformDensity,
-    sample_gauss_exp,
 )
 from posterior_lab.diagnostics import (
     BandSpec,
@@ -243,7 +242,7 @@ class TestCriterion6:
             fs = dict(traj.bracket_series("mass_fstep"))
             assert fs[500].upper <= 0.01, traj.seed
             eng = BarronEngine(truth=truth)
-            data = sample_gauss_exp(truth, RandomStream(traj.seed, 0), 500)
+            data = truth.sample(RandomStream(traj.seed, 0), 500)
             eng.add_points([float(x) for x in data])
             im = eng.posterior_theta().interval_mass(0.4, 0.6)
             assert im.lower >= 0.5, traj.seed
@@ -273,9 +272,9 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_band_scan_shape(self, uniform_batch):
-        in_band = sum(excursion_count(t, "band_mass_0.6_0.75", 0.5).count
+        in_band = sum(excursion_count(t, "band_mass_0.6_0.75", 0.5)
                       for t in uniform_batch)
-        off_band = sum(excursion_count(t, "band_mass_0.2_0.4", 0.5).count
+        off_band = sum(excursion_count(t, "band_mass_0.2_0.4", 0.5)
                        for t in uniform_batch)
         n_points = sum(len(t.grid) for t in uniform_batch)
         assert in_band > off_band

@@ -25,8 +25,6 @@ from posterior_lab.densities import (
     GaussExpDensity,
     StepDensity,
     UniformDensity,
-    sample_gauss_exp,
-    sample_step,
 )
 from posterior_lab.diagnostics import (
     DiagnosticSettings,
@@ -664,7 +662,7 @@ class TestPosteriorSplit:
         assert fs.lower > 0.99
 
     def test_tilt_truth_concentrates_on_tilt(self):
-        data = sample_gauss_exp(GaussExpDensity(0.5), RandomStream(21, 0), 300)
+        data = GaussExpDensity(0.5).sample(RandomStream(21, 0), 300)
         e = BarronEngine(truth=GaussExpDensity(0.5))
         e.add_points([float(x) for x in data])
         _, fs = e.posterior_split()
@@ -896,8 +894,8 @@ CACHE_DATA = {
     "near duplicates n=300": lambda: _near_duplicates(300),
     "lattice K=512": lambda: [(i + 0.5) / 512 for i in range(512)],
     "uniform n=2000": lambda: _uniform_data(2000),
-    "gauss:0.5 n=1500": lambda: [float(x) for x in sample_gauss_exp(
-        GaussExpDensity(0.5), RandomStream(7, 0), 1500)],
+    "gauss:0.5 n=1500": lambda: [float(x) for x in GaussExpDensity(0.5).sample(
+        RandomStream(7, 0), 1500)],
 }
 
 
@@ -1257,9 +1255,9 @@ class TestBlockIngestion:
 
     @pytest.mark.parametrize("truth, draw, point_logpdf", [
         (UniformDensity(), lambda rs, n: rs.uniform_open(n), lambda x: 0.0),
-        (GaussExpDensity(0.5), lambda rs, n: sample_gauss_exp(GaussExpDensity(0.5), rs, n),
+        (GaussExpDensity(0.5), lambda rs, n: GaussExpDensity(0.5).sample(rs, n),
          lambda x: -0.5 + math.sqrt(2.0 * 0.5) * inv_norm_cdf_point(x)),
-        (STEP_TRUTH, lambda rs, n: np.r_[sample_step(STEP_TRUTH, rs, n - 40),
+        (STEP_TRUTH, lambda rs, n: np.r_[STEP_TRUTH.sample(rs, n - 40),
                                         rs.uniform_open(40)],
          lambda x: LN2 if int(exact_cells(8, x)) in STEP_TRUTH.selected else LOG_ZERO),
     ], ids=["uniform", "gauss:0.5", "step:2:0,3,5,7"])

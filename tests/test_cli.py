@@ -107,8 +107,11 @@ class TestParsers:
 
     def test_truth_errors(self):
         from posterior_lab.cli import ConfigError
-        for bad in ("gauss:1.5", "gauss:x", "step:2", "step:2:0,1", "whatever"):
-            with pytest.raises(ConfigError):
+        for bad, named in (("gauss:1.5", "got 1.5"), ("gauss:-inf", "got -inf"),
+                           ("gauss:x", "'gauss:x'"), ("step:2", "'step:2'"),
+                           ("step:2:0,1", "got 2"), ("step:1:5", "out of range"),
+                           ("file:", "dataset path"), ("whatever", "'whatever'")):
+            with pytest.raises(ConfigError, match=re.escape(named)):
                 parse_truth(bad)
 
     def test_seeds(self):
@@ -120,6 +123,17 @@ class TestParsers:
 
 
 class TestTrajCommand:
+    def test_cosine_data_below_the_finite_half_period_exits_0(self, tmp_path):
+        # max(data) = 1e-305 puts pi / max(data) in units of 2^-20 past the
+        # float range; such a half period ends no piece
+        data = tmp_path / "tiny.csv"
+        data.write_text("1e-305\n")
+        out = str(tmp_path / "t")
+        assert run_cli("traj", "--model", "cosine", "--truth", f"file:{data}",
+                       "--n-max", "1", "--out", out) == 0
+        rows = read_csv_cells(out + ".csv")
+        assert len(rows) == 1 and "nan" not in rows[0].values()
+
     def test_writes_files_and_replays(self, tmp_path):
         out = str(tmp_path / "r1")
         assert run_cli("traj", "--model", "barron", "--truth", "uniform",

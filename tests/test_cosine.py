@@ -5,7 +5,10 @@ sharpness of their tail brackets."""
 
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -287,6 +290,15 @@ class TestAddPoints:
         with pytest.raises(ValueError, match=f"got {bad}"):
             eng.add_points([0.5, bad])
         assert eng.data.tolist() == [0.3, 0.6]
+
+    @pytest.mark.parametrize("x", [1e-302, 1e-305, 5e-324])
+    def test_a_half_period_past_the_float_range_ends_no_piece(self, x):
+        # pi / x in units of 2^-20 overflows below about 1.8e-302; so long a
+        # half period puts no breakpoint in any piece, as at 2e-302
+        eng = CosineEngine(CosinePriorConfig(), [x])
+        assert eng._half == math.inf
+        assert eng.log_evidence() == LogBracket(0.15622074077888312, 0.1562207433078553)
+        assert eng.log_evidence() == CosineEngine(CosinePriorConfig(), [2e-302]).log_evidence()
 
 
 def _uniform_data(n, seed=1):
@@ -657,18 +669,24 @@ class TestOnePerTheta:
 
     def test_four_statistics_at_n1000_peak_under_0_8_mib(self):
         # a default cosine row at seed 3, n = 1000: the panel memo and one
-        # chunk of the theta x data matrix, not a float pair per theta
-        cfg = RunConfig(model="cosine")
-        data = cfg.truth.sample(RandomStream(3, DATA_STREAM), 1000)
-        cosine._region_above.cache_clear()
-        tracemalloc.start()
-        try:
-            eng = CosineEngine(cfg.cosine_prior, data, quad_tol=cfg.quad_tol)
-            eng.hellinger_mass(0.5)
-            eng.hellinger_mass(0.7)
-            eng.region_mass(5.0)
-            eng.log_evidence()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.8 * 2 ** 20
+        # chunk of the theta x data matrix, not a float pair per theta.  A
+        # fresh interpreter measures it, so the peak does not depend on
+        # what earlier tests left loaded or cached
+        src = os.path.dirname(os.path.dirname(cosine.__file__))
+        script = (
+            "import tracemalloc\n"
+            "from posterior_lab.cosine import CosineEngine\n"
+            "from posterior_lab.harness import DATA_STREAM, RunConfig\n"
+            "from posterior_lab.numerics import RandomStream\n"
+            "cfg = RunConfig(model='cosine')\n"
+            "data = cfg.truth.sample(RandomStream(3, DATA_STREAM), 1000)\n"
+            "tracemalloc.start()\n"
+            "eng = CosineEngine(cfg.cosine_prior, data, quad_tol=cfg.quad_tol)\n"
+            "eng.hellinger_mass(0.5)\n"
+            "eng.hellinger_mass(0.7)\n"
+            "eng.region_mass(5.0)\n"
+            "eng.log_evidence()\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+        out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                             capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+        assert int(out.stdout) < 0.8 * 2 ** 20

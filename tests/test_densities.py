@@ -26,8 +26,6 @@ from posterior_lab.densities import (
     StepDensity,
     UniformDensity,
     cell_floor,
-    sample_gauss_exp,
-    sample_step,
 )
 from posterior_lab.numerics import LOG_ZERO, RandomStream, adaptive_quadrature, inv_norm_cdf
 
@@ -276,28 +274,33 @@ class TestClosedFormsVsQuadrature:
 
 
 class TestSamplers:
+    def test_uniform_draws_are_the_open_stream_words(self):
+        # one word per draw and no PhiInv: GaussExpDensity(0) would round
+        rs = RandomStream(5, 0)
+        assert np.array_equal(UniformDensity().sample(rs, 1000), rs.uniform_open(1000))
+
     def test_gauss_exp_reduces_to_uniform(self):
         rs = RandomStream(5, 0)
-        xs = sample_gauss_exp(GaussExpDensity(0.0), rs, 1000)
+        xs = GaussExpDensity(0.0).sample(rs, 1000)
         us = rs.uniform_open(1000)
         assert np.allclose(xs, us, atol=1e-12)
 
     def test_gauss_exp_mean_identity(self):
         n = 100_000
-        xs = sample_gauss_exp(GaussExpDensity(0.5), RandomStream(3, 0), n)
+        xs = GaussExpDensity(0.5).sample(RandomStream(3, 0), n)
         zbar = np.mean([inv_norm_cdf(float(x)) for x in xs])
         assert abs(zbar - 1.0) <= 3.0 / math.sqrt(n)
 
     def test_gauss_exp_determinism(self):
         rs = RandomStream(11, 2)
-        a = sample_gauss_exp(GaussExpDensity(0.4), rs, 500)
-        b = sample_gauss_exp(GaussExpDensity(0.4), rs, 500)
+        a = GaussExpDensity(0.4).sample(rs, 500)
+        b = GaussExpDensity(0.4).sample(rs, 500)
         assert np.array_equal(a, b)
 
     def test_gauss_exp_gof(self):
         # chi-square against the closed-form CDF Phi(PhiInv(x) - sqrt(2 t))
         d = GaussExpDensity(0.7)
-        xs = sample_gauss_exp(d, RandomStream(13, 0), 50_000)
+        xs = d.sample(RandomStream(13, 0), 50_000)
         edges = np.linspace(0.0, 1.0, 41)
         counts, _ = np.histogram(xs, bins=edges)
         cdf = np.array([0.0] + [gauss_exp_cdf(d, float(e)) for e in edges[1:-1]] + [1.0])
@@ -307,11 +310,11 @@ class TestSamplers:
 
     def test_step_sampler_support_and_uniformity(self):
         s = StepDensity(1, frozenset({0}))
-        xs = sample_step(s, RandomStream(4, 0), 100_000)
+        xs = s.sample(RandomStream(4, 0), 100_000)
         assert xs.min() >= 0.0 and xs.max() < 0.5
 
         s2 = StepDensity(3, frozenset(range(0, 18, 2)))
-        xs2 = sample_step(s2, RandomStream(6, 0), 100_000)
+        xs2 = s2.sample(RandomStream(6, 0), 100_000)
         cells = cell_floor(18, xs2).astype(int)
         assert set(np.unique(cells)) == set(range(0, 18, 2))
         counts = np.bincount(cells, minlength=18)[list(range(0, 18, 2))]
@@ -325,9 +328,9 @@ class TestSamplers:
         rng = np.random.default_rng(level)
         sel = rng.choice(2 * level * level, level * level, replace=False)
         s = StepDensity(level, frozenset(sel.tolist()))
-        xs = sample_step(s, RandomStream(level, 0), 50_000)
+        xs = s.sample(RandomStream(level, 0), 50_000)
         assert set(cell_floor(2 * level * level, xs).tolist()) <= s.selected
 
     def test_step_empty(self):
         s = StepDensity(1, frozenset({0}))
-        assert sample_step(s, RandomStream(1, 0), 0).size == 0
+        assert s.sample(RandomStream(1, 0), 0).size == 0

@@ -71,12 +71,38 @@ class TestIngestDataset:
 
 class TestTruthSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TruthSpec("gauss_exp", theta=1.5)
-        with pytest.raises(ValueError):
-            TruthSpec("step", level=1, selected=(0, 1))
-        with pytest.raises(ValueError):
-            TruthSpec("nope")
+        # each rejected value is named, built directly or from a config
+        for kwargs, named in (
+                ({"kind": "gauss_exp", "theta": 1.5}, "got 1.5"),
+                ({"kind": "gauss_exp", "theta": math.nan}, "got nan"),
+                ({"kind": "gauss_exp"}, "got None"),
+                ({"kind": "step", "level": 1, "selected": (0, 1)}, "got 2"),
+                ({"kind": "step", "level": 2}, "level and selected"),
+                ({"kind": "external"}, "dataset path"),
+                ({"kind": "nope"}, "'nope'")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                TruthSpec(**kwargs)
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                TruthSpec.from_dict(kwargs)
+
+    def test_each_kind_draws_the_recorded_bits(self):
+        # the first four draws at stream (5, 0), recorded from the samplers
+        # as they stood before each density sampled itself
+        from posterior_lab.densities import UniformDensity
+        from posterior_lab.numerics import RandomStream
+        want = {
+            TruthSpec("uniform"): [0.6554262308169061, 0.09103854534942774,
+                                   0.5155802646074548, 0.440358325181959],
+            TruthSpec("gauss_exp", theta=0.25): [
+                0.8658787528425271, 0.2652378162545887,
+                0.7722178310369154, 0.7112519947371782],
+            TruthSpec("step", level=2, selected=(0, 3, 5, 7)): [
+                0.6363798181686785, 0.6800447906477449,
+                0.7088250476965309, 0.6427830546581161],
+        }
+        for spec, xs in want.items():
+            assert spec.sample(RandomStream(5, 0), 4).tolist() == xs
+        assert TruthSpec("external", path="d.csv").density() == UniformDensity()
 
     def test_roundtrip(self):
         for spec in (TruthSpec("uniform"),
