@@ -22,11 +22,15 @@ which the panels of that width share.
 An engine holds one data set.  Its evidence, region and Hellinger queries
 each integrate their own pieces, cut at their own edges (the two Hellinger
 envelopes at the edges of both) but at the same half-period breakpoints, so
-interior panels repeat exactly.  The engine keeps one memo of the joint's
-values at each panel's 15 nodes, keyed by (centre, half-width); the head's
-integrand and each extension's (the joint less its floor) all read it, so
-each panel reaches the likelihood once per data set, in one pass per
-refinement round.
+interior panels repeat exactly.  A row's queries refine together
+(``solve_row``): the head pieces of all of them in one lockstep quadrature,
+then, once each query knows its floor and reach, all extension pieces in
+another, so each refinement round is one likelihood pass for the whole row.
+Each piece keeps the seed panels, stopping rule and sums it has alone.  The
+engine keeps one memo of the joint's values at each panel's 15 nodes, keyed
+by (centre, half-width); the head's integrand and each extension's (the
+joint less its floor) all read it, so each panel reaches the likelihood
+once per data set.
 
 The Hellinger distance to the uniform has a closed form here (the affinity
 is an integral of |cos|), which the test suite verifies against the generic
@@ -45,8 +49,8 @@ import numpy as np
 
 from .densities import cosine_normalizer
 from .intervals import Bracket, LogBracket, mass_ratio
-from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError,
-                       adaptive_quadrature, kronrod_nodes, log_add, log_sum_exp)
+from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError, QuadraturePiece,
+                       kronrod_nodes, lockstep_quadrature, log_add, log_sum_exp)
 
 __all__ = [
     "PRIOR_PARAMS",
@@ -245,6 +249,66 @@ def _region_above(eps: float, theta_hi: float):
 
 
 # ---------------------------------------------------------------------------
+# queries: what one (in, out) pair of joint masses is taken over
+# ---------------------------------------------------------------------------
+# A query lists its region's intervals in [0, t] (``intervals_to``) and the
+# intervals at whose ends its pieces are cut (``cuts_to``: the region's own,
+# or those of two regions that share their pieces); ``tail_in(t)`` says where
+# (t, inf) lies: True inside, False outside, None on either side; the reach
+# covers ``region_end``.  Queries are values, so the engine keys its results
+# by them.
+
+@dataclass(frozen=True)
+class _Evidence:
+    region_end = 0.0
+
+    def intervals_to(self, t):
+        return ()
+
+    cuts_to = intervals_to
+
+    def tail_in(self, t):
+        return False
+
+
+@dataclass(frozen=True)
+class _Region:
+    lo: float
+    hi: float
+
+    def intervals_to(self, t):
+        return ((self.lo, self.hi),)
+
+    cuts_to = intervals_to
+
+    def tail_in(self, t):
+        return math.isinf(self.hi)
+
+    @property
+    def region_end(self):
+        return 0.0 if math.isinf(self.hi) else self.hi
+
+
+@dataclass(frozen=True)
+class _Envelope:
+    """The inner (i = 0) or outer (i = 1) envelope of {d_h > eps}, cut at
+    the ends of both, so that the two share their pieces."""
+
+    eps: float
+    i: int
+    region_end = 0.0
+
+    def intervals_to(self, t):
+        return _region_above(self.eps, t)[self.i]
+
+    def cuts_to(self, t):
+        return sum(_region_above(self.eps, t), ())
+
+    def tail_in(self, t):
+        return _tail_side(self.eps, t)
+
+
+# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
@@ -273,11 +337,12 @@ class CosineEngine:
         xmax = float(self.data.max()) if self.n else 0.0
         units = math.pi / xmax * 2 ** 20 if xmax > 0.0 else math.inf
         self._half = math.floor(units) / 2 ** 20 if math.isfinite(units) else math.inf
-        # (lo, hi, floor) -> a piece's bracket; the memo, (centre,
-        # half-width) -> the row of _rows holding the joint's 15 values on
-        # that panel (an index, not a row view, keeps it small); the first
-        # QuadratureError, which every later query raises again
-        self._cache, self._memo, self._failure = {}, {}, None
+        # (lo, hi, floor) -> a piece's bracket; query -> its (in, out); the
+        # memo, centre + i half-width (one complex, not a pair, keeps it
+        # small) -> the row of _rows holding the joint's 15 values on that
+        # panel (an index, not a row view); the first QuadratureError, which
+        # every later query raises again
+        self._cache, self._results, self._memo, self._failure = {}, {}, {}, None
         self._rows = np.empty((0, 15))
 
     @property
@@ -336,86 +401,147 @@ class CosineEngine:
 
     def _joint(self, c: np.ndarray, h: np.ndarray) -> np.ndarray:
         """ln prior + ln likelihood at the 15 Kronrod nodes of each panel
-        (c_j, h_j), read from the memo; the panels it lacks are evaluated in
-        one pass and appended to it."""
-        keys = list(zip(c.tolist(), h.tolist()))
-        new = [i for i, key in enumerate(keys) if key not in self._memo]
+        (c_j, h_j), read from the memo; the distinct panels it lacks are
+        evaluated in one pass and appended to it."""
+        memo, keys = self._memo, c.astype(complex)
+        keys.imag = h
+        keys = keys.tolist()
+        new = dict.fromkeys(key for key in keys if key not in memo)
         if new:
-            nc, nh = c[new], h[new]
-            rows = self.prior.log_density(kronrod_nodes(nc, nh)) \
-                + _panel_loglik(nc, nh, self.data)
-            self._memo.update((keys[i], len(self._rows) + j) for j, i in enumerate(new))
+            z = np.array(list(new))
+            rows = self.prior.log_density(kronrod_nodes(z.real, z.imag)) \
+                + _panel_loglik(z.real, z.imag, self.data)
+            memo.update((key, len(self._rows) + j) for j, key in enumerate(new))
             self._rows = np.concatenate([self._rows, rows])
-        return self._rows[list(map(self._memo.__getitem__, keys))]
+        return self._rows[[memo[key] for key in keys]]
 
-    def _piece_integral(self, lo: float, hi: float, floor=None) -> LogBracket:
-        """The joint mass of [lo, hi] to a relative quad_tol, or, given a
-        floor F, to an absolute quad_tol * e^F on the joint less F."""
-        key = (lo, hi, floor)
-        if key not in self._cache:
-            f = self._joint if floor is None else lambda c, h: self._joint(c, h) - floor
-            res = adaptive_quadrature(f, lo, hi, self.quad_tol,
-                                      breakpoints=self._breakpoints(lo, hi),
-                                      relative=floor is None)
-            br = LogBracket(*res.log_bracket())
-            self._cache[key] = br if floor is None else br.shift(floor)
-        return self._cache[key]
+    def _integrate(self, pieces) -> None:
+        """Bracket every piece (lo, hi, floor) the cache lacks, in lockstep:
+        the joint mass of [lo, hi] to a relative quad_tol, or, given a
+        floor F, to an absolute quad_tol * e^F on the joint less F.  A
+        piece's QuadratureError is cached in place of its bracket."""
+        todo = [key for key in dict.fromkeys(pieces) if key not in self._cache]
+        if not todo:
+            return
+        spec = [QuadraturePiece(lo, hi, tuple(self._breakpoints(lo, hi)), floor is None,
+                                0.0 if floor is None else floor)
+                for lo, hi, floor in todo]
+        for (lo, hi, floor), res in zip(todo, lockstep_quadrature(self._joint, spec,
+                                                                  self.quad_tol)):
+            if not isinstance(res, QuadratureError):
+                br = LogBracket(*res.log_bracket())
+                res = br if floor is None else br.shift(floor)
+            self._cache[lo, hi, floor] = res
 
-    def _pieces(self, intervals, cut_at, lo: float, hi: float, floor=None) -> list:
-        """[in, out]: log enclosures of the joint mass of [lo, hi] inside and
-        outside the union of intervals, summed over its pieces: [lo, hi] cut
-        at every end of the intervals ``cut_at``, the region's own among them."""
+    @staticmethod
+    def _cut(intervals, cut_at, lo: float, hi: float, floor=None) -> list:
+        """The pieces of [lo, hi] cut at every end of the intervals
+        ``cut_at``, the region's own among them, each as ((lo, hi, floor),
+        side): side 0 inside the union of ``intervals``, 1 outside."""
         cuts = sorted({lo, hi, *(min(max(e, lo), hi) for iv in cut_at for e in iv)})
+        return [((a, b, floor), 0 if any(s <= 0.5 * (a + b) <= e for s, e in intervals)
+                 else 1) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def _sum(self, pieces) -> list:
+        """[in, out]: log enclosures of the summed brackets of the cut pieces
+        on each side; the first piece that failed raises its error."""
         los, his = ([], []), ([], [])
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + b)
-            side = 0 if any(s <= mid <= e for s, e in intervals) else 1
-            br = self._piece_integral(a, b, floor)
+        for key, side in pieces:
+            br = self._cache[key]
+            if isinstance(br, QuadratureError):
+                raise br
             los[side].append(br.lower)
             his[side].append(br.upper)
         return [LogBracket(log_sum_exp(l), log_sum_exp(h)) for l, h in zip(los, his)]
 
-    def _parts(self, intervals_to, cuts_to, tail_in, region_end: float = 0.0) -> tuple:
+    def _solve(self, queries) -> None:
+        """(in, out) of every query the results lack, its pieces refined in
+        lockstep with the others': first the heads of all, then, once each
+        query knows its floor and reach, all extensions.  The queries go in
+        the order given, and the first QuadratureError is kept as its
+        query's result: the queries after it, which a row never reads (the
+        engine raises that error again), are dropped at that step."""
+        if self._failure is not None:  # every query raises it again
+            return
+        todo = [q for q in dict.fromkeys(queries) if q not in self._results]
+        head = self.cap()
+        plans, ends = {}, {}
+
+        def failed(q, exc):
+            self._results[q] = exc
+            for later in list(plans)[list(plans).index(q):]:
+                del plans[later]
+
+        for q in todo:
+            try:
+                self._check_panels(0.0, head)
+                plans[q] = self._cut(q.intervals_to(head), q.cuts_to(head), 0.0, head)
+            except QuadratureError as exc:
+                self._results[q] = exc
+                break
+        self._integrate(key for pieces in plans.values() for key, _ in pieces)
+        for q, pieces in list(plans.items()):
+            try:
+                parts = self._sum(pieces)
+                side = q.tail_in(head)
+                # the floor F: ln of the head part the tail bound joins
+                joins = parts if side is None else [parts[0] if side else parts[1]]
+                floor = min(p.lower for p in joins)
+                if floor == LOG_ZERO:
+                    floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
+                c, ext = self._reach(floor, q.region_end), []
+                if c > head:
+                    self._check_panels(head, c)
+                    ext = self._cut(q.intervals_to(c), q.cuts_to(c), head, c, floor)
+                    side = q.tail_in(c)
+                plans[q], ends[q] = ext, (parts, c, side)
+            except QuadratureError as exc:
+                failed(q, exc)
+                break
+        self._integrate(key for pieces in plans.values() for key, _ in pieces)
+        for q, pieces in list(plans.items()):
+            parts, c, side = ends[q]
+            try:
+                if pieces:
+                    parts = [p.add(e) for p, e in zip(parts, self._sum(pieces))]
+            except QuadratureError as exc:
+                failed(q, exc)
+                break
+            tb = self._log_tail_bound(c)
+            inside, outside = parts
+            if side is not False:
+                inside = LogBracket(inside.lower, log_add(inside.upper, tb))
+            if side is not True:
+                outside = LogBracket(outside.lower, log_add(outside.upper, tb))
+            self._results[q] = inside, outside
+
+    def _parts(self, query) -> tuple:
         """(in, out): log enclosures of the joint mass inside and outside a
-        theta region.  ``intervals_to(t)`` lists the region's intervals in
-        [0, t], and ``cuts_to(t)`` the intervals at whose ends the pieces are
-        cut (the region's own, or those of two regions that share their
-        pieces); ``tail_in(t)`` says where (t, inf) lies: True inside, False
-        outside, None on either side."""
+        query's theta region (_Evidence, _Region or _Envelope), from the results, solving the
+        query alone if they lack it.  Its QuadratureError becomes the
+        engine's kept failure."""
         if self._failure is not None:
             raise self._failure
-        head = self.cap()
-        try:
-            self._check_panels(0.0, head)
-            parts = self._pieces(intervals_to(head), cuts_to(head), 0.0, head)
-            side = tail_in(head)
-            # the floor F: ln of the head part the tail bound joins
-            joins = parts if side is None else [parts[0] if side else parts[1]]
-            floor = min(p.lower for p in joins)
-            if floor == LOG_ZERO:
-                floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
-            c = self._reach(floor, region_end)
-            if c > head:
-                self._check_panels(head, c)
-                ext = self._pieces(intervals_to(c), cuts_to(c), head, c, floor)
-                parts = [p.add(e) for p, e in zip(parts, ext)]
-                side = tail_in(c)
-        except QuadratureError as exc:
-            self._failure = exc
-            raise
-        tb = self._log_tail_bound(c)
-        inside, outside = parts
-        if side is not False:
-            inside = LogBracket(inside.lower, log_add(inside.upper, tb))
-        if side is not True:
-            outside = LogBracket(outside.lower, log_add(outside.upper, tb))
-        return inside, outside
+        if query not in self._results:
+            self._solve([query])
+        got = self._results[query]
+        if isinstance(got, QuadratureError):
+            self._failure = got
+            raise got
+        return got
+
+    def solve_row(self, epsilons, regions) -> None:
+        """Solve, in lockstep, every query of a row: both Hellinger envelopes
+        at each eps, each region (lo, hi) and the evidence.  The statistics'
+        own calls then read the results; each brackets exactly as if it had
+        been solved alone."""
+        queries = [_Envelope(eps, i) for eps in epsilons if eps < math.sqrt(2.0)
+                   for i in (0, 1)]
+        self._solve(queries + [_Region(lo, hi) for lo, hi in regions]
+                    + [_Evidence()])
 
     def log_evidence(self) -> LogBracket:
-        def none(t):
-            return []
-
-        return self._parts(none, none, lambda t: False)[1]
+        return self._parts(_Evidence())[1]
 
     # -- region masses --------------------------------------------------------
 
@@ -425,12 +551,7 @@ class CosineEngine:
         if lo < 0.0 or not lo <= hi:
             raise ValueError(f"invalid region [{lo}, {hi}]")
 
-        def region(t):
-            return [(lo, hi)]
-
-        tail_in = math.isinf(hi)
-        return mass_ratio(*self._parts(region, region, lambda t: tail_in,
-                                       region_end=0.0 if tail_in else hi))
+        return mass_ratio(*self._parts(_Region(lo, hi)))
 
     def hellinger_mass(self, eps: float) -> Bracket:
         """Posterior mass of {theta : d_h(f_theta, uniform) > eps}, from
@@ -441,10 +562,8 @@ class CosineEngine:
         if eps >= math.sqrt(2.0) and self._failure is None:  # else _parts raises it
             return Bracket(0.0, 0.0)
 
-        def envelope(i):  # cut at the ends of both, so the two share pieces
-            return mass_ratio(*self._parts(lambda t: _region_above(eps, t)[i],
-                                           lambda t: sum(_region_above(eps, t), ()),
-                                           functools.partial(_tail_side, eps)))
+        def envelope(i):
+            return mass_ratio(*self._parts(_Envelope(eps, i)))
 
         lo, hi = envelope(0).lower, envelope(1).upper
         if lo > hi:  # only a quadrature miss inverts the pair

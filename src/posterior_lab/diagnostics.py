@@ -288,13 +288,22 @@ def barron_statistics(settings: DiagnosticSettings) -> list:
 
 def cosine_statistics(settings: DiagnosticSettings, regions) -> list:
     """The cosine model's statistics as barron_statistics lists them, each
-    named by its column stem: Hellinger masses, region masses, evidence."""
+    named by its column stem: Hellinger masses, region masses, evidence.
+    Each first has the engine solve the whole row in lockstep (once per
+    data set), then reads its own query."""
     stats = [(f"hellinger_mass_{v:g}", lambda e, v=v: e.hellinger_mass(v))
              for v in settings.epsilons]
     stats += [(f"region_mass_{lo:g}_{hi:g}", lambda e, lo=lo, hi=hi: e.region_mass(lo, hi))
               for lo, hi in regions]
     stats.append(("log_evidence", lambda e: e.log_evidence()))
-    return [(stem, _ends(stem), lambda e, q=q: _pair(q(e))) for stem, q in stats]
+
+    def read(q):
+        def statistic(e):
+            e.solve_row(settings.epsilons, regions)
+            return _pair(q(e))
+        return statistic
+
+    return [(stem, _ends(stem), read(q)) for stem, q in stats]
 
 
 def evaluate_diagnostics(engine, statistics: list) -> tuple[dict, list]:

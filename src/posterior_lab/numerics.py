@@ -7,8 +7,10 @@ centres and half-widths of a batch of panels and returns ln of the
 integrand at each panel's 15 Kronrod nodes.  A pointwise integrand maps
 itself over ``kronrod_nodes(c, h)``; the cosine likelihood instead builds
 its nodes from each panel's centre by angle addition, and the cosine engine
-keeps a memo of the panels it has evaluated.  The quadrature itself keeps
-no table and changes none of its arguments.
+keeps a memo of the panels it has evaluated.  ``lockstep_quadrature``
+refines several pieces on one integrand together, one call of it per round
+for all of them; ``adaptive_quadrature`` is its one-piece case.  The
+quadrature itself keeps no table and changes none of its arguments.
 
 Everything here is pure (no global state); a ``RandomStream`` is a value
 whose words depend only on its seed and stream id.
@@ -44,7 +46,9 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "MAX_INTERVALS",
+    "QuadraturePiece",
     "adaptive_quadrature",
+    "lockstep_quadrature",
     "kronrod_nodes",
     "NumericError",
     "ConfigError",
@@ -328,18 +332,14 @@ def kronrod_nodes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return c[:, None] + h[:, None] * _NODES
 
 
-def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i],
-    and the number of abscissae f was asked for: one call f(c, h) on the
-    centres and half-widths of every panel.  Each panel is scaled by its own
-    maximum, and its error is QUADPACK's resasc min(1, (200 |K - G| /
-    resasc)^1.5), at least 50 eps K; the sums are taken row by row, so a
-    panel's values do not depend on the others in its batch."""
+def _kronrod_sums(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i]
+    from fx, the (m, 15) values of f at the panels' Kronrod nodes.  Each
+    panel is scaled by its own maximum, and its error is QUADPACK's resasc
+    min(1, (200 |K - G| / resasc)^1.5), at least 50 eps K; the sums are
+    taken row by row, so a panel's values do not depend on the others in
+    its batch."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = np.asarray(f(c, h), dtype=float)
-    if fx.shape != (c.size, _NODES.size):
-        raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
-                         f"of {_NODES.size} nodes")
     bad = np.isnan(fx) | (fx == math.inf)
     if bad.any():
         i, k = np.unravel_index(int(bad.argmax()), fx.shape)
@@ -356,17 +356,118 @@ def _kronrod_panels(f, lo: np.ndarray, hi: np.ndarray):
         err = np.maximum(np.where(asc > 0.0, asc * shrink, 0.0), 50.0 * _EPS * k)
         scale = m + np.log(h)
         return (np.where(live, scale + np.log(k), LOG_ZERO),
-                np.where(live, scale + np.log(err), LOG_ZERO), fx.size)
+                np.where(live, scale + np.log(err), LOG_ZERO))
 
 
-# panels one adaptive_quadrature call may hold, seed panels included
+# panels one piece of a quadrature may hold, seed panels included
 MAX_INTERVALS = 200_000
+
+
+@dataclass(frozen=True)
+class QuadraturePiece:
+    """One integral of ``lockstep_quadrature``: e^(f - offset) over [a, b],
+    with seed panels cut at ``breakpoints``, to an error of tol * max(1, I)
+    (tol * I when ``relative`` is set)."""
+
+    a: float
+    b: float
+    breakpoints: tuple = ()
+    relative: bool = False
+    offset: float = 0.0
+
+
+def _rounds(piece: QuadraturePiece, tol: float):
+    """The globally adaptive rule on one piece, as a generator: it yields
+    the (lo, hi) ends of the panels whose values it needs next, is sent
+    their (m, 15) values of f - offset, and returns the QuadratureResult
+    (or raises QuadratureError)."""
+    a, b = piece.a, piece.b
+    pts = np.array(sorted({a, b, *(float(x) for x in piece.breakpoints if a < x < b)}))
+    if pts.size - 1 > MAX_INTERVALS:
+        raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
+                              f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
+    lo, hi = pts[:-1], pts[1:]
+    fx = yield lo, hi
+    li, le = _kronrod_sums(fx, lo, hi)
+    evals = fx.size
+    log_tol = math.log(tol)
+    while True:
+        s_all, e_all = log_sum_exp(li), log_sum_exp(le)
+        thresh = log_tol + (s_all if piece.relative else max(0.0, s_all))
+        if e_all <= thresh:
+            break
+        order = np.argsort(-le, kind="stable")
+        covered = np.cumsum(np.exp(le[order] - e_all))
+        pick = order[:int(np.searchsorted(covered, -math.expm1(thresh - e_all))) + 1]
+        pa, pb = lo[pick], hi[pick]
+        mid = 0.5 * (pa + pb)
+        if lo.size + pick.size > MAX_INTERVALS or not ((pa < mid) & (mid < pb)).all():
+            raise QuadratureError(
+                f"no convergence within {lo.size} intervals "
+                f"(bracket ln I = {s_all} +- e^{e_all})",
+                s_all, e_all, evals)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        new_lo, new_hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
+        fx = yield new_lo, new_hi
+        new_li, new_le = _kronrod_sums(fx, new_lo, new_hi)
+        evals += fx.size
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        li, le = np.concatenate([li[keep], new_li]), np.concatenate([le[keep], new_le])
+
+    rel = math.exp(e_all - s_all) if s_all > LOG_ZERO and e_all > LOG_ZERO else (
+        0.0 if e_all == LOG_ZERO else float("inf"))
+    return QuadratureResult(log_estimate=s_all, rel_error_bound=rel, evaluations=evals)
+
+
+def lockstep_quadrature(f, pieces, tol: float) -> list:
+    """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in
+    LOG space, on several pieces (``QuadraturePiece``) refined in rounds
+    together: each round is one call of f on the panels every unfinished
+    piece needs, each piece taking the values of f less its offset.  A
+    piece refines exactly as it would alone (see adaptive_quadrature).
+    Returns, piece by piece, its QuadratureResult or the QuadratureError
+    that ended it; the other pieces go on."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    for p in pieces:
+        if not p.a < p.b:
+            raise ValueError(f"requires a < b, got [{p.a}, {p.b}]")
+    out, asks = [None] * len(pieces), {}
+
+    def advance(i, gen, fx):
+        try:
+            asks[i] = gen.send(fx)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except QuadratureError as exc:
+            out[i] = exc
+
+    gens = [_rounds(p, tol) for p in pieces]
+    for i, gen in enumerate(gens):
+        advance(i, gen, None)
+    while asks:
+        todo, asks = asks, {}
+        lo = np.concatenate([todo[i][0] for i in todo])
+        hi = np.concatenate([todo[i][1] for i in todo])
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = np.asarray(f(c, h), dtype=float)
+        if fx.shape != (c.size, _NODES.size):
+            raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
+                             f"of {_NODES.size} nodes")
+        start = 0
+        for i, (plo, _) in todo.items():
+            rows = fx[start:start + plo.size]
+            start += plo.size
+            offset = pieces[i].offset
+            advance(i, gens[i], rows - offset if offset else rows)
+    return out
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False) -> QuadratureResult:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
-    space, refined in rounds.
+    space, refined in rounds: ``lockstep_quadrature`` on one piece.
 
     ``f(c, h)`` takes the centres c and half-widths h of m panels and
     returns the (m, 15) array of ln of the (nonnegative) integrand at their
@@ -385,44 +486,11 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
     and (carrying none) when the seed panels alone exceed the budget.
     """
-    if not a < b:
-        raise ValueError(f"requires a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    pts = np.array(sorted({a, b, *(float(x) for x in breakpoints if a < x < b)}))
-    if pts.size - 1 > MAX_INTERVALS:
-        raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
-                              f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
-    lo, hi = pts[:-1], pts[1:]
-    li, le, evals = _kronrod_panels(f, lo, hi)
-    log_tol = math.log(tol)
-    while True:
-        s_all, e_all = log_sum_exp(li), log_sum_exp(le)
-        thresh = log_tol + (s_all if relative else max(0.0, s_all))
-        if e_all <= thresh:
-            break
-        order = np.argsort(-le, kind="stable")
-        covered = np.cumsum(np.exp(le[order] - e_all))
-        pick = order[:int(np.searchsorted(covered, -math.expm1(thresh - e_all))) + 1]
-        pa, pb = lo[pick], hi[pick]
-        mid = 0.5 * (pa + pb)
-        if lo.size + pick.size > MAX_INTERVALS or not ((pa < mid) & (mid < pb)).all():
-            raise QuadratureError(
-                f"no convergence within {lo.size} intervals "
-                f"(bracket ln I = {s_all} +- e^{e_all})",
-                s_all, e_all, evals)
-        keep = np.ones(lo.size, dtype=bool)
-        keep[pick] = False
-        new_lo, new_hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        new_li, new_le, new_evals = _kronrod_panels(f, new_lo, new_hi)
-        evals += new_evals
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        li, le = np.concatenate([li[keep], new_li]), np.concatenate([le[keep], new_le])
-
-    rel = math.exp(e_all - s_all) if s_all > LOG_ZERO and e_all > LOG_ZERO else (
-        0.0 if e_all == LOG_ZERO else float("inf"))
-    return QuadratureResult(log_estimate=s_all, rel_error_bound=rel, evaluations=evals)
+    (res,) = lockstep_quadrature(f, [QuadraturePiece(a, b, tuple(breakpoints), relative)],
+                                 tol)
+    if isinstance(res, QuadratureError):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -257,14 +257,16 @@ class TestAddPoints:
     def test_a_kept_failure_is_raised_again_without_quadrature(self, monkeypatch):
         calls, raised = [], []
 
-        def first_fails(*args, **kwargs):
-            calls.append(args[1:3])
+        def first_fails(f, pieces, tol):
+            # the first piece of the first quadrature runs out of intervals
+            calls.append([(p.a, p.b) for p in pieces])
+            out = numerics.lockstep_quadrature(f, pieces, tol)
             if not raised:
                 raised.append(numerics.QuadratureError("injected", 0.0, math.inf, 0))
-                raise raised[0]
-            return numerics.adaptive_quadrature(*args, **kwargs)
+                out[0] = raised[0]
+            return out
 
-        monkeypatch.setattr(cosine, "adaptive_quadrature", first_fails)
+        monkeypatch.setattr(cosine, "lockstep_quadrature", first_fails)
         eng = CosineEngine(CosinePriorConfig(), RandomStream(6, 0).uniform_open(20))
         with pytest.raises(numerics.QuadratureError) as first:
             eng.hellinger_mass(0.5)
@@ -419,9 +421,9 @@ class TestHellingerMass:
         # the mass and the outer one nearly none
         parts, envelopes = CosineEngine._parts, []
 
-        def inverted(self, intervals_to, cuts_to, tail_in, region_end=0.0):
-            if not isinstance(tail_in, functools.partial):  # not a Hellinger query
-                return parts(self, intervals_to, cuts_to, tail_in, region_end)
+        def inverted(self, query):
+            if not isinstance(query, cosine._Envelope):  # not a Hellinger query
+                return parts(self, query)
             envelopes.append(len(envelopes) % 2)
             heavy, light = LogBracket(0.0, 0.0), LogBracket(-50.0, -50.0)
             return (light, heavy) if envelopes[-1] else (heavy, light)
@@ -502,6 +504,63 @@ class TestHellingerGrid:
         info = cosine._region_above.cache_info()
         assert info.hits + info.misses == 8 and info.misses <= 3
         assert len(grids) == info.misses
+
+
+class TestLockstepRow:
+    """A row's queries refine in lockstep (``solve_row``): each statistic
+    keeps the bits, the gaps and the kept failure it has when every query
+    is solved alone, in statistic order."""
+
+    @staticmethod
+    def _both(monkeypatch, n):
+        # the row read through solve_row, then with each query solved alone
+        cfg = RunConfig(model="cosine")
+        data = cfg.truth.sample(RandomStream(3, DATA_STREAM), n)
+        stats = cosine_statistics(cfg.diagnostics, cfg.cosine_regions)
+        out = []
+        for alone in (False, True):
+            if alone:
+                monkeypatch.setattr(CosineEngine, "solve_row", lambda self, *args: None)
+            eng = CosineEngine(cfg.cosine_prior, data, quad_tol=cfg.quad_tol)
+            row, errors = evaluate_diagnostics(eng, stats)
+            raised = []  # what each statistic raises when the row is read again
+            for _, _, statistic in stats:
+                try:
+                    statistic(eng)
+                    raised.append(None)
+                except numerics.QuadratureError as exc:
+                    raised.append(exc)
+            out.append(([v.hex() for v in row.values()], errors, raised))
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("n", [1, 10, 160, 1000])
+    def test_the_row_equals_the_per_statistic_path(self, monkeypatch, n):
+        (row, errors, raised), alone = self._both(monkeypatch, n)
+        assert (row, errors) == alone[:2]
+        assert errors == [] and raised == alone[2] == [None] * len(raised)
+
+    @pytest.mark.parametrize("n", [160, 1000])
+    def test_a_forced_failure_leaves_the_same_gaps(self, monkeypatch, n):
+        # every extension piece below the floor e^-60 runs out of intervals:
+        # region_mass(5) fails first, and the evidence after it is a gap too
+        lockstep = numerics.lockstep_quadrature
+
+        def failing(f, pieces, tol):
+            return [numerics.QuadratureError(f"forced at {p.a}", 0.0, 0.0, 0)
+                    if not p.relative and p.offset < -60.0 else res
+                    for p, res in zip(pieces, lockstep(f, pieces, tol))]
+
+        monkeypatch.setattr(cosine, "lockstep_quadrature", failing)
+        (row, errors, raised), (row_alone, errors_alone, raised_alone) = \
+            self._both(monkeypatch, n)
+        assert row == row_alone and errors == errors_alone
+        assert [i for i, v in enumerate(row) if v == "nan"] == [5, 6, 7, 8]
+        assert len(errors) == 1 and errors[0].startswith("region_mass_5_inf: forced at")
+        # the kept failure: every statistic read after it raises it again
+        for got in (raised, raised_alone):
+            assert all(exc is got[0] for exc in got)
+            assert str(got[0]) == errors[0].split(": ", 1)[1]
 
 
 class TestQuadratureBudget:
@@ -602,12 +661,13 @@ class TestOnePerTheta:
     def test_each_panel_reaches_the_likelihood_once(self, monkeypatch):
         # at n = 60 the head ends at theta = 45, and the four default
         # statistics extend past it with several floors (four here) over the
-        # same half-period breakpoints: the integrands of all of them read
-        # one memo
+        # same half-period breakpoints: the pieces of all of them refine in
+        # lockstep on one memo, the heads in one quadrature call and the
+        # extensions in another
         cfg = RunConfig(model="cosine")
         prior, data = cfg.cosine_prior, RandomStream(12, 0).uniform_open(60)
-        asked = []   # the panels each quadrature's integrand asked for
-        quads = []
+        calls = []   # (pieces, results) of each lockstep quadrature
+        rounds = []  # the panels of each call of the shared integrand
         seen = []    # every panel a likelihood pass evaluated
         loglik = cosine._panel_loglik
 
@@ -615,49 +675,36 @@ class TestOnePerTheta:
             seen.extend(zip(c.tolist(), h.tolist()))
             return loglik(c, h, x)
 
-        def record_quadrature(f, a, b, tol, **kw):
-            mine = []
-
+        def record_quadrature(f, pieces, tol):
             def g(c, h):
-                mine.extend(zip(c.tolist(), h.tolist()))
+                rounds.append(c.size)
                 return f(c, h)
 
-            asked.append(mine)
-            res = numerics.adaptive_quadrature(g, a, b, tol, **kw)
-            quads.append(res)
-            return res
+            out = numerics.lockstep_quadrature(g, pieces, tol)
+            calls.append((pieces, out))
+            return out
 
         monkeypatch.setattr(cosine, "_panel_loglik", count_loglik)
-        monkeypatch.setattr(cosine, "adaptive_quadrature", record_quadrature)
+        monkeypatch.setattr(cosine, "lockstep_quadrature", record_quadrature)
         eng = CosineEngine(prior, data, quad_tol=cfg.quad_tol)
         row, errors = evaluate_diagnostics(
             eng, cosine_statistics(cfg.diagnostics, cfg.cosine_regions))
         monkeypatch.undo()
         assert errors == [] and all(map(math.isfinite, row.values()))
-        # each new piece is one quadrature, in the order the cache holds them
-        assert len(quads) == len(eng._cache)
-        floors = {}
-        for (lo, hi, floor), panels in zip(eng._cache, asked):
-            for p in panels:
-                floors.setdefault(p, set()).add(floor)
+        assert len(calls) == 2
+        # each new piece is refined once, in the order the cache holds them
+        pieces = [(p, res) for spec, out in calls for p, res in zip(spec, out)]
+        assert [(p.a, p.b, None if p.relative else p.offset)
+                for p, _ in pieces] == list(eng._cache)
         assert len({floor for *_, floor in eng._cache} - {None}) >= 2
-        assert sum(len(f - {None}) >= 2 for f in floors.values()) > 50
-        # every panel asked for reached the likelihood once, whichever
-        # integrand asked first; the rule counts the nodes it asked for
-        assert len(seen) == len(set(seen)) == len(eng._memo)
-        assert set(seen) == set(floors) == set(eng._memo)
-        assert sum(q.evaluations for q in quads) == 15 * sum(map(len, asked)) \
-            > 15 * len(seen)
-        # each memo row holds the bits of its panel evaluated alone
+        # and keeps the bits of a quadrature that evaluates every panel
+        # itself, on the joint or on the joint less its floor
         joint = _log_joint(prior, data)
-        assert sorted(eng._memo.values()) == list(range(len(eng._rows)))
-        for (c, h), i in eng._memo.items():
-            assert np.array_equal(eng._rows[i], _panel_alone(joint, np.array([c]),
-                                                             np.array([h]))[0]), (c, h)
-        # and each piece keeps the bits of a quadrature that evaluates every
-        # panel itself, on the joint or on the joint less its floor
+        floors = {}
         for (lo, hi, floor), br in eng._cache.items():
             def alone(c, h, floor=floor):
+                for p in zip(c.tolist(), h.tolist()):
+                    floors.setdefault(p, set()).add(floor)
                 v = joint(c, h)
                 return v if floor is None else v - floor
 
@@ -666,27 +713,53 @@ class TestOnePerTheta:
                 relative=floor is None)
             want = LogBracket(*res.log_bracket())
             assert br == (want if floor is None else want.shift(floor)), (lo, hi, floor)
+        assert sum(len(f - {None}) >= 2 for f in floors.values()) > 50
+        # every panel asked for reached the likelihood once, whichever
+        # piece asked first; the rule counts the nodes it asked for
+        assert len(seen) == len(set(seen)) == len(eng._memo)
+        assert set(seen) == set(floors) == {(z.real, z.imag) for z in eng._memo}
+        assert sum(res.evaluations for _, res in pieces) == 15 * sum(rounds) \
+            > 15 * len(seen)
+        # each memo row holds the bits of its panel evaluated alone
+        assert sorted(eng._memo.values()) == list(range(len(eng._rows)))
+        for z, i in eng._memo.items():
+            assert np.array_equal(eng._rows[i], _panel_alone(
+                joint, np.array([z.real]), np.array([z.imag]))[0]), z
 
-    def test_four_statistics_at_n1000_peak_under_0_8_mib(self):
-        # a default cosine row at seed 3, n = 1000: the panel memo and one
-        # chunk of the theta x data matrix, not a float pair per theta.  A
-        # fresh interpreter measures it, so the peak does not depend on
-        # what earlier tests left loaded or cached
+    @staticmethod
+    def _peak_at_n1000(calls):
+        # the peak of tracemalloc over a default cosine engine at seed 3,
+        # n = 1000, and the calls made on it.  A fresh interpreter measures
+        # it, so the peak does not depend on what earlier tests left loaded
+        # or cached
         src = os.path.dirname(os.path.dirname(cosine.__file__))
         script = (
             "import tracemalloc\n"
             "from posterior_lab.cosine import CosineEngine\n"
+            "from posterior_lab.diagnostics import cosine_statistics, evaluate_diagnostics\n"
             "from posterior_lab.harness import DATA_STREAM, RunConfig\n"
             "from posterior_lab.numerics import RandomStream\n"
             "cfg = RunConfig(model='cosine')\n"
             "data = cfg.truth.sample(RandomStream(3, DATA_STREAM), 1000)\n"
             "tracemalloc.start()\n"
             "eng = CosineEngine(cfg.cosine_prior, data, quad_tol=cfg.quad_tol)\n"
+            + calls + "print(tracemalloc.get_traced_memory()[1])\n")
+        out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                             capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+        return int(out.stdout)
+
+    def test_four_statistics_at_n1000_peak_under_0_8_mib(self):
+        # the panel memo and one chunk of the theta x data matrix, not a
+        # float pair per theta: each query solved alone
+        assert self._peak_at_n1000(
             "eng.hellinger_mass(0.5)\n"
             "eng.hellinger_mass(0.7)\n"
             "eng.region_mass(5.0)\n"
-            "eng.log_evidence()\n"
-            "print(tracemalloc.get_traced_memory()[1])\n")
-        out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
-                             capture_output=True, env=dict(os.environ, PYTHONPATH=src))
-        assert int(out.stdout) < 0.8 * 2 ** 20
+            "eng.log_evidence()\n") < 0.8 * 2 ** 20
+
+    def test_the_lockstep_row_at_n1000_peaks_under_0_8_mib(self):
+        # the same four statistics as one row: its rounds hold the panels of
+        # every piece at once, but one trig table at a time
+        assert self._peak_at_n1000(
+            "evaluate_diagnostics(eng, cosine_statistics(cfg.diagnostics, "
+            "cfg.cosine_regions))\n") < 0.8 * 2 ** 20

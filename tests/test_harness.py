@@ -439,10 +439,12 @@ class TestTrajectoryRoundTrip:
         # failure is injected below the engine's queries, a new exception per
         # quadrature: the engine keeps the first and raises it again for the
         # rest of the row, so the row records it once
-        def failing(*args, **kwargs):
+        def failing(f, pieces, tol):
+            if isinstance(exc, QuadratureError):  # each piece ends in its own
+                return [copy.copy(exc) for _ in pieces]
             raise copy.copy(exc)
 
-        monkeypatch.setattr(cosine, "adaptive_quadrature", failing)
+        monkeypatch.setattr(cosine, "lockstep_quadrature", failing)
         cfg = RunConfig(model="cosine", n_max=3,
                         diagnostics=DiagnosticSettings(epsilons=(0.3,)))
         if not recorded:
