@@ -1,19 +1,30 @@
 """Posterior computation for the one-parameter cosine family under an
 exponential or a truncated-uniform prior on theta >= 0.
 
-Every query integrates the head [0, theta_0] (``CosineEngine.cap``) to a
-relative quad_tol.  Beyond a reach c the joint mass is bracketed by the prior
-tail times the sup-likelihood bound (2 / (1 - 1/c))^n.  Each query works out
-c in closed form, so that this bound is at most quad_tol times the head part
-it joins, and integrates [theta_0, c] to that absolute error.  The bound is
-added whatever c is, so c sets only how sharp a bracket is, never whether it
-holds.  The oscillatory likelihood is subdivided at the multiples of the
-half period pi / max(data) of its fastest oscillation, rounded down to a
-multiple of 2^-20, so that every seed panel between two breakpoints has the
-same exact width and bisection halves it exactly.  The quadrature is G7/K15
-Gauss-Kronrod with QUADPACK's error estimate, still not a proof.
+Every query integrates its head [0, theta_0] (``CosineEngine.cap``) to a
+relative quad_tol: up to theta_max under the truncated uniform, and under
+the exponential prior up to max(30, theta_d), where theta_d is the first
+point from which the query's tail side is decided (73.1 for the Hellinger
+region at eps = 0.5, none for the evidence and a region [lo, inf)), but no
+further than max(30, 0.75 n).  Past the head the joint mass is bounded cell
+by cell, on cells of a quarter of the rounded half period H: by AM-GM a
+cell's likelihood is at most (1 + Psi)^n over the normalizer's minimum,
+Psi(theta) = n^-1 sum_i cos(theta x_i) taken at the cell ends plus a
+curvature term (``Lattice``).  The cells run up to the crude reach C, past
+which the prior tail times the sup-likelihood bound (2 / (1 - 1/C))^n is at
+most quad_tol/4 times the head part the bound joins (the floor).  The
+extension [theta_0, A] is integrated to the absolute error quad_tol times
+the floor, and A is the first cell edge past which the cells and the crude
+tail sum to at most quad_tol/2 times the floor; that sum is added whatever
+A is, so A sets only how sharp a bracket is, never whether it holds.  A
+finite region's end lies at or before A.  The oscillatory likelihood is
+subdivided at the multiples of the half period pi / max(data) of its
+fastest oscillation, rounded down to a multiple of 2^-20, so that every
+seed panel between two breakpoints has the same exact width and bisection
+halves it exactly.  The quadrature is G7/K15 Gauss-Kronrod with QUADPACK's
+error estimate, still not a proof.
 
-The likelihood is evaluated a Kronrod panel at a time (``_panel_loglik``):
+The likelihood is evaluated a Kronrod panel at a time (``panel_loglik``):
 the half-angle cosine at each node c + h xi_k comes from the panel's centre
 c by angle addition, so a panel costs one cos and one sin per data point,
 and each distinct half-width h one table of cos and sin of h xi_k x / 2,
@@ -47,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cosine_likelihood import Lattice, panel_loglik
 from .densities import cosine_normalizer
 from .intervals import Bracket, LogBracket, mass_ratio
 from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError, QuadraturePiece,
@@ -101,55 +113,6 @@ class CosinePriorConfig:
         return math.log((self.theta_max - t) / self.theta_max)
 
 
-# elements of each (panel, node, data) buffer of _panel_loglik
-_CHUNK = 1 << 15
-# the positive Kronrod nodes xi_k: the centre less h xi_k is column k of a
-# panel's row, the centre plus h xi_k column 14 - k
-_XI = -kronrod_nodes(np.zeros(1), np.ones(1))[0, :7]
-
-
-def _panel_loglik(c: np.ndarray, h: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """sum_i ln(1 + cos(theta x_i)) - n ln(1 + sin(theta)/theta) at the 15
-    Kronrod nodes theta of each panel (c_j, h_j), as an (m, 15) array;
-    LOG_ZERO where a point sits on a zero of the pdf.  With u = c x / 2 and
-    v_k = h xi_k x / 2, the half-angle cosines are cos(u -+ v_k) = cos u
-    cos v_k +- sin u sin v_k and cos u at the centre: a panel costs one cos
-    and one sin per data point, and each distinct half-width a table of
-    cos v_k and sin v_k.  The panels go in order of h, one table alive at a
-    time, a chunk of rows at a time through (rows, 7, n) buffers that each
-    step overwrites; each (panel, node) row is reduced on its own, so a
-    panel's values do not depend on the others.  The normalizer term is
-    taken at the float nodes."""
-    x = 0.5 * data
-    out = x.size * (LN2 - np.log(cosine_normalizer(kronrod_nodes(c, h))))
-    rows = min(c.size, max(1, _CHUNK // (14 * max(1, x.size))))
-    anchor, sine = np.empty((rows, x.size)), np.empty((rows, x.size))
-    prod, cross = np.empty((rows, 7, x.size)), np.empty((rows, 7, x.size))
-    order = np.argsort(h, kind="stable")
-    cuts = np.flatnonzero(h[order][1:] != h[order][:-1]) + 1
-    with np.errstate(divide="ignore"):
-        for group in np.split(order, cuts):
-            v = np.multiply.outer(h[group[0]] * _XI, x)
-            cos_v, sin_v = np.cos(v), np.sin(v, out=v)
-            for i in range(0, group.size, rows):
-                sel = group[i:i + rows]
-                r = sel.size
-                a = np.multiply.outer(c[sel], x, out=anchor[:r])
-                b = np.sin(a, out=sine[:r])
-                np.cos(a, out=a)
-                mid = np.abs(a, out=prod[:r, 0])
-                out[sel, 7] += 2.0 * np.log(mid, out=mid).sum(axis=1)
-                p = np.multiply(a[:, None], cos_v, out=prod[:r])
-                q = np.multiply(b[:, None], sin_v, out=cross[:r])
-                np.subtract(p, q, out=q)  # cos(u + v_k)
-                np.log(np.abs(q, out=q), out=q)
-                out[sel, 8:] += 2.0 * q.sum(axis=2)[:, ::-1]
-                np.add(p, np.multiply(b[:, None], sin_v, out=q), out=p)  # cos(u - v_k)
-                np.log(np.abs(p, out=p), out=p)
-                out[sel, :7] += 2.0 * p.sum(axis=2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form Hellinger distance to the uniform
 # ---------------------------------------------------------------------------
@@ -190,8 +153,10 @@ def _tail_side(eps: float, theta: float):
 
 
 _DH_STEP = 0.02
-# the first point i * 0.02 of the Hellinger grid at or past theta = 3
+# the first point i * 0.02 of the Hellinger grid at or past theta = 3, and
+# the grid's size in which a query's head looks for its decided point
 _DH_FROM = 150
+_DH_DECIDED = 10 ** 8
 
 
 def _decided_from(eps: float, size: int):
@@ -210,6 +175,14 @@ def _decided_from(eps: float, size: int):
         else:
             hi = mid
     return hi, _tail_side(eps, hi * _DH_STEP)
+
+
+@functools.lru_cache(maxsize=16)
+def _decided_at(eps: float) -> float:
+    """The first point i * 0.02 >= 3 from which _tail_side decides eps, on a
+    grid of _DH_DECIDED points; inf where none of them does."""
+    got = _decided_from(eps, _DH_DECIDED)
+    return got[0] * _DH_STEP if got else math.inf
 
 
 # hellinger_mass asks for the region at the head and at the reach of the
@@ -254,13 +227,28 @@ def _region_above(eps: float, theta_hi: float):
 # A query lists its region's intervals in [0, t] (``intervals_to``) and the
 # intervals at whose ends its pieces are cut (``cuts_to``: the region's own,
 # or those of two regions that share their pieces); ``tail_in(t)`` says where
-# (t, inf) lies: True inside, False outside, None on either side; the reach
-# covers ``region_end``.  Queries are values, so the engine keys its results
-# by them.
+# (t, inf) lies: True inside, False outside, None on either side.  Its head
+# ends at ``decided`` or later, and its reach covers ``region_end``.
 
-@dataclass(frozen=True)
-class _Evidence:
-    region_end = 0.0
+class _Query:
+    """A query's kind and arguments; queries are values, so the engine keys
+    its results by them."""
+
+    __slots__ = ("args",)
+    region_end = decided = 0.0
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.args == other.args
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.args))
+
+
+class _Evidence(_Query):
+    __slots__ = ()
 
     def intervals_to(self, t):
         return ()
@@ -271,41 +259,45 @@ class _Evidence:
         return False
 
 
-@dataclass(frozen=True)
-class _Region:
-    lo: float
-    hi: float
+class _Region(_Query):
+    """[lo, hi]."""
+
+    __slots__ = ()
 
     def intervals_to(self, t):
-        return ((self.lo, self.hi),)
+        return (self.args,)
 
     cuts_to = intervals_to
 
     def tail_in(self, t):
-        return math.isinf(self.hi)
+        return math.isinf(self.args[1])
 
     @property
     def region_end(self):
-        return 0.0 if math.isinf(self.hi) else self.hi
+        return 0.0 if math.isinf(self.args[1]) else self.args[1]
 
 
-@dataclass(frozen=True)
-class _Envelope:
+class _Envelope(_Query):
     """The inner (i = 0) or outer (i = 1) envelope of {d_h > eps}, cut at
     the ends of both, so that the two share their pieces."""
 
-    eps: float
-    i: int
-    region_end = 0.0
+    __slots__ = ()
 
     def intervals_to(self, t):
-        return _region_above(self.eps, t)[self.i]
+        eps, i = self.args
+        return _region_above(eps, t)[i]
 
     def cuts_to(self, t):
-        return sum(_region_above(self.eps, t), ())
+        return sum(_region_above(self.args[0], t), ())
 
     def tail_in(self, t):
-        return _tail_side(self.eps, t)
+        return _tail_side(self.args[0], t)
+
+    @property
+    def decided(self):
+        """The first point of the Hellinger grid from which tail_in decides
+        (inf where none does)."""
+        return _decided_at(self.args[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +336,7 @@ class CosineEngine:
         # every later query raises again
         self._cache, self._results, self._memo, self._failure = {}, {}, {}, None
         self._rows = np.empty((0, 15))
+        self._lattice = Lattice(self.data, self._half)
 
     @property
     def n(self) -> int:
@@ -351,33 +344,67 @@ class CosineEngine:
 
     # -- quadrature domain --------------------------------------------------
 
-    def cap(self) -> float:
-        """The head end theta_0: theta_max under the truncated uniform,
-        else max(30, 0.75 n)."""
+    def cap(self, decided: float = 0.0) -> float:
+        """The head end theta_0 of a query whose tail side is decided from
+        ``decided`` on: theta_max under the truncated uniform, else
+        max(30, decided), but no further than max(30, 0.75 n)."""
         if self.prior.kind == "truncated_uniform":
             return float(self.prior.theta_max)
-        return max(30.0, 0.75 * self.n)
+        return max(30.0, min(decided, 0.75 * self.n))
 
     def _log_tail_bound(self, c: float) -> float:
-        """ln upper bound of the joint mass beyond c >= cap(): prior tail
-        times the sup-likelihood bound (2 / (1 - 1/c))^n."""
+        """ln upper bound of the joint mass beyond c >= 30: prior tail times
+        the sup-likelihood bound (2 / (1 - 1/c))^n."""
         pt = self.prior.log_tail_mass(c)
         if pt == LOG_ZERO or self.n == 0:
             return pt
         return pt + self.n * (LN2 - math.log(1.0 - 1.0 / c))
 
     def _reach(self, floor: float, region_end: float) -> float:
-        """The reach c >= max(cap(), region_end) at which the tail bound is at
-        most quad_tol * e^floor: past cap() it is at most
-        n ln(2 / (1 - 1/cap())) - rate c."""
-        head = self.cap()
+        """The crude reach C >= max(30, 0.75 n, region_end) of the
+        exponential prior, at which the tail bound is at most quad_tol/4 *
+        e^floor: past b = max(30, 0.75 n) it is at most n ln(2 / (1 - 1/b))
+        - rate C."""
+        base = max(30.0, 0.75 * self.n)
+        sup = self.n * (LN2 - math.log(1.0 - 1.0 / base))
+        return max(base, region_end,
+                   (sup - math.log(0.25 * self.quad_tol) - floor) / self.prior.rate)
+
+    def _stop(self, head: float, floor: float, region_end: float) -> tuple:
+        """(A, tb): where a query's extension past its head stops, A >=
+        region_end, and ln of a bound on the joint mass beyond A.  Under the
+        exponential prior the lattice cells run from the head up to
+        the crude reach C, each bounded by its prior mass times its
+        likelihood bound (``Lattice.cell_loglik``); A is the first cell edge past which the cells and
+        the crude tail beyond C sum to at most quad_tol/2 * e^floor (C
+        itself at the latest, where the crude tail alone is at most a
+        quarter of that)."""
         if self.prior.kind == "truncated_uniform":  # no prior mass past head
-            return head
-        c = max(head, region_end)
-        if floor > LOG_ZERO:
-            sup = self.n * (LN2 - math.log(1.0 - 1.0 / head))
-            c = max(c, (sup - math.log(self.quad_tol) - floor) / self.prior.rate)
-        return c
+            return head, LOG_ZERO
+        if floor == LOG_ZERO:
+            end = max(head, region_end)
+            return end, self._log_tail_bound(end)
+        c = self._reach(floor, region_end)
+        self._check_panels(head, c)  # before any cell of that reach is built
+        w = self._lattice.w
+        if self.n == 0 or math.isinf(w) or c <= head:  # no likelihood, or no cell
+            return c, self._log_tail_bound(c)
+        k0, k1 = math.floor(head / w), math.ceil(c / w)
+        k0 -= k0 * w > head
+        k1 += k1 * w < c
+        edges = np.arange(k0, k1 + 1) * w
+        left = np.maximum(edges[:-1], head)
+        rate = self.prior.rate
+        cells = -rate * left + np.log1p(-np.exp(-rate * (edges[1:] - left))) \
+            + self._lattice.cell_loglik(k0, k1, head)
+        # beyond[k]: the cells from k on and the crude tail past the last edge
+        beyond = np.logaddexp.accumulate(
+            np.append(cells, self._log_tail_bound(edges[-1]))[::-1])[::-1]
+        beyond += 8.0 * math.ulp(1.0) * (cells.size + 4) * (rate * edges[-1] + self.n + abs(floor) + 64.0)
+        stops = np.append(left, edges[-1])
+        ok = (stops >= region_end) & (beyond <= math.log(0.5 * self.quad_tol) + floor)
+        k = int(ok.argmax()) if ok.any() else stops.size - 1
+        return float(stops[k]), float(beyond[k])
 
     def _breakpoints(self, lo: float, hi: float) -> list:
         half = self._half
@@ -410,7 +437,7 @@ class CosineEngine:
         if new:
             z = np.array(list(new))
             rows = self.prior.log_density(kronrod_nodes(z.real, z.imag)) \
-                + _panel_loglik(z.real, z.imag, self.data)
+                + panel_loglik(z.real, z.imag, self.data)
             memo.update((key, len(self._rows) + j) for j, key in enumerate(new))
             self._rows = np.concatenate([self._rows, rows])
         return self._rows[[memo[key] for key in keys]]
@@ -463,57 +490,55 @@ class CosineEngine:
         engine raises that error again), are dropped at that step."""
         if self._failure is not None:  # every query raises it again
             return
-        todo = [q for q in dict.fromkeys(queries) if q not in self._results]
-        head = self.cap()
-        plans, ends = {}, {}
-
-        def failed(q, exc):
-            self._results[q] = exc
-            for later in list(plans)[list(plans).index(q):]:
-                del plans[later]
-
-        for q in todo:
+        plans = []  # [query, head, head pieces], then [query, ends, extension pieces]
+        for q in dict.fromkeys(queries):
+            if q in self._results:
+                continue
             try:
+                head = self.cap(q.decided)
                 self._check_panels(0.0, head)
-                plans[q] = self._cut(q.intervals_to(head), q.cuts_to(head), 0.0, head)
+                plans.append([q, head, self._cut(q.intervals_to(head), q.cuts_to(head),
+                                                 0.0, head)])
             except QuadratureError as exc:
                 self._results[q] = exc
                 break
-        self._integrate(key for pieces in plans.values() for key, _ in pieces)
-        for q, pieces in list(plans.items()):
-            try:
-                parts = self._sum(pieces)
-                side = q.tail_in(head)
-                # the floor F: ln of the head part the tail bound joins
-                joins = parts if side is None else [parts[0] if side else parts[1]]
-                floor = min(p.lower for p in joins)
-                if floor == LOG_ZERO:
-                    floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
-                c, ext = self._reach(floor, q.region_end), []
-                if c > head:
-                    self._check_panels(head, c)
-                    ext = self._cut(q.intervals_to(c), q.cuts_to(c), head, c, floor)
-                    side = q.tail_in(c)
-                plans[q], ends[q] = ext, (parts, c, side)
-            except QuadratureError as exc:
-                failed(q, exc)
-                break
-        self._integrate(key for pieces in plans.values() for key, _ in pieces)
-        for q, pieces in list(plans.items()):
-            parts, c, side = ends[q]
-            try:
-                if pieces:
-                    parts = [p.add(e) for p, e in zip(parts, self._sum(pieces))]
-            except QuadratureError as exc:
-                failed(q, exc)
-                break
-            tb = self._log_tail_bound(c)
+
+        def each(step):  # integrate every plan's pieces, then step through the plans
+            self._integrate(key for *_, pieces in plans for key, _ in pieces)
+            for i, plan in enumerate(plans):
+                try:
+                    step(plan)
+                except QuadratureError as exc:
+                    self._results[plan[0]] = exc
+                    del plans[i:]
+                    return
+
+        def extend(plan):
+            q, head, pieces = plan
+            parts, side = self._sum(pieces), q.tail_in(head)
+            # the floor F: ln of the head part the tail bound joins
+            joins = parts if side is None else [parts[0] if side else parts[1]]
+            floor = min(p.lower for p in joins)
+            if floor == LOG_ZERO:
+                floor = log_add(parts[0].lower, parts[1].lower) + math.log(self.quad_tol)
+            end, tb = self._stop(head, floor, q.region_end)
+            self._check_panels(head, end)
+            plan[1:] = ((parts, tb, q.tail_in(end)),
+                        self._cut(q.intervals_to(end), q.cuts_to(end), head, end, floor))
+
+        def finish(plan):
+            q, (parts, tb, side), pieces = plan
+            if pieces:
+                parts = [p.add(e) for p, e in zip(parts, self._sum(pieces))]
             inside, outside = parts
             if side is not False:
                 inside = LogBracket(inside.lower, log_add(inside.upper, tb))
             if side is not True:
                 outside = LogBracket(outside.lower, log_add(outside.upper, tb))
             self._results[q] = inside, outside
+
+        each(extend)
+        each(finish)
 
     def _parts(self, query) -> tuple:
         """(in, out): log enclosures of the joint mass inside and outside a

@@ -59,7 +59,7 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 # keys that older formats wrote, by dotted path, each accepted only at the
 # value every run that wrote it used: the truncation knobs of v1, the

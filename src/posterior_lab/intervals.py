@@ -3,9 +3,9 @@
 ``LogBracket`` carries [lower, upper] bounds on the log of a nonnegative
 quantity (marginals, series with truncated tails); ``Bracket`` carries plain
 linear bounds (posterior masses, probabilities).  ``add`` widens each end
-by a fixed slack, which is more than half an ulp only while the end is below
-1024 in magnitude; ``sum_of`` widens by its own term, scaled with the count
-and the size of the sum; ``shift`` rounds each end to nearest.
+by a fixed slack, or by one ulp of the end where that is more (past 1024 in
+magnitude); ``sum_of`` widens by its own term, scaled with the count and
+the size of the sum; ``shift`` rounds each end to nearest.
 """
 
 from __future__ import annotations
@@ -47,11 +47,13 @@ class LogBracket:
         return self.upper == LOG_ZERO
 
     def add(self, other: "LogBracket") -> "LogBracket":
-        """Enclosure of the sum of the two underlying quantities."""
+        """Enclosure of the sum of the two underlying quantities: each end
+        widened by COMBINE_SLACK, or by one ulp of itself once that is more
+        (past 1024 in magnitude), which log_add's rounding stays within."""
         lo = log_add(self.lower, other.lower)
         hi = log_add(self.upper, other.upper)
-        return LogBracket(lo - COMBINE_SLACK if lo > LOG_ZERO else lo,
-                          hi + COMBINE_SLACK if hi > LOG_ZERO else hi)
+        return LogBracket(lo - max(COMBINE_SLACK, math.ulp(lo)) if lo > LOG_ZERO else lo,
+                          hi + max(COMBINE_SLACK, math.ulp(hi)) if hi > LOG_ZERO else hi)
 
     def shift(self, c: float) -> "LogBracket":
         """Multiply the underlying quantity by e^c (exact in log space)."""

@@ -363,33 +363,32 @@ def _kronrod_sums(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 MAX_INTERVALS = 200_000
 
 
-@dataclass(frozen=True)
 class QuadraturePiece:
     """One integral of ``lockstep_quadrature``: e^(f - offset) over [a, b],
     with seed panels cut at ``breakpoints``, to an error of tol * max(1, I)
     (tol * I when ``relative`` is set)."""
 
-    a: float
-    b: float
-    breakpoints: tuple = ()
-    relative: bool = False
-    offset: float = 0.0
+    __slots__ = ("a", "b", "breakpoints", "relative", "offset")
+
+    def __init__(self, a: float, b: float, breakpoints=(), relative: bool = False,
+                 offset: float = 0.0):
+        self.a, self.b, self.breakpoints = a, b, breakpoints
+        self.relative, self.offset = relative, offset
 
 
 def _rounds(piece: QuadraturePiece, tol: float):
     """The globally adaptive rule on one piece, as a generator: it yields
-    the (lo, hi) ends of the panels whose values it needs next, is sent
-    their (m, 15) values of f - offset, and returns the QuadratureResult
-    (or raises QuadratureError)."""
+    the (lo, hi) ends of the panels whose sums it needs next, is sent their
+    (ln integral, ln error estimate) from _kronrod_sums, and returns the
+    QuadratureResult (or raises QuadratureError)."""
     a, b = piece.a, piece.b
     pts = np.array(sorted({a, b, *(float(x) for x in piece.breakpoints if a < x < b)}))
     if pts.size - 1 > MAX_INTERVALS:
         raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
                               f"{MAX_INTERVALS} intervals", math.nan, math.inf, 0)
     lo, hi = pts[:-1], pts[1:]
-    fx = yield lo, hi
-    li, le = _kronrod_sums(fx, lo, hi)
-    evals = fx.size
+    li, le = yield lo, hi
+    evals = 15 * lo.size
     log_tol = math.log(tol)
     while True:
         s_all, e_all = log_sum_exp(li), log_sum_exp(le)
@@ -409,9 +408,8 @@ def _rounds(piece: QuadraturePiece, tol: float):
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         new_lo, new_hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        fx = yield new_lo, new_hi
-        new_li, new_le = _kronrod_sums(fx, new_lo, new_hi)
-        evals += fx.size
+        new_li, new_le = yield new_lo, new_hi
+        evals += 15 * new_lo.size
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         li, le = np.concatenate([li[keep], new_li]), np.concatenate([le[keep], new_le])
 
@@ -424,8 +422,9 @@ def lockstep_quadrature(f, pieces, tol: float) -> list:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in
     LOG space, on several pieces (``QuadraturePiece``) refined in rounds
     together: each round is one call of f on the panels every unfinished
-    piece needs, each piece taking the values of f less its offset.  A
-    piece refines exactly as it would alone (see adaptive_quadrature).
+    piece needs, each piece taking the values of f less its offset, and one
+    pass of the Kronrod sums over them, row by row.  A piece refines exactly
+    as it would alone (see adaptive_quadrature).
     Returns, piece by piece, its QuadratureResult or the QuadratureError
     that ended it; the other pieces go on."""
     if tol <= 0:
@@ -455,12 +454,12 @@ def lockstep_quadrature(f, pieces, tol: float) -> list:
         if fx.shape != (c.size, _NODES.size):
             raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
                              f"of {_NODES.size} nodes")
-        start = 0
-        for i, (plo, _) in todo.items():
-            rows = fx[start:start + plo.size]
-            start += plo.size
-            offset = pieces[i].offset
-            advance(i, gens[i], rows - offset if offset else rows)
+        sizes = [todo[i][0].size for i in todo]
+        offsets = np.repeat([pieces[i].offset for i in todo], sizes)
+        li, le = _kronrod_sums(fx - offsets[:, None], lo, hi)
+        ends = np.cumsum(sizes)
+        for i, a, b in zip(todo, ends - sizes, ends):
+            advance(i, gens[i], (li[a:b], le[a:b]))
     return out
 
 
@@ -486,7 +485,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
     and (carrying none) when the seed panels alone exceed the budget.
     """
-    (res,) = lockstep_quadrature(f, [QuadraturePiece(a, b, tuple(breakpoints), relative)],
+    (res,) = lockstep_quadrature(f, [QuadraturePiece(a, b, breakpoints, relative)],
                                  tol)
     if isinstance(res, QuadratureError):
         raise res

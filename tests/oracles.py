@@ -7,7 +7,7 @@ collect this module, and the package never imports it.
   the subdivision points of each density (step cell boundaries, cosine pdf
   zeros);
 * the cosine density as a pointwise object, and the cosine log-likelihood
-  on a theta x data matrix, the references for ``cosine._panel_loglik``;
+  on a theta x data matrix, the references for ``cosine.panel_loglik``;
 * the inverse normal CDF of one number, the point-by-point reference that
   the data-order fold tests sum;
 * the step predictive density, M(data + x) / M(data) from two step states;

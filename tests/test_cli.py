@@ -156,7 +156,7 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 8 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == 9 and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -194,7 +194,7 @@ class TestTrajCommand:
         assert_bracket_free_columns_keep(*assert_replay_nests(golden, out))
         with open(golden + ".json") as a, open(out + ".json") as b:
             was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (3, 8)
+        assert (was.pop("version"), now.pop("version")) == (3, 9)
         retired = was["config"]["cosine_prior"]
         assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
         assert was["config"]["diagnostics"].pop("predictive_grid") == 0
@@ -206,7 +206,7 @@ class TestTrajCommand:
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_replay_nests(golden, out)
-        assert_sidecars_differ_in_version(golden, out, (4, 8))
+        assert_sidecars_differ_in_version(golden, out, (4, 9))
 
     # v6 sums the step head in closed form: the v5 Barron runs replay with
     # every bracket inside the stored one, with no slack, as the tilt
@@ -221,24 +221,26 @@ class TestTrajCommand:
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_bracket_free_columns_keep(*assert_replay_nests(golden, out, slack=0.0))
-        assert_sidecars_differ_in_version(golden, out, (5, 8))
+        assert_sidecars_differ_in_version(golden, out, (5, 9))
 
     # v8 moved the cosine bits by rounding (the likelihood per Kronrod panel
     # by angle addition, the half period on a 2^-20 grid, both Hellinger
-    # envelopes cut at the same points): every stored cosine run replays
-    # with each bracket inside the stored one up to 2 quad_tol
+    # envelopes cut at the same points), and v9 by the head and the reach
+    # (each query's head ends where its tail side is decided, and AM-GM cell
+    # bounds end the extension): every stored cosine run replays with each
+    # bracket inside the stored one up to 2 quad_tol
     @pytest.mark.parametrize("name", ["v5_cosine_n40_seed1", "v6_cosine_n640_seed3",
-                                      "v7_cosine_n640_seed3"])
+                                      "v7_cosine_n640_seed3", "v8_cosine_n640_seed3"])
     def test_cosine_sidecar_replays_inside_its_brackets(self, tmp_path, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         assert_replay_nests(golden, out)
-        assert_sidecars_differ_in_version(golden, out, (int(name[1]), 8))
+        assert_sidecars_differ_in_version(golden, out, (int(name[1]), 9))
 
-    # v7 retired the predictive grid, which no v6 run turned on, and v8 left
-    # the Barron bits alone: each v6 run replays to its v8 CSV byte for
-    # byte, which for a Barron run is the v6 CSV
+    # v7 retired the predictive grid, which no v6 run turned on, and v8 and
+    # v9 left the Barron bits of these runs alone: each v6 run replays to
+    # its v9 CSV byte for byte, which for a Barron run is the v6 CSV
     @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
                                       "v6_gauss_tiltband_n300_seed9",
                                       "v6_decimal_n3_seed1", "v6_step_n300_seed4",
@@ -249,13 +251,13 @@ class TestTrajCommand:
         (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        with open(os.path.join(DATA, "v8" + name[2:] + ".csv"), "rb") as a, \
+        with open(os.path.join(DATA, "v9" + name[2:] + ".csv"), "rb") as a, \
                 open(out + ".csv", "rb") as b:
             assert a.read() == b.read()
         if "cosine" not in name:
             with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
                 assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (6, 8))
+        assert_sidecars_differ_in_version(golden, out, (6, 9))
 
     # the gauss run's bands and betas hold tilt members, so it reads the
     # tilt side of the band mass, the band prior exponent and the beta bound;
@@ -263,26 +265,39 @@ class TestTrajCommand:
     # working directory) puts 0.3 just below a level-5 cell boundary; the
     # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns;
     # the cosine run reaches past its head and shares panels between pieces.
-    # Each v7 sidecar replays to its v8 pair byte for byte, CSV and sidecar;
-    # the sidecars differ only in version, and a Barron CSV keeps its v7 bytes
-    @pytest.mark.parametrize("name", ["v7_uniform_n60_seed3", "v7_uniform_n8000_seed65",
-                                      "v7_gauss_tiltband_n300_seed9",
-                                      "v7_decimal_n3_seed1", "v7_step_n300_seed4",
-                                      "v7_cosine_n640_seed3"])
-    def test_v7_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
+    # Each v7 and v8 sidecar replays to its v9 pair byte for byte, CSV and
+    # sidecar; the sidecars differ only in version, and a Barron CSV keeps
+    # its v7 bytes (no ln marginal of these runs passes 1024 nats, where the
+    # v9 LogBracket.add widens by an ulp)
+    @staticmethod
+    def _replays_to_the_v9_pair(tmp_path, monkeypatch, name):
         golden = os.path.join(DATA, name)
         out = str(tmp_path / "replay")
         (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
         monkeypatch.chdir(tmp_path)
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
         for ext in (".csv", ".json"):
-            with open(os.path.join(DATA, "v8" + name[2:] + ext), "rb") as a, \
+            with open(os.path.join(DATA, "v9" + name[2:] + ext), "rb") as a, \
                     open(out + ext, "rb") as b:
                 assert a.read() == b.read(), ext
         if "cosine" not in name:
             with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
                 assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (7, 8))
+        assert_sidecars_differ_in_version(golden, out, (int(name[1]), 9))
+
+    @pytest.mark.parametrize("name", ["v7_uniform_n60_seed3", "v7_uniform_n8000_seed65",
+                                      "v7_gauss_tiltband_n300_seed9",
+                                      "v7_decimal_n3_seed1", "v7_step_n300_seed4",
+                                      "v7_cosine_n640_seed3"])
+    def test_v7_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
+        self._replays_to_the_v9_pair(tmp_path, monkeypatch, name)
+
+    @pytest.mark.parametrize("name", ["v8_uniform_n60_seed3", "v8_uniform_n8000_seed65",
+                                      "v8_gauss_tiltband_n300_seed9",
+                                      "v8_decimal_n3_seed1", "v8_step_n300_seed4",
+                                      "v8_cosine_n640_seed3"])
+    def test_v8_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
+        self._replays_to_the_v9_pair(tmp_path, monkeypatch, name)
 
     def test_v2_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
         # v2 widened the cap only until the tail bound fell below 1e-3 of the
@@ -454,13 +469,14 @@ class TestReplicateCommand:
                     assert was[col] == now[col], (was["n"], col)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_v8_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
+    def test_v9_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
         # every row of the cosine model through the streamed engine and the
-        # shared statistic loop.  Against the v6 summary, written before
-        # either, every .lower cell (min, median or max over the seeds of a
-        # bracket's lower end) is no lower and every .upper cell no higher,
-        # up to 2 quad_tol, as each seed's brackets nest; n keeps its bytes
-        golden = os.path.join(DATA, "v8_replicate_cosine_n300_seeds1-3")
+        # shared statistic loop.  Against the v8 summary, written before the
+        # v9 head and reach, every .lower cell (min, median or max over the
+        # seeds of a bracket's lower end) is no lower and every .upper cell
+        # no higher, up to 2 quad_tol, as each seed's brackets nest; n keeps
+        # its bytes
+        golden = os.path.join(DATA, "v9_replicate_cosine_n300_seeds1-3")
         out = str(tmp_path / "r")
         assert run_cli("replicate", "--model", "cosine", "--grid-ratio", "2.0",
                        "--n-max", "300", "--seeds", "1..3", "--jobs", jobs,
@@ -469,7 +485,7 @@ class TestReplicateCommand:
             with open(golden + ext, "rb") as a, \
                     open(os.path.join(out, "summary" + ext), "rb") as b:
                 assert a.read() == b.read(), ext
-        old = read_csv_cells(os.path.join(DATA, "v6_replicate_cosine_n300_seeds1-3.csv"))
+        old = read_csv_cells(os.path.join(DATA, "v8_replicate_cosine_n300_seeds1-3.csv"))
         new = read_csv_cells(os.path.join(out, "summary.csv"))
         slack = 2.0 * RunConfig().quad_tol
         assert [r["n"] for r in old] == [r["n"] for r in new]
@@ -646,7 +662,7 @@ class TestNumericFailureExit:
         # a program fault, not a recorded gap of the trajectory
         from posterior_lab import cosine
 
-        monkeypatch.setattr(cosine, "_panel_loglik",
+        monkeypatch.setattr(cosine, "panel_loglik",
                             lambda c, h, data: np.full((c.size, 15), math.nan))
         code = run_cli("traj", "--model", "cosine", "--n-max", "3",
                        "--seed", "1", "--out", str(tmp_path / "x"))

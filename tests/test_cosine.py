@@ -133,7 +133,7 @@ class TestPanelLikelihood:
         data = np.append(RandomStream(13, 0).uniform_open(39), 1.0)
         c, h = self.panels()
         assert c.max() > 5000.0 and c.size * 15 == 600
-        kernel = cosine._panel_loglik(c, h, data)
+        kernel = cosine.panel_loglik(c, h, data)
         floats = cosine_loglik(numerics.kronrod_nodes(c, h), data)
         worst = [0.0, 0.0]
         with mp.workdps(40):
@@ -563,6 +563,80 @@ class TestLockstepRow:
             assert str(got[0]) == errors[0].split(": ", 1)[1]
 
 
+class TestCellBound:
+    """Past a query's head, cells of width H/4 bound ln L by AM-GM from Psi
+    at their ends; the extension stops at the first cell edge past which
+    the cells and the crude tail beyond them are at most quad_tol/2 of the
+    floor."""
+
+    @staticmethod
+    def _engine(n):
+        return CosineEngine(CosinePriorConfig(), RandomStream(40 + n, 0).uniform_open(n))
+
+    @pytest.mark.parametrize("n", [10, 320, 2000])
+    def test_each_cell_bounds_the_pointwise_likelihood(self, n):
+        # 100 cells from the head at 30 (the first one starts there, inside
+        # its lattice cell) and 100 far past it, 64 points each, ends included
+        eng = self._engine(n)
+        w = 0.25 * eng._half
+        for head in (30.0, 1500.0):
+            k0 = math.floor(head / w)
+            bound = eng._lattice.cell_loglik(k0, k0 + 100, head)
+            left = np.maximum(np.arange(k0, k0 + 100) * w, head)
+            theta = left[:, None] + np.outer((np.arange(k0, k0 + 100) + 1) * w - left,
+                                             np.linspace(0.0, 1.0, 64))
+            pointwise = cosine_loglik(theta, eng.data).max(axis=1)
+            assert (bound >= pointwise).all(), (head, float((pointwise - bound).max()))
+            # and far below the crude n ln 2 once Psi is small
+            if n >= 320:
+                assert bound.max() < 0.5 * n * math.log(2.0)
+
+    @pytest.mark.parametrize("n", [10, 320])
+    def test_psi_matches_mpmath_within_its_rounding_bound(self, n):
+        # 200 lattice points: 100 from the head on, 100 near theta = 1500,
+        # where the arguments are largest; each block is anchored apart
+        eng = self._engine(n)
+        w = 0.25 * eng._half
+        xs = [mp.mpf(x) for x in eng.data.tolist()]
+        with mp.workdps(40):
+            for k0 in (math.floor(30.0 / w), math.floor(1500.0 / w)):
+                psi, delta = eng._lattice.psi(k0, k0 + 100)
+                for k, got in zip(range(k0, k0 + 100), psi.tolist()):
+                    theta = mp.mpf(k * w)  # the lattice points are exact floats
+                    want = mp.fsum(mp.cos(theta * x) for x in xs) / n
+                    assert abs(got - want) <= delta, (k, got, want)
+
+    def test_psi_keeps_its_bits_whichever_call_computed_it(self):
+        eng = self._engine(320)
+        k0 = math.floor(30.0 / (0.25 * eng._half))
+        whole = eng._lattice.psi(k0, k0 + 300)[0]
+        fresh = self._engine(320)
+        parts = [fresh._lattice.psi(k0 + i, k0 + i + 37)[0] for i in range(0, 300, 37)]
+        assert np.array_equal(np.concatenate(parts)[:300], whole)
+
+    @pytest.mark.parametrize("floor", [0.0, -300.0, -600.0])
+    def test_a_finite_region_reaches_its_end(self, floor):
+        eng = CosineEngine(CosinePriorConfig(),
+                           RunConfig().truth.sample(RandomStream(3, DATA_STREAM), 1000))
+        for hi in (31.0, 200.0, 700.0, 1500.0):
+            end, tb = eng._stop(30.0, floor, hi)
+            assert hi <= end <= eng._reach(floor, hi) + 0.25 * eng._half
+            assert tb <= math.log(0.5 * eng.quad_tol) + floor
+        # through the region's own query: its extension covers [30, hi]
+        eng.region_mass(5.0, 400.0)
+        assert max(b for a, b, floor in eng._cache if floor is not None) >= 400.0
+
+    def test_the_cells_end_the_reach_well_before_the_crude_bound(self):
+        # the default row at seed 3, n = 1000: region_mass(5)'s floor is
+        # about e^-593, whose crude reach is about 1310
+        eng = CosineEngine(CosinePriorConfig(),
+                           RunConfig().truth.sample(RandomStream(3, DATA_STREAM), 1000))
+        floor = -593.0
+        end, tb = eng._stop(30.0, floor, 0.0)
+        assert 600.0 < end < 0.6 * eng._reach(floor, 0.0)
+        assert tb <= math.log(0.5 * eng.quad_tol) + floor
+
+
 class TestQuadratureBudget:
     """A reach with more half periods than one quadrature may hold fails
     before anything of that reach is built."""
@@ -572,7 +646,7 @@ class TestQuadratureBudget:
         def fail(c, h, data):
             raise AssertionError("the likelihood was evaluated")
 
-        monkeypatch.setattr(cosine, "_panel_loglik", fail)
+        monkeypatch.setattr(cosine, "panel_loglik", fail)
 
     def test_head_past_the_budget(self, no_likelihood):
         # [0, 10^6] holds 286479 half periods pi / 0.9 of the likelihood
@@ -605,7 +679,7 @@ def _log_joint(prior, data):
     # the panel likelihood
     def f(c, h):
         return prior.log_density(numerics.kronrod_nodes(c, h)) \
-            + cosine._panel_loglik(c, h, data)
+            + cosine.panel_loglik(c, h, data)
 
     return f
 
@@ -669,7 +743,7 @@ class TestOnePerTheta:
         calls = []   # (pieces, results) of each lockstep quadrature
         rounds = []  # the panels of each call of the shared integrand
         seen = []    # every panel a likelihood pass evaluated
-        loglik = cosine._panel_loglik
+        loglik = cosine.panel_loglik
 
         def count_loglik(c, h, x):
             seen.extend(zip(c.tolist(), h.tolist()))
@@ -684,7 +758,7 @@ class TestOnePerTheta:
             calls.append((pieces, out))
             return out
 
-        monkeypatch.setattr(cosine, "_panel_loglik", count_loglik)
+        monkeypatch.setattr(cosine, "panel_loglik", count_loglik)
         monkeypatch.setattr(cosine, "lockstep_quadrature", record_quadrature)
         eng = CosineEngine(prior, data, quad_tol=cfg.quad_tol)
         row, errors = evaluate_diagnostics(

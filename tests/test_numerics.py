@@ -546,4 +546,20 @@ class TestMassRatio:
         assert got.lower == got.upper == 0.0
 
 
+class TestLogBracketAdd:
+    def test_sums_past_1024_nats_enclose_the_mpmath_value(self):
+        # a fixed 1e-13 widening is under half an ulp once an end reaches
+        # 1024, where it rounds away; one ulp of the end is not.  Sums of two
+        # points, |a| in [1030, 6000] and b within 5 of a
+        rng = np.random.default_rng(17)
+        a = rng.uniform(1030.0, 6000.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        b = a + rng.uniform(-5.0, 5.0, a.size)
+        with mp.workdps(50):
+            for x, y in zip(a.tolist(), b.tolist()):
+                got = LogBracket.point(x).add(LogBracket.point(y))
+                want = mp.log(mp.exp(x) + mp.exp(y))
+                assert got.lower <= want <= got.upper, (x, y)
+                assert 1024.0 <= abs(got.upper) and got.width() <= 4.0 * math.ulp(got.upper)
+
+
 import scipy.integrate  # noqa: E402  (used by the Simpson oracle above)
