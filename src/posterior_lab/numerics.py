@@ -332,14 +332,14 @@ def kronrod_nodes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return c[:, None] + h[:, None] * _NODES
 
 
-def _kronrod_sums(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(ln integral, ln error estimate) of e^f on each panel [lo_i, hi_i]
-    from fx, the (m, 15) values of f at the panels' Kronrod nodes.  Each
+def _kronrod_sums(fx: np.ndarray, c: np.ndarray, h: np.ndarray):
+    """(ln integral, ln error estimate) of e^f on each panel of centre c_i
+    and half-width h_i from fx, the (m, 15) values of f at the panels'
+    Kronrod nodes.  Each
     panel is scaled by its own maximum, and its error is QUADPACK's resasc
     min(1, (200 |K - G| / resasc)^1.5), at least 50 eps K; the sums are
     taken row by row, so a panel's values do not depend on the others in
     its batch."""
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     bad = np.isnan(fx) | (fx == math.inf)
     if bad.any():
         i, k = np.unravel_index(int(bad.argmax()), fx.shape)
@@ -418,6 +418,15 @@ def _rounds(piece: QuadraturePiece, tol: float):
     return QuadratureResult(log_estimate=s_all, rel_error_bound=rel, evaluations=evals)
 
 
+def _values(f, c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """f on the panels (c, h), checked to hold 15 values per panel."""
+    fx = np.asarray(f(c, h), dtype=float)
+    if fx.shape != (c.size, _NODES.size):
+        raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
+                         f"of {_NODES.size} nodes")
+    return fx
+
+
 def lockstep_quadrature(f, pieces, tol: float) -> list:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in
     LOG space, on several pieces (``QuadraturePiece``) refined in rounds
@@ -450,15 +459,15 @@ def lockstep_quadrature(f, pieces, tol: float) -> list:
         lo = np.concatenate([todo[i][0] for i in todo])
         hi = np.concatenate([todo[i][1] for i in todo])
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = np.asarray(f(c, h), dtype=float)
-        if fx.shape != (c.size, _NODES.size):
-            raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
-                             f"of {_NODES.size} nodes")
+        fx = _values(f, c, h)
         sizes = [todo[i][0].size for i in todo]
-        offsets = np.repeat([pieces[i].offset for i in todo], sizes)
-        li, le = _kronrod_sums(fx - offsets[:, None], lo, hi)
-        ends = np.cumsum(sizes)
-        for i, a, b in zip(todo, ends - sizes, ends):
+        offsets = [pieces[i].offset for i in todo]
+        if any(offsets):
+            fx = fx - np.repeat(offsets, sizes)[:, None]
+        li, le = _kronrod_sums(fx, c, h)
+        b = 0
+        for i, size in zip(todo, sizes):
+            a, b = b, b + size
             advance(i, gens[i], (li[a:b], le[a:b]))
     return out
 
@@ -466,7 +475,8 @@ def lockstep_quadrature(f, pieces, tol: float) -> list:
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False) -> QuadratureResult:
     """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
-    space, refined in rounds: ``lockstep_quadrature`` on one piece.
+    space, refined in rounds: the rule of ``lockstep_quadrature`` on one
+    piece.
 
     ``f(c, h)`` takes the centres c and half-widths h of m panels and
     returns the (m, 15) array of ln of the (nonnegative) integrand at their
@@ -485,11 +495,18 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
     and (carrying none) when the seed panels alone exceed the budget.
     """
-    (res,) = lockstep_quadrature(f, [QuadraturePiece(a, b, breakpoints, relative)],
-                                 tol)
-    if isinstance(res, QuadratureError):
-        raise res
-    return res
+    if not a < b:
+        raise ValueError(f"requires a < b, got [{a}, {b}]")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rounds = _rounds(QuadraturePiece(a, b, breakpoints, relative), tol)
+    try:
+        lo, hi = next(rounds)
+        while True:
+            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            lo, hi = rounds.send(_kronrod_sums(_values(f, c, h), c, h))
+    except StopIteration as stop:
+        return stop.value
 
 
 # ---------------------------------------------------------------------------
