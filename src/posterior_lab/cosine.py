@@ -373,12 +373,12 @@ class CosineEngine:
     def _stop(self, head: float, floor: float, region_end: float) -> tuple:
         """(A, tb): where a query's extension past its head stops, A >=
         region_end, and ln of a bound on the joint mass beyond A.  Under the
-        exponential prior the lattice cells run from the head up to
-        the crude reach C, each bounded by its prior mass times its
-        likelihood bound (``Lattice.cell_loglik``); A is the first cell edge past which the cells and
-        the crude tail beyond C sum to at most quad_tol/2 * e^floor (C
-        itself at the latest, where the crude tail alone is at most a
-        quarter of that)."""
+        exponential prior the lattice cells run from the head up to the
+        crude reach C, each bounded by its prior mass times its likelihood
+        bound (``Lattice.cell_loglik``); A is the first cell edge past which
+        the cells and the crude tail beyond C sum to at most quad_tol/2 *
+        e^floor (C itself at the latest, where the crude tail alone is at
+        most a quarter of that).  The sum is widened by its rounding."""
         if self.prior.kind == "truncated_uniform":  # no prior mass past head
             return head, LOG_ZERO
         if floor == LOG_ZERO:
@@ -400,7 +400,8 @@ class CosineEngine:
         # beyond[k]: the cells from k on and the crude tail past the last edge
         beyond = np.logaddexp.accumulate(
             np.append(cells, self._log_tail_bound(edges[-1]))[::-1])[::-1]
-        beyond += 8.0 * math.ulp(1.0) * (cells.size + 4) * (rate * edges[-1] + self.n + abs(floor) + 64.0)
+        beyond += 8.0 * math.ulp(1.0) * (cells.size + 4) \
+            * (rate * edges[-1] + self.n + abs(floor) + 64.0)
         stops = np.append(left, edges[-1])
         ok = (stops >= region_end) & (beyond <= math.log(0.5 * self.quad_tol) + floor)
         k = int(ok.argmax()) if ok.any() else stops.size - 1

@@ -335,11 +335,10 @@ def kronrod_nodes(c: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _kronrod_sums(fx: np.ndarray, c: np.ndarray, h: np.ndarray):
     """(ln integral, ln error estimate) of e^f on each panel of centre c_i
     and half-width h_i from fx, the (m, 15) values of f at the panels'
-    Kronrod nodes.  Each
-    panel is scaled by its own maximum, and its error is QUADPACK's resasc
-    min(1, (200 |K - G| / resasc)^1.5), at least 50 eps K; the sums are
-    taken row by row, so a panel's values do not depend on the others in
-    its batch."""
+    Kronrod nodes.  Each panel is scaled by its own maximum, and its error
+    is QUADPACK's resasc min(1, (200 |K - G| / resasc)^1.5), at least 50
+    eps K; the sums are taken row by row, so a panel's values do not depend
+    on the others in its batch."""
     bad = np.isnan(fx) | (fx == math.inf)
     if bad.any():
         i, k = np.unravel_index(int(bad.argmax()), fx.shape)
@@ -382,6 +381,10 @@ def _rounds(piece: QuadraturePiece, tol: float):
     (ln integral, ln error estimate) from _kronrod_sums, and returns the
     QuadratureResult (or raises QuadratureError)."""
     a, b = piece.a, piece.b
+    if not a < b:
+        raise ValueError(f"requires a < b, got [{a}, {b}]")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     pts = np.array(sorted({a, b, *(float(x) for x in piece.breakpoints if a < x < b)}))
     if pts.size - 1 > MAX_INTERVALS:
         raise QuadratureError(f"{pts.size - 1} seed panels exceed the budget of "
@@ -436,11 +439,6 @@ def lockstep_quadrature(f, pieces, tol: float) -> list:
     as it would alone (see adaptive_quadrature).
     Returns, piece by piece, its QuadratureResult or the QuadratureError
     that ended it; the other pieces go on."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    for p in pieces:
-        if not p.a < p.b:
-            raise ValueError(f"requires a < b, got [{p.a}, {p.b}]")
     out, asks = [None] * len(pieces), {}
 
     def advance(i, gen, fx):
@@ -495,10 +493,6 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
     budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
     and (carrying none) when the seed panels alone exceed the budget.
     """
-    if not a < b:
-        raise ValueError(f"requires a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rounds = _rounds(QuadraturePiece(a, b, breakpoints, relative), tol)
     try:
         lo, hi = next(rounds)

@@ -466,6 +466,39 @@ class TestAdaptiveQuadrature:
         # the first round holds one panel per breakpoint interval
         assert calls[0].size == 15 * (len(kw.get("breakpoints", ())) + 1)
 
+    def test_lockstep_pieces_refine_as_they_would_alone(self, monkeypatch):
+        # three pieces on one integrand, one of them less an offset and one
+        # that runs out of intervals: each keeps the result (or the error)
+        # it has alone, and each round is one call of the integrand for all
+        monkeypatch.setattr("posterior_lab.numerics.MAX_INTERVALS", 40)
+        g = on_nodes(lambda x: 300.0 * np.log(np.abs(np.cos(7.0 * x)) + 1e-300))
+        pieces = [numerics.QuadraturePiece(0.0, 1.0, (), True),
+                  numerics.QuadraturePiece(0.2, 0.9, (), False, -40.0),
+                  numerics.QuadraturePiece(0.0, 2.0, (math.pi / 14,), True)]
+        alone, rounds = [], []
+        for p in pieces:
+            calls = []
+
+            def shifted(c, h, p=p, calls=calls):
+                calls.append(c.size)
+                return g(c, h) - p.offset
+
+            try:
+                alone.append(adaptive_quadrature(shifted, p.a, p.b, 1e-10,
+                                                 breakpoints=p.breakpoints,
+                                                 relative=p.relative))
+            except QuadratureError as exc:
+                alone.append(exc)
+            rounds.append(calls)
+        calls = []
+        got = numerics.lockstep_quadrature(lambda c, h: calls.append(c.size) or g(c, h),
+                                           pieces, 1e-10)
+        assert got[:2] == alone[:2]
+        assert isinstance(got[2], QuadratureError) and isinstance(alone[2], QuadratureError)
+        assert str(got[2]) == str(alone[2])
+        assert got[2].evaluations == alone[2].evaluations > 0
+        assert len(calls) == max(map(len, rounds)) and sum(calls) == sum(map(sum, rounds))
+
 
 class TestRandomStream:
     def test_uniform_stream_is_pure(self):
