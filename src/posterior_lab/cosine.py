@@ -389,9 +389,7 @@ class CosineEngine:
         w = self._lattice.w
         if self.n == 0 or math.isinf(w) or c <= head:  # no likelihood, or no cell
             return c, self._log_tail_bound(c)
-        k0, k1 = math.floor(head / w), math.ceil(c / w)
-        k0 -= k0 * w > head
-        k1 += k1 * w < c
+        k0, k1 = int(head // w), -int(-c // w)  # exact floor and ceiling
         edges = np.arange(k0, k1 + 1) * w
         left = np.maximum(edges[:-1], head)
         rate = self.prior.rate
