@@ -541,9 +541,9 @@ class CosineEngine:
 
     def _parts(self, query) -> tuple:
         """(in, out): log enclosures of the joint mass inside and outside a
-        query's theta region (_Evidence, _Region or _Envelope), from the results, solving the
-        query alone if they lack it.  Its QuadratureError becomes the
-        engine's kept failure."""
+        query's theta region (_Evidence, _Region or _Envelope), from the
+        results, solving the query alone if they lack it.  Its
+        QuadratureError becomes the engine's kept failure."""
         if self._failure is not None:
             raise self._failure
         if query not in self._results:
@@ -574,7 +574,6 @@ class CosineEngine:
         reach bracketed analytically; the reach covers a finite hi."""
         if lo < 0.0 or not lo <= hi:
             raise ValueError(f"invalid region [{lo}, {hi}]")
-
         return mass_ratio(*self._parts(_Region(lo, hi)))
 
     def hellinger_mass(self, eps: float) -> Bracket:
