@@ -68,15 +68,15 @@ def panel_loglik(c: np.ndarray, h: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 
 
-# the Psi table: lattice points per block, data points per chunk and blocks
-# per pass, so that no (point, datum) table holds more than _CHUNK / 4
-_PSI_J, _PSI_S, _PSI_G = 32, 256, 16
+# the Psi lattice: points per block, blocks per run (a run is anchored
+# directly at its first point) and data per chunk
+_PSI_J, _PSI_B, _PSI_S = 32, 16, 128
 _EPS = math.ulp(1.0)
 
 
 class Lattice:
     """The lattice k w of one data set, w = H/4 a quarter of its rounded half
-    period H: Psi(k w) = n^-1 sum_i cos(k w x_i) at its points, kept a block
+    period H: Psi(k w) = n^-1 sum_i cos(k w x_i) at its points, kept a run
     at a time once computed, and AM-GM bounds of ln L on its cells."""
 
     def __init__(self, data: np.ndarray, half: float):
@@ -84,37 +84,41 @@ class Lattice:
         self.xmax = float(data.max()) if self.n else 0.0
         # n^-1 sum x_i^2, rounded up
         self.m2 = float(np.square(data).sum()) / max(1, self.n) * (1.0 + _EPS * (self.n + 2))
-        self._blocks = {}  # block b -> Psi at its points b _PSI_J + j
+        self._runs = {}  # run r -> Psi at its points r R + j, R = _PSI_J _PSI_B
 
     def psi(self, k0: int, k1: int) -> tuple:
         """(Psi, delta): Psi at the points k = k0..k1-1, and a bound delta of
-        its rounding.  A block's points are anchored at its first, one cos
-        and one sin per datum, the rest by angle addition from one table of
-        cos and sin of j w x, j < _PSI_J; the data go _PSI_S at a time and
-        the blocks _PSI_G at a time, and each datum's terms are summed with
-        einsum (numpy's own loops, no BLAS).  A block keeps its bits
-        whichever call computed it."""
-        J, w = _PSI_J, self.w
-        blocks = [b for b in range(k0 // J, (k1 - 1) // J + 1) if b not in self._blocks]
-        if blocks:
-            acc = np.zeros((len(blocks), J))
-            theta, steps = np.array(blocks) * (J * w), np.arange(J) * w
+        its rounding.  With z = e^(i w x), Psi(k w) = n^-1 sum_i Re z_i^k.
+        The lattice goes in runs of _PSI_B blocks of _PSI_J points: a run's
+        first point is e^(i k w x) taken directly, one cos and one sin per
+        datum, each next block's first point is the one before times
+        z^_PSI_J, and a block's points are its first times z^j, j <
+        _PSI_J, from one table of repeated products.  Each datum's terms are
+        summed with einsum (numpy's own loops, no BLAS), _PSI_S data at a
+        time.  A run keeps its bits whichever call computed it."""
+        J, R, w = _PSI_J, _PSI_J * _PSI_B, self.w
+        runs = [r for r in range(k0 // R, (k1 - 1) // R + 1) if r not in self._runs]
+        if runs:
+            acc = np.zeros((len(runs), _PSI_B, J))
             for i in range(0, self.n, _PSI_S):
                 x = self.data[i:i + _PSI_S]
-                t = np.multiply.outer(steps, x)
-                cos_t, sin_t = np.cos(t), np.sin(t)
-                for g in range(0, len(blocks), _PSI_G):
-                    u = np.multiply.outer(theta[g:g + _PSI_G], x)
-                    # sum_i cos(u + t) = sum_i cos u cos t - sum_i sin u sin t
-                    acc[g:g + _PSI_G] += np.einsum("bi,ji->bj", np.cos(u), cos_t) \
-                        - np.einsum("bi,ji->bj", np.sin(u), sin_t)
-            self._blocks.update(zip(blocks, acc / self.n))
-        b0 = k0 // J
-        psi = np.concatenate([self._blocks[b] for b in range(b0, (k1 - 1) // J + 1)])
-        # per term: each argument rounds by its size in ulps, each cos or sin
-        # by 1 ulp, the angle addition by 3 roundings; the sums by n ulps
-        delta = _EPS * (2.0 * self.n + 4.0 * k1 * w * self.xmax + 16.0)
-        return psi[k0 - b0 * J:k1 - b0 * J], delta
+                z = np.exp(1j * (w * x))
+                powers = np.cumprod(np.vstack([np.ones_like(z), np.broadcast_to(z, (J, z.size))]),
+                                    axis=0)  # z^j, j = 0..J
+                re, im = powers[:J].real.copy(), powers[:J].imag.copy()
+                hops = np.broadcast_to(powers[J], (_PSI_B - 1, z.size))
+                for m, r in enumerate(runs):
+                    first = np.cumprod(np.vstack([np.exp(1j * ((r * R * w) * x)), hops]), axis=0)
+                    acc[m] += np.einsum("bi,ji->bj", first.real.copy(), re) \
+                        - np.einsum("bi,ji->bj", first.imag.copy(), im)
+            self._runs.update(zip(runs, acc.reshape(len(runs), R) / self.n))
+        r0 = k0 // R
+        psi = np.concatenate([self._runs[r] for r in range(r0, (k1 - 1) // R + 1)])
+        # per term: the direct arguments round by their size in ulps, each
+        # cos or sin by 1 ulp, each complex product by under 3 ulps, at most
+        # _PSI_J + _PSI_B of them in a chain; the sums by n ulps
+        delta = _EPS * (2.0 * self.n + 4.0 * k1 * w * self.xmax + 8.0 * (J + _PSI_B) + 16.0)
+        return psi[k0 - r0 * R:k1 - r0 * R], delta
 
     def cell_loglik(self, k0: int, k1: int, head: float) -> np.ndarray:
         """Upper bounds of ln L on the cells [max(head, k w), (k+1) w], k =
