@@ -67,7 +67,6 @@ def panel_loglik(c: np.ndarray, h: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out
 
 
-
 # the Psi lattice: points per block, blocks per run (a run is anchored
 # directly at its first point) and data per chunk
 _PSI_J, _PSI_B, _PSI_S = 32, 16, 128
@@ -115,9 +114,12 @@ class Lattice:
         r0 = k0 // R
         psi = np.concatenate([self._runs[r] for r in range(r0, (k1 - 1) // R + 1)])
         # per term: the direct arguments round by their size in ulps, each
-        # cos or sin by 1 ulp, each complex product by under 3 ulps, at most
-        # _PSI_J + _PSI_B of them in a chain; the sums by n ulps
-        delta = _EPS * (2.0 * self.n + 4.0 * k1 * w * self.xmax + 8.0 * (J + _PSI_B) + 16.0)
+        # cos or sin by 1 ulp, and each complex product by under 3 ulps plus
+        # the error of z (under 2 ulps, w x < 1); a point is at most _PSI_B
+        # hops of z^_PSI_J, each _PSI_J products, and _PSI_J products more,
+        # so under 5 (_PSI_B + 1) (_PSI_J + 1) ulps; the sums by n ulps
+        delta = _EPS * (2.0 * self.n + 4.0 * k1 * w * self.xmax
+                        + 5.0 * (_PSI_B + 1) * (J + 1) + 16.0)
         return psi[k0 - r0 * R:k1 - r0 * R], delta
 
     def cell_loglik(self, k0: int, k1: int, head: float) -> np.ndarray:
