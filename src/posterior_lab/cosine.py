@@ -228,27 +228,12 @@ def _region_above(eps: float, theta_hi: float):
 # intervals at whose ends its pieces are cut (``cuts_to``: the region's own,
 # or those of two regions that share their pieces); ``tail_in(t)`` says where
 # (t, inf) lies: True inside, False outside, None on either side.  Its head
-# ends at ``decided`` or later, and its reach covers ``region_end``.
+# ends at ``decided`` or later, and its reach covers ``region_end``.  Queries
+# are values, so the engine keys its results by them.
 
-class _Query:
-    """A query's kind and arguments; queries are values, so the engine keys
-    its results by them."""
-
-    __slots__ = ("args",)
+@dataclass(frozen=True)
+class _Evidence:
     region_end = decided = 0.0
-
-    def __init__(self, *args):
-        self.args = args
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.args == other.args
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.args))
-
-
-class _Evidence(_Query):
-    __slots__ = ()
 
     def intervals_to(self, t):
         return ()
@@ -259,45 +244,48 @@ class _Evidence(_Query):
         return False
 
 
-class _Region(_Query):
-    """[lo, hi]."""
-
-    __slots__ = ()
+@dataclass(frozen=True)
+class _Region:
+    lo: float
+    hi: float
+    decided = 0.0
 
     def intervals_to(self, t):
-        return (self.args,)
+        return ((self.lo, self.hi),)
 
     cuts_to = intervals_to
 
     def tail_in(self, t):
-        return math.isinf(self.args[1])
+        return math.isinf(self.hi)
 
     @property
     def region_end(self):
-        return 0.0 if math.isinf(self.args[1]) else self.args[1]
+        return 0.0 if math.isinf(self.hi) else self.hi
 
 
-class _Envelope(_Query):
+@dataclass(frozen=True)
+class _Envelope:
     """The inner (i = 0) or outer (i = 1) envelope of {d_h > eps}, cut at
     the ends of both, so that the two share their pieces."""
 
-    __slots__ = ()
+    eps: float
+    i: int
+    region_end = 0.0
 
     def intervals_to(self, t):
-        eps, i = self.args
-        return _region_above(eps, t)[i]
+        return _region_above(self.eps, t)[self.i]
 
     def cuts_to(self, t):
-        return sum(_region_above(self.args[0], t), ())
+        return sum(_region_above(self.eps, t), ())
 
     def tail_in(self, t):
-        return _tail_side(self.args[0], t)
+        return _tail_side(self.eps, t)
 
     @property
     def decided(self):
         """The first point of the Hellinger grid from which tail_in decides
         (inf where none does)."""
-        return _decided_at(self.args[0])
+        return _decided_at(self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +474,16 @@ class CosineEngine:
         query knows its floor and reach, all extensions.  The queries go in
         the order given, and the first QuadratureError is kept as its
         query's result: the queries after it, which a row never reads (the
-        engine raises that error again), are dropped at that step."""
+        engine raises that error again), are dropped at that step and are
+        not planned by a later call."""
         if self._failure is not None:  # every query raises it again
             return
         plans = []  # [query, head, head pieces], then [query, ends, extension pieces]
         for q in dict.fromkeys(queries):
-            if q in self._results:
+            got = self._results.get(q)
+            if isinstance(got, QuadratureError):  # the row reads nothing past it
+                break
+            if got is not None:
                 continue
             try:
                 head = self.cap(q.decided)

@@ -471,11 +471,12 @@ class TestReplicateCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_v9_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
         # every row of the cosine model through the streamed engine and the
-        # shared statistic loop.  Against the v8 summary, written before the
-        # v9 head and reach, every .lower cell (min, median or max over the
-        # seeds of a bracket's lower end) is no lower and every .upper cell
-        # no higher, up to 2 quad_tol, as each seed's brackets nest; n keeps
-        # its bytes
+        # shared statistic loop.  Against the v6 summary and the v8 one,
+        # written before the v9 head and reach, every .lower cell (min,
+        # median or max over the seeds of a bracket's lower end) is no lower
+        # and every .upper cell no higher, up to 2 quad_tol, as each seed's
+        # brackets nest; n keeps its bytes.  Nesting is not transitive, so
+        # each older summary is checked on its own
         golden = os.path.join(DATA, "v9_replicate_cosine_n300_seeds1-3")
         out = str(tmp_path / "r")
         assert run_cli("replicate", "--model", "cosine", "--grid-ratio", "2.0",
@@ -485,21 +486,22 @@ class TestReplicateCommand:
             with open(golden + ext, "rb") as a, \
                     open(os.path.join(out, "summary" + ext), "rb") as b:
                 assert a.read() == b.read(), ext
-        old = read_csv_cells(os.path.join(DATA, "v8_replicate_cosine_n300_seeds1-3.csv"))
         new = read_csv_cells(os.path.join(out, "summary.csv"))
         slack = 2.0 * RunConfig().quad_tol
-        assert [r["n"] for r in old] == [r["n"] for r in new]
-        for was, now in zip(old, new):
-            for col in was:
-                w, v = float(was[col]), float(now[col])
-                if ".lower." in col:
-                    assert w - slack * (1.0 if col.startswith("log_evidence") else w) <= v, \
-                        (was["n"], col)
-                elif ".upper." in col:
-                    assert v <= w + slack * (1.0 if col.startswith("log_evidence") else w), \
-                        (was["n"], col)
-                else:
-                    assert was[col] == now[col], (was["n"], col)
+        for version in ("v6", "v8"):
+            old = read_csv_cells(os.path.join(
+                DATA, version + "_replicate_cosine_n300_seeds1-3.csv"))
+            assert [r["n"] for r in old] == [r["n"] for r in new], version
+            for was, now in zip(old, new):
+                for col in was:
+                    w, v = float(was[col]), float(now[col])
+                    tol = slack * (1.0 if col.startswith("log_evidence") else w)
+                    if ".lower." in col:
+                        assert w - tol <= v, (version, was["n"], col)
+                    elif ".upper." in col:
+                        assert v <= w + tol, (version, was["n"], col)
+                    else:
+                        assert was[col] == now[col], (version, was["n"], col)
 
     def test_duplicate_seeds_exit_2(self, tmp_path):
         code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",

@@ -562,6 +562,32 @@ class TestLockstepRow:
             assert all(exc is got[0] for exc in got)
             assert str(got[0]) == errors[0].split(": ", 1)[1]
 
+    @pytest.mark.parametrize("n", [160, 1000])
+    def test_no_query_after_a_failure_is_solved(self, monkeypatch, n):
+        # region_mass(5)'s reach fails before any extension is integrated:
+        # the evidence after it, which the row never reads, is not extended
+        # by a later statistic's solve_row either (its pieces may be shared
+        # with an envelope's, so the check is on the queries, not the pieces)
+        cfg = RunConfig(model="cosine")
+        data = cfg.truth.sample(RandomStream(3, DATA_STREAM), n)
+        stats = cosine_statistics(cfg.diagnostics, cfg.cosine_regions)
+        stop, floors = CosineEngine._stop, []
+
+        def failing(self, head, floor, region_end):
+            floors.append(floor)
+            if floor < -60.0:
+                raise numerics.QuadratureError("forced", 0.0, 0.0, 0)
+            return stop(self, head, floor, region_end)
+
+        monkeypatch.setattr(CosineEngine, "_stop", failing)
+        eng = CosineEngine(cfg.cosine_prior, data, quad_tol=cfg.quad_tol)
+        row, errors = evaluate_diagnostics(eng, stats)
+        assert [i for i, v in enumerate(row.values()) if math.isnan(v)] == [5, 6, 7, 8]
+        assert errors == ["region_mass_5_inf: forced"]
+        # the four envelopes, then the region; no reach is sought after it
+        assert len(floors) == 5 and floors[-1] < -60.0
+        assert cosine._Evidence() not in eng._results
+
 
 class TestCellBound:
     """Past a query's head, cells of width H/4 bound ln L by AM-GM from Psi
