@@ -228,12 +228,27 @@ def _region_above(eps: float, theta_hi: float):
 # intervals at whose ends its pieces are cut (``cuts_to``: the region's own,
 # or those of two regions that share their pieces); ``tail_in(t)`` says where
 # (t, inf) lies: True inside, False outside, None on either side.  Its head
-# ends at ``decided`` or later, and its reach covers ``region_end``.  Queries
-# are values, so the engine keys its results by them.
+# ends at ``decided`` or later, and its reach covers ``region_end``.
 
-@dataclass(frozen=True)
-class _Evidence:
+class _Query:
+    """A query's kind and arguments; queries are values, so the engine keys
+    its results by them."""
+
+    __slots__ = ("args",)
     region_end = decided = 0.0
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.args == other.args
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.args))
+
+
+class _Evidence(_Query):
+    __slots__ = ()
 
     def intervals_to(self, t):
         return ()
@@ -244,48 +259,45 @@ class _Evidence:
         return False
 
 
-@dataclass(frozen=True)
-class _Region:
-    lo: float
-    hi: float
-    decided = 0.0
+class _Region(_Query):
+    """[lo, hi]."""
+
+    __slots__ = ()
 
     def intervals_to(self, t):
-        return ((self.lo, self.hi),)
+        return (self.args,)
 
     cuts_to = intervals_to
 
     def tail_in(self, t):
-        return math.isinf(self.hi)
+        return math.isinf(self.args[1])
 
     @property
     def region_end(self):
-        return 0.0 if math.isinf(self.hi) else self.hi
+        return 0.0 if math.isinf(self.args[1]) else self.args[1]
 
 
-@dataclass(frozen=True)
-class _Envelope:
+class _Envelope(_Query):
     """The inner (i = 0) or outer (i = 1) envelope of {d_h > eps}, cut at
     the ends of both, so that the two share their pieces."""
 
-    eps: float
-    i: int
-    region_end = 0.0
+    __slots__ = ()
 
     def intervals_to(self, t):
-        return _region_above(self.eps, t)[self.i]
+        eps, i = self.args
+        return _region_above(eps, t)[i]
 
     def cuts_to(self, t):
-        return sum(_region_above(self.eps, t), ())
+        return sum(_region_above(self.args[0], t), ())
 
     def tail_in(self, t):
-        return _tail_side(self.eps, t)
+        return _tail_side(self.args[0], t)
 
     @property
     def decided(self):
         """The first point of the Hellinger grid from which tail_in decides
         (inf where none does)."""
-        return _decided_at(self.eps)
+        return _decided_at(self.args[0])
 
 
 # ---------------------------------------------------------------------------
