@@ -154,19 +154,21 @@ def _tail_side(eps: float, theta: float):
 
 _DH_STEP = 0.02
 # the first point i * 0.02 of the Hellinger grid at or past theta = 3, and
-# the grid's size in which a query's head looks for its decided point
+# the size of the grid on which each eps's decided point is sought
 _DH_FROM = 150
 _DH_DECIDED = 10 ** 8
 
 
-def _decided_from(eps: float, size: int):
+@functools.lru_cache(maxsize=16)
+def _decided(eps: float):
     """The index i of the first point i * 0.02 >= 3 of the Hellinger grid of
-    ``size`` points where _tail_side decides eps, and whether d_h exceeds
+    _DH_DECIDED points where _tail_side decides eps, and whether d_h exceeds
     eps from there on; None where no point of the grid decides it.  The
     bounds narrow as theta grows, in floats too (each operation rounds
-    monotonically), so a decided point is the first by bisection."""
-    lo, hi = _DH_FROM, size - 1
-    if hi < lo or _tail_side(eps, hi * _DH_STEP) is None:
+    monotonically), so a decided point is the first by bisection, and a
+    shorter grid's first decided point is this one if it holds it."""
+    lo, hi = _DH_FROM, _DH_DECIDED - 1
+    if _tail_side(eps, hi * _DH_STEP) is None:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
@@ -175,14 +177,6 @@ def _decided_from(eps: float, size: int):
         else:
             hi = mid
     return hi, _tail_side(eps, hi * _DH_STEP)
-
-
-@functools.lru_cache(maxsize=16)
-def _decided_at(eps: float) -> float:
-    """The first point i * 0.02 >= 3 from which _tail_side decides eps, on a
-    grid of _DH_DECIDED points; inf where none of them does."""
-    got = _decided_from(eps, _DH_DECIDED)
-    return got[0] * _DH_STEP if got else math.inf
 
 
 # hellinger_mass asks for the region at the head and at the reach of the
@@ -207,7 +201,8 @@ def _region_above(eps: float, theta_hi: float):
                               f"half periods of the Hellinger distance, past the "
                               f"quadrature budget", math.nan, math.inf, 0)
     size = math.ceil((theta_hi + _DH_STEP) / _DH_STEP)  # np.arange's length
-    k, inside = _decided_from(eps, size) or (size - 1, False)
+    got = _decided(eps)
+    k, inside = got if got and got[0] < size else (size - 1, False)
     grid = np.arange(k + 1) * _DH_STEP  # the prefix of np.arange's grid
     above = cosine_hellinger_uniform(grid) > eps
     if k < size - 1:
@@ -297,7 +292,8 @@ class _Envelope(_Query):
     def decided(self):
         """The first point of the Hellinger grid from which tail_in decides
         (inf where none does)."""
-        return _decided_at(self.args[0])
+        got = _decided(self.args[0])
+        return got[0] * _DH_STEP if got else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,10 @@ class LogBracket:
                           hi + max(COMBINE_SLACK, math.ulp(hi)) if hi > LOG_ZERO else hi)
 
     def shift(self, c: float) -> "LogBracket":
-        """Multiply the underlying quantity by e^c (exact in log space)."""
+        """Multiply the underlying quantity by e^c: each end plus c, rounded
+        to nearest, so an end may move inward past the true value by up to
+        half an ulp.  Rounding outward moves bits, so that mend rides the
+        format v10 bundle."""
         return LogBracket(self.lower + c if self.lower > LOG_ZERO else LOG_ZERO,
                           self.upper + c if self.upper > LOG_ZERO else LOG_ZERO)
 

@@ -15,7 +15,10 @@ collect this module, and the package never imports it.
   value of a log-space quadrature result;
 * ``on_nodes``, a pointwise integrand in the quadrature's panel protocol;
 * the composite 20-node Gauss-Legendre rule for the cosine model's joint
-  density, the oracle of its posterior masses and evidence.
+  density, the oracle of its posterior masses and evidence;
+* the cells of each level in Python integers where a float product is one,
+  and the step sum in mpmath, the oracle of the step marginal, the mean of
+  1/N and the step predictive, with the data sets it is checked on.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from posterior_lab import numerics
@@ -309,3 +313,68 @@ def gauss_legendre_log(data, lo: float, hi: float, panels: int) -> float:
     density under the exponential prior (rate 1) on [lo, hi], in ``panels``
     equal panels."""
     return log_sum_exp(gauss_legendre_panels(data, np.linspace(lo, hi, panels + 1)))
+
+
+def exact_cells(w, x):
+    """floor(w x) for integer-valued w and floats x, elementwise over their
+    broadcast, as int64.  The floor of the float product is exact where
+    that product is not an integer; every element where it is one is redone
+    in Python integers from float.as_integer_ratio."""
+    w, x = np.broadcast_arrays(np.asarray(w, dtype=np.float64),
+                               np.asarray(x, dtype=np.float64))
+    f = w * x
+    out = np.floor(f).astype(np.int64)
+    tie = np.flatnonzero(out == f)
+    out.flat[tie] = [int(wi) * p // q for wi, (p, q) in zip(
+        w.flat[tie].tolist(), map(float.as_integer_ratio, x.flat[tie].tolist()))]
+    return out
+
+
+def mp_step_log_sum(data, power=0, x=None, dps=20):
+    """ln sum_N w_N 2^n (N^2)_k / (2N^2)_k N^-power [times the cell
+    predictive at x] in mpmath.  The levels up to L = max(D, K) + 1 (and
+    past the cells x may share with a point) take loggamma; beyond, every
+    level holds all K points, and the sum is 2^-K zeta(2 + power, L + 1)
+    plus an Euler-Maclaurin nsum of the rest, whose log-ratio is a sum of
+    log1p terms (loggamma differences lose every digit at the huge N the
+    nsum samples, and nsum's default method is far off on such tails)."""
+    pts = np.sort(np.asarray(data, dtype=float))
+    k_all, n = len(np.unique(pts)), len(pts)
+    gap = np.diff(np.unique(pts)).min() if k_all > 1 else 1.0
+    last = max(int(1 / math.sqrt(gap)) + 2, k_all) + 1
+    if x is not None:
+        last = max(last, int(1 / math.sqrt(np.abs(pts - x).min())) + 2)
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for level in range(1, last + 1):
+            m = level * level
+            cells = exact_cells(2 * m, pts)
+            k = len(np.unique(cells))
+            if k > m:
+                continue
+            t = mp.exp(mp.loggamma(m + 1) - mp.loggamma(m - k + 1)
+                       - mp.loggamma(2 * m + 1) + mp.loggamma(2 * m - k + 1))
+            if x is not None:
+                t *= 2 if exact_cells(2 * m, [x])[0] in set(cells.tolist()) \
+                    else mp.mpf(2 * (m - k)) / (2 * m - k)
+            total += t / mp.mpf(level) ** (2 + power)
+
+        def rest(level):
+            m = level * level
+            v = mp.exp(mp.fsum(mp.log1p(-i / m) - mp.log1p(-i / (2 * m))
+                               for i in range(k_all)))
+            if x is not None:
+                v *= 2 * (m - k_all) / (2 * m - k_all)
+            return (v - 1) / level ** (2 + power)
+
+        tail = mp.zeta(2 + power, last + 1) + mp.nsum(
+            rest, [last + 1, mp.inf], method="euler-maclaurin")
+        return mp.log(6 / mp.pi**2 * (total + tail / mp.mpf(2) ** k_all)) + n * mp.log(2)
+
+
+ORACLE_DATA = {
+    "uniform n=100": lambda: [float(x) for x in numerics.RandomStream(1, 0).uniform_open(100)],
+    "lattice K=200": lambda: [(i + 0.5) / 200 for i in range(200)],
+    # fl(50 * 0.3) = 15, but 0.3 lies below 15/50 and so in cell 14
+    "decimal cell boundary": lambda: [0.3, 0.305, 0.9],
+}

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import inv_norm_cdf_point, step_predictive
+from oracles import (
+    ORACLE_DATA,
+    exact_cells,
+    inv_norm_cdf_point,
+    mp_step_log_sum,
+    step_predictive,
+)
 from posterior_lab import barron
 from posterior_lab.barron import (
     _LOG_LEVEL_NORM,
@@ -41,21 +47,6 @@ from posterior_lab.numerics import (
 )
 
 mp.mp.dps = 40
-
-
-def exact_cells(w, x):
-    """floor(w x) for integer-valued w and floats x, elementwise over their
-    broadcast, as int64.  The floor of the float product is exact where
-    that product is not an integer; every element where it is one is redone
-    in Python integers from float.as_integer_ratio."""
-    w, x = np.broadcast_arrays(np.asarray(w, dtype=np.float64),
-                               np.asarray(x, dtype=np.float64))
-    f = w * x
-    out = np.floor(f).astype(np.int64)
-    tie = np.flatnonzero(out == f)
-    out.flat[tie] = [int(wi) * p // q for wi, (p, q) in zip(
-        w.flat[tie].tolist(), map(float.as_integer_ratio, x.flat[tie].tolist()))]
-    return out
 
 
 def occupancy_at(e, level):
@@ -127,48 +118,6 @@ def mp_tilt_log_marginal(data):
                 lambda u: mp.exp(h(u) - top) if u > 0 else mp.mpf(0), pts))
 
         return log_integral(n, s_n) - log_integral(0, mp.mpf(0))
-
-
-def mp_step_log_sum(data, power=0, x=None, dps=20):
-    """ln sum_N w_N 2^n (N^2)_k / (2N^2)_k N^-power [times the cell
-    predictive at x] in mpmath.  The levels up to L = max(D, K) + 1 (and
-    past the cells x may share with a point) take loggamma; beyond, every
-    level holds all K points, and the sum is 2^-K zeta(2 + power, L + 1)
-    plus an Euler-Maclaurin nsum of the rest, whose log-ratio is a sum of
-    log1p terms (loggamma differences lose every digit at the huge N the
-    nsum samples, and nsum's default method is far off on such tails)."""
-    pts = np.sort(np.asarray(data, dtype=float))
-    k_all, n = len(np.unique(pts)), len(pts)
-    gap = np.diff(np.unique(pts)).min() if k_all > 1 else 1.0
-    last = max(int(1 / math.sqrt(gap)) + 2, k_all) + 1
-    if x is not None:
-        last = max(last, int(1 / math.sqrt(np.abs(pts - x).min())) + 2)
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for level in range(1, last + 1):
-            m = level * level
-            cells = exact_cells(2 * m, pts)
-            k = len(np.unique(cells))
-            if k > m:
-                continue
-            t = mp.exp(mp.loggamma(m + 1) - mp.loggamma(m - k + 1)
-                       - mp.loggamma(2 * m + 1) + mp.loggamma(2 * m - k + 1))
-            if x is not None:
-                t *= 2 if exact_cells(2 * m, [x])[0] in set(cells.tolist()) \
-                    else mp.mpf(2 * (m - k)) / (2 * m - k)
-            total += t / mp.mpf(level) ** (2 + power)
-
-        def rest(level):
-            m = level * level
-            v = mp.exp(mp.fsum(mp.log1p(-i / m) - mp.log1p(-i / (2 * m))
-                               for i in range(k_all)))
-            if x is not None:
-                v *= 2 * (m - k_all) / (2 * m - k_all)
-            return (v - 1) / level ** (2 + power)
-
-        tail = mp.zeta(2 + power, last + 1) + mp.nsum(
-            rest, [last + 1, mp.inf], method="euler-maclaurin")
-        return mp.log(6 / mp.pi**2 * (total + tail / mp.mpf(2) ** k_all)) + n * mp.log(2)
 
 
 class TestOccupancyTracking:
@@ -378,14 +327,6 @@ class TestStepMarginal:
         for levels in (60, 6000):
             ref = loop_bracket(data, levels)
             assert ref.lower <= closed.lower and closed.upper <= ref.upper, levels
-
-
-ORACLE_DATA = {
-    "uniform n=100": lambda: [float(x) for x in RandomStream(1, 0).uniform_open(100)],
-    "lattice K=200": lambda: [(i + 0.5) / 200 for i in range(200)],
-    # fl(50 * 0.3) = 15, but 0.3 lies below 15/50 and so in cell 14
-    "decimal cell boundary": lambda: [0.3, 0.305, 0.9],
-}
 
 
 class TestClosedFormOracle:

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from goldens import GOLDENS
 from posterior_lab.cli import (
     _config_from_args,
     build_parser,
@@ -21,7 +22,7 @@ from posterior_lab.cli import (
     parse_truth,
 )
 from posterior_lab.cosine import CosinePriorConfig
-from posterior_lab.harness import RunConfig
+from posterior_lab.harness import _RETIRED_KEYS, FORMAT_VERSION, RunConfig
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -38,27 +39,28 @@ def read_csv_cells(path):
         return [dict(zip(header, line.rstrip("\n").split(","))) for line in fh]
 
 
-def assert_replay_nests(golden, out, slack=None):
-    """Each bracket of the replay ``out`` lies inside the stored one of
-    ``golden``, on the same grid.  A bracket is a quadrature error estimate,
-    so by default the nesting holds up to 2 quad_tol: relative for masses,
-    absolute for ln evidence.  Returns both row lists."""
-    if slack is None:
-        with open(golden + ".json") as fh:
-            slack = 2.0 * json.load(fh)["config"]["quad_tol"]
-    old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
+def sidecar_quad_tol(stem):
+    with open(stem + ".json") as fh:
+        return json.load(fh)["config"]["quad_tol"]
+
+
+def assert_replay_nests(old, new, slack):
+    """Each bracket of the replay's rows ``new`` lies inside the stored one
+    of ``old``, on the same grid, up to ``slack``: relative for masses,
+    absolute for ln evidence.  A bracket is a quadrature error estimate, so a
+    changed quadrature nests only up to 2 quad_tol.  A replicate summary's
+    cells (min, median or max over the seeds of a bracket's end) nest the
+    same way, as each seed's brackets do."""
     assert [r["n"] for r in old] == [r["n"] for r in new]
     for was, now in zip(old, new):
-        for col in (c for c in was if c.endswith(".lower")):
-            stem = col[:-6]
-            lo, hi = float(was[col]), float(was[stem + ".upper"])
-            new_lo, new_hi = float(now[col]), float(now[stem + ".upper"])
-            if stem == "log_evidence":
-                assert lo - slack <= new_lo <= new_hi <= hi + slack, (was["n"], stem)
+        for col in (c for c in was if ".lower" in c):
+            up = col.replace(".lower", ".upper")
+            lo, hi, new_lo, new_hi = (float(r[c]) for r in (was, now) for c in (col, up))
+            if col.startswith("log_evidence"):
+                assert lo - slack <= new_lo <= new_hi <= hi + slack, (was["n"], col)
             else:
                 assert lo * (1 - slack) <= new_lo <= new_hi <= hi * (1 + slack), \
-                    (was["n"], stem)
-    return old, new
+                    (was["n"], col)
 
 
 def assert_bracket_free_columns_keep(old, new):
@@ -66,33 +68,85 @@ def assert_bracket_free_columns_keep(old, new):
     exponent, which reads the midpoint of the step bracket: that midpoint
     lies inside the stored bracket, so the exponent moves by at most half
     the stored step width over n (the step bracket enclosed here by fstep
-    times the evidence)."""
+    times the evidence); a summary cell, by an ulp or two."""
     for was, now in zip(old, new):
-        n = int(was["n"])
-        step = [math.log(float(was["mass_fstep" + e])) + float(was["log_evidence" + e])
-                for e in (".lower", ".upper")]
         for col in was:
-            if col.endswith((".lower", ".upper")) or was[col] == now[col]:
+            if ".lower" in col or ".upper" in col or was[col] == now[col]:
                 continue
-            if col.startswith("band_prior_exponent"):
-                moved = abs(float(now[col]) - float(was[col]))
-                assert moved <= 0.5 * (step[1] - step[0]) / n + 1e-15, (n, col)
-            else:
-                raise AssertionError((n, col, was[col], now[col]))
+            assert col.startswith("band_prior_exponent"), (was["n"], col, was[col], now[col])
+            bound = 1e-15
+            if "mass_fstep.lower" in was:
+                step = [math.log(float(was["mass_fstep" + e])) + float(was["log_evidence" + e])
+                        for e in (".lower", ".upper")]
+                bound += 0.5 * (step[1] - step[0]) / int(was["n"])
+            assert abs(float(now[col]) - float(was[col])) <= bound, (was["n"], col)
 
 
-def assert_sidecars_differ_in_version(golden, out, versions):
-    """The two sidecars are equal but for their versions, which are
-    ``versions``, and, in a sidecar older than v7, the predictive grid that
-    format v7 retired (0 in every such sidecar) with the config hash it was
-    part of."""
+def assert_sidecars_differ_in_version(golden, out, version):
+    """The two sidecars are equal but for their versions, ``version`` and
+    the newest, and the retired keys the stored one carries, each at the one
+    value it replays, with the config hash they were part of."""
     with open(golden + ".json") as a, open(out + ".json") as b:
         was, now = json.load(a), json.load(b)
-    assert (was.pop("version"), now.pop("version")) == versions
-    if versions[0] < 7:
-        assert was["config"]["diagnostics"].pop("predictive_grid") == 0
+    assert (was.pop("version"), now.pop("version")) == (version, FORMAT_VERSION)
+    retired = False
+    for path, value in _RETIRED_KEYS.items():
+        *parents, key = path.split(".")
+        node = was["config"]
+        for p in parents:
+            node = node[p]
+        if key in node:
+            assert node.pop(key) == value, path
+            retired = True
+    if retired:
         assert was.pop("config_hash") != now.pop("config_hash")
     assert was == now
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def golden_cases():
+    for g in GOLDENS:
+        if g.command:
+            yield from (pytest.param(g, jobs, id=f"{g.name}-jobs{jobs}") for jobs in g.jobs)
+        else:
+            yield from (pytest.param(g, v, id=f"v{v}_{g.name}") for v in g.versions()
+                        if v < FORMAT_VERSION)
+
+
+# each golden set keeps the rule tests/goldens.py states for it: the gauss
+# run's bands and betas hold tilt members, so it reads the tilt side of the
+# band mass, the band prior exponent and the beta bound; the decimal run's
+# dataset decimal.csv (0.3, 0.305, 0.9, read from the working directory)
+# puts 0.3 just below a level-5 cell boundary; the step run's truth
+# log-likelihood (step:2:0,3,5,7) sets its gamma columns; the cosine run at
+# n = 640 reaches past its head and shares panels between pieces; a
+# replicate summary with four seeds has every median cell the mean of two
+@pytest.mark.parametrize("golden, arg", golden_cases())
+def test_golden_replays_by_its_rule(tmp_path, monkeypatch, golden, arg):
+    (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
+    monkeypatch.chdir(tmp_path)
+    if golden.command:
+        assert run_cli(*golden.command.split(), "--jobs", str(arg), "--out-dir", "r") == 0
+        out, stored, tol = os.path.join("r", "summary"), golden.versions(), RunConfig().quad_tol
+    else:
+        assert run_cli("traj", "--config", golden.pin(arg) + ".json", "--out", "r") == 0
+        out, stored, tol = "r", [arg], sidecar_quad_tol(golden.pin(arg))
+        assert_sidecars_differ_in_version(golden.pin(arg), out, arg)
+    if golden.same_since is not None:
+        for ext in (".csv", ".json"):
+            assert read_bytes(golden.pin(FORMAT_VERSION) + ext) == read_bytes(out + ext), ext
+    new = read_csv_cells(out + ".csv")
+    for version in stored:
+        pin = golden.pin(version)
+        if golden.same_since is not None and version >= golden.same_since:
+            assert read_bytes(pin + ".csv") == read_bytes(out + ".csv"), version
+        old = read_csv_cells(pin + ".csv")
+        assert_replay_nests(old, new, golden.slack * tol)
+        assert_bracket_free_columns_keep(old, new)
 
 
 class TestParsers:
@@ -156,7 +210,7 @@ class TestTrajCommand:
         assert run_cli("traj", "--config", v1 + ".json", "--out", out) == 0
         with open(out + ".json") as fh:
             side = json.load(fh)
-        assert side["version"] == 9 and "trunc_multiplier" not in side["config"]
+        assert side["version"] == FORMAT_VERSION and "trunc_multiplier" not in side["config"]
         old, new = read_csv_cells(v1 + ".csv"), read_csv_cells(out + ".csv")
         assert [r["n"] for r in old] == [r["n"] for r in new]
         for was, now in zip(old, new):
@@ -191,121 +245,10 @@ class TestTrajCommand:
         golden = os.path.join(DATA, "v3_uniform_n60_seed3")
         out = str(tmp_path / "replay")
         assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        assert_bracket_free_columns_keep(*assert_replay_nests(golden, out))
-        with open(golden + ".json") as a, open(out + ".json") as b:
-            was, now = json.load(a), json.load(b)
-        assert (was.pop("version"), now.pop("version")) == (3, 9)
-        retired = was["config"]["cosine_prior"]
-        assert (retired.pop("scale"), retired.pop("tail_fraction")) == (1.0, 1e-3)
-        assert was["config"]["diagnostics"].pop("predictive_grid") == 0
-        assert was.pop("config_hash") != now.pop("config_hash")
-        assert was == now
-
-    def test_v4_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
-        golden = os.path.join(DATA, "v4_cosine_n40_seed1")
-        out = str(tmp_path / "replay")
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        assert_replay_nests(golden, out)
-        assert_sidecars_differ_in_version(golden, out, (4, 9))
-
-    # v6 sums the step head in closed form: the v5 Barron runs replay with
-    # every bracket inside the stored one, with no slack, as the tilt
-    # quadrature is unchanged
-    @pytest.mark.parametrize("name", ["v5_uniform_n60_seed3", "v5_uniform_n8000_seed65",
-                                      "v5_gauss_tiltband_n300_seed9",
-                                      "v5_decimal_n3_seed1", "v5_step_n300_seed4"])
-    def test_v5_sidecar_replays_inside_its_brackets(self, tmp_path, monkeypatch, name):
-        golden = os.path.join(DATA, name)
-        out = str(tmp_path / "replay")
-        (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        assert_bracket_free_columns_keep(*assert_replay_nests(golden, out, slack=0.0))
-        assert_sidecars_differ_in_version(golden, out, (5, 9))
-
-    # v8 moved the cosine bits by rounding (the likelihood per Kronrod panel
-    # by angle addition, the half period on a 2^-20 grid, both Hellinger
-    # envelopes cut at the same points), and v9 by the head and the reach
-    # (each query's head ends where its tail side is decided, and AM-GM cell
-    # bounds end the extension): every stored cosine run replays with each
-    # bracket inside the stored one up to 2 quad_tol
-    @pytest.mark.parametrize("name", ["v5_cosine_n40_seed1", "v6_cosine_n640_seed3",
-                                      "v7_cosine_n640_seed3", "v8_cosine_n640_seed3"])
-    def test_cosine_sidecar_replays_inside_its_brackets(self, tmp_path, name):
-        golden = os.path.join(DATA, name)
-        out = str(tmp_path / "replay")
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        assert_replay_nests(golden, out)
-        assert_sidecars_differ_in_version(golden, out, (int(name[1]), 9))
-
-    # v7 retired the predictive grid, which no v6 run turned on, and v8 and
-    # v9 left the Barron bits of these runs alone: each v6 run replays to
-    # its v9 CSV byte for byte, which for a Barron run is the v6 CSV
-    @pytest.mark.parametrize("name", ["v6_uniform_n60_seed3", "v6_uniform_n8000_seed65",
-                                      "v6_gauss_tiltband_n300_seed9",
-                                      "v6_decimal_n3_seed1", "v6_step_n300_seed4",
-                                      "v6_cosine_n640_seed3"])
-    def test_v6_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
-        golden = os.path.join(DATA, name)
-        out = str(tmp_path / "replay")
-        (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        with open(os.path.join(DATA, "v9" + name[2:] + ".csv"), "rb") as a, \
-                open(out + ".csv", "rb") as b:
-            assert a.read() == b.read()
-        if "cosine" not in name:
-            with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
-                assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (6, 9))
-
-    # the gauss run's bands and betas hold tilt members, so it reads the
-    # tilt side of the band mass, the band prior exponent and the beta bound;
-    # the decimal run's dataset decimal.csv (0.3, 0.305, 0.9, read from the
-    # working directory) puts 0.3 just below a level-5 cell boundary; the
-    # step run's truth log-likelihood (step:2:0,3,5,7) sets its gamma columns;
-    # the cosine run reaches past its head and shares panels between pieces.
-    # Each v7 and v8 sidecar replays to its v9 pair byte for byte, CSV and
-    # sidecar; the sidecars differ only in version, and a Barron CSV keeps
-    # its v7 bytes (no ln marginal of these runs passes 1024 nats, where the
-    # v9 LogBracket.add widens by an ulp)
-    @staticmethod
-    def _replays_to_the_v9_pair(tmp_path, monkeypatch, name):
-        golden = os.path.join(DATA, name)
-        out = str(tmp_path / "replay")
-        (tmp_path / "decimal.csv").write_text("0.3\n0.305\n0.9\n")
-        monkeypatch.chdir(tmp_path)
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        for ext in (".csv", ".json"):
-            with open(os.path.join(DATA, "v9" + name[2:] + ext), "rb") as a, \
-                    open(out + ext, "rb") as b:
-                assert a.read() == b.read(), ext
-        if "cosine" not in name:
-            with open(golden + ".csv", "rb") as a, open(out + ".csv", "rb") as b:
-                assert a.read() == b.read()
-        assert_sidecars_differ_in_version(golden, out, (int(name[1]), 9))
-
-    @pytest.mark.parametrize("name", ["v7_uniform_n60_seed3", "v7_uniform_n8000_seed65",
-                                      "v7_gauss_tiltband_n300_seed9",
-                                      "v7_decimal_n3_seed1", "v7_step_n300_seed4",
-                                      "v7_cosine_n640_seed3"])
-    def test_v7_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
-        self._replays_to_the_v9_pair(tmp_path, monkeypatch, name)
-
-    @pytest.mark.parametrize("name", ["v8_uniform_n60_seed3", "v8_uniform_n8000_seed65",
-                                      "v8_gauss_tiltband_n300_seed9",
-                                      "v8_decimal_n3_seed1", "v8_step_n300_seed4",
-                                      "v8_cosine_n640_seed3"])
-    def test_v8_sidecar_replays_byte_identical(self, tmp_path, monkeypatch, name):
-        self._replays_to_the_v9_pair(tmp_path, monkeypatch, name)
-
-    def test_v2_cosine_sidecar_replays_inside_its_brackets(self, tmp_path):
-        # v2 widened the cap only until the tail bound fell below 1e-3 of the
-        # evidence; v4 on bounds it to quad_tol of the part it joins
-        golden = os.path.join(DATA, "v2_cosine_n40_seed1")
-        out = str(tmp_path / "replay")
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        assert_replay_nests(golden, out)
+        old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
+        assert_replay_nests(old, new, 2.0 * sidecar_quad_tol(golden))
+        assert_bracket_free_columns_keep(old, new)
+        assert_sidecars_differ_in_version(golden, out, 3)
 
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -438,70 +381,6 @@ class TestReplicateCommand:
             a = open(os.path.join(d1, name), "rb").read()
             b = open(os.path.join(d8, name), "rb").read()
             assert a == b, name
-
-    def test_v6_replicate_summary_is_byte_identical(self, tmp_path):
-        # four seeds: every median cell of the summary is the mean of two.
-        # Against the v5 summary every .lower cell (min, median or max over
-        # the seeds of a bracket's lower end) is no lower and every .upper
-        # cell no higher, as each seed's brackets nest; the other cells keep
-        # their bytes but the band prior exponent's, which moves by an ulp
-        # or two with the step bracket's midpoint
-        golden = os.path.join(DATA, "v6_replicate_uniform_n300_seeds1-4")
-        out = str(tmp_path / "r")
-        assert run_cli("replicate", "--truth", "uniform", "--n-max", "300",
-                       "--seeds", "1..4", "--jobs", "2", "--out-dir", out) == 0
-        for ext in (".csv", ".json"):
-            with open(golden + ext, "rb") as a, \
-                    open(os.path.join(out, "summary" + ext), "rb") as b:
-                assert a.read() == b.read(), ext
-        old = read_csv_cells(os.path.join(DATA, "v5_replicate_uniform_n300_seeds1-4.csv"))
-        new = read_csv_cells(os.path.join(out, "summary.csv"))
-        assert [r["n"] for r in old] == [r["n"] for r in new]
-        for was, now in zip(old, new):
-            for col in was:
-                if ".lower." in col:
-                    assert float(was[col]) <= float(now[col]), (was["n"], col)
-                elif ".upper." in col:
-                    assert float(now[col]) <= float(was[col]), (was["n"], col)
-                elif col.startswith("band_prior_exponent"):
-                    assert float(now[col]) == pytest.approx(float(was[col]), abs=1e-15)
-                else:
-                    assert was[col] == now[col], (was["n"], col)
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_v9_cosine_replicate_summary_is_byte_identical(self, tmp_path, jobs):
-        # every row of the cosine model through the streamed engine and the
-        # shared statistic loop.  Against the v6 summary and the v8 one,
-        # written before the v9 head and reach, every .lower cell (min,
-        # median or max over the seeds of a bracket's lower end) is no lower
-        # and every .upper cell no higher, up to 2 quad_tol, as each seed's
-        # brackets nest; n keeps its bytes.  Nesting is not transitive, so
-        # each older summary is checked on its own
-        golden = os.path.join(DATA, "v9_replicate_cosine_n300_seeds1-3")
-        out = str(tmp_path / "r")
-        assert run_cli("replicate", "--model", "cosine", "--grid-ratio", "2.0",
-                       "--n-max", "300", "--seeds", "1..3", "--jobs", jobs,
-                       "--out-dir", out) == 0
-        for ext in (".csv", ".json"):
-            with open(golden + ext, "rb") as a, \
-                    open(os.path.join(out, "summary" + ext), "rb") as b:
-                assert a.read() == b.read(), ext
-        new = read_csv_cells(os.path.join(out, "summary.csv"))
-        slack = 2.0 * RunConfig().quad_tol
-        for version in ("v6", "v8"):
-            old = read_csv_cells(os.path.join(
-                DATA, version + "_replicate_cosine_n300_seeds1-3.csv"))
-            assert [r["n"] for r in old] == [r["n"] for r in new], version
-            for was, now in zip(old, new):
-                for col in was:
-                    w, v = float(was[col]), float(now[col])
-                    tol = slack * (1.0 if col.startswith("log_evidence") else w)
-                    if ".lower." in col:
-                        assert w - tol <= v, (version, was["n"], col)
-                    elif ".upper." in col:
-                        assert v <= w + tol, (version, was["n"], col)
-                    else:
-                        assert was[col] == now[col], (version, was["n"], col)
 
     def test_duplicate_seeds_exit_2(self, tmp_path):
         code = run_cli("replicate", "--truth", "uniform", "--n-max", "10",

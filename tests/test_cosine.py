@@ -14,6 +14,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import CosineDensity, cosine_loglik, gauss_legendre_log, hellinger_numeric
 from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
@@ -476,9 +478,24 @@ class TestHellingerGrid:
             got = [clamp(runs, theta_hi) for runs in cosine._region_above(eps, theta_hi)]
             assert got == want, theta_hi
 
+    # both bisections, for a query's decided point and for the prefix of
+    # _region_above, rest on this: once _tail_side decides, every later point
+    # of the Hellinger grid decides the same side
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, math.sqrt(2.0), exclude_min=True, exclude_max=True),
+           st.integers(150, 10 ** 8), st.integers(0, 10 ** 8))
+    @example(0.5, 3654, 1)
+    @example(0.5, 3655, 10 ** 8)
+    @example(0.7, 614, 1)
+    @example(0.444, 150, 10 ** 8)
+    def test_a_decided_tail_side_stays_decided(self, eps, i, later):
+        side = cosine._tail_side(eps, i * 0.02)
+        if side is not None:
+            assert cosine._tail_side(eps, (i + later) * 0.02) is side
+
     def test_a_region_stops_its_grid_where_the_tail_bounds_decide(self):
-        assert cosine._decided_from(0.5, 10 ** 8) == (3655, False)  # theta = 73.1
-        assert cosine._decided_from(0.7, 10 ** 8) == (614, False)   # theta = 12.28
+        assert cosine._decided(0.5) == (3655, False)  # theta = 73.1
+        assert cosine._decided(0.7) == (614, False)   # theta = 12.28
         # the grid up to 5e4 holds 2.5e6 points; only the 3656 up to 73.1 are built
         cosine._region_above.cache_clear()
         tracemalloc.start()
