@@ -250,6 +250,19 @@ class TestTrajCommand:
         assert_bracket_free_columns_keep(old, new)
         assert_sidecars_differ_in_version(golden, out, 3)
 
+    # v8 and v9 moved the cosine bits, by rounding and by the head and the
+    # reach: each cosine run at n = 640 replays with every bracket inside its
+    # own stored one up to 2 quad_tol, and a sidecar equal but for its version
+    @pytest.mark.parametrize("name", ["v6_cosine_n640_seed3", "v7_cosine_n640_seed3",
+                                      "v8_cosine_n640_seed3"])
+    def test_cosine_sidecar_replays_inside_its_brackets(self, tmp_path, name):
+        golden = os.path.join(DATA, name)
+        out = str(tmp_path / "replay")
+        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
+        old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
+        assert_replay_nests(old, new, 2.0 * sidecar_quad_tol(golden))
+        assert_sidecars_differ_in_version(golden, out, int(name[1]))
+
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_max": 20}))
