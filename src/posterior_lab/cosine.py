@@ -17,37 +17,26 @@ extension [theta_0, A] is integrated to the absolute error quad_tol times
 the floor, and A is the first cell edge past which the cells and the crude
 tail sum to at most quad_tol/2 times the floor; that sum is added whatever
 A is, so A sets only how sharp a bracket is, never whether it holds.  A
-finite region's end lies at or before A.  The oscillatory likelihood is
-subdivided at the multiples of the half period pi / max(data) of its
-fastest oscillation, rounded down to a multiple of 2^-20, so that every
-seed panel between two breakpoints has the same exact width and bisection
-halves it exactly.  The quadrature is G7/K15 Gauss-Kronrod with QUADPACK's
-error estimate, still not a proof.
-
-The likelihood is evaluated a Kronrod panel at a time (``panel_loglik``):
-the half-angle cosine at each node c + h xi_k comes from the panel's centre
-c by angle addition, so a panel costs one cos and one sin per data point,
-and each distinct half-width h one table of cos and sin of h xi_k x / 2,
-which the panels of that width share.
+finite region's end lies at or before A.  Pieces are subdivided at the
+multiples of the rounded half period of the likelihood (``add_points``),
+which is evaluated a Kronrod panel at a time (``panel_loglik``).  The
+quadrature is G7/K15 Gauss-Kronrod with QUADPACK's error estimate, still
+not a proof.
 
 An engine holds one data set.  Its evidence, region and Hellinger queries
-each integrate their own pieces, cut at their own edges (the two Hellinger
-envelopes at the edges of both) but at the same half-period breakpoints, so
-interior panels repeat exactly.  A row's queries refine together
-(``solve_row``): the head pieces of all of them in one lockstep quadrature,
-then, once each query knows its floor and reach, all extension pieces in
-another, so each refinement round is one likelihood pass for the whole row.
-Each piece keeps the seed panels, stopping rule and sums it has alone.  The
-engine keeps one memo of the joint's values at each panel's 15 nodes, keyed
-by (centre, half-width); the head's integrand and each extension's (the
-joint less its floor) all read it, so each panel reaches the likelihood
-once per data set.
+each integrate their own pieces, cut at their own edges but at the same
+half-period breakpoints, so interior panels repeat exactly.  A row's
+queries refine in lockstep (``solve_row``), one likelihood pass per round
+for the whole row, and every piece reads one memo of the joint at each
+panel's nodes (``_joint``), so each panel reaches the likelihood once.
 
-The Hellinger distance to the uniform has a closed form here (the affinity
-is an integral of |cos|), which the test suite verifies against the generic
-numeric integrator before it is relied on; each query computes distances on
-a theta grid only up to the point from which a certified tail bound decides
-the region, and region masses use inner/outer envelope enclosures.
+The Hellinger distance to the uniform has a closed form (the affinity aff
+is an integral of |cos|), which the tests verify against the numeric
+integrator.  hellinger_mass(eps) is one query, cut at the crossings of aff
+= 1 - eps^2/2 up to where a certified tail bound decides the region: a
+0.02 grid's cells are split until bounds on aff'' and on its rounding put
+each on one side (``_crossings``), and each crossing ends in a sliver (under
+1e-10 wide off a tangency), counted in the upper end of both sides only.
 """
 
 from __future__ import annotations
@@ -117,25 +106,25 @@ class CosinePriorConfig:
 # closed-form Hellinger distance to the uniform
 # ---------------------------------------------------------------------------
 
-def _int_abs_cos(t):
-    """integral of |cos u| du over [0, t] at each t >= 0 of an array."""
-    k, s = np.divmod(t, math.pi)
+def _affinity(t):
+    """The affinity of f_t and the uniform, the integral of sqrt(f_t), at each
+    t >= 0 of an array: sqrt(2) (2/t) I(t/2) / sqrt(c(t)), where I(k pi + s)
+    = 2k + (sin s or 2 - sin s) integrates |cos|."""
+    k, s = np.divmod(0.5 * t, math.pi)
     sin = np.sin(s)
-    return 2.0 * k + np.where(s <= 0.5 * math.pi, sin, 2.0 - sin)
+    prim = 2.0 * k + np.where(s <= 0.5 * math.pi, sin, 2.0 - sin)  # I(t/2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aff = math.sqrt(2.0) * (2.0 / t) * prim / np.sqrt(cosine_normalizer(t))
+    return np.where(t == 0.0, 1.0, aff)  # f_0 is the uniform
 
 
 def cosine_hellinger_uniform(theta):
-    """d_h(f_theta, uniform) at each theta >= 0 of an array: the affinity
-    integral of sqrt(1 + cos(theta x)) reduces to an |cos| primitive
-    (verified against the numeric integrator in the tests)."""
+    """d_h(f_theta, uniform) at each theta >= 0 of an array, from the closed
+    form affinity (verified against the numeric integrator in the tests)."""
     t = np.asarray(theta, dtype=float)
     if (t < 0).any():
         raise ValueError(f"theta must be >= 0, got {t.min()}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aff = math.sqrt(2.0) * (2.0 / t) * _int_abs_cos(0.5 * t) \
-            / np.sqrt(cosine_normalizer(t))
-    aff = np.where(t == 0.0, 1.0, aff)  # f_0 is the uniform
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, aff)))
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.minimum(1.0, _affinity(t))))
 
 
 def _tail_side(eps: float, theta: float):
@@ -152,11 +141,9 @@ def _tail_side(eps: float, theta: float):
     return True if eps < d_lo else False if eps >= d_hi else None
 
 
-_DH_STEP = 0.02
-# the first point i * 0.02 of the Hellinger grid at or past theta = 3, and
-# the size of the grid on which each eps's decided point is sought
-_DH_FROM = 150
-_DH_DECIDED = 10 ** 8
+# the Hellinger grid's step, its first point i * 0.02 at or past theta = 3,
+# and the size of the grid on which each eps's decided point is sought
+_DH_STEP, _DH_FROM, _DH_DECIDED = 0.02, 150, 10 ** 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,51 +166,66 @@ def _decided(eps: float):
     return hi, _tail_side(eps, hi * _DH_STEP)
 
 
-# hellinger_mass asks for the region at the head and at the reach of the
-# inner and of the outer envelope: 4 entries hold one query's
-@functools.lru_cache(maxsize=4)
-def _region_above(eps: float, theta_hi: float):
-    """Inner and outer unions of the cells of the grid np.arange(0, theta_hi
-    + 0.02, 0.02) approximating {theta in [0, theta_hi] : d_h(f_theta,
-    uniform) > eps}.  From the first point at or past theta = 3 where
-    _tail_side decides eps, every cell lies inside (or every one
-    outside) the region, so d_h is computed only up to there and a run that
-    reaches the grid's end ends at theta_hi, where the quadrature pieces are
-    clamped anyway; an eps no point decides takes the whole grid.  d_h
-    oscillates with period 2 pi in theta, so its runs may change every half
-    period pi: a theta_hi past MAX_INTERVALS of them raises QuadratureError
-    before anything is computed, for every eps, so that such a reach stays a
-    recorded gap rather than one quadrature over it.  Each union is a tuple
-    of (start, end) pairs, cached for the next call with the same eps and
-    theta_hi."""
-    if theta_hi / math.pi > MAX_INTERVALS:
-        raise QuadratureError(f"[0, {theta_hi}] holds more than {MAX_INTERVALS} "
-                              f"half periods of the Hellinger distance, past the "
-                              f"quadrature budget", math.nan, math.inf, 0)
-    size = math.ceil((theta_hi + _DH_STEP) / _DH_STEP)  # np.arange's length
-    got = _decided(eps)
-    k, inside = got if got and got[0] < size else (size - 1, False)
-    grid = np.arange(k + 1) * _DH_STEP  # the prefix of np.arange's grid
-    above = cosine_hellinger_uniform(grid) > eps
-    if k < size - 1:
-        grid = np.append(grid, theta_hi)
-        above = np.append(above, inside)
+# the bounds on the rounding of aff - (1 - eps^2/2) and on |aff''| (_crossings)
+_AFF_ROUND = 24.0 * 2.0 ** -53
+_AFF_CURVE, _AFF_CURVE_DECAY = 1.6, 5.7
 
-    def runs(cells):  # (start, end) of each run of cells [grid[i], grid[i+1]]
-        step = np.diff(cells.astype(np.int8), prepend=0, append=0)
-        return tuple(zip(grid[step == 1].tolist(), grid[step == -1].tolist()))
 
-    return runs(above[:-1] & above[1:]), runs(above[:-1] | above[1:])
+@functools.lru_cache(maxsize=16)
+def _crossings(eps: float, k: int) -> tuple:
+    """{theta : d_h(f_theta, uniform) > eps} = {g < 0} on [0, 0.02 k], g =
+    aff - (1 - eps^2/2), as sorted (start, end, side) runs: side 0 inside,
+    2 a sliver of unknown side, the rest outside.  Each cell of the 0.02
+    grid is split at its midpoint until decided: g lies within M w^2 / 8 of
+    its chord on a cell of width w where |g''| <= M, so a cell whose ends
+    both exceed M w^2 / 8 + r lies outside, one whose ends both lie below
+    -(M w^2 / 8 + r) inside, and no pair of crossings hides in it.  An
+    undecided cell with both ends within r of 0, or no float between them,
+    is a sliver.  r = 24u (u = 2^-53) bounds |fl(g) - g|: I is within 7u
+    relative (math.pi's error moves s by at most 0.6u I, np.sin is within 4
+    ulp, two roundings), the products add 5u and sqrt(c) 2.75u (c within
+    3.5u); aff <= 1 makes these absolute, and 1 - eps^2/2 and g add 3u.
+    M(u) = min(1.6, 5.7/u) bounds |aff''| on [u, inf): aff = sqrt(2) A
+    c^-1/2, A(t) = (2/t) I(t/2), c = 1 + sinc t, so A' = (|cos(t/2)| - A)/t
+    and t A'' = +-sin(t/2)/2 - 2A' (aff' is continuous where the sign flips).
+    With 0 <= A <= 1, c >= 0.7827, |sinc'| <= 0.437, |sinc''| <= 1/3, |A'| <=
+    1/pi and |A''| <= 0.362, aff'' = sqrt(2) (A'' c^-1/2 - A' c' c^-3/2 - A
+    c'' c^-3/2 / 2 + 3 A c'^2 c^-5/2 / 4) is at most 1.58; for t >= pi, |A'|
+    <= 1/t, |A''| <= (1/2 + 2/pi)/t, |c'| <= (1 + 1/pi)/t and |c''| <= 1.86/t
+    give 5.65/t."""
+    tau = 1.0 - 0.5 * eps * eps
+    grid = np.arange(k + 1) * _DH_STEP
+    g = _affinity(grid) - tau
+    lo, hi, g_lo, g_hi, done = grid[:-1], grid[1:], g[:-1], g[1:], []  # (start, side)
+    while lo.size:
+        with np.errstate(divide="ignore"):  # M(0) is the global bound
+            curve = np.minimum(_AFF_CURVE, _AFF_CURVE_DECAY / lo)
+        bound = 0.125 * curve * (hi - lo) ** 2 + _AFF_ROUND
+        side = np.where(np.minimum(g_lo, g_hi) > bound, 1,
+                        np.where(np.maximum(g_lo, g_hi) < -bound, 0, 2))
+        mid = 0.5 * (lo + hi)
+        split = (side == 2) & (np.maximum(abs(g_lo), abs(g_hi)) > _AFF_ROUND) \
+            & (lo < mid) & (mid < hi)
+        done.append((lo[~split], side[~split]))
+        lo, hi, mid = lo[split], hi[split], mid[split]
+        g_mid = _affinity(mid) - tau
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        g_lo, g_hi = np.concatenate([g_lo[split], g_mid]), np.concatenate([g_mid, g_hi[split]])
+    start, side = (np.concatenate(col) for col in zip(*done))
+    order = np.argsort(start)  # the cells tile the grid: a run ends where the next starts
+    first = order[np.flatnonzero(np.diff(side[order], prepend=-1))]
+    return tuple(run for run in zip(start[first].tolist(), start[first[1:]].tolist()
+                                    + grid[-1:].tolist(), side[first].tolist()) if run[2] != 1)
 
 
 # ---------------------------------------------------------------------------
 # queries: what one (in, out) pair of joint masses is taken over
 # ---------------------------------------------------------------------------
-# A query lists its region's intervals in [0, t] (``intervals_to``) and the
-# intervals at whose ends its pieces are cut (``cuts_to``: the region's own,
-# or those of two regions that share their pieces); ``tail_in(t)`` says where
-# (t, inf) lies: True inside, False outside, None on either side.  Its head
-# ends at ``decided`` or later, and its reach covers ``region_end``.
+# A query lists its region's runs (start, end, side) in [0, t] (``runs_to``):
+# side 0 inside, 2 a sliver, and outside elsewhere; its pieces are cut at
+# their ends.  ``tail_in(t)`` says where (t, inf) lies: True inside, False
+# outside, None either.  Its head ends at ``decided`` or later, and its reach
+# covers ``region_end``.  The base query's region is empty: the evidence's.
 
 class _Query:
     """A query's kind and arguments; queries are values, so the engine keys
@@ -241,17 +243,15 @@ class _Query:
     def __hash__(self):
         return hash((type(self).__name__, self.args))
 
-
-class _Evidence(_Query):
-    __slots__ = ()
-
-    def intervals_to(self, t):
+    def runs_to(self, t):
         return ()
-
-    cuts_to = intervals_to
 
     def tail_in(self, t):
         return False
+
+
+class _Evidence(_Query):
+    __slots__ = ()
 
 
 class _Region(_Query):
@@ -259,10 +259,8 @@ class _Region(_Query):
 
     __slots__ = ()
 
-    def intervals_to(self, t):
-        return (self.args,)
-
-    cuts_to = intervals_to
+    def runs_to(self, t):
+        return ((*self.args, 0),)
 
     def tail_in(self, t):
         return math.isinf(self.args[1])
@@ -272,18 +270,27 @@ class _Region(_Query):
         return 0.0 if math.isinf(self.args[1]) else self.args[1]
 
 
-class _Envelope(_Query):
-    """The inner (i = 0) or outer (i = 1) envelope of {d_h > eps}, cut at
-    the ends of both, so that the two share their pieces."""
+class _Hellinger(_Query):
+    """{theta : d_h(f_theta, uniform) > eps}: the runs of _crossings up to
+    the grid point where _tail_side decides eps (or t), then [that point, t]
+    if the tail lies inside.  Its runs may change every half period pi of
+    d_h, so a t past MAX_INTERVALS of them raises QuadratureError before
+    anything is computed: a recorded gap, not one quadrature over it."""
 
     __slots__ = ()
 
-    def intervals_to(self, t):
-        eps, i = self.args
-        return _region_above(eps, t)[i]
-
-    def cuts_to(self, t):
-        return sum(_region_above(self.args[0], t), ())
+    def runs_to(self, t):
+        if t / math.pi > MAX_INTERVALS:
+            raise QuadratureError(f"[0, {t}] holds more than {MAX_INTERVALS} half "
+                                  f"periods of the Hellinger distance, past the "
+                                  f"quadrature budget", math.nan, math.inf, 0)
+        size = math.ceil((t + _DH_STEP) / _DH_STEP)  # np.arange's length
+        got = _decided(self.args[0])
+        k, inside = got if got and got[0] < size else (size - 1, False)
+        runs, edge = _crossings(self.args[0], k), k * _DH_STEP
+        if inside and runs and runs[-1][1:] == (edge, 0):  # it goes on into the tail
+            return runs[:-1] + ((runs[-1][0], t, 0),)
+        return runs + ((edge, t, 0),) if inside else runs
 
     def tail_in(self, t):
         return _tail_side(self.args[0], t)
@@ -456,24 +463,27 @@ class CosineEngine:
             self._cache[lo, hi, floor] = res
 
     @staticmethod
-    def _cut(intervals, cut_at, lo: float, hi: float, floor=None) -> list:
-        """The pieces of [lo, hi] cut at every end of the intervals
-        ``cut_at``, the region's own among them, each as ((lo, hi, floor),
-        side): side 0 inside the union of ``intervals``, 1 outside."""
-        cuts = sorted({lo, hi, *(min(max(e, lo), hi) for iv in cut_at for e in iv)})
-        return [((a, b, floor), 0 if any(s <= 0.5 * (a + b) <= e for s, e in intervals)
-                 else 1) for a, b in zip(cuts[:-1], cuts[1:])]
+    def _cut(runs, lo: float, hi: float, floor=None) -> list:
+        """The pieces of [lo, hi] cut at every end of the runs (start, end,
+        side), each as ((lo, hi, floor), side): the side of the run that
+        holds it, 1 (outside) where none does."""
+        cuts = sorted({lo, hi, *(min(max(e, lo), hi) for run in runs for e in run[:2])})
+        return [((a, b, floor), next((side for s, e, side in runs if s <= a and b <= e), 1))
+                for a, b in zip(cuts[:-1], cuts[1:])]
 
     def _sum(self, pieces) -> list:
         """[in, out]: log enclosures of the summed brackets of the cut pieces
-        on each side; the first piece that failed raises its error."""
+        on each side, a sliver (side 2) in the upper end of both; the first
+        piece that failed raises its error."""
         los, his = ([], []), ([], [])
         for key, side in pieces:
             br = self._cache[key]
             if isinstance(br, QuadratureError):
                 raise br
-            los[side].append(br.lower)
-            his[side].append(br.upper)
+            for i in (0, 1) if side == 2 else (side,):
+                his[i].append(br.upper)
+            if side != 2:
+                los[side].append(br.lower)
         return [LogBracket(log_sum_exp(l), log_sum_exp(h)) for l, h in zip(los, his)]
 
     def _solve(self, queries) -> None:
@@ -496,8 +506,7 @@ class CosineEngine:
             try:
                 head = self.cap(q.decided)
                 self._check_panels(0.0, head)
-                plans.append([q, head, self._cut(q.intervals_to(head), q.cuts_to(head),
-                                                 0.0, head)])
+                plans.append([q, head, self._cut(q.runs_to(head), 0.0, head)])
             except QuadratureError as exc:
                 self._results[q] = exc
                 break
@@ -523,7 +532,7 @@ class CosineEngine:
             end, tb = self._stop(head, floor, q.region_end)
             self._check_panels(head, end)
             plan[1:] = ((parts, tb, q.tail_in(end)),
-                        self._cut(q.intervals_to(end), q.cuts_to(end), head, end, floor))
+                        self._cut(q.runs_to(end), head, end, floor))
 
         def finish(plan):
             q, (parts, tb, side), pieces = plan
@@ -541,7 +550,7 @@ class CosineEngine:
 
     def _parts(self, query) -> tuple:
         """(in, out): log enclosures of the joint mass inside and outside a
-        query's theta region (_Evidence, _Region or _Envelope), from the
+        query's theta region (_Evidence, _Region or _Hellinger), from the
         results, solving the query alone if they lack it.  Its
         QuadratureError becomes the engine's kept failure."""
         if self._failure is not None:
@@ -555,14 +564,12 @@ class CosineEngine:
         return got
 
     def solve_row(self, epsilons, regions) -> None:
-        """Solve, in lockstep, every query of a row: both Hellinger envelopes
-        at each eps, each region (lo, hi) and the evidence.  The statistics'
-        own calls then read the results; each brackets exactly as if it had
-        been solved alone."""
-        queries = [_Envelope(eps, i) for eps in epsilons if eps < math.sqrt(2.0)
-                   for i in (0, 1)]
-        self._solve(queries + [_Region(lo, hi) for lo, hi in regions]
-                    + [_Evidence()])
+        """Solve, in lockstep, every query of a row: the Hellinger region at
+        each eps, each region (lo, hi) and the evidence.  The statistics' own
+        calls then read the results; each brackets exactly as if it had been
+        solved alone."""
+        self._solve([_Hellinger(eps) for eps in epsilons if eps < math.sqrt(2.0)]
+                    + [_Region(lo, hi) for lo, hi in regions] + [_Evidence()])
 
     def log_evidence(self) -> LogBracket:
         return self._parts(_Evidence())[1]
@@ -577,20 +584,11 @@ class CosineEngine:
         return mass_ratio(*self._parts(_Region(lo, hi)))
 
     def hellinger_mass(self, eps: float) -> Bracket:
-        """Posterior mass of {theta : d_h(f_theta, uniform) > eps}, from
-        inner/outer envelopes of the cached distance curve plus a certified
-        classification of the tail beyond the reach."""
+        """Posterior mass of {theta : d_h(f_theta, uniform) > eps}, its pieces
+        cut at the region's crossings (slivers on either side) plus a
+        certified classification of the tail beyond the reach."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         if eps >= math.sqrt(2.0) and self._failure is None:  # else _parts raises it
             return Bracket(0.0, 0.0)
-
-        def envelope(i):
-            return mass_ratio(*self._parts(_Envelope(eps, i)))
-
-        lo, hi = envelope(0).lower, envelope(1).upper
-        if lo > hi:  # only a quadrature miss inverts the pair
-            raise QuadratureError(f"hellinger_mass({eps}) at n = {self.n}: the inner "
-                                  f"envelope's lower end {lo!r} lies above the outer "
-                                  f"envelope's upper end {hi!r}", math.nan, math.inf, 0)
-        return Bracket(lo, hi)
+        return mass_ratio(*self._parts(_Hellinger(eps)))

@@ -15,6 +15,7 @@ one engine per seed and reduce to an order-normalized summary.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -59,7 +60,7 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 # keys that older formats wrote, by dotted path, each accepted only at the
 # value every run that wrote it used: the truncation knobs of v1, the
@@ -291,10 +292,11 @@ def _decode(value, tp, where: str):
     raise ConfigError(f"{where}: expected {base.__name__}, got {value!r}")
 
 
-def _fields(cls) -> list:
-    """(field, annotation) of each field of a config dataclass."""
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    """(field, annotation) of each field of a config dataclass, once per class."""
     hints = typing.get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls)]
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
 def _non_null(tp):

@@ -59,7 +59,7 @@ class LogBracket:
         """Multiply the underlying quantity by e^c: each end plus c, rounded
         to nearest, so an end may move inward past the true value by up to
         half an ulp.  Rounding outward moves bits, so that mend rides the
-        format v10 bundle."""
+        format v11 bundle."""
         return LogBracket(self.lower + c if self.lower > LOG_ZERO else LOG_ZERO,
                           self.upper + c if self.upper > LOG_ZERO else LOG_ZERO)
 

@@ -16,6 +16,8 @@ collect this module, and the package never imports it.
 * ``on_nodes``, a pointwise integrand in the quadrature's panel protocol;
 * the composite 20-node Gauss-Legendre rule for the cosine model's joint
   density, the oracle of its posterior masses and evidence;
+* the affinity of a cosine density and the uniform in mpmath, and the
+  roots where it crosses 1 - eps^2/2, the oracle of the Hellinger region;
 * the cells of each level in Python integers where a float product is one,
   and the step sum in mpmath, the oracle of the step marginal, the mean of
   1/N and the step predictive, with the data sets it is checked on.
@@ -31,6 +33,7 @@ import mpmath as mp
 import numpy as np
 
 from posterior_lab import numerics
+from posterior_lab.cosine import cosine_hellinger_uniform
 from posterior_lab.densities import (
     HELLINGER_STEP_UNIFORM,
     StepDensity,
@@ -313,6 +316,41 @@ def gauss_legendre_log(data, lo: float, hi: float, panels: int) -> float:
     density under the exponential prior (rate 1) on [lo, hi], in ``panels``
     equal panels."""
     return log_sum_exp(gauss_legendre_panels(data, np.linspace(lo, hi, panels + 1)))
+
+
+def mp_affinity(t: float, dps: int = 50):
+    """The affinity of f_t and the uniform, 2 sqrt(2) I(t/2) / (t sqrt(c(t)))
+    with I the |cos| primitive, in mpmath at ``dps`` digits."""
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        if t == 0:
+            return mp.mpf(1)
+        k = mp.floor(t / 2 / mp.pi)
+        s = t / 2 - k * mp.pi
+        prim = 2 * k + (mp.sin(s) if s <= mp.pi / 2 else 2 - mp.sin(s))
+        return 2 * mp.sqrt(2) * prim / (t * mp.sqrt(1 + mp.sin(t) / t))
+
+
+def mp_crossings(eps: float, top: float, step: float = 2e-4, dps: int = 50) -> list:
+    """The roots in (0, top) of aff(t) = 1 - eps^2/2 at ``dps`` digits: the
+    sign changes of the float affinity on a grid of the given step, each
+    bisected in mpmath until its bracket is below 10^-(dps - 10)."""
+    grid = np.arange(0.0, top, step)
+    above = cosine_hellinger_uniform(grid) > eps
+    roots = []
+    with mp.workdps(dps):
+        tau = 1 - mp.mpf(eps) ** 2 / 2
+        for i in np.flatnonzero(above[1:] != above[:-1]).tolist():
+            lo, hi = mp.mpf(float(grid[i])), mp.mpf(float(grid[i + 1]))
+            low_side = mp_affinity(lo, dps) < tau
+            while hi - lo > mp.mpf(10) ** (10 - dps):
+                mid = (lo + hi) / 2
+                if (mp_affinity(mid, dps) < tau) == low_side:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+    return roots
 
 
 def exact_cells(w, x):

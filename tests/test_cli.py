@@ -149,6 +149,32 @@ def test_golden_replays_by_its_rule(tmp_path, monkeypatch, golden, arg):
         assert_bracket_free_columns_keep(old, new)
 
 
+# v10 cut each Hellinger region at its own crossings, one query per eps
+# where v9 took a pair of 0.02-grid envelopes: only the hellinger_mass_*
+# cells of a cosine pin moved, and at n = 640 each of them is a sharp
+# bracket wherever the region's mass is above 0
+@pytest.mark.parametrize("name", [g.name for g in GOLDENS if g.model == "cosine"
+                                  and g.same_since is not None])
+def test_v10_moved_only_the_hellinger_columns(name):
+    old, new = (read_csv_cells(os.path.join(DATA, f"v{v}_{name}.csv")) for v in (9, 10))
+    assert [list(r) for r in old] == [list(r) for r in new]
+    moved = {c for was, now in zip(old, new) for c in was if was[c] != now[c]}
+    assert moved and all(c.startswith("hellinger_mass_") for c in moved)
+    with open(os.path.join(DATA, f"v9_{name}.json")) as a, \
+            open(os.path.join(DATA, f"v10_{name}.json")) as b:
+        was, now = json.load(a), json.load(b)
+    # a trajectory sidecar names its version; a replicate summary does not
+    assert (was.pop("version", 9), now.pop("version", 10)) == (9, 10)
+    assert was == now
+
+
+def test_v10_hellinger_brackets_are_sharp():
+    rows = read_csv_cells(os.path.join(DATA, "v10_cosine_n640_seed3.csv"))
+    sharp = [(float(r["hellinger_mass_0.5.lower"]), float(r["hellinger_mass_0.5.upper"]))
+             for r in rows]
+    assert all(lo > 0.0 and hi - lo <= 1e-6 * lo for lo, hi in sharp)
+
+
 class TestParsers:
     def test_truth(self):
         assert parse_truth("uniform").kind == "uniform"

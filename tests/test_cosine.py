@@ -6,7 +6,6 @@ sharpness of their tail brackets."""
 import functools
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import CosineDensity, cosine_loglik, gauss_legendre_log, hellinger_numeric
+from oracles import (CosineDensity, cosine_loglik, gauss_legendre_log, hellinger_numeric,
+                     mp_affinity, mp_crossings)
 from posterior_lab import cosine, numerics
 from posterior_lab.cosine import (
     CosineEngine,
@@ -24,9 +24,8 @@ from posterior_lab.cosine import (
     cosine_hellinger_uniform,
 )
 from posterior_lab.densities import UniformDensity
-from posterior_lab.diagnostics import (DiagnosticSettings, cosine_statistics,
-                                       evaluate_diagnostics)
-from posterior_lab.harness import DATA_STREAM, RunConfig, evaluation_grid, run_trajectory
+from posterior_lab.diagnostics import cosine_statistics, evaluate_diagnostics
+from posterior_lab.harness import DATA_STREAM, RunConfig, evaluation_grid
 from posterior_lab.intervals import Bracket, LogBracket
 from posterior_lab.numerics import LOG_ZERO, RandomStream, log_add
 
@@ -417,69 +416,109 @@ class TestHellingerMass:
         with pytest.raises(ValueError):
             eng.hellinger_mass(0.0)
 
-    def test_an_inverted_envelope_pair_is_a_recorded_gap(self, monkeypatch):
-        # only a quadrature miss can put the inner envelope's lower end above
-        # the outer one's upper end: the inner envelope here holds nearly all
-        # the mass and the outer one nearly none
-        parts, envelopes = CosineEngine._parts, []
-
-        def inverted(self, query):
-            if not isinstance(query, cosine._Envelope):  # not a Hellinger query
-                return parts(self, query)
-            envelopes.append(len(envelopes) % 2)
-            heavy, light = LogBracket(0.0, 0.0), LogBracket(-50.0, -50.0)
-            return (light, heavy) if envelopes[-1] else (heavy, light)
-
-        monkeypatch.setattr(CosineEngine, "_parts", inverted)
-        cfg = RunConfig(model="cosine", n_max=3,
-                        diagnostics=DiagnosticSettings(epsilons=(0.5,)))
-        traj = run_trajectory(cfg, 2)
-        message = re.compile(r"hellinger_mass_0\.5: hellinger_mass\(0\.5\) at n = (\d+): "
-                             r"the inner envelope's lower end (\S+) lies above the "
-                             r"outer envelope's upper end (\S+)$")
-        assert [n for n, _ in traj.errors] == traj.grid
-        for n, text in traj.errors:
-            got = message.match(text)
-            assert got and int(got[1]) == n
-            assert float(got[2]) == 1.0
-            assert float(got[3]) == pytest.approx(math.exp(-50.0), rel=1e-12)
-        assert envelopes == [0, 1] * len(traj.grid)
-        assert all(br is None for _, br in traj.bracket_series("hellinger_mass_0.5"))
-        assert all(br is not None for _, br in traj.bracket_series("log_evidence"))
+    def test_a_region_narrower_than_a_grid_cell_holds_its_mass(self):
+        # at seed 3, n = 3, {d_h > 0.5368975} is the 0.0049 wide arc around
+        # the peak of d_h (0.536898 at theta = 3.8836), inside one cell of
+        # the 0.02 grid, whose ends both lie outside it: the two envelopes
+        # of that grid held [0, 0], though the arc holds 4.93e-4
+        data = RunConfig(model="cosine").truth.sample(RandomStream(3, DATA_STREAM), 3)
+        lo, hi = (float(r) for r in mp_crossings(0.5368975, 80.0))
+        assert hi - lo == pytest.approx(0.0048801822, abs=1e-9)
+        # past theta = 100 the joint mass is below e^-100 2^3
+        log_in = gauss_legendre_log(data, lo, hi, 50)
+        log_out = log_add(gauss_legendre_log(data, 0.0, lo, 400),
+                          gauss_legendre_log(data, hi, 100.0, 4000))
+        want = 1.0 / (1.0 + math.exp(log_out - log_in))
+        assert want == pytest.approx(4.93495e-4, rel=1e-5)
+        got = CosineEngine(CosinePriorConfig(), data, quad_tol=1e-9).hellinger_mass(0.5368975)
+        assert got.lower <= want <= got.upper
+        assert got.upper - got.lower <= 1e-6 * got.lower
 
 
 class TestHellingerGrid:
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.44, 0.45, 0.5, 0.7])
-    def test_envelopes_equal_a_loop_merge(self, eps):
-        # the reference merges the cells of the full grid; 12.28 and 73.1
-        # are where the tail bounds decide 0.7 and 0.5, past which the
-        # region stops its grid, so the runs agree once clamped to theta_hi
-        def merge(grid, cells):  # the reference: one pass over the cells
-            out, start = [], None
-            for i, m in enumerate(cells):
-                if m and start is None:
-                    start = grid[i]
-                if not m and start is not None:
-                    out.append((start, grid[i]))
-                    start = None
-            if start is not None:
-                out.append((start, grid[-1]))
-            return out
+    def test_runs_equal_a_loop_merge_of_the_cells(self, eps):
+        # the reference splits each cell of the 0.02 grid depth first, one
+        # cell at a time, and merges the cells in one pass; 12.28 and 73.1
+        # are where the tail bounds decide 0.7 and 0.5
+        tau, r = 1.0 - 0.5 * eps * eps, cosine._AFF_ROUND
+        curve, decay = cosine._AFF_CURVE, cosine._AFF_CURVE_DECAY
 
-        def clamp(runs, hi):
-            return [(min(a, hi), min(b, hi)) for a, b in runs]
+        def g(t):
+            return float(cosine._affinity(np.float64(t))) - tau
 
-        for theta_hi in (3.0, 12.28, 30.0, 45.0, 73.1, 750.0, 1237.3):
-            grid = np.arange(0.0, theta_hi + 0.02, 0.02)
-            above = (cosine_hellinger_uniform(grid) > eps).tolist()
-            inner = [a and b for a, b in zip(above[:-1], above[1:])]
-            outer = [a or b for a, b in zip(above[:-1], above[1:])]
-            want = [clamp(merge(grid.tolist(), cells), theta_hi) for cells in (inner, outer)]
-            got = [clamp(runs, theta_hi) for runs in cosine._region_above(eps, theta_hi)]
-            assert got == want, theta_hi
+        def cells(u, v, gu, gv):  # the decided cells and slivers of [u, v]
+            bound = 0.125 * (curve if u == 0.0 else min(curve, decay / u)) * (v - u) ** 2 + r
+            if min(gu, gv) > bound:
+                return [(u, v, 1)]
+            if max(gu, gv) < -bound:
+                return [(u, v, 0)]
+            m = 0.5 * (u + v)
+            if max(abs(gu), abs(gv)) <= r or not u < m < v:
+                return [(u, v, 2)]
+            gm = g(m)
+            return cells(u, m, gu, gm) + cells(m, v, gm, gv)
+
+        for theta_hi in (3.0, 12.28, 30.0, 45.0, 73.1, 750.0):
+            k = len(np.arange(0.0, theta_hi + 0.02, 0.02)) - 1
+            got = cosine._decided(eps)
+            k = got[0] if got and got[0] < k else k
+            grid = (np.arange(k + 1) * 0.02).tolist()
+            values = [g(t) for t in grid]
+            runs = []
+            for j in range(k):
+                for u, v, side in cells(grid[j], grid[j + 1], values[j], values[j + 1]):
+                    if runs and runs[-1][2] == side:
+                        runs[-1] = (runs[-1][0], v, side)
+                    else:
+                        runs.append((u, v, side))
+            want = tuple(run for run in runs if run[2] != 1)
+            assert cosine._crossings(eps, k) == want, theta_hi
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.44, 0.4465, 0.45, 0.5, 0.536898,
+                                     0.5368975, 0.7])
+    def test_slivers_bracket_the_mpmath_crossings(self, eps):
+        # 0.536898 and 0.5368975 lie just below the peak of d_h, so their two
+        # crossings are 1.7e-3 and 4.9e-3 apart; 0.4465 lies just below the
+        # limit 0.446505 of d_h, which it crosses about once a period up to
+        # theta = 80 and on; d_h > 0.3 from about 1.5 on, a tail inside
+        runs = cosine._Hellinger(eps).runs_to(80.0)
+        slivers = [(a, b) for a, b, side in runs if side == 2]
+        roots = mp_crossings(eps, 80.0)
+        assert len(slivers) == len(roots) > 0 or eps == 0.7
+        for (a, b), root in zip(slivers, roots):
+            assert a <= root <= b and b - a <= 1e-9, (a, b, root)
+        # every other run holds no root, on the side its midpoint is on
+        tau = 1 - mp.mpf(eps) ** 2 / 2
+        cuts = sorted({0.0, 80.0, *(min(e, 80.0) for run in runs for e in run[:2])})
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            side = next((side for s, e, side in runs if s <= a and b <= e), 1)
+            if side != 2:
+                assert (mp_affinity(0.5 * (a + b)) < tau) == (side == 0), (a, b)
+
+    def test_the_rounding_and_curvature_bounds_hold(self):
+        # r against 50-digit mpmath at 6000 floats up to 10^6 and near 0;
+        # M against second differences of step 10^-3 up to theta = 200
+        rng = np.random.default_rng(7)
+        ts = np.concatenate([rng.uniform(0.0, 1e-5, 200), rng.uniform(0.0, 10.0, 3000),
+                             rng.uniform(0.0, 1e3, 2000), rng.uniform(0.0, 1e6, 800)])
+        for eps in (0.3, 0.5, 0.5368975):
+            tau = 1 - mp.mpf(eps) ** 2 / 2
+            got = cosine._affinity(ts) - (1.0 - 0.5 * eps * eps)
+            worst = max(abs(mp.mpf(float(v)) - (mp_affinity(t) - tau))
+                        for t, v in zip(ts.tolist(), got.tolist()))
+            assert worst <= cosine._AFF_ROUND / 2, float(worst)
+        h = 1e-3
+        t = np.arange(1, 200_000) * h
+        second = np.abs(cosine._affinity(t + h) - 2.0 * cosine._affinity(t)
+                        + cosine._affinity(t - h)) / (h * h)
+        with np.errstate(divide="ignore"):  # M(0) is the global bound
+            bound = np.minimum(cosine._AFF_CURVE, cosine._AFF_CURVE_DECAY / (t - h))
+        assert (second <= bound).all()
+        assert second.max() > 0.1 and (second / bound).max() < 0.5
 
     # both bisections, for a query's decided point and for the prefix of
-    # _region_above, rest on this: once _tail_side decides, every later point
+    # _Hellinger.runs_to, rest on this: once _tail_side decides, every later point
     # of the Hellinger grid decides the same side
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, math.sqrt(2.0), exclude_min=True, exclude_max=True),
@@ -497,30 +536,28 @@ class TestHellingerGrid:
         assert cosine._decided(0.5) == (3655, False)  # theta = 73.1
         assert cosine._decided(0.7) == (614, False)   # theta = 12.28
         # the grid up to 5e4 holds 2.5e6 points; only the 3656 up to 73.1 are built
-        cosine._region_above.cache_clear()
+        cosine._crossings.cache_clear()
         tracemalloc.start()
         try:
-            cosine._region_above(0.5, 5e4)
+            cosine._Hellinger(0.5).runs_to(5e4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
     def test_a_query_computes_each_region_once(self, monkeypatch):
-        # the inner and the outer envelope both ask for the region at the
-        # head (45 at n = 60) and at their reach past it, once for their
-        # intervals and once for the cuts that both share
-        grids = []
-        dh = cosine.cosine_hellinger_uniform
-        monkeypatch.setattr(cosine, "cosine_hellinger_uniform",
-                            lambda t: grids.append(t.size) or dh(t))
-        cosine._region_above.cache_clear()
+        # the head (73.1 at n = 160) and the reach past it both end past the
+        # decided point 73.1 of eps = 0.5: its crossings are sought once
+        calls = []
+        aff = cosine._affinity
+        monkeypatch.setattr(cosine, "_affinity", lambda t: calls.append(t.size) or aff(t))
+        cosine._crossings.cache_clear()
         eng = CosineEngine(CosinePriorConfig("exponential", rate=1.0),
-                           RandomStream(12, 0).uniform_open(60))
+                           RandomStream(12, 0).uniform_open(160))
         eng.hellinger_mass(0.5)
-        info = cosine._region_above.cache_info()
-        assert info.hits + info.misses == 8 and info.misses <= 3
-        assert len(grids) == info.misses
+        info = cosine._crossings.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert calls[0] == 3656 and sum(calls[1:]) < 1000
 
 
 class TestLockstepRow:
@@ -584,7 +621,7 @@ class TestLockstepRow:
         # region_mass(5)'s reach fails before any extension is integrated:
         # the evidence after it, which the row never reads, is not extended
         # by a later statistic's solve_row either (its pieces may be shared
-        # with an envelope's, so the check is on the queries, not the pieces)
+        # with a Hellinger region's, so the check is on the queries, not the pieces)
         cfg = RunConfig(model="cosine")
         data = cfg.truth.sample(RandomStream(3, DATA_STREAM), n)
         stats = cosine_statistics(cfg.diagnostics, cfg.cosine_regions)
@@ -601,8 +638,8 @@ class TestLockstepRow:
         row, errors = evaluate_diagnostics(eng, stats)
         assert [i for i, v in enumerate(row.values()) if math.isnan(v)] == [5, 6, 7, 8]
         assert errors == ["region_mass_5_inf: forced"]
-        # the four envelopes, then the region; no reach is sought after it
-        assert len(floors) == 5 and floors[-1] < -60.0
+        # the two Hellinger regions, then the region; no reach is sought after it
+        assert len(floors) == 3 and floors[-1] < -60.0
         assert cosine._Evidence() not in eng._results
 
 
@@ -704,7 +741,7 @@ class TestQuadratureBudget:
         def fail(theta):
             raise AssertionError("the Hellinger grid was built")
 
-        monkeypatch.setattr(cosine, "cosine_hellinger_uniform", fail)
+        monkeypatch.setattr(cosine, "_affinity", fail)
         eng = CosineEngine(CosinePriorConfig("truncated_uniform", theta_max=1e6), [0.1])
         with pytest.raises(numerics.QuadratureError, match="the Hellinger distance"):
             eng.hellinger_mass(0.5)
@@ -830,7 +867,7 @@ class TestOnePerTheta:
                 relative=floor is None)
             want = LogBracket(*res.log_bracket())
             assert br == (want if floor is None else want.shift(floor)), (lo, hi, floor)
-        assert sum(len(f - {None}) >= 2 for f in floors.values()) > 50
+        assert any(len(f - {None}) >= 2 for f in floors.values())
         # every panel asked for reached the likelihood once, whichever
         # piece asked first; the rule counts the nodes it asked for
         assert len(seen) == len(set(seen)) == len(eng._memo)

@@ -281,6 +281,21 @@ class TestConfigSchema:
         assert RunConfig().to_dict() == DEFAULT_CONFIG_DICT
         assert RunConfig.from_dict(DEFAULT_CONFIG_DICT) == RunConfig()
 
+    def test_each_class_evaluates_its_annotations_once(self, monkeypatch):
+        # encoding, hashing and decoding a config read each dataclass's
+        # annotations from one evaluation, whatever the number of calls
+        calls = []
+        hints = harness.typing.get_type_hints
+        monkeypatch.setattr(harness.typing, "get_type_hints",
+                            lambda cls: calls.append(cls) or hints(cls))
+        harness._fields.cache_clear()
+        cfg = RunConfig(model="cosine")
+        for _ in range(3):
+            assert RunConfig.from_dict(cfg.to_dict()) == cfg
+            config_hash(cfg)
+        assert len(calls) == len(set(calls)) >= 5
+        harness._fields.cache_clear()
+
     @pytest.mark.parametrize("truth", [
         TruthSpec("step", level=2, selected=(7, 0, 3, 5)),
         TruthSpec("external", path="data/points.csv"),
