@@ -332,12 +332,11 @@ class CosineEngine:
         xmax = float(self.data.max()) if self.n else 0.0
         units = math.pi / xmax * 2 ** 20 if xmax > 0.0 else math.inf
         self._half = math.floor(units) / 2 ** 20 if math.isfinite(units) else math.inf
-        # (lo, hi, floor) -> a piece's bracket; query -> its (in, out); the
-        # memo, centre + i half-width (one complex, not a pair, keeps it
-        # small) -> the row of _rows holding the joint's 15 values on that
-        # panel (an index, not a row view); the first QuadratureError, which
-        # every later query raises again
-        self._cache, self._results, self._memo, self._failure = {}, {}, {}, None
+        # query -> its (in, out); the memo, centre + i half-width (one
+        # complex, not a pair, keeps it small) -> the row of _rows holding
+        # the joint's 15 values on that panel (an index, not a row view);
+        # the first QuadratureError, which every later query raises again
+        self._results, self._memo, self._failure = {}, {}, None
         self._rows = np.empty((0, 15))
         self._lattice = Lattice(self.data, self._half)
 
@@ -444,23 +443,27 @@ class CosineEngine:
             self._rows = np.concatenate([self._rows, rows])
         return self._rows[[memo[key] for key in keys]]
 
-    def _integrate(self, pieces) -> None:
-        """Bracket every piece (lo, hi, floor) the cache lacks, in lockstep:
-        the joint mass of [lo, hi] to a relative quad_tol, or, given a
-        floor F, to an absolute quad_tol * e^F on the joint less F.  A
-        piece's QuadratureError is cached in place of its bracket."""
-        todo = [key for key in dict.fromkeys(pieces) if key not in self._cache]
+    def _integrate(self, pieces) -> dict:
+        """piece -> its bracket, for every piece (lo, hi, floor), refined in
+        lockstep: the joint mass of [lo, hi] to a relative quad_tol, or,
+        given a floor F, to an absolute quad_tol * e^F on the joint less F.
+        A piece's QuadratureError stands in place of its bracket.  A piece
+        asked for again is summed again from the same memo rows, to the same
+        bits.  No pieces, no quadrature."""
+        todo = list(dict.fromkeys(pieces))
         if not todo:
-            return
+            return {}
         spec = [QuadraturePiece(lo, hi, tuple(self._breakpoints(lo, hi)), floor is None,
                                 0.0 if floor is None else floor)
                 for lo, hi, floor in todo]
+        brackets = {}
         for (lo, hi, floor), res in zip(todo, lockstep_quadrature(self._joint, spec,
                                                                   self.quad_tol)):
             if not isinstance(res, QuadratureError):
                 br = LogBracket(*res.log_bracket())
                 res = br if floor is None else br.shift(floor)
-            self._cache[lo, hi, floor] = res
+            brackets[lo, hi, floor] = res
+        return brackets
 
     @staticmethod
     def _cut(runs, lo: float, hi: float, floor=None) -> list:
@@ -471,13 +474,14 @@ class CosineEngine:
         return [((a, b, floor), next((side for s, e, side in runs if s <= a and b <= e), 1))
                 for a, b in zip(cuts[:-1], cuts[1:])]
 
-    def _sum(self, pieces) -> list:
-        """[in, out]: log enclosures of the summed brackets of the cut pieces
-        on each side, a sliver (side 2) in the upper end of both; the first
-        piece that failed raises its error."""
+    @staticmethod
+    def _sum(pieces, brackets) -> list:
+        """[in, out]: log enclosures of the summed brackets (``_integrate``)
+        of the cut pieces on each side, a sliver (side 2) in the upper end of
+        both; the first piece that failed raises its error."""
         los, his = ([], []), ([], [])
         for key, side in pieces:
-            br = self._cache[key]
+            br = brackets[key]
             if isinstance(br, QuadratureError):
                 raise br
             for i in (0, 1) if side == 2 else (side,):
@@ -512,18 +516,18 @@ class CosineEngine:
                 break
 
         def each(step):  # integrate every plan's pieces, then step through the plans
-            self._integrate(key for *_, pieces in plans for key, _ in pieces)
+            brackets = self._integrate(key for *_, pieces in plans for key, _ in pieces)
             for i, plan in enumerate(plans):
                 try:
-                    step(plan)
+                    step(plan, brackets)
                 except QuadratureError as exc:
                     self._results[plan[0]] = exc
                     del plans[i:]
                     return
 
-        def extend(plan):
+        def extend(plan, brackets):
             q, head, pieces = plan
-            parts, side = self._sum(pieces), q.tail_in(head)
+            parts, side = self._sum(pieces, brackets), q.tail_in(head)
             # the floor F: ln of the head part the tail bound joins
             joins = parts if side is None else [parts[0] if side else parts[1]]
             floor = min(p.lower for p in joins)
@@ -534,10 +538,10 @@ class CosineEngine:
             plan[1:] = ((parts, tb, q.tail_in(end)),
                         self._cut(q.runs_to(end), head, end, floor))
 
-        def finish(plan):
+        def finish(plan, brackets):
             q, (parts, tb, side), pieces = plan
             if pieces:
-                parts = [p.add(e) for p, e in zip(parts, self._sum(pieces))]
+                parts = [p.add(e) for p, e in zip(parts, self._sum(pieces, brackets))]
             inside, outside = parts
             if side is not False:
                 inside = LogBracket(inside.lower, log_add(inside.upper, tb))

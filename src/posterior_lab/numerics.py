@@ -2,15 +2,11 @@
 adaptive G7/K15 Gauss-Kronrod quadrature with QUADPACK's error estimate
 (still not a proof), and deterministic splittable random streams.
 
-The quadrature calls its integrand on whole panels: ``f(c, h)`` gets the
-centres and half-widths of a batch of panels and returns ln of the
-integrand at each panel's 15 Kronrod nodes.  A pointwise integrand maps
-itself over ``kronrod_nodes(c, h)``; the cosine likelihood instead builds
-its nodes from each panel's centre by angle addition, and the cosine engine
-keeps a memo of the panels it has evaluated.  ``lockstep_quadrature``
-refines several pieces on one integrand together, one call of it per round
-for all of them; ``adaptive_quadrature`` is its one-piece case.  The
-quadrature itself keeps no table and changes none of its arguments.
+The quadrature is one loop, ``lockstep_quadrature``: it refines several
+pieces on one integrand in rounds, one call of the integrand per round on
+the panels of all of them (``_rounds`` is the rule each piece follows), and
+``adaptive_quadrature`` is its one-piece call.  It keeps no table and
+changes none of its arguments.
 
 Everything here is pure (no global state); a ``RandomStream`` is a value
 whose words depend only on its seed and stream id.
@@ -379,7 +375,14 @@ def _rounds(piece: QuadraturePiece, tol: float):
     """The globally adaptive rule on one piece, as a generator: it yields
     the (lo, hi) ends of the panels whose sums it needs next, is sent their
     (ln integral, ln error estimate) from _kronrod_sums, and returns the
-    QuadratureResult (or raises QuadratureError)."""
+    QuadratureResult (or raises QuadratureError).  The first round takes
+    the seed panels, cut at the piece's breakpoints.  A round stops once the
+    summed error estimate is at most tol * max(1, I) (tol * I when the piece
+    is ``relative``); otherwise it bisects the fewest largest-error panels
+    whose errors cover the excess and asks for all their halves at once.
+    The budget MAX_INTERVALS counts the piece's panels; exhausting it, or a
+    panel too narrow to bisect, raises QuadratureError with the best bracket
+    reached, and seed panels alone past it raise one with none."""
     a, b = piece.a, piece.b
     if not a < b:
         raise ValueError(f"requires a < b, got [{a}, {b}]")
@@ -421,86 +424,66 @@ def _rounds(piece: QuadraturePiece, tol: float):
     return QuadratureResult(log_estimate=s_all, rel_error_bound=rel, evaluations=evals)
 
 
-def _values(f, c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """f on the panels (c, h), checked to hold 15 values per panel."""
-    fx = np.asarray(f(c, h), dtype=float)
-    if fx.shape != (c.size, _NODES.size):
-        raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
-                         f"of {_NODES.size} nodes")
-    return fx
-
-
 def lockstep_quadrature(f, pieces, tol: float) -> list:
-    """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in
+    """The G7/K15 Gauss-Kronrod rule of ``_rounds`` for integrands given in
     LOG space, on several pieces (``QuadraturePiece``) refined in rounds
-    together: each round is one call of f on the panels every unfinished
-    piece needs, each piece taking the values of f less its offset, and one
-    pass of the Kronrod sums over them, row by row.  A piece refines exactly
-    as it would alone (see adaptive_quadrature).
-    Returns, piece by piece, its QuadratureResult or the QuadratureError
-    that ended it; the other pieces go on."""
-    out, asks = [None] * len(pieces), {}
-
-    def advance(i, gen, fx):
-        try:
-            asks[i] = gen.send(fx)
-        except StopIteration as stop:
-            out[i] = stop.value
-        except QuadratureError as exc:
-            out[i] = exc
-
-    gens = [_rounds(p, tol) for p in pieces]
-    for i, gen in enumerate(gens):
-        advance(i, gen, None)
-    while asks:
-        todo, asks = asks, {}
-        lo = np.concatenate([todo[i][0] for i in todo])
-        hi = np.concatenate([todo[i][1] for i in todo])
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = _values(f, c, h)
-        sizes = [todo[i][0].size for i in todo]
-        offsets = [pieces[i].offset for i in todo]
-        if any(offsets):
-            fx = fx - np.repeat(offsets, sizes)[:, None]
-        li, le = _kronrod_sums(fx, c, h)
-        b = 0
-        for i, size in zip(todo, sizes):
-            a, b = b, b + size
-            advance(i, gens[i], (li[a:b], le[a:b]))
-    return out
-
-
-def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
-                        breakpoints=(), relative: bool = False) -> QuadratureResult:
-    """Globally adaptive G7/K15 Gauss-Kronrod rule for integrands given in LOG
-    space, refined in rounds: the rule of ``lockstep_quadrature`` on one
-    piece.
+    together.
 
     ``f(c, h)`` takes the centres c and half-widths h of m panels and
     returns the (m, 15) array of ln of the (nonnegative) integrand at their
     Kronrod nodes ``kronrod_nodes(c, h)``; LOG_ZERO is fine.  A pointwise
     integrand g is ``lambda c, h: g(kronrod_nodes(c, h))``; an integrand
-    that shares work among a panel's nodes computes them itself.
-    ``breakpoints`` seed the initial panels, e.g. at step-density cell
-    boundaries or an integrand's interior mode.  Each round stops if the
-    summed error estimate satisfies err <= tol * max(1, I) (or err <= tol *
-    I when ``relative`` is set); otherwise it bisects the fewest
-    largest-error panels whose errors cover the excess and passes all their
-    halves to one call of f.  ``evaluations`` counts the abscissae the rule
-    asked f for, 15 per panel, including any that f read from its own memo.
+    that shares work among a panel's nodes computes them itself.  Each round
+    is one call of f on the panels every unfinished piece asks for, each
+    piece taking the values of f less its offset, and one pass of the
+    Kronrod sums over them, row by row, so a piece refines exactly as it
+    would alone.  ``evaluations`` counts the abscissae a piece asked f for,
+    15 per panel, including any that f read from its own memo.
+    Returns, piece by piece, its QuadratureResult or the QuadratureError
+    that ended it; the other pieces go on."""
+    out, shifted = [None] * len(pieces), any(p.offset for p in pieces)
+    live = [(i, _rounds(p, tol), None) for i, p in enumerate(pieces)]
+    while live:
+        asked = []  # (index, rounds, lo, hi): a piece and the panels it waits for
+        for i, rounds, sums in live:
+            try:
+                asked.append((i, rounds, *rounds.send(sums)))
+            except StopIteration as stop:
+                out[i] = stop.value
+            except QuadratureError as exc:
+                out[i] = exc
+        if not asked:
+            break
+        if len(asked) == 1:
+            lo, hi = asked[0][2:]
+        else:
+            lo = np.concatenate([ask[2] for ask in asked])
+            hi = np.concatenate([ask[3] for ask in asked])
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = np.asarray(f(c, h), dtype=float)
+        if fx.shape != (c.size, _NODES.size):
+            raise ValueError(f"integrand returned shape {fx.shape} for {c.size} panels "
+                             f"of {_NODES.size} nodes")
+        if shifted:
+            fx = fx - np.repeat([pieces[ask[0]].offset for ask in asked],
+                                [ask[2].size for ask in asked])[:, None]
+        li, le = _kronrod_sums(fx, c, h)
+        live, b = [], 0
+        for i, rounds, piece_lo, _ in asked:
+            a, b = b, b + piece_lo.size
+            live.append((i, rounds, (li[a:b], le[a:b])))
+    return out
 
-    Raises QuadratureError (carrying the best bracket) when the subdivision
-    budget MAX_INTERVALS is exhausted or a panel is too narrow to bisect,
-    and (carrying none) when the seed panels alone exceed the budget.
-    """
-    rounds = _rounds(QuadraturePiece(a, b, breakpoints, relative), tol)
-    try:
-        lo, hi = next(rounds)
-        while True:
-            c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            lo, hi = rounds.send(_kronrod_sums(_values(f, c, h), c, h))
-    except StopIteration as stop:
-        return stop.value
+
+def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
+                        breakpoints=(), relative: bool = False) -> QuadratureResult:
+    """``lockstep_quadrature`` on the one piece [a, b], its seed panels cut at
+    ``breakpoints`` (e.g. at step-density cell boundaries or an integrand's
+    interior mode): its QuadratureResult, or its QuadratureError raised."""
+    res, = lockstep_quadrature(f, [QuadraturePiece(a, b, breakpoints, relative)], tol)
+    if isinstance(res, QuadratureError):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -695,7 +695,7 @@ class TestCellBound:
         assert np.array_equal(np.concatenate(parts)[:300], whole)
 
     @pytest.mark.parametrize("floor", [0.0, -300.0, -600.0])
-    def test_a_finite_region_reaches_its_end(self, floor):
+    def test_a_finite_region_reaches_its_end(self, monkeypatch, floor):
         eng = CosineEngine(CosinePriorConfig(),
                            RunConfig().truth.sample(RandomStream(3, DATA_STREAM), 1000))
         for hi in (31.0, 200.0, 700.0, 1500.0):
@@ -703,8 +703,9 @@ class TestCellBound:
             assert hi <= end <= eng._reach(floor, hi) + 0.25 * eng._half
             assert tb <= math.log(0.5 * eng.quad_tol) + floor
         # through the region's own query: its extension covers [30, hi]
+        calls = _record_quadrature(monkeypatch)
         eng.region_mass(5.0, 400.0)
-        assert max(b for a, b, floor in eng._cache if floor is not None) >= 400.0
+        assert max(p.b for pieces, _ in calls for p in pieces if not p.relative) >= 400.0
 
     def test_the_cells_end_the_reach_well_before_the_crude_bound(self):
         # the default row at seed 3, n = 1000: region_mass(5)'s floor is
@@ -764,6 +765,21 @@ def _log_joint(prior, data):
     return f
 
 
+def _record_quadrature(monkeypatch, g=None):
+    # from now on, the (pieces, results) of each lockstep quadrature the
+    # engine runs, its integrand f called through g(f, c, h) if given
+    calls = []
+
+    def record(f, pieces, tol):
+        out = numerics.lockstep_quadrature(
+            f if g is None else functools.partial(g, f), pieces, tol)
+        calls.append((pieces, out))
+        return out
+
+    monkeypatch.setattr(cosine, "lockstep_quadrature", record)
+    return calls
+
+
 def _panel_alone(f, c, h):
     # f's 15 values on each panel computed on its own, outside any batch
     return np.array([f(np.array([ci]), np.array([hi]))[0]
@@ -820,7 +836,6 @@ class TestOnePerTheta:
         # extensions in another
         cfg = RunConfig(model="cosine")
         prior, data = cfg.cosine_prior, RandomStream(12, 0).uniform_open(60)
-        calls = []   # (pieces, results) of each lockstep quadrature
         rounds = []  # the panels of each call of the shared integrand
         seen = []    # every panel a likelihood pass evaluated
         loglik = cosine.panel_loglik
@@ -829,33 +844,30 @@ class TestOnePerTheta:
             seen.extend(zip(c.tolist(), h.tolist()))
             return loglik(c, h, x)
 
-        def record_quadrature(f, pieces, tol):
-            def g(c, h):
-                rounds.append(c.size)
-                return f(c, h)
-
-            out = numerics.lockstep_quadrature(g, pieces, tol)
-            calls.append((pieces, out))
-            return out
+        def count_rounds(f, c, h):
+            rounds.append(c.size)
+            return f(c, h)
 
         monkeypatch.setattr(cosine, "panel_loglik", count_loglik)
-        monkeypatch.setattr(cosine, "lockstep_quadrature", record_quadrature)
+        calls = _record_quadrature(monkeypatch, count_rounds)
         eng = CosineEngine(prior, data, quad_tol=cfg.quad_tol)
         row, errors = evaluate_diagnostics(
             eng, cosine_statistics(cfg.diagnostics, cfg.cosine_regions))
         monkeypatch.undo()
         assert errors == [] and all(map(math.isfinite, row.values()))
         assert len(calls) == 2
-        # each new piece is refined once, in the order the cache holds them
+        # each piece is refined once: (lo, hi, floor), floor None if relative
         pieces = [(p, res) for spec, out in calls for p, res in zip(spec, out)]
-        assert [(p.a, p.b, None if p.relative else p.offset)
-                for p, _ in pieces] == list(eng._cache)
-        assert len({floor for *_, floor in eng._cache} - {None}) >= 2
+        keys = [(p.a, p.b, None if p.relative else p.offset) for p, _ in pieces]
+        assert len(set(keys)) == len(keys)
+        assert len({floor for *_, floor in keys} - {None}) >= 2
         # and keeps the bits of a quadrature that evaluates every panel
         # itself, on the joint or on the joint less its floor
         joint = _log_joint(prior, data)
         floors = {}
-        for (lo, hi, floor), br in eng._cache.items():
+        for (lo, hi, floor), (_, res) in zip(keys, pieces):
+            br = LogBracket(*res.log_bracket())
+            br = br if floor is None else br.shift(floor)
             def alone(c, h, floor=floor):
                 for p in zip(c.tolist(), h.tolist()):
                     floors.setdefault(p, set()).add(floor)
