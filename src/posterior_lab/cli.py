@@ -25,6 +25,7 @@ from .harness import (
     load_trajectory,
     run_replications,
     run_trajectory,
+    seed_of,
     summary_csv,
     write_trajectory,
 )
@@ -105,7 +106,7 @@ def _config_from_args(args):
         is_sidecar = isinstance(side, dict) and "config" in side
         base = side["config"] if is_sidecar else side  # or a bare config
         if is_sidecar and "seed" in side:
-            sidecar_seed = int(side["seed"])
+            sidecar_seed = seed_of(side, args.config)
     cfg = RunConfig.from_dict(base)
     updates = {name: getattr(args, name)
                for name in ("model", "n_max", "grid_ratio", "quad_tol")

@@ -53,6 +53,7 @@ __all__ = [
     "run_replications",
     "write_trajectory",
     "load_trajectory",
+    "seed_of",
     "config_hash",
     "encode_config",
     "decode_config",
@@ -636,14 +637,34 @@ def write_trajectory(traj: TrajectoryRecord, prefix: str) -> tuple:
     return csv_path, json_path
 
 
+def seed_of(side: dict, path: str) -> int:
+    """The seed of the sidecar ``side`` read from ``path``: an integer, as
+    in ``RunConfig.seeds``; anything else is a ConfigError naming it."""
+    seed = side["seed"]
+    if type(seed) is not int:
+        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
+    return seed
+
+
 def load_trajectory(prefix: str) -> TrajectoryRecord:
-    """Load a persisted trajectory (CSV + sidecar) back into memory.  A line
-    that is not one number per column, or a CSV with a row count other than
-    the sidecar's grid, raises ValueError naming the line."""
-    with open(prefix + ".json", "r", encoding="utf-8") as fh:
+    """Load a persisted trajectory (CSV + sidecar) back into memory.  A
+    sidecar that is not an object holding a config, lists of columns and
+    grid points and an integer seed raises ValueError naming the file and
+    the key, as do a line that is not one number per column and a CSV with
+    a row count other than the sidecar's grid (naming the line)."""
+    path = prefix + ".json"
+    with open(path, "r", encoding="utf-8") as fh:
         side = json.load(fh)
+    if not isinstance(side, dict):
+        raise ConfigError(f"{path}: expected a sidecar object, got {type(side).__name__}")
+    for key in ("config", "columns", "grid", "seed"):
+        if key not in side:
+            raise ConfigError(f"{path}: the sidecar has no {key!r}")
+    for key in ("columns", "grid"):
+        if not isinstance(side[key], list):
+            raise ConfigError(f"{path}: {key} must be a list, got {side[key]!r}")
     cfg = RunConfig.from_dict(side["config"])
-    columns, grid = list(side["columns"]), list(side["grid"])
+    columns, grid, seed = side["columns"], side["grid"], seed_of(side, path)
     rows = []
     with open(prefix + ".csv", "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -660,6 +681,6 @@ def load_trajectory(prefix: str) -> TrajectoryRecord:
     if len(rows) != len(grid):
         raise ValueError(f"{prefix}.csv ends at line {len(rows) + 1} after {len(rows)} "
                          f"rows, but its sidecar's grid has {len(grid)} points")
-    return TrajectoryRecord(config=cfg, seed=int(side["seed"]),
+    return TrajectoryRecord(config=cfg, seed=seed,
                             grid=grid, columns=columns, rows=rows,
                             errors=[(int(n), m) for n, m in side.get("errors", [])])

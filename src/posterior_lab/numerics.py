@@ -454,7 +454,7 @@ def lockstep_quadrature(f, pieces, tol: float) -> list:
                 out[i] = exc
         if not asked:
             break
-        if len(asked) == 1:
+        if len(asked) == 1:  # its own panels, not copies
             lo, hi = asked[0][2:]
         else:
             lo = np.concatenate([ask[2] for ask in asked])
@@ -479,7 +479,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-9, *,
                         breakpoints=(), relative: bool = False) -> QuadratureResult:
     """``lockstep_quadrature`` on the one piece [a, b], its seed panels cut at
     ``breakpoints`` (e.g. at step-density cell boundaries or an integrand's
-    interior mode): its QuadratureResult, or its QuadratureError raised."""
+    interior mode) and its error relative if ``relative`` is set: its
+    QuadratureResult, or its QuadratureError raised."""
     res, = lockstep_quadrature(f, [QuadraturePiece(a, b, breakpoints, relative)], tol)
     if isinstance(res, QuadratureError):
         raise res

@@ -758,6 +758,58 @@ class TestConfigErrorExit:
         assert "config error" in err and where in err
         assert not os.path.exists(tmp_path / "p.svg")
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda side: side.pop("config"), "has no 'config'"),
+        (lambda side: side.pop("columns"), "has no 'columns'"),
+        (lambda side: side.pop("grid"), "has no 'grid'"),
+        (lambda side: side.pop("seed"), "has no 'seed'"),
+        (lambda side: side.update(seed=1.0), "seed must be an integer, got 1.0"),
+        (lambda side: side.update(grid=3), "grid must be a list, got 3"),
+    ], ids=["no-config", "no-columns", "no-grid", "no-seed", "float-seed", "grid-not-list"])
+    def test_malformed_plot_sidecar_exits_2(self, tmp_path, capsys, edit, where):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".json") as fh:
+            side = json.load(fh)
+        edit(side)
+        with open(out + ".json", "w") as fh:
+            json.dump(side, fh)
+        code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                       "--out", str(tmp_path / "p.svg"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {out}.json: " in err and where in err
+        assert not os.path.exists(tmp_path / "p.svg")
+
+    def test_a_sidecar_that_is_a_list_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".json") as fh:
+            side = json.load(fh)
+        with open(out + ".json", "w") as fh:
+            json.dump([side], fh)
+        code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                       "--out", str(tmp_path / "p.svg"))
+        assert code == 2
+        assert f"{out}.json: expected a sidecar object, got list" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p.svg")
+
+    # a sidecar's seed is an integer, as in RunConfig.seeds: null and [1]
+    # raised TypeError (exit 1), and 1.7 and true ran seed 1
+    @pytest.mark.parametrize("seed", [None, [1], 1.7, True, "1"])
+    def test_a_sidecar_seed_that_is_not_an_integer_exits_2(self, tmp_path, capsys, seed):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".json") as fh:
+            side = json.load(fh)
+        side["seed"] = seed
+        cfg = tmp_path / "side.json"
+        cfg.write_text(json.dumps(side))
+        code = run_cli("traj", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert f"{cfg}: seed must be an integer, got {seed!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x.csv")
+
     # adding the step never passes b: to inf or from -inf it runs on
     # forever, 1e-300 leaves 0.1 where it is, and 9e-13 takes 10^11 steps.
     # The child runs under a 1 GiB address-space limit and a timeout, so a

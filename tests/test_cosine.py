@@ -166,6 +166,24 @@ class TestClosedFormDistance:
     def test_zero_at_uniform(self):
         assert cosine_hellinger_uniform(0.0) == 0.0
 
+    def test_zero_without_a_warning_where_two_over_theta_overflows(self):
+        # at 5e-324, theta/2 underflows to 0 and 2/theta overflows (0 * inf
+        # was NaN); at 1e-310 and on both sides of 2/DBL_MAX, 2/theta or
+        # sqrt(2) 2/theta overflows (a warning, an error in this suite); from
+        # 2 sqrt(2)/DBL_MAX on the closed form is computed, still 1 and 0
+        edge = 2.0 / sys.float_info.max
+        top = 2.0 * math.sqrt(2.0) / sys.float_info.max
+        band = np.array([5e-324, 1e-310, math.nextafter(edge, 0.0), edge,
+                         math.nextafter(edge, 1.0), 1.5e-308, math.nextafter(top, 0.0)])
+        with np.errstate(over="ignore"):
+            assert np.isinf(2.0 / band[:4]).all() and np.isfinite(2.0 / band[4:]).all()
+            assert np.isinf(math.sqrt(2.0) * (2.0 / band)).all()
+        assert (cosine._affinity(band) == 1.0).all()
+        assert (cosine_hellinger_uniform(band) == 0.0).all()
+        past = np.array([top, math.nextafter(top, 1.0)])
+        assert np.allclose(cosine._affinity(past), 1.0, rtol=0.0, atol=2.3e-16)
+        assert (cosine_hellinger_uniform(past) == 0.0).all()
+
     def test_monotone_start_then_plateau(self):
         small = cosine_hellinger_uniform(0.5)
         mid = cosine_hellinger_uniform(2.5)
@@ -558,6 +576,56 @@ class TestHellingerGrid:
         info = cosine._crossings.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert calls[0] == 3656 and sum(calls[1:]) < 1000
+
+    # the cells tile the grid and each splits on its own ends alone, so a
+    # shorter grid's runs are a longer grid's clipped at its edge: up to an
+    # eps's decided index K, or to 4096 cells where K lies further (K is
+    # 36430005 at 0.4465)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, math.sqrt(2.0), exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @example(0.3, 0.5)
+    @example(0.4465, 0.9)
+    @example(0.5, 0.0)
+    @example(0.5368975, 0.99)
+    @example(0.7, 0.999)
+    def test_a_shorter_grid_holds_the_clipped_runs_of_a_longer_one(self, eps, share):
+        got = cosine._decided(eps)
+        longest = min(got[0] if got else 4096, 4096)
+        k = 1 + int(share * (longest - 1))  # 1 <= k < longest
+        edge = k * 0.02
+        clipped = tuple((s, min(e, edge), side)
+                        for s, e, side in cosine._crossings(eps, longest) if s < edge)
+        assert cosine._crossings(eps, k) == clipped
+
+    @staticmethod
+    def _runs_alone(eps, t):
+        # runs_to(t) from a table built at the query's own grid length
+        size = math.ceil((t + 0.02) / 0.02)
+        got = cosine._decided(eps)
+        k, inside = got if got and got[0] < size else (size - 1, False)
+        runs, edge = cosine._crossings.__wrapped__(eps, k), k * 0.02
+        if inside and runs and runs[-1][1:] == (edge, 0):
+            return runs[:-1] + ((runs[-1][0], t, 0),)
+        return runs + ((edge, t, 0),) if inside else runs
+
+    @pytest.mark.parametrize("eps", [0.3, 0.4465, 0.5, 0.5368975, 0.7])
+    def test_each_query_reads_the_runs_of_its_own_grid(self, eps):
+        # on the grid and off it, below, at and past the decided index (1733,
+        # 36430005, 3655, 2070 and 614)
+        for k in (1, 150, 613, 614, 3655):
+            for t in (k * 0.02, k * 0.02 + 0.013):
+                assert cosine._Hellinger(eps).runs_to(t) == self._runs_alone(eps, t), t
+
+    @pytest.mark.parametrize("eps, builds", [(0.5, 2), (0.7, 1)])
+    def test_heads_and_reaches_share_one_table_past_the_first(self, eps, builds):
+        # heads from 30 (1500 cells) and reaches up to 750: eps = 0.5 builds
+        # 2048 cells, then its decided 3655 for every longer grid, where one
+        # table per grid length built 5; eps = 0.7, decided at 614, builds once
+        cosine._crossings.cache_clear()
+        for t in (30.0, 31.5, 45.0, 60.0, 73.1, 750.0):
+            cosine._Hellinger(eps).runs_to(t)
+        assert cosine._crossings.cache_info().misses == builds
 
 
 class TestLockstepRow:
