@@ -758,40 +758,31 @@ class TestConfigErrorExit:
         assert "config error" in err and where in err
         assert not os.path.exists(tmp_path / "p.svg")
 
+    @staticmethod
+    def _without(key):
+        return lambda side: {k: v for k, v in side.items() if k != key}
+
     @pytest.mark.parametrize("edit, where", [
-        (lambda side: side.pop("config"), "has no 'config'"),
-        (lambda side: side.pop("columns"), "has no 'columns'"),
-        (lambda side: side.pop("grid"), "has no 'grid'"),
-        (lambda side: side.pop("seed"), "has no 'seed'"),
-        (lambda side: side.update(seed=1.0), "seed must be an integer, got 1.0"),
-        (lambda side: side.update(grid=3), "grid must be a list, got 3"),
-    ], ids=["no-config", "no-columns", "no-grid", "no-seed", "float-seed", "grid-not-list"])
+        (lambda side: [side], "expected a sidecar object, got list"),
+        (_without("config"), "the sidecar has no 'config'"),
+        (_without("columns"), "the sidecar has no 'columns'"),
+        (_without("grid"), "the sidecar has no 'grid'"),
+        (_without("seed"), "the sidecar has no 'seed'"),
+        (lambda side: {**side, "seed": 1.0}, "seed must be an integer, got 1.0"),
+        (lambda side: {**side, "grid": 3}, "grid must be a list, got 3"),
+    ], ids=["list", "no-config", "no-columns", "no-grid", "no-seed", "float-seed",
+            "grid-not-list"])
     def test_malformed_plot_sidecar_exits_2(self, tmp_path, capsys, edit, where):
         out = str(tmp_path / "base")
         assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
         with open(out + ".json") as fh:
-            side = json.load(fh)
-        edit(side)
+            side = edit(json.load(fh))
         with open(out + ".json", "w") as fh:
             json.dump(side, fh)
         code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
                        "--out", str(tmp_path / "p.svg"))
         assert code == 2
-        err = capsys.readouterr().err
-        assert f"config error: {out}.json: " in err and where in err
-        assert not os.path.exists(tmp_path / "p.svg")
-
-    def test_a_sidecar_that_is_a_list_exits_2(self, tmp_path, capsys):
-        out = str(tmp_path / "base")
-        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
-        with open(out + ".json") as fh:
-            side = json.load(fh)
-        with open(out + ".json", "w") as fh:
-            json.dump([side], fh)
-        code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
-                       "--out", str(tmp_path / "p.svg"))
-        assert code == 2
-        assert f"{out}.json: expected a sidecar object, got list" in capsys.readouterr().err
+        assert f"config error: {out}.json: {where}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "p.svg")
 
     # a sidecar's seed is an integer, as in RunConfig.seeds: null and [1]
