@@ -23,9 +23,9 @@ from .harness import (
     RunConfig,
     TruthSpec,
     load_trajectory,
+    read_sidecar,
     run_replications,
     run_trajectory,
-    seed_of,
     summary_csv,
     write_trajectory,
 )
@@ -99,15 +99,9 @@ def parse_grid(spec: str) -> list:
 
 
 def _config_from_args(args):
-    base, sidecar_seed = {}, None
+    cfg, replay_seed = RunConfig(), None
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-        is_sidecar = isinstance(side, dict) and "config" in side
-        base = side["config"] if is_sidecar else side  # or a bare config
-        if is_sidecar and "seed" in side:
-            sidecar_seed = seed_of(side, args.config)
-    cfg = RunConfig.from_dict(base)
+        cfg, replay_seed, _ = read_sidecar(args.config)
     updates = {name: getattr(args, name)
                for name in ("model", "n_max", "grid_ratio", "quad_tol")
                if getattr(args, name, None) is not None}
@@ -116,7 +110,7 @@ def _config_from_args(args):
     if getattr(args, "seeds", None):
         updates["seeds"] = parse_seeds(args.seeds)
     elif getattr(args, "seed", None) is not None:
-        updates["seeds"] = (args.seed,)
+        updates["seeds"], replay_seed = (args.seed,), None  # --seed outranks a sidecar's
     if getattr(args, "cosine_prior", None):
         kind, _, param = args.cosine_prior.partition(":")
         try:
@@ -130,7 +124,7 @@ def _config_from_args(args):
         cfg = replace(cfg, **updates) if updates else cfg
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, sidecar_seed
+    return cfg, replay_seed
 
 
 def _check_out_dir(path: str) -> None:
@@ -160,14 +154,8 @@ def _add_run_flags(p, with_seed=True):
 
 def cmd_traj(args) -> int:
     _check_out_dir(os.path.dirname(os.path.abspath(args.out)))
-    cfg, sidecar_seed = _config_from_args(args)
-    if args.seed is not None:
-        seed = args.seed
-    elif sidecar_seed is not None:
-        seed = sidecar_seed  # replaying a persisted run
-    else:
-        seed = cfg.seeds[0]
-    traj = run_trajectory(cfg, seed)
+    cfg, replay_seed = _config_from_args(args)
+    traj = run_trajectory(cfg, cfg.seeds[0] if replay_seed is None else replay_seed)
     csv_path, json_path = write_trajectory(traj, args.out)
     print(csv_path)
     print(json_path)

@@ -53,7 +53,7 @@ __all__ = [
     "run_replications",
     "write_trajectory",
     "load_trajectory",
-    "seed_of",
+    "read_sidecar",
     "config_hash",
     "encode_config",
     "decode_config",
@@ -637,39 +637,52 @@ def write_trajectory(traj: TrajectoryRecord, prefix: str) -> tuple:
     return csv_path, json_path
 
 
-def seed_of(side: dict, path: str) -> int:
-    """The seed of the sidecar ``side`` read from ``path``: an integer, as
-    in ``RunConfig.seeds``; anything else is a ConfigError naming it."""
-    seed = side["seed"]
-    if type(seed) is not int:
-        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
-    return seed
+# what each sidecar key must be, checked in order (a bool is no integer)
+_SIDECAR_CHECKS = (
+    ("seed", "an integer", lambda v: type(v) is int),
+    ("version", f"an integer from 1 to {FORMAT_VERSION}",
+     lambda v: type(v) is int and 1 <= v <= FORMAT_VERSION),
+    *((key, "a list", lambda v: type(v) is list) for key in ("columns", "grid", "errors")),
+    ("columns", "a list of strings", lambda v: all(type(c) is str for c in v)),
+    ("grid", "a list of integers", lambda v: all(type(n) is int for n in v)),
+    ("errors", "a list of [n, message] pairs",
+     lambda v: all(type(e) is list and list(map(type, e)) == [int, str] for e in v)),
+)
 
 
-def load_trajectory(prefix: str) -> TrajectoryRecord:
-    """Load a persisted trajectory (CSV + sidecar) back into memory.  A
-    sidecar that is not an object holding a config, lists of columns and
-    grid points and an integer seed raises ValueError naming the file and
-    the key, as do a line that is not one number per column and a CSV with
-    a row count other than the sidecar's grid (naming the line)."""
-    path = prefix + ".json"
+def read_sidecar(path: str, required: tuple = ()) -> tuple:
+    """(RunConfig, seed or None, sidecar or None) of the JSON file ``path``.
+    An object that holds ``config`` is a sidecar, and each key of
+    _SIDECAR_CHECKS it holds is checked; any other is a bare config.  A
+    value that is not an object, a missing key of ``required`` and a key at
+    fault are ConfigErrors naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         side = json.load(fh)
     if not isinstance(side, dict):
         raise ConfigError(f"{path}: expected a sidecar object, got {type(side).__name__}")
-    for key in ("config", "columns", "grid", "seed"):
+    for key in required:
         if key not in side:
             raise ConfigError(f"{path}: the sidecar has no {key!r}")
-    for key in ("columns", "grid"):
-        if not isinstance(side[key], list):
-            raise ConfigError(f"{path}: {key} must be a list, got {side[key]!r}")
-    cfg = RunConfig.from_dict(side["config"])
-    columns, grid, seed = side["columns"], side["grid"], seed_of(side, path)
+    if "config" not in side:
+        return RunConfig.from_dict(side), None, None
+    for key, what, ok in _SIDECAR_CHECKS:
+        if key in side and not ok(side[key]):
+            raise ConfigError(f"{path}: {key} must be {what}, got {side[key]!r}")
+    return RunConfig.from_dict(side["config"]), side.get("seed"), side
+
+
+def load_trajectory(prefix: str) -> TrajectoryRecord:
+    """Load a persisted trajectory (CSV + sidecar, which must hold a config,
+    columns, grid and seed) back into memory.  A CSV header other than the
+    sidecar's columns, a line that is not one number per column and a row
+    count other than the grid's raise ValueError naming the CSV."""
+    cfg, seed, side = read_sidecar(prefix + ".json", ("config", "columns", "grid", "seed"))
+    columns, grid, path = side["columns"], side["grid"], prefix + ".csv"
     rows = []
-    with open(prefix + ".csv", "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header != columns:
-            raise ValueError("CSV header does not match sidecar columns")
+            raise ValueError(f"{path}: the header does not match the sidecar's columns")
         for i, line in enumerate(fh, start=2):
             vals = line.strip().split(",")
             try:
@@ -677,10 +690,9 @@ def load_trajectory(prefix: str) -> TrajectoryRecord:
                     raise ValueError(f"{len(vals)} values for {len(columns)} columns")
                 rows.append(dict(zip(columns, map(float, vals))))
             except ValueError as exc:
-                raise ValueError(f"{prefix}.csv line {i}: {exc}") from None
+                raise ValueError(f"{path} line {i}: {exc}") from None
     if len(rows) != len(grid):
-        raise ValueError(f"{prefix}.csv ends at line {len(rows) + 1} after {len(rows)} "
+        raise ValueError(f"{path} ends at line {len(rows) + 1} after {len(rows)} "
                          f"rows, but its sidecar's grid has {len(grid)} points")
-    return TrajectoryRecord(config=cfg, seed=seed,
-                            grid=grid, columns=columns, rows=rows,
-                            errors=[(int(n), m) for n, m in side.get("errors", [])])
+    return TrajectoryRecord(config=cfg, seed=seed, grid=grid, columns=columns,
+                            rows=rows, errors=[tuple(e) for e in side.get("errors", [])])
