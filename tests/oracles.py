@@ -373,9 +373,12 @@ def mp_step_log_sum(data, power=0, x=None, dps=20):
     predictive at x] in mpmath.  The levels up to L = max(D, K) + 1 (and
     past the cells x may share with a point) take loggamma; beyond, every
     level holds all K points, and the sum is 2^-K zeta(2 + power, L + 1)
-    plus an Euler-Maclaurin nsum of the rest, whose log-ratio is a sum of
-    log1p terms (loggamma differences lose every digit at the huge N the
-    nsum samples, and nsum's default method is far off on such tails)."""
+    plus an Euler-Maclaurin nsum of the rest.  Its log-ratio sum_{i<K}
+    log1p(-i/m) - log1p(-i/(2m)), m = N^2, is the series -sum_p (1 - 2^-p)
+    S_p / (p m^p) in the exact power sums S_p = sum_{i<K} i^p, with K + 1
+    for the predictive, whose factor 2 (m - K) / (2m - K) is the term i = K
+    (loggamma differences lose every digit at the huge N the nsum samples,
+    and nsum's default method is far off on such tails)."""
     pts = np.sort(np.asarray(data, dtype=float))
     k_all, n = len(np.unique(pts)), len(pts)
     gap = np.diff(np.unique(pts)).min() if k_all > 1 else 1.0
@@ -397,13 +400,19 @@ def mp_step_log_sum(data, power=0, x=None, dps=20):
                     else mp.mpf(2 * (m - k)) / (2 * m - k)
             total += t / mp.mpf(level) ** (2 + power)
 
+        kk, sums = k_all + (x is not None), []  # sums[p - 1] = S_p
+
         def rest(level):
-            m = level * level
-            v = mp.exp(mp.fsum(mp.log1p(-i / m) - mp.log1p(-i / (2 * m))
-                               for i in range(k_all)))
-            if x is not None:
-                v *= 2 * (m - k_all) / (2 * m - k_all)
-            return (v - 1) / level ** (2 + power)
+            inv_m, m_p, log_ratio, p = 1 / mp.mpf(level) ** 2, mp.mpf(1), mp.mpf(0), 0
+            while True:  # m > kk^2: each term is below 1.5 kk / m of the one before
+                p += 1
+                m_p *= inv_m  # m^-p
+                if len(sums) < p:
+                    sums.append(sum(i ** p for i in range(kk)))
+                term = (1 - mp.ldexp(1, -p)) * sums[p - 1] * m_p / p
+                log_ratio -= term
+                if term <= mp.eps * abs(log_ratio):
+                    return mp.expm1(log_ratio) / level ** (2 + power)
 
         tail = mp.zeta(2 + power, last + 1) + mp.nsum(
             rest, [last + 1, mp.inf], method="euler-maclaurin")

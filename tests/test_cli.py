@@ -785,6 +785,31 @@ class TestConfigErrorExit:
         assert f"config error: {out}.json: {where}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "p.svg")
 
+    # plot and traj --config read a sidecar through one check: errors [5]
+    # made plot exit 1 (TypeError), [["x", "m"]] and [[1]] exit 2 without
+    # naming the file, and {} and every version ran, unchecked
+    @pytest.mark.parametrize("key, value", [
+        ("errors", [5]), ("errors", [["x", "m"]]), ("errors", [[1]]), ("errors", {}),
+        ("version", FORMAT_VERSION + 1), ("version", str(FORMAT_VERSION)), ("version", 0)])
+    @pytest.mark.parametrize("command", ["plot", "traj"])
+    def test_a_sidecar_key_at_fault_exits_2(self, tmp_path, capsys, command, key, value):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".json") as fh:
+            side = json.load(fh)
+        side[key] = value
+        with open(out + ".json", "w") as fh:
+            json.dump(side, fh)
+        written = sorted(os.listdir(tmp_path))
+        if command == "plot":
+            argv = ("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                    "--out", str(tmp_path / "p.svg"))
+        else:
+            argv = ("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
+        assert run_cli(*argv) == 2
+        assert f"config error: {out}.json: {key} must be " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == written
+
     # a sidecar's seed is an integer, as in RunConfig.seeds: null and [1]
     # raised TypeError (exit 1), and 1.7 and true ran seed 1
     @pytest.mark.parametrize("seed", [None, [1], 1.7, True, "1"])

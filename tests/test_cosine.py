@@ -184,6 +184,16 @@ class TestClosedFormDistance:
         assert np.allclose(cosine._affinity(past), 1.0, rtol=0.0, atol=2.3e-16)
         assert (cosine_hellinger_uniform(past) == 0.0).all()
 
+    def test_small_theta_without_cancellation(self):
+        # 1 - aff is about t^4 / 1440: sqrt(2 - 2 aff) read 0 at 1e-8 and
+        # 1e-4 and 1.49e-8 at 1e-20, and was not monotone below about 1e-3
+        for t in np.logspace(-12, math.log10(math.pi), 61):
+            with mp.workdps(80):  # 1 - aff keeps 28 digits at t = 1e-12
+                want = mp.sqrt(2 - 2 * mp_affinity(t, 80))
+            assert abs(cosine_hellinger_uniform(t) - want) <= 1e-15 * want, t
+        d = cosine_hellinger_uniform(np.linspace(0.0, 3.8, 100001))
+        assert (np.diff(d) >= 0.0).all()
+
     def test_monotone_start_then_plateau(self):
         small = cosine_hellinger_uniform(0.5)
         mid = cosine_hellinger_uniform(2.5)

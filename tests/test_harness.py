@@ -20,6 +20,7 @@ from posterior_lab import cli, cosine, harness
 from posterior_lab.cosine import CosinePriorConfig
 from posterior_lab.diagnostics import BandSpec, DiagnosticSettings
 from posterior_lab.harness import (
+    FORMAT_VERSION,
     DatasetError,
     ReplicationResult,
     RunConfig,
@@ -398,6 +399,17 @@ class TestConfigSchema:
         loaded = load_trajectory(os.path.join(here, "data", "v1_uniform_n60_seed3"))
         assert loaded.config == RunConfig(n_max=60, seeds=(3,))
         assert loaded.seed == 3 and len(loaded.rows) == len(loaded.grid)
+
+    def test_every_sidecar_pin_loads(self):
+        # one pin or more of each version, read through read_sidecar's
+        # checks; a replicate pin's JSON is its summary, not a sidecar
+        data = os.path.join(os.path.dirname(__file__), "data")
+        stems = sorted(f[:-5] for f in os.listdir(data)
+                       if f.endswith(".json") and "_replicate_" not in f)
+        assert {int(s[1:s.index("_")]) for s in stems} == set(range(1, FORMAT_VERSION + 1))
+        for stem in stems:
+            loaded = load_trajectory(os.path.join(data, stem))
+            assert len(loaded.rows) == len(loaded.grid) > 0, stem
 
 
 class TestTrajectoryRoundTrip:
