@@ -758,6 +758,21 @@ class TestConfigErrorExit:
         assert "config error" in err and where in err
         assert not os.path.exists(tmp_path / "p.svg")
 
+    def test_a_csv_header_other_than_the_sidecar_columns_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".csv") as fh:
+            text = fh.read()
+        assert ",w_n," in text.splitlines()[0]
+        with open(out + ".csv", "w") as fh:
+            fh.write(text.replace(",w_n,", ",w_m,", 1))
+        code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                       "--out", str(tmp_path / "p.svg"))
+        assert code == 2
+        assert (f"config error: {out}.csv: the header does not match the sidecar's "
+                "columns") in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p.svg")
+
     @staticmethod
     def _without(key):
         return lambda side: {k: v for k, v in side.items() if k != key}
