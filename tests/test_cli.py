@@ -525,6 +525,25 @@ class TestPlotCommand:
                            "gamma_stat", "--out", path) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    # bytes that plot wrote before svgplot kept one point rule; the first
+    # chart holds bands, a plain column, a prefix-matched column, a log x
+    # axis, a reference line and a title to escape, the second two inputs,
+    # seed labels and a log y axis over 225 decades
+    @pytest.mark.parametrize("pin, argv", [
+        ("plot_uniform_n60_seed3",
+         ("--input", "v10_uniform_n60_seed3.csv",
+          "--columns", "mass_fstep,w_n,band_prior_exponent", "--log-x",
+          "--refline", "0.693147", "--title", "uniform n<60> & seed 3")),
+        ("plot_hellinger_two_inputs",
+         ("--input", "v10_uniform_n8000_seed65.csv", "v10_cosine_n640_seed3.csv",
+          "--columns", "hellinger_mass_0.5", "--log-y")),
+    ])
+    def test_svg_bytes_are_pinned(self, tmp_path, monkeypatch, pin, argv):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "p.svg"
+        assert run_cli("plot", *argv, "--out", str(out)) == 0
+        assert out.read_bytes() == read_bytes(os.path.join(DATA, pin + ".svg"))
+
     def test_empty_trajectory_exits_2(self, tmp_path):
         prefix = str(tmp_path / "empty")
         with open(prefix + ".csv", "w") as fh:
