@@ -64,24 +64,20 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list:
 
 
 def render_svg(spec: PlotSpec) -> str:
-    def tx(v):
-        return math.log10(v) if spec.log_x else v
+    def kept(xs, vs):
+        """(x, v) on the axes' scales, for each pair that both axes can draw."""
+        return [(a, b) for x, v in zip(xs, vs)
+                if (a := _scaled(x, spec.log_x)) is not None
+                and (b := _scaled(v, spec.log_y)) is not None]
 
-    def ty(v):
-        return math.log10(v) if spec.log_y else v
-
-    xs_all, ys_all = [], []
-    for s in spec.series:
-        for x, y in zip(s.xs, s.ys):
-            if _plottable(x, spec.log_x) and _plottable(y, spec.log_y):
-                xs_all.append(tx(x))
-                ys_all.append(ty(y))
-        for arr in (s.lower, s.upper):
-            if arr is not None:
-                ys_all.extend(ty(v) for v in arr if _plottable(v, spec.log_y))
-    for r in spec.reflines:
-        if _plottable(r, spec.log_y):
-            ys_all.append(ty(r))
+    lines = [kept(s.xs, s.ys) for s in spec.series]
+    bands = [(kept(s.xs, s.lower), kept(s.xs, s.upper))
+             if s.lower is not None and s.upper is not None else ([], [])
+             for s in spec.series]
+    refs = [(r, t) for r in spec.reflines if (t := _scaled(r, spec.log_y)) is not None]
+    xs_all = [x for pts in lines for x, _ in pts]
+    ys_all = [v for pts in lines + [p for b in bands for p in b] for _, v in pts]
+    ys_all += [t for _, t in refs]
     if not xs_all or not ys_all:
         raise ValueError("nothing plottable in the given series")
 
@@ -94,11 +90,14 @@ def render_svg(spec: PlotSpec) -> str:
     pad = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
-    def px(v):
-        return _ML + (tx(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
+    def sx(t):  # the screen map of a value on the x axis's scale
+        return _ML + (t - x0) / (x1 - x0) * (_W - _ML - _MR)
 
-    def py(v):
-        return _H - _MB - (ty(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
+    def sy(t):
+        return _H - _MB - (t - y0) / (y1 - y0) * (_H - _MT - _MB)
+
+    def points(pts):
+        return " ".join(f"{_f(sx(x))},{_f(sy(v))}" for x, v in pts)
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -115,7 +114,7 @@ def render_svg(spec: PlotSpec) -> str:
     out.append(f'<line x1="{_f(_ML)}" y1="{_f(_MT)}" x2="{_f(_ML)}" '
                f'y2="{_f(_H - _MB)}" stroke="#000000" stroke-width="1"/>')
     for t in _ticks(x0, x1):
-        xp = _ML + (t - x0) / (x1 - x0) * (_W - _ML - _MR)
+        xp = sx(t)
         label = f"1e{t:g}" if spec.log_x else f"{t:g}"
         out.append(f'<line x1="{_f(xp)}" y1="{_f(_H - _MB)}" x2="{_f(xp)}" '
                    f'y2="{_f(_H - _MB + 5)}" stroke="#000000" stroke-width="1"/>')
@@ -123,7 +122,7 @@ def render_svg(spec: PlotSpec) -> str:
                    f'text-anchor="middle" font-family="monospace" '
                    f'font-size="11">{label}</text>')
     for t in _ticks(y0, y1):
-        yp = _H - _MB - (t - y0) / (y1 - y0) * (_H - _MT - _MB)
+        yp = sy(t)
         label = f"1e{t:g}" if spec.log_y else f"{t:g}"
         out.append(f'<line x1="{_f(_ML - 5)}" y1="{_f(yp)}" x2="{_f(_ML)}" '
                    f'y2="{_f(yp)}" stroke="#000000" stroke-width="1"/>')
@@ -133,36 +132,17 @@ def render_svg(spec: PlotSpec) -> str:
                f'text-anchor="middle" font-family="monospace" font-size="12">n</text>')
 
     # bracket bands first (under the lines)
-    for i, s in enumerate(spec.series):
-        color = _PALETTE[i % len(_PALETTE)]
-        if s.lower is not None and s.upper is not None:
-            pts = []
-            for x, v in zip(s.xs, s.lower):
-                if _plottable(x, spec.log_x) and _plottable(v, spec.log_y):
-                    pts.append((px(x), py(v)))
-            back = []
-            for x, v in zip(s.xs, s.upper):
-                if _plottable(x, spec.log_x) and _plottable(v, spec.log_y):
-                    back.append((px(x), py(v)))
-            if pts and back:
-                coords = " ".join(f"{_f(a)},{_f(b)}" for a, b in pts + back[::-1])
-                out.append(f'<polygon points="{coords}" fill="{color}" '
-                           f'fill-opacity="0.18" stroke="none"/>')
-
-    for i, s in enumerate(spec.series):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = [(px(x), py(y)) for x, y in zip(s.xs, s.ys)
-               if _plottable(x, spec.log_x) and _plottable(y, spec.log_y)]
-        if not pts:
-            continue
-        coords = " ".join(f"{_f(a)},{_f(b)}" for a, b in pts)
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-
-    for r in spec.reflines:
-        if not _plottable(r, spec.log_y):
-            continue
-        yp = py(r)
+    for i, (lo, hi) in enumerate(bands):
+        if lo and hi:
+            out.append(f'<polygon points="{points(lo + hi[::-1])}" '
+                       f'fill="{_PALETTE[i % len(_PALETTE)]}" fill-opacity="0.18" '
+                       'stroke="none"/>')
+    for i, pts in enumerate(lines):
+        if pts:
+            out.append(f'<polyline points="{points(pts)}" fill="none" '
+                       f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.5"/>')
+    for r, t in refs:
+        yp = sy(t)
         out.append(f'<line x1="{_f(_ML)}" y1="{_f(yp)}" x2="{_f(_W - _MR)}" '
                    f'y2="{_f(yp)}" stroke="#444444" stroke-width="1" '
                    f'stroke-dasharray="6,4"/>')
@@ -183,9 +163,12 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def _plottable(v: float, logscale: bool) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v) and \
-        (not logscale or v > 0.0)
+def _scaled(v: float, logscale: bool):
+    """v on its axis's scale, or None where the axis cannot draw it: a value
+    that is not a finite number, or not positive on a log axis."""
+    if isinstance(v, (int, float)) and math.isfinite(v) and (not logscale or v > 0.0):
+        return math.log10(v) if logscale else v
+    return None
 
 
 def _esc(s: str) -> str:
