@@ -249,13 +249,9 @@ def cmd_plot(args) -> int:
             series.append(Series(name=label_prefix + stem,
                                  xs=[n for n, _ in vals],
                                  ys=[v for _, v in vals]))
-    try:
-        spec = PlotSpec(series=series, log_x=args.log_x, log_y=args.log_y,
-                        reflines=args.refline or [],
-                        title=args.title or "")
-        svg = render_svg(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # nothing to draw is a ValueError, for which main exits 2
+    svg = render_svg(PlotSpec(series=series, log_x=args.log_x, log_y=args.log_y,
+                              reflines=args.refline or [], title=args.title or ""))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

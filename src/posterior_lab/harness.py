@@ -637,47 +637,60 @@ def write_trajectory(traj: TrajectoryRecord, prefix: str) -> tuple:
     return csv_path, json_path
 
 
+# what each entry of a sidecar's list key must be
+_SIDECAR_ENTRIES = (
+    ("columns", "strings", lambda c: type(c) is str),
+    ("grid", "integers", lambda n: type(n) is int),
+    ("errors", "[n, message] pairs",
+     lambda e: type(e) is list and list(map(type, e)) == [int, str]),
+)
 # what each sidecar key must be, checked in order (a bool is no integer)
 _SIDECAR_CHECKS = (
     ("seed", "an integer", lambda v: type(v) is int),
     ("version", f"an integer from 1 to {FORMAT_VERSION}",
      lambda v: type(v) is int and 1 <= v <= FORMAT_VERSION),
-    *((key, "a list", lambda v: type(v) is list) for key in ("columns", "grid", "errors")),
-    ("columns", "a list of strings", lambda v: all(type(c) is str for c in v)),
-    ("grid", "a list of integers", lambda v: all(type(n) is int for n in v)),
-    ("errors", "a list of [n, message] pairs",
-     lambda v: all(type(e) is list and list(map(type, e)) == [int, str] for e in v)),
+    *((key, "a list", lambda v: type(v) is list) for key, _, _ in _SIDECAR_ENTRIES),
 )
 
 
 def read_sidecar(path: str, required: tuple = ()) -> tuple:
     """(RunConfig, seed or None, sidecar or None) of the JSON file ``path``.
-    An object that holds ``config`` is a sidecar, and each key of
-    _SIDECAR_CHECKS it holds is checked; any other is a bare config.  A
-    value that is not an object, a missing key of ``required`` and a key at
-    fault are ConfigErrors naming the file and the key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        side = json.load(fh)
-    if not isinstance(side, dict):
-        raise ConfigError(f"{path}: expected a sidecar object, got {type(side).__name__}")
-    for key in required:
-        if key not in side:
-            raise ConfigError(f"{path}: the sidecar has no {key!r}")
-    if "config" not in side:
-        return RunConfig.from_dict(side), None, None
-    for key, what, ok in _SIDECAR_CHECKS:
-        if key in side and not ok(side[key]):
-            raise ConfigError(f"{path}: {key} must be {what}, got {side[key]!r}")
-    return RunConfig.from_dict(side["config"]), side.get("seed"), side
+    An object that holds ``config`` is a sidecar: each key of _SIDECAR_CHECKS
+    it holds is checked, then each entry of its list keys.  Any other object
+    is a bare config.  Text that is not JSON, a value that is not an object,
+    a missing key of ``required`` and a key, list entry or config at fault
+    are ConfigErrors naming the file and the key or entry."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            side = json.load(fh)
+        if not isinstance(side, dict):
+            raise ConfigError(f"expected a sidecar object, got {type(side).__name__}")
+        for key in required:
+            if key not in side:
+                raise ConfigError(f"the sidecar has no {key!r}")
+        if "config" not in side:
+            return RunConfig.from_dict(side), None, None
+        for key, what, ok in _SIDECAR_CHECKS:
+            if key in side and not ok(side[key]):
+                raise ConfigError(f"{key} must be {what}, got {side[key]!r}")
+        for key, what, ok in _SIDECAR_ENTRIES:
+            for i, v in enumerate(side.get(key, ())):
+                if not ok(v):
+                    raise ConfigError(f"{key} must be a list of {what}, got {v!r} at {key}[{i}]")
+        return RunConfig.from_dict(side["config"]), side.get("seed"), side
+    except ValueError as exc:  # a ConfigError, or JSON that does not parse
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_trajectory(prefix: str) -> TrajectoryRecord:
     """Load a persisted trajectory (CSV + sidecar, which must hold a config,
     columns, grid and seed) back into memory.  A CSV header other than the
     sidecar's columns, a line that is not one number per column and a row
-    count other than the grid's raise ValueError naming the CSV."""
+    count other than the grid's, and a row whose ``.lower`` end of a
+    bracket is above its ``.upper`` end, raise ValueError naming the CSV."""
     cfg, seed, side = read_sidecar(prefix + ".json", ("config", "columns", "grid", "seed"))
     columns, grid, path = side["columns"], side["grid"], prefix + ".csv"
+    stems = [c[:-6] for c in columns if c.endswith(".lower")]
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -688,7 +701,10 @@ def load_trajectory(prefix: str) -> TrajectoryRecord:
             try:
                 if len(vals) != len(columns):
                     raise ValueError(f"{len(vals)} values for {len(columns)} columns")
-                rows.append(dict(zip(columns, map(float, vals))))
+                rows.append(row := dict(zip(columns, map(float, vals))))
+                for stem in stems:  # a NaN end is a gap, not a fault
+                    if row[stem + ".lower"] > row.get(stem + ".upper", math.nan):
+                        raise ValueError(f"{stem}'s lower end is above its upper end")
             except ValueError as exc:
                 raise ValueError(f"{path} line {i}: {exc}") from None
     if len(rows) != len(grid):

@@ -99,8 +99,7 @@ def render_svg(spec: PlotSpec) -> str:
     def points(pts):
         return " ".join(f"{_f(sx(x))},{_f(sy(v))}" for x, v in pts)
 
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" '
                f'height="{_H:g}" viewBox="0 0 {_W:g} {_H:g}">')
     out.append(f'<rect x="0" y="0" width="{_W:g}" height="{_H:g}" fill="#ffffff"/>')

@@ -20,13 +20,16 @@ collect this module, and the package never imports it.
   roots where it crosses 1 - eps^2/2, the oracle of the Hellinger region;
 * the cells of each level in Python integers where a float product is one,
   and the step sum in mpmath, the oracle of the step marginal, the mean of
-  1/N and the step predictive, with the data sets it is checked on.
+  1/N and the step predictive, with the data sets it is checked on;
+* the tilt marginal in mpmath, from the standard library's inverse normal
+  CDF, the oracle of ``BarronEngine.gauss_marginal``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -417,6 +420,46 @@ def mp_step_log_sum(data, power=0, x=None, dps=20):
         tail = mp.zeta(2 + power, last + 1) + mp.nsum(
             rest, [last + 1, mp.inf], method="euler-maclaurin")
         return mp.log(6 / mp.pi**2 * (total + tail / mp.mpf(2) ** k_all)) + n * mp.log(2)
+
+
+def mp_tilt_log_marginal(data, dps=30):
+    """ln (1/Z0) int_0^1 e^(-1/t - n t + sqrt(2 t) S_n) dt in mpmath, with
+    S_n the fsum of the standard library's inverse normal CDF of the data,
+    not the package's inv_norm_cdf."""
+    inv = statistics.NormalDist().inv_cdf
+    s_n = math.fsum(inv(float(x)) for x in data)
+    with mp.workdps(dps):
+        return +(_mp_log_tilt_integral(len(data), mp.mpf(s_n))
+                 - _mp_log_tilt_integral(0, mp.mpf(0)))
+
+
+def _mp_log_tilt_integral(n, s):
+    """ln int_0^1 e^(-1/t - n t + sqrt(2 t) s) dt, taken in u = sqrt(t) with
+    breakpoints at the peak of the integrand and 3 and 10 peak widths
+    (1/sqrt(-h'') there) either side; the peak is found by bisection on
+    h' > 0, as h is concave in u."""
+    rt2s = mp.sqrt(2) * s
+
+    def h(u):  # the log of the integrand in u, dt = 2u du
+        return -1 / u ** 2 - n * u ** 2 + rt2s * u + mp.log(2 * u)
+
+    def dh(u):
+        return 2 / u ** 3 - 2 * n * u + rt2s + 1 / u
+
+    lo, hi = mp.mpf("1e-6"), mp.mpf(1)
+    if dh(hi) >= 0:
+        peak = hi
+    else:
+        for _ in range(mp.mp.prec):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if dh(mid) > 0 else (lo, mid)
+        peak = (lo + hi) / 2
+    width = 1 / mp.sqrt(6 / peak ** 4 + 2 * n + 1 / peak ** 2)
+    pts = sorted({mp.mpf(0), mp.mpf(1),
+                  *(p for k in (-10, -3, 0, 3, 10) if 0 < (p := peak + k * width) < 1)})
+    top = h(peak)
+    body = mp.quad(lambda u: mp.exp(h(u) - top) if u > 0 else mp.mpf(0), pts)
+    return top + mp.log(body)
 
 
 ORACLE_DATA = {

@@ -1,4 +1,4 @@
-"""Record the Barron engine's step brackets against the mpmath step sum over a
+"""Record the Barron engine's step and tilt brackets against mpmath over a
 fixed list of cases; pytest does not collect this script.
 
     PYTHONPATH=src python tests/record_barron_oracles.py LABEL
@@ -13,14 +13,17 @@ ingest the data and answer.  The quantities:
 * ``step_marginal``: ln sum_N w_N 2^n (N^2)_k / (2N^2)_k, the step
   marginal with the likelihood;
 * ``step_prior_mass``: the step marginal without it, shifted by -n ln 2;
-* ``mean_inv_level``: the posterior mean of 1/N within the step component.
+* ``mean_inv_level``: the posterior mean of 1/N within the step component;
+* ``tilt_marginal``: ln (1/Z0) int_0^1 e^(-1/t - n t + sqrt(2 t) S_n) dt,
+  the tilt marginal, whose bracket is ``gauss_marginal().log_bracket()``.
 
 The cases are the data sets of the closed-form oracle tests (``ORACLE_DATA``:
 uniform n = 100 from seed 1, the lattice K = 200, and 0.3, 0.305, 0.9 on a
 decimal cell boundary) and the uniform data of ``traj --seed 65`` at
-n = 1000, 2000, 4000 and 8000, the sizes the lab runs.  The oracle is
+n = 1000, 2000, 4000 and 8000, the sizes the lab runs.  The step oracle is
 ``oracles.mp_step_log_sum`` at 20 digits, and its mean of 1/N the ratio of
-the sums weighted by 1/N and by 1.
+the sums weighted by 1/N and by 1; the tilt oracle is
+``oracles.mp_tilt_log_marginal`` at 30 digits.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import sys
 import time
 
 import mpmath as mp
-from oracles import ORACLE_DATA, mp_step_log_sum
+from oracles import ORACLE_DATA, mp_step_log_sum, mp_tilt_log_marginal
 
 from posterior_lab.barron import BarronEngine
 from posterior_lab.harness import DATA_STREAM
+from posterior_lab.intervals import LogBracket
 from posterior_lab.numerics import RandomStream
 
 SEED = 65
@@ -63,6 +67,7 @@ def main(argv) -> int:
         "step_marginal": lambda e: e.step_marginal(),
         "step_prior_mass": lambda e: e.step_marginal(with_likelihood=False),
         "mean_inv_level": lambda e: e.posterior_over_n(),
+        "tilt_marginal": lambda e: LogBracket(*e.gauss_marginal().log_bracket()),
     }
     lines, misses = [], 0
     for case, make in cases():
@@ -71,7 +76,8 @@ def main(argv) -> int:
             s = mp_step_log_sum(data)
             want = {"step_marginal": s,
                     "step_prior_mass": s - len(data) * mp.log(2),
-                    "mean_inv_level": mp.exp(mp_step_log_sum(data, power=1) - s)}
+                    "mean_inv_level": mp.exp(mp_step_log_sum(data, power=1) - s),
+                    "tilt_marginal": mp_tilt_log_marginal(data)}
         for q, ask in queries.items():
             t0 = time.perf_counter()
             e = BarronEngine()

@@ -860,6 +860,77 @@ class TestConfigErrorExit:
         assert f"{cfg}: seed must be an integer, got {seed!r}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x.csv")
 
+    # a config at fault, or a file that is not JSON, named no file
+    @pytest.mark.parametrize("command, edit, where", [
+        ("traj", lambda side: {"n_max": "x"}, "n_max: expected int, got 'x'"),
+        *((command, lambda side: {**side, "config": {**side["config"], "quad_tol": "x"}},
+           "quad_tol: expected float, got 'x'") for command in ("plot", "traj")),
+        *((command, lambda side: {**side, "config": "oops"},
+           "config: expected an object, got 'oops'") for command in ("plot", "traj")),
+        *((command, lambda side: json.dumps(side)[:-1], "Expecting ',' delimiter")
+          for command in ("plot", "traj")),
+    ], ids=["traj-bare-n_max", "plot-quad_tol", "traj-quad_tol", "plot-config",
+            "traj-config", "plot-not-json", "traj-not-json"])
+    def test_a_config_at_fault_names_its_file(self, tmp_path, capsys, command, edit, where):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".json") as fh:
+            side = edit(json.load(fh))
+        with open(out + ".json", "w") as fh:
+            fh.write(side if isinstance(side, str) else json.dumps(side))
+        written = sorted(os.listdir(tmp_path))
+        if command == "plot":
+            argv = ("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                    "--out", str(tmp_path / "p.svg"))
+        else:
+            argv = ("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
+        assert run_cli(*argv) == 2
+        assert f"config error: {out}.json: {where}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == written
+
+    # a list key at fault was quoted whole, and no entry was named
+    @pytest.mark.parametrize("command", ["plot", "traj"])
+    def test_a_list_key_names_its_first_entry_at_fault(self, tmp_path, capsys, command):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        with open(out + ".json") as fh:
+            side = json.load(fh)
+        side["grid"] = list(range(1, 8001))
+        side["grid"][4000] = side["grid"][6000] = "a"
+        with open(out + ".json", "w") as fh:
+            json.dump(side, fh)
+        if command == "plot":
+            argv = ("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                    "--out", str(tmp_path / "p.svg"))
+        else:
+            argv = ("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (f"config error: {out}.json: grid must be a list of integers, "
+                       "got 'a' at grid[4000]")
+        assert len(err) - len(out) < 200
+        assert not {"p.svg", "x.csv"} & set(os.listdir(tmp_path))
+
+    # an inverted bracket made plot exit 3 ("invalid bracket [0.9, 0.1]")
+    # without naming the file or the column; a NaN end is a gap and loads
+    def test_an_inverted_bracket_in_a_csv_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "base")
+        assert run_cli("traj", "--n-max", "4", "--seed", "1", "--out", out) == 0
+        lines = open(out + ".csv").read().splitlines()
+        col = lines[0].split(",").index("mass_fstep.lower")
+        rows = [line.split(",") for line in lines]
+        rows[1][col] = "nan"
+        rows[2][col:col + 2] = rows[2][col + 1], rows[2][col]
+        assert float(rows[2][col]) > float(rows[2][col + 1])
+        with open(out + ".csv", "w") as fh:
+            fh.write("\n".join(",".join(r) for r in rows) + "\n")
+        code = run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                       "--out", str(tmp_path / "p.svg"))
+        assert code == 2
+        assert (f"config error: {out}.csv line 3: mass_fstep's lower end is above its "
+                "upper end") in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p.svg")
+
     # adding the step never passes b: to inf or from -inf it runs on
     # forever, 1e-300 leaves 0.1 where it is, and 9e-13 takes 10^11 steps.
     # The child runs under a 1 GiB address-space limit and a timeout, so a
