@@ -796,6 +796,14 @@ class TestConfigErrorExit:
     def _without(key):
         return lambda side: {k: v for k, v in side.items() if k != key}
 
+    @staticmethod
+    def _read_back(command, out, tmp_path):
+        """The exit code of plot on ``out``.csv or of traj --config ``out``.json."""
+        if command == "plot":
+            return run_cli("plot", "--input", out + ".csv", "--columns", "mass_fstep",
+                           "--out", str(tmp_path / "p.svg"))
+        return run_cli("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
+
     @pytest.mark.parametrize("edit, where", [
         (lambda side: [side], "expected a sidecar object, got list"),
         (_without("config"), "the sidecar has no 'config'"),
@@ -835,12 +843,7 @@ class TestConfigErrorExit:
         with open(out + ".json", "w") as fh:
             json.dump(side, fh)
         written = sorted(os.listdir(tmp_path))
-        if command == "plot":
-            argv = ("plot", "--input", out + ".csv", "--columns", "mass_fstep",
-                    "--out", str(tmp_path / "p.svg"))
-        else:
-            argv = ("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
-        assert run_cli(*argv) == 2
+        assert self._read_back(command, out, tmp_path) == 2
         assert f"config error: {out}.json: {key} must be " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == written
 
@@ -879,12 +882,7 @@ class TestConfigErrorExit:
         with open(out + ".json", "w") as fh:
             fh.write(side if isinstance(side, str) else json.dumps(side))
         written = sorted(os.listdir(tmp_path))
-        if command == "plot":
-            argv = ("plot", "--input", out + ".csv", "--columns", "mass_fstep",
-                    "--out", str(tmp_path / "p.svg"))
-        else:
-            argv = ("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
-        assert run_cli(*argv) == 2
+        assert self._read_back(command, out, tmp_path) == 2
         assert f"config error: {out}.json: {where}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == written
 
@@ -899,12 +897,7 @@ class TestConfigErrorExit:
         side["grid"][4000] = side["grid"][6000] = "a"
         with open(out + ".json", "w") as fh:
             json.dump(side, fh)
-        if command == "plot":
-            argv = ("plot", "--input", out + ".csv", "--columns", "mass_fstep",
-                    "--out", str(tmp_path / "p.svg"))
-        else:
-            argv = ("traj", "--config", out + ".json", "--out", str(tmp_path / "x"))
-        assert run_cli(*argv) == 2
+        assert self._read_back(command, out, tmp_path) == 2
         err = capsys.readouterr().err.strip()
         assert err == (f"config error: {out}.json: grid must be a list of integers, "
                        "got 'a' at grid[4000]")
