@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import cell_floor, gauss_exp_hellinger_threshold, HELLINGER_STEP_UNIFORM
-from .intervals import Bracket, LogBracket, mass_ratio
+from .intervals import Bracket, LogBracket, add_outward, mass_ratio, mass_share
 from .numerics import (
     LN2,
     LOG_ZERO,
@@ -311,8 +311,8 @@ class PosteriorTheta:
             return Bracket(0.0, 0.0)
         if lo == 0.0 and hi == 1.0:
             return Bracket(1.0, 1.0)  # the whole component, by definition
-        return _mass(LogBracket(*self._integral(lo, hi).log_bracket()),
-                     LogBracket(*self._normalizer.log_bracket()))
+        return mass_share(LogBracket(*self._integral(lo, hi).log_bracket()),
+                          LogBracket(*self._normalizer.log_bracket()))
 
     def prior_ball_mass(self, delta: float) -> Bracket:
         """Prior mass of {theta < delta}; since KL(uniform, f_theta) = theta,
@@ -321,8 +321,8 @@ class PosteriorTheta:
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0,1], got {delta}")
         prior = _prior(self.quad_tol)
-        return _mass(LogBracket(*prior._integral(0.0, delta).log_bracket()),
-                     LogBracket(*prior._normalizer.log_bracket()))
+        return mass_share(LogBracket(*prior._integral(0.0, delta).log_bracket()),
+                          LogBracket(*prior._normalizer.log_bracket()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,16 +330,6 @@ def _prior(tol: float) -> PosteriorTheta:
     """The data-free tilt state: its normalizer is Z0, the integral of
     e^(-1/theta) over [0,1], which depends on the tolerance alone."""
     return PosteriorTheta(0, 0.0, tol)
-
-
-def _exp_or_zero(v: float) -> float:
-    return math.exp(v) if v > LOG_ZERO else 0.0
-
-
-def _mass(part: LogBracket, total: LogBracket) -> Bracket:
-    """Enclosure of part / total <= 1, both ends capped at 1."""
-    return Bracket(min(1.0, _exp_or_zero(part.lower - total.upper)),
-                   min(1.0, _exp_or_zero(part.upper - total.lower)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,7 +599,7 @@ class BarronEngine:
         lo, hi = st.head
         log_n = np.log(np.arange(1, lo.size + 1, dtype=np.float64))
         inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(st.inv_level_tail)
-        return _mass(inv, st.step_sum)
+        return mass_share(inv, st.step_sum)
 
     def set_mass(self, steps: bool, thetas=()) -> Bracket:
         """Posterior mass of the set that holds every step density if
@@ -620,11 +610,14 @@ class BarronEngine:
         if not steps and not thetas:
             return Bracket(0.0, 0.0)
         f0, fstep = self.posterior_split()
-        # a plain left fold of each end: sum() compensates from Python 3.12
+        # a left fold of each end, each product and sum rounded outward
+        # (sum() compensates from Python 3.12)
         lo, hi = (fstep.lower, fstep.upper) if steps else (0.0, 0.0)
         for a, b in thetas:
             im = self._theta.interval_mass(a, b)
-            lo, hi = lo + f0.lower * im.lower, hi + f0.upper * im.upper
+            if im.upper > 0.0:
+                lo = add_outward(lo, math.nextafter(f0.lower * im.lower, 0.0), False)
+                hi = add_outward(hi, math.nextafter(f0.upper * im.upper, math.inf), True)
         return Bracket(min(lo, 1.0), min(hi, 1.0))
 
     def hellinger_ball_mass(self, eps: float) -> Bracket:

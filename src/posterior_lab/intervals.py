@@ -5,7 +5,8 @@ quantity (marginals, series with truncated tails); ``Bracket`` carries plain
 linear bounds (posterior masses, probabilities).  ``add`` widens each end
 by a fixed slack, or by one ulp of the end where that is more (past 1024 in
 magnitude); ``sum_of`` widens by its own term, scaled with the count and
-the size of the sum; ``shift`` rounds each end to nearest.
+the size of the sum; ``shift`` rounds each end outward where its sum is
+inexact.  A linear mass that is positive keeps an upper end >= ulp(0).
 """
 
 from __future__ import annotations
@@ -56,12 +57,11 @@ class LogBracket:
                           hi + max(COMBINE_SLACK, math.ulp(hi)) if hi > LOG_ZERO else hi)
 
     def shift(self, c: float) -> "LogBracket":
-        """Multiply the underlying quantity by e^c: each end plus c, rounded
-        to nearest, so an end may move inward past the true value by up to
-        half an ulp.  Rounding outward moves bits, so that mend rides the
-        format v11 bundle."""
-        return LogBracket(self.lower + c if self.lower > LOG_ZERO else LOG_ZERO,
-                          self.upper + c if self.upper > LOG_ZERO else LOG_ZERO)
+        """Multiply the underlying quantity by e^c: each end plus c, one ulp
+        outward where the sum is inexact, so an exact shift (c = 0 among
+        them) keeps its bits."""
+        return LogBracket(add_outward(self.lower, c, False) if self.lower > LOG_ZERO else LOG_ZERO,
+                          add_outward(self.upper, c, True) if self.upper > LOG_ZERO else LOG_ZERO)
 
     def width(self) -> float:
         if self.upper == LOG_ZERO:
@@ -104,12 +104,33 @@ class Bracket:
         return self.lower <= v <= self.upper
 
 
+def add_outward(a: float, b: float, up: bool) -> float:
+    """a + b, one ulp up (or down) where TwoSum's error puts the exact sum
+    above (below) it (Knuth, TAOCP vol. 2, 4.2.2): an exact sum keeps its bits."""
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)
+    if err > 0.0 if up else err < 0.0:
+        return math.nextafter(s, math.inf if up else -math.inf)
+    return s
+
+
+def _positive_upper(hi: float, log_part: float) -> float:
+    """A mass's upper end, at least ulp(0) while its part is positive."""
+    return max(hi, math.ulp(0.0)) if log_part > LOG_ZERO else hi
+
+
+def mass_share(part: LogBracket, total: LogBracket) -> Bracket:
+    """Enclosure of part / total <= 1, both ends capped at 1."""
+    return Bracket(min(1.0, math.exp(part.lower - total.upper)),
+                   min(1.0, _positive_upper(math.exp(part.upper - total.lower), part.upper)))
+
+
 def mass_ratio(num: LogBracket, rest: LogBracket) -> Bracket:
     """Enclosure of A/(A+B) given log enclosures of A and B.
 
     Endpoints are matched so that mass_ratio(A, B) and mass_ratio(B, A)
-    sum to exactly 1 at opposite ends.  An upper end with a positive
-    numerator is rounded up to at least the smallest subnormal.
+    sum to exactly 1 at opposite ends.
     """
     def ratio(log_a: float, log_b: float) -> float:
         if log_a == LOG_ZERO:
@@ -124,7 +145,5 @@ def mass_ratio(num: LogBracket, rest: LogBracket) -> Bracket:
             return math.exp(-d)
 
     lo = ratio(num.lower, rest.upper)
-    hi = ratio(num.upper, rest.lower)
-    if num.upper > LOG_ZERO:
-        hi = max(hi, math.ulp(0.0))
+    hi = _positive_upper(ratio(num.upper, rest.lower), num.upper)
     return Bracket(min(lo, hi), max(lo, hi))

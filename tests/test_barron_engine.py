@@ -37,7 +37,7 @@ from posterior_lab.diagnostics import (
     barron_statistics,
     evaluate_diagnostics,
 )
-from posterior_lab.intervals import LogBracket
+from posterior_lab.intervals import LogBracket, mass_share
 from posterior_lab.numerics import (
     LN2,
     LOG_ZERO,
@@ -65,7 +65,7 @@ def level_weights(e):
     st = e.step
     (lo, hi), total = st.head, st.step_sum
     return (np.exp(lo - total.upper), np.minimum(1.0, np.exp(hi - total.lower)),
-            barron._mass(st.tail, total))
+            mass_share(st.tail, total))
 
 
 def first_two_head_terms(e):
@@ -706,6 +706,17 @@ class TestSetMass:
         e = BarronEngine(truth=UniformDensity())
         e.add_points(RandomStream(1, 0).uniform_open(50))
         assert e.set_mass(True) == e.posterior_split()[1]
+
+    def test_a_mass_that_underflows_keeps_a_positive_upper_end(self):
+        # seed 65, n = 8000: the interval's log integral is about -4417.5 and
+        # the normalizer's -204.2, a mass near e^-4213, and the tilt mass
+        # about 4.2e-85; both ends of each linear mass used to read 0
+        e = BarronEngine(truth=UniformDensity())
+        e.add_points(RandomStream(65, 0).uniform_open(8000))
+        theta = 0.5341255704980905
+        for got in (e.posterior_theta().interval_mass(theta, 1.0),
+                    e.set_mass(False, [(theta, 1.0)])):
+            assert (got.lower, got.upper) == (0.0, math.ulp(0.0))
 
 
 class TestHellingerBallMass:

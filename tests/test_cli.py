@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from goldens import GOLDENS
+from goldens import DATA, GOLDENS, read_bytes, sidecar_fields
 from posterior_lab.cli import (
     _config_from_args,
     build_parser,
@@ -23,9 +23,6 @@ from posterior_lab.cli import (
 )
 from posterior_lab.cosine import CosinePriorConfig
 from posterior_lab.harness import _RETIRED_KEYS, FORMAT_VERSION, RunConfig
-
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(*argv):
@@ -103,18 +100,12 @@ def assert_sidecars_differ_in_version(golden, out, version):
     assert was == now
 
 
-def read_bytes(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def golden_cases():
     for g in GOLDENS:
         if g.command:
             yield from (pytest.param(g, jobs, id=f"{g.name}-jobs{jobs}") for jobs in g.jobs)
         else:
-            yield from (pytest.param(g, v, id=f"v{v}_{g.name}") for v in g.versions()
-                        if v < FORMAT_VERSION)
+            yield from (pytest.param(g, v, id=f"v{v}_{g.name}") for v in g.versions()[:-1])
 
 
 # each golden set keeps the rule tests/goldens.py states for it: the gauss
@@ -136,25 +127,43 @@ def test_golden_replays_by_its_rule(tmp_path, monkeypatch, golden, arg):
         assert run_cli("traj", "--config", golden.pin(arg) + ".json", "--out", "r") == 0
         out, stored, tol = "r", [arg], sidecar_quad_tol(golden.pin(arg))
         assert_sidecars_differ_in_version(golden.pin(arg), out, arg)
-    if golden.same_since is not None:
-        for ext in (".csv", ".json"):
-            assert read_bytes(golden.pin(FORMAT_VERSION) + ext) == read_bytes(out + ext), ext
+    assert golden.differs(out) == []
     new = read_csv_cells(out + ".csv")
     for version in stored:
-        pin = golden.pin(version)
-        if golden.same_since is not None and version >= golden.same_since:
-            assert read_bytes(pin + ".csv") == read_bytes(out + ".csv"), version
-        old = read_csv_cells(pin + ".csv")
-        assert_replay_nests(old, new, golden.slack * tol)
+        old = read_csv_cells(golden.pin(version) + ".csv")
+        assert_replay_nests(old, new, golden.slack(tol))
         assert_bracket_free_columns_keep(old, new)
+
+
+def pin_contents(stem):
+    """A pin's CSV bytes and its sidecar or summary but ``version`` (None
+    for a pin without one)."""
+    side = stem + ".json"
+    return read_bytes(stem + ".csv"), sidecar_fields(side) if os.path.exists(side) else None
+
+
+def pins_by_set():
+    """The versions of every pin under tests/data, oldest first, by set."""
+    found = {}
+    for m in filter(None, (re.fullmatch(r"v(\d+)_(.+)\.csv", f) for f in os.listdir(DATA))):
+        found.setdefault(m[2], []).append(int(m[1]))
+    return {name: sorted(versions) for name, versions in found.items()}
+
+
+# a set gains a pin only where a format bump moves its bytes: a pin equal to
+# the one before it but for its version is a copy that no rule needs
+@pytest.mark.parametrize("name, versions", [pytest.param(*kv, id=kv[0])
+                                            for kv in sorted(pins_by_set().items())])
+def test_no_pin_is_a_byte_copy_of_the_one_before_it(name, versions):
+    contents = [pin_contents(os.path.join(DATA, f"v{v}_{name}")) for v in versions]
+    assert [v for v, was, now in zip(versions[1:], contents, contents[1:]) if was == now] == []
 
 
 # v10 cut each Hellinger region at its own crossings, one query per eps
 # where v9 took a pair of 0.02-grid envelopes: only the hellinger_mass_*
 # cells of a cosine pin moved, and at n = 640 each of them is a sharp
 # bracket wherever the region's mass is above 0
-@pytest.mark.parametrize("name", [g.name for g in GOLDENS if g.model == "cosine"
-                                  and g.same_since is not None])
+@pytest.mark.parametrize("name", ["cosine_n640_seed3", "replicate_cosine_n300_seeds1-3"])
 def test_v10_moved_only_the_hellinger_columns(name):
     old, new = (read_csv_cells(os.path.join(DATA, f"v{v}_{name}.csv")) for v in (9, 10))
     assert [list(r) for r in old] == [list(r) for r in new]
@@ -166,6 +175,26 @@ def test_v10_moved_only_the_hellinger_columns(name):
     # a trajectory sidecar names its version; a replicate summary does not
     assert (was.pop("version", 9), now.pop("version", 10)) == (9, 10)
     assert was == now
+
+
+# v11 rounds LogBracket.shift and set_mass's fold outward: against the pin
+# before it each v11 pin keeps its columns and grid and the bytes of every
+# column without a bracket (band_prior_exponent within its bound), and every
+# bracket end that moved moved outward; cosine_n40_seed1's pin before v11 is
+# v5's, older than v8-v10's cosine moves, so it keeps only the replay rule
+@pytest.mark.parametrize("golden", [pytest.param(g, id=g.name) for g in GOLDENS
+                                    if 11 in g.versions() and g.name != "cosine_n40_seed1"])
+def test_v11_moved_bracket_ends_outward(golden):
+    old, new = (read_csv_cells(golden.pin(v) + ".csv") for v in golden.versions()[-2:])
+    assert [list(r) for r in old] == [list(r) for r in new]
+    assert [r["n"] for r in old] == [r["n"] for r in new]
+    assert_bracket_free_columns_keep(old, new)
+    moved = 0
+    for was, now in zip(old, new):
+        for col in (c for c in was if (".lower" in c or ".upper" in c) and was[c] != now[c]):
+            moved += 1
+            assert (float(now[col]) > float(was[col])) == (".upper" in col), (was["n"], col)
+    assert moved
 
 
 def test_v10_hellinger_brackets_are_sharp():
@@ -275,19 +304,6 @@ class TestTrajCommand:
         assert_replay_nests(old, new, 2.0 * sidecar_quad_tol(golden))
         assert_bracket_free_columns_keep(old, new)
         assert_sidecars_differ_in_version(golden, out, 3)
-
-    # v8 and v9 moved the cosine bits, by rounding and by the head and the
-    # reach: each cosine run at n = 640 replays with every bracket inside its
-    # own stored one up to 2 quad_tol, and a sidecar equal but for its version
-    @pytest.mark.parametrize("name", ["v6_cosine_n640_seed3", "v7_cosine_n640_seed3",
-                                      "v8_cosine_n640_seed3"])
-    def test_cosine_sidecar_replays_inside_its_brackets(self, tmp_path, name):
-        golden = os.path.join(DATA, name)
-        out = str(tmp_path / "replay")
-        assert run_cli("traj", "--config", golden + ".json", "--out", out) == 0
-        old, new = read_csv_cells(golden + ".csv"), read_csv_cells(out + ".csv")
-        assert_replay_nests(old, new, 2.0 * sidecar_quad_tol(golden))
-        assert_sidecars_differ_in_version(golden, out, int(name[1]))
 
     def test_partial_config_takes_the_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -531,11 +547,11 @@ class TestPlotCommand:
     # seed labels and a log y axis over 225 decades
     @pytest.mark.parametrize("pin, argv", [
         ("plot_uniform_n60_seed3",
-         ("--input", "v10_uniform_n60_seed3.csv",
+         ("--input", "v7_uniform_n60_seed3.csv",
           "--columns", "mass_fstep,w_n,band_prior_exponent", "--log-x",
           "--refline", "0.693147", "--title", "uniform n<60> & seed 3")),
         ("plot_hellinger_two_inputs",
-         ("--input", "v10_uniform_n8000_seed65.csv", "v10_cosine_n640_seed3.csv",
+         ("--input", "v7_uniform_n8000_seed65.csv", "v10_cosine_n640_seed3.csv",
           "--columns", "hellinger_mass_0.5", "--log-y")),
     ])
     def test_svg_bytes_are_pinned(self, tmp_path, monkeypatch, pin, argv):

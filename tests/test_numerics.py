@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import abs_error_bound, estimate, inv_norm_cdf_point, on_nodes
 
 from posterior_lab import numerics
-from posterior_lab.intervals import LogBracket, mass_ratio
+from posterior_lab.intervals import LogBracket, mass_ratio, mass_share
 from posterior_lab.numerics import (
     LOG_ZERO,
     NumericError,
@@ -577,6 +577,60 @@ class TestMassRatio:
     def test_zero_numerator_stays_zero(self):
         got = mass_ratio(LogBracket(LOG_ZERO, LOG_ZERO), LogBracket.point(0.0))
         assert got.lower == got.upper == 0.0
+
+
+class TestMassShare:
+    def test_an_underflowing_share_keeps_a_positive_upper_end(self):
+        got = mass_share(LogBracket(-4417.5, -4417.4), LogBracket(-204.2, -204.1))
+        assert (got.lower, got.upper) == (0.0, math.ulp(0.0))
+
+    def test_a_zero_part_stays_zero(self):
+        got = mass_share(LogBracket(LOG_ZERO, LOG_ZERO), LogBracket.point(0.0))
+        assert got.lower == got.upper == 0.0
+
+    def test_ends_are_capped_at_one(self):
+        got = mass_share(LogBracket(-1e-15, 1e-15), LogBracket(-1e-15, 1e-15))
+        assert got.lower < 1.0 == got.upper
+
+
+class TestLogBracketShift:
+    @pytest.mark.parametrize("c", [1e-17, -1e-17])
+    def test_a_shift_below_half_an_ulp_rounds_outward(self, c):
+        # 1 + c rounds to 1.0 either way: to nearest, one end would lie on
+        # the wrong side of the true value
+        got = LogBracket.point(1.0).shift(c)
+        with mp.workdps(50):
+            want = mp.mpf(1.0) + mp.mpf(c)
+            assert got.lower < want < got.upper
+        assert got.width() == math.ulp(1.0) / (2.0 if c < 0 else 1.0)
+
+    def test_random_shifts_enclose_the_mpmath_value(self):
+        # ends across the scales the engines shift: near 0, past 1024 in
+        # magnitude, and near -745, where a linear mass turns subnormal
+        rng = np.random.default_rng(29)
+        ends = np.concatenate([rng.uniform(-3.0, 3.0, 4000),
+                               rng.uniform(1024.0, 9000.0, 4000) * rng.choice([-1.0, 1.0], 4000),
+                               rng.uniform(-746.0, -744.0, 4000)])
+        cs = rng.uniform(-800.0, 800.0, ends.size) * 10.0 ** rng.uniform(-18.0, 0.0, ends.size)
+        moved = 0
+        with mp.workdps(50):
+            for end, c in zip(ends.tolist(), cs.tolist()):
+                got = LogBracket(end, end).shift(c)
+                want = mp.mpf(end) + mp.mpf(c)
+                assert got.lower <= want <= got.upper, (end, c)
+                assert got.width() <= math.ulp(got.upper), (end, c)
+                moved += got.lower != got.upper
+        assert moved > ends.size // 2
+
+    @pytest.mark.parametrize("end, c", [(1.0, 0.0), (-745.1, 0.0), (2.0, 1.0),
+                                        (-4417.5, 0.25), (1030.0, -6.0)])
+    def test_an_exact_shift_keeps_its_bits(self, end, c):
+        got = LogBracket(end, end).shift(c)
+        assert got.lower == got.upper == end + c
+
+    def test_a_zero_end_stays_zero(self):
+        got = LogBracket(LOG_ZERO, 0.5).shift(3.0)
+        assert (got.lower, got.upper) == (LOG_ZERO, 3.5)
 
 
 class TestLogBracketAdd:
