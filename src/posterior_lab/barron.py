@@ -45,12 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import cell_floor, gauss_exp_hellinger_threshold, HELLINGER_STEP_UNIFORM
-from .intervals import Bracket, LogBracket, add_outward, mass_ratio, mass_share
+from .intervals import Bracket, LogBracket, mass_ratio, mass_share
 from .numerics import (
     LN2,
     LOG_ZERO,
     QuadratureResult,
     adaptive_quadrature,
+    add_outward,
     binet,
     inv_norm_cdf,
     kronrod_nodes,
@@ -293,16 +294,13 @@ class PosteriorTheta:
 
     @functools.cached_property
     def _marginal(self) -> QuadratureResult:
-        """ln of the component's marginal likelihood, the normalizer over Z0,
-        with the two relative bounds composed."""
+        """ln of the component's marginal likelihood, the normalizer over Z0
+        (QuadratureResult.over: the estimate's rounding and the two relative
+        bounds composed, rounded up)."""
         if self.n == 0 and self.s_n == 0.0:
             # numerator and normalizer are the same integral
             return QuadratureResult(0.0, 0.0, 0)
-        num, den = self._normalizer, _prior(self.quad_tol)._normalizer
-        rel = (1.0 + num.rel_error_bound) * (1.0 + den.rel_error_bound) - 1.0
-        return QuadratureResult(log_estimate=num.log_estimate - den.log_estimate,
-                                rel_error_bound=rel,
-                                evaluations=num.evaluations + den.evaluations)
+        return self._normalizer.over(_prior(self.quad_tol)._normalizer)
 
     def interval_mass(self, lo: float, hi: float) -> Bracket:
         """Posterior mass of {lo <= theta <= hi} within the tilt family."""
@@ -511,6 +509,11 @@ class BarronEngine:
         return self._s / self.n if self.n else 0.0
 
     @property
+    def sum_log_truth(self) -> float:
+        """sum_i ln f_star(x_i), folded in data order; 0 under the uniform truth."""
+        return self._sum_log_truth
+
+    @property
     def mean_log_truth(self) -> float:
         """(1/n) sum_i ln f_star(x_i); 0 under the uniform truth."""
         return self._sum_log_truth / self.n if self.n else 0.0
@@ -586,7 +589,7 @@ class BarronEngine:
 
     def log_evidence(self) -> LogBracket:
         """Enclosure of ln integral of the likelihood against the prior
-        (uniform reference); subtract n * mean_log_truth for the
+        (uniform reference); shift by -sum_log_truth for the
         likelihood-ratio normalization."""
         g, s = self.component_marginals()
         return g.add(s)
@@ -598,8 +601,12 @@ class BarronEngine:
         st = self._step
         lo, hi = st.head
         log_n = np.log(np.arange(1, lo.size + 1, dtype=np.float64))
-        inv = LogBracket.sum_of(lo - log_n, hi - log_n).add(st.inv_level_tail)
-        return mass_share(inv, st.step_sum)
+        # the terms ln w_N - ln N rounded outward: np.log within an ulp (as
+        # numpy's accuracy tests hold), each difference one ulp out (an upper
+        # end of LOG_ZERO steps to -1.8e308, whose e^ is 0 all the same)
+        inv = LogBracket.sum_of(np.nextafter(lo - np.nextafter(log_n, np.inf), -np.inf),
+                                np.nextafter(hi - np.nextafter(log_n, -np.inf), np.inf))
+        return mass_share(inv.add(st.inv_level_tail), st.step_sum)
 
     def set_mass(self, steps: bool, thetas=()) -> Bracket:
         """Posterior mass of the set that holds every step density if

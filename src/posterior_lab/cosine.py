@@ -51,7 +51,7 @@ from .cosine_likelihood import Lattice, panel_loglik
 from .densities import cosine_normalizer
 from .intervals import Bracket, LogBracket, mass_ratio
 from .numerics import (LN2, LOG_ZERO, MAX_INTERVALS, QuadratureError, QuadraturePiece,
-                       kronrod_nodes, lockstep_quadrature, log_add, log_sum_exp)
+                       kronrod_nodes, lockstep_quadrature, log_add)
 
 __all__ = [
     "PRIOR_PARAMS",
@@ -498,7 +498,8 @@ class CosineEngine:
     def _sum(pieces, brackets) -> list:
         """[in, out]: log enclosures of the summed brackets (``_integrate``)
         of the cut pieces on each side, a sliver (side 2) in the upper end of
-        both; the first piece that failed raises its error."""
+        both, each summed by LogBracket.sum_of and so widened by its rounding;
+        the first piece that failed raises its error."""
         los, his = ([], []), ([], [])
         for key, side in pieces:
             br = brackets[key]
@@ -508,7 +509,7 @@ class CosineEngine:
                 his[i].append(br.upper)
             if side != 2:
                 los[side].append(br.lower)
-        return [LogBracket(log_sum_exp(l), log_sum_exp(h)) for l, h in zip(los, his)]
+        return [LogBracket.sum_of(l, h) for l, h in zip(los, his)]
 
     def _solve(self, queries) -> None:
         """(in, out) of every query the results lack, its pieces refined in
@@ -562,12 +563,10 @@ class CosineEngine:
             q, (parts, tb, side), pieces = plan
             if pieces:
                 parts = [p.add(e) for p, e in zip(parts, self._sum(pieces, brackets))]
-            inside, outside = parts
-            if side is not False:
-                inside = LogBracket(inside.lower, log_add(inside.upper, tb))
-            if side is not True:
-                outside = LogBracket(outside.lower, log_add(outside.upper, tb))
-            self._results[q] = inside, outside
+            # the tail bound joins (in, out) on each side that may hold it
+            tail = LogBracket(LOG_ZERO, tb)
+            self._results[q] = tuple(p if side is s else p.add(tail)
+                                     for p, s in zip(parts, (False, True)))
 
         each(extend)
         each(finish)

@@ -213,9 +213,8 @@ def evidence_lower_flag(engine: BarronEngine, tau: float) -> bool:
     ratio normalization) is at least e^(-tau n)."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    ev = engine.log_evidence()
-    ratio_lower = ev.lower - engine.n * engine.mean_log_truth
-    return ratio_lower >= -tau * engine.n
+    ratio = engine.log_evidence().shift(-engine.sum_log_truth)
+    return ratio.lower >= -tau * engine.n
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def barron_statistics(settings: DiagnosticSettings) -> list:
         # log_evidence in the likelihood-ratio normalization, as the flag reads it
         ("evidence", ["evidence_flag", *_ends("log_evidence")],
          lambda e: (float(evidence_lower_flag(e, settings.tau)),
-                    *_pair(e.log_evidence().shift(-e.n * e.mean_log_truth)))),
+                    *_pair(e.log_evidence().shift(-e.sum_log_truth)))),
     ]
     if settings.track_mean_inv_level:
         stats.append(("posterior_over_n", _ends("mean_inv_level"),

@@ -61,7 +61,7 @@ __all__ = [
 
 log = logging.getLogger("posterior_lab")
 
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 # keys that older formats wrote, by dotted path, each accepted only at the
 # value every run that wrote it used: the truncation knobs of v1, the

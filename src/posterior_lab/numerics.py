@@ -35,6 +35,7 @@ __all__ = [
     "LN2",
     "log_add",
     "log_sum_exp",
+    "add_outward",
     "norm_cdf",
     "inv_norm_cdf",
     "binet",
@@ -77,6 +78,17 @@ def log_sum_exp(terms) -> float:
     if math.isinf(m):  # +inf dominates
         return m
     return m + math.log(float(np.exp(arr - m).sum()))
+
+
+def add_outward(a: float, b: float, up: bool) -> float:
+    """a + b, one ulp up (or down) where TwoSum's error puts the exact sum
+    above (below) it (Knuth, TAOCP vol. 2, 4.2.2): an exact sum keeps its bits."""
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)
+    if err > 0.0 if up else err < 0.0:
+        return math.nextafter(s, math.inf if up else -math.inf)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +306,29 @@ class QuadratureResult:
     evaluations: int
 
     def log_bracket(self) -> tuple[float, float]:
-        """[lower, upper] bracket on the log of the integral."""
-        r = self.rel_error_bound
+        """[lower, upper] bracket on the log of the integral, log_estimate +
+        ln(1 -+ r), each end rounded outward: the log1p one ulp (it is within
+        an ulp), the sum by add_outward.  r = 0 keeps the estimate's bits."""
+        est, r = self.log_estimate, self.rel_error_bound
+        if r == 0.0:
+            return (est, est)
+        hi = add_outward(est, math.nextafter(math.log1p(r), math.inf), True)
         if r >= 1.0:
-            return (LOG_ZERO, self.log_estimate + math.log1p(r))
-        return (self.log_estimate + math.log1p(-r),
-                self.log_estimate + math.log1p(r))
+            return (LOG_ZERO, hi)
+        return (add_outward(est, math.nextafter(math.log1p(-r), -math.inf), False), hi)
+
+    def over(self, other: "QuadratureResult") -> "QuadratureResult":
+        """The ratio of this integral to ``other``'s.  With relative bounds a
+        and b the ratio lies within e^est [(1 - a) / (1 + b), (1 + a) / (1 - b)],
+        inside 1 -+ (a + b) / (1 - b); the difference est rounds by at most
+        half an ulp, a factor e^(ulp/2) on the ratio, which ulp(est) / (1 - b)
+        covers for a < 1 (and the factor below past it); and the bound, five
+        roundings, is raised by a factor 1 + 8 eps.  At b >= 1 the bound is
+        infinite."""
+        est = self.log_estimate - other.log_estimate
+        a, b = self.rel_error_bound, other.rel_error_bound
+        rel = (a + b + math.ulp(est)) / (1.0 - b) * (1.0 + 8.0 * _EPS) if b < 1.0 else math.inf
+        return QuadratureResult(est, rel, self.evaluations + other.evaluations)
 
 
 # QUADPACK's qk15: the nonnegative Kronrod nodes of [-1, 1] (those at odd

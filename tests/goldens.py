@@ -27,7 +27,8 @@ against set NAME's newest pin and exits 1 if any file differs;
     python tests/goldens.py record NAME GOT
 
 compares GOT with the newest committed ``ORACLE_NAME_v<k>.json``, every field
-of every line but the run time, and exits 1 if any differs.
+of every line but the run time, and exits 1 if any differs.  Any other call,
+a NAME that no set or record has among them, prints this text and exits 2.
 """
 
 from __future__ import annotations
@@ -125,18 +126,22 @@ def main(argv) -> int:
                 print(g.name, "traj --config", g.pin(g.versions()[-2]) + ".json")
         return 0
     if argv[1:2] == ["check"] and len(argv) == 4:
-        bad = next(g for g in GOLDENS if g.name == argv[2]).differs(argv[3])
-        print(f"{argv[3]}: files that differ from {argv[2]}'s newest pin: {bad}")
-        return int(bool(bad))
+        golden = next((g for g in GOLDENS if g.name == argv[2]), None)
+        if golden:
+            bad = golden.differs(argv[3])
+            print(f"{argv[3]}: files that differ from {argv[2]}'s newest pin: {bad}")
+            return int(bool(bad))
     if argv[1:2] == ["record"] and len(argv) == 4:
         root = os.path.dirname(TESTS)
         pattern = re.compile(rf"ORACLE_{re.escape(argv[2])}_v(\d+)\.json")
         want = max((f for f in os.listdir(root) if pattern.fullmatch(f)),
-                   key=lambda f: int(pattern.fullmatch(f)[1]))
-        got, want_lines = record_lines(argv[3]), record_lines(os.path.join(root, want))
-        bad = [i + 1 for i, (a, b) in enumerate(zip(got, want_lines)) if a != b]
-        print(f"{argv[3]}: {len(got)} lines, {want}: {len(want_lines)}; lines that differ: {bad}")
-        return int(bool(bad) or len(got) != len(want_lines))
+                   key=lambda f: int(pattern.fullmatch(f)[1]), default=None)
+        if want:
+            got, want_lines = record_lines(argv[3]), record_lines(os.path.join(root, want))
+            bad = [i + 1 for i, (a, b) in enumerate(zip(got, want_lines)) if a != b]
+            print(f"{argv[3]}: {len(got)} lines, {want}: {len(want_lines)}; "
+                  f"lines that differ: {bad}")
+            return int(bool(bad) or len(got) != len(want_lines))
     print(__doc__, file=sys.stderr)
     return 2
 

@@ -185,7 +185,9 @@ def test_v10_moved_only_the_hellinger_columns(name):
 @pytest.mark.parametrize("golden", [pytest.param(g, id=g.name) for g in GOLDENS
                                     if 11 in g.versions() and g.name != "cosine_n40_seed1"])
 def test_v11_moved_bracket_ends_outward(golden):
-    old, new = (read_csv_cells(golden.pin(v) + ".csv") for v in golden.versions()[-2:])
+    versions = golden.versions()
+    old, new = (read_csv_cells(golden.pin(v) + ".csv")
+                for v in versions[versions.index(11) - 1:versions.index(11) + 1])
     assert [list(r) for r in old] == [list(r) for r in new]
     assert [r["n"] for r in old] == [r["n"] for r in new]
     assert_bracket_free_columns_keep(old, new)
@@ -195,6 +197,18 @@ def test_v11_moved_bracket_ends_outward(golden):
             moved += 1
             assert (float(now[col]) > float(was[col])) == (".upper" in col), (was["n"], col)
     assert moved
+
+
+@pytest.mark.parametrize("argv", [["check", "no_such_set", "out"],
+                                  ["record", "no_such_record", "got.json"]])
+def test_goldens_script_refuses_an_unknown_name(argv):
+    # an unknown name prints the usage and exits 2, as every bad call does
+    proc = subprocess.run([sys.executable, os.path.join(os.path.dirname(DATA), "goldens.py"),
+                           *argv], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(
+                              os.path.dirname(os.path.dirname(DATA)), "src")))
+    assert proc.returncode == 2, proc.stderr
+    assert "python tests/goldens.py replays" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_v10_hellinger_brackets_are_sharp():

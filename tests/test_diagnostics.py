@@ -239,6 +239,28 @@ class TestEvidenceFlag:
         assert all(flags)
 
 
+    def test_the_likelihood_ratio_evidence_encloses_the_mpmath_shift(self):
+        # the log_evidence column and the flag shift the evidence by the
+        # stored sum of ln f_star(x_i), rounded outward; under a tilt truth
+        # that sum is inexact, and n times its mean is one rounding more
+        import mpmath as mp
+        settings = DiagnosticSettings()
+        column = next(f for name, _, f in barron_statistics(settings) if name == "evidence")
+        e = BarronEngine(truth=GaussExpDensity(0.5))
+        data = RandomStream(5, 0).uniform_open(400)
+        misses = []
+        with mp.workdps(50):
+            for lo, hi in zip(range(0, 400, 5), range(5, 401, 5)):
+                e.add_points(data[lo:hi])
+                flag, got_lo, got_hi = column(e)
+                ev, s = e.log_evidence(), mp.mpf(e.sum_log_truth)
+                if not (got_lo <= mp.mpf(ev.lower) - s and mp.mpf(ev.upper) - s <= got_hi):
+                    misses.append(e.n)
+                assert flag == float(evidence_lower_flag(e, settings.tau))
+                assert flag == float(got_lo >= -settings.tau * e.n)
+        assert misses == []
+
+
 class TestEvaluateDiagnostics:
     def test_full_record(self):
         e = uniform_engine(60)

@@ -555,24 +555,71 @@ class TestRandomStream:
         assert v.min() > 0.0 and v.max() < 1.0
 
 
+def _mp_ratio(log_a, log_b):
+    """A / (A + B) in mpmath, from the floats ln A and ln B."""
+    return 1 / (1 + mp.exp(mp.mpf(log_b) - mp.mpf(log_a)))
+
+
+def _far_ends(rng, size):
+    """Log ends where a difference rounds by most: a third exactly 0, whose
+    differences are exact, the rest in [128, 1024) and past 1024 in
+    magnitude."""
+    k = size // 3
+    return np.concatenate([np.zeros(k), rng.uniform(128.0, 1024.0, k),
+                           rng.uniform(1024.0, 5000.0, size - 2 * k)]) \
+        * rng.choice([-1.0, 1.0], size)
+
+
 class TestMassRatio:
     def test_far_tail_does_not_overflow(self):
         # d = ln B - ln A = 800: e^d overflows, and A/(A+B) = e^-800
-        # underflows, so the upper end is the smallest subnormal
+        # underflows, so the upper end is the smallest subnormal; its
+        # complement's lower end is rounded outward from 1 by a few ulps
         a, b = LogBracket.point(-10.0), LogBracket.point(790.0)
         small = mass_ratio(a, b)
         assert small.lower == 0.0 and small.upper == math.ulp(0.0)
         big = mass_ratio(b, a)
-        assert big.lower == big.upper == 1.0
+        with mp.workdps(50):
+            assert big.lower <= _mp_ratio(790.0, -10.0) <= big.upper == 1.0
+        assert big.width() <= 2.0 * math.ulp(1.0)
 
     def test_past_overflow_is_exp_minus_d(self):
+        # past d = 709.78 each end is e^-d at its corner, rounded outward by
+        # an ulp
         got = mass_ratio(LogBracket.point(0.0), LogBracket(715.0, 720.0))
-        assert got.lower == math.exp(-720.0) and got.upper == math.exp(-715.0)
+        with mp.workdps(50):
+            lo, hi = _mp_ratio(0.0, 720.0), _mp_ratio(0.0, 715.0)
+            assert got.lower <= lo and hi <= got.upper
+            assert lo - got.lower <= 2.0 * math.ulp(got.lower)
+            assert got.upper - hi <= 2.0 * math.ulp(got.upper)
 
-    def test_below_overflow_unchanged(self):
+    def test_below_overflow_encloses_the_mpmath_value(self):
         for d in (-30.0, 0.0, 1.5, 700.0, 709.0):
             got = mass_ratio(LogBracket.point(0.0), LogBracket.point(d))
-            assert got.lower == got.upper == 1.0 / (1.0 + math.exp(d))
+            with mp.workdps(50):
+                assert got.lower <= _mp_ratio(0.0, d) <= got.upper, d
+            assert got.width() <= 4.0 * math.ulp(got.upper), d
+
+    def test_random_ends_enclose_the_mpmath_value(self):
+        # d just below and past 709.78, where e^d overflows, |d| near 700,
+        # where the difference of two ends past 128 rounds by up to half an
+        # ulp of d, 5.7e-14 of the mass, and d near 0
+        rng = np.random.default_rng(41)
+        k = 2000
+        d = np.concatenate([rng.uniform(705.0, 709.78, k), rng.uniform(709.79, 760.0, k),
+                            rng.uniform(699.0, 701.0, 2 * k) * rng.choice([-1.0, 1.0], 2 * k),
+                            rng.uniform(-5.0, 5.0, k)])
+        a = _far_ends(rng, d.size)
+        misses = []
+        with mp.workdps(50):
+            for x, y in zip(a.tolist(), (a + d).tolist()):
+                got = mass_ratio(LogBracket.point(x), LogBracket.point(y))
+                if not got.lower <= _mp_ratio(x, y) <= got.upper:
+                    misses.append((x, y))
+                # d's own rounding, an ulp of d either way, and a few of the mass
+                assert got.width() <= 2.0 * math.ulp(y - x) * got.upper \
+                    + 8.0 * math.ulp(got.upper), (x, y)
+        assert misses == []
 
     def test_zero_numerator_stays_zero(self):
         got = mass_ratio(LogBracket(LOG_ZERO, LOG_ZERO), LogBracket.point(0.0))
@@ -591,6 +638,66 @@ class TestMassShare:
     def test_ends_are_capped_at_one(self):
         got = mass_share(LogBracket(-1e-15, 1e-15), LogBracket(-1e-15, 1e-15))
         assert got.lower < 1.0 == got.upper
+
+    def test_random_ends_enclose_the_mpmath_value(self):
+        # shares near e^-745, where they turn subnormal, and near e^-700,
+        # where the difference of two ends past 128 rounds by up to half an
+        # ulp of it, 5.7e-14 of the share
+        rng = np.random.default_rng(43)
+        k = 3000
+        d = -np.concatenate([rng.uniform(744.0, 746.0, k), rng.uniform(699.0, 701.0, k),
+                             rng.uniform(0.0, 5.0, k)])
+        total = _far_ends(rng, d.size)
+        misses = []
+        with mp.workdps(50):
+            for x, y in zip((total + d).tolist(), total.tolist()):
+                got = mass_share(LogBracket.point(x), LogBracket.point(y))
+                if not got.lower <= mp.exp(mp.mpf(x) - mp.mpf(y)) <= got.upper:
+                    misses.append((x, y))
+                assert got.width() <= 2.0 * math.ulp(x - y) * got.upper \
+                    + 4.0 * math.ulp(got.upper), (x, y)
+        assert misses == []
+
+
+class TestQuadratureResultEnds:
+    def test_log_bracket_encloses_the_mpmath_ends(self):
+        # ln(1 -+ r) with r near 1, where ln(1 - r) is large, added to
+        # estimates past 128, where the sum rounds by up to half an ulp
+        rng = np.random.default_rng(47)
+        k = 3000
+        rs = np.concatenate([1.0 - 10.0 ** -rng.uniform(1.0, 15.0, k),
+                             10.0 ** -rng.uniform(0.0, 16.0, k)])
+        ests = _far_ends(rng, rs.size) + rng.uniform(-1.0, 1.0, rs.size)
+        misses = []
+        with mp.workdps(50):
+            for est, r in zip(ests.tolist(), rs.tolist()):
+                lo, hi = numerics.QuadratureResult(est, r, 0).log_bracket()
+                if not (lo <= mp.mpf(est) + mp.log1p(-mp.mpf(r))
+                        and mp.mpf(est) + mp.log1p(mp.mpf(r)) <= hi):
+                    misses.append((est, r))
+        assert misses == []
+        assert numerics.QuadratureResult(2.5, 0.0, 0).log_bracket() == (2.5, 2.5)
+
+    def test_a_ratio_of_integrals_encloses_the_mpmath_corners(self):
+        # the ratio of two integrals e^A (1 +- a) and e^B (1 +- b): the
+        # difference A - B rounds (a = b = 0 leaves nothing else to hold
+        # it), and its ends reach e^(A - B) (1 + a) / (1 - b)
+        rng = np.random.default_rng(53)
+        k = 1500
+        bounds = np.concatenate([np.zeros(k), 10.0 ** -rng.uniform(0.3, 12.0, 3 * k)])
+        a, b = rng.permutation(bounds), rng.permutation(bounds)
+        ests = _far_ends(rng, 2 * a.size).reshape(2, -1) + rng.uniform(-1.0, 1.0, (2, a.size))
+        misses = []
+        with mp.workdps(50):
+            for x, y, ra, rb in zip(*ests.tolist(), a.tolist(), b.tolist()):
+                got = numerics.QuadratureResult(x, ra, 0).over(
+                    numerics.QuadratureResult(y, rb, 0))
+                lo, hi = got.log_bracket()
+                diff, ra, rb = mp.mpf(x) - mp.mpf(y), mp.mpf(ra), mp.mpf(rb)
+                if not (lo <= diff + mp.log1p(-ra) - mp.log1p(rb)
+                        and diff + mp.log1p(ra) - mp.log1p(-rb) <= hi):
+                    misses.append((x, y, float(ra), float(rb)))
+        assert misses == []
 
 
 class TestLogBracketShift:
@@ -635,9 +742,9 @@ class TestLogBracketShift:
 
 class TestLogBracketAdd:
     def test_sums_past_1024_nats_enclose_the_mpmath_value(self):
-        # a fixed 1e-13 widening is under half an ulp once an end reaches
-        # 1024, where it rounds away; one ulp of the end is not.  Sums of two
-        # points, |a| in [1030, 6000] and b within 5 of a
+        # a fixed widening would be under half an ulp once an end reaches
+        # 1024, where it rounds away; the bound grows with the end.  Sums of
+        # two points, |a| in [1030, 6000] and b within 5 of a
         rng = np.random.default_rng(17)
         a = rng.uniform(1030.0, 6000.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
         b = a + rng.uniform(-5.0, 5.0, a.size)
@@ -647,6 +754,63 @@ class TestLogBracketAdd:
                 want = mp.log(mp.exp(x) + mp.exp(y))
                 assert got.lower <= want <= got.upper, (x, y)
                 assert 1024.0 <= abs(got.upper) and got.width() <= 4.0 * math.ulp(got.upper)
+
+    def test_sums_below_1024_nats_enclose_the_mpmath_value(self):
+        # ends in [128, 1024) and near 0, the second term up to 40 below
+        # the first, where log1p's argument is small
+        rng = np.random.default_rng(19)
+        a = np.concatenate([rng.uniform(128.0, 1024.0, 10_000) * rng.choice([-1.0, 1.0], 10_000),
+                            rng.uniform(-3.0, 3.0, 5000)])
+        b = a - rng.uniform(0.0, 40.0, a.size) ** rng.uniform(0.0, 1.0, a.size)
+        misses = []
+        with mp.workdps(50):
+            for x, y in zip(a.tolist(), b.tolist()):
+                got = LogBracket.point(x).add(LogBracket.point(y))
+                if not got.lower <= mp.log(mp.exp(x) + mp.exp(y)) <= got.upper:
+                    misses.append((x, y))
+        assert misses == []
+
+    def test_a_zero_term_keeps_the_other_bits(self):
+        got = LogBracket(-3.25, 7.5).add(LogBracket(LOG_ZERO, LOG_ZERO))
+        assert got == LogBracket(-3.25, 7.5)
+        got = LogBracket(0.5, 1.5).add(LogBracket(LOG_ZERO, 2.0))
+        assert got.lower == 0.5 and got.upper > log_add(1.5, 2.0)
+
+
+class TestLogBracketSumOf:
+    @pytest.mark.parametrize("size, draws", [(2, 300), (3, 300), (5, 200), (10, 100),
+                                             (100, 20), (1000, 6), (10_000, 2)])
+    def test_sums_enclose_the_mpmath_value(self, size, draws):
+        # point terms at ends in [128, 1024) and past 1024, each sum's terms
+        # spread by up to 0.01 (the sum's rounding at its largest, n terms
+        # alike) to 30 nats below its first
+        rng = np.random.default_rng(size)
+        misses = []
+        with mp.workdps(50):
+            for _ in range(draws):
+                top = rng.choice([rng.uniform(128.0, 1024.0), rng.uniform(1024.0, 5000.0)]) \
+                    * rng.choice([-1.0, 1.0])
+                terms = top - rng.uniform(0.0, 10.0 ** rng.uniform(-2.0, 1.5), size)
+                got = LogBracket.sum_of(terms, terms)
+                want = mp.log(mp.fsum(mp.exp(mp.mpf(t)) for t in terms.tolist()))
+                if not got.lower <= want <= got.upper:
+                    misses.append(terms[:3].tolist())
+                assert got.width() <= 4.0 * math.ulp(1.0) * (size + abs(got.upper) + 3.0)
+        assert misses == []
+
+    def test_one_term_or_none_keeps_its_bits(self):
+        assert LogBracket.sum_of([-2.5], np.array([3.5])) == LogBracket(-2.5, 3.5)
+        assert LogBracket.sum_of([], []) == LogBracket(LOG_ZERO, LOG_ZERO)
+
+    def test_add_is_the_two_term_sum(self):
+        # both widen by the bound of two terms: the ends agree to the few
+        # ulps by which log_add and log_sum_exp round apart
+        rng = np.random.default_rng(23)
+        for x, y in rng.uniform(-900.0, 900.0, (200, 2)).tolist():
+            two = LogBracket.point(x).add(LogBracket.point(y))
+            many = LogBracket.sum_of([x, y], [x, y])
+            assert abs(two.lower - many.lower) <= 4.0 * math.ulp(two.lower)
+            assert abs(two.upper - many.upper) <= 4.0 * math.ulp(two.upper)
 
 
 import scipy.integrate  # noqa: E402  (used by the Simpson oracle above)
