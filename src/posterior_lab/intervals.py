@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .numerics import LOG_ZERO, NumericError, add_outward, log_add, log_sum_exp
 
+
 @dataclass(frozen=True)
 class LogBracket:
     """Enclosure [lower, upper] of the log of a nonnegative real."""
@@ -124,8 +125,8 @@ class Bracket:
 
 
 def _widen(v: float, terms: int, up: bool) -> float:
-    """An end v of a sum of ``terms`` finite log terms, moved outward by the
-    bound on its rounding (see LogBracket.sum_of)."""
+    """An end v of a sum of ``terms`` log terms (at least its nonzero ones),
+    moved outward by the bound on its rounding (see LogBracket.sum_of)."""
     r = math.ulp(1.0) * (terms + abs(v) + 2.0) if terms > 1 else 0.0
     return v + r if up else v - r
 
